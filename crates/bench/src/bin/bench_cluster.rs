@@ -139,7 +139,7 @@ fn run_exact_stage2(rsca_m: &Matrix, config: &StudyConfig) -> Vec<usize> {
     let dendrogram = Dendrogram::from_history(&history);
     let _k_sweep = sweep_k(
         &history,
-        &cond.sqrt_values(),
+        cond.sqrt_values(),
         config.k_sweep_lo..=config.k_sweep_hi.min(history.n - 1),
     );
     let labels = history.cut(config.k);

@@ -14,7 +14,7 @@
 
 use crate::condensed::Condensed;
 use crate::linkage::Linkage;
-use icn_stats::{par, Matrix};
+use icn_stats::Matrix;
 
 /// One merge step of the hierarchy.
 #[derive(Clone, Copy, Debug, PartialEq)]
@@ -116,107 +116,60 @@ pub fn agglomerate(data: &Matrix, linkage: Linkage) -> MergeHistory {
     agglomerate_condensed(&cond, linkage)
 }
 
-/// Minimum active-cluster count before a nearest-neighbour scan is worth
-/// fanning out over `icn_stats::par` (thread spawns are not free, and the
-/// chunked reduction is only a win on big scans). The `ICN_SCAN_PAR_MIN`
-/// environment variable overrides the default — a test/bench knob in the
-/// `ICN_THREADS` mould, read once per agglomeration; results never depend
-/// on it.
-fn par_scan_min() -> usize {
-    std::env::var("ICN_SCAN_PAR_MIN")
-        .ok()
-        .and_then(|v| v.parse::<usize>().ok())
-        .filter(|&v| v >= 2)
-        .unwrap_or(4096)
+/// The NN-chain's working distances: a copy of the condensed matrix that
+/// merges overwrite in place. Pair `(a, b)`, `a < b`, lives at
+/// `base[a] + b`, where `base[a] = block_start(n, a) − a − 1` (wrapping:
+/// `a = 0` underflows, and adding `b ≥ 1` lands back in range).
+struct Working {
+    d: Vec<f64>,
+    base: Vec<usize>,
 }
 
-/// Lowest-index argmin of `row[y]` over `list` (skipping `skip`), i.e. the
-/// same winner the sequential `for y in 0..n` scan with a strict `<` picks.
-/// Chunks are combined in list order with a strict `<`, so the result is
-/// bit-identical at any thread count.
-fn nearest_active(row: &[f64], list: &[usize], skip: usize, scan_min: usize) -> (usize, f64) {
-    let fold = |ys: &[usize]| -> (usize, f64) {
-        let mut best = usize::MAX;
-        let mut best_d = f64::INFINITY;
-        for &y in ys {
-            if y == skip {
-                continue;
-            }
-            let dy = row[y];
-            if dy < best_d {
-                best_d = dy;
-                best = y;
-            }
+impl Working {
+    fn new(cond: &Condensed) -> Working {
+        let n = cond.len();
+        Working {
+            d: cond.as_slice().to_vec(),
+            base: (0..n)
+                .map(|a| crate::condensed::block_start(n, a).wrapping_sub(a + 1))
+                .collect(),
         }
-        (best, best_d)
-    };
-    if list.len() >= scan_min && par::thread_count() > 1 {
-        let chunk = list.len().div_ceil(par::thread_count());
-        let parts = par::map_chunks(list.len(), chunk, |r| fold(&list[r.start..r.end]));
-        let mut best = usize::MAX;
-        let mut best_d = f64::INFINITY;
-        // Chunks arrive in list order; strict `<` keeps the earliest
-        // (lowest-index) winner, matching the sequential scan.
-        for (y, dy) in parts {
-            if dy < best_d {
-                best_d = dy;
-                best = y;
-            }
-        }
-        (best, best_d)
-    } else {
-        fold(list)
+    }
+
+    /// Distance between slots `x != y`.
+    #[inline]
+    fn get(&self, x: usize, y: usize) -> f64 {
+        debug_assert_ne!(x, y, "the condensed layout has no diagonal");
+        let (a, b) = if x < y { (x, y) } else { (y, x) };
+        self.d[self.base[a].wrapping_add(b)]
     }
 }
 
-/// Ward Lance–Williams update of row `i` against retiring row `j`, widened
-/// to four independent lanes (the `sq_euclidean4` style): each active `k`
-/// is an element-wise-independent update whose arithmetic is exactly
-/// [`Linkage::Ward`]`::update`, so unrolling only overlaps the per-lane
-/// divide chains — every stored value is bit-identical to the scalar loop.
-/// Lanes that land on the merging slots compute a discarded value and skip
-/// the store, preserving the scalar loop's `continue`.
-#[allow(clippy::too_many_arguments)] // mirrors the merge-step state 1:1
-fn ward_update_row(
-    d: &mut [f64],
-    n: usize,
-    i: usize,
-    j: usize,
-    d_ij: f64,
-    n_i: f64,
-    n_j: f64,
-    active_list: &[usize],
-    size: &[usize],
-) {
-    let ward = |d_ik: f64, d_jk: f64, n_k: f64| {
-        let t = n_i + n_j + n_k;
-        ((n_i + n_k) * d_ik + (n_j + n_k) * d_jk - n_k * d_ij) / t
-    };
-    let mut lanes = active_list.chunks_exact(4);
-    for q in lanes.by_ref() {
-        let (k0, k1, k2, k3) = (q[0], q[1], q[2], q[3]);
-        let v0 = ward(d[i * n + k0], d[j * n + k0], size[k0] as f64);
-        let v1 = ward(d[i * n + k1], d[j * n + k1], size[k1] as f64);
-        let v2 = ward(d[i * n + k2], d[j * n + k2], size[k2] as f64);
-        let v3 = ward(d[i * n + k3], d[j * n + k3], size[k3] as f64);
-        if k0 != i && k0 != j {
-            d[i * n + k0] = v0;
-        }
-        if k1 != i && k1 != j {
-            d[i * n + k1] = v1;
-        }
-        if k2 != i && k2 != j {
-            d[i * n + k2] = v2;
-        }
-        if k3 != i && k3 != j {
-            d[i * n + k3] = v3;
+/// Lowest-index argmin of the distance from active slot `x` over the
+/// sorted active `list` (skipping `x` itself): a strict `<` in list order.
+fn nearest_active(w: &Working, x: usize, list: &[usize]) -> (usize, f64) {
+    let (below, above) = list.split_at(list.partition_point(|&y| y < x));
+    debug_assert_eq!(above.first(), Some(&x), "x must be active");
+    let mut best = usize::MAX;
+    let mut best_d = f64::INFINITY;
+    // Pairs (y, x) with y < x: one entry in each earlier row block.
+    for &y in below {
+        let dy = w.d[w.base[y].wrapping_add(x)];
+        if dy < best_d {
+            best_d = dy;
+            best = y;
         }
     }
-    for &k in lanes.remainder() {
-        if k != i && k != j {
-            d[i * n + k] = ward(d[i * n + k], d[j * n + k], size[k] as f64);
+    // Pairs (x, y) with y > x: x's own row block, read in order.
+    let row = w.base[x];
+    for &y in &above[1..] {
+        let dy = w.d[row.wrapping_add(y)];
+        if dy < best_d {
+            best_d = dy;
+            best = y;
         }
     }
+    (best, best_d)
 }
 
 /// Runs agglomerative clustering on a precomputed condensed distance matrix
@@ -224,82 +177,35 @@ fn ward_update_row(
 ///
 /// # Algorithm notes
 ///
-/// The nearest-neighbour chain runs over a full square working matrix with
-/// three perf refinements over the textbook version, all value-preserving
-/// (the merges and heights are bit-identical to the naive maintenance
-/// scheme, at any `ICN_THREADS`):
+/// The nearest-neighbour chain runs over a condensed working copy of
+/// `cond` — the layout of SciPy's `nn_chain` and Müllner's fastcluster —
+/// so the exact path holds two `N(N−1)/2` matrices at its peak (`cond`,
+/// which callers keep for the k-sweep, and the copy merges overwrite),
+/// never an `N²` square. Each pair has one storage slot, so a merge
+/// writes every updated distance exactly once. Retired slots are removed
+/// from a sorted active list, so scans and Lance–Williams updates touch
+/// `O(remaining)` slots rather than all `n` with a liveness branch per
+/// slot. The merges and heights are bit-identical to the naive
+/// maintenance scheme.
 ///
-/// * **Active list.** Retired slots are removed from a sorted index list,
-///   so scans and Lance–Williams updates touch `O(remaining)` slots rather
-///   than all `n` with a liveness branch per slot.
-/// * **Lazy row patching.** A merge rebuilds only the *row* of the
-///   surviving slot (one sequential write stream) instead of also writing
-///   the mirror column — at N≈5k those column writes are ~11M TLB-missing
-///   stores and dominate the run. Each row remembers the last merge it has
-///   seen (`rowstamp`); a scan first patches its row from the rows of
-///   clusters rebuilt since (which are recent, hence cache-resident), then
-///   reads one contiguous stream.
-/// * **Parallel scans.** Large scans fan out over `icn_stats::par` with a
-///   lowest-index-wins chunk reduction (`nearest_active`).
+/// The loop is sequential: a scan is a few thousand reads, and fanning it
+/// out costs a thread spawn per scan, which measured slower than the scan
+/// itself on 2 threads.
 pub fn agglomerate_condensed(cond: &Condensed, linkage: Linkage) -> MergeHistory {
     let _span = icn_obs::Span::enter("agglomerate");
     let n = cond.len();
     assert!(n >= 2, "agglomerate: need at least 2 observations");
 
-    // Working distance matrix, full square for O(1) row access. At N=4762
-    // this is ~181 MB transiently. Rows are built in parallel chunks: the
-    // upper triangle is a straight copy of the condensed rows, and the
-    // lower triangle is mirrored through 8-column tiles — within a tile,
-    // each destination row takes one cache line of stores instead of one
-    // 8n-byte-strided (miss-per-element) store per column, while the
-    // tile's 8 condensed source rows read as sequential streams. A pure
-    // copy either way, so bit-exact by construction.
-    let cvals = cond.as_slice();
-    let bs = |i: usize| crate::condensed::block_start(n, i);
-    let matrix_span = icn_obs::Span::enter("matrix");
-    let row_chunk = (n / (par::thread_count() * 4)).clamp(1, 256);
-    let mut d = vec![0.0f64; n * n];
-    // Workers write disjoint row windows of the square directly (no
-    // per-chunk allocation, no stitch pass over the 8N² buffer).
-    const TILE: usize = 8;
-    par::fill_chunks(&mut d, row_chunk * n, |range, out| {
-        let (lo, hi) = (range.start / n, range.end / n);
-        for i in lo..hi {
-            let upper = &cvals[bs(i)..bs(i) + (n - 1 - i)];
-            out[(i - lo) * n + i + 1..(i - lo) * n + n].copy_from_slice(upper);
-        }
-        let mut jt = 0usize;
-        while jt < hi.saturating_sub(1) {
-            let jhi = (jt + TILE).min(hi - 1);
-            // cvals index of mirror (i, j) is bs(j) + i - j - 1; hoist the
-            // j-only part (wrapping: j = 0 underflows transiently, and
-            // adding i ≥ j + 1 lands back in range).
-            let mut base = [0usize; TILE];
-            for (t, j) in (jt..jhi).enumerate() {
-                base[t] = bs(j).wrapping_sub(j + 1);
-            }
-            for i in lo.max(jt + 1)..hi {
-                let row = (i - lo) * n;
-                for (t, j) in (jt..jhi.min(i)).enumerate() {
-                    out[row + j] = cvals[base[t].wrapping_add(i)];
-                }
-            }
-            jt = jhi;
-        }
-    });
-    drop(matrix_span);
+    let mut w = {
+        let _matrix = icn_obs::Span::enter("matrix");
+        Working::new(cond)
+    };
 
-    let mut active = vec![true; n]; // cluster slot still alive
     let mut active_list: Vec<usize> = (0..n).collect(); // sorted live slots
     let mut size = vec![1usize; n]; // cluster sizes
     let mut label = (0..n).collect::<Vec<usize>>(); // slot -> output label
     let mut merges: Vec<Merge> = Vec::with_capacity(n - 1);
     let mut chain: Vec<usize> = Vec::with_capacity(n);
-
-    // Lazy-mirror bookkeeping: merge_log[t] is the slot rebuilt by merge t;
-    // rowstamp[x] is the log length row x has been patched up to.
-    let mut merge_log: Vec<usize> = Vec::with_capacity(n - 1);
-    let mut rowstamp = vec![0usize; n];
 
     // Raw merge list; heights sorted at the end (NN-chain finds reciprocal
     // pairs out of height order).
@@ -311,7 +217,6 @@ pub fn agglomerate_condensed(cond: &Condensed, linkage: Linkage) -> MergeHistory
     let obs = icn_obs::global();
     let metered = obs.is_enabled();
     let mut merge_hist = icn_obs::Histogram::new();
-    let scan_min = par_scan_min();
 
     while active_list.len() > 1 {
         if chain.is_empty() {
@@ -320,15 +225,6 @@ pub fn agglomerate_condensed(cond: &Condensed, linkage: Linkage) -> MergeHistory
         }
         loop {
             let x = *chain.last().unwrap();
-            // Bring row x up to date: copy the distances of every cluster
-            // rebuilt since this row was last patched from their rows.
-            for t in rowstamp[x]..merge_log.len() {
-                let m = merge_log[t];
-                if m != x && active[m] {
-                    d[x * n + m] = d[m * n + x];
-                }
-            }
-            rowstamp[x] = merge_log.len();
             // Nearest active neighbour of x, preferring the previous chain
             // element on ties (guarantees termination).
             let prev = if chain.len() >= 2 {
@@ -336,12 +232,11 @@ pub fn agglomerate_condensed(cond: &Condensed, linkage: Linkage) -> MergeHistory
             } else {
                 None
             };
-            let row = &d[x * n..(x + 1) * n];
-            let (mut best, best_d) = nearest_active(row, &active_list, x, scan_min);
+            let (mut best, best_d) = nearest_active(&w, x, &active_list);
             if let Some(p) = prev {
                 // The sequential tie-break prefers `prev` over any other
                 // slot at the same distance.
-                if row[p] == best_d {
+                if w.get(x, p) == best_d {
                     best = p;
                 }
             }
@@ -352,45 +247,31 @@ pub fn agglomerate_condensed(cond: &Condensed, linkage: Linkage) -> MergeHistory
                 chain.pop();
                 chain.pop();
                 let (i, j) = (x.min(best), x.max(best));
-                // `best` may predate merges that happened while it sat in
-                // the chain; patch its row before reading it.
-                for t in rowstamp[best]..merge_log.len() {
-                    let m = merge_log[t];
-                    if m != best && active[m] {
-                        d[best * n + m] = d[m * n + best];
-                    }
-                }
-                rowstamp[best] = merge_log.len();
-                let d_ij = d[i * n + j];
-                // Lance-Williams update into slot i's row; retire slot j.
-                // No mirror-column writes: readers patch lazily. Ward (the
-                // hot path) takes the 4-lane widened row update.
+                let d_ij = w.get(i, j);
+                // Lance-Williams update into slot i; retire slot j. The
+                // active slots k split into three runs by where the pairs
+                // (i, k) and (j, k) are stored.
                 let (n_i, n_j) = (size[i] as f64, size[j] as f64);
-                match linkage {
-                    Linkage::Ward => {
-                        ward_update_row(&mut d, n, i, j, d_ij, n_i, n_j, &active_list, &size)
-                    }
-                    _ => {
-                        for &k in &active_list {
-                            if k == i || k == j {
-                                continue;
-                            }
-                            d[i * n + k] = linkage.update(
-                                d[i * n + k],
-                                d[j * n + k],
-                                d_ij,
-                                n_i,
-                                n_j,
-                                size[k] as f64,
-                            );
-                        }
-                    }
+                let lw = |d_ik: f64, d_jk: f64, k: usize| {
+                    linkage.update(d_ik, d_jk, d_ij, n_i, n_j, size[k] as f64)
+                };
+                let pi = active_list.partition_point(|&k| k < i);
+                let pj = active_list.partition_point(|&k| k < j);
+                let Working { d, base } = &mut w;
+                let (bi, bj) = (base[i], base[j]);
+                for &k in &active_list[..pi] {
+                    let (ik, jk) = (base[k].wrapping_add(i), base[k].wrapping_add(j));
+                    d[ik] = lw(d[ik], d[jk], k);
                 }
-                active[j] = false;
-                let pos = active_list.binary_search(&j).expect("j active");
-                active_list.remove(pos);
-                merge_log.push(i);
-                rowstamp[i] = merge_log.len();
+                for &k in &active_list[pi + 1..pj] {
+                    let (ik, jk) = (bi.wrapping_add(k), base[k].wrapping_add(j));
+                    d[ik] = lw(d[ik], d[jk], k);
+                }
+                for &k in &active_list[pj + 1..] {
+                    let (ik, jk) = (bi.wrapping_add(k), bj.wrapping_add(k));
+                    d[ik] = lw(d[ik], d[jk], k);
+                }
+                active_list.remove(pj);
                 raw.push((label[i], label[j], d_ij, size[i] + size[j]));
                 size[i] += size[j];
                 // The new cluster's output label is assigned after sorting;

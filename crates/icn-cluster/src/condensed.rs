@@ -110,19 +110,71 @@ impl Condensed {
         &self.d
     }
 
-    /// The entry-wise square root of this matrix.
+    /// The entry-wise square root of this matrix, as a view: every read
+    /// takes the root of the stored entry on the fly, so no second matrix
+    /// is allocated.
     ///
     /// `Metric::Euclidean.distance` is defined as
     /// `Metric::SqEuclidean.distance(..).sqrt()`, so for a condensed matrix
-    /// built with `Metric::SqEuclidean` (Ward's base metric) this is
+    /// built with `Metric::SqEuclidean` (Ward's base metric) every read is
     /// **bit-identical** to recomputing `from_rows(data, Metric::Euclidean)`
-    /// — at O(N²) instead of O(N²·M), skipping the second full pairwise
-    /// pass the k-sweep used to pay for.
-    pub fn sqrt_values(&self) -> Condensed {
-        Condensed {
-            n: self.n,
-            d: self.d.iter().map(|&v| v.sqrt()).collect(),
+    /// — without the second full pairwise pass. This is how the k-sweep
+    /// reads Euclidean geometry off Ward's matrix.
+    pub fn sqrt_values(&self) -> Distances<'_> {
+        Distances {
+            cond: self,
+            sqrt: true,
         }
+    }
+}
+
+/// The pairwise distances the quality indices ([`crate::silhouette_score`],
+/// [`crate::dunn_index`], [`crate::sweep_k`]) read: a [`Condensed`]
+/// matrix's entries as stored (`From<&Condensed>`), or their square roots
+/// ([`Condensed::sqrt_values`]).
+#[derive(Clone, Copy, Debug)]
+pub struct Distances<'a> {
+    cond: &'a Condensed,
+    sqrt: bool,
+}
+
+impl<'a> From<&'a Condensed> for Distances<'a> {
+    fn from(cond: &'a Condensed) -> Self {
+        Distances { cond, sqrt: false }
+    }
+}
+
+impl<'a> From<&Distances<'a>> for Distances<'a> {
+    fn from(view: &Distances<'a>) -> Self {
+        *view
+    }
+}
+
+impl Distances<'_> {
+    /// Number of points.
+    pub(crate) fn len(&self) -> usize {
+        self.cond.n
+    }
+
+    /// Distance between points `i` and `j` (0.0 on the diagonal).
+    #[inline]
+    pub(crate) fn get(&self, i: usize, j: usize) -> f64 {
+        self.read(self.cond.get(i, j))
+    }
+
+    /// The distance a stored entry of [`Self::stored`] stands for.
+    #[inline]
+    pub(crate) fn read(&self, stored: f64) -> f64 {
+        if self.sqrt {
+            stored.sqrt()
+        } else {
+            stored
+        }
+    }
+
+    /// The underlying condensed storage; map entries through [`Self::read`].
+    pub(crate) fn stored(&self) -> &[f64] {
+        &self.cond.d
     }
 }
 
@@ -196,8 +248,10 @@ mod tests {
         let direct = Condensed::from_rows(&m, Metric::Euclidean);
         let derived = sq.sqrt_values();
         assert_eq!(derived.len(), direct.len());
-        for (a, b) in direct.as_slice().iter().zip(derived.as_slice()) {
-            assert_eq!(a.to_bits(), b.to_bits());
+        for i in 0..30 {
+            for j in 0..30 {
+                assert_eq!(direct.get(i, j).to_bits(), derived.get(i, j).to_bits());
+            }
         }
     }
 

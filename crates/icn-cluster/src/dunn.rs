@@ -7,10 +7,11 @@
 //! pairwise distance across clusters; diameter is the maximum pairwise
 //! distance within a cluster.
 
-use crate::condensed::Condensed;
+use crate::condensed::Distances;
 use icn_stats::par;
 
-/// Dunn index of a labelling over a precomputed distance matrix.
+/// Dunn index of a labelling over precomputed distances (a `&Condensed`,
+/// or a view such as [`crate::Condensed::sqrt_values`]).
 /// Labels must be dense `0..k`.
 ///
 /// Returns `f64::INFINITY` when every cluster has diameter zero (all
@@ -18,7 +19,8 @@ use icn_stats::par;
 ///
 /// # Panics
 /// If fewer than 2 clusters are present or labels length mismatches.
-pub fn dunn_index(cond: &Condensed, labels: &[usize]) -> f64 {
+pub fn dunn_index<'a>(dist: impl Into<Distances<'a>>, labels: &[usize]) -> f64 {
+    let cond = dist.into();
     let n = cond.len();
     assert_eq!(labels.len(), n, "dunn: label length mismatch");
     let k = labels.iter().copied().max().map_or(0, |m| m + 1);
@@ -56,6 +58,7 @@ pub fn dunn_index(cond: &Condensed, labels: &[usize]) -> f64 {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::condensed::Condensed;
     use icn_stats::{Matrix, Metric, Rng};
 
     fn blobs(sep: f64) -> (Condensed, Vec<usize>) {

@@ -41,7 +41,7 @@ pub mod stability;
 pub mod validation;
 
 pub use agglomerative::{agglomerate, agglomerate_condensed, Merge, MergeHistory};
-pub use condensed::Condensed;
+pub use condensed::{Condensed, Distances};
 pub use cophenetic::{cophenetic_correlation, cophenetic_distances};
 pub use dendrogram::Dendrogram;
 pub use dunn::dunn_index;

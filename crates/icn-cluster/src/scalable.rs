@@ -1,9 +1,10 @@
 //! Scalable (sampled) Ward path for large antenna populations.
 //!
 //! The exact stage-2 pipeline materialises the condensed distance matrix
-//! (4N² bytes) plus the NN-chain working square (8N² bytes): ~12N² bytes
-//! total, which walls out around N ≈ 10⁴–10⁵ on commodity memory. This
-//! module provides the classic sample-cluster-extend escape hatch:
+//! (4N² bytes) plus the NN-chain's condensed working copy (another 4N²):
+//! ~8N² bytes total, which walls out around N ≈ 10⁴–10⁵ on commodity
+//! memory. This module provides the classic sample-cluster-extend escape
+//! hatch:
 //!
 //! 1. draw a seeded sample of `s` rows and run the **exact** Ward
 //!    agglomeration on it (so every guarantee of the exact path — NN-chain
@@ -80,17 +81,17 @@ impl ClusterPath {
 }
 
 /// Dominant transient allocations of the exact path at population `n`:
-/// the condensed upper triangle (≈4n² bytes), its square working copy in
-/// the NN-chain (8n²), and the sqrt view taken for the k-sweep (≈4n²)
-/// which only lives after the square is dropped — so the peak is ~12n².
+/// the condensed upper triangle (≈4n² bytes) and the NN-chain's condensed
+/// working copy of it (≈4n²). The k-sweep reads the first in place, so the
+/// peak is ~8n².
 pub fn exact_memory_bytes(n: usize) -> usize {
-    12 * n * n
+    8 * n * n
 }
 
 /// Largest sample size whose exact-path footprint fits `budget_bytes`
 /// (the inverse of [`exact_memory_bytes`]).
 pub fn max_sample_for_budget(budget_bytes: usize) -> usize {
-    ((budget_bytes / 12) as f64).sqrt() as usize
+    ((budget_bytes / 8) as f64).sqrt() as usize
 }
 
 /// Configuration for [`sampled_ward`].

@@ -9,7 +9,7 @@
 //! implements the sweep and the drop-detection criterion.
 
 use crate::agglomerative::MergeHistory;
-use crate::condensed::{block_start, Condensed};
+use crate::condensed::{block_start, Distances};
 use crate::dunn::dunn_index;
 use crate::silhouette::silhouette_score;
 use icn_stats::par;
@@ -30,8 +30,9 @@ pub struct KQuality {
 const FUSED_MAX_HI: usize = 256;
 
 /// Sweeps cuts of `history` over `k_range` (inclusive) against the
-/// distances in `cond` (which must be over the same observations, in any
-/// metric — the paper's geometry is Euclidean).
+/// distances in `dist` (which must be over the same observations, in any
+/// metric — the paper's geometry is Euclidean, read off Ward's matrix
+/// through [`crate::Condensed::sqrt_values`]).
 ///
 /// # Fused evaluation
 ///
@@ -49,11 +50,12 @@ const FUSED_MAX_HI: usize = 256;
 /// few ulps (≲1e-12 relative — see `fused_sweep_matches_direct`). Both are
 /// bit-identical at any `ICN_THREADS`: per-point results are summed in
 /// index order and the pair tables merge through exact min/max.
-pub fn sweep_k(
+pub fn sweep_k<'a>(
     history: &MergeHistory,
-    cond: &Condensed,
+    dist: impl Into<Distances<'a>>,
     k_range: std::ops::RangeInclusive<usize>,
 ) -> Vec<KQuality> {
+    let cond = dist.into();
     let (lo, hi) = (*k_range.start(), *k_range.end());
     assert!(lo >= 2, "sweep_k: k must start at ≥ 2");
     assert!(hi <= history.n, "sweep_k: k exceeds number of observations");
@@ -95,7 +97,7 @@ pub fn sweep_k(
     // One parallel pass over the condensed matrix. Each chunk returns its
     // points' per-k silhouette values (in point order) plus fine-pair
     // min/max distance tables.
-    let cvals = cond.as_slice();
+    let cvals = cond.stored();
     struct ChunkOut {
         sil: Vec<f64>,  // |chunk| × nk, row-major
         pmin: Vec<f64>, // nf × nf upper triangle (incl. diagonal)
@@ -114,13 +116,14 @@ pub fn sweep_k(
             // offsets, no per-access multiply).
             let mut off = i.wrapping_sub(1); // block_start(n, 0) + i - 1
             for j in 0..i {
-                sums[fine[j]] += cvals[off];
+                sums[fine[j]] += cond.read(cvals[off]);
                 off += n - 2 - j;
             }
             // j > i: contiguous row slice; also feeds the pair tables
             // (each unordered pair visited exactly once, as in dunn).
             let base = block_start(n, i);
             for (t, &v) in cvals[base..base + (n - 1 - i)].iter().enumerate() {
+                let v = cond.read(v);
                 let fj = fine[i + 1 + t];
                 sums[fj] += v;
                 let idx = if fi <= fj { fi * nf + fj } else { fj * nf + fi };
@@ -211,7 +214,7 @@ pub fn sweep_k(
 
 /// The straightforward two-passes-per-k sweep; reference semantics for the
 /// fused path and fallback for very wide ranges.
-fn sweep_k_direct(history: &MergeHistory, cond: &Condensed, lo: usize, hi: usize) -> Vec<KQuality> {
+fn sweep_k_direct(history: &MergeHistory, cond: Distances, lo: usize, hi: usize) -> Vec<KQuality> {
     (lo..=hi)
         .map(|k| {
             let labels = history.cut(k);
@@ -283,6 +286,7 @@ pub fn select_k(sweep: &[KQuality], min_rel_drop: f64) -> usize {
 mod tests {
     use super::*;
     use crate::agglomerative::agglomerate;
+    use crate::condensed::Condensed;
     use crate::linkage::Linkage;
     use icn_stats::{Matrix, Metric, Rng};
 
@@ -420,7 +424,7 @@ mod tests {
         let h = agglomerate(&m, Linkage::Ward);
         let cond = Condensed::from_rows(&m, Metric::Euclidean);
         let fused = sweep_k(&h, &cond, 2..=15);
-        let direct = sweep_k_direct(&h, &cond, 2, 15);
+        let direct = sweep_k_direct(&h, (&cond).into(), 2, 15);
         assert_eq!(fused.len(), direct.len());
         for (f, d) in fused.iter().zip(&direct) {
             assert_eq!(f.k, d.k);
@@ -448,7 +452,7 @@ mod tests {
         let cond = Condensed::from_rows(&m, Metric::Euclidean);
         let sweep = sweep_k(&h, &cond, 2..=n);
         assert_eq!(sweep.last().unwrap().silhouette, 0.0);
-        let direct = sweep_k_direct(&h, &cond, 2, n);
+        let direct = sweep_k_direct(&h, (&cond).into(), 2, n);
         for (f, d) in sweep.iter().zip(&direct) {
             assert_eq!(f.dunn.to_bits(), d.dunn.to_bits());
             assert!((f.silhouette - d.silhouette).abs() <= 1e-12);

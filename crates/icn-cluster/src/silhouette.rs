@@ -6,15 +6,17 @@
 //! `(b − a) / max(a, b)`; the score is the mean over all points. Points in
 //! singleton clusters contribute 0 by convention.
 
-use crate::condensed::Condensed;
+use crate::condensed::Distances;
 use icn_stats::par;
 
-/// Mean silhouette coefficient of a labelling over a precomputed distance
-/// matrix. Labels must be dense `0..k`.
+/// Mean silhouette coefficient of a labelling over precomputed distances
+/// (a `&Condensed`, or a view such as [`crate::Condensed::sqrt_values`]).
+/// Labels must be dense `0..k`.
 ///
 /// # Panics
 /// If fewer than 2 clusters are present or labels length mismatches.
-pub fn silhouette_score(cond: &Condensed, labels: &[usize]) -> f64 {
+pub fn silhouette_score<'a>(dist: impl Into<Distances<'a>>, labels: &[usize]) -> f64 {
+    let cond = dist.into();
     let n = cond.len();
     assert_eq!(labels.len(), n, "silhouette: label length mismatch");
     let k = labels.iter().copied().max().map_or(0, |m| m + 1);
@@ -53,6 +55,7 @@ pub fn silhouette_score(cond: &Condensed, labels: &[usize]) -> f64 {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::condensed::Condensed;
     use icn_stats::{Matrix, Metric, Rng};
 
     fn blobs(sep: f64) -> (Condensed, Vec<usize>) {

@@ -1,12 +1,12 @@
 //! Thread-invariance suite for the parallel stage-2 machinery: the
-//! condensed distance build, the NN-chain square-matrix fill, the parallel
-//! nearest-neighbour scans and the sampled-Ward extension must all be
-//! **bit-identical at any `ICN_THREADS`** — parallelism is an execution
-//! detail, never an answer detail.
+//! condensed distance build, the merge history built on it and the
+//! sampled-Ward extension must all be **bit-identical at any
+//! `ICN_THREADS`** — parallelism is an execution detail, never an answer
+//! detail.
 //!
-//! Environment discipline: `ICN_THREADS` / `ICN_SCAN_PAR_MIN` are
-//! process-global, so every mutation lives inside a single `#[test]`
-//! function (`thread_invariance_matrix`) that saves and restores them.
+//! Environment discipline: `ICN_THREADS` is process-global, so every
+//! mutation lives inside a single `#[test]` function
+//! (`thread_invariance_matrix`) that saves and restores it.
 //! Other tests in this binary only ever read results that are
 //! thread-invariant by contract, so concurrent execution is safe.
 
@@ -61,25 +61,20 @@ impl Drop for EnvGuard {
     }
 }
 
-/// The tentpole invariance matrix: every `ICN_THREADS` ∈ {1, 2, 8}, with
-/// the nearest-neighbour scan fan-out forced on (tiny `ICN_SCAN_PAR_MIN`)
-/// so the chunked parallel reduction actually runs at test sizes, must
+/// The tentpole invariance matrix: every `ICN_THREADS` ∈ {1, 2, 8} must
 /// reproduce the single-thread baseline bit for bit — condensed matrix,
 /// merge history, and sampled-Ward labels alike.
 #[test]
 fn thread_invariance_matrix() {
-    let _guard = EnvGuard::capture(&["ICN_THREADS", "ICN_SCAN_PAR_MIN"]);
+    let _guard = EnvGuard::capture(&["ICN_THREADS"]);
     let m = blobs(257, 4, 0xA11CE);
     // Population for the sampled path: big enough that the parallel
     // nearest-centroid assignment path (gated at 4096 rows) engages.
     let big = blobs(5000, 3, 0xB0B);
 
-    // Baseline: pinned single thread, default scan threshold. Average
-    // linkage rides along to pin the non-Ward row-update path, which
-    // shares the tiled square-matrix build but not the lane-widened
-    // Lance–Williams loop.
+    // Baseline: pinned single thread. Average linkage rides along to pin
+    // a second Lance–Williams recurrence through the same working copy.
     std::env::set_var("ICN_THREADS", "1");
-    std::env::remove_var("ICN_SCAN_PAR_MIN");
     let cond_base = Condensed::from_rows(&m, Metric::SqEuclidean);
     let hist_base = fingerprint(&agglomerate_condensed(&cond_base, Linkage::Ward));
     let avg_base = fingerprint(&agglomerate_condensed(&cond_base, Linkage::Average));
@@ -92,8 +87,6 @@ fn thread_invariance_matrix() {
 
     for threads in ["1", "2", "8"] {
         std::env::set_var("ICN_THREADS", threads);
-        // Force the parallel scan reduction on (any scan ≥ 2 fans out).
-        std::env::set_var("ICN_SCAN_PAR_MIN", "2");
         let cond = Condensed::from_rows(&m, Metric::SqEuclidean);
         assert_eq!(
             cond.as_slice()
@@ -140,9 +133,9 @@ fn thread_invariance_matrix() {
     }
 }
 
-/// Differential oracle: the parallel NN-chain (lazy row patching, active
-/// list, fanned-out scans) against the testkit's O(n³) greedy
-/// agglomeration. Reducible linkages make the two hierarchies equal.
+/// Differential oracle: the NN-chain (condensed working copy, active list)
+/// against the testkit's O(n³) greedy agglomeration. Reducible linkages
+/// make the two hierarchies equal.
 #[test]
 fn nn_chain_matches_greedy_oracle() {
     for seed in [1u64, 2, 3] {
@@ -184,10 +177,10 @@ fn row_permutation_equivariance() {
     }
 }
 
-/// The lazy-row-patching scheme must be value-preserving for every
-/// reducible linkage, not just Ward.
+/// The in-place condensed Lance–Williams updates must be value-preserving
+/// for every reducible linkage, not just Ward.
 #[test]
-fn all_linkages_match_oracle_with_patching() {
+fn all_linkages_match_oracle() {
     let m = blobs(40, 3, 99);
     for linkage in Linkage::ALL {
         let fast = agglomerate(&m, linkage);

@@ -161,14 +161,12 @@ impl IcnStudy {
                     let dendrogram = Dendrogram::from_history(&history);
                     let k_sweep = if config.run_k_sweep {
                         // Quality indices use Euclidean geometry (not the
-                        // squared distances Ward works in). Ward's base
-                        // metric is SqEuclidean, so the Euclidean matrix is
-                        // the entry-wise square root of the one already
-                        // computed — no second O(N²·M) pairwise pass.
-                        let cond_eucl = cond.sqrt_values();
+                        // squared distances Ward works in): the sweep reads
+                        // square roots of Ward's matrix on the fly — no
+                        // second pairwise pass and no second matrix.
                         sweep_k(
                             &history,
-                            &cond_eucl,
+                            cond.sqrt_values(),
                             config.k_sweep_lo..=config.k_sweep_hi.min(history.n - 1),
                         )
                     } else {
@@ -205,10 +203,9 @@ impl IcnStudy {
                     );
                     let dendrogram = Dendrogram::from_history(&sw.history);
                     let k_sweep = if config.run_k_sweep {
-                        let cond_eucl = sw.sample_condensed.sqrt_values();
                         sweep_k(
                             &sw.history,
-                            &cond_eucl,
+                            sw.sample_condensed.sqrt_values(),
                             config.k_sweep_lo..=config.k_sweep_hi.min(sw.history.n - 1),
                         )
                     } else {

@@ -131,7 +131,7 @@ where
 /// chunk may be shorter).
 ///
 /// This is the zero-copy sibling of [`map_chunks`] for kernels whose output
-/// is one large flat buffer (e.g. the agglomeration working matrix): the
+/// is one large flat buffer (e.g. the forest's per-row OOB vote slots): the
 /// caller allocates once and workers write their disjoint windows directly,
 /// instead of allocating per-chunk vectors that get stitched back with an
 /// extra pass over the whole buffer. Determinism is structural — the chunk

@@ -35,8 +35,8 @@ pub const GOLDEN_SCALE: f64 = 0.05;
 pub const SAMPLED_GOLDEN_SCALE: f64 = 0.1;
 
 /// The memory budget the sampled-path golden run is pinned at. 1 MB caps
-/// the sample at ~295 antennas, a strict ~60% sample of the scale-0.1
-/// population.
+/// the sample at 362 antennas, a strict ~76% sample of the scale-0.1
+/// population (475 live antennas).
 pub const SAMPLED_GOLDEN_BUDGET_MB: usize = 1;
 
 /// Canonical fixed-precision rendering of one float. `-0.0` collapses to

@@ -7,8 +7,14 @@
 use icn_repro::icn_cluster::agglomerate_condensed;
 use icn_repro::icn_obs;
 use icn_repro::prelude::*;
+use std::sync::Mutex;
 
 mod common;
+
+/// Serializes the test that enables the process-global registry with the
+/// tests that build condensed matrices: while the registry is on, their
+/// `cluster.condensed_bytes` gauge writes would land in its window.
+static REGISTRY: Mutex<()> = Mutex::new(());
 
 /// RSCA features of the paper-configured synthetic campaign at `scale`.
 fn rsca_at(scale: f64) -> Matrix {
@@ -25,6 +31,7 @@ fn rsca_at(scale: f64) -> Matrix {
 /// drifting a benchmark artefact.
 #[test]
 fn sampled_ward_agrees_with_exact_at_paper_subscales() {
+    let _guard = REGISTRY.lock().unwrap();
     let config = StudyConfig::paper();
     for scale in [0.05, 0.2] {
         let rsca_m = rsca_at(scale);
@@ -74,6 +81,7 @@ fn large_fixture(n: usize, dims: usize, k: usize) -> Matrix {
 /// registry for its whole body, per the suite's env-test discipline.
 #[test]
 fn sampled_path_never_materializes_full_condensed() {
+    let _guard = REGISTRY.lock().unwrap();
     let n = 6000;
     let budget_bytes: usize = 4 * 1024 * 1024; // 4 MB — exact needs ~412 MB
     assert!(exact_memory_bytes(n) > budget_bytes);
@@ -125,6 +133,7 @@ fn sampled_path_never_materializes_full_condensed() {
 /// off the extended labels without knowing a sample was involved.
 #[test]
 fn pipeline_runs_end_to_end_on_sampled_path() {
+    let _guard = REGISTRY.lock().unwrap();
     let ds = common::dataset();
     let config = StudyConfig {
         cluster_path: ClusterPath::Sampled,

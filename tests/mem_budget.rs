@@ -10,6 +10,7 @@
 //! tests in this binary (and the harness itself) see the inert
 //! single-branch disabled path.
 
+use icn_repro::icn_cluster::{agglomerate_condensed, sweep_k};
 use icn_repro::icn_obs::{self, mem};
 use icn_repro::prelude::*;
 use std::process::Command;
@@ -96,6 +97,34 @@ fn sampled_ward_allocator_peak_respects_the_budget() {
          {full_condensed} B — did the sampled path degrade to exact?"
     );
     assert_eq!(sw.labels.len(), n);
+}
+
+/// The exact stage-2 path holds two condensed matrices at its peak: the
+/// distances the k-sweep reads and the NN-chain's working copy. It never
+/// expands to an N² square, and the sweep takes square roots on the fly
+/// instead of copying the matrix.
+#[test]
+fn exact_path_peak_is_two_condensed_matrices() {
+    let _guard = LOCK.lock().unwrap();
+    let n = 1500;
+    let fixture = large_fixture(n, 24, 6);
+    let condensed = n * (n - 1) / 2 * std::mem::size_of::<f64>();
+    let (sweep, stats) = windowed(|| {
+        let cond = Condensed::from_rows(&fixture, Linkage::Ward.base_metric());
+        let history = agglomerate_condensed(&cond, Linkage::Ward);
+        sweep_k(&history, cond.sqrt_values(), 2..=10)
+    });
+    assert_eq!(sweep.len(), 9);
+    let peak = stats.peak_bytes as usize;
+    println!("exact stage-2 window: peak {peak} B, condensed {condensed} B");
+    assert!(
+        peak >= 2 * condensed,
+        "peak {peak} B is below the two condensed matrices that must coexist"
+    );
+    assert!(
+        peak <= 2 * condensed + condensed / 8,
+        "exact stage-2 peak {peak} B exceeds two {condensed} B condensed matrices"
+    );
 }
 
 /// Satellite consistency pin: the hand-maintained `cluster.condensed_bytes`
