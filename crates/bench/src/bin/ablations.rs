@@ -12,7 +12,7 @@
 //! cargo run --release -p icn-bench --bin ablations [-- --scale 0.25]
 //! ```
 
-use icn_bench::{banner, dataset, parse_opts};
+use icn_bench::{banner, dataset, parse_opts, write_metrics};
 use icn_cluster::{
     adjusted_rand_index, agglomerate, kmeans_best_of, silhouette_score, Condensed, Linkage,
 };
@@ -224,4 +224,5 @@ fn main() {
         ]);
     }
     println!("{}", b5.render());
+    write_metrics(&opts, "ablations");
 }

@@ -5,7 +5,7 @@
 //!
 //! ```text
 //! cargo run --release --bin bench_cluster -- \
-//!     --scales 0.05,0.25,1.0 --threads 1,max --metrics-out BENCH_pr6.json
+//!     --scales 0.05,0.25,1.0 --threads 1,max --metrics-out bench-cluster.json
 //! ```
 //!
 //! Only stages 1–2 of the pipeline run (the surrogate/SHAP stages are not
@@ -14,8 +14,8 @@
 //! unmeasured warm-up, and the fastest repeat wins. The exported report
 //! is the best snapshot of the **final** exact configuration (largest
 //! scale, highest thread count — `stage2_cluster` is directly comparable
-//! to `BENCH_pr5.json`) overlaid with the large-N sampled run and the
-//! agreement gauges:
+//! to the same stage of a metered `icn run` at that scale) overlaid with
+//! the large-N sampled run and the agreement gauges:
 //!
 //! * `stage2_cluster` span tree — the exact path at the last scale.
 //! * `stage2_sampled_large_n` span tree — sampled Ward on the synthetic

@@ -12,7 +12,7 @@
 //! cargo run --release -p icn-bench --bin emerging_clusters [-- --scale 0.25]
 //! ```
 
-use icn_bench::parse_opts;
+use icn_bench::{parse_opts, write_metrics};
 use icn_cluster::{adjusted_rand_index, agglomerate_condensed, sweep_k, Condensed, Linkage};
 use icn_core::{filter_dead_rows, rsca};
 use icn_report::Table;
@@ -95,4 +95,5 @@ fn main() {
         "after injection: silhouette k=9 {:.4} vs k=10 {:.4} (the tenth structure is real)",
         q9.silhouette, q10.silhouette
     );
+    write_metrics(&opts, "emerging_clusters");
 }

@@ -9,7 +9,7 @@
 //! cargo run --release -p icn-bench --bin fig01_histograms [-- --scale 1.0]
 //! ```
 
-use icn_bench::{banner, dataset, parse_opts};
+use icn_bench::{banner, dataset, parse_opts, write_metrics};
 use icn_core::{filter_dead_rows, rca, rsca_from_rca};
 use icn_stats::{normalize, Histogram};
 
@@ -71,4 +71,5 @@ fn main() {
          (RCA in-sample max maps to RSCA {:.3})",
         (max_rca - 1.0) / (max_rca + 1.0)
     );
+    write_metrics(&opts, "fig01_histograms");
 }

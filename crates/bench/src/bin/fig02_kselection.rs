@@ -9,7 +9,7 @@
 //! cargo run --release -p icn-bench --bin fig02_kselection [-- --scale 1.0]
 //! ```
 
-use icn_bench::{banner, dataset, parse_opts};
+use icn_bench::{banner, dataset, parse_opts, write_metrics};
 use icn_cluster::{agglomerate_condensed, detect_drops, select_k, sweep_k, Condensed, Linkage};
 use icn_core::{filter_dead_rows, rsca};
 use icn_report::Table;
@@ -63,4 +63,5 @@ fn main() {
         "selected k = {} (paper selects 9, discussing 6 qualitatively)",
         select_k(&sweep, 0.05)
     );
+    write_metrics(&opts, "fig02_kselection");
 }

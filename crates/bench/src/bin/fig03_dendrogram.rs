@@ -10,7 +10,7 @@
 //! cargo run --release -p icn-bench --bin fig03_dendrogram [-- --scale 1.0]
 //! ```
 
-use icn_bench::{banner, dataset, parse_opts, study};
+use icn_bench::{banner, dataset, parse_opts, study, write_metrics};
 use icn_report::Table;
 
 fn main() {
@@ -66,4 +66,5 @@ fn main() {
         "(paper: moving to k = 6 consolidates the orange group into one cluster \
          and merges clusters 6 and 8)"
     );
+    write_metrics(&opts, "fig03_dendrogram");
 }

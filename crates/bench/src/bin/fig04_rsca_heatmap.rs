@@ -10,7 +10,7 @@
 //! cargo run --release -p icn-bench --bin fig04_rsca_heatmap [-- --scale 1.0]
 //! ```
 
-use icn_bench::{banner, dataset, parse_opts, study};
+use icn_bench::{banner, dataset, parse_opts, study, write_metrics};
 
 fn main() {
     let opts = parse_opts();
@@ -43,4 +43,5 @@ fn main() {
             under.join(", ")
         );
     }
+    write_metrics(&opts, "fig04_rsca_heatmap");
 }

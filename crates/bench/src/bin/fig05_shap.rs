@@ -10,7 +10,7 @@
 //! cargo run --release -p icn-bench --bin fig05_shap [-- --scale 1.0]
 //! ```
 
-use icn_bench::{banner, dataset, parse_opts, study};
+use icn_bench::{banner, dataset, parse_opts, study, write_metrics};
 
 fn main() {
     let opts = parse_opts();
@@ -36,4 +36,5 @@ fn main() {
             println!("{}", icn_report::beeswarm::render(ex, &names, 25, 28));
         }
     }
+    write_metrics(&opts, "fig05_shap");
 }

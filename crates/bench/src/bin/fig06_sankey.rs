@@ -10,7 +10,7 @@
 //! cargo run --release -p icn-bench --bin fig06_sankey [-- --scale 1.0]
 //! ```
 
-use icn_bench::{banner, dataset, parse_opts, study};
+use icn_bench::{banner, dataset, parse_opts, study, write_metrics};
 use icn_synth::Environment;
 
 fn main() {
@@ -39,4 +39,5 @@ fn main() {
             100.0 * share
         );
     }
+    write_metrics(&opts, "fig06_sankey");
 }

@@ -10,7 +10,7 @@
 //! cargo run --release -p icn-bench --bin fig07_cluster_envs [-- --scale 1.0]
 //! ```
 
-use icn_bench::{banner, dataset, parse_opts, study};
+use icn_bench::{banner, dataset, parse_opts, study, write_metrics};
 use icn_report::Table;
 use icn_synth::Environment;
 
@@ -43,4 +43,5 @@ fn main() {
         }
         println!("{}", t.render());
     }
+    write_metrics(&opts, "fig07_cluster_envs");
 }

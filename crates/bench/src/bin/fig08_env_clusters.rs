@@ -8,7 +8,7 @@
 //! cargo run --release -p icn-bench --bin fig08_env_clusters [-- --scale 1.0]
 //! ```
 
-use icn_bench::{banner, dataset, parse_opts, study};
+use icn_bench::{banner, dataset, parse_opts, study, write_metrics};
 use icn_report::Table;
 use icn_synth::Environment;
 
@@ -62,4 +62,5 @@ fn main() {
         }
         println!("{}", t.render());
     }
+    write_metrics(&opts, "fig08_env_clusters");
 }

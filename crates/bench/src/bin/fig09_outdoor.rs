@@ -11,7 +11,7 @@
 //! cargo run --release -p icn-bench --bin fig09_outdoor [-- --scale 1.0]
 //! ```
 
-use icn_bench::{banner, dataset, parse_opts, study};
+use icn_bench::{banner, dataset, parse_opts, study, write_metrics};
 use icn_core::{distribution_entropy, label_distribution};
 use icn_report::Table;
 
@@ -56,4 +56,5 @@ fn main() {
         distribution_entropy(&indoor_dist),
         distribution_entropy(&st.outdoor.distribution)
     );
+    write_metrics(&opts, "fig09_outdoor");
 }

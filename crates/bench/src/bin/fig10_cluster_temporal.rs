@@ -11,7 +11,7 @@
 //! cargo run --release -p icn-bench --bin fig10_cluster_temporal [-- --scale 0.25]
 //! ```
 
-use icn_bench::{banner, dataset, parse_opts, study};
+use icn_bench::{banner, dataset, parse_opts, study, write_metrics};
 use icn_core::cluster_heatmap;
 use icn_report::Table;
 use icn_synth::StudyCalendar;
@@ -90,4 +90,5 @@ fn main() {
          burstiness >> red & low ACF-24 (sporadic, non-canonical bursts); cluster-3 \
          weekend ratio ~ 0; red commute ratio ~ 1 with strong daily rhythm."
     );
+    write_metrics(&opts, "fig10_cluster_temporal");
 }

@@ -12,7 +12,7 @@
 //! cargo run --release -p icn-bench --bin fig11_service_temporal [-- --scale 0.25]
 //! ```
 
-use icn_bench::{banner, dataset, parse_opts, study};
+use icn_bench::{banner, dataset, parse_opts, study, write_metrics};
 use icn_core::service_heatmap;
 use icn_synth::services::index_of;
 use icn_synth::StudyCalendar;
@@ -108,4 +108,5 @@ fn main() {
         );
         println!();
     }
+    write_metrics(&opts, "fig11_service_temporal");
 }

@@ -9,7 +9,7 @@
 //! cargo run --release -p icn-bench --bin table1 [-- --scale 1.0]
 //! ```
 
-use icn_bench::{banner, dataset, parse_opts};
+use icn_bench::{banner, dataset, parse_opts, write_metrics};
 use icn_report::Table;
 use icn_synth::mining::{mine_all, MinedLabel};
 use icn_synth::Environment;
@@ -65,4 +65,5 @@ fn main() {
         nr,
         100.0 * nr as f64 / ds.antennas.len() as f64
     );
+    write_metrics(&opts, "table1");
 }

@@ -1,7 +1,7 @@
 //! Validation harness: archetype-recovery quality of the full study
 //! (ARI/NMI/purity against the planted ground truth) — the check the real
 //! study could never run, and the headline number of EXPERIMENTS.md.
-use icn_bench::{dataset, parse_opts, study};
+use icn_bench::{dataset, parse_opts, study, write_metrics};
 use icn_cluster::{adjusted_rand_index, normalized_mutual_info, purity};
 
 fn main() {
@@ -31,4 +31,5 @@ fn main() {
             icn_synth::Archetype::from_id(a).description()
         );
     }
+    write_metrics(&opts, "validate_recovery");
 }

@@ -3,8 +3,9 @@
 //! Every binary in `src/bin/` regenerates one table or figure of the
 //! paper. They share a common CLI (`--scale <f64>` to shrink the antenna
 //! population, `--seed <u64>`, `--sweep` to enable the Figure 2 sweep,
-//! `--metrics-out <path>` to export an [`icn_obs::BenchReport`]) and
-//! common dataset/study runners.
+//! `--metrics-out <path>` to export an [`icn_obs::BenchReport`],
+//! `--trace-out <path>` for a Chrome trace) and common dataset/study
+//! runners. An unknown flag or a bad value exits with status 2.
 
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
@@ -40,42 +41,50 @@ impl Default for HarnessOpts {
     }
 }
 
-/// Parses `--scale`, `--seed`, `--sweep` and `--metrics-out` from
-/// `std::env::args`, and enables the global [`icn_obs`] registry when a
-/// metrics destination was requested (so the whole run is traced).
-pub fn parse_opts() -> HarnessOpts {
-    let args: Vec<String> = std::env::args().collect();
+/// Parses the harness flags (program name excluded). Every flag but
+/// `--sweep` takes a value; a missing or unparsable value, a scale that is
+/// not a positive finite number, and any unknown argument are errors.
+fn parse_args(args: &[String]) -> Result<HarnessOpts, String> {
     let mut opts = HarnessOpts::default();
-    let mut i = 1;
-    while i < args.len() {
-        match args[i].as_str() {
+    let mut iter = args.iter();
+    while let Some(flag) = iter.next() {
+        let mut value = || iter.next().ok_or_else(|| format!("{flag} needs a value"));
+        let bad = |v: &str| format!("bad value for {flag}: {v}");
+        match flag.as_str() {
+            "--sweep" => opts.sweep = true,
             "--scale" => {
-                if let Some(v) = args.get(i + 1).and_then(|s| s.parse().ok()) {
-                    opts.scale = v;
-                }
-                i += 2;
+                let v = value()?;
+                opts.scale = v
+                    .parse()
+                    .ok()
+                    .filter(|s: &f64| s.is_finite() && *s > 0.0)
+                    .ok_or_else(|| bad(v))?;
             }
             "--seed" => {
-                if let Some(v) = args.get(i + 1).and_then(|s| s.parse().ok()) {
-                    opts.seed = v;
-                }
-                i += 2;
+                let v = value()?;
+                opts.seed = v.parse().map_err(|_| bad(v))?;
             }
-            "--sweep" => {
-                opts.sweep = true;
-                i += 1;
-            }
-            "--metrics-out" => {
-                opts.metrics_out = args.get(i + 1).cloned();
-                i += 2;
-            }
-            "--trace-out" => {
-                opts.trace_out = args.get(i + 1).cloned();
-                i += 2;
-            }
-            _ => i += 1,
+            "--metrics-out" => opts.metrics_out = Some(value()?.clone()),
+            "--trace-out" => opts.trace_out = Some(value()?.clone()),
+            _ => return Err(format!("unknown argument: {flag}")),
         }
     }
+    Ok(opts)
+}
+
+/// Parses the process arguments with `parse_args`, exiting with status 2
+/// on a usage error, and enables the global [`icn_obs`] registry when a
+/// metrics or trace destination was requested (so the whole run is
+/// traced; [`write_metrics`] writes it out).
+pub fn parse_opts() -> HarnessOpts {
+    let args: Vec<String> = std::env::args().skip(1).collect();
+    let opts = parse_args(&args).unwrap_or_else(|e| {
+        eprintln!(
+            "{e}\nflags: --scale <f64> --seed <u64> --sweep \
+             --metrics-out <path> --trace-out <path>"
+        );
+        std::process::exit(2);
+    });
     if opts.metrics_out.is_some() || opts.trace_out.is_some() {
         icn_obs::global().enable();
     }
@@ -174,11 +183,57 @@ pub mod timing {
 mod tests {
     use super::*;
 
+    fn args(list: &[&str]) -> Vec<String> {
+        list.iter().map(|s| s.to_string()).collect()
+    }
+
     #[test]
     fn defaults_are_paper_scale() {
-        let o = HarnessOpts::default();
+        let o = parse_args(&[]).unwrap();
         assert_eq!(o.scale, 1.0);
+        assert_eq!(o.seed, HarnessOpts::default().seed);
         assert!(!o.sweep);
+        assert!(o.metrics_out.is_none() && o.trace_out.is_none());
+    }
+
+    #[test]
+    fn parses_every_flag() {
+        let o = parse_args(&args(&[
+            "--scale",
+            "0.1",
+            "--seed",
+            "7",
+            "--sweep",
+            "--metrics-out",
+            "m.json",
+            "--trace-out",
+            "t.json",
+        ]))
+        .unwrap();
+        assert_eq!(o.scale, 0.1);
+        assert_eq!(o.seed, 7);
+        assert!(o.sweep);
+        assert_eq!(o.metrics_out.as_deref(), Some("m.json"));
+        assert_eq!(o.trace_out.as_deref(), Some("t.json"));
+    }
+
+    #[test]
+    fn rejects_unknown_flags_and_bad_values() {
+        for bad in [
+            &["--scal", "0.1"][..],
+            &["0.1"],
+            &["--scale", "x"],
+            &["--scale", "0"],
+            &["--scale", "-1"],
+            &["--scale", "nan"],
+            &["--scale", "inf"],
+            &["--seed", "-3"],
+            &["--scale"],
+            &["--metrics-out"],
+            &["--sweep", "--trace-out"],
+        ] {
+            assert!(parse_args(&args(bad)).is_err(), "{bad:?} accepted");
+        }
     }
 
     #[test]

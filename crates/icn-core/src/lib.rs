@@ -46,8 +46,5 @@ pub use insights::{env_index, EnvCrosstab, Flow};
 pub use periodicity::{autocorrelation, dominant_period, Rhythm};
 pub use pipeline::IcnStudy;
 pub use profiles::{cluster_profiles, profile_similarity, ClusterProfile};
-pub use rca::{
-    apply_row_update, filter_dead_rows, outdoor_rca, outdoor_rsca, rca, rca_row_with, rca_sums,
-    rsca, rsca_from_rca, rsca_row_with, RcaSums,
-};
+pub use rca::{filter_dead_rows, outdoor_rca, outdoor_rsca, rca, rsca, rsca_from_rca};
 pub use temporal::{cluster_heatmap, service_heatmap, TemporalHeatmap};

@@ -169,82 +169,6 @@ pub fn outdoor_rsca(t_out: &Matrix, t_in: &Matrix) -> Matrix {
     rsca_from_rca(&outdoor_rca(t_out, t_in))
 }
 
-/// The marginal sums RCA is defined against: per-row totals, per-column
-/// totals and the grand total of a traffic matrix. Maintaining these
-/// incrementally lets a streaming consumer recompute single RCA rows as
-/// new hours land without re-reading the whole matrix.
-#[derive(Clone, Debug, PartialEq)]
-pub struct RcaSums {
-    /// Per-antenna traffic totals (`T[i]`).
-    pub row_sums: Vec<f64>,
-    /// Per-service traffic totals (`T[j]`).
-    pub col_sums: Vec<f64>,
-    /// Grand total (`T_tot`).
-    pub total: f64,
-}
-
-/// Computes the marginal sums of `t`, using the same reductions as
-/// [`rca`] itself so that [`rca_row_with`] on fresh sums is bit-identical
-/// to the corresponding row of a full [`rca`] pass.
-pub fn rca_sums(t: &Matrix) -> RcaSums {
-    RcaSums {
-        row_sums: t.row_sums(),
-        col_sums: t.col_sums(),
-        total: t.total(),
-    }
-}
-
-/// Computes RCA for the single row `row` (antenna `i`'s traffic across all
-/// services) against the marginals in `sums`. With sums freshly computed by
-/// [`rca_sums`], this reproduces row `i` of [`rca`] exactly (bitwise); with
-/// delta-updated sums (see [`apply_row_update`]) it is accurate to the
-/// accumulated rounding of the updates.
-pub fn rca_row_with(row: &[f64], i: usize, sums: &RcaSums) -> Vec<f64> {
-    let ti = sums.row_sums[i];
-    let mut out = vec![0.0; row.len()];
-    if ti <= 0.0 {
-        return out; // dead antenna: RCA row stays zero
-    }
-    for (j, o) in out.iter_mut().enumerate() {
-        let tj = sums.col_sums[j];
-        if tj <= 0.0 {
-            continue; // service unused anywhere
-        }
-        *o = (row[j] / ti) / (tj / sums.total);
-    }
-    out
-}
-
-/// Single-row RSCA: [`rca_row_with`] then Eq. (2).
-pub fn rsca_row_with(row: &[f64], i: usize, sums: &RcaSums) -> Vec<f64> {
-    rca_row_with(row, i, sums)
-        .into_iter()
-        .map(|v| (v - 1.0) / (v + 1.0))
-        .collect()
-}
-
-/// Folds an in-place replacement of row `i` (`old` → `new`) into the
-/// marginal sums, so downstream [`rca_row_with`] calls see the updated
-/// matrix without an O(N·M) recomputation. Deltas accumulate f64 rounding;
-/// callers that need exactness should refresh with [`rca_sums`]
-/// periodically.
-pub fn apply_row_update(old: &[f64], new: &[f64], i: usize, sums: &mut RcaSums) {
-    assert_eq!(old.len(), new.len(), "apply_row_update: length mismatch");
-    assert_eq!(
-        new.len(),
-        sums.col_sums.len(),
-        "apply_row_update: row width != col_sums"
-    );
-    let mut row_delta = 0.0;
-    for (j, (&o, &n)) in old.iter().zip(new).enumerate() {
-        let d = n - o;
-        sums.col_sums[j] += d;
-        row_delta += d;
-    }
-    sums.row_sums[i] += row_delta;
-    sums.total += row_delta;
-}
-
 /// Splits a traffic matrix into `(live_matrix, live_row_indices)`,
 /// dropping rows with zero total traffic. The paper's probes occasionally
 /// see silent antennas; RCA needs positive row totals.
@@ -356,66 +280,6 @@ mod tests {
         let t_out = Matrix::from_vec(2, 3, vec![1.0, 1.0, 8.0, 3.0, 3.0, 3.0]);
         let s = outdoor_rsca(&t_out, &t_in);
         assert!(s.as_slice().iter().all(|&v| (-1.0..=1.0).contains(&v)));
-    }
-
-    #[test]
-    fn rca_row_with_fresh_sums_matches_full_pass_bitwise() {
-        let mut rng = icn_stats::Rng::seed_from(42);
-        let vals: Vec<f64> = (0..6 * 5).map(|_| rng.uniform(0.0, 100.0)).collect();
-        let t = Matrix::from_vec(6, 5, vals);
-        let full = rca(&t);
-        let sums = rca_sums(&t);
-        for i in 0..t.rows() {
-            let row = rca_row_with(t.row(i), i, &sums);
-            for (j, v) in row.iter().enumerate() {
-                assert_eq!(v.to_bits(), full.get(i, j).to_bits(), "({i},{j})");
-            }
-        }
-    }
-
-    #[test]
-    fn rsca_row_with_matches_full_rsca() {
-        let t = skewed();
-        let full = rsca(&t);
-        let sums = rca_sums(&t);
-        for i in 0..2 {
-            let row = rsca_row_with(t.row(i), i, &sums);
-            for (j, v) in row.iter().enumerate() {
-                assert_eq!(v.to_bits(), full.get(i, j).to_bits());
-            }
-        }
-    }
-
-    #[test]
-    fn delta_updated_sums_track_recomputed_sums() {
-        let mut rng = icn_stats::Rng::seed_from(7);
-        let vals: Vec<f64> = (0..8 * 4).map(|_| rng.uniform(0.0, 50.0)).collect();
-        let mut t = Matrix::from_vec(8, 4, vals);
-        let mut sums = rca_sums(&t);
-        for step in 0..10 {
-            let i = step % t.rows();
-            let old: Vec<f64> = t.row(i).to_vec();
-            let new: Vec<f64> = old.iter().map(|v| v + rng.uniform(0.0, 5.0)).collect();
-            apply_row_update(&old, &new, i, &mut sums);
-            for (j, &v) in new.iter().enumerate() {
-                t.set(i, j, v);
-            }
-            let fresh = rca_sums(&t);
-            assert!((sums.total - fresh.total).abs() < 1e-9);
-            for (a, b) in sums.row_sums.iter().zip(&fresh.row_sums) {
-                assert!((a - b).abs() < 1e-9);
-            }
-            for (a, b) in sums.col_sums.iter().zip(&fresh.col_sums) {
-                assert!((a - b).abs() < 1e-9);
-            }
-            // And the RCA row computed from the delta-updated sums is close
-            // to one from a fresh full pass.
-            let approx = rca_row_with(t.row(i), i, &sums);
-            let exact = rca_row_with(t.row(i), i, &fresh);
-            for (a, b) in approx.iter().zip(&exact) {
-                assert!((a - b).abs() < 1e-9);
-            }
-        }
     }
 
     #[test]

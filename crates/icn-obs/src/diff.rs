@@ -2,96 +2,72 @@
 //! (`icn obs top`) and allocation treetable (`icn obs mem`).
 //!
 //! [`diff_reports`] compares two [`BenchReport`]s — a blessed baseline
-//! `a` and a candidate `b` — against per-metric thresholds and classifies
-//! every metric as pass / fail / informational. CI perf-smoke uses it as
-//! a regression gate: generous thresholds (default: fail only when a
+//! `a` and a candidate `b` — against fixed per-metric thresholds and
+//! classifies every metric as pass / fail / informational. CI uses it as
+//! a regression gate on live runs: generous thresholds (fail only when a
 //! stage or p99 gets more than 2× slower) keep the gate insensitive to
 //! shared-runner noise while still catching real regressions. Tiny
-//! absolute walls (below [`DiffThresholds::min_wall_ms`]) are skipped
-//! entirely — a 3 ms stage doubling to 6 ms is scheduler noise, not a
-//! regression.
+//! absolute walls (below 5 ms) and micro-scale latency distributions
+//! (p99 below 10 ms) are skipped entirely — a 3 ms stage doubling to
+//! 6 ms is scheduler noise, not a regression. `*_bytes` gauges fail
+//! above 1.2× and the allocator peak above 1.5×.
 //!
 //! The comparison is deliberately asymmetric: `b` getting *faster* never
 //! fails, and metrics present only in `b` (new instrumentation) are
 //! informational. A stage present in `a` but missing from `b` fails — a
-//! silently skipped stage must not read as a speedup — unless
-//! [`DiffThresholds::skip_missing`] opts into a cross-baseline
-//! comparison where the candidate legitimately runs fewer stages.
+//! silently skipped stage must not read as a speedup. Counters never
+//! gate; changed ones are listed for context.
 //! [`DiffThresholds::stage_wall_ratios`] holds individual hot stages to
-//! tighter bounds than the global ratio.
+//! tighter bounds than the 2× default — the one tunable threshold.
 
 use crate::report::BenchReport;
 use crate::trace::self_times;
 use std::fmt::Write as _;
 
-/// Per-metric thresholds for [`diff_reports`].
-#[derive(Clone, Debug)]
+/// Maximum allowed `b/a` wall-time ratio for stages, and the maximum
+/// allowed throughput loss `a/b` for `*_per_sec` gauges.
+const MAX_WALL_RATIO: f64 = 2.0;
+
+/// Stages with a baseline wall below this many milliseconds are skipped.
+const MIN_WALL_MS: f64 = 5.0;
+
+/// Maximum allowed `b/a` ratio for histogram p99s.
+const MAX_HIST_RATIO: f64 = 2.0;
+
+/// Histograms with a baseline p99 below this many nanoseconds (10 ms) are
+/// skipped: per-tree and per-merge p99s are micro-scale and dominated by
+/// scheduling noise on shared runners, so only chunk-scale latency
+/// distributions gate.
+const MIN_HIST_NS: u64 = 10_000_000;
+
+/// Maximum allowed `b/a` ratio for `*_bytes` gauges. Memory footprints are
+/// arithmetic consequences of the input size, not scheduler-noisy walls,
+/// so the gate is tight: a sampled-path run that quietly starts
+/// materializing a bigger matrix fails even when the extra allocation
+/// happens to be fast.
+const MAX_BYTES_RATIO: f64 = 1.2;
+
+/// Maximum allowed `b/a` ratio for the allocator window peak in the
+/// `memory` section — looser than `MAX_BYTES_RATIO` because the measured
+/// peak includes every transient the allocator sees, but far tighter than
+/// the wall gates because allocation is deterministic.
+const MAX_PEAK_RATIO: f64 = 1.5;
+
+/// The tunable part of [`diff_reports`]; every other threshold is fixed
+/// (see the module docs).
+#[derive(Clone, Debug, Default)]
 pub struct DiffThresholds {
-    /// Maximum allowed `b/a` wall-time ratio for stages and spans
-    /// (default 2.0 — fail only on >2× regressions).
-    pub max_wall_ratio: f64,
-    /// Stages with baseline wall below this (milliseconds) are skipped
-    /// (default 5.0).
-    pub min_wall_ms: f64,
-    /// Maximum allowed `b/a` ratio for histogram p99s (default 2.0).
-    pub max_hist_ratio: f64,
-    /// Histograms with baseline p99 below this (nanoseconds) are skipped
-    /// (default 10_000 = 10 µs).
-    pub min_hist_ns: u64,
-    /// Maximum allowed `b/a` ratio for `*_bytes` gauges (default 1.2).
-    /// Memory footprints are arithmetic consequences of the input size,
-    /// not scheduler-noisy walls, so the gate is tight: a sampled-path
-    /// run that quietly starts materializing a bigger matrix fails even
-    /// when the extra allocation happens to be fast.
-    pub max_bytes_ratio: f64,
-    /// Maximum allowed `b/a` ratio for the allocator window peak in the
-    /// v3 `memory` section (default 1.5 — looser than the hand gauges
-    /// because the measured peak includes every transient the allocator
-    /// sees, but far tighter than the wall gates because allocation is
-    /// deterministic). Asymmetric like all gates: shrinkage passes.
-    /// When either report has no memory section the comparison is
-    /// informational, so v2 baselines keep diffing against v3
-    /// candidates.
-    pub max_peak_ratio: f64,
-    /// When set, any counter value change fails (same-machine,
-    /// same-seed determinism checks); by default counters are
-    /// informational.
-    pub strict_counters: bool,
-    /// When set, a stage present in the baseline but missing from the
-    /// candidate is [`DiffStatus::Skipped`] instead of failing. For
-    /// cross-PR baselines where the candidate legitimately runs a
-    /// different stage set (e.g. a forecast-only bench diffed against a
-    /// full-pipeline one) — keep it off for like-for-like gates.
-    pub skip_missing: bool,
-    /// Per-stage overrides of [`max_wall_ratio`]: `(stage_name, ratio)`
+    /// Per-stage overrides of the 2× wall ratio: `(stage_name, ratio)`
     /// pairs, later entries winning. Lets CI hold a hot stage to a
     /// tighter bound than the noise-tolerant global default (e.g.
-    /// `stage3_surrogate` at 1.3× after an optimisation pass) without
+    /// `stage3_surrogate` at 1.5× after an optimisation pass) without
     /// tightening every small stage into flakiness.
-    ///
-    /// [`max_wall_ratio`]: DiffThresholds::max_wall_ratio
     pub stage_wall_ratios: Vec<(String, f64)>,
-}
-
-impl Default for DiffThresholds {
-    fn default() -> DiffThresholds {
-        DiffThresholds {
-            max_wall_ratio: 2.0,
-            min_wall_ms: 5.0,
-            max_hist_ratio: 2.0,
-            min_hist_ns: 10_000,
-            max_bytes_ratio: 1.2,
-            max_peak_ratio: 1.5,
-            strict_counters: false,
-            skip_missing: false,
-            stage_wall_ratios: Vec::new(),
-        }
-    }
 }
 
 impl DiffThresholds {
     /// The wall-ratio bound for a stage: the last matching
-    /// [`stage_wall_ratios`] override, else the global default.
+    /// [`stage_wall_ratios`] override, else the 2× default.
     ///
     /// [`stage_wall_ratios`]: DiffThresholds::stage_wall_ratios
     pub fn wall_ratio_for(&self, stage: &str) -> f64 {
@@ -100,7 +76,7 @@ impl DiffThresholds {
             .rev()
             .find(|(name, _)| name == stage)
             .map(|&(_, r)| r)
-            .unwrap_or(self.max_wall_ratio)
+            .unwrap_or(MAX_WALL_RATIO)
     }
 }
 
@@ -213,14 +189,10 @@ pub fn diff_reports(a: &BenchReport, b: &BenchReport, t: &DiffThresholds) -> Dif
                 a: stage.wall_ms,
                 b: f64::NAN,
                 ratio: f64::NAN,
-                status: if t.skip_missing {
-                    DiffStatus::Skipped
-                } else {
-                    DiffStatus::Fail
-                },
+                status: DiffStatus::Fail,
             }),
             Some(cand) => {
-                if stage.wall_ms < t.min_wall_ms {
+                if stage.wall_ms < MIN_WALL_MS {
                     lines.push(DiffLine {
                         metric,
                         a: stage.wall_ms,
@@ -260,7 +232,7 @@ pub fn diff_reports(a: &BenchReport, b: &BenchReport, t: &DiffThresholds) -> Dif
                 status: DiffStatus::Info,
             }),
             Some(cand) => {
-                if hist.quantile(0.99) < t.min_hist_ns {
+                if hist.quantile(0.99) < MIN_HIST_NS {
                     lines.push(DiffLine {
                         metric,
                         a: base,
@@ -277,7 +249,7 @@ pub fn diff_reports(a: &BenchReport, b: &BenchReport, t: &DiffThresholds) -> Dif
                     a: base,
                     b: candp,
                     ratio,
-                    status: if ratio > t.max_hist_ratio {
+                    status: if ratio > MAX_HIST_RATIO {
                         DiffStatus::Fail
                     } else {
                         DiffStatus::Ok
@@ -313,7 +285,7 @@ pub fn diff_reports(a: &BenchReport, b: &BenchReport, t: &DiffThresholds) -> Dif
                     a: base,
                     b: cand,
                     ratio,
-                    status: if ratio > t.max_wall_ratio {
+                    status: if ratio > MAX_WALL_RATIO {
                         DiffStatus::Fail
                     } else {
                         DiffStatus::Ok
@@ -347,7 +319,7 @@ pub fn diff_reports(a: &BenchReport, b: &BenchReport, t: &DiffThresholds) -> Dif
                     a: base,
                     b: cand,
                     ratio,
-                    status: if ratio > t.max_bytes_ratio {
+                    status: if ratio > MAX_BYTES_RATIO {
                         DiffStatus::Fail
                     } else {
                         DiffStatus::Ok
@@ -357,12 +329,11 @@ pub fn diff_reports(a: &BenchReport, b: &BenchReport, t: &DiffThresholds) -> Dif
         }
     }
 
-    // Allocator window peak (v3 memory section): the number
-    // `--mem-budget-mb` enforces at run time, gated across PRs here.
+    // Allocator window peak (memory section): the number
+    // `--mem-budget-mb` enforces at run time, gated across changes here.
     // Like every gate it is asymmetric — shrinkage passes. A report
-    // without a memory section (v1/v2 baseline, or a binary that did not
-    // count allocations) degrades to informational, so cross-version
-    // lineage diffs keep working.
+    // without a memory section (a binary that did not count allocations)
+    // degrades to informational.
     match (&a.memory, &b.memory) {
         (Some(ma), Some(mb)) if ma.peak_bytes > 0 => {
             let base = ma.peak_bytes as f64;
@@ -373,7 +344,7 @@ pub fn diff_reports(a: &BenchReport, b: &BenchReport, t: &DiffThresholds) -> Dif
                 a: base,
                 b: cand,
                 ratio,
-                status: if ratio > t.max_peak_ratio {
+                status: if ratio > MAX_PEAK_RATIO {
                     DiffStatus::Fail
                 } else {
                     DiffStatus::Ok
@@ -399,8 +370,7 @@ pub fn diff_reports(a: &BenchReport, b: &BenchReport, t: &DiffThresholds) -> Dif
 
     for (name, &base) in &a.counters {
         let cand = b.counters.get(name).copied();
-        let changed = cand != Some(base);
-        if !changed && !t.strict_counters {
+        if cand == Some(base) {
             continue; // unchanged counters are noise in the output
         }
         lines.push(DiffLine {
@@ -408,11 +378,7 @@ pub fn diff_reports(a: &BenchReport, b: &BenchReport, t: &DiffThresholds) -> Dif
             a: base as f64,
             b: cand.map(|c| c as f64).unwrap_or(f64::NAN),
             ratio: f64::NAN,
-            status: if changed && t.strict_counters {
-                DiffStatus::Fail
-            } else {
-                DiffStatus::Info
-            },
+            status: DiffStatus::Info,
         });
     }
 
@@ -445,7 +411,7 @@ pub fn render_top(report: &BenchReport) -> String {
             .then(tb.2.cmp(&ta.2))
     });
     let mut out = String::new();
-    // When the report carries a v3 memory section, the treetable gains
+    // When the report carries a memory section, the treetable gains
     // self/cumulative allocation columns next to the time columns.
     let mem = report.memory.as_ref();
     if mem.is_some() {
@@ -534,14 +500,11 @@ fn cumulative_bytes(
 /// allocator window summary followed by every span path as an indented
 /// tree with self bytes, cumulative bytes (self + descendants), self
 /// allocation count, and the path's largest single-occurrence peak
-/// contribution. Reports without a memory section (pre-v3, or produced
-/// by a binary without a counting allocator) render an explanatory line
-/// instead.
+/// contribution. Reports without a memory section (produced by a binary
+/// without a counting allocator) render an explanatory line instead.
 pub fn render_mem(report: &BenchReport) -> String {
     let Some(mem) = &report.memory else {
-        return "no memory section: report predates icn-obs/v3 or its \
-                producing binary did not count allocations\n"
-            .to_string();
+        return "no memory section: the producing binary did not count allocations\n".to_string();
     };
     let mut out = String::new();
     let _ = writeln!(
@@ -634,24 +597,24 @@ mod tests {
 
     #[test]
     fn self_diff_passes() {
-        let a = report_with(100.0, 50_000, 1000.0);
+        let a = report_with(100.0, 50_000_000, 1000.0);
         let d = diff_reports(&a, &a, &DiffThresholds::default());
         assert!(d.passed(), "self-diff must pass:\n{}", d.render());
     }
 
     #[test]
     fn wall_regression_fails_and_speedup_passes() {
-        let a = report_with(100.0, 50_000, 1000.0);
-        let slow = report_with(250.0, 50_000, 1000.0);
-        let fast = report_with(40.0, 50_000, 1000.0);
+        let a = report_with(100.0, 50_000_000, 1000.0);
+        let slow = report_with(250.0, 50_000_000, 1000.0);
+        let fast = report_with(40.0, 50_000_000, 1000.0);
         assert!(!diff_reports(&a, &slow, &DiffThresholds::default()).passed());
         assert!(diff_reports(&a, &fast, &DiffThresholds::default()).passed());
     }
 
     #[test]
     fn tiny_stages_are_skipped() {
-        let a = report_with(2.0, 50_000, 1000.0);
-        let b = report_with(4.9, 50_000, 1000.0); // 2.45x but under min_wall_ms
+        let a = report_with(2.0, 50_000_000, 1000.0);
+        let b = report_with(4.9, 50_000_000, 1000.0); // 2.45x but under the 5 ms floor
         let d = diff_reports(&a, &b, &DiffThresholds::default());
         assert!(d.passed());
         assert!(d
@@ -662,38 +625,47 @@ mod tests {
 
     #[test]
     fn histogram_p99_regression_fails() {
-        let a = report_with(100.0, 50_000, 1000.0);
-        let b = report_with(100.0, 200_000, 1000.0);
+        let a = report_with(100.0, 50_000_000, 1000.0);
+        let b = report_with(100.0, 200_000_000, 1000.0);
         let d = diff_reports(&a, &b, &DiffThresholds::default());
         assert!(!d.passed());
         assert!(d
             .lines
             .iter()
             .any(|l| l.status == DiffStatus::Fail && l.metric.starts_with("hist:")));
+        // The same 4x shift below the 10 ms floor is micro-scale noise.
+        let a = report_with(100.0, 50_000, 1000.0);
+        let b = report_with(100.0, 200_000, 1000.0);
+        let d = diff_reports(&a, &b, &DiffThresholds::default());
+        assert!(d.passed(), "{}", d.render());
+        assert!(d
+            .lines
+            .iter()
+            .any(|l| l.status == DiffStatus::Skipped && l.metric.starts_with("hist:")));
     }
 
     #[test]
     fn throughput_drop_fails() {
-        let a = report_with(100.0, 50_000, 1000.0);
-        let b = report_with(100.0, 50_000, 400.0);
+        let a = report_with(100.0, 50_000_000, 1000.0);
+        let b = report_with(100.0, 50_000_000, 400.0);
         assert!(!diff_reports(&a, &b, &DiffThresholds::default()).passed());
     }
 
     #[test]
     fn scale_mismatch_fails() {
-        let a = report_with(100.0, 50_000, 1000.0);
-        let mut b = report_with(100.0, 50_000, 1000.0);
+        let a = report_with(100.0, 50_000_000, 1000.0);
+        let mut b = report_with(100.0, 50_000_000, 1000.0);
         b.scale = 0.5;
         assert!(!diff_reports(&a, &b, &DiffThresholds::default()).passed());
     }
 
     #[test]
     fn bytes_gauges_gate_on_growth_not_shrinkage() {
-        let mut a = report_with(100.0, 50_000, 1000.0);
+        let mut a = report_with(100.0, 50_000_000, 1000.0);
         a.gauges
             .insert("cluster.condensed_bytes".into(), 1_000_000.0);
         // Within the 1.2x default: passes.
-        let mut b = report_with(100.0, 50_000, 1000.0);
+        let mut b = report_with(100.0, 50_000_000, 1000.0);
         b.gauges
             .insert("cluster.condensed_bytes".into(), 1_100_000.0);
         assert!(diff_reports(&a, &b, &DiffThresholds::default()).passed());
@@ -709,47 +681,32 @@ mod tests {
             .lines
             .iter()
             .any(|l| l.metric == "gauge:cluster.condensed_bytes" && l.status == DiffStatus::Fail));
-        // A looser explicit threshold admits it again.
-        let loose = DiffThresholds {
-            max_bytes_ratio: 3.0,
-            ..DiffThresholds::default()
-        };
-        assert!(diff_reports(&a, &b, &loose).passed());
         // Missing in the candidate is informational, like histograms.
-        let c = report_with(100.0, 50_000, 1000.0);
+        let c = report_with(100.0, 50_000_000, 1000.0);
         assert!(diff_reports(&a, &c, &DiffThresholds::default()).passed());
     }
 
     #[test]
-    fn missing_stage_fails_unless_skip_missing() {
-        let a = report_with(100.0, 50_000, 1000.0);
+    fn missing_stage_fails() {
+        let a = report_with(100.0, 50_000_000, 1000.0);
         let r = Registry::new();
         r.enable();
         r.record_span_parts("other_stage".into(), Duration::from_millis(10));
         let b = BenchReport::build(&r.snapshot(), "t", 1.0);
-        let strict = diff_reports(&a, &b, &DiffThresholds::default());
-        assert!(!strict.passed());
-        let lax = DiffThresholds {
-            skip_missing: true,
-            ..DiffThresholds::default()
-        };
-        let d = diff_reports(&a, &b, &lax);
-        assert!(d.passed(), "{}", d.render());
-        assert!(d
-            .lines
-            .iter()
-            .any(|l| l.metric.starts_with("stage:stage3_surrogate")
-                && l.status == DiffStatus::Skipped));
+        let d = diff_reports(&a, &b, &DiffThresholds::default());
+        assert!(!d.passed());
+        assert!(d.lines.iter().any(
+            |l| l.metric.starts_with("stage:stage3_surrogate") && l.status == DiffStatus::Fail
+        ));
     }
 
     #[test]
     fn per_stage_wall_ratio_overrides_the_global_bound() {
-        let a = report_with(100.0, 50_000, 1000.0);
-        let b = report_with(150.0, 50_000, 1000.0); // 1.5x: under the 2x default
+        let a = report_with(100.0, 50_000_000, 1000.0);
+        let b = report_with(150.0, 50_000_000, 1000.0); // 1.5x: under the 2x default
         assert!(diff_reports(&a, &b, &DiffThresholds::default()).passed());
         let tight = DiffThresholds {
             stage_wall_ratios: vec![("stage3_surrogate".into(), 1.3)],
-            ..DiffThresholds::default()
         };
         let d = diff_reports(&a, &b, &tight);
         assert!(!d.passed());
@@ -763,27 +720,26 @@ mod tests {
                 ("stage3_surrogate".into(), 1.3),
                 ("stage3_surrogate".into(), 1.8),
             ],
-            ..DiffThresholds::default()
         };
         assert!(diff_reports(&a, &b, &loosened).passed());
     }
 
     #[test]
-    fn counters_gate_only_in_strict_mode() {
-        let a = report_with(100.0, 50_000, 1000.0);
-        let mut b = report_with(100.0, 50_000, 1000.0);
+    fn changed_counters_are_informational() {
+        let a = report_with(100.0, 50_000_000, 1000.0);
+        let mut b = report_with(100.0, 50_000_000, 1000.0);
         b.counters.insert("shap.tree_walks".into(), 999);
-        assert!(diff_reports(&a, &b, &DiffThresholds::default()).passed());
-        let strict = DiffThresholds {
-            strict_counters: true,
-            ..DiffThresholds::default()
-        };
-        assert!(!diff_reports(&a, &b, &strict).passed());
+        let d = diff_reports(&a, &b, &DiffThresholds::default());
+        assert!(d.passed());
+        assert!(d
+            .lines
+            .iter()
+            .any(|l| l.metric == "counter:shap.tree_walks" && l.status == DiffStatus::Info));
     }
 
     #[test]
     fn top_table_is_a_tree() {
-        let a = report_with(100.0, 50_000, 1000.0);
+        let a = report_with(100.0, 50_000_000, 1000.0);
         let table = render_top(&a);
         let lines: Vec<&str> = table.lines().collect();
         assert!(lines[1].contains("stage3_surrogate"));
@@ -806,10 +762,10 @@ mod tests {
 
     #[test]
     fn allocator_peak_gates_growth_not_shrinkage() {
-        let mut a = report_with(100.0, 50_000, 1000.0);
+        let mut a = report_with(100.0, 50_000_000, 1000.0);
         a.memory = Some(memory_with(100 << 20));
         // 1.4x growth: under the 1.5x default.
-        let mut b = report_with(100.0, 50_000, 1000.0);
+        let mut b = report_with(100.0, 50_000_000, 1000.0);
         b.memory = Some(memory_with(140 << 20));
         assert!(diff_reports(&a, &b, &DiffThresholds::default()).passed());
         // Shrinkage is a win, never a failure.
@@ -823,20 +779,14 @@ mod tests {
             .lines
             .iter()
             .any(|l| l.metric == "mem:allocator_peak_bytes" && l.status == DiffStatus::Fail));
-        // A looser explicit threshold admits it again.
-        let loose = DiffThresholds {
-            max_peak_ratio: 3.0,
-            ..DiffThresholds::default()
-        };
-        assert!(diff_reports(&a, &b, &loose).passed());
     }
 
     #[test]
     fn missing_memory_section_is_informational_both_ways() {
-        // v2 baseline against a v3 candidate (and vice versa) must not
-        // fail the gate — cross-version lineage diffs degrade gracefully.
-        let plain = report_with(100.0, 50_000, 1000.0);
-        let mut counted = report_with(100.0, 50_000, 1000.0);
+        // A baseline without a memory section against a counted candidate
+        // (and vice versa) must not fail the gate.
+        let plain = report_with(100.0, 50_000_000, 1000.0);
+        let mut counted = report_with(100.0, 50_000_000, 1000.0);
         counted.memory = Some(memory_with(100 << 20));
         for (base, cand) in [(&plain, &counted), (&counted, &plain)] {
             let d = diff_reports(base, cand, &DiffThresholds::default());
@@ -853,7 +803,7 @@ mod tests {
 
     #[test]
     fn mem_table_renders_summary_and_tree() {
-        let mut rep = report_with(100.0, 50_000, 1000.0);
+        let mut rep = report_with(100.0, 50_000_000, 1000.0);
         let mut mem = memory_with(5000);
         mem.budget_mb = Some(512);
         mem.budget_verdict = Some("ok".into());
@@ -886,13 +836,13 @@ mod tests {
         assert!(root.contains("1250"));
         assert!(table.contains("  shap_batch"));
         // A report without a memory section explains itself.
-        let plain = report_with(100.0, 50_000, 1000.0);
+        let plain = report_with(100.0, 50_000_000, 1000.0);
         assert!(render_mem(&plain).contains("no memory section"));
     }
 
     #[test]
     fn top_table_gains_alloc_columns_with_memory() {
-        let mut rep = report_with(100.0, 50_000, 1000.0);
+        let mut rep = report_with(100.0, 50_000_000, 1000.0);
         assert!(!render_top(&rep).contains("cum_alloc_b"));
         let mut mem = memory_with(5000);
         mem.spans.insert(

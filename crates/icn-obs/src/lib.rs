@@ -23,16 +23,15 @@
 //!   install, tracking window live/peak bytes globally and attributing
 //!   allocation churn to the span open on the allocating thread. Gated
 //!   on the same single-flag contract as the registry.
-//! * Exporters — [`BenchReport`], a stable JSON schema (`icn-obs/v3`,
-//!   still reading `v1`/`v2`) written to `BENCH_*.json` files, giving
-//!   every perf PR a machine-readable baseline to beat; and
+//! * Exporters — [`BenchReport`], a stable JSON schema (`icn-obs/v3`)
+//!   that explains a single metered run (`--metrics-out`); and
 //!   [`chrome::chrome_trace`], a Chrome trace-event export
 //!   (`chrome://tracing` / Perfetto) of the full span tree.
 //! * Tooling — [`diff::diff_reports`] compares two reports against
-//!   per-metric thresholds (the CI perf regression gate, including the
-//!   asymmetric peak-memory gate), [`diff::render_top`] prints a
-//!   self-time treetable and [`diff::render_mem`] the allocation
-//!   treetable behind `icn obs mem`.
+//!   fixed per-metric thresholds (the CI regression gate on live runs,
+//!   including the asymmetric peak-memory gate), [`diff::render_top`]
+//!   prints a self-time treetable and [`diff::render_mem`] the
+//!   allocation treetable behind `icn obs mem`.
 //!
 //! Typical harness usage:
 //!

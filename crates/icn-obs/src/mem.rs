@@ -26,7 +26,7 @@
 //! [`crate::Registry::reset`] — memory allocated before the window and
 //! freed inside it legitimately drives the balance negative, which is
 //! why it is signed. `peak_bytes` is the high-water mark of that net
-//! balance, the quantity `icn obs diff --max-peak-ratio` gates and
+//! balance, the quantity the `icn obs diff` peak gate checks and
 //! `--mem-budget-mb` enforces.
 //!
 //! **Attribution is threads-advisory.** Bytes are attributed to the span

@@ -66,7 +66,7 @@ pub struct Snapshot {
     /// convention).
     pub histograms: BTreeMap<String, Histogram>,
     /// Span occurrences aggregated by path: `(calls, total wall)` — the
-    /// `icn-obs/v1` view, derived from [`Snapshot::span_tree`].
+    /// report's `spans` view, derived from [`Snapshot::span_tree`].
     pub spans: BTreeMap<String, (u64, Duration)>,
     /// Every finished span occurrence with tree linkage, in completion
     /// order.

@@ -1,8 +1,8 @@
-//! Machine-readable performance reports (`BENCH_*.json`).
+//! Machine-readable run reports (`--metrics-out`).
 //!
 //! A [`BenchReport`] freezes a [`crate::Registry`] snapshot into a stable
-//! JSON schema (`icn-obs/v3`) that the perf trajectory tooling can diff
-//! across PRs:
+//! JSON schema (`icn-obs/v3`) that `icn obs top|mem` render and
+//! `icn obs diff` gates against a blessed baseline:
 //!
 //! ```json
 //! {
@@ -34,19 +34,14 @@
 //! }
 //! ```
 //!
-//! **Versioning.** Each schema revision is a strict superset of the one
-//! before: v2 added the `histograms` section, per-span `self_ms`, and
-//! the `git_commit` / `scale` / `chunk` environment fields; v3 adds the
-//! optional `memory` section ([`MemoryReport`]) — the allocator window
-//! from [`crate::mem`], `VmHWM` where readable, the per-span *self*
-//! allocation table, and the `--mem-budget-mb` verdict when a budget was
-//! enforced. [`BenchReport::parse`] reads all three versions (older
-//! reports simply come back without the newer sections), so the
-//! committed `BENCH_pr*.json` trajectory stays diffable end to end. The
-//! `memory` section is emitted only when the run actually counted
-//! allocations (a [`crate::mem::CountingAlloc`] was installed and the
-//! window saw traffic) — reports from uncounted binaries are
-//! byte-compatible with v2 modulo the schema tag.
+//! **Versioning.** [`BenchReport::parse`] reads exactly the schema this
+//! crate writes. Its one optional section is `memory`
+//! ([`MemoryReport`]): the allocator window from [`crate::mem`], `VmHWM`
+//! where readable, the per-span *self* allocation table, and the
+//! `--mem-budget-mb` verdict when a budget was enforced. It is emitted
+//! only when the run actually counted allocations (a
+//! [`crate::mem::CountingAlloc`] was installed and the window saw
+//! traffic); reports from uncounted binaries simply omit it.
 //!
 //! Stages are the **top-level** spans of the run (nesting path without a
 //! `/`). Counters attach to stages by name prefix — see
@@ -59,14 +54,9 @@ use crate::registry::Snapshot;
 use std::collections::BTreeMap;
 use std::time::Duration;
 
-/// Schema identifier embedded in every report this crate writes.
+/// Schema identifier embedded in every report this crate writes, and the
+/// only one [`BenchReport::parse`] accepts.
 pub const SCHEMA: &str = "icn-obs/v3";
-
-/// The previous schema identifier; [`BenchReport::parse`] still reads it.
-pub const SCHEMA_V2: &str = "icn-obs/v2";
-
-/// The original schema identifier; [`BenchReport::parse`] still reads it.
-pub const SCHEMA_V1: &str = "icn-obs/v1";
 
 /// Schema identifier for a multi-configuration report *set* — the file
 /// `icn <cmd> --threads-sweep 1,2 --metrics-out` writes: one
@@ -122,7 +112,7 @@ pub struct StageReport {
     pub counters: BTreeMap<String, u64>,
 }
 
-/// Execution environment fingerprint. v2 makes reports self-describing:
+/// Execution environment fingerprint, which makes reports self-describing:
 /// besides OS/arch/threads, it records the producing git commit (when the
 /// working directory is inside a repository), the run's population scale,
 /// and — for ingest runs — the chunk size.
@@ -256,7 +246,7 @@ pub struct MemoryReport {
     /// pre-window allocations freed inside the window drive it negative).
     pub live_bytes: i64,
     /// High-water mark of the window's net balance — the number the
-    /// `--max-peak-ratio` diff gate and `--mem-budget-mb` enforce.
+    /// `obs diff` peak gate and `--mem-budget-mb` enforce.
     pub peak_bytes: u64,
     /// Cumulative bytes requested in the window (allocation churn).
     pub total_alloc_bytes: u64,
@@ -296,15 +286,15 @@ pub struct BenchReport {
     pub stages: Vec<StageReport>,
     /// All spans by nesting path: `(calls, total wall)`.
     pub spans: BTreeMap<String, (u64, Duration)>,
-    /// Log-bucketed histograms by name (v2; empty when parsed from v1).
+    /// Log-bucketed histograms by name.
     pub histograms: BTreeMap<String, Histogram>,
     /// All counters, unattributed.
     pub counters: BTreeMap<String, u64>,
     /// Last-write-wins gauges (throughputs such as `shap.samples_per_sec`
     /// and `forest.predict_rows_per_sec`).
     pub gauges: BTreeMap<String, f64>,
-    /// The v3 memory section; `None` when the producing binary did not
-    /// count allocations (or the report predates v3).
+    /// The memory section; `None` when the producing binary did not
+    /// count allocations.
     pub memory: Option<MemoryReport>,
 }
 
@@ -334,8 +324,7 @@ impl BenchReport {
         env.scale = scale;
         // A memory section is meaningful only when the running binary
         // installed a counting allocator and the window saw traffic;
-        // `allocs == 0` otherwise, and the section is omitted so reports
-        // from uncounted binaries stay v2-shaped.
+        // `allocs == 0` otherwise, and the section is omitted.
         let mem = crate::mem::stats();
         let memory = (mem.allocs > 0).then(|| MemoryReport {
             live_bytes: mem.live_bytes,
@@ -452,19 +441,16 @@ impl BenchReport {
     }
 
     /// Parses a report back from its JSON rendering, validating the schema
-    /// tag (`icn-obs/v2` or the older `icn-obs/v1`) and required fields.
+    /// tag ([`SCHEMA`]) and required fields.
     pub fn parse(text: &str) -> Result<BenchReport, String> {
         BenchReport::from_doc(&Json::parse(text)?)
     }
 
     /// Parses a report from an already-decoded JSON document (one entry
-    /// of a [`BenchReportSet`], or a whole legacy single-report file).
+    /// of a [`BenchReportSet`], or a whole single-report file).
     fn from_doc(doc: &Json) -> Result<BenchReport, String> {
-        let schema = doc.get("schema").and_then(Json::as_str);
-        if schema != Some(SCHEMA) && schema != Some(SCHEMA_V2) && schema != Some(SCHEMA_V1) {
-            return Err(format!(
-                "missing or unknown schema tag (want {SCHEMA}, {SCHEMA_V2} or {SCHEMA_V1})"
-            ));
+        if doc.get("schema").and_then(Json::as_str) != Some(SCHEMA) {
+            return Err(format!("missing or unknown schema tag (want {SCHEMA})"));
         }
         let run_id = doc
             .get("run_id")
@@ -496,8 +482,10 @@ impl BenchReport {
                 .get("git_commit")
                 .and_then(Json::as_str)
                 .map(str::to_string),
-            // v1 reports carry scale only at the root; mirror it in.
-            scale: env_doc.get("scale").and_then(Json::as_f64).unwrap_or(scale),
+            scale: env_doc
+                .get("scale")
+                .and_then(Json::as_f64)
+                .ok_or("env missing scale")?,
             chunk: env_doc
                 .get("chunk")
                 .and_then(Json::as_f64)
@@ -545,13 +533,14 @@ impl BenchReport {
                 );
             }
         }
-        // Absent in v1 reports — optional.
         let mut histograms = BTreeMap::new();
-        if let Some(items) = doc.get("histograms").and_then(Json::as_arr) {
-            for h in items {
-                let (name, hist) = hist_from_json(h)?;
-                histograms.insert(name, hist);
-            }
+        for h in doc
+            .get("histograms")
+            .and_then(Json::as_arr)
+            .ok_or("missing histograms")?
+        {
+            let (name, hist) = hist_from_json(h)?;
+            histograms.insert(name, hist);
         }
         let mut counters = BTreeMap::new();
         if let Some(entries) = doc.get("counters").and_then(Json::entries) {
@@ -559,15 +548,15 @@ impl BenchReport {
                 counters.insert(k.clone(), v.as_f64().ok_or("non-numeric counter")? as u64);
             }
         }
-        // Absent in pre-gauge reports (e.g. BENCH_baseline.json) — optional.
         let mut gauges = BTreeMap::new();
-        if let Some(entries) = doc.get("gauges").and_then(Json::entries) {
-            for (k, v) in entries {
-                gauges.insert(k.clone(), v.as_f64().ok_or("non-numeric gauge")?);
-            }
+        for (k, v) in doc
+            .get("gauges")
+            .and_then(Json::entries)
+            .ok_or("missing gauges")?
+        {
+            gauges.insert(k.clone(), v.as_f64().ok_or("non-numeric gauge")?);
         }
-        // Absent in v1/v2 reports and in v3 reports from uncounted
-        // binaries — optional.
+        // Absent in reports from binaries that did not count allocations.
         let memory = match doc.get("memory") {
             Some(m) => Some(memory_from_json(m)?),
             None => None,
@@ -593,17 +582,16 @@ impl BenchReport {
 
 /// An ordered collection of reports from one invocation — one per
 /// worker-thread count when produced by `--threads-sweep`. The JSON
-/// rendering (`icn-bench-set/1`) wraps the individual `icn-obs/v2`
+/// rendering (`icn-bench-set/1`) wraps the individual [`SCHEMA`]
 /// documents verbatim:
 ///
 /// ```json
 /// {"schema": "icn-bench-set/1", "reports": [{...}, {...}]}
 /// ```
 ///
-/// [`BenchReportSet::parse`] also accepts a legacy single-report file and
-/// wraps it as a one-element set, so every consumer (`icn obs diff`,
-/// trajectory tooling) reads old `BENCH_pr*.json` baselines and new sweep
-/// files through one entry point.
+/// [`BenchReportSet::parse`] also accepts a single-report file and wraps
+/// it as a one-element set, so every consumer (`icn obs diff|top|mem`)
+/// reads single runs and sweep files through one entry point.
 #[derive(Clone, Debug, PartialEq)]
 pub struct BenchReportSet {
     /// Member reports, in production order (ascending thread count for
@@ -628,7 +616,7 @@ impl BenchReportSet {
         std::fs::write(path, self.to_json().to_pretty())
     }
 
-    /// Parses a set file — or a legacy single report, returned as a
+    /// Parses a set file — or a single report, returned as a
     /// one-element set. A set with zero reports is rejected: it carries
     /// no information and would silently pass every diff gate.
     pub fn parse(text: &str) -> Result<BenchReportSet, String> {
@@ -659,12 +647,11 @@ impl BenchReportSet {
 }
 
 /// Pairs a baseline set against a candidate set for diffing: when both
-/// sides are single reports the two are compared directly (the legacy
+/// sides are single reports the two are compared directly (the plain
 /// `icn obs diff a.json b.json` contract); otherwise reports are matched
 /// on the (`env.threads`, `scale`) configuration key, in baseline order —
 /// so a multi-scale, multi-thread sweep diffs like-for-like, and a
-/// pre-sweep single baseline gates exactly its own configuration of a
-/// sweep file. Returns the matched pairs; configurations present on only
+/// single baseline gates exactly its own configuration of a sweep file. Returns the matched pairs; configurations present on only
 /// one side are dropped — an empty result means the files have no
 /// comparable configuration.
 pub fn pair_reports<'a>(
@@ -685,7 +672,7 @@ pub fn pair_reports<'a>(
         .collect()
 }
 
-/// Renders the v3 `memory` section. All byte counts are JSON numbers —
+/// Renders the `memory` section. All byte counts are JSON numbers —
 /// exact below 2^53, i.e. up to 8 PiB, far beyond any real window.
 fn memory_to_json(mem: &MemoryReport) -> Json {
     let allocator = Json::obj(vec![
@@ -763,7 +750,7 @@ fn memory_from_json(doc: &Json) -> Result<MemoryReport, String> {
     })
 }
 
-/// Renders one histogram as its v2 JSON object. Quantiles are included
+/// Renders one histogram as its JSON object. Quantiles are included
 /// for human readers and dashboards; [`hist_from_json`] recomputes them
 /// from the buckets, which are the source of truth. `sum` is rendered as
 /// a JSON number — exact below 2^53, which covers > 100 days of
@@ -929,50 +916,8 @@ mod tests {
         crate::mem::reset_window();
         let rep = BenchReport::build(&sample_snapshot(), "nomem", 1.0);
         assert!(rep.memory.is_none());
-        // And the JSON carries no memory key at all — v2-shaped.
+        // And the JSON carries no memory key at all.
         assert!(rep.to_json().get("memory").is_none());
-    }
-
-    #[test]
-    fn parse_accepts_v2_reports_without_memory() {
-        let v2 = r#"{
-          "schema": "icn-obs/v2",
-          "run_id": "prior",
-          "scale": 1.0,
-          "env": {"os": "linux", "arch": "x86_64", "threads": 2, "unix_time": 7,
-                  "scale": 1.0},
-          "stages": [{"name": "stage1_transform", "wall_ms": 12.0, "counters": {}}],
-          "spans": [{"path": "stage1_transform", "calls": 1, "wall_ms": 12.0,
-                     "self_ms": 12.0}],
-          "histograms": [],
-          "counters": {},
-          "gauges": {}
-        }"#;
-        let rep = BenchReport::parse(v2).unwrap();
-        assert_eq!(rep.run_id, "prior");
-        assert!(rep.memory.is_none());
-    }
-
-    #[test]
-    fn parse_accepts_v1_reports() {
-        let v1 = r#"{
-          "schema": "icn-obs/v1",
-          "run_id": "legacy",
-          "scale": 0.5,
-          "env": {"os": "linux", "arch": "x86_64", "threads": 4, "unix_time": 7},
-          "stages": [{"name": "stage1_transform", "wall_ms": 12.0,
-                      "counters": {"transform.live_rows": 3}}],
-          "spans": [{"path": "stage1_transform", "calls": 1, "wall_ms": 12.0}],
-          "counters": {"transform.live_rows": 3}
-        }"#;
-        let rep = BenchReport::parse(v1).unwrap();
-        assert_eq!(rep.run_id, "legacy");
-        assert!(rep.histograms.is_empty());
-        assert_eq!(rep.env.git_commit, None);
-        assert_eq!(rep.env.chunk, None);
-        // Root scale is mirrored into env for v1 inputs.
-        assert_eq!(rep.env.scale, 0.5);
-        assert_eq!(rep.stage("stage1_transform").unwrap().wall_ms, 12.0);
     }
 
     #[test]
@@ -1025,7 +970,7 @@ mod tests {
     }
 
     #[test]
-    fn report_set_parse_accepts_legacy_single_reports() {
+    fn report_set_parse_accepts_single_reports() {
         let single = report_at_threads(4);
         let set = BenchReportSet::parse(&single.to_json().to_pretty()).unwrap();
         assert_eq!(set.reports.len(), 1);
@@ -1050,7 +995,7 @@ mod tests {
         assert_eq!(pairs[0].0.env.threads, 2);
         assert_eq!(pairs[0].1.env.threads, 2);
         // Two singletons pair directly even across thread counts — the
-        // legacy single-file diff contract.
+        // single-file diff contract.
         let solo1 = BenchReportSet {
             reports: vec![report_at_threads(1)],
         };

@@ -2,7 +2,7 @@
 //! and point events.
 //!
 //! [`crate::Span`] timers record one [`SpanData`] each into the registry
-//! when dropped. Unlike the flat path aggregation of `icn-obs/v1`, a
+//! when dropped. Unlike the flat path aggregation of a report's `spans`, a
 //! `SpanData` carries the full tree structure — a unique `id`, the
 //! `parent` id (linked **across threads** when the span ran on an
 //! `icn_stats::par` worker, via the handoff mechanism in
@@ -73,7 +73,7 @@ pub struct SpanData {
     /// Leaf name (`shap_chunk`).
     pub name: String,
     /// Slash-joined nesting path (`stage3_surrogate/shap_batch/shap_chunk`);
-    /// identical to the `icn-obs/v1` aggregation key.
+    /// identical to the report's span aggregation key.
     pub path: String,
     /// Small dense index of the OS thread the span ran on (0 is the first
     /// thread that ever opened a span, usually the main thread).

@@ -199,8 +199,8 @@ fn main() {
 /// `icn obs <diff|top|mem>` — report tooling; parses its own positional
 /// arguments (the common Opts flags do not apply here).
 fn cmd_obs(args: &[String]) {
-    // Every report file — legacy single `icn-obs/v1..v3` documents and
-    // `icn-bench-set/1` sweeps alike — loads through the set parser.
+    // Every report file — single reports and `icn-bench-set/1` sweeps
+    // alike — loads through the set parser.
     fn load_set(path: &str) -> icn_repro::icn_obs::BenchReportSet {
         let text = match std::fs::read_to_string(path) {
             Ok(t) => t,
@@ -223,63 +223,21 @@ fn cmd_obs(args: &[String]) {
             let mut t = icn_repro::icn_obs::DiffThresholds::default();
             let mut i = 1;
             while i < args.len() {
-                let take = |i: usize| -> Option<&String> { args.get(i + 1) };
                 match args[i].as_str() {
-                    "--max-wall-ratio" => {
-                        t.max_wall_ratio = take(i)
-                            .and_then(|v| v.parse().ok())
-                            .unwrap_or(t.max_wall_ratio);
-                        i += 2;
-                    }
-                    "--min-wall-ms" => {
-                        t.min_wall_ms = take(i)
-                            .and_then(|v| v.parse().ok())
-                            .unwrap_or(t.min_wall_ms);
-                        i += 2;
-                    }
-                    "--max-hist-ratio" => {
-                        t.max_hist_ratio = take(i)
-                            .and_then(|v| v.parse().ok())
-                            .unwrap_or(t.max_hist_ratio);
-                        i += 2;
-                    }
-                    "--min-hist-ns" => {
-                        t.min_hist_ns = take(i)
-                            .and_then(|v| v.parse().ok())
-                            .unwrap_or(t.min_hist_ns);
-                        i += 2;
-                    }
-                    "--max-bytes-ratio" => {
-                        t.max_bytes_ratio = take(i)
-                            .and_then(|v| v.parse().ok())
-                            .unwrap_or(t.max_bytes_ratio);
-                        i += 2;
-                    }
-                    "--max-peak-ratio" => {
-                        t.max_peak_ratio = take(i)
-                            .and_then(|v| v.parse().ok())
-                            .unwrap_or(t.max_peak_ratio);
-                        i += 2;
-                    }
-                    "--strict-counters" => {
-                        t.strict_counters = true;
-                        i += 1;
-                    }
-                    "--skip-missing" => {
-                        t.skip_missing = true;
-                        i += 1;
-                    }
                     "--stage-wall-ratio" => {
-                        // Repeatable `name=ratio` per-stage override.
-                        match take(i).and_then(|v| {
+                        // Repeatable `name=ratio` per-stage override; a
+                        // ratio that is NaN, infinite or not positive
+                        // would disable the gate, so it is a usage error.
+                        match args.get(i + 1).and_then(|v| {
                             let (name, ratio) = v.split_once('=')?;
-                            Some((name.to_string(), ratio.parse::<f64>().ok()?))
+                            let ratio = ratio.parse::<f64>().ok()?;
+                            (ratio.is_finite() && ratio > 0.0).then(|| (name.to_string(), ratio))
                         }) {
                             Some(pair) => t.stage_wall_ratios.push(pair),
                             None => {
                                 eprintln!(
-                                    "--stage-wall-ratio wants <stage>=<ratio>, e.g. \
-                                     stage3_surrogate=1.3"
+                                    "--stage-wall-ratio wants <stage>=<ratio> with a finite \
+                                     ratio > 0, e.g. stage3_surrogate=1.5"
                                 );
                                 std::process::exit(2);
                             }
@@ -297,11 +255,21 @@ fn cmd_obs(args: &[String]) {
                 }
             }
             let [a_path, b_path] = paths[..] else {
-                eprintln!("usage: icn obs diff <baseline.json> <candidate.json> [thresholds]");
+                eprintln!(
+                    "usage: icn obs diff <baseline.json> <candidate.json> \
+                     [--stage-wall-ratio <stage>=<r>]..."
+                );
                 std::process::exit(2);
             };
             let a = load_set(a_path);
             let b = load_set(b_path);
+            // An override naming a stage the baseline lacks gates nothing.
+            for (name, _) in &t.stage_wall_ratios {
+                if !a.reports.iter().any(|r| r.stage(name).is_some()) {
+                    eprintln!("--stage-wall-ratio: baseline {a_path} has no stage {name}");
+                    std::process::exit(2);
+                }
+            }
             let pairs = icn_repro::icn_obs::pair_reports(&a, &b);
             if pairs.is_empty() {
                 eprintln!(
@@ -642,9 +610,9 @@ fn usage_and_exit(bad: Option<&str>) -> ! {
          ingest     stream the hourly record feed into T (faults, checkpoints)\n  \
          forecast   per-cluster busy-hour forecasts, backtest and anomaly scan\n  \
          testkit    check pipeline golden snapshots (--bless to regenerate)\n  \
-         obs diff   compare two BenchReports against per-metric thresholds\n  \
+         obs diff   gate a candidate BenchReport against a baseline (fixed thresholds)\n  \
          obs top    print a self-time treetable of a BenchReport\n  \
-         obs mem    print the allocation treetable of an icn-obs/v3 BenchReport\n\n\
+         obs mem    print the allocation treetable of a BenchReport\n\n\
          FLAGS:\n  \
          --scale <f>    population scale, 1.0 = 4,762 antennas (default 0.1)\n  \
          --seed <u64>   master seed\n  \
@@ -676,10 +644,8 @@ fn usage_and_exit(bad: Option<&str>) -> ! {
          --verify       after ingest, compare T bitwise against the batch matrix\n  \
          --horizon <h>  forecast horizon in hours (forecast, default 24)\n  \
          --model <m>    headline forecast model: naive, ets or forest (forecast, default ets)\n  \
-         --skip-missing       obs diff: stages absent from the candidate are skipped, not failed\n  \
-         --stage-wall-ratio <stage>=<r>  obs diff: per-stage wall-clock ratio override (repeatable)\n  \
-         --max-peak-ratio <r>  obs diff: allowed growth of the allocator window peak\n                 \
-         (default 1.5; shrinkage always passes)"
+         --stage-wall-ratio <stage>=<r>  obs diff: per-stage wall-clock ratio override\n                 \
+         (repeatable; default 2.0, the stage must exist in the baseline)"
     );
     std::process::exit(if bad.is_some() { 2 } else { 0 });
 }

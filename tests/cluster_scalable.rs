@@ -26,7 +26,7 @@ fn rsca_at(scale: f64) -> Matrix {
 /// The agreement gate: a 60% seeded sample with one refinement pass must
 /// reproduce exact Ward's partition at ARI ≥ 0.9 on the paper geometry.
 /// These are the same scales and hyper-parameters the `bench_cluster`
-/// sweep records into `BENCH_pr6.json`, pinned here so a regression in
+/// sweep records as its agreement gauges, pinned here so a regression in
 /// either the sampler or the refiner fails tests rather than just
 /// drifting a benchmark artefact.
 #[test]

@@ -1,7 +1,7 @@
 //! Differential and metamorphic tests for the icn-obs log-bucketed
 //! histogram.
 //!
-//! The histogram backs the latency distributions in every `icn-obs/v2`
+//! The histogram backs the latency distributions in every `icn-obs/v3`
 //! report and the `icn obs diff` perf gate, so its quantiles are part of
 //! the CI contract: `quantile(q)` must agree *exactly* (not approximately)
 //! with a sort-based oracle at bucket resolution, and merging per-thread

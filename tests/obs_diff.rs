@@ -61,27 +61,50 @@ fn reversed_direction_is_a_speedup_and_passes() {
 #[test]
 fn cli_exit_codes_match_the_gate() {
     let golden = format!("{}/tests/golden", env!("CARGO_MANIFEST_DIR"));
-    let run = |a: &str, b: &str| {
+    let run = |a: &str, b: &str, extra: &[&str]| {
         Command::new(env!("CARGO_BIN_EXE_icn"))
             .args(["obs", "diff"])
             .arg(format!("{golden}/{a}"))
             .arg(format!("{golden}/{b}"))
+            .args(extra)
             .output()
             .expect("spawn icn")
     };
-    let ok = run("bench_smoke005.json", "bench_smoke005.json");
+    let ok = run("bench_smoke005.json", "bench_smoke005.json", &[]);
     assert!(
         ok.status.success(),
         "self-diff exited nonzero:\n{}",
         String::from_utf8_lossy(&ok.stdout)
     );
-    let bad = run("bench_smoke005.json", "bench_regression_fixture.json");
+    let bad = run("bench_smoke005.json", "bench_regression_fixture.json", &[]);
     assert_eq!(
         bad.status.code(),
         Some(1),
         "regression diff must exit 1:\n{}",
         String::from_utf8_lossy(&bad.stdout)
     );
+    // A stage override that would gate nothing is a usage error, not a
+    // silent pass: a NaN, infinite or non-positive ratio, or a stage the
+    // baseline does not have.
+    for ratio in [
+        "stage3_surrogate=nan",
+        "stage3_surrogate=inf",
+        "stage3_surrogate=0",
+        "stage3_surrogate=-1.5",
+        "stage9_bogus=1.5",
+    ] {
+        let out = run(
+            "bench_smoke005.json",
+            "bench_regression_fixture.json",
+            &["--stage-wall-ratio", ratio],
+        );
+        assert_eq!(
+            out.status.code(),
+            Some(2),
+            "--stage-wall-ratio {ratio} must exit 2:\n{}",
+            String::from_utf8_lossy(&out.stdout)
+        );
+    }
     let usage = Command::new(env!("CARGO_BIN_EXE_icn"))
         .args(["obs", "bogus"])
         .output()
@@ -89,7 +112,24 @@ fn cli_exit_codes_match_the_gate() {
     assert_eq!(usage.status.code(), Some(2), "unknown obs subcommand");
 }
 
-/// The `icn-obs/v3` memory fixtures: `bench_mem_smoke.json` is a recorded
+/// A report file is untrusted input: absurdly deep nesting is a parse
+/// error (exit 1), not a stack overflow.
+#[test]
+fn cli_rejects_deeply_nested_reports() {
+    let path = std::env::temp_dir().join("icn_obs_deep_nesting.json");
+    std::fs::write(&path, "[".repeat(1_000_000)).expect("write fixture");
+    let out = Command::new(env!("CARGO_BIN_EXE_icn"))
+        .args(["obs", "top"])
+        .arg(&path)
+        .output()
+        .expect("spawn icn");
+    let _ = std::fs::remove_file(&path);
+    let stderr = String::from_utf8_lossy(&out.stderr);
+    assert_eq!(out.status.code(), Some(1), "{stderr}");
+    assert!(stderr.contains("cannot parse"), "{stderr}");
+}
+
+/// The memory fixtures: `bench_mem_smoke.json` is a recorded
 /// metered `icn run --scale 0.05` (ICN_THREADS=1) and the regression
 /// fixture is the same report with the allocator peak (and VmHWM)
 /// doubled — everything else identical, so only the peak gate can fire.
@@ -133,19 +173,18 @@ fn doctored_peak_fixture_fails_the_asymmetric_peak_gate() {
     );
 }
 
-/// v2 -> v3 is graceful: a baseline without a memory section diffs
-/// against a v3 candidate (and vice versa) as an informational line,
-/// never a failure — old blessed baselines keep gating wall and
-/// histograms unchanged.
+/// A baseline without a memory section diffs against a counted candidate
+/// (and vice versa) as an informational line, never a failure — such
+/// baselines keep gating wall and histograms unchanged.
 #[test]
 fn missing_memory_section_diffs_informationally() {
-    let v2 = load("bench_smoke005.json");
-    assert!(v2.memory.is_none(), "v2 golden grew a memory section");
-    let v3 = load("bench_mem_smoke.json");
-    let mut v3_stripped = v3.clone();
-    v3_stripped.memory = None;
+    let plain = load("bench_smoke005.json");
+    assert!(plain.memory.is_none(), "smoke golden grew a memory section");
+    let counted = load("bench_mem_smoke.json");
+    let mut stripped = counted.clone();
+    stripped.memory = None;
     // Identical walls, one side missing memory: informational, passing.
-    for (a, b) in [(&v3_stripped, &v3), (&v3, &v3_stripped)] {
+    for (a, b) in [(&stripped, &counted), (&counted, &stripped)] {
         let report = diff_reports(a, b, &DiffThresholds::default());
         assert!(
             report.passed(),
@@ -163,37 +202,27 @@ fn missing_memory_section_diffs_informationally() {
     }
 }
 
-/// The CLI peak gate end to end: default threshold (1.5x) rejects the
-/// doctored 2x fixture with exit 1; `--max-peak-ratio 3` admits it.
+/// The CLI peak gate end to end: the fixed 1.5x threshold rejects the
+/// doctored 2x fixture with exit 1.
 #[test]
-fn cli_max_peak_ratio_flag_gates_and_relaxes() {
+fn cli_peak_gate_fails_the_doctored_fixture() {
     let golden = format!("{}/tests/golden", env!("CARGO_MANIFEST_DIR"));
-    let run = |extra: &[&str]| {
-        Command::new(env!("CARGO_BIN_EXE_icn"))
-            .args(["obs", "diff"])
-            .arg(format!("{golden}/bench_mem_smoke.json"))
-            .arg(format!("{golden}/bench_mem_regression_fixture.json"))
-            .args(extra)
-            .output()
-            .expect("spawn icn")
-    };
-    let strict = run(&[]);
+    let out = Command::new(env!("CARGO_BIN_EXE_icn"))
+        .args(["obs", "diff"])
+        .arg(format!("{golden}/bench_mem_smoke.json"))
+        .arg(format!("{golden}/bench_mem_regression_fixture.json"))
+        .output()
+        .expect("spawn icn");
     assert_eq!(
-        strict.status.code(),
+        out.status.code(),
         Some(1),
-        "2x peak must fail the default gate:\n{}",
-        String::from_utf8_lossy(&strict.stdout)
-    );
-    let relaxed = run(&["--max-peak-ratio", "3"]);
-    assert!(
-        relaxed.status.success(),
-        "relaxed peak gate still failed:\n{}",
-        String::from_utf8_lossy(&relaxed.stdout)
+        "2x peak must fail the gate:\n{}",
+        String::from_utf8_lossy(&out.stdout)
     );
 }
 
 /// `icn obs diff` pairs `icn-bench-set/1` files (from `--threads-sweep`)
-/// by thread count: a legacy single baseline gates the matching member of
+/// by thread count: a single baseline gates the matching member of
 /// a sweep candidate, two sweeps diff pairwise, and files with no common
 /// configuration fail loudly instead of silently passing.
 #[test]
