@@ -14,6 +14,7 @@
 use icn_bench::timing::bench;
 use icn_cluster::{agglomerate_condensed, dunn_index, silhouette_score, Condensed, Linkage};
 use icn_core::{cluster_heatmap, filter_dead_rows, rsca};
+use icn_forecast::cluster_series;
 use icn_forest::{ForestConfig, RandomForest, TrainSet};
 use icn_shap::forest_shap;
 use icn_stats::Metric;
@@ -113,8 +114,18 @@ fn temporal() {
         .collect();
     let rows: Vec<&[f64]> = members.iter().map(|a| ds.indoor_totals.row(a.id)).collect();
     println!("== fig10_temporal_heatmap ==");
+    let days = ds.calendar.num_days();
     bench("cluster_heatmap_20_antennas", 5, || {
-        cluster_heatmap(&members, &rows, &ds.services, 65, &window, ds.root_rng())
+        let series = cluster_series(
+            0,
+            &members,
+            &rows,
+            &ds.services,
+            days,
+            &window,
+            ds.root_rng(),
+        );
+        cluster_heatmap(&series, &window)
     });
 }
 

@@ -190,17 +190,10 @@ fn main() {
     println!("\n== fig10 ==");
     let window = StudyCalendar::temporal_window();
     for c in 0..9 {
-        let (members, rows): (Vec<&icn_synth::Antenna>, Vec<&[f64]>) = st
-            .live_rows
-            .iter()
-            .enumerate()
-            .filter(|(pos, _)| st.labels[*pos] == c)
-            .map(|(_, &row)| (&ds.antennas[row], ds.indoor_totals.row(row)))
-            .unzip();
-        if members.is_empty() {
+        let Some(series) = st.cluster_series(&ds, c, &window) else {
             continue;
-        }
-        let hm = cluster_heatmap(&members, &rows, &ds.services, 65, &window, ds.root_rng());
+        };
+        let hm = cluster_heatmap(&series, &window);
         let (env, _) = st.crosstab.dominant_environment(c);
         println!(
             "cluster {c} ({}): commute {:.2}, weekend {:.2}, strike {:.2}, burst {:.1}",

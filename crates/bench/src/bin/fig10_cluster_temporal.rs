@@ -38,17 +38,10 @@ fn main() {
     ]);
 
     for c in 0..st.config.k {
-        let (members, rows): (Vec<&icn_synth::Antenna>, Vec<&[f64]>) = st
-            .live_rows
-            .iter()
-            .enumerate()
-            .filter(|(pos, _)| st.labels[*pos] == c)
-            .map(|(_, &row)| (&ds.antennas[row], ds.indoor_totals.row(row)))
-            .unzip();
-        if members.is_empty() {
+        let Some(series) = st.cluster_series(&ds, c, &window) else {
             continue;
-        }
-        let hm = cluster_heatmap(&members, &rows, &ds.services, 65, &window, ds.root_rng());
+        };
+        let hm = cluster_heatmap(&series, &window);
         let (env, _) = st.crosstab.dominant_environment(c);
         let rhythm = hm.rhythm();
         stats.row(vec![
@@ -62,7 +55,7 @@ fn main() {
             format!("{:.2}", rhythm.weekly),
         ]);
 
-        println!("cluster {c} ({}, {} antennas):", env.label(), members.len());
+        println!("cluster {c} ({}, {} antennas):", env.label(), hm.n_antennas);
         let labels: Vec<String> = (0..hm.values.len())
             .map(|d| {
                 let date = window.date(d);

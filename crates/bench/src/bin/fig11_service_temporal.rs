@@ -88,7 +88,7 @@ fn main() {
             &members,
             &totals,
             &ds.services[j],
-            65,
+            ds.calendar.num_days(),
             &window,
             ds.root_rng(),
         );

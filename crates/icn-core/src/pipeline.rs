@@ -11,10 +11,13 @@
 //! 4. mine environments from antenna names and build the
 //!    cluster ↔ environment crosstab (Section 5.2, Figures 6–8);
 //! 5. classify the outdoor antennas through the surrogate (Section 5.3,
-//!    Figure 9).
+//!    Figure 9);
+//! 6. optionally (`run_forecast`), forecast each cluster's median hourly
+//!    series and scan it for anomalies (Section 6, `icn-forecast`).
 //!
-//! Temporal analysis (Section 6) is exposed separately via
-//! [`crate::temporal`] because it synthesises hourly series on demand.
+//! The Section 6 figures read the same per-cluster series through
+//! [`IcnStudy::cluster_series`]; [`crate::temporal`] turns it into the
+//! Figure 10 heatmaps.
 
 use crate::compare::{classify_outdoor_with, OutdoorComparison};
 use crate::config::StudyConfig;
@@ -25,11 +28,12 @@ use icn_cluster::{
     agglomerate_condensed, max_sample_for_budget, sampled_ward, sweep_k, ClusterPath, Condensed,
     Dendrogram, KQuality, Linkage, MergeHistory, SampledWardConfig,
 };
+use icn_forecast::ClusterSeries;
 use icn_forest::{RandomForest, SoaForest, TrainSet};
 use icn_ingest::IngestResult;
 use icn_shap::ClassExplanation;
 use icn_stats::Matrix;
-use icn_synth::Dataset;
+use icn_synth::{Antenna, Dataset, StudyCalendar};
 
 /// All artefacts of one study run.
 pub struct IcnStudy {
@@ -285,7 +289,7 @@ impl IcnStudy {
         // 4. Environments.
         let crosstab = {
             let _span = icn_obs::Span::enter("stage4_environments");
-            let live_antennas: Vec<icn_synth::Antenna> = live_rows
+            let live_antennas: Vec<Antenna> = live_rows
                 .iter()
                 .map(|&i| dataset.antennas[i].clone())
                 .collect();
@@ -310,23 +314,29 @@ impl IcnStudy {
         // and its goldens are untouched).
         let forecast = if config.run_forecast {
             let mut span = icn_obs::Span::enter(icn_obs::FORECAST_STAGE);
-            let live_antennas: Vec<icn_synth::Antenna> = live_rows
+            let live_antennas: Vec<Antenna> = live_rows
                 .iter()
                 .map(|&i| dataset.antennas[i].clone())
                 .collect();
             let rows: Vec<&[f64]> = (0..t_live.rows()).map(|i| t_live.row(i)).collect();
-            let window = icn_synth::StudyCalendar::temporal_window();
-            let series = icn_forecast::study_cluster_series(
-                &live_antennas,
-                &rows,
-                &labels,
-                config.k,
-                &dataset.services,
-                icn_synth::StudyCalendar::paper_period().num_days(),
-                &window,
-                dataset.root_rng(),
-            );
-            let report = icn_forecast::forecast_series(&series, &window, &config.forecast_config());
+            let window = StudyCalendar::temporal_window();
+            let series = {
+                let _span = icn_obs::Span::enter("series");
+                icn_forecast::study_cluster_series(
+                    &live_antennas,
+                    &rows,
+                    &labels,
+                    config.k,
+                    &dataset.services,
+                    dataset.calendar.num_days(),
+                    &window,
+                    dataset.root_rng(),
+                )
+            };
+            let report = {
+                let _span = icn_obs::Span::enter("models");
+                icn_forecast::forecast_series(&series, &window, &config.forecast_config())
+            };
             if obs.is_enabled() {
                 span.attr("clusters", report.clusters.len() as u64);
                 span.attr("horizon", report.horizon as u64);
@@ -369,6 +379,37 @@ impl IcnStudy {
             sizes[l] += 1;
         }
         sizes
+    }
+
+    /// Cluster `c`'s median hourly series over `window`, synthesised from
+    /// `dataset` (its members' antennas and totals rows, services and root
+    /// RNG, over the dataset's full recording period): the series stage 6
+    /// forecasts and, max-normalised, the Figure 10 heatmap. `None` when
+    /// the cluster is empty.
+    pub fn cluster_series(
+        &self,
+        dataset: &Dataset,
+        c: usize,
+        window: &StudyCalendar,
+    ) -> Option<ClusterSeries> {
+        let (members, rows): (Vec<&Antenna>, Vec<&[f64]>) = self
+            .live_rows
+            .iter()
+            .zip(&self.labels)
+            .filter(|&(_, &label)| label == c)
+            .map(|(&row, _)| (&dataset.antennas[row], dataset.indoor_totals.row(row)))
+            .unzip();
+        (!members.is_empty()).then(|| {
+            icn_forecast::cluster_series(
+                c,
+                &members,
+                &rows,
+                &dataset.services,
+                dataset.calendar.num_days(),
+                window,
+                dataset.root_rng(),
+            )
+        })
     }
 
     /// Matches discovered clusters to planted archetypes by majority vote:
@@ -452,6 +493,31 @@ mod tests {
         }
         let mean = report.mean_backtest();
         assert!(mean.ets.mae < mean.naive.mae, "{mean:?}");
+    }
+
+    #[test]
+    fn fig10_heatmap_is_the_stage6_series() {
+        let d = Dataset::generate(SynthConfig::small());
+        let cfg = StudyConfig {
+            run_forecast: true,
+            ..StudyConfig::fast()
+        };
+        let s = IcnStudy::run(&d, cfg);
+        let report = s.forecast.as_ref().expect("forecast report");
+        let window = StudyCalendar::temporal_window();
+        let bits = |v: &[f64]| v.iter().map(|x| x.to_bits()).collect::<Vec<u64>>();
+        let mut compared = 0;
+        for c in 0..cfg.k {
+            let Some(series) = s.cluster_series(&d, c, &window) else {
+                assert_eq!(report.clusters[c].n_antennas, 0);
+                continue;
+            };
+            let heatmap = crate::cluster_heatmap(&series, &window);
+            let stage6 = icn_stats::normalize::by_max(&report.clusters[c].series);
+            assert_eq!(bits(&heatmap.flat_series()), bits(&stage6), "cluster {c}");
+            compared += 1;
+        }
+        assert!(compared > 0);
     }
 
     #[test]

@@ -3,14 +3,17 @@
 //! The paper plots, per cluster, the hour-by-day heatmap of the
 //! **normalised median traffic** across the cluster's antennas over
 //! 4–24 January 2023 — both for total traffic (Figure 10) and for selected
-//! services (Figure 11). This module synthesises the hourly series of the
-//! cluster members (through `icn-synth`, consistently with the totals
-//! matrix) and reduces them to those median heatmaps, plus the summary
-//! statistics the prose reads off them (commute-peak ratios, strike-day
-//! dips, weekend effects, event bursts).
+//! services (Figure 11). The Figure 10 heatmap is the cluster's stage-6
+//! series ([`crate::IcnStudy::cluster_series`]) max-normalised; the
+//! Figure 11 heatmaps synthesise one service's hourly series per member on
+//! demand and take the same per-hour median. This module also computes the
+//! summary statistics the prose reads off them (commute-peak ratios,
+//! strike-day dips, weekend effects, event bursts).
 
+use icn_forecast::series::median_over_members;
+use icn_forecast::ClusterSeries;
 use icn_stats::{normalize, par, summary, Rng};
-use icn_synth::traffic::{aggregate_hourly_series, hourly_series_for_window};
+use icn_synth::traffic::hourly_series_for_window;
 use icn_synth::{Antenna, Service, StudyCalendar, Weekday};
 
 /// An hour × day heatmap of normalised median traffic.
@@ -159,35 +162,10 @@ impl TemporalHeatmap {
     }
 }
 
-/// Builds the Figure 10 heatmap for one cluster: the per-hour **median over
-/// member antennas** of aggregate traffic, max-normalised.
-///
-/// `member_rows` maps each member antenna to its row of the totals matrix.
-pub fn cluster_heatmap(
-    members: &[&Antenna],
-    member_rows: &[&[f64]],
-    services: &[Service],
-    full_period_days: usize,
-    window: &StudyCalendar,
-    root: &Rng,
-) -> TemporalHeatmap {
-    assert_eq!(
-        members.len(),
-        member_rows.len(),
-        "cluster_heatmap: mismatch"
-    );
-    assert!(!members.is_empty(), "cluster_heatmap: no members");
-    let series: Vec<Vec<f64>> = par::map_indexed(members.len(), |i| {
-        aggregate_hourly_series(
-            members[i],
-            services,
-            member_rows[i],
-            full_period_days,
-            window,
-            root,
-        )
-    });
-    heatmap_from_series(&series, window)
+/// The Figure 10 heatmap of one cluster: its median hourly series over
+/// `window` (see [`crate::IcnStudy::cluster_series`]), max-normalised.
+pub fn cluster_heatmap(series: &ClusterSeries, window: &StudyCalendar) -> TemporalHeatmap {
+    max_normalised(&series.values, series.n_antennas, window)
 }
 
 /// Builds the Figure 11 heatmap for one cluster and one service.
@@ -215,26 +193,18 @@ pub fn service_heatmap(
             root,
         )
     });
-    heatmap_from_series(&series, window)
+    let medians = median_over_members(&series, window.num_hours());
+    max_normalised(&medians, members.len(), window)
 }
 
-/// Median across antennas per hour, then max-normalise into day × hour.
-fn heatmap_from_series(series: &[Vec<f64>], window: &StudyCalendar) -> TemporalHeatmap {
-    let hours = window.num_hours();
-    let mut medians = vec![0.0f64; hours];
-    let mut scratch = vec![0.0f64; series.len()];
-    for (h, m) in medians.iter_mut().enumerate() {
-        for (s, row) in scratch.iter_mut().zip(series) {
-            *s = row[h];
-        }
-        *m = summary::median_inplace(&mut scratch);
-    }
-    let norm = normalize::by_max(&medians);
+/// Max-normalises an hourly median series into day × hour.
+fn max_normalised(medians: &[f64], n_antennas: usize, window: &StudyCalendar) -> TemporalHeatmap {
+    let norm = normalize::by_max(medians);
     let values: Vec<Vec<f64>> = norm.chunks_exact(24).map(|c| c.to_vec()).collect();
     TemporalHeatmap {
         window: window.clone(),
         values,
-        n_antennas: series.len(),
+        n_antennas,
     }
 }
 
@@ -261,12 +231,26 @@ mod tests {
         (members, rows)
     }
 
+    fn archetype_heatmap(d: &Dataset, arch: Archetype) -> TemporalHeatmap {
+        let (members, rows) = members_of(d, arch);
+        let window = StudyCalendar::temporal_window();
+        let days = d.calendar.num_days();
+        let series = icn_forecast::cluster_series(
+            0,
+            &members,
+            &rows,
+            &d.services,
+            days,
+            &window,
+            d.root_rng(),
+        );
+        cluster_heatmap(&series, &window)
+    }
+
     #[test]
     fn commuter_cluster_has_commute_peaks_and_strike_dip() {
         let d = small();
-        let (members, rows) = members_of(&d, Archetype::ParisMetro);
-        let window = StudyCalendar::temporal_window();
-        let hm = cluster_heatmap(&members, &rows, &d.services, 65, &window, d.root_rng());
+        let hm = archetype_heatmap(&d, Archetype::ParisMetro);
         assert!(
             hm.commute_ratio() > 1.5,
             "commute ratio {}",
@@ -283,9 +267,7 @@ mod tests {
     #[test]
     fn office_cluster_idle_weekends_flat_day() {
         let d = small();
-        let (members, rows) = members_of(&d, Archetype::Workspace);
-        let window = StudyCalendar::temporal_window();
-        let hm = cluster_heatmap(&members, &rows, &d.services, 65, &window, d.root_rng());
+        let hm = archetype_heatmap(&d, Archetype::Workspace);
         assert!(
             hm.weekend_ratio() < 0.2,
             "weekend ratio {}",
@@ -301,11 +283,8 @@ mod tests {
     #[test]
     fn event_cluster_is_bursty() {
         let d = small();
-        let (members, rows) = members_of(&d, Archetype::ProvincialStadium);
-        let window = StudyCalendar::temporal_window();
-        let hm = cluster_heatmap(&members, &rows, &d.services, 65, &window, d.root_rng());
-        let (members_r, rows_r) = members_of(&d, Archetype::RetailHospitality);
-        let hm_r = cluster_heatmap(&members_r, &rows_r, &d.services, 65, &window, d.root_rng());
+        let hm = archetype_heatmap(&d, Archetype::ProvincialStadium);
+        let hm_r = archetype_heatmap(&d, Archetype::RetailHospitality);
         assert!(
             hm.burstiness() > 2.0 * hm_r.burstiness().min(1e6),
             "stadium burstiness {} vs retail {}",
@@ -317,9 +296,7 @@ mod tests {
     #[test]
     fn heatmap_shape_and_normalisation() {
         let d = small();
-        let (members, rows) = members_of(&d, Archetype::GeneralUse);
-        let window = StudyCalendar::temporal_window();
-        let hm = cluster_heatmap(&members, &rows, &d.services, 65, &window, d.root_rng());
+        let hm = archetype_heatmap(&d, Archetype::GeneralUse);
         assert_eq!(hm.values.len(), 21);
         assert!(hm.values.iter().all(|day| day.len() == 24));
         let max = hm
@@ -353,7 +330,7 @@ mod tests {
             &members,
             &totals,
             &d.services[teams_idx],
-            65,
+            d.calendar.num_days(),
             &window,
             d.root_rng(),
         );
@@ -365,16 +342,17 @@ mod tests {
     }
 
     #[test]
-    fn heatmap_from_series_uses_median() {
-        // Two antennas: one silent, one loud — median of [0, x] = x/2;
-        // with 3 antennas (two silent) the median is 0.
+    fn heatmap_is_the_series_max_normalised() {
         let window = StudyCalendar::custom(icn_synth::Date::new(2023, 1, 9), 1);
-        let loud = vec![2.0; 24];
-        let silent = vec![0.0; 24];
-        let hm = heatmap_from_series(&[silent.clone(), loud.clone(), silent], &window);
-        assert!(hm.values[0].iter().all(|&v| v == 0.0));
-        let hm2 = heatmap_from_series(&[loud.clone(), loud], &window);
-        assert!(hm2.values[0].iter().all(|&v| (v - 1.0).abs() < 1e-12));
+        let series = ClusterSeries {
+            cluster: 0,
+            n_antennas: 3,
+            values: (0..24).map(|h| h as f64).collect(),
+        };
+        let hm = cluster_heatmap(&series, &window);
+        assert_eq!(hm.n_antennas, 3);
+        assert_eq!(hm.values, vec![normalize::by_max(&series.values)]);
+        assert_eq!(hm.values[0][23], 1.0);
     }
 
     #[test]

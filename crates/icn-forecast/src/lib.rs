@@ -8,15 +8,18 @@
 //! and an unsupervised detector flags the hours that depart from the
 //! cluster's seasonal template.
 //!
-//! * [`series`] — raw (un-normalised) cluster median series, plus the
-//!   signal-free control re-synthesis.
+//! * [`series`] — the raw (un-normalised) cluster median series: the one
+//!   hourly series Section 6 reads, which the Figure 10 heatmaps
+//!   max-normalise. Its signal-free control is the same series over a
+//!   window [`StudyCalendar::without_signals`].
 //! * [`models`] — seasonal-naive, additive Holt–Winters ETS, and a forest
 //!   regressor reusing the `icn-forest` classifier via quantile binning.
-//! * [`backtest`] — rolling-origin MAE/sMAPE harness; ETS and the forest
-//!   must beat the naive baseline (gated in `tests/forecast_signals.rs`).
-//! * [`detect`] — hour-of-week template + relative residuals + rolling
-//!   robust z-scores. Against `icn_synth::signals` ground truth it must
-//!   recover the planted Jan 19 strike and event bursts at F1 ≥ 0.9,
+//! * [`backtest`](mod@backtest) — rolling-origin MAE/sMAPE harness; ETS
+//!   and the forest must beat the naive baseline (gated in
+//!   `tests/forecast_signals.rs`).
+//! * [`detect`](mod@detect) — hour-of-week template + relative residuals +
+//!   rolling robust z-scores. Against `icn_synth::signals` ground truth it
+//!   must recover the planted Jan 19 strike and event bursts at F1 ≥ 0.9,
 //!   and flag nothing on the signal-free control.
 //!
 //! Everything is deterministic and bit-identical at any `ICN_THREADS`:
@@ -45,7 +48,7 @@ pub use detect::{
 pub use models::{
     ets_forecast, forest_forecast, seasonal_naive_forecast, EtsParams, ForestParams, Model, PERIOD,
 };
-pub use series::{cluster_series, cluster_series_signal_free, study_cluster_series, ClusterSeries};
+pub use series::{cluster_series, study_cluster_series, ClusterSeries};
 
 use icn_synth::{StudyCalendar, Weekday};
 

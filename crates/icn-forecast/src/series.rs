@@ -1,17 +1,19 @@
 //! Cluster-level hourly series.
 //!
 //! The forecasting unit is the cluster: the per-hour **median across
-//! member antennas** of aggregate (all-service) traffic, in raw MB/hour —
-//! the same aggregation as the Figure 10 heatmaps but *not*
-//! max-normalised, because forecasts and anomaly scores live on the
-//! traffic scale. The median over members is what makes per-site
+//! member antennas** of aggregate (all-service) traffic, in raw MB/hour.
+//! It is the one object Section 6 reads: stage 6 forecasts it as is, and
+//! the Figure 10 heatmaps (`icn_core::cluster_heatmap`) are this series
+//! max-normalised. The median over members is what makes per-site
 //! one-offs (a single stadium's extra fixture) vanish while
 //! population-wide signals (the strike, the pinned NBA night) survive —
 //! matching the cluster-majority ground-truth labels in
-//! [`icn_synth::signals`].
+//! [`icn_synth::signals`]. The signal-free control the detector must stay
+//! silent on is the same series over a window
+//! [`StudyCalendar::without_signals`].
 
 use icn_stats::{par, summary, Rng};
-use icn_synth::traffic::{aggregate_hourly_series, aggregate_hourly_series_signal_free};
+use icn_synth::traffic::aggregate_hourly_series;
 use icn_synth::{Antenna, Service, StudyCalendar};
 
 /// One cluster's raw hourly series.
@@ -25,9 +27,9 @@ pub struct ClusterSeries {
     pub values: Vec<f64>,
 }
 
-/// Builds one cluster's series: parallel per-member synthesis (order
-/// preserved by `par::map_indexed`), then a sequential per-hour median —
-/// bit-identical at any `ICN_THREADS`.
+/// Builds one cluster's series over `window`: parallel per-member
+/// synthesis (order preserved by `par::map_indexed`), then a sequential
+/// per-hour median — bit-identical at any `ICN_THREADS`.
 pub fn cluster_series(
     cluster: usize,
     members: &[&Antenna],
@@ -52,42 +54,13 @@ pub fn cluster_series(
     ClusterSeries {
         cluster,
         n_antennas: members.len(),
-        values: median_over(&per_member, window.num_hours()),
+        values: median_over_members(&per_member, window.num_hours()),
     }
 }
 
-/// Signal-free variant of [`cluster_series`] (same members, totals and
-/// noise stream; planted anomalies stripped) — the control the detector
-/// must stay silent on.
-pub fn cluster_series_signal_free(
-    cluster: usize,
-    members: &[&Antenna],
-    member_rows: &[&[f64]],
-    services: &[Service],
-    full_period_days: usize,
-    window: &StudyCalendar,
-    root: &Rng,
-) -> ClusterSeries {
-    assert_eq!(members.len(), member_rows.len(), "cluster_series: mismatch");
-    assert!(!members.is_empty(), "cluster_series: no members");
-    let per_member: Vec<Vec<f64>> = par::map_indexed(members.len(), |i| {
-        aggregate_hourly_series_signal_free(
-            members[i],
-            services,
-            member_rows[i],
-            full_period_days,
-            window,
-            root,
-        )
-    });
-    ClusterSeries {
-        cluster,
-        n_antennas: members.len(),
-        values: median_over(&per_member, window.num_hours()),
-    }
-}
-
-fn median_over(per_member: &[Vec<f64>], hours: usize) -> Vec<f64> {
+/// Per-hour median across member series, each `hours` long: the one
+/// aggregation behind the cluster series and the Figure 10–11 heatmaps.
+pub fn median_over_members(per_member: &[Vec<f64>], hours: usize) -> Vec<f64> {
     let mut scratch = vec![0.0f64; per_member.len()];
     (0..hours)
         .map(|h| {
@@ -182,11 +155,23 @@ mod tests {
     fn signal_free_series_has_no_strike_collapse() {
         let (d, w) = setup();
         let (members, rows) = archetype_cluster(&d, Archetype::ParisMetro);
-        let s = cluster_series_signal_free(0, &members, &rows, &d.services, 65, &w, d.root_rng());
+        let control = w.without_signals();
+        let s = cluster_series(0, &members, &rows, &d.services, 65, &control, d.root_rng());
         let strike = w.day_index(StudyCalendar::strike_day()).unwrap();
         let normal_thu = strike - 7;
         let ratio = s.values[strike * 24 + 8] / s.values[normal_thu * 24 + 8];
         assert!((0.7..1.4).contains(&ratio), "ratio {ratio}");
+    }
+
+    #[test]
+    fn median_is_taken_per_hour() {
+        // Two antennas: one silent, one loud — median of [0, x] = x/2;
+        // with 3 antennas (two silent) the median is 0.
+        let loud = vec![2.0; 24];
+        let silent = vec![0.0; 24];
+        let three = [silent.clone(), loud.clone(), silent.clone()];
+        assert_eq!(median_over_members(&three, 24), silent);
+        assert_eq!(median_over_members(&[silent, loud], 24), vec![1.0; 24]);
     }
 
     #[test]

@@ -21,7 +21,7 @@
 //! registry only, so unit tests driving private registries cannot
 //! perturb the window.
 //!
-//! **Windowed semantics.** [`reset_window`] zeroes every counter, so
+//! **Windowed semantics.** Resetting the window zeroes every counter, so
 //! `live_bytes` is the *net* allocation balance since the last
 //! [`crate::Registry::reset`] — memory allocated before the window and
 //! freed inside it legitimately drives the balance negative, which is

@@ -159,8 +159,8 @@ impl Registry {
     /// Clears all collected data and the trace epoch (enabled state is
     /// unchanged; span ids keep growing so ids never repeat within a
     /// process). On the global registry this also zeroes the allocation
-    /// window ([`crate::mem::reset_window`]), so a threads-sweep loop
-    /// gets one clean byte window per member run.
+    /// window (`mem::reset_window`), so a threads-sweep loop gets one
+    /// clean byte window per member run.
     pub fn reset(&self) {
         let mut inner = self.inner.lock().expect("icn-obs registry poisoned");
         *inner = Inner::default();

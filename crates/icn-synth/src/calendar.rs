@@ -8,6 +8,11 @@
 //! days the paper calls out: weekends, the Christmas/New-Year holidays, and
 //! the **national general strike of 19 January 2023** whose traffic collapse
 //! is visible in Figure 10.
+//!
+//! The one-off days are calendar data: a calendar either plants them (the
+//! strike, the holidays and the per-site event schedules drawn over it) or,
+//! built by [`StudyCalendar::without_signals`], covers the same days with
+//! none of them — the signal-free control of the anomaly detector.
 
 /// Day of week.
 #[derive(Clone, Copy, Debug, PartialEq, Eq, Hash)]
@@ -149,31 +154,51 @@ fn days_in_month(year: i32, month: u8) -> u8 {
 pub struct StudyCalendar {
     start: Date,
     days: usize,
+    /// False on a [`StudyCalendar::without_signals`] control.
+    signals: bool,
 }
 
 impl StudyCalendar {
     /// The paper's recording period: 2022-11-21 .. 2023-01-24 inclusive
     /// (65 days).
     pub fn paper_period() -> Self {
-        StudyCalendar {
-            start: Date::new(2022, 11, 21),
-            days: 65,
-        }
+        StudyCalendar::custom(Date::new(2022, 11, 21), 65)
     }
 
     /// The temporal-analysis window of Section 6: 2023-01-04 .. 2023-01-24
     /// inclusive (21 days).
     pub fn temporal_window() -> Self {
-        StudyCalendar {
-            start: Date::new(2023, 1, 4),
-            days: 21,
-        }
+        StudyCalendar::custom(Date::new(2023, 1, 4), 21)
     }
 
     /// A custom window (used by scaled-down tests).
     pub fn custom(start: Date, days: usize) -> Self {
         assert!(days > 0, "StudyCalendar: zero-length period");
-        StudyCalendar { start, days }
+        StudyCalendar {
+            start,
+            days,
+            signals: true,
+        }
+    }
+
+    /// The same days with every planted one-off removed: no strike, no
+    /// holidays and no site events. Weekly structure (weekends, the Sunday
+    /// dip) repeats every week and stays. Generating from this calendar
+    /// re-synthesises the same antennas with the same totals and noise
+    /// streams, minus the signals.
+    pub fn without_signals(&self) -> StudyCalendar {
+        StudyCalendar {
+            signals: false,
+            ..self.clone()
+        }
+    }
+
+    /// True unless this calendar was built by
+    /// [`StudyCalendar::without_signals`]. Only a calendar with signals
+    /// plants the [`StudyCalendar::strike_day`], the
+    /// [`StudyCalendar::is_holiday`] days and site events.
+    pub(crate) fn has_signals(&self) -> bool {
+        self.signals
     }
 
     /// First day of the period.
@@ -305,6 +330,15 @@ mod tests {
         assert!(StudyCalendar::is_holiday(Date::new(2022, 12, 25)));
         assert!(StudyCalendar::is_holiday(Date::new(2023, 1, 1)));
         assert!(!StudyCalendar::is_holiday(Date::new(2023, 1, 19)));
+    }
+
+    #[test]
+    fn without_signals_keeps_the_days() {
+        let cal = StudyCalendar::temporal_window();
+        let control = cal.without_signals();
+        assert!(cal.has_signals() && !control.has_signals());
+        assert_eq!(control.start(), cal.start());
+        assert_eq!(control.num_days(), cal.num_days());
     }
 
     #[test]

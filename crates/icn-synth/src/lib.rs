@@ -19,7 +19,10 @@
 //!   paper's clusters 0–8 (service affinities, temporal templates, volume
 //!   regimes, dendrogram groups).
 //! * [`calendar`] — the 21 Nov 2022 – 24 Jan 2023 study period, weekends,
-//!   holidays and the 19 Jan 2023 national strike.
+//!   holidays and the 19 Jan 2023 national strike. The one-off days are
+//!   calendar data: [`StudyCalendar::without_signals`] is the same period
+//!   with no strike, holidays or site events, and every generator path
+//!   below honours it.
 //! * [`temporal`] — commute/event/office/retail hour-weight templates,
 //!   per-site event schedules (NBA night, 4-day Lyon expo) and the
 //!   per-service modulations behind Figure 11.
@@ -33,7 +36,9 @@
 //!   NaN poisoning) for robustness tests.
 //! * [`dataset`] — one-call campaign assembly + CSV/JSON export.
 //! * [`signals`] — ground-truth labels for the planted temporal anomalies
-//!   (strike, events, holidays), the known-signal oracle for `icn-forecast`.
+//!   (strike, events, holidays): the planted template weight divided by
+//!   the weight on the calendar without signals. The known-signal oracle
+//!   for `icn-forecast`.
 
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]

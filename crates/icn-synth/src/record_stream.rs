@@ -93,7 +93,7 @@ pub fn record_stream(dataset: &Dataset, window: &StudyCalendar) -> RecordStream 
         let mut wsum = vec![0.0; m];
         for &(di, date) in &days {
             for hod in 0..24 {
-                let tw = template_weight(kind, sched, date, di, hod);
+                let tw = template_weight(kind, sched, window, date, di, hod);
                 for (j, svc) in services.iter().enumerate() {
                     wsum[j] += tw * service_modulation(kind, sched, svc, date, di, hod);
                 }
@@ -179,6 +179,7 @@ impl RecordStream {
             self.cached_tw = template_weight(
                 self.kinds[i],
                 &self.schedules[i],
+                &self.window,
                 self.cached_date,
                 day,
                 hod,

@@ -4,10 +4,10 @@
 //! The generator plants three families of temporal one-offs — the 19 Jan
 //! strike collapse, per-site stadium/expo event bursts, and holiday dips —
 //! on top of each archetype's *seasonal* template (hour-of-day ×
-//! day-of-week structure that repeats every week). This module labels them
-//! exactly, by comparing the planted template weight against the
-//! counterfactual weight of a signal-free calendar
-//! ([`crate::temporal::template_weight_counterfactual`]): an hour is a
+//! day-of-week structure that repeats every week). All three are calendar
+//! data, so this module labels them exactly by dividing the planted
+//! template weight by the weight on the same window
+//! [`StudyCalendar::without_signals`] (the counterfactual): an hour is a
 //! **burst** when the planted weight is at least [`BURST_MIN_RATIO`] times
 //! the counterfactual, a **dip** when it is at most [`DIP_MAX_RATIO`] of
 //! it.
@@ -18,6 +18,7 @@
 
 use crate::antennas::Antenna;
 use crate::calendar::StudyCalendar;
+use crate::temporal::template_weight;
 use crate::traffic::event_schedule;
 use icn_stats::Rng;
 
@@ -70,12 +71,14 @@ pub fn antenna_planted_hours(
     root: &Rng,
 ) -> PlantedHours {
     let kind = antenna.archetype.template();
+    let control = window.without_signals();
     let schedule = event_schedule(antenna, window, root);
+    let no_events = event_schedule(antenna, &control, root);
     let mut out = PlantedHours::default();
     for (di, date) in window.iter_days() {
         for hour in 0..24 {
-            let planted = crate::temporal::template_weight(kind, &schedule, date, di, hour);
-            let counter = crate::temporal::template_weight_counterfactual(kind, date, hour);
+            let planted = template_weight(kind, &schedule, window, date, di, hour);
+            let counter = template_weight(kind, &no_events, &control, date, di, hour);
             debug_assert!(counter > 0.0, "counterfactual weight must be positive");
             let ratio = planted / counter;
             let t = di * 24 + hour;

@@ -227,11 +227,13 @@ fn hour_shape(kind: TemplateKind, hour: usize) -> f64 {
     }
 }
 
-/// Calendar multiplier for a template on a given date.
-fn day_factor(kind: TemplateKind, date: Date) -> f64 {
+/// Calendar multiplier for a template on a given date of `cal`. A calendar
+/// [`StudyCalendar::without_signals`] plants neither the strike nor the
+/// holidays, leaving only the weekly structure.
+fn day_factor(kind: TemplateKind, cal: &StudyCalendar, date: Date) -> f64 {
     let wd = date.weekday();
-    let strike = date == StudyCalendar::strike_day();
-    let holiday = StudyCalendar::is_holiday(date);
+    let strike = cal.has_signals() && date == StudyCalendar::strike_day();
+    let holiday = cal.has_signals() && StudyCalendar::is_holiday(date);
     match kind {
         TemplateKind::Commute { strike_factor } => {
             if strike {
@@ -282,63 +284,25 @@ fn day_factor(kind: TemplateKind, date: Date) -> f64 {
     }
 }
 
-/// Total template weight at (`date`, `hour`) including the site's events.
+/// Total template weight at (`date`, `hour`) of `cal` including the site's
+/// events; `date` is `cal.date(day_index)`.
 ///
 /// This is the hourly *shape* of an antenna's aggregate traffic; it is
 /// normalised by the generator so its integral matches the antenna total.
+/// On a calendar [`StudyCalendar::without_signals`] (whose schedules are
+/// empty) it is the seasonal template alone.
 pub fn template_weight(
     kind: TemplateKind,
     schedule: &EventSchedule,
+    cal: &StudyCalendar,
     date: Date,
     day_index: usize,
     hour: usize,
 ) -> f64 {
-    let base = hour_shape(kind, hour) * day_factor(kind, date);
+    let base = hour_shape(kind, hour) * day_factor(kind, cal, date);
     let boost = schedule.boost(day_index, hour);
     // Events add on top of (tiny) base: a venue goes from near-0 to peak.
     base * (1.0 + boost) + boost * 0.05
-}
-
-/// Calendar multiplier with every planted calendar anomaly removed: the
-/// strike day and holidays are treated as a plain day of the same weekday.
-/// Weekend/Sunday structure is *seasonal* (it repeats every week), so it
-/// stays; only the one-off signals the generator plants are stripped.
-fn day_factor_counterfactual(kind: TemplateKind, date: Date) -> f64 {
-    let wd = date.weekday();
-    match kind {
-        TemplateKind::Commute { .. } => {
-            if wd.is_weekend() {
-                0.25
-            } else {
-                1.0
-            }
-        }
-        TemplateKind::EventBurst | TemplateKind::QuietWithExpo | TemplateKind::BroadDiurnal => 1.0,
-        TemplateKind::Retail => {
-            if wd == Weekday::Sun {
-                0.6
-            } else {
-                1.0
-            }
-        }
-        TemplateKind::Office => {
-            if wd.is_weekend() {
-                0.06
-            } else {
-                1.0
-            }
-        }
-    }
-}
-
-/// Counterfactual template weight: the same archetype on a signal-free
-/// calendar — no strike collapse, no holidays, and an empty event schedule.
-///
-/// The ratio `template_weight / template_weight_counterfactual` at a given
-/// (date, hour) isolates exactly the anomalies the generator plants, which
-/// is what the [`crate::signals`] ground-truth oracle labels.
-pub fn template_weight_counterfactual(kind: TemplateKind, date: Date, hour: usize) -> f64 {
-    hour_shape(kind, hour) * day_factor_counterfactual(kind, date)
 }
 
 /// Per-service temporal modulation (Figure 11 effects): how a service's
@@ -477,10 +441,10 @@ mod tests {
         // 2023-01-09 is a Monday.
         let d = Date::new(2023, 1, 9);
         let i = cal.day_index(d).unwrap();
-        let am = template_weight(kind, &sched, d, i, 8);
-        let noon = template_weight(kind, &sched, d, i, 13);
-        let pm = template_weight(kind, &sched, d, i, 18);
-        let night = template_weight(kind, &sched, d, i, 3);
+        let am = template_weight(kind, &sched, &cal, d, i, 8);
+        let noon = template_weight(kind, &sched, &cal, d, i, 13);
+        let pm = template_weight(kind, &sched, &cal, d, i, 18);
+        let night = template_weight(kind, &sched, &cal, d, i, 3);
         assert!(am > 2.0 * noon);
         assert!(pm > 2.0 * noon);
         assert!(noon > 2.0 * night);
@@ -496,9 +460,16 @@ mod tests {
         let strike = StudyCalendar::strike_day();
         let mon = Date::new(2023, 1, 9);
         let sat = Date::new(2023, 1, 7);
-        let w_strike = template_weight(kind, &sched, strike, cal.day_index(strike).unwrap(), 8);
-        let w_mon = template_weight(kind, &sched, mon, cal.day_index(mon).unwrap(), 8);
-        let w_sat = template_weight(kind, &sched, sat, cal.day_index(sat).unwrap(), 8);
+        let w_strike = template_weight(
+            kind,
+            &sched,
+            &cal,
+            strike,
+            cal.day_index(strike).unwrap(),
+            8,
+        );
+        let w_mon = template_weight(kind, &sched, &cal, mon, cal.day_index(mon).unwrap(), 8);
+        let w_sat = template_weight(kind, &sched, &cal, sat, cal.day_index(sat).unwrap(), 8);
         assert!(w_strike < 0.1 * w_mon, "strike {w_strike} vs {w_mon}");
         assert!(w_sat < 0.3 * w_mon);
     }
@@ -515,8 +486,8 @@ mod tests {
         let cal = cal();
         let strike = StudyCalendar::strike_day();
         let i = cal.day_index(strike).unwrap();
-        let wp = template_weight(paris, &sched, strike, i, 8);
-        let wv = template_weight(prov, &sched, strike, i, 8);
+        let wp = template_weight(paris, &sched, &cal, strike, i, 8);
+        let wv = template_weight(prov, &sched, &cal, strike, i, 8);
         assert!(wv > 4.0 * wp);
     }
 
@@ -528,10 +499,10 @@ mod tests {
         let sched = EventSchedule::stadium(&mut rng, &cal, true);
         let strike = StudyCalendar::strike_day();
         let i = cal.day_index(strike).unwrap();
-        let peak = template_weight(kind, &sched, strike, i, 21);
+        let peak = template_weight(kind, &sched, &cal, strike, i, 21);
         // A quiet morning two days earlier.
         let q = cal.date(i - 2);
-        let quiet = template_weight(kind, &sched, q, i - 2, 10);
+        let quiet = template_weight(kind, &sched, &cal, q, i - 2, 10);
         assert!(peak > 10.0 * quiet, "peak {peak} quiet {quiet}");
     }
 
@@ -554,8 +525,8 @@ mod tests {
         let cal = cal();
         let mon = Date::new(2023, 1, 9);
         let sat = Date::new(2023, 1, 7);
-        let w_mon = template_weight(kind, &sched, mon, cal.day_index(mon).unwrap(), 11);
-        let w_sat = template_weight(kind, &sched, sat, cal.day_index(sat).unwrap(), 11);
+        let w_mon = template_weight(kind, &sched, &cal, mon, cal.day_index(mon).unwrap(), 11);
+        let w_sat = template_weight(kind, &sched, &cal, sat, cal.day_index(sat).unwrap(), 11);
         assert!(w_sat < 0.1 * w_mon);
     }
 
@@ -566,14 +537,16 @@ mod tests {
         let cal = cal();
         let sun = Date::new(2023, 1, 8);
         let mon = Date::new(2023, 1, 9);
-        let w_sun = template_weight(kind, &sched, sun, cal.day_index(sun).unwrap(), 14);
-        let w_mon = template_weight(kind, &sched, mon, cal.day_index(mon).unwrap(), 14);
+        let w_sun = template_weight(kind, &sched, &cal, sun, cal.day_index(sun).unwrap(), 14);
+        let w_mon = template_weight(kind, &sched, &cal, mon, cal.day_index(mon).unwrap(), 14);
         assert!(w_sun < w_mon);
         // Night floor above office night.
-        let w_night_retail = template_weight(kind, &sched, mon, cal.day_index(mon).unwrap(), 3);
+        let w_night_retail =
+            template_weight(kind, &sched, &cal, mon, cal.day_index(mon).unwrap(), 3);
         let w_night_office = template_weight(
             TemplateKind::Office,
             &sched,
+            &cal,
             mon,
             cal.day_index(mon).unwrap(),
             3,
@@ -670,7 +643,7 @@ mod tests {
         ] {
             for (i, d) in cal.iter_days() {
                 for h in 0..24 {
-                    let w = template_weight(kind, &sched, d, i, h);
+                    let w = template_weight(kind, &sched, &cal, d, i, h);
                     assert!(w.is_finite() && w >= 0.0);
                 }
             }
@@ -682,25 +655,19 @@ mod tests {
         let kind = TemplateKind::Commute {
             strike_factor: 0.05,
         };
+        let planted = cal();
+        let control = planted.without_signals();
+        let sched = EventSchedule::none();
+        let weight = |cal: &StudyCalendar, d: Date| {
+            template_weight(kind, &sched, cal, d, cal.day_index(d).unwrap(), 8)
+        };
         let strike = StudyCalendar::strike_day(); // a Thursday
         let mon = Date::new(2023, 1, 9);
         let sat = Date::new(2023, 1, 7);
-        assert_eq!(
-            template_weight_counterfactual(kind, strike, 8),
-            template_weight_counterfactual(kind, mon, 8),
-        );
-        assert!(
-            template_weight_counterfactual(kind, sat, 8)
-                < 0.5 * template_weight_counterfactual(kind, mon, 8)
-        );
+        assert_eq!(weight(&control, strike), weight(&control, mon));
+        assert!(weight(&control, sat) < 0.5 * weight(&control, mon));
         // And it matches the planted weight away from any signal.
-        let sched = EventSchedule::none();
-        let cal = cal();
-        let i = cal.day_index(mon).unwrap();
-        assert_eq!(
-            template_weight_counterfactual(kind, mon, 8),
-            template_weight(kind, &sched, mon, i, 8),
-        );
+        assert_eq!(weight(&control, mon), weight(&planted, mon));
     }
 
     #[test]

@@ -49,7 +49,8 @@ pub fn total_volume(antenna: &Antenna, rng: &mut Rng) -> f64 {
     rng.lognormal(mu, sigma)
 }
 
-/// The per-site event schedule for a venue antenna (empty otherwise).
+/// The per-site event schedule for a venue antenna (empty otherwise, and
+/// empty on a calendar [`StudyCalendar::without_signals`]).
 ///
 /// Deterministic per site: all antennas of a site share the same events.
 /// Paris arenas pin the NBA night of 19 Jan 2023; Lyon expo sites pin the
@@ -57,6 +58,9 @@ pub fn total_volume(antenna: &Antenna, rng: &mut Rng) -> f64 {
 pub fn event_schedule(antenna: &Antenna, cal: &StudyCalendar, root: &Rng) -> EventSchedule {
     use crate::archetypes::Archetype;
     use crate::environments::City;
+    if !cal.has_signals() {
+        return EventSchedule::none();
+    }
     let mut site_rng = root.fork(0x5EED_0000 ^ antenna.site_id as u64);
     match antenna.archetype {
         Archetype::ProvincialStadium => EventSchedule::stadium(&mut site_rng, cal, false),
@@ -95,7 +99,7 @@ fn raw_weights(
     let mut w = Vec::with_capacity(cal.num_hours());
     for (di, date) in cal.iter_days() {
         for hour in 0..24 {
-            let base = temporal::template_weight(kind, schedule, date, di, hour);
+            let base = temporal::template_weight(kind, schedule, cal, date, di, hour);
             let m = temporal::service_modulation(kind, schedule, svc, date, di, hour);
             w.push(base * m);
         }
@@ -152,30 +156,30 @@ pub fn hourly_series_for_window(
 /// [`temporal::service_modulation`] inspects nothing else of the service.
 type WeightClass = (Category, bool);
 
-/// Shared core of the aggregate builders: sums the per-service series of
-/// one antenna, computing each weight-class's hourly weight vector and
-/// normaliser **once** instead of once per service, and hoisting the
-/// (service-independent) event schedule out of the per-service loop.
+/// Aggregate (all-service) hourly series of one antenna over `window`,
+/// given its totals row: the sum of its per-service series. The per-hour
+/// cluster median of these is the series `icn-forecast` forecasts and the
+/// Figure 10 heatmaps plot.
 ///
-/// Bit-identical to summing [`hourly_series_for_window`] per service: the
-/// scaled total keeps the original `tot × days ÷ period` op order, the
-/// per-service measurement-noise stream is the same fork, and services
-/// accumulate into the output in catalog order with the same per-hour
-/// additions.
-fn aggregate_classed<F>(
+/// Computes each weight class's hourly weight vector and normaliser
+/// **once** instead of once per service, and the (service-independent)
+/// event schedule once per antenna. Bit-identical to summing
+/// [`hourly_series_for_window`] per service: the scaled total keeps the
+/// original `tot × days ÷ period` op order, the per-service
+/// measurement-noise stream is the same fork, and services accumulate
+/// into the output in catalog order with the same per-hour additions.
+pub fn aggregate_hourly_series(
     antenna: &Antenna,
     services: &[Service],
     totals_row: &[f64],
     full_period_days: usize,
     window: &StudyCalendar,
     root: &Rng,
-    weights_for: F,
-) -> Vec<f64>
-where
-    F: Fn(&Service) -> Vec<f64>,
-{
+) -> Vec<f64> {
     assert_eq!(services.len(), totals_row.len(), "row/services mismatch");
     assert!(full_period_days > 0, "zero-length full period");
+    let kind = antenna.archetype.template();
+    let schedule = event_schedule(antenna, window, root);
     let mut agg = vec![0.0; window.num_hours()];
     let mut classes: Vec<(WeightClass, Vec<f64>, f64)> = Vec::new();
     for (svc, &tot) in services.iter().zip(totals_row) {
@@ -183,7 +187,7 @@ where
         let ci = match classes.iter().position(|(k, _, _)| *k == key) {
             Some(i) => i,
             None => {
-                let w = weights_for(svc);
+                let w = raw_weights(kind, &schedule, svc, window);
                 let sum: f64 = w.iter().sum();
                 classes.push((key, w, sum));
                 classes.len() - 1
@@ -201,104 +205,6 @@ where
         }
     }
     agg
-}
-
-/// Aggregate (all-service) hourly series of one antenna, given its totals
-/// row. Sums the per-service series; used by the Figure 10 harness.
-pub fn aggregate_hourly_series(
-    antenna: &Antenna,
-    services: &[Service],
-    totals_row: &[f64],
-    full_period_days: usize,
-    window: &StudyCalendar,
-    root: &Rng,
-) -> Vec<f64> {
-    let kind = antenna.archetype.template();
-    let schedule = event_schedule(antenna, window, root);
-    aggregate_classed(
-        antenna,
-        services,
-        totals_row,
-        full_period_days,
-        window,
-        root,
-        |svc| raw_weights(kind, &schedule, svc, window),
-    )
-}
-
-/// Counterfactual weights: signal-free calendar and an empty schedule.
-fn raw_weights_signal_free(kind: TemplateKind, svc: &Service, cal: &StudyCalendar) -> Vec<f64> {
-    let empty = EventSchedule::none();
-    let mut w = Vec::with_capacity(cal.num_hours());
-    for (di, date) in cal.iter_days() {
-        for hour in 0..24 {
-            let base = temporal::template_weight_counterfactual(kind, date, hour);
-            let m = temporal::service_modulation(kind, &empty, svc, date, di, hour);
-            w.push(base * m);
-        }
-    }
-    w
-}
-
-/// Signal-free re-synthesis of [`hourly_series`]: identical antenna, total
-/// and *measurement-noise stream* (same RNG fork, one draw per hour), but
-/// with every planted anomaly removed — no strike collapse, no holidays,
-/// no scheduled events. The anomaly detector must flag nothing on it.
-pub fn hourly_series_signal_free(
-    antenna: &Antenna,
-    svc: &Service,
-    cal: &StudyCalendar,
-    total_mb: f64,
-    root: &Rng,
-) -> Vec<f64> {
-    let w = raw_weights_signal_free(antenna.archetype.template(), svc, cal);
-    let sum: f64 = w.iter().sum();
-    if sum <= 0.0 {
-        return vec![0.0; w.len()];
-    }
-    let mut rng = root.fork(0x700A_0000 ^ (antenna.id as u64) << 16 ^ hash_name(svc.name));
-    w.into_iter()
-        .map(|x| {
-            let clean = total_mb * x / sum;
-            (clean * (1.0 + HOURLY_NOISE_SIGMA * rng.gaussian())).max(0.0)
-        })
-        .collect()
-}
-
-/// Window-scaled variant of [`hourly_series_signal_free`], mirroring
-/// [`hourly_series_for_window`].
-pub fn hourly_series_for_window_signal_free(
-    antenna: &Antenna,
-    svc: &Service,
-    full_period_total_mb: f64,
-    full_period_days: usize,
-    window: &StudyCalendar,
-    root: &Rng,
-) -> Vec<f64> {
-    assert!(full_period_days > 0, "zero-length full period");
-    let scaled = full_period_total_mb * window.num_days() as f64 / full_period_days as f64;
-    hourly_series_signal_free(antenna, svc, window, scaled, root)
-}
-
-/// Aggregate signal-free series, mirroring [`aggregate_hourly_series`].
-pub fn aggregate_hourly_series_signal_free(
-    antenna: &Antenna,
-    services: &[Service],
-    totals_row: &[f64],
-    full_period_days: usize,
-    window: &StudyCalendar,
-    root: &Rng,
-) -> Vec<f64> {
-    let kind = antenna.archetype.template();
-    aggregate_classed(
-        antenna,
-        services,
-        totals_row,
-        full_period_days,
-        window,
-        root,
-        |svc| raw_weights_signal_free(kind, svc, window),
-    )
 }
 
 fn hash_name(name: &str) -> u64 {
@@ -451,39 +357,26 @@ mod tests {
     fn aggregate_series_is_sum_of_parts() {
         let (ants, svcs, root) = small_pop();
         let window = StudyCalendar::custom(Date::new(2023, 1, 9), 2);
-        let a = &ants[0];
-        let row: Vec<f64> = (0..svcs.len()).map(|j| 100.0 + j as f64).collect();
-        let agg = aggregate_hourly_series(a, &svcs, &row, 65, &window, &root);
-        let mut manual = vec![0.0; window.num_hours()];
-        for (svc, &tot) in svcs.iter().zip(&row) {
-            let s = hourly_series_for_window(a, svc, tot, 65, &window, &root);
-            for (m, v) in manual.iter_mut().zip(s) {
-                *m += v;
-            }
-        }
-        // The class-cached aggregate path must be *bit-identical* to the
-        // per-service sum, not merely close.
-        assert_eq!(agg, manual);
-    }
-
-    #[test]
-    fn aggregate_signal_free_is_sum_of_parts() {
-        let (ants, svcs, root) = small_pop();
-        let window = StudyCalendar::custom(Date::new(2023, 1, 9), 2);
-        let a = ants
+        let arena = ants
             .iter()
             .find(|a| a.archetype == Archetype::ParisArena)
             .unwrap_or(&ants[0]);
-        let row: Vec<f64> = (0..svcs.len()).map(|j| 250.0 + 3.0 * j as f64).collect();
-        let agg = aggregate_hourly_series_signal_free(a, &svcs, &row, 65, &window, &root);
-        let mut manual = vec![0.0; window.num_hours()];
-        for (svc, &tot) in svcs.iter().zip(&row) {
-            let s = hourly_series_for_window_signal_free(a, svc, tot, 65, &window, &root);
-            for (m, v) in manual.iter_mut().zip(s) {
-                *m += v;
+        let row: Vec<f64> = (0..svcs.len()).map(|j| 100.0 + j as f64).collect();
+        for a in [&ants[0], arena] {
+            for cal in [window.clone(), window.without_signals()] {
+                let agg = aggregate_hourly_series(a, &svcs, &row, 65, &cal, &root);
+                let mut manual = vec![0.0; cal.num_hours()];
+                for (svc, &tot) in svcs.iter().zip(&row) {
+                    let s = hourly_series_for_window(a, svc, tot, 65, &cal, &root);
+                    for (m, v) in manual.iter_mut().zip(s) {
+                        *m += v;
+                    }
+                }
+                // The class-cached aggregate path must be *bit-identical*
+                // to the per-service sum, not merely close.
+                assert_eq!(agg, manual);
             }
         }
-        assert_eq!(agg, manual);
     }
 
     #[test]
@@ -499,7 +392,7 @@ mod tests {
             .unwrap();
         let svc = &svcs[0];
         let planted = hourly_series(a, svc, &cal, 8000.0, &root);
-        let clean = hourly_series_signal_free(a, svc, &cal, 8000.0, &root);
+        let clean = hourly_series(a, svc, &cal.without_signals(), 8000.0, &root);
         assert_eq!(planted, clean);
     }
 
@@ -513,7 +406,7 @@ mod tests {
             .unwrap();
         let maps = &svcs[index_of(&svcs, "Google Maps").unwrap()];
         let planted = hourly_series(a, maps, &cal, 10_000.0, &root);
-        let clean = hourly_series_signal_free(a, maps, &cal, 10_000.0, &root);
+        let clean = hourly_series(a, maps, &cal.without_signals(), 10_000.0, &root);
         let strike = cal.day_index(StudyCalendar::strike_day()).unwrap();
         assert!(planted[strike * 24 + 8] < 0.2 * clean[strike * 24 + 8]);
     }

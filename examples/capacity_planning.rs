@@ -21,6 +21,15 @@ fn main() {
     let dataset = Dataset::generate(SynthConfig::small().with_scale(0.2));
     let study = IcnStudy::run(&dataset, StudyConfig::fast());
     let window = StudyCalendar::temporal_window();
+    // One Figure 10 heatmap per cluster, shared by the peak-hour and the
+    // energy tables below.
+    let heatmaps: Vec<Option<TemporalHeatmap>> = (0..study.config.k)
+        .map(|c| {
+            study
+                .cluster_series(&dataset, c, &window)
+                .map(|series| cluster_heatmap(&series, &window))
+        })
+        .collect();
 
     let mut slices = Table::new(vec![
         "cluster",
@@ -48,21 +57,9 @@ fn main() {
         let top_cats: Vec<&str> = cats.iter().take(3).map(|(k, _)| *k).collect();
 
         // Temporal peak hours from the cluster heatmap.
-        let (members, rows): (Vec<&icn_synth::Antenna>, Vec<&[f64]>) = study
-            .live_rows
-            .iter()
-            .enumerate()
-            .filter(|(pos, _)| study.labels[*pos] == c)
-            .map(|(_, &row)| (&dataset.antennas[row], dataset.indoor_totals.row(row)))
-            .unzip();
-        let hm = cluster_heatmap(
-            &members,
-            &rows,
-            &dataset.services,
-            65,
-            &window,
-            dataset.root_rng(),
-        );
+        let Some(hm) = &heatmaps[c] else {
+            continue;
+        };
         let mut hour_means = [0.0f64; 24];
         for day in &hm.values {
             for (h, v) in day.iter().enumerate() {
@@ -149,25 +146,10 @@ fn main() {
         "dominant env",
         "sleep-candidate hours/week",
     ]);
-    for c in 0..study.config.k {
-        let (members, rows): (Vec<&icn_synth::Antenna>, Vec<&[f64]>) = study
-            .live_rows
-            .iter()
-            .enumerate()
-            .filter(|(pos, _)| study.labels[*pos] == c)
-            .map(|(_, &row)| (&dataset.antennas[row], dataset.indoor_totals.row(row)))
-            .unzip();
-        if members.is_empty() {
+    for (c, hm) in heatmaps.iter().enumerate() {
+        let Some(hm) = hm else {
             continue;
-        }
-        let hm = cluster_heatmap(
-            &members,
-            &rows,
-            &dataset.services,
-            65,
-            &window,
-            dataset.root_rng(),
-        );
+        };
         // Count quiet cells over one representative full week (days 5..12
         // of the window avoid the strike day).
         let quiet: usize = (5..12)

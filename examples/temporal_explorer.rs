@@ -15,30 +15,16 @@ fn main() {
 
     // Per-cluster aggregate heatmaps (Figure 10).
     for c in 0..study.config.k {
-        let (members, rows): (Vec<&icn_synth::Antenna>, Vec<&[f64]>) = study
-            .live_rows
-            .iter()
-            .enumerate()
-            .filter(|(pos, _)| study.labels[*pos] == c)
-            .map(|(_, &row)| (&dataset.antennas[row], dataset.indoor_totals.row(row)))
-            .unzip();
-        if members.is_empty() {
+        let Some(series) = study.cluster_series(&dataset, c, &window) else {
             continue;
-        }
-        let hm = cluster_heatmap(
-            &members,
-            &rows,
-            &dataset.services,
-            65,
-            &window,
-            dataset.root_rng(),
-        );
+        };
+        let hm = cluster_heatmap(&series, &window);
         let (env, _) = study.crosstab.dominant_environment(c);
         println!(
             "cluster {c} ({}; {} antennas) — commute ratio {:.2}, weekend ratio {:.2}, \
              strike dip {:.2}, burstiness {:.1}",
             env.label(),
-            members.len(),
+            hm.n_antennas,
             hm.commute_ratio(),
             hm.weekend_ratio(),
             hm.strike_dip(),
@@ -82,7 +68,7 @@ fn main() {
             &members,
             &totals,
             &dataset.services[j],
-            65,
+            dataset.calendar.num_days(),
             &window,
             dataset.root_rng(),
         );

@@ -25,7 +25,8 @@
 //! structured event log and echoes matches to stderr.
 //!
 //! Flags are parsed by hand (the workspace deliberately avoids extra
-//! dependencies); every subcommand is deterministic in `--seed`.
+//! dependencies); an unknown flag or a missing or bad value exits with
+//! status 2. Every subcommand is deterministic in `--seed`.
 
 use icn_repro::prelude::*;
 use std::io::Write as _;
@@ -48,7 +49,10 @@ fn main() {
     }
     // `run` is the ergonomic alias for the full pipeline.
     let cmd = if cmd == "study" { "run" } else { cmd.as_str() };
-    let opts = Opts::parse(&args[1..]);
+    let opts = Opts::parse(&args[1..]).unwrap_or_else(|e| {
+        eprintln!("{e}\nrun `icn help` for the flags");
+        std::process::exit(2);
+    });
     let run = |o: &Opts| match cmd {
         "generate" => cmd_generate(o),
         "run" => cmd_study(o),
@@ -365,7 +369,12 @@ struct Opts {
 }
 
 impl Opts {
-    fn parse(args: &[String]) -> Opts {
+    /// Parses the flags after the subcommand. Every flag but the switches
+    /// takes a value. An unknown flag, a missing or unparsable value, a
+    /// `--scale` that is not a positive finite number, and a zero
+    /// `--days`, `--chunk`, `--top`, `--horizon` or `--mem-budget-mb` are
+    /// usage errors.
+    fn parse(args: &[String]) -> Result<Opts, String> {
         let mut o = Opts {
             scale: 0.1,
             scale_explicit: false,
@@ -395,176 +404,73 @@ impl Opts {
             horizon: 24,
             model: Model::Ets,
         };
-        let mut i = 0;
-        while i < args.len() {
-            let take = |i: usize| -> Option<&String> { args.get(i + 1) };
-            match args[i].as_str() {
+        let mut iter = args.iter();
+        while let Some(flag) = iter.next() {
+            let flag = flag.as_str();
+            match flag {
                 "--scale" => {
-                    o.scale = take(i).and_then(|v| v.parse().ok()).unwrap_or(o.scale);
+                    o.scale = value(&mut iter, flag, |s: &f64| s.is_finite() && *s > 0.0)?;
                     o.scale_explicit = true;
-                    i += 2;
                 }
-                "--seed" => {
-                    o.seed = take(i).and_then(|v| v.parse().ok()).unwrap_or(o.seed);
-                    i += 2;
-                }
-                "--cluster" => {
-                    o.cluster = take(i).and_then(|v| v.parse().ok()).unwrap_or(o.cluster);
-                    i += 2;
-                }
-                "--top" => {
-                    o.top = take(i).and_then(|v| v.parse().ok()).unwrap_or(o.top);
-                    i += 2;
-                }
-                "--days" => {
-                    o.days = take(i).and_then(|v| v.parse().ok()).unwrap_or(o.days);
-                    i += 2;
-                }
-                "--out" => {
-                    o.out = take(i).cloned();
-                    i += 2;
-                }
-                "--golden-dir" => {
-                    o.golden_dir = take(i).cloned();
-                    i += 2;
-                }
-                "--bless" => {
-                    o.bless = true;
-                    i += 1;
-                }
-                "--metrics-out" => {
-                    o.metrics_out = take(i).cloned();
-                    i += 2;
-                }
-                "--trace-out" => {
-                    o.trace_out = take(i).cloned();
-                    i += 2;
-                }
-                "--mem-budget-mb" => {
-                    match take(i).and_then(|v| v.parse().ok()) {
-                        Some(mb) if mb > 0 => o.mem_budget_mb = Some(mb),
-                        _ => {
-                            eprintln!("--mem-budget-mb wants a positive integer mebibyte count");
-                            std::process::exit(2);
-                        }
-                    }
-                    i += 2;
-                }
+                "--seed" => o.seed = value(&mut iter, flag, any)?,
+                "--cluster" => o.cluster = value(&mut iter, flag, any)?,
+                "--top" => o.top = value(&mut iter, flag, positive)?,
+                "--days" => o.days = value(&mut iter, flag, positive)?,
+                "--out" => o.out = Some(value(&mut iter, flag, any)?),
+                "--golden-dir" => o.golden_dir = Some(value(&mut iter, flag, any)?),
+                "--bless" => o.bless = true,
+                "--metrics-out" => o.metrics_out = Some(value(&mut iter, flag, any)?),
+                "--trace-out" => o.trace_out = Some(value(&mut iter, flag, any)?),
+                "--mem-budget-mb" => o.mem_budget_mb = Some(value(&mut iter, flag, positive)?),
                 "--threads-sweep" => {
+                    let v: String = value(&mut iter, flag, any)?;
                     let hw = std::thread::available_parallelism().map_or(1, |n| n.get());
-                    let parsed: Option<Vec<usize>> = take(i).map(|v| {
-                        v.split(',')
-                            .filter_map(|part| match part.trim() {
-                                "max" => Some(hw),
-                                p => p.parse::<usize>().ok(),
-                            })
-                            .filter(|&n| n >= 1)
-                            .collect()
-                    });
-                    match parsed {
-                        Some(mut list) if !list.is_empty() => {
-                            // `1,max` on a single-core box collapses to
-                            // one configuration, not two identical runs.
-                            list.dedup();
-                            o.threads_sweep = Some(list);
-                        }
-                        _ => {
-                            eprintln!(
-                                "--threads-sweep wants a comma-separated list of thread \
-                                 counts (or max), e.g. 1,2 or 1,max"
-                            );
-                            std::process::exit(2);
-                        }
-                    }
-                    i += 2;
+                    let parsed: Option<Vec<usize>> = v
+                        .split(',')
+                        .map(|part| match part.trim() {
+                            "max" => Some(hw),
+                            p => p.parse().ok().filter(positive),
+                        })
+                        .collect();
+                    let Some(mut list) = parsed else {
+                        return Err(format!(
+                            "--threads-sweep wants a comma-separated list of thread counts \
+                             (or max), e.g. 1,2 or 1,max (got {v:?})"
+                        ));
+                    };
+                    // `1,max` on a single-core box collapses to one
+                    // configuration, not two identical runs.
+                    list.dedup();
+                    o.threads_sweep = Some(list);
                 }
-                "--chunk" => {
-                    o.chunk = take(i).and_then(|v| v.parse().ok()).unwrap_or(o.chunk);
-                    i += 2;
-                }
-                "--lateness" => {
-                    o.lateness = take(i).and_then(|v| v.parse().ok()).unwrap_or(o.lateness);
-                    i += 2;
-                }
-                "--faults" => {
-                    o.faults = take(i).cloned();
-                    i += 2;
-                }
-                "--fault-seed" => {
-                    o.fault_seed = take(i).and_then(|v| v.parse().ok());
-                    i += 2;
-                }
-                "--checkpoint" => {
-                    o.checkpoint = take(i).cloned();
-                    i += 2;
-                }
-                "--halt-after" => {
-                    o.halt_after = take(i).and_then(|v| v.parse().ok());
-                    i += 2;
-                }
-                "--resume" => {
-                    o.resume = true;
-                    i += 1;
-                }
-                "--verify" => {
-                    o.verify = true;
-                    i += 1;
-                }
-                "--sweep" => {
-                    o.sweep = true;
-                    i += 1;
-                }
-                "--json" => {
-                    o.json = true;
-                    i += 1;
-                }
+                "--chunk" => o.chunk = value(&mut iter, flag, positive)?,
+                "--lateness" => o.lateness = value(&mut iter, flag, any)?,
+                "--faults" => o.faults = Some(value(&mut iter, flag, any)?),
+                "--fault-seed" => o.fault_seed = Some(value(&mut iter, flag, any)?),
+                "--checkpoint" => o.checkpoint = Some(value(&mut iter, flag, any)?),
+                "--halt-after" => o.halt_after = Some(value(&mut iter, flag, any)?),
+                "--resume" => o.resume = true,
+                "--verify" => o.verify = true,
+                "--sweep" => o.sweep = true,
+                "--json" => o.json = true,
                 "--cluster-path" => {
-                    match take(i).and_then(|v| ClusterPath::parse(v)) {
-                        Some(p) => o.cluster_path = p,
-                        None => {
-                            eprintln!(
-                                "--cluster-path wants one of: exact, sampled, auto (got {:?})",
-                                take(i).map(String::as_str).unwrap_or("<none>")
-                            );
-                            std::process::exit(2);
-                        }
-                    }
-                    i += 2;
+                    let v: String = value(&mut iter, flag, any)?;
+                    o.cluster_path = ClusterPath::parse(&v).ok_or_else(|| {
+                        format!("--cluster-path wants one of: exact, sampled, auto (got {v:?})")
+                    })?;
                 }
-                "--horizon" => {
-                    o.horizon = take(i).and_then(|v| v.parse().ok()).unwrap_or(o.horizon);
-                    i += 2;
-                }
+                "--horizon" => o.horizon = value(&mut iter, flag, positive)?,
                 "--model" => {
-                    match take(i).and_then(|v| Model::parse(v)) {
-                        Some(m) => o.model = m,
-                        None => {
-                            eprintln!(
-                                "--model wants one of: naive, ets, forest (got {:?})",
-                                take(i).map(String::as_str).unwrap_or("<none>")
-                            );
-                            std::process::exit(2);
-                        }
-                    }
-                    i += 2;
+                    let v: String = value(&mut iter, flag, any)?;
+                    o.model = Model::parse(&v).ok_or_else(|| {
+                        format!("--model wants one of: naive, ets, forest (got {v:?})")
+                    })?;
                 }
-                "--cluster-budget-mb" => {
-                    match take(i).and_then(|v| v.parse().ok()) {
-                        Some(mb) => o.cluster_budget_mb = Some(mb),
-                        None => {
-                            eprintln!("--cluster-budget-mb wants an integer megabyte count");
-                            std::process::exit(2);
-                        }
-                    }
-                    i += 2;
-                }
-                unknown => {
-                    eprintln!("unknown flag: {unknown}");
-                    std::process::exit(2);
-                }
+                "--cluster-budget-mb" => o.cluster_budget_mb = Some(value(&mut iter, flag, any)?),
+                unknown => return Err(format!("unknown flag: {unknown}")),
             }
         }
-        o
+        Ok(o)
     }
 
     fn dataset(&self) -> Dataset {
@@ -591,6 +497,29 @@ impl Opts {
             }
         }
     }
+}
+
+/// The value after `flag`, parsed as a `T` that `valid` accepts.
+fn value<T: std::str::FromStr>(
+    args: &mut std::slice::Iter<'_, String>,
+    flag: &str,
+    valid: impl Fn(&T) -> bool,
+) -> Result<T, String> {
+    let v = args.next().ok_or_else(|| format!("{flag} needs a value"))?;
+    v.parse()
+        .ok()
+        .filter(valid)
+        .ok_or_else(|| format!("bad value for {flag}: {v}"))
+}
+
+/// Accepts any value of the flag's type.
+fn any<T>(_: &T) -> bool {
+    true
+}
+
+/// Accepts a count above zero.
+fn positive<T: Default + PartialOrd>(v: &T) -> bool {
+    *v > T::default()
 }
 
 fn usage_and_exit(bad: Option<&str>) -> ! {
@@ -774,24 +703,17 @@ fn cmd_temporal(o: &Opts) {
         std::process::exit(2);
     }
     let window = StudyCalendar::temporal_window();
-    let (members, rows): (Vec<&icn_repro::icn_synth::Antenna>, Vec<&[f64]>) = st
-        .live_rows
-        .iter()
-        .enumerate()
-        .filter(|(pos, _)| st.labels[*pos] == o.cluster)
-        .map(|(_, &row)| (&ds.antennas[row], ds.indoor_totals.row(row)))
-        .unzip();
-    if members.is_empty() {
+    let Some(series) = st.cluster_series(&ds, o.cluster, &window) else {
         eprintln!("cluster {} is empty", o.cluster);
         std::process::exit(1);
-    }
-    let hm = cluster_heatmap(&members, &rows, &ds.services, 65, &window, ds.root_rng());
+    };
+    let hm = cluster_heatmap(&series, &window);
     let rhythm = hm.rhythm();
     println!(
         "cluster {} — {} antennas; commute {:.2}, weekend {:.2}, strike {:.2}, \
          burstiness {:.1}, ACF-24 {:.2}",
         o.cluster,
-        members.len(),
+        hm.n_antennas,
         hm.commute_ratio(),
         hm.weekend_ratio(),
         hm.strike_dip(),

@@ -5,8 +5,8 @@
 //! `icn_synth::signals` ground truth, unsupervised, at **F1 ≥ 0.9**.
 //!
 //! The control direction is pinned too: re-synthesising the same clusters
-//! signal-free (same antennas, totals and noise stream, planted one-offs
-//! stripped) must flag *nothing*. And because the detector consumes only
+//! over the window `without_signals()` (same antennas, totals and noise
+//! stream, planted one-offs stripped) must flag *nothing*. And because the detector consumes only
 //! the series, its output is invariant under cluster relabeling and
 //! member permutation — the same metamorphic contract the clustering
 //! stages honour.
@@ -179,10 +179,10 @@ fn event_bursts_are_fully_recovered_on_event_clusters() {
     }
 }
 
-/// Signal-free control: re-synthesising the very same clusters with the
-/// planted one-offs stripped (same totals, same noise stream) must flag
-/// nothing anywhere — the detector's false-positive floor is zero on
-/// every cluster of the population.
+/// Signal-free control: re-synthesising the very same clusters over the
+/// window without signals (same totals, same noise stream, no strike,
+/// holidays or events) must flag nothing anywhere — the detector's
+/// false-positive floor is zero on every cluster of the population.
 #[test]
 fn signal_free_resynthesis_flags_nothing() {
     let (d, w) = fixture();
@@ -191,13 +191,13 @@ fn signal_free_resynthesis_flags_nothing() {
         if members.is_empty() {
             continue;
         }
-        let s = icn_repro::icn_forecast::cluster_series_signal_free(
+        let s = icn_repro::icn_forecast::cluster_series(
             0,
             &members,
             &rows,
             &d.services,
             full_days(),
-            &w,
+            &w.without_signals(),
             d.root_rng(),
         );
         let got = detect(&s.values, &DetectorConfig::default());

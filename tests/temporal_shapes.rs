@@ -27,22 +27,11 @@ fn heatmap_for_archetype(fx: &Fixture, arch: Archetype) -> TemporalHeatmap {
         .iter()
         .position(|&a| a == arch.id())
         .unwrap_or_else(|| panic!("no cluster mapped to {arch:?}"));
-    let (members, rows): (Vec<&icn_synth::Antenna>, Vec<&[f64]>) = fx
+    let series = fx
         .study
-        .live_rows
-        .iter()
-        .enumerate()
-        .filter(|(pos, _)| fx.study.labels[*pos] == cluster)
-        .map(|(_, &row)| (&fx.dataset.antennas[row], fx.dataset.indoor_totals.row(row)))
-        .unzip();
-    cluster_heatmap(
-        &members,
-        &rows,
-        &fx.dataset.services,
-        65,
-        &fx.window,
-        fx.dataset.root_rng(),
-    )
+        .cluster_series(&fx.dataset, cluster, &fx.window)
+        .expect("a mapped cluster has members");
+    cluster_heatmap(&series, &fx.window)
 }
 
 #[test]
@@ -149,7 +138,7 @@ fn teams_follows_office_hours_netflix_hotel_nights() {
             &members,
             &totals,
             &fx.dataset.services[j],
-            65,
+            fx.dataset.calendar.num_days(),
             &fx.window,
             fx.dataset.root_rng(),
         )
@@ -213,7 +202,7 @@ fn waze_peaks_after_events_in_green_group() {
             &members,
             &totals,
             &fx.dataset.services[j],
-            65,
+            fx.dataset.calendar.num_days(),
             &fx.window,
             fx.dataset.root_rng(),
         )
