@@ -6,27 +6,86 @@
 //! to the batch construction. Float addition is not associative, so the
 //! accumulator never folds in arrival order. Instead:
 //!
-//! 1. incoming records land in an *open bucket* per hour, keyed by
-//!    `(antenna, service)` in a `BTreeMap` — insertion order is forgotten;
+//! 1. incoming records land in a dense *slab* per open hour: `dl` and `ul`
+//!    arrays over the N×M cells, indexed `antenna × services + service`,
+//!    plus a `taken` bitset — insertion order is forgotten;
 //! 2. a watermark (`max_hour_seen − lateness`) seals hours that can no
-//!    longer legally receive records;
+//!    longer legally receive records, the moment `max_hour_seen` advances;
 //! 3. sealed hours are folded in ascending hour order, cells in ascending
-//!    key order.
+//!    `(antenna, service)` order — the order of the set bits.
 //!
 //! Every cell of `T` therefore accumulates its per-hour contributions in
 //! exactly one canonical order — ascending hour — no matter how the stream
 //! was chunked, threaded, or (boundedly) reordered. Duplicate and late
 //! records are rejected here because only the accumulator holds the
 //! sequencing state needed to detect them.
+//!
+//! Because sealing is eager, the open hours are always the window
+//! `[max_hour_seen − lateness, max_hour_seen]`: at most `lateness + 1`
+//! slabs, `16 B × N × M` each plus the bitset, whatever the feed order. A
+//! sealed slab is cleared by its fold and reused for the next hour.
 
-use std::collections::BTreeMap;
+use std::collections::VecDeque;
+use std::time::Instant;
 
 use icn_stats::Matrix;
 
 use crate::record::{HourlyRecord, IngestSchema, QuarantineReason};
 
-/// Open (not yet sealed) records of one hour: cell key → (dl, ul).
-type HourBucket = BTreeMap<(u32, u32), (f64, f64)>;
+/// One open hour's records, dense over the `antennas × services` cells.
+/// The arrays are allocated on the hour's first record.
+#[derive(Clone, Debug, Default)]
+struct Slab {
+    dl: Vec<f64>,
+    ul: Vec<f64>,
+    /// Bit `cell` is set once the hour holds a record for that cell.
+    taken: Vec<u64>,
+}
+
+impl Slab {
+    /// Holds `(dl, ul)` for `cell`; `false` if the cell already holds a
+    /// record this hour (first arrival wins).
+    fn take(&mut self, cells: usize, cell: usize, dl: f64, ul: f64) -> bool {
+        if self.taken.is_empty() {
+            self.dl = vec![0.0; cells];
+            self.ul = vec![0.0; cells];
+            self.taken = vec![0; cells.div_ceil(64)];
+        }
+        let (word, bit) = (cell / 64, 1u64 << (cell % 64));
+        if self.taken[word] & bit != 0 {
+            return false;
+        }
+        self.taken[word] |= bit;
+        self.dl[cell] = dl;
+        self.ul[cell] = ul;
+        true
+    }
+
+    /// Number of cells holding a record.
+    fn len(&self) -> usize {
+        self.taken.iter().map(|w| w.count_ones() as usize).sum()
+    }
+
+    fn is_empty(&self) -> bool {
+        self.taken.iter().all(|&w| w == 0)
+    }
+
+    /// Calls `f(cell, dl, ul)` for every held cell, ascending.
+    fn for_each_cell(&self, mut f: impl FnMut(usize, f64, f64)) {
+        for_each_set_bit(&self.taken, |c| f(c, self.dl[c], self.ul[c]));
+    }
+}
+
+/// Calls `f` with the index of every set bit of `words`, ascending.
+fn for_each_set_bit(words: &[u64], mut f: impl FnMut(usize)) {
+    for (w, &word) in words.iter().enumerate() {
+        let mut bits = word;
+        while bits != 0 {
+            f(w * 64 + bits.trailing_zeros() as usize);
+            bits &= bits - 1;
+        }
+    }
+}
 
 /// Incrementally maintained `T` plus per-hour temporal accumulators.
 #[derive(Clone, Debug)]
@@ -39,13 +98,11 @@ pub struct StreamAccumulator {
     hourly_volume: Vec<f64>,
     /// Committed per-hour accepted-record counts.
     hourly_records: Vec<u64>,
-    /// Open buckets, keyed by hour. `BTreeMap` so sealing walks hours in
-    /// ascending order.
-    open: BTreeMap<u32, HourBucket>,
+    /// The open window: `open[i]` holds hour `committed_below() + i`,
+    /// through `max_hour_seen`. Empty until a record is accepted.
+    open: VecDeque<Slab>,
     /// Highest hour observed on any accepted record.
     max_hour_seen: Option<u32>,
-    /// All hours `< committed_below` have been folded into `totals`.
-    committed_below: u32,
 }
 
 /// The folded output of an accumulator: `T`, per-hour volume, per-hour
@@ -71,9 +128,8 @@ impl StreamAccumulator {
             totals: Matrix::zeros(schema.antennas as usize, schema.services as usize),
             hourly_volume: vec![0.0; schema.hours as usize],
             hourly_records: vec![0; schema.hours as usize],
-            open: BTreeMap::new(),
+            open: VecDeque::new(),
             max_hour_seen: None,
-            committed_below: 0,
         }
     }
 
@@ -92,81 +148,67 @@ impl StreamAccumulator {
         self.max_hour_seen
     }
 
-    /// All hours below this bound have been folded into the totals.
+    /// All hours below this bound have been folded into the totals; it
+    /// is the first open hour, `max_hour_seen − lateness`.
     pub fn committed_below(&self) -> u32 {
-        self.committed_below
+        self.max_hour_seen
+            .map_or(0, |max| max.saturating_sub(self.lateness))
     }
 
-    /// Number of records currently held in open (unsealed) buckets.
+    /// Number of records currently held in open (unsealed) hours.
     pub fn open_records(&self) -> usize {
-        self.open.values().map(|b| b.len()).sum()
+        self.open.iter().map(Slab::len).sum()
     }
 
-    /// Committed totals so far (open buckets not included).
+    /// The open hours holding at least one record, ascending. Eager
+    /// sealing keeps them inside `[max_hour_seen − lateness,
+    /// max_hour_seen]`, so there are at most `lateness + 1`.
+    pub fn open_hours(&self) -> impl Iterator<Item = u32> + '_ {
+        (self.committed_below()..)
+            .zip(&self.open)
+            .filter(|(_, slab)| !slab.is_empty())
+            .map(|(hour, _)| hour)
+    }
+
+    /// Committed totals so far (open hours not included).
     pub fn committed_totals(&self) -> &Matrix {
         &self.totals
     }
 
-    /// Inserts one schema-valid record. The caller must have run
-    /// [`IngestSchema::validate`] first; this method performs only the
-    /// stateful checks (late arrival, duplicate key).
+    /// Classifies and, if accepted, holds one record: the structural
+    /// checks of [`IngestSchema::validate`] first, then the stateful ones
+    /// (late arrival, duplicate key). A record that advances
+    /// `max_hour_seen` first seals every hour the watermark passes.
     ///
     /// The lateness check compares against `max_hour_seen` — a property of
     /// the record *sequence*, not of chunk boundaries — so the accept /
     /// quarantine decision for every record is invariant to how the stream
     /// is chunked.
     pub fn insert(&mut self, r: &HourlyRecord) -> Result<(), QuarantineReason> {
-        debug_assert!(
-            self.schema.validate(r).is_ok(),
-            "insert() requires a schema-valid record"
-        );
-        if let Some(max) = self.max_hour_seen {
-            if r.hour + self.lateness < max {
-                return Err(QuarantineReason::LateArrival);
-            }
+        self.schema.validate(r)?;
+        if self.max_hour_seen.is_none_or(|max| r.hour > max) {
+            self.advance(r.hour);
         }
-        let bucket = self.open.entry(r.hour).or_default();
-        match bucket.entry((r.antenna, r.service)) {
-            std::collections::btree_map::Entry::Occupied(_) => Err(QuarantineReason::DuplicateKey),
-            std::collections::btree_map::Entry::Vacant(e) => {
-                e.insert((r.bytes_dl, r.bytes_ul));
-                self.max_hour_seen = Some(match self.max_hour_seen {
-                    Some(m) => m.max(r.hour),
-                    None => r.hour,
-                });
-                Ok(())
-            }
-        }
-    }
-
-    /// Seals and folds every hour the watermark has passed: all `h` with
-    /// `h + lateness < max_hour_seen`. Hours fold in ascending order,
-    /// cells within an hour in ascending `(antenna, service)` order.
-    pub fn commit_sealed(&mut self) {
-        let Some(max) = self.max_hour_seen else {
-            return;
+        // h + lateness < max  ⟺  h < max − lateness, the first open hour.
+        let Some(i) = r.hour.checked_sub(self.committed_below()) else {
+            return Err(QuarantineReason::LateArrival);
         };
-        // h + lateness < max  ⟺  h < max − lateness (u32, max ≥ lateness).
-        let seal_below = max.saturating_sub(self.lateness);
-        while let Some((&h, _)) = self.open.iter().next() {
-            if h >= seal_below {
-                break;
-            }
-            let bucket = self.open.remove(&h).expect("hour key just observed");
-            self.fold_bucket(h, bucket);
+        let cells = self.totals.as_slice().len();
+        let cell = r.antenna as usize * self.schema.services as usize + r.service as usize;
+        if self.open[i as usize].take(cells, cell, r.bytes_dl, r.bytes_ul) {
+            Ok(())
+        } else {
+            Err(QuarantineReason::DuplicateKey)
         }
-        self.committed_below = self.committed_below.max(seal_below);
     }
 
-    /// Folds every remaining open bucket (ascending hour order) and
+    /// Folds every remaining open hour (ascending hour order) and
     /// returns the final totals. Call once the stream has ended.
     pub fn finish(mut self) -> AccumulatedTotals {
-        while let Some((&h, _)) = self.open.iter().next() {
-            let bucket = self.open.remove(&h).expect("hour key just observed");
-            self.fold_bucket(h, bucket);
-        }
-        if let Some(max) = self.max_hour_seen {
-            self.committed_below = self.committed_below.max(max + 1);
+        let first = self.committed_below();
+        let mut open = std::mem::take(&mut self.open);
+        for (hour, slab) in (first..).zip(open.iter_mut()) {
+            self.seal(hour, slab);
         }
         AccumulatedTotals {
             totals: self.totals,
@@ -175,44 +217,83 @@ impl StreamAccumulator {
         }
     }
 
-    fn fold_bucket(&mut self, hour: u32, bucket: HourBucket) {
+    /// Moves the window up to end at `max`: the hours that fall out of it
+    /// are sealed oldest first, and their slabs become the new hours'.
+    fn advance(&mut self, max: u32) {
+        let first = max.saturating_sub(self.lateness);
+        let old_first = self.committed_below();
+        let expired = (first.saturating_sub(old_first) as usize).min(self.open.len());
+        for hour in old_first..old_first + expired as u32 {
+            let mut slab = self.open.pop_front().expect("expired hour is open");
+            self.seal(hour, &mut slab);
+            self.open.push_back(slab);
+        }
+        self.open
+            .resize_with((max - first) as usize + 1, Slab::default);
+        self.max_hour_seen = Some(max);
+    }
+
+    /// Folds one hour's slab into the committed totals in ascending cell
+    /// order and clears it for reuse.
+    fn seal(&mut self, hour: u32, slab: &mut Slab) {
+        if slab.taken.is_empty() {
+            return;
+        }
+        let reg = icn_obs::global();
+        let t0 = reg.is_enabled().then(Instant::now);
         let h = hour as usize;
-        for ((a, s), (dl, ul)) in bucket {
+        let totals = self.totals.as_mut_slice();
+        let mut volume = self.hourly_volume[h];
+        let mut records = 0u64;
+        slab.for_each_cell(|cell, dl, ul| {
             let v = dl + ul;
-            let (i, j) = (a as usize, s as usize);
-            self.totals.set(i, j, self.totals.get(i, j) + v);
-            self.hourly_volume[h] += v;
-            self.hourly_records[h] += 1;
+            totals[cell] += v;
+            volume += v;
+            records += 1;
+        });
+        slab.taken.fill(0);
+        self.hourly_volume[h] = volume;
+        self.hourly_records[h] += records;
+        if let Some(t0) = t0 {
+            reg.record_hist("ingest.seal_ns", t0.elapsed().as_nanos() as u64);
         }
     }
 
-    /// Reconstructs an accumulator from checkpoint state.
-    #[allow(clippy::too_many_arguments)] // mirrors the checkpoint fields 1:1
+    /// Reconstructs an accumulator from checkpoint state, with an empty
+    /// open window ending at `max_hour_seen`. The caller must have checked
+    /// the shapes against `schema` and that `max_hour_seen < hours`.
     pub(crate) fn from_parts(
         schema: IngestSchema,
         lateness: u32,
         totals: Matrix,
         hourly_volume: Vec<f64>,
         hourly_records: Vec<u64>,
-        open: BTreeMap<u32, HourBucket>,
         max_hour_seen: Option<u32>,
-        committed_below: u32,
     ) -> StreamAccumulator {
-        StreamAccumulator {
-            schema,
-            lateness,
+        let mut acc = StreamAccumulator {
             totals,
             hourly_volume,
             hourly_records,
-            open,
-            max_hour_seen,
-            committed_below,
+            ..StreamAccumulator::new(schema, lateness)
+        };
+        if let Some(max) = max_hour_seen {
+            acc.advance(max);
         }
+        acc
     }
 
-    /// Read access to the open buckets (checkpoint serialization).
-    pub(crate) fn open_buckets(&self) -> &BTreeMap<u32, HourBucket> {
-        &self.open
+    /// Re-holds one open record (checkpoint restore). `false` if the cell
+    /// already holds a record that hour. The caller must have checked that
+    /// `hour` is inside the open window and `cell` inside the schema.
+    pub(crate) fn restore_cell(&mut self, hour: u32, cell: usize, dl: f64, ul: f64) -> bool {
+        let i = (hour - self.committed_below()) as usize;
+        self.open[i].take(self.totals.as_slice().len(), cell, dl, ul)
+    }
+
+    /// Calls `f(cell, dl, ul)` for every record held for open `hour`,
+    /// ascending by cell (checkpoint serialization).
+    pub(crate) fn for_each_open_cell(&self, hour: u32, f: impl FnMut(usize, f64, f64)) {
+        self.open[(hour - self.committed_below()) as usize].for_each_cell(f);
     }
 
     /// Read access to the committed hourly volume (checkpoint serialization).
@@ -275,11 +356,26 @@ mod tests {
     }
 
     #[test]
-    fn commit_seals_only_watermarked_hours() {
+    fn structural_defects_are_classified_before_the_watermark() {
+        let mut acc = StreamAccumulator::new(schema(), 2);
+        acc.insert(&rec(0, 0, 10, 1.0)).unwrap();
+        // Late *and* an unknown service: the structural reason wins.
+        assert_eq!(
+            acc.insert(&rec(0, 3, 0, 1.0)),
+            Err(QuarantineReason::UnknownService)
+        );
+        assert_eq!(
+            acc.insert(&rec(0, 0, 48, 1.0)),
+            Err(QuarantineReason::OutOfWindowHour)
+        );
+        assert_eq!(acc.open_records(), 1);
+    }
+
+    #[test]
+    fn advancing_the_watermark_seals_at_once() {
         let mut acc = StreamAccumulator::new(schema(), 2);
         acc.insert(&rec(0, 0, 0, 1.0)).unwrap();
         acc.insert(&rec(0, 0, 5, 2.0)).unwrap();
-        acc.commit_sealed();
         // Hours < 5 − 2 = 3 are sealed: hour 0 folded, hour 5 still open.
         assert_eq!(acc.committed_below(), 3);
         assert_eq!(acc.committed_totals().get(0, 0), 1.0);

@@ -1,7 +1,7 @@
 //! Checkpoint/restore format (`icn-ingest/v1`).
 //!
 //! A checkpoint captures everything needed to resume ingestion after a
-//! crash: the schema, the committed totals, the open (unsealed) buckets,
+//! crash: the schema, the committed totals, the open (unsealed) hours,
 //! the watermark, the quarantine/retry counters, and the number of records
 //! consumed from the source. Restoring a checkpoint and replaying the rest
 //! of the stream must reproduce the exact final state of an uninterrupted
@@ -14,8 +14,12 @@
 //! golden snapshot `tests/golden/ingest_scale005.json` pins the FNV-1a hash
 //! of a rendered checkpoint, so any accidental format drift fails CI
 //! loudly instead of silently resuming wrong.
+//!
+//! [`Checkpoint::parse`] accepts only state a resume can honour: integer
+//! fields in range, known quarantine labels, a watermark inside the
+//! window, and open cells inside the schema and the lateness window, each
+//! held once. Anything else is an `Err` naming the field.
 
-use std::collections::BTreeMap;
 use std::fmt::Write as _;
 use std::path::Path;
 
@@ -24,7 +28,7 @@ use icn_stats::Matrix;
 
 use crate::accumulator::StreamAccumulator;
 use crate::pipeline::IngestStats;
-use crate::record::IngestSchema;
+use crate::record::{IngestSchema, QuarantineReason};
 
 /// Schema tag of the checkpoint document.
 pub const CHECKPOINT_SCHEMA: &str = "icn-ingest/v1";
@@ -50,18 +54,19 @@ impl Checkpoint {
             Some(h) => Json::num(f64::from(h)),
             None => Json::Null,
         };
+        let services = self.schema.services as usize;
         let open: Vec<Json> = self
             .acc
-            .open_buckets()
-            .iter()
-            .map(|(&hour, bucket)| {
+            .open_hours()
+            .map(|hour| {
                 let mut cells = String::new();
-                for ((a, s), (dl, ul)) in bucket {
+                self.acc.for_each_open_cell(hour, |cell, dl, ul| {
                     if !cells.is_empty() {
                         cells.push(' ');
                     }
+                    let (a, s) = (cell / services, cell % services);
                     let _ = write!(cells, "{a}:{s}:{:016x}:{:016x}", dl.to_bits(), ul.to_bits());
-                }
+                });
                 Json::obj(vec![
                     ("hour", Json::num(f64::from(hour))),
                     ("cells", Json::str(cells)),
@@ -70,9 +75,8 @@ impl Checkpoint {
             .collect();
         let quarantined = Json::Obj(
             self.stats
-                .quarantined
-                .iter()
-                .map(|(k, v)| (k.clone(), Json::num(*v as f64)))
+                .quarantine_counts()
+                .map(|(r, n)| (r.label().to_string(), Json::num(n as f64)))
                 .collect(),
         );
         let doc = Json::obj(vec![
@@ -151,38 +155,49 @@ impl Checkpoint {
 
         let progress = doc.get("progress").ok_or("checkpoint missing progress")?;
         let records_consumed = get_u64(progress, "records_consumed")?;
-        let committed_below = get_u32(progress, "committed_below")?;
         let max_hour_seen = match progress.get("max_hour_seen") {
             Some(Json::Null) | None => None,
-            Some(v) => Some(
-                v.as_f64()
-                    .ok_or("max_hour_seen is not a number")
-                    .map(|f| f as u32)?,
-            ),
+            Some(_) => Some(get_u32(progress, "max_hour_seen")?),
         };
+        if let Some(max) = max_hour_seen.filter(|&m| m >= schema.hours) {
+            return Err(format!(
+                "max_hour_seen {max} is outside the {}-hour window",
+                schema.hours
+            ));
+        }
+        let first_open = max_hour_seen.map_or(0, |m| m.saturating_sub(lateness));
+        let committed_below = get_u32(progress, "committed_below")?;
+        if committed_below != first_open {
+            return Err(format!(
+                "committed_below {committed_below} disagrees with max_hour_seen and \
+                 lateness, which seal below {first_open}"
+            ));
+        }
 
         let stats_doc = doc.get("stats").ok_or("checkpoint missing stats")?;
-        let mut quarantined = BTreeMap::new();
-        if let Some(entries) = stats_doc.get("quarantined").and_then(Json::entries) {
-            for (k, v) in entries {
-                let n = v.as_f64().ok_or("quarantine count is not a number")?;
-                quarantined.insert(k.clone(), n as u64);
-            }
-        }
-        let stats = IngestStats {
+        let mut stats = IngestStats {
             ok: get_u64(stats_doc, "ok")?,
             retried: get_u64(stats_doc, "retried")?,
             chunks: get_u64(stats_doc, "chunks")?,
-            quarantined,
+            ..IngestStats::default()
         };
+        if let Some(q) = stats_doc.get("quarantined") {
+            for (label, _) in q.entries().ok_or("stats.quarantined is not an object")? {
+                let reason = QuarantineReason::from_label(label)
+                    .ok_or_else(|| format!("unknown quarantine label `{label}`"))?;
+                stats.quarantined[reason as usize] = get_u64(q, label)?;
+            }
+        }
 
         let totals_flat = parse_bits(get_str(&doc, "totals_bits")?)?;
         let (rows, cols) = (schema.antennas as usize, schema.services as usize);
-        if totals_flat.len() != rows * cols {
+        let cells = rows
+            .checked_mul(cols)
+            .ok_or("dims antennas × services overflow")?;
+        if totals_flat.len() != cells {
             return Err(format!(
-                "totals_bits has {} values, dims say {}",
+                "totals_bits has {} values, dims say {cells}",
                 totals_flat.len(),
-                rows * cols
             ));
         }
         let totals = Matrix::from_vec(rows, cols, totals_flat);
@@ -194,10 +209,30 @@ impl Checkpoint {
             return Err("hourly arrays do not match schema hours".to_string());
         }
 
-        let mut open = BTreeMap::new();
+        let mut acc = StreamAccumulator::from_parts(
+            schema,
+            lateness,
+            totals,
+            hourly_volume,
+            hourly_records,
+            max_hour_seen,
+        );
+        let mut prev_hour = None;
         for entry in doc.get("open").and_then(Json::as_arr).unwrap_or(&[]) {
             let hour = get_u32(entry, "hour")?;
-            let mut bucket = BTreeMap::new();
+            match max_hour_seen {
+                Some(max) if (first_open..=max).contains(&hour) => {}
+                Some(max) => {
+                    return Err(format!(
+                        "open hour {hour} is outside the open window {first_open}..={max}"
+                    ))
+                }
+                None => return Err(format!("open hour {hour} but max_hour_seen is null")),
+            }
+            if prev_hour.is_some_and(|p| hour <= p) {
+                return Err(format!("open hour {hour} repeated or out of order"));
+            }
+            prev_hour = Some(hour);
             let cells = get_str(entry, "cells")?;
             for cell in cells.split(' ').filter(|c| !c.is_empty()) {
                 let mut it = cell.split(':');
@@ -208,27 +243,30 @@ impl Checkpoint {
                 };
                 let a: u32 = a.parse().map_err(|_| format!("bad antenna in `{cell}`"))?;
                 let s: u32 = s.parse().map_err(|_| format!("bad service in `{cell}`"))?;
+                if a >= schema.antennas {
+                    return Err(format!(
+                        "open cell `{cell}`: antenna {a} of {}",
+                        schema.antennas
+                    ));
+                }
+                if s >= schema.services {
+                    return Err(format!(
+                        "open cell `{cell}`: service {s} of {}",
+                        schema.services
+                    ));
+                }
                 let dl = f64::from_bits(
                     u64::from_str_radix(dl, 16).map_err(|_| format!("bad dl bits in `{cell}`"))?,
                 );
                 let ul = f64::from_bits(
                     u64::from_str_radix(ul, 16).map_err(|_| format!("bad ul bits in `{cell}`"))?,
                 );
-                bucket.insert((a, s), (dl, ul));
+                if !acc.restore_cell(hour, a as usize * cols + s as usize, dl, ul) {
+                    return Err(format!("open cell {a}:{s} repeated in hour {hour}"));
+                }
             }
-            open.insert(hour, bucket);
         }
 
-        let acc = StreamAccumulator::from_parts(
-            schema,
-            lateness,
-            totals,
-            hourly_volume,
-            hourly_records,
-            open,
-            max_hour_seen,
-            committed_below,
-        );
         Ok(Checkpoint {
             schema,
             lateness,
@@ -309,15 +347,23 @@ fn get_str<'a>(doc: &'a Json, key: &str) -> Result<&'a str, String> {
         .ok_or_else(|| format!("checkpoint missing string field `{key}`"))
 }
 
+/// A non-negative integer field. Counts travel as JSON numbers (f64), so
+/// anything fractional, negative or beyond 2^53 cannot be one.
 fn get_u64(doc: &Json, key: &str) -> Result<u64, String> {
-    doc.get(key)
+    let f = doc
+        .get(key)
         .and_then(Json::as_f64)
-        .map(|f| f as u64)
-        .ok_or_else(|| format!("checkpoint missing numeric field `{key}`"))
+        .ok_or_else(|| format!("checkpoint missing numeric field `{key}`"))?;
+    if f >= 0.0 && f.fract() == 0.0 && f <= 9_007_199_254_740_992.0 {
+        Ok(f as u64)
+    } else {
+        Err(format!("checkpoint field `{key}` = {f} is not a count"))
+    }
 }
 
 fn get_u32(doc: &Json, key: &str) -> Result<u32, String> {
-    get_u64(doc, key).map(|v| v as u32)
+    let v = get_u64(doc, key)?;
+    u32::try_from(v).map_err(|_| format!("checkpoint field `{key}` = {v} exceeds u32"))
 }
 
 #[cfg(test)]
@@ -345,13 +391,12 @@ mod tests {
             };
             acc.insert(&r).unwrap();
         }
-        acc.commit_sealed();
         let mut stats = IngestStats {
             ok: 4,
             chunks: 1,
             ..IngestStats::default()
         };
-        stats.quarantined.insert("duplicate_key".to_string(), 2);
+        stats.quarantined[QuarantineReason::DuplicateKey as usize] = 2;
         Checkpoint {
             schema,
             lateness: 2,
@@ -377,10 +422,73 @@ mod tests {
         for (x, y) in a.as_slice().iter().zip(b.as_slice()) {
             assert_eq!(x.to_bits(), y.to_bits());
         }
-        assert_eq!(back.acc.open_buckets(), ck.acc.open_buckets());
+        assert_eq!(open_cells(&back), open_cells(&ck));
+        assert_eq!(open_cells(&ck).len(), 1, "the sample holds one open record");
         // Re-render is byte-identical, so the hash is stable.
         assert_eq!(back.render(), text);
         assert_eq!(back.hash(), ck.hash());
+    }
+
+    fn open_cells(ck: &Checkpoint) -> Vec<(u32, usize, u64, u64)> {
+        let mut out = Vec::new();
+        for h in ck.acc.open_hours() {
+            ck.acc
+                .for_each_open_cell(h, |c, dl, ul| out.push((h, c, dl.to_bits(), ul.to_bits())));
+        }
+        out
+    }
+
+    /// Parses the sample checkpoint with `from` replaced by `to` (which
+    /// must occur) and returns the error.
+    fn doctored(from: &str, to: &str) -> String {
+        let text = sample_checkpoint().render();
+        assert!(text.contains(from), "`{from}` not in the sample:\n{text}");
+        Checkpoint::parse(&text.replacen(from, to, 1)).unwrap_err()
+    }
+
+    #[test]
+    fn open_hour_outside_the_window_is_rejected() {
+        let err = doctored("\"hour\": 9", "\"hour\": 90");
+        assert!(err.contains("open hour 90"), "{err}");
+    }
+
+    #[test]
+    fn open_cell_outside_the_schema_is_rejected() {
+        let err = doctored("\"cells\": \"0:1:", "\"cells\": \"0:80:");
+        assert!(err.contains("service 80"), "{err}");
+        let err = doctored("\"cells\": \"0:1:", "\"cells\": \"3:1:");
+        assert!(err.contains("antenna 3"), "{err}");
+    }
+
+    #[test]
+    fn repeated_open_cell_is_rejected() {
+        let text = sample_checkpoint().render();
+        let needle = "\"cells\": \"";
+        let start = text.find(needle).unwrap() + needle.len();
+        let end = text[start..].find('"').unwrap() + start;
+        let cell = &text[start..end];
+        let err = doctored(cell, &format!("{cell} {cell}"));
+        assert!(err.contains("open cell 0:1 repeated"), "{err}");
+    }
+
+    #[test]
+    fn u32_field_beyond_u32_is_rejected() {
+        // 2^32 + 3 used to wrap to 3.
+        let err = doctored("\"antennas\": 3", "\"antennas\": 4294967299");
+        assert!(err.contains("`antennas`"), "{err}");
+    }
+
+    #[test]
+    fn negative_count_is_rejected() {
+        // -1 used to saturate to 0.
+        let err = doctored("\"records_consumed\": 6", "\"records_consumed\": -1");
+        assert!(err.contains("`records_consumed`"), "{err}");
+    }
+
+    #[test]
+    fn unknown_quarantine_label_is_rejected() {
+        let err = doctored("\"duplicate_key\"", "\"dropped\"");
+        assert!(err.contains("`dropped`"), "{err}");
     }
 
     #[test]

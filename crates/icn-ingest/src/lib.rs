@@ -9,13 +9,14 @@
 //!
 //! * [`record`] — the [`HourlyRecord`] schema, structural validation with
 //!   per-reason quarantine classification, and the [`RecordSource`] trait.
-//! * [`accumulator`] — watermark-bucketed folding: open per-hour buckets
-//!   sealed by a lateness watermark and folded in canonical (hour, cell)
-//!   order, which is what makes the result invariant to chunking,
-//!   threading, and bounded reordering.
-//! * [`pipeline`] — the chunked driver: bounded retry/backoff, parallel
-//!   stateless validation, quarantine accounting, observability counters
-//!   (`ingest.*` under the `ingest` stage span).
+//! * [`accumulator`] — watermark-bucketed folding: a dense slab per open
+//!   hour, sealed the moment the lateness watermark passes it and folded
+//!   in canonical (hour, cell) order, which is what makes the result
+//!   invariant to chunking, threading, and bounded reordering. Per-record
+//!   validation runs here too, inline and in stream order.
+//! * [`pipeline`] — the chunked pipeline: bounded retry/backoff, one
+//!   allocation-free pass per record, quarantine accounting,
+//!   observability counters (`ingest.*` under the `ingest` stage span).
 //! * [`checkpoint`] — the `icn-ingest/v1` resume format; floats travel as
 //!   IEEE-754 bit patterns so a crash/restore cycle cannot lose a ulp.
 //! * [`faults`] — a deterministic fault injector ([`FaultySource`]) whose

@@ -1,21 +1,18 @@
-//! The chunked ingest driver: pull → retry → validate → accumulate →
-//! checkpoint.
+//! The chunked ingest pipeline: pull → retry → classify → checkpoint.
 //!
 //! Each step pulls one chunk from the source (with bounded retry/backoff
-//! on transient errors), validates it in parallel (the structural checks
-//! are stateless, so `icn_stats::par` can fan them out without affecting
-//! results), then applies records **in order** against the accumulator,
-//! which performs the stateful duplicate/late checks and owns the
-//! watermark. Because accept/quarantine decisions depend only on the
-//! record sequence — never on chunk boundaries or thread count — the final
-//! totals are bit-identical for any `chunk_size` and any `ICN_THREADS`.
+//! on transient errors), then hands the records **in order**, one pass and
+//! no allocation per record, to the accumulator, which runs the structural
+//! checks, the stateful duplicate/late checks, and seals hours as its
+//! watermark advances. Because accept/quarantine decisions depend only on
+//! the record sequence — never on chunk boundaries or thread count — the
+//! final totals are bit-identical for any `chunk_size` and any
+//! `ICN_THREADS`.
 
-use std::collections::BTreeMap;
 use std::fmt;
 use std::time::{Duration, Instant};
 
 use icn_obs::Span;
-use icn_stats::par;
 
 use crate::accumulator::{AccumulatedTotals, StreamAccumulator};
 use crate::checkpoint::Checkpoint;
@@ -55,8 +52,9 @@ impl Default for IngestConfig {
 pub struct IngestStats {
     /// Records accepted into the accumulator.
     pub ok: u64,
-    /// Quarantined records, keyed by [`QuarantineReason::label`].
-    pub quarantined: BTreeMap<String, u64>,
+    /// Quarantined records per reason, indexed like
+    /// [`QuarantineReason::ALL`] (`reason as usize`).
+    pub quarantined: [u64; QuarantineReason::ALL.len()],
     /// Retries performed after transient source errors.
     pub retried: u64,
     /// Chunks processed.
@@ -66,12 +64,23 @@ pub struct IngestStats {
 impl IngestStats {
     /// Total quarantined records across all reasons.
     pub fn quarantined_total(&self) -> u64 {
-        self.quarantined.values().sum()
+        self.quarantined.iter().sum()
     }
 
     /// Count for one reason (zero if none).
     pub fn quarantined_for(&self, reason: QuarantineReason) -> u64 {
-        self.quarantined.get(reason.label()).copied().unwrap_or(0)
+        self.quarantined[reason as usize]
+    }
+
+    /// The reasons with a non-zero count, in label order, with their
+    /// counts: the order checkpoints and reports list them in.
+    pub fn quarantine_counts(&self) -> impl Iterator<Item = (QuarantineReason, u64)> + '_ {
+        let mut by_label = QuarantineReason::ALL;
+        by_label.sort_unstable_by_key(|r| r.label());
+        by_label
+            .into_iter()
+            .map(|r| (r, self.quarantined_for(r)))
+            .filter(|&(_, n)| n > 0)
     }
 }
 
@@ -208,39 +217,21 @@ impl IngestPipeline {
         let mut chunk_span = icn_obs::Span::enter("ingest_chunk");
         chunk_span.attr("records", chunk.len() as u64);
         let chunk_t0 = chunk_span.path().is_some().then(Instant::now);
-        // Stateless validation in parallel; results come back in order, so
-        // this cannot perturb the sequential accept/quarantine decisions.
-        let schema = *self.acc.schema();
-        let verdicts = par::map_indexed(chunk.len(), |i| schema.validate(&chunk[i]).err());
         let mut ok = 0u64;
-        let mut quarantined = 0u64;
-        for (r, verdict) in chunk.iter().zip(verdicts) {
-            self.records_consumed += 1;
-            let outcome = match verdict {
-                Some(reason) => Err(reason),
-                None => self.acc.insert(r),
-            };
-            match outcome {
+        for r in &chunk {
+            match self.acc.insert(r) {
                 Ok(()) => ok += 1,
                 Err(reason) => {
-                    quarantined += 1;
-                    *self
-                        .stats
-                        .quarantined
-                        .entry(reason.label().to_string())
-                        .or_insert(0) += 1;
+                    self.stats.quarantined[reason as usize] += 1;
                     if self.quarantine_sample.len() < QUARANTINE_SAMPLE_CAP {
                         self.quarantine_sample.push((*r, reason));
                     }
                 }
             }
         }
+        let quarantined = chunk.len() as u64 - ok;
+        self.records_consumed += chunk.len() as u64;
         let reg = icn_obs::global();
-        let seal_t0 = reg.is_enabled().then(Instant::now);
-        self.acc.commit_sealed();
-        if let Some(t0) = seal_t0 {
-            reg.record_hist("ingest.seal_ns", t0.elapsed().as_nanos() as u64);
-        }
         self.stats.ok += ok;
         self.stats.chunks += 1;
         reg.add_counter("ingest.records_ok", ok);
@@ -256,7 +247,6 @@ impl IngestPipeline {
                 self.stats.chunks
             );
         }
-        chunk_span.event("sealed");
         if let Some(t0) = chunk_t0 {
             reg.record_hist("ingest.chunk_ns", t0.elapsed().as_nanos() as u64);
         }
@@ -470,6 +460,58 @@ mod tests {
             assert_eq!(a.to_bits(), b.to_bits());
         }
         for (a, b) in want.hourly_volume.iter().zip(&got.hourly_volume) {
+            assert_eq!(a.to_bits(), b.to_bits());
+        }
+        assert_eq!(want.hourly_records, got.hourly_records);
+    }
+
+    #[test]
+    fn duplicate_detection_survives_a_resume() {
+        let mut recs = clean_records();
+        // Kill after three 10-record chunks: hours 0 and 1 are open (20
+        // records per hour). The next two records re-send cells held in
+        // those open hours.
+        let kill_at = 30;
+        recs.insert(kill_at, recs[25]);
+        recs.insert(kill_at + 1, recs[5]);
+        let cfg = IngestConfig {
+            chunk_size: 10,
+            ..IngestConfig::default()
+        };
+
+        let mut straight = IngestPipeline::new(schema(), cfg);
+        straight.run(&mut VecSource::new(recs.clone())).unwrap();
+        let want_hash = straight.checkpoint().hash();
+        let want = straight.finish();
+        assert_eq!(
+            want.stats.quarantined_for(QuarantineReason::DuplicateKey),
+            2
+        );
+        assert_eq!(want.stats.quarantined_total(), 2);
+
+        let mut first = IngestPipeline::new(schema(), cfg);
+        let mut src = VecSource::new(recs.clone());
+        for _ in 0..kill_at / 10 {
+            first.step(&mut src).unwrap();
+        }
+        let ck = Checkpoint::parse(&first.checkpoint().render()).unwrap();
+        drop(first);
+        let held: Vec<u32> = ck.acc.open_hours().collect();
+        assert_eq!(
+            held,
+            [recs[5].hour, recs[25].hour],
+            "both hours open at the kill"
+        );
+
+        let consumed = ck.records_consumed;
+        let mut resumed = IngestPipeline::from_checkpoint(ck, cfg).unwrap();
+        let mut src2 = VecSource::new(recs);
+        src2.skip_records(consumed).unwrap();
+        resumed.run(&mut src2).unwrap();
+        assert_eq!(resumed.checkpoint().hash(), want_hash);
+        let got = resumed.finish();
+        assert_eq!(got.stats, want.stats);
+        for (a, b) in want.totals.as_slice().iter().zip(got.totals.as_slice()) {
             assert_eq!(a.to_bits(), b.to_bits());
         }
         assert_eq!(want.hourly_records, got.hourly_records);

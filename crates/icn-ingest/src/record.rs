@@ -7,8 +7,8 @@
 //! negative or NaN byte counts from collector bugs, duplicated deliveries.
 //! [`IngestSchema::validate`] classifies every structural defect into a
 //! [`QuarantineReason`]; the sequencing defects (duplicates, late arrivals)
-//! are detected downstream by the accumulator, which owns the ordering
-//! state.
+//! are detected by the accumulator, which owns the ordering state and runs
+//! the structural checks first.
 
 use std::fmt;
 
@@ -58,7 +58,7 @@ pub enum QuarantineReason {
     /// Hour index outside the study window.
     OutOfWindowHour,
     /// A record with the same (antenna, service, hour) key was already
-    /// accepted into the open bucket for that hour.
+    /// accepted into the open slab for that hour.
     DuplicateKey,
     /// The record's hour was already sealed by the watermark (it arrived
     /// more than the allowed lateness behind the newest hour seen).
@@ -67,7 +67,8 @@ pub enum QuarantineReason {
 
 impl QuarantineReason {
     /// Every reason, in validation-priority order (the order checks are
-    /// applied, so each bad record maps to exactly one reason).
+    /// applied, so each bad record maps to exactly one reason). A reason's
+    /// position here is its discriminant, `reason as usize`.
     pub const ALL: [QuarantineReason; 7] = [
         QuarantineReason::NonFiniteVolume,
         QuarantineReason::NegativeVolume,
@@ -89,6 +90,13 @@ impl QuarantineReason {
             QuarantineReason::DuplicateKey => "duplicate_key",
             QuarantineReason::LateArrival => "late_arrival",
         }
+    }
+
+    /// The reason whose [`label`](Self::label) is `label`.
+    pub fn from_label(label: &str) -> Option<QuarantineReason> {
+        QuarantineReason::ALL
+            .into_iter()
+            .find(|r| r.label() == label)
     }
 }
 
@@ -115,9 +123,8 @@ impl IngestSchema {
     /// priority order of [`QuarantineReason::ALL`], so a record failing
     /// several ways is always attributed to the same (first) reason —
     /// a requirement for exact quarantine accounting under fault
-    /// injection. This check is stateless and therefore safe to run in
-    /// parallel over a chunk; the stateful duplicate/late checks live in
-    /// the accumulator.
+    /// injection. [`StreamAccumulator::insert`](crate::StreamAccumulator::insert)
+    /// runs it before its stateful duplicate/late checks.
     pub fn validate(&self, r: &HourlyRecord) -> Result<(), QuarantineReason> {
         if !r.bytes_dl.is_finite() || !r.bytes_ul.is_finite() {
             return Err(QuarantineReason::NonFiniteVolume);
@@ -314,6 +321,11 @@ mod tests {
         labels.sort_unstable();
         labels.dedup();
         assert_eq!(labels.len(), QuarantineReason::ALL.len());
+        for (i, r) in QuarantineReason::ALL.into_iter().enumerate() {
+            assert_eq!(r as usize, i, "{r}: discriminant is not its ALL position");
+            assert_eq!(QuarantineReason::from_label(r.label()), Some(r));
+        }
+        assert_eq!(QuarantineReason::from_label("dropped"), None);
     }
 
     #[test]

@@ -158,6 +158,7 @@ impl Json {
     pub fn parse(text: &str) -> Result<Json, String> {
         let bytes = text.as_bytes();
         let mut p = Parser {
+            text,
             bytes,
             pos: 0,
             depth: 0,
@@ -226,6 +227,7 @@ fn write_str(out: &mut String, s: &str) {
 const MAX_DEPTH: usize = 128;
 
 struct Parser<'a> {
+    text: &'a str,
     bytes: &'a [u8],
     pos: usize,
     depth: usize,
@@ -349,11 +351,14 @@ impl Parser<'_> {
                 }
                 _ => {
                     // Re-synchronise on UTF-8 boundaries: step back and take
-                    // the full char.
+                    // the full char (one char, not the whole rest: checking
+                    // the rest per char made parsing quadratic).
                     self.pos -= 1;
-                    let rest = std::str::from_utf8(&self.bytes[self.pos..])
-                        .map_err(|_| "invalid UTF-8".to_string())?;
-                    let c = rest.chars().next().unwrap();
+                    let c = self
+                        .text
+                        .get(self.pos..)
+                        .and_then(|rest| rest.chars().next())
+                        .ok_or("invalid UTF-8")?;
                     s.push(c);
                     self.pos += c.len_utf8();
                 }
@@ -483,6 +488,8 @@ mod tests {
     fn parses_escapes_and_unicode() {
         let v = Json::parse(r#""a\tbA\n""#).unwrap();
         assert_eq!(v.as_str(), Some("a\tbA\n"));
+        let v = Json::parse("[\"é→𝄞\", \"x\"]").unwrap();
+        assert_eq!(v.as_arr().unwrap()[0].as_str(), Some("é→𝄞"));
     }
 
     #[test]

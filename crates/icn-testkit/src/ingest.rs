@@ -241,6 +241,7 @@ pub fn snapshot_ingest(scale: f64) -> PipelineSnapshot {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use icn_ingest::{QuarantineReason, StreamAccumulator};
 
     fn schema() -> IngestSchema {
         IngestSchema {
@@ -304,11 +305,74 @@ mod tests {
         assert_eq!(want.ok, got.stats.ok);
         let got_q: Vec<(String, u64)> = got
             .stats
-            .quarantined
-            .iter()
-            .map(|(k, &v)| (k.clone(), v))
+            .quarantine_counts()
+            .map(|(r, n)| (r.label().to_string(), n))
             .collect();
         assert_eq!(want.quarantined, got_q);
+    }
+
+    /// An antenna-major feed climbs through every hour once per antenna,
+    /// so one chunk of it would open every hour if sealing waited for the
+    /// chunk's end. Eager sealing keeps at most `lateness + 1` hours open
+    /// after every insert, and the late and duplicate verdicts it reaches
+    /// on this hostile order are the oracle's, bit for bit.
+    #[test]
+    fn eager_sealing_bounds_open_hours_and_matches_the_oracle() {
+        let lateness = 2;
+        let mut recs = Vec::new();
+        for a in 0..6u32 {
+            for h in 0..12u32 {
+                for s in 0..4u32 {
+                    recs.push(HourlyRecord {
+                        antenna: a,
+                        service: s,
+                        hour: h,
+                        bytes_dl: f64::from(h * 31 + a * 5 + s).mul_add(0.173, 0.9),
+                        bytes_ul: if s == 1 { 1e16 } else { 0.21 },
+                    });
+                    // Planted duplicates: a re-send at once, and a re-send
+                    // of a record from the hour before.
+                    if (a + h + s) % 5 == 0 {
+                        recs.push(*recs.last().unwrap());
+                    }
+                    if s == 3 && h % 4 == 1 {
+                        let back = recs.len() - 6;
+                        recs.push(recs[back]);
+                    }
+                }
+            }
+        }
+
+        let mut acc = StreamAccumulator::new(schema(), lateness);
+        let (mut late, mut duplicate) = (0u64, 0u64);
+        for r in &recs {
+            match acc.insert(r) {
+                Ok(()) => {}
+                Err(QuarantineReason::LateArrival) => late += 1,
+                Err(QuarantineReason::DuplicateKey) => duplicate += 1,
+                Err(other) => panic!("unexpected {other} for {r:?}"),
+            }
+            let open: Vec<u32> = acc.open_hours().collect();
+            assert!(
+                open.len() <= lateness as usize + 1,
+                "{} hours open after {r:?}: {open:?}",
+                open.len()
+            );
+        }
+        assert!(late > 0 && duplicate > 0, "the feed must plant both");
+        let got = acc.finish();
+
+        let want = naive_ingest(&recs, schema(), lateness);
+        assert_bits_eq(want.totals.as_slice(), got.totals.as_slice(), "totals");
+        assert_bits_eq(&want.hourly_volume, &got.hourly_volume, "hourly_volume");
+        assert_eq!(want.hourly_records, got.hourly_records);
+        assert_eq!(
+            want.quarantined,
+            [
+                ("duplicate_key".to_string(), duplicate),
+                ("late_arrival".to_string(), late)
+            ]
+        );
     }
 
     #[test]

@@ -945,7 +945,7 @@ fn cmd_ingest(o: &Opts) {
         stats.quarantined_total(),
         stats.retried
     );
-    for (reason, count) in &stats.quarantined {
+    for (reason, count) in stats.quarantine_counts() {
         println!("  quarantine {reason}: {count}");
     }
     if let Feed::Faulty(src) = &feed {

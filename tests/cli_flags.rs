@@ -52,3 +52,43 @@ fn good_flag_values_still_run() {
     assert_eq!(out.status.code(), Some(0), "{stderr}");
     assert!(String::from_utf8_lossy(&out.stdout).contains("over 1 days"));
 }
+
+/// A checkpoint whose open state a resume cannot honour — an open hour
+/// outside the window, an open cell outside the schema — is a bad input:
+/// exit 1 with a message naming it, never a panic (101) or a wrong `T`.
+#[test]
+fn resume_from_a_doctored_checkpoint_exits_1() {
+    let path = std::path::Path::new(env!("CARGO_TARGET_TMPDIR")).join("doctored-ck.json");
+    let path = path.to_str().expect("utf-8 temp path");
+    let leg = [
+        "ingest", "--scale", "0.05", "--days", "2", "--chunk", "1000",
+    ];
+    let halt = [&leg[..], &["--halt-after", "40", "--checkpoint", path]].concat();
+    let out = icn(&halt);
+    assert_eq!(
+        out.status.code(),
+        Some(0),
+        "{}",
+        String::from_utf8_lossy(&out.stderr)
+    );
+    let good = std::fs::read_to_string(path).expect("checkpoint written");
+
+    // `"hour"` and `"cells"` keys appear only in the open section.
+    let at = good.find("\"hour\": ").expect("an open hour");
+    let first_hour = &good[at..at + good[at..].find(',').expect("hour field end")];
+    let cases = [
+        (good.replacen(first_hour, "\"hour\": 90", 1), "open hour 90"),
+        (
+            good.replacen("\"cells\": \"0:0:", "\"cells\": \"0:80:", 1),
+            "service 80",
+        ),
+    ];
+    let resume = [&leg[..], &["--resume", "--verify", "--checkpoint", path]].concat();
+    for (text, want) in cases {
+        std::fs::write(path, &text).expect("write doctored checkpoint");
+        let out = icn(&resume);
+        let stderr = String::from_utf8_lossy(&out.stderr);
+        assert_eq!(out.status.code(), Some(1), "{want}: {stderr}");
+        assert!(stderr.contains(want), "{want}: {stderr}");
+    }
+}
