@@ -269,8 +269,10 @@ impl IcnStudy {
             let surrogate_accuracy = hits as f64 / ts.len() as f64;
             span.attr("accuracy", surrogate_accuracy);
             let surrogate_oob = surrogate.oob_accuracy;
-            // One batched SHAP pass shares the per-sample tree walks across
-            // all k classes (9x cheaper than explaining class by class).
+            // One batched SHAP pass serves all k classes at once, and
+            // within each sample chunk derives every distinct tree-walk
+            // state once, replaying it for the samples that share it
+            // (`icn_shap::treeshap`).
             let shap_per_class = icn_shap::forest_shap_batch_soa(&frozen, &rsca_m);
             let explanations: Vec<ClassExplanation> = shap_per_class
                 .iter()
@@ -446,6 +448,13 @@ fn validate_totals(totals: &Matrix, config: &StudyConfig) -> Result<(), crate::S
     if config.n_trees == 0 {
         return Err(StudyError::BadConfig("n_trees = 0".into()));
     }
+    let window = StudyCalendar::temporal_window().num_hours();
+    if config.run_forecast && config.forecast_horizon > window {
+        return Err(StudyError::BadConfig(format!(
+            "forecast_horizon = {} h exceeds the {window}-hour stage-6 series",
+            config.forecast_horizon
+        )));
+    }
     if totals.has_non_finite() {
         return Err(StudyError::NonFiniteTraffic);
     }
@@ -493,6 +502,25 @@ mod tests {
         }
         let mean = report.mean_backtest();
         assert!(mean.ets.mae < mean.naive.mae, "{mean:?}");
+    }
+
+    #[test]
+    fn forecast_horizon_is_bounded_by_the_series_window() {
+        let d = Dataset::generate(SynthConfig::small());
+        let window = StudyCalendar::temporal_window().num_hours();
+        let cfg = |run_forecast, forecast_horizon| StudyConfig {
+            run_forecast,
+            forecast_horizon,
+            ..StudyConfig::fast()
+        };
+        match IcnStudy::try_run(&d, cfg(true, window + 1)) {
+            Err(crate::StudyError::BadConfig(msg)) => assert!(msg.contains("forecast_horizon")),
+            other => panic!("horizon {} accepted: {:?}", window + 1, other.err()),
+        }
+        // The bound only applies when stage 6 runs.
+        assert!(IcnStudy::try_run(&d, cfg(false, window + 1)).is_ok());
+        let st = IcnStudy::try_run(&d, cfg(true, window)).expect("horizon = window runs");
+        assert_eq!(st.forecast.expect("forecast report").horizon, window);
     }
 
     #[test]

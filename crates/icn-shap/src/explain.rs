@@ -9,10 +9,7 @@
 //! positive ⇒ the cluster over-utilises the service, negative ⇒ membership
 //! is signalled by *low* feature values, i.e. under-utilisation).
 
-use icn_forest::RandomForest;
 use icn_stats::{summary, Matrix};
-
-use crate::treeshap::forest_shap_class_matrix;
 
 /// Direction of a feature's influence on cluster membership.
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
@@ -119,22 +116,11 @@ pub fn explain_class(
     ClassExplanation { class, influences }
 }
 
-/// End-to-end: computes the SHAP matrix for `class` over all rows of
-/// `features` through `forest`, then summarises it.
-pub fn explain_forest_class(
-    forest: &RandomForest,
-    features: &Matrix,
-    labels: &[usize],
-    class: usize,
-) -> ClassExplanation {
-    let shap = forest_shap_class_matrix(forest, features, class);
-    explain_class(&shap, features, labels, class)
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
-    use icn_forest::{ForestConfig, TrainSet};
+    use crate::treeshap::forest_shap_batch;
+    use icn_forest::{ForestConfig, RandomForest, TrainSet};
     use icn_stats::Rng;
 
     /// Class 1 ⇔ feature 0 high AND feature 1 low; feature 2 is noise.
@@ -160,10 +146,16 @@ mod tests {
         (forest, ts)
     }
 
+    /// Explains `class` from the all-class batch, as stage 3 does.
+    fn explain(forest: &RandomForest, ts: &TrainSet, class: usize) -> ClassExplanation {
+        let shap = forest_shap_batch(forest, &ts.x);
+        explain_class(&shap[class], &ts.x, &ts.y, class)
+    }
+
     #[test]
     fn informative_features_rank_first() {
         let (forest, ts) = setup();
-        let ex = explain_forest_class(&forest, &ts.x, &ts.y, 1);
+        let ex = explain(&forest, &ts, 1);
         let top2: Vec<usize> = ex.top(2).iter().map(|i| i.feature).collect();
         assert!(top2.contains(&0) && top2.contains(&1), "top2 {top2:?}");
         // The noise feature ranks last.
@@ -173,7 +165,7 @@ mod tests {
     #[test]
     fn directions_match_construction() {
         let (forest, ts) = setup();
-        let ex = explain_forest_class(&forest, &ts.x, &ts.y, 1);
+        let ex = explain(&forest, &ts, 1);
         let by_feature = |f: usize| {
             ex.influences
                 .iter()
@@ -187,7 +179,7 @@ mod tests {
     #[test]
     fn members_receive_positive_shap() {
         let (forest, ts) = setup();
-        let ex = explain_forest_class(&forest, &ts.x, &ts.y, 1);
+        let ex = explain(&forest, &ts, 1);
         // On actual members, the top feature pushes towards the class.
         assert!(ex.top(1)[0].mean_shap_on_members > 0.0);
     }
@@ -197,7 +189,7 @@ mod tests {
         let (forest, ts) = setup();
         // For the binary complement (class 0), feature 0 should be
         // negative-direction: high values push *away* from class 0.
-        let ex0 = explain_forest_class(&forest, &ts.x, &ts.y, 0);
+        let ex0 = explain(&forest, &ts, 0);
         let f0 = ex0.influences.iter().find(|i| i.feature == 0).unwrap();
         assert_eq!(f0.direction, Direction::UnderUtilized);
     }
@@ -205,7 +197,7 @@ mod tests {
     #[test]
     fn top_k_clamps() {
         let (forest, ts) = setup();
-        let ex = explain_forest_class(&forest, &ts.x, &ts.y, 1);
+        let ex = explain(&forest, &ts, 1);
         assert_eq!(ex.top(99).len(), 3);
         assert_eq!(ex.top(1).len(), 1);
     }

@@ -30,12 +30,10 @@ pub mod quad;
 pub mod treeshap;
 
 pub use exact::{exact_tree_shap, tree_expectation};
-pub use explain::{
-    explain_class, explain_forest_class, ClassExplanation, Direction, FeatureInfluence,
-};
+pub use explain::{explain_class, ClassExplanation, Direction, FeatureInfluence};
 pub use kernelshap::{kernel_shap, KernelShapConfig, ScalarModel};
 pub use quad::gauss_legendre_01;
 pub use treeshap::{
     base_value, forest_base_value, forest_shap, forest_shap_batch, forest_shap_batch_soa,
-    forest_shap_class_matrix, forest_shap_soa, tree_shap, Scratch,
+    forest_shap_soa, tree_shap,
 };

@@ -27,6 +27,8 @@
 //!   seasonal-naive and Holt–Winters recurrences, a brute-force
 //!   re-sorting rolling median/MAD, and the F1 set metric the anomaly
 //!   detector is scored with.
+//! * [`shap_walk`] — the per-sample TreeSHAP walk, kept verbatim as the
+//!   bit-exact oracle of the two-phase batch kernel in `icn-shap`.
 //!
 //! The shrinking/persistence side of the property harness lives in
 //! [`icn_stats::check`] so that even the zero-dependency numeric substrate
@@ -40,6 +42,7 @@ pub mod golden;
 pub mod ingest;
 pub mod metamorphic;
 pub mod oracle;
+pub mod shap_walk;
 
 pub use forecast::{brute_rolling_median_mad, oracle_ets, oracle_seasonal_naive, set_f1};
 pub use golden::{
@@ -60,3 +63,4 @@ pub use oracle::{
     naive_nmi, naive_predict_batch, naive_predict_proba, naive_rca, naive_rsca, naive_silhouette,
     naive_tree_shap, per_sample_shap_batch, sort_quantile,
 };
+pub use shap_walk::{walk_forest_shap, walk_tree_shap};

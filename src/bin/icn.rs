@@ -29,7 +29,6 @@
 //! status 2. Every subcommand is deterministic in `--seed`.
 
 use icn_repro::prelude::*;
-use std::io::Write as _;
 
 // The binary owns the process, so it installs the counting allocator:
 // metered runs then carry an allocator-measured `memory` section. While
@@ -371,9 +370,9 @@ struct Opts {
 impl Opts {
     /// Parses the flags after the subcommand. Every flag but the switches
     /// takes a value. An unknown flag, a missing or unparsable value, a
-    /// `--scale` that is not a positive finite number, and a zero
-    /// `--days`, `--chunk`, `--top`, `--horizon` or `--mem-budget-mb` are
-    /// usage errors.
+    /// `--scale` that is not a positive finite number, a zero `--days`,
+    /// `--chunk`, `--top`, `--horizon` or `--mem-budget-mb`, and a
+    /// `--horizon` longer than the stage-6 series are usage errors.
     fn parse(args: &[String]) -> Result<Opts, String> {
         let mut o = Opts {
             scale: 0.1,
@@ -459,7 +458,16 @@ impl Opts {
                         format!("--cluster-path wants one of: exact, sampled, auto (got {v:?})")
                     })?;
                 }
-                "--horizon" => o.horizon = value(&mut iter, flag, positive)?,
+                "--horizon" => {
+                    o.horizon = value(&mut iter, flag, positive)?;
+                    let window = StudyCalendar::temporal_window().num_hours();
+                    if o.horizon > window {
+                        return Err(format!(
+                            "--horizon {} exceeds the {window}-hour series stage 6 forecasts from",
+                            o.horizon
+                        ));
+                    }
+                }
                 "--model" => {
                     let v: String = value(&mut iter, flag, any)?;
                     o.model = Model::parse(&v).ok_or_else(|| {
@@ -582,15 +590,19 @@ fn usage_and_exit(bad: Option<&str>) -> ! {
 fn cmd_generate(o: &Opts) {
     let ds = o.dataset();
     let dir = o.out.clone().unwrap_or_else(|| "icn-data".to_string());
-    std::fs::create_dir_all(&dir).expect("create output directory");
+    if let Err(e) = std::fs::create_dir_all(&dir) {
+        exit_unwritable(&dir, &e);
+    }
     let csv_path = format!("{dir}/indoor_totals.csv");
     let jsonl_path = format!("{dir}/antennas.jsonl");
-    std::fs::File::create(&csv_path)
-        .and_then(|mut f| f.write_all(ds.indoor_totals_csv().as_bytes()))
-        .expect("write CSV");
-    std::fs::File::create(&jsonl_path)
-        .and_then(|mut f| f.write_all(ds.antennas_jsonl().as_bytes()))
-        .expect("write JSONL");
+    for (path, body) in [
+        (&csv_path, ds.indoor_totals_csv()),
+        (&jsonl_path, ds.antennas_jsonl()),
+    ] {
+        if let Err(e) = std::fs::write(path, body) {
+            exit_unwritable(path, &e);
+        }
+    }
     println!(
         "wrote {} antennas x {} services:\n  {}\n  {}",
         ds.num_antennas(),
@@ -598,6 +610,13 @@ fn cmd_generate(o: &Opts) {
         csv_path,
         jsonl_path
     );
+}
+
+/// An output path the OS refuses is a bad input, not a bug: name the path
+/// and the OS error, then exit 1.
+fn exit_unwritable(path: &str, e: &std::io::Error) -> ! {
+    eprintln!("cannot write {path}: {e}");
+    std::process::exit(1);
 }
 
 fn cmd_study(o: &Opts) {

@@ -62,7 +62,7 @@ pub mod prelude {
     };
     pub use icn_obs::{BenchReport, Json, Registry, Span};
     pub use icn_probe::{run_campaign, CampaignConfig, DpiConfig};
-    pub use icn_shap::{explain_forest_class, forest_shap, kernel_shap, Direction};
+    pub use icn_shap::{forest_shap, kernel_shap, Direction};
     pub use icn_stats::{Histogram, Matrix, Metric, Rng};
     pub use icn_synth::{
         record_stream, Archetype, Category, City, Dataset, Date, Environment, Group, RecordStream,

@@ -26,6 +26,7 @@ fn bad_flag_values_exit_2_with_a_message() {
         &["temporal", "--cluster", "x"],
         &["explain", "--top", "0"],
         &["forecast", "--horizon", "0"],
+        &["forecast", "--horizon", "505"],
         &["run", "--seed", "-3"],
         &["ingest", "--lateness", "x"],
         &["ingest", "--fault-seed", "x"],
@@ -51,6 +52,58 @@ fn good_flag_values_still_run() {
     let stderr = String::from_utf8_lossy(&out.stderr);
     assert_eq!(out.status.code(), Some(0), "{stderr}");
     assert!(String::from_utf8_lossy(&out.stdout).contains("over 1 days"));
+}
+
+/// The stage-6 series spans 504 hours: a horizon up to it forecasts, one
+/// hour more is a usage error (above) rather than a forecast past the data.
+#[test]
+fn forecast_horizon_up_to_the_series_window_runs() {
+    let out = icn(&["forecast", "--scale", "0.01", "--horizon", "504"]);
+    let stderr = String::from_utf8_lossy(&out.stderr);
+    assert_eq!(out.status.code(), Some(0), "{stderr}");
+    assert!(String::from_utf8_lossy(&out.stdout).contains("horizon 504 h"));
+    let out = icn(&["forecast", "--scale", "0.01", "--horizon", "505"]);
+    assert!(String::from_utf8_lossy(&out.stderr).contains("504-hour"));
+}
+
+/// An `--out` the OS refuses — a directory that cannot be created, or an
+/// output file that cannot be written — exits 1 naming the path, never
+/// a panic (101).
+#[test]
+fn generate_to_an_unwritable_out_exits_1() {
+    let tmp = std::path::Path::new(env!("CARGO_TARGET_TMPDIR")).join("generate-out");
+    let _ = std::fs::remove_dir_all(&tmp);
+    std::fs::create_dir_all(&tmp).expect("temp dir");
+    // A regular file where a directory must go.
+    let file = tmp.join("plain-file");
+    std::fs::write(&file, "x").expect("temp file");
+    let under_file = file.join("data");
+    // A directory where an output file must go.
+    let csv_blocked = tmp.join("csv-blocked");
+    std::fs::create_dir_all(csv_blocked.join("indoor_totals.csv")).expect("temp dir");
+    let jsonl_blocked = tmp.join("jsonl-blocked");
+    std::fs::create_dir_all(jsonl_blocked.join("antennas.jsonl")).expect("temp dir");
+    for (out_dir, named) in [
+        (&under_file, "data"),
+        (&csv_blocked, "indoor_totals.csv"),
+        (&jsonl_blocked, "antennas.jsonl"),
+    ] {
+        let out_dir = out_dir.to_str().expect("utf-8 temp path");
+        let out = icn(&["generate", "--scale", "0.01", "--out", out_dir]);
+        let stderr = String::from_utf8_lossy(&out.stderr);
+        assert_eq!(out.status.code(), Some(1), "--out {out_dir}: {stderr}");
+        assert!(stderr.contains(named), "--out {out_dir}: {stderr}");
+    }
+    let good = tmp.join("good");
+    let out = icn(&[
+        "generate",
+        "--scale",
+        "0.01",
+        "--out",
+        good.to_str().unwrap(),
+    ]);
+    assert_eq!(out.status.code(), Some(0));
+    assert!(good.join("antennas.jsonl").is_file());
 }
 
 /// A checkpoint whose open state a resume cannot honour — an open hour

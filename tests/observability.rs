@@ -97,6 +97,16 @@ fn stage_walls_are_positive_and_counters_nonzero() {
     let s3 = report.stage("stage3_surrogate").expect("stage3 present");
     assert!(s3.counters["forest.trees"] > 0);
     assert!(s3.counters["shap.tree_walks"] > 0);
+    // The batch kernel derives each distinct walk state once per chunk;
+    // a sample walked alone would visit every node. States can only
+    // undercut visits by sharing, never exceed them.
+    let visits = s3.counters["shap.node_visits"];
+    let states = s3.counters["shap.walk_states"];
+    assert!(states > 0, "no walk states recorded");
+    assert!(
+        states <= visits,
+        "walk states {states} exceed node visits {visits}"
+    );
     let s5 = report.stage("stage5_outdoor").expect("stage5 present");
     assert!(s5.counters["outdoor.antennas"] > 0);
 }
