@@ -387,13 +387,15 @@ impl IcnStudy {
     /// `dataset` (its members' antennas and totals rows, services and root
     /// RNG, over the dataset's full recording period): the series stage 6
     /// forecasts and, max-normalised, the Figure 10 heatmap. `None` when
-    /// the cluster is empty.
+    /// the cluster is empty. Metered as a `cluster_series` span over the
+    /// builder's `weights`, `synth` and `median` spans.
     pub fn cluster_series(
         &self,
         dataset: &Dataset,
         c: usize,
         window: &StudyCalendar,
     ) -> Option<ClusterSeries> {
+        let _span = icn_obs::Span::enter("cluster_series");
         let (members, rows): (Vec<&Antenna>, Vec<&[f64]>) = self
             .live_rows
             .iter()

@@ -183,17 +183,20 @@ pub fn service_heatmap(
         "service_heatmap: mismatch"
     );
     assert!(!members.is_empty(), "service_heatmap: no members");
-    let series: Vec<Vec<f64>> = par::map_indexed(members.len(), |i| {
-        hourly_series_for_window(
+    let hours = window.num_hours();
+    let mut slab = vec![0.0; members.len() * hours];
+    par::fill_chunks(&mut slab, hours, |range, row| {
+        let i = range.start / hours;
+        row.copy_from_slice(&hourly_series_for_window(
             members[i],
             service,
             member_totals[i],
             full_period_days,
             window,
             root,
-        )
+        ));
     });
-    let medians = median_over_members(&series, window.num_hours());
+    let medians = median_over_members(&slab, hours);
     max_normalised(&medians, members.len(), window)
 }
 

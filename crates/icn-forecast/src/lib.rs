@@ -10,8 +10,9 @@
 //!
 //! * [`series`] — the raw (un-normalised) cluster median series: the one
 //!   hourly series Section 6 reads, which the Figure 10 heatmaps
-//!   max-normalise. Its signal-free control is the same series over a
-//!   window [`StudyCalendar::without_signals`].
+//!   max-normalise, taken off one hourly cube of the live antennas. Its
+//!   signal-free control is the same series over a window
+//!   [`StudyCalendar::without_signals`].
 //! * [`models`] — seasonal-naive, additive Holt–Winters ETS, and a forest
 //!   regressor reusing the `icn-forest` classifier via quantile binning.
 //! * [`backtest`](mod@backtest) — rolling-origin MAE/sMAPE harness; ETS
@@ -23,12 +24,14 @@
 //!   and flag nothing on the signal-free control.
 //!
 //! Everything is deterministic and bit-identical at any `ICN_THREADS`:
-//! all parallelism is order-preserving `par::map_indexed` — over
-//! member-series synthesis, per-tree forest fitting, the per-cluster
-//! model/detector work in [`forecast_series`], and the per-(origin ×
-//! model) refits inside [`backtest_masked`] (whose error accumulation
-//! stays serial in origin order, so scores never depend on the thread
-//! count).
+//! the hourly cube and the cluster medians are in-place parallel fills
+//! (`par::fill_chunks`, `par::fill_blocks`: each output element written
+//! by exactly one chunk), and the rest is order-preserving
+//! `par::map_indexed` — over the weight tables, per-tree forest fitting,
+//! the per-cluster model/detector work in [`forecast_series`], and the
+//! per-(origin × model) refits inside [`backtest_masked`] (whose error
+//! accumulation stays serial in origin order, so scores never depend on
+//! the thread count).
 
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]

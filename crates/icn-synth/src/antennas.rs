@@ -245,6 +245,21 @@ fn site_name(env: Environment, city: City, site_id: usize) -> String {
     format!("{}-{}-{:04}", city.label().to_uppercase(), kw, site_id)
 }
 
+/// Antennas environment `env` gets at `scale`: its Table 1 count scaled
+/// and rounded, at least one. Saturates instead of overflowing.
+fn env_count(env: Environment, scale: f64) -> usize {
+    ((env.paper_count() as f64 * scale).round() as usize).max(1)
+}
+
+/// Number of antennas [`generate_antennas`] produces at `scale`, computed
+/// without generating them (saturating at `usize::MAX`).
+pub(crate) fn antenna_count(scale: f64) -> usize {
+    Environment::ALL
+        .into_iter()
+        .map(|env| env_count(env, scale))
+        .fold(0, usize::saturating_add)
+}
+
 /// Generates the indoor antenna population.
 ///
 /// `scale` multiplies the Table 1 per-environment counts (1.0 reproduces
@@ -256,7 +271,7 @@ pub fn generate_antennas(scale: f64, rng: &mut Rng) -> Vec<Antenna> {
     let mut antennas = Vec::new();
     let mut site_id = 0usize;
     for env in Environment::ALL {
-        let count = ((env.paper_count() as f64 * scale).round() as usize).max(1);
+        let count = env_count(env, scale);
         let mut produced = 0usize;
         while produced < count {
             let (city, archetype) = sample_city_and_archetype(env, rng);
@@ -422,6 +437,15 @@ mod tests {
         for env in Environment::ALL {
             assert!(ants.iter().any(|a| a.environment == env), "{:?}", env);
         }
+    }
+
+    #[test]
+    fn antenna_count_predicts_the_population() {
+        for scale in [0.01, 0.05, 0.5, 1.0] {
+            let ants = generate_antennas(scale, &mut Rng::seed_from(7));
+            assert_eq!(antenna_count(scale), ants.len(), "scale {scale}");
+        }
+        assert_eq!(antenna_count(1e300), usize::MAX);
     }
 
     #[test]

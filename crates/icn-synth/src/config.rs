@@ -53,6 +53,18 @@ impl SynthConfig {
         self
     }
 
+    /// A lower bound on the bytes [`crate::Dataset::generate`] holds for
+    /// this configuration: the indoor and outdoor totals matrices alone,
+    /// `antennas × (1 + outdoor_per_indoor) × services × 8`. Computed
+    /// without generating anything (saturating), so a caller can refuse a
+    /// configuration that cannot fit before the generator runs.
+    pub fn min_footprint_bytes(&self) -> u64 {
+        let indoor = crate::antennas::antenna_count(self.scale) as u64;
+        let rows = indoor.saturating_mul(1 + self.outdoor_per_indoor as u64);
+        let services = crate::services::catalog().len() as u64;
+        rows.saturating_mul(services).saturating_mul(8)
+    }
+
     /// JSON view of the configuration (seeds must stay below 2^53 to
     /// round-trip exactly through the number representation).
     pub fn to_json(&self) -> Json {
@@ -99,6 +111,16 @@ mod tests {
         let c = SynthConfig::small().with_seed(9).with_scale(0.2);
         assert_eq!(c.seed, 9);
         assert_eq!(c.scale, 0.2);
+    }
+
+    #[test]
+    fn footprint_bound_is_the_totals_matrices() {
+        let c = SynthConfig::paper();
+        assert_eq!(c.min_footprint_bytes(), 4762 * 5 * 73 * 8);
+        let d = crate::Dataset::generate(SynthConfig::small().with_scale(0.05));
+        let held = (d.indoor_totals.as_slice().len() + d.outdoor_totals.as_slice().len()) * 8;
+        assert_eq!(d.config.min_footprint_bytes(), held as u64);
+        assert_eq!(c.with_scale(1e300).min_footprint_bytes(), u64::MAX);
     }
 
     #[test]

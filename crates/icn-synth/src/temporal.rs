@@ -68,7 +68,7 @@ impl Event {
 }
 
 /// Per-site event schedule for venue archetypes.
-#[derive(Clone, Debug, Default)]
+#[derive(Clone, Debug, Default, PartialEq)]
 pub struct EventSchedule {
     events: Vec<Event>,
 }

@@ -20,9 +20,11 @@
 //! observability registry for the run. `--mem-budget-mb <n>` additionally
 //! enforces a ceiling on the allocator window peak — a breached budget
 //! exits with status 3 after the report (with its stamped verdict) is
-//! written. `icn obs mem report.json` prints the per-span allocation
-//! treetable of a v3 report. `ICN_LOG=level[,target=level]` filters the
-//! structured event log and echoes matches to stderr.
+//! written. A dataset whose totals matrices alone exceed the budget is
+//! refused before generation, also with status 3. `icn obs mem
+//! report.json` prints the per-span allocation treetable of a v3 report.
+//! `ICN_LOG=level[,target=level]` filters the structured event log and
+//! echoes matches to stderr.
 //!
 //! Flags are parsed by hand (the workspace deliberately avoids extra
 //! dependencies); an unknown flag or a missing or bad value exits with
@@ -481,12 +483,25 @@ impl Opts {
         Ok(o)
     }
 
+    /// Generates the campaign, after refusing one that cannot fit
+    /// `--mem-budget-mb`: its totals matrices alone bound the footprint
+    /// from below, so a budget below them exits 3 before generation.
     fn dataset(&self) -> Dataset {
-        Dataset::generate(
-            SynthConfig::paper()
-                .with_scale(self.scale)
-                .with_seed(self.seed),
-        )
+        let config = SynthConfig::paper()
+            .with_scale(self.scale)
+            .with_seed(self.seed);
+        if let Some(mb) = self.mem_budget_mb {
+            let need = config.min_footprint_bytes();
+            if need > mb.saturating_mul(1024 * 1024) {
+                eprintln!(
+                    "memory budget BREACHED before generation: the scale-{} totals \
+                     matrices alone need {need} bytes > {mb} MiB",
+                    self.scale
+                );
+                std::process::exit(3);
+            }
+        }
+        Dataset::generate(config)
     }
 
     fn study(&self, ds: &Dataset) -> IcnStudy {
@@ -567,7 +582,8 @@ fn usage_and_exit(bad: Option<&str>) -> ! {
          --golden-dir <dir>  golden snapshot directory (testkit, default tests/golden)\n  \
          --metrics-out <path>  write an icn-obs/v3 benchmark report (JSON)\n  \
          --mem-budget-mb <n>  enforce a ceiling on the run's allocator peak; a breach\n                 \
-         stamps the report verdict and exits with status 3\n  \
+         stamps the report verdict and exits with status 3 (before generation when\n                 \
+         the dataset's totals matrices alone exceed it)\n  \
          --threads-sweep <list>  re-run the command once per thread count (e.g. 1,2 or\n                 \
          1,max) and write an icn-bench-set/1 report set to --metrics-out\n  \
          --trace-out <path>  write a Chrome trace-event JSON (chrome://tracing, Perfetto)\n  \

@@ -145,3 +145,25 @@ fn resume_from_a_doctored_checkpoint_exits_1() {
         assert!(stderr.contains(want), "{want}: {stderr}");
     }
 }
+
+/// A budget below the dataset's own totals matrices is refused before
+/// generation (exit 3 naming both numbers) instead of running into the
+/// blow-up; a budget that fits still runs.
+#[test]
+fn mem_budget_below_the_dataset_exits_3_before_generation() {
+    let started = std::time::Instant::now();
+    let out = icn(&["run", "--scale", "1000000", "--mem-budget-mb", "1"]);
+    let stderr = String::from_utf8_lossy(&out.stderr);
+    assert_eq!(out.status.code(), Some(3), "{stderr}");
+    assert!(
+        stderr.contains("before generation") && stderr.contains("> 1 MiB"),
+        "{stderr}"
+    );
+    assert!(
+        started.elapsed().as_secs() < 30,
+        "the refusal must not generate"
+    );
+    let out = icn(&["run", "--scale", "0.05", "--mem-budget-mb", "64"]);
+    let stderr = String::from_utf8_lossy(&out.stderr);
+    assert_eq!(out.status.code(), Some(0), "{stderr}");
+}

@@ -14,10 +14,10 @@ use std::sync::Mutex;
 
 static LOCK: Mutex<()> = Mutex::new(());
 
-/// Runs the full study with the registry enabled and returns the raw
-/// snapshot (span tree included). `threads` pins `ICN_THREADS` for the
-/// run; the previous value is restored afterwards.
-fn metered_snapshot(seed: u64, threads: Option<&str>) -> Snapshot {
+/// Runs `run` with the registry enabled and returns its result with the
+/// raw snapshot (span tree included). `threads` pins `ICN_THREADS` for
+/// the run; the previous value is restored afterwards.
+fn metered<T>(threads: Option<&str>, run: impl FnOnce() -> T) -> (T, Snapshot) {
     let saved = std::env::var("ICN_THREADS").ok();
     if let Some(t) = threads {
         std::env::set_var("ICN_THREADS", t);
@@ -25,9 +25,7 @@ fn metered_snapshot(seed: u64, threads: Option<&str>) -> Snapshot {
     let obs = icn_obs::global();
     obs.reset();
     obs.enable();
-    let ds = common::dataset_seeded(seed);
-    let st = common::study_for(&ds);
-    assert_eq!(st.cluster_sizes().len(), 9);
+    let out = run();
     let snap = obs.snapshot();
     obs.disable();
     obs.reset();
@@ -35,7 +33,18 @@ fn metered_snapshot(seed: u64, threads: Option<&str>) -> Snapshot {
         Some(v) => std::env::set_var("ICN_THREADS", v),
         None => std::env::remove_var("ICN_THREADS"),
     }
-    snap
+    (out, snap)
+}
+
+/// Runs the full study with the registry enabled and returns the raw
+/// snapshot (span tree included) at `threads`.
+fn metered_snapshot(seed: u64, threads: Option<&str>) -> Snapshot {
+    metered(threads, || {
+        let ds = common::dataset_seeded(seed);
+        let st = common::study_for(&ds);
+        assert_eq!(st.cluster_sizes().len(), 9);
+    })
+    .1
 }
 
 /// Runs the full study at test scale with the registry enabled and
@@ -339,4 +348,57 @@ fn probe_campaign_counters_flow_into_reports() {
     assert!(probe.wall_ms > 0.0);
     assert_eq!(probe.counters["probe.sessions"], result.sessions as u64);
     assert_eq!(probe.counters["probe.antennas"], ds.num_antennas() as u64);
+}
+
+#[test]
+fn stage6_series_is_attributed_to_weights_synth_and_median() {
+    use icn_repro::icn_synth::traffic::event_schedule;
+    let _guard = LOCK.lock().unwrap();
+    let ds = common::dataset_at(0.05);
+    let window = StudyCalendar::temporal_window();
+    for threads in ["1", "2"] {
+        let (st, snap) = metered(Some(threads), || {
+            let config = StudyConfig {
+                run_forecast: true,
+                ..StudyConfig::fast()
+            };
+            IcnStudy::run(&ds, config)
+        });
+        let children: BTreeSet<&str> = snap
+            .span_tree
+            .iter()
+            .filter(|s| s.path.rsplit_once('/').map(|(p, _)| p) == Some("stage6_forecast/series"))
+            .map(|s| s.name.as_str())
+            .collect();
+        assert_eq!(
+            children,
+            BTreeSet::from(["weights", "synth", "median"]),
+            "ICN_THREADS={threads}: stage-6 series children"
+        );
+        // Counted independently: the distinct (template, schedule) pairs
+        // and one Gaussian draw per (live antenna, service, hour).
+        let mut pairs = Vec::new();
+        for &row in &st.live_rows {
+            let a = &ds.antennas[row];
+            let pair = (
+                a.archetype.template(),
+                event_schedule(a, &window, ds.root_rng()),
+            );
+            if !pairs.contains(&pair) {
+                pairs.push(pair);
+            }
+        }
+        let draws = st.live_rows.len() * ds.num_services() * window.num_hours();
+        assert_eq!(ds.num_services(), 73);
+        assert_eq!(window.num_hours(), 504);
+        assert_eq!(
+            snap.counters["forecast.weight_tables"],
+            pairs.len() as u64,
+            "ICN_THREADS={threads}: weight tables"
+        );
+        assert_eq!(
+            snap.counters["forecast.noise_draws"], draws as u64,
+            "ICN_THREADS={threads}: noise draws"
+        );
+    }
 }
