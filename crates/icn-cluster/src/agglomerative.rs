@@ -14,7 +14,9 @@
 
 use crate::condensed::Condensed;
 use crate::linkage::Linkage;
-use icn_stats::Matrix;
+use icn_stats::{par, Matrix};
+use std::sync::atomic::{AtomicU64, Ordering};
+use std::sync::RwLock;
 
 /// One merge step of the hierarchy.
 #[derive(Clone, Copy, Debug, PartialEq)]
@@ -120,20 +122,45 @@ pub fn agglomerate(data: &Matrix, linkage: Linkage) -> MergeHistory {
 /// merges overwrite in place. Pair `(a, b)`, `a < b`, lives at
 /// `base[a] + b`, where `base[a] = block_start(n, a) − a − 1` (wrapping:
 /// `a = 0` underflows, and adding `b ≥ 1` lands back in range).
+///
+/// Cells are relaxed atomics so that the parts of one round can read and
+/// write them from several threads in safe code; on x86-64 and AArch64 a
+/// relaxed load or store is a plain move. The rounds of a [`par::Team`]
+/// order every write before every later read.
 struct Working {
-    d: Vec<f64>,
+    d: Vec<AtomicU64>,
     base: Vec<usize>,
 }
 
+/// Elements per parallel work item of the working-copy fill.
+const COPY_CHUNK: usize = 1 << 16;
+
 impl Working {
+    /// Copies `cond` into a zeroed allocation, in parallel, so the first
+    /// touch of the copy's pages is spread over the threads too, then
+    /// reinterprets the bits as atomics in place (the collect reuses the
+    /// buffer: `working_copy_reuses_its_buffer`).
     fn new(cond: &Condensed) -> Working {
         let n = cond.len();
+        let src = cond.as_slice();
+        let mut bits = vec![0u64; src.len()];
+        par::fill_chunks(&mut bits, COPY_CHUNK, |range, out| {
+            for (o, v) in out.iter_mut().zip(&src[range]) {
+                *o = v.to_bits();
+            }
+        });
         Working {
-            d: cond.as_slice().to_vec(),
+            d: bits.into_iter().map(AtomicU64::new).collect(),
             base: (0..n)
                 .map(|a| crate::condensed::block_start(n, a).wrapping_sub(a + 1))
                 .collect(),
         }
+    }
+
+    /// The cell of pair `(a, b)`, `a < b`.
+    #[inline]
+    fn cell(&self, a: usize, b: usize) -> &AtomicU64 {
+        &self.d[self.base[a].wrapping_add(b)]
     }
 
     /// Distance between slots `x != y`.
@@ -141,35 +168,128 @@ impl Working {
     fn get(&self, x: usize, y: usize) -> f64 {
         debug_assert_ne!(x, y, "the condensed layout has no diagonal");
         let (a, b) = if x < y { (x, y) } else { (y, x) };
-        self.d[self.base[a].wrapping_add(b)]
+        load(self.cell(a, b))
     }
 }
 
-/// Lowest-index argmin of the distance from active slot `x` over the
-/// sorted active `list` (skipping `x` itself): a strict `<` in list order.
-fn nearest_active(w: &Working, x: usize, list: &[usize]) -> (usize, f64) {
-    let (below, above) = list.split_at(list.partition_point(|&y| y < x));
-    debug_assert_eq!(above.first(), Some(&x), "x must be active");
-    let mut best = usize::MAX;
-    let mut best_d = f64::INFINITY;
+#[inline]
+fn load(cell: &AtomicU64) -> f64 {
+    f64::from_bits(cell.load(Ordering::Relaxed))
+}
+
+/// The active slots in increasing order, and every slot's cluster size.
+/// Team threads read them during a round; the caller updates them between
+/// rounds.
+struct Live {
+    list: Vec<usize>,
+    size: Vec<usize>,
+}
+
+/// One round of NN-chain work, split across the active list.
+#[derive(Clone, Copy)]
+enum Round {
+    /// Nearest active neighbour of slot `x`.
+    Scan { x: usize },
+    /// Lance–Williams update of the merge of slots `i < j`.
+    Update { i: usize, j: usize, d_ij: f64 },
+}
+
+/// Active-list length above which scans and updates are split across a
+/// [`par::Team`]. On 2 cores a shared scan breaks even near 600 active
+/// slots and saves a third of a solo one at 1,500; the margin keeps the
+/// paper-config study at scale 0.25 (~1,190 live antennas) on one thread
+/// (DESIGN.md §8, "Stage 2 on both cores").
+const SHARED_MIN_ACTIVE: usize = 1536;
+
+/// What a scan's read down a column (a pair in an earlier slot's row
+/// block) costs, in reads along a row: the weight that balances the parts
+/// of a shared scan (measured on 2 cores, DESIGN.md §8).
+const SCAN_COLUMN_COST: usize = 4;
+
+/// What an update of a slot below `j` costs (its pair with `j` is read
+/// down a column), relative to one above `j`.
+const UPDATE_BELOW_J_COST: usize = 2;
+
+/// Part `part` of `parts` contiguous runs of the sorted active `list`, cut
+/// so each carries about the same cost when a slot below `pivot` costs
+/// `below_cost` and any other slot 1. The cuts only balance the work: a
+/// round's result does not depend on them.
+fn part_of(list: &[usize], pivot: usize, below_cost: usize, part: usize, parts: usize) -> &[usize] {
+    if parts == 1 {
+        return list;
+    }
+    let below = list.partition_point(|&y| y < pivot);
+    let total = below_cost * below + (list.len() - below);
+    let cut = |q: usize| {
+        let t = q * total / parts;
+        if t <= below_cost * below {
+            t / below_cost
+        } else {
+            below + (t - below_cost * below)
+        }
+    };
+    &list[cut(part)..cut(part + 1)]
+}
+
+/// Lowest-index argmin of the distance from active slot `x` over `part`, a
+/// contiguous run of the sorted active list (skipping `x` itself): a
+/// strict `<` in list order. `(usize::MAX, ∞)` when nothing beats ∞.
+fn nearest_in(w: &Working, x: usize, part: &[usize]) -> (usize, f64) {
+    let (below, above) = part.split_at(part.partition_point(|&y| y < x));
+    let above = above.strip_prefix(&[x]).unwrap_or(above);
+    let mut best = (usize::MAX, f64::INFINITY);
     // Pairs (y, x) with y < x: one entry in each earlier row block.
     for &y in below {
-        let dy = w.d[w.base[y].wrapping_add(x)];
-        if dy < best_d {
-            best_d = dy;
-            best = y;
+        let dy = load(w.cell(y, x));
+        if dy < best.1 {
+            best = (y, dy);
         }
     }
     // Pairs (x, y) with y > x: x's own row block, read in order.
     let row = w.base[x];
-    for &y in &above[1..] {
-        let dy = w.d[row.wrapping_add(y)];
-        if dy < best_d {
-            best_d = dy;
-            best = y;
+    for &y in above {
+        let dy = load(&w.d[row.wrapping_add(y)]);
+        if dy < best.1 {
+            best = (y, dy);
         }
     }
-    (best, best_d)
+    best
+}
+
+/// Lance–Williams update into slot `i` of the merge of slots `i < j`, for
+/// the active slots `k` in `part` (skipping `i` and `j`). The slots split
+/// into three runs by where the pairs `(i, k)` and `(j, k)` are stored.
+fn update_in(
+    w: &Working,
+    live: &Live,
+    linkage: Linkage,
+    (i, j, d_ij): (usize, usize, f64),
+    part: &[usize],
+) {
+    let size = &live.size;
+    let (n_i, n_j) = (size[i] as f64, size[j] as f64);
+    let lw = |ik: &AtomicU64, jk: &AtomicU64, k: usize| {
+        let v = linkage.update(load(ik), load(jk), d_ij, n_i, n_j, size[k] as f64);
+        ik.store(v.to_bits(), Ordering::Relaxed);
+    };
+    let pi = part.partition_point(|&k| k < i);
+    let pj = part.partition_point(|&k| k < j);
+    let between = &part[pi..pj];
+    let between = between.strip_prefix(&[i]).unwrap_or(between);
+    let after = &part[pj..];
+    let after = after.strip_prefix(&[j]).unwrap_or(after);
+    let Working { d, base } = w;
+    let (bi, bj) = (base[i], base[j]);
+    for &k in &part[..pi] {
+        let bk = base[k];
+        lw(&d[bk.wrapping_add(i)], &d[bk.wrapping_add(j)], k);
+    }
+    for &k in between {
+        lw(&d[bi.wrapping_add(k)], &d[base[k].wrapping_add(j)], k);
+    }
+    for &k in after {
+        lw(&d[bi.wrapping_add(k)], &d[bj.wrapping_add(k)], k);
+    }
 }
 
 /// Runs agglomerative clustering on a precomputed condensed distance matrix
@@ -185,31 +305,70 @@ fn nearest_active(w: &Working, x: usize, list: &[usize]) -> (usize, f64) {
 /// writes every updated distance exactly once. Retired slots are removed
 /// from a sorted active list, so scans and Lance–Williams updates touch
 /// `O(remaining)` slots rather than all `n` with a liveness branch per
-/// slot. The merges and heights are bit-identical to the naive
+/// slot.
+///
+/// # Parallelism
+///
+/// The copy is filled on every thread. While more than 1,536 slots are
+/// active, each scan and each update is one round of a [`par::Team`]: the
+/// active list is cut into one contiguous part per thread, of about equal
+/// cost (a read down a column weighs several reads along a row), the
+/// caller runs the first part and helper threads that live for this call
+/// run the others, handing rounds over by spin-then-yield (a thread spawn
+/// per scan measured slower than the scan itself). Once the list is that
+/// short the helpers are dismissed and the loop runs on the caller. No
+/// helper starts at `ICN_THREADS=1`, and none beyond the machine's cores
+/// ([`par::team_helpers`]).
+///
+/// The output does not depend on the split: part minima are combined in
+/// list order with the same strict `<`, which picks the lowest-index
+/// argmin of the whole list, and every updated cell is computed by the
+/// same expression from the same inputs whichever part owns it. Merges
+/// and heights are bit-identical at any `ICN_THREADS`, and to the naive
 /// maintenance scheme.
 ///
-/// The loop is sequential: a scan is a few thousand reads, and fanning it
-/// out costs a thread spawn per scan, which measured slower than the scan
-/// itself on 2 threads.
+/// Metering: `cluster.nn_scans` counts the scans and
+/// `cluster.nn_scans_shared` the ones split across threads.
 pub fn agglomerate_condensed(cond: &Condensed, linkage: Linkage) -> MergeHistory {
     let _span = icn_obs::Span::enter("agglomerate");
     let n = cond.len();
     assert!(n >= 2, "agglomerate: need at least 2 observations");
 
-    let mut w = {
+    let w = {
         let _matrix = icn_obs::Span::enter("matrix");
         Working::new(cond)
     };
+    let live = RwLock::new(Live {
+        list: (0..n).collect(),
+        size: vec![1; n],
+    });
+    let helpers = if n > SHARED_MIN_ACTIVE {
+        par::team_helpers()
+    } else {
+        0
+    };
+    // A scan part returns its nearest slot; an update part returns nothing.
+    let work = |round: Round, part: usize, parts: usize| {
+        let live = live.read().expect("NN-chain state poisoned");
+        match round {
+            Round::Scan { x } => {
+                let slots = part_of(&live.list, x, SCAN_COLUMN_COST, part, parts);
+                Some(nearest_in(&w, x, slots))
+            }
+            Round::Update { i, j, d_ij } => {
+                let slots = part_of(&live.list, j, UPDATE_BELOW_J_COST, part, parts);
+                update_in(&w, &live, linkage, (i, j, d_ij), slots);
+                None
+            }
+        }
+    };
 
-    let mut active_list: Vec<usize> = (0..n).collect(); // sorted live slots
-    let mut size = vec![1usize; n]; // cluster sizes
     let mut label = (0..n).collect::<Vec<usize>>(); // slot -> output label
-    let mut merges: Vec<Merge> = Vec::with_capacity(n - 1);
     let mut chain: Vec<usize> = Vec::with_capacity(n);
-
     // Raw merge list; heights sorted at the end (NN-chain finds reciprocal
     // pairs out of height order).
     let mut raw: Vec<(usize, usize, f64, usize)> = Vec::with_capacity(n - 1);
+    let (mut scans, mut shared) = (0u64, 0u64);
 
     // Per-merge latency tallied locally and flushed once at the end
     // (flush-once pattern: the enabled check happens a single time here,
@@ -218,74 +377,74 @@ pub fn agglomerate_condensed(cond: &Condensed, linkage: Linkage) -> MergeHistory
     let metered = obs.is_enabled();
     let mut merge_hist = icn_obs::Histogram::new();
 
-    while active_list.len() > 1 {
-        if chain.is_empty() {
-            // Start a new chain from the lowest active cluster.
-            chain.push(active_list[0]);
-        }
-        loop {
-            let x = *chain.last().unwrap();
-            // Nearest active neighbour of x, preferring the previous chain
-            // element on ties (guarantees termination).
-            let prev = if chain.len() >= 2 {
-                Some(chain[chain.len() - 2])
-            } else {
-                None
-            };
-            let (mut best, best_d) = nearest_active(&w, x, &active_list);
-            if let Some(p) = prev {
-                // The sequential tie-break prefers `prev` over any other
-                // slot at the same distance.
-                if w.get(x, p) == best_d {
-                    best = p;
-                }
+    par::with_team(helpers, work, |team| {
+        let mut active = n;
+        while active > 1 {
+            if chain.is_empty() {
+                // Start a new chain from the lowest active cluster.
+                chain.push(live.read().expect("NN-chain state poisoned").list[0]);
             }
-            debug_assert!(best != usize::MAX);
-            if Some(best) == prev {
-                // Reciprocal nearest neighbours: merge x and best.
-                let merge_t0 = metered.then(std::time::Instant::now);
-                chain.pop();
-                chain.pop();
-                let (i, j) = (x.min(best), x.max(best));
-                let d_ij = w.get(i, j);
-                // Lance-Williams update into slot i; retire slot j. The
-                // active slots k split into three runs by where the pairs
-                // (i, k) and (j, k) are stored.
-                let (n_i, n_j) = (size[i] as f64, size[j] as f64);
-                let lw = |d_ik: f64, d_jk: f64, k: usize| {
-                    linkage.update(d_ik, d_jk, d_ij, n_i, n_j, size[k] as f64)
+            loop {
+                let x = *chain.last().unwrap();
+                // Nearest active neighbour of x, preferring the previous
+                // chain element on ties (guarantees termination).
+                let prev = if chain.len() >= 2 {
+                    Some(chain[chain.len() - 2])
+                } else {
+                    None
                 };
-                let pi = active_list.partition_point(|&k| k < i);
-                let pj = active_list.partition_point(|&k| k < j);
-                let Working { d, base } = &mut w;
-                let (bi, bj) = (base[i], base[j]);
-                for &k in &active_list[..pi] {
-                    let (ik, jk) = (base[k].wrapping_add(i), base[k].wrapping_add(j));
-                    d[ik] = lw(d[ik], d[jk], k);
+                // Part minima folded in list order with the same strict
+                // `<`: the lowest-index argmin of the whole list.
+                let (mut best, mut best_d) = (usize::MAX, f64::INFINITY);
+                let parts = team.run(Round::Scan { x }, |part| {
+                    if let Some((y, dy)) = part {
+                        if dy < best_d {
+                            (best, best_d) = (y, dy);
+                        }
+                    }
+                });
+                scans += 1;
+                shared += u64::from(parts > 1);
+                if let Some(p) = prev {
+                    // The sequential tie-break prefers `prev` over any
+                    // other slot at the same distance.
+                    if w.get(x, p) == best_d {
+                        best = p;
+                    }
                 }
-                for &k in &active_list[pi + 1..pj] {
-                    let (ik, jk) = (bi.wrapping_add(k), base[k].wrapping_add(j));
-                    d[ik] = lw(d[ik], d[jk], k);
+                debug_assert!(best != usize::MAX);
+                if Some(best) == prev {
+                    // Reciprocal nearest neighbours: merge x and best.
+                    let merge_t0 = metered.then(std::time::Instant::now);
+                    chain.pop();
+                    chain.pop();
+                    let (i, j) = (x.min(best), x.max(best));
+                    let d_ij = w.get(i, j);
+                    // Lance-Williams update into slot i; retire slot j.
+                    team.run(Round::Update { i, j, d_ij }, drop);
+                    let mut live = live.write().expect("NN-chain state poisoned");
+                    let pj = live.list.partition_point(|&k| k < j);
+                    live.list.remove(pj);
+                    active -= 1;
+                    raw.push((label[i], label[j], d_ij, live.size[i] + live.size[j]));
+                    live.size[i] += live.size[j];
+                    // The new cluster's output label is assigned after
+                    // sorting; remember its creation index via a
+                    // placeholder in `label`.
+                    label[i] = n + raw.len() - 1;
+                    if active <= SHARED_MIN_ACTIVE {
+                        team.dismiss();
+                    }
+                    if let Some(t0) = merge_t0 {
+                        merge_hist.record(t0.elapsed().as_nanos() as u64);
+                    }
+                    break;
+                } else {
+                    chain.push(best);
                 }
-                for &k in &active_list[pj + 1..] {
-                    let (ik, jk) = (bi.wrapping_add(k), bj.wrapping_add(k));
-                    d[ik] = lw(d[ik], d[jk], k);
-                }
-                active_list.remove(pj);
-                raw.push((label[i], label[j], d_ij, size[i] + size[j]));
-                size[i] += size[j];
-                // The new cluster's output label is assigned after sorting;
-                // remember its creation index via a placeholder in `label`.
-                label[i] = n + raw.len() - 1;
-                if let Some(t0) = merge_t0 {
-                    merge_hist.record(t0.elapsed().as_nanos() as u64);
-                }
-                break;
-            } else {
-                chain.push(best);
             }
         }
-    }
+    });
 
     // NN-chain emits merges out of height order; sort by height (stable) and
     // relabel so that "cluster N+s" refers to the merge at sorted step s —
@@ -309,17 +468,22 @@ pub fn agglomerate_condensed(cond: &Condensed, linkage: Linkage) -> MergeHistory
             n + new_index[l - n]
         }
     };
-    for &old_pos in &order {
-        let (a, b, dist, sz) = raw[old_pos];
-        merges.push(Merge {
-            a: relabel(a),
-            b: relabel(b),
-            height: linkage.to_height(dist),
-            size: sz,
-        });
-    }
+    let merges: Vec<Merge> = order
+        .iter()
+        .map(|&old_pos| {
+            let (a, b, dist, sz) = raw[old_pos];
+            Merge {
+                a: relabel(a),
+                b: relabel(b),
+                height: linkage.to_height(dist),
+                size: sz,
+            }
+        })
+        .collect();
 
     obs.add_counter("cluster.merges", merges.len() as u64);
+    obs.add_counter("cluster.nn_scans", scans);
+    obs.add_counter("cluster.nn_scans_shared", shared);
     obs.merge_hist("cluster.merge_ns", &merge_hist);
     MergeHistory { n, linkage, merges }
 }
@@ -537,6 +701,16 @@ mod tests {
     #[should_panic(expected = "at least 2")]
     fn single_point_panics() {
         agglomerate(&Matrix::zeros(1, 2), Linkage::Ward);
+    }
+
+    #[test]
+    fn working_copy_reuses_its_buffer() {
+        // The bits-to-atomics collect must not allocate a third matrix.
+        let bits = vec![7u64; 1000];
+        let ptr = bits.as_ptr() as usize;
+        let cells: Vec<AtomicU64> = bits.into_iter().map(AtomicU64::new).collect();
+        assert_eq!(cells.as_ptr() as usize, ptr);
+        assert_eq!(cells[999].load(Ordering::Relaxed), 7);
     }
 
     #[test]

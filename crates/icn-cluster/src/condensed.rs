@@ -172,6 +172,21 @@ impl Distances<'_> {
         }
     }
 
+    /// Adds the distance each of `stored`'s entries stands for to the
+    /// matching slot of `acc`.
+    #[inline]
+    pub(crate) fn add_to(&self, acc: &mut [f64], stored: &[f64]) {
+        if self.sqrt {
+            for (a, &v) in acc.iter_mut().zip(stored) {
+                *a += v.sqrt();
+            }
+        } else {
+            for (a, &v) in acc.iter_mut().zip(stored) {
+                *a += v;
+            }
+        }
+    }
+
     /// The underlying condensed storage; map entries through [`Self::read`].
     pub(crate) fn stored(&self) -> &[f64] {
         &self.cond.d

@@ -14,6 +14,21 @@ use crate::dunn::dunn_index;
 use crate::silhouette::silhouette_score;
 use icn_stats::par;
 
+/// Points per parallel work item of the fused sweep.
+const SWEEP_CHUNK: usize = 256;
+
+/// Folds distance `v` of a pair whose higher point is in fine cluster `fj`
+/// into the min/max table rows of its lower point's cluster.
+#[inline]
+fn pair_extremes(pmin: &mut [f64], pmax: &mut [f64], fj: usize, v: f64) {
+    if v < pmin[fj] {
+        pmin[fj] = v;
+    }
+    if v > pmax[fj] {
+        pmax[fj] = v;
+    }
+}
+
 /// Quality indices at one candidate k.
 #[derive(Clone, Copy, Debug, PartialEq)]
 pub struct KQuality {
@@ -37,12 +52,23 @@ const FUSED_MAX_HI: usize = 256;
 /// # Fused evaluation
 ///
 /// The naive sweep walks the full O(N²) condensed matrix twice (silhouette
-/// and Dunn) *per candidate k* — 2·|range| passes; at the paper scale that is
-/// the stage-2 wall-clock bottleneck. Cuts of one hierarchy are nested, so
-/// this implementation walks the matrix **once**: each point accumulates
-/// its distance sums per *finest* cluster (the `k = hi` cut) and per-pair
-/// min/max tables over the finest clusters, then every coarser k is scored
-/// by regrouping those per-fine-cluster aggregates.
+/// and Dunn) *per candidate k* — 2·|range| passes. Cuts of one hierarchy
+/// are nested, so this implementation walks the matrix **once**: each
+/// point accumulates its distance sums per *finest* cluster (the `k = hi`
+/// cut) and per-pair min/max tables over the finest clusters, then every
+/// coarser k is scored by regrouping those per-fine-cluster aggregates.
+///
+/// The walk reads rows only. Points go in chunks of 256, one chunk per
+/// parallel work item. A chunk starting at point `first` first reads, for
+/// every earlier point `j`, row `j`'s contiguous segment over the chunk's
+/// columns, which starts at `block_start(n, j) + first − j − 1`, and adds
+/// it to the chunk's sums for
+/// `j`'s fine cluster in one vectorisable pass. Then each point's own row
+/// feeds its sums, the sums of later points in the chunk (one read for
+/// both ends of the pair) and the pair tables. Every point's sums thus
+/// take their terms in increasing `j`, exactly as a walk down its column
+/// and along its row would, so the per-point sums do not depend on the
+/// chunking.
 ///
 /// Dunn regroups by min/max — exactly associative, so the values are
 /// bit-identical to [`dunn_index`] per k. Silhouette regroups sums, which
@@ -50,11 +76,14 @@ const FUSED_MAX_HI: usize = 256;
 /// few ulps (≲1e-12 relative — see `fused_sweep_matches_direct`). Both are
 /// bit-identical at any `ICN_THREADS`: per-point results are summed in
 /// index order and the pair tables merge through exact min/max.
+///
+/// Metered as a `sweep` span.
 pub fn sweep_k<'a>(
     history: &MergeHistory,
     dist: impl Into<Distances<'a>>,
     k_range: std::ops::RangeInclusive<usize>,
 ) -> Vec<KQuality> {
+    let _span = icn_obs::Span::enter("sweep");
     let cond = dist.into();
     let (lo, hi) = (*k_range.start(), *k_range.end());
     assert!(lo >= 2, "sweep_k: k must start at ≥ 2");
@@ -100,51 +129,69 @@ pub fn sweep_k<'a>(
     let cvals = cond.stored();
     struct ChunkOut {
         sil: Vec<f64>,  // |chunk| × nk, row-major
-        pmin: Vec<f64>, // nf × nf upper triangle (incl. diagonal)
+        pmin: Vec<f64>, // nf × nf; pair (i, j), i < j, in row fine[i], slot fine[j]
         pmax: Vec<f64>,
     }
-    let chunks: Vec<ChunkOut> = par::map_chunks(n, 256, |range| {
-        let mut sil = Vec::with_capacity(range.len() * nk);
+    let chunks: Vec<ChunkOut> = par::map_chunks(n, SWEEP_CHUNK, |range| {
+        let (first, end) = (range.start, range.end);
+        let width = end - first;
+        let mut sil = Vec::with_capacity(width * nk);
         let mut pmin = vec![f64::INFINITY; nf * nf];
         let mut pmax = vec![0.0f64; nf * nf];
-        let mut sums = vec![0.0f64; nf];
-        let mut csums = vec![0.0f64; hi];
+        // sums[f * width + t]: point first + t's distance sum to fine
+        // cluster f.
+        let mut sums = vec![0.0f64; nf * width];
+        let mut csums = vec![0.0f64; nf];
+        // Pairs (j, i), j < first ≤ i: row j's contiguous segment over the
+        // chunk's columns. Rows go in increasing j, so every point's sums
+        // take their terms in increasing j, as a column walk would.
+        for j in 0..first {
+            let start = block_start(n, j) + first - j - 1;
+            let f = fine[j];
+            cond.add_to(
+                &mut sums[f * width..(f + 1) * width],
+                &cvals[start..start + width],
+            );
+        }
         for i in range {
-            sums.iter_mut().for_each(|s| *s = 0.0);
+            let t = i - first;
             let fi = fine[i];
-            // j < i: walk column i of the condensed layout (incremental
-            // offsets, no per-access multiply).
-            let mut off = i.wrapping_sub(1); // block_start(n, 0) + i - 1
-            for j in 0..i {
-                sums[fine[j]] += cond.read(cvals[off]);
-                off += n - 2 - j;
-            }
-            // j > i: contiguous row slice; also feeds the pair tables
-            // (each unordered pair visited exactly once, as in dunn).
+            // Row i: pairs (i, j), j > i, read in order. One read feeds
+            // point i's sums, point j's when j is in the chunk (its terms
+            // from rows first..j arrive in increasing row order), and the
+            // pair tables (each unordered pair visited exactly once, as
+            // in dunn).
             let base = block_start(n, i);
-            for (t, &v) in cvals[base..base + (n - 1 - i)].iter().enumerate() {
+            let row = &cvals[base..base + (n - 1 - i)];
+            let (near, far) = row.split_at(end - i - 1);
+            let pmin_i = &mut pmin[fi * nf..(fi + 1) * nf];
+            let pmax_i = &mut pmax[fi * nf..(fi + 1) * nf];
+            for (c, &v) in near.iter().enumerate() {
                 let v = cond.read(v);
-                let fj = fine[i + 1 + t];
-                sums[fj] += v;
-                let idx = if fi <= fj { fi * nf + fj } else { fj * nf + fi };
-                if v < pmin[idx] {
-                    pmin[idx] = v;
-                }
-                if v > pmax[idx] {
-                    pmax[idx] = v;
-                }
+                let j = i + 1 + c;
+                let fj = fine[j];
+                sums[fj * width + t] += v;
+                sums[fi * width + j - first] += v;
+                pair_extremes(pmin_i, pmax_i, fj, v);
             }
-            for t in 0..nk {
-                let (map, cnt) = (&maps[t], &counts[t]);
+            for (c, &v) in far.iter().enumerate() {
+                let v = cond.read(v);
+                let fj = fine[end + c];
+                sums[fj * width + t] += v;
+                pair_extremes(pmin_i, pmax_i, fj, v);
+            }
+            // Point i has every term now: score it at each k.
+            for s in 0..nk {
+                let (map, cnt) = (&maps[s], &counts[s]);
                 let own = map[fi];
                 if cnt[own] <= 1 {
                     sil.push(0.0); // singleton convention
                     continue;
                 }
-                let k = ks[t];
+                let k = ks[s];
                 csums[..k].iter_mut().for_each(|s| *s = 0.0);
                 for f in 0..nf {
-                    csums[map[f]] += sums[f];
+                    csums[map[f]] += sums[f * width + t];
                 }
                 let a = csums[own] / (cnt[own] - 1) as f64;
                 let b = (0..k)
@@ -162,7 +209,8 @@ pub fn sweep_k<'a>(
     });
 
     // Reduce: silhouette totals in point order (matching the sequential
-    // `par::sum_indexed` order), pair tables through exact min/max.
+    // `par::sum_indexed` order), pair tables through exact min/max, then
+    // each table's lower triangle folded onto its upper one.
     let mut totals = vec![0.0f64; nk];
     let mut pmin = vec![f64::INFINITY; nf * nf];
     let mut pmax = vec![0.0f64; nf * nf];
@@ -177,6 +225,12 @@ pub fn sweep_k<'a>(
         }
         for (dst, &src) in pmax.iter_mut().zip(&c.pmax) {
             *dst = dst.max(src);
+        }
+    }
+    for a in 0..nf {
+        for b in a + 1..nf {
+            pmin[a * nf + b] = pmin[a * nf + b].min(pmin[b * nf + a]);
+            pmax[a * nf + b] = pmax[a * nf + b].max(pmax[b * nf + a]);
         }
     }
 
@@ -415,30 +469,33 @@ mod tests {
     #[test]
     fn fused_sweep_matches_direct() {
         // Unstructured random data: near-ties and singleton clusters show
-        // up naturally across the swept range.
-        let mut rng = Rng::seed_from(97);
-        let rows: Vec<Vec<f64>> = (0..120)
-            .map(|_| (0..6).map(|_| rng.gaussian()).collect())
-            .collect();
-        let m = Matrix::from_rows(&rows);
-        let h = agglomerate(&m, Linkage::Ward);
-        let cond = Condensed::from_rows(&m, Metric::Euclidean);
-        let fused = sweep_k(&h, &cond, 2..=15);
-        let direct = sweep_k_direct(&h, (&cond).into(), 2, 15);
-        assert_eq!(fused.len(), direct.len());
-        for (f, d) in fused.iter().zip(&direct) {
-            assert_eq!(f.k, d.k);
-            // Dunn regroups through exact min/max: bit-identical.
-            assert_eq!(f.dunn.to_bits(), d.dunn.to_bits(), "k={}", f.k);
-            // Silhouette regroups sums: equal to a few ulps.
-            let tol = 1e-12 * d.silhouette.abs().max(1.0);
-            assert!(
-                (f.silhouette - d.silhouette).abs() <= tol,
-                "k={}: {} vs {}",
-                f.k,
-                f.silhouette,
-                d.silhouette
-            );
+        // up naturally across the swept range. 120 points fit one chunk;
+        // 800 span four, so rows before a chunk are read as segments.
+        for n in [120, 800] {
+            let mut rng = Rng::seed_from(97);
+            let rows: Vec<Vec<f64>> = (0..n)
+                .map(|_| (0..6).map(|_| rng.gaussian()).collect())
+                .collect();
+            let m = Matrix::from_rows(&rows);
+            let h = agglomerate(&m, Linkage::Ward);
+            let cond = Condensed::from_rows(&m, Metric::Euclidean);
+            let fused = sweep_k(&h, &cond, 2..=15);
+            let direct = sweep_k_direct(&h, (&cond).into(), 2, 15);
+            assert_eq!(fused.len(), direct.len());
+            for (f, d) in fused.iter().zip(&direct) {
+                assert_eq!(f.k, d.k);
+                // Dunn regroups through exact min/max: bit-identical.
+                assert_eq!(f.dunn.to_bits(), d.dunn.to_bits(), "n={n}, k={}", f.k);
+                // Silhouette regroups sums: equal to a few ulps.
+                let tol = 1e-12 * d.silhouette.abs().max(1.0);
+                assert!(
+                    (f.silhouette - d.silhouette).abs() <= tol,
+                    "n={n}, k={}: {} vs {}",
+                    f.k,
+                    f.silhouette,
+                    d.silhouette
+                );
+            }
         }
     }
 

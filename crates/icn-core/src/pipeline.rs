@@ -194,8 +194,11 @@ impl IcnStudy {
                     // rest. The hierarchy artefacts (history, dendrogram,
                     // sweep) describe the sample; the labels cover the
                     // full population.
-                    let sample = max_sample_for_budget(budget_bytes)
-                        .clamp(config.k_sweep_hi + 1, rsca_m.rows());
+                    let sample = sampled_sample_size(
+                        max_sample_for_budget(budget_bytes),
+                        config.k_sweep_hi,
+                        rsca_m.rows(),
+                    );
                     let sw = sampled_ward(
                         &rsca_m,
                         config.k,
@@ -431,6 +434,13 @@ impl IcnStudy {
     }
 }
 
+/// Rows the sampled path clusters exactly: the `budgeted` sample, at least
+/// `k_sweep_hi + 1` so the k-sweep has a cut to score at every k, and
+/// never more than the `live` rows there are.
+fn sampled_sample_size(budgeted: usize, k_sweep_hi: usize, live: usize) -> usize {
+    budgeted.max(k_sweep_hi + 1).min(live)
+}
+
 /// Validates a totals matrix and configuration pair: the shared checks
 /// behind [`IcnStudy::try_run`] and [`IcnStudy::from_ingest`].
 fn validate_totals(totals: &Matrix, config: &StudyConfig) -> Result<(), crate::StudyError> {
@@ -449,6 +459,18 @@ fn validate_totals(totals: &Matrix, config: &StudyConfig) -> Result<(), crate::S
     }
     if config.n_trees == 0 {
         return Err(StudyError::BadConfig("n_trees = 0".into()));
+    }
+    if config.run_k_sweep && config.k_sweep_lo < 2 {
+        return Err(StudyError::BadConfig(format!(
+            "k_sweep_lo = {} must be ≥ 2",
+            config.k_sweep_lo
+        )));
+    }
+    if config.run_k_sweep && config.k_sweep_hi < config.k_sweep_lo {
+        return Err(StudyError::BadConfig(format!(
+            "k_sweep_hi = {} is below k_sweep_lo = {}",
+            config.k_sweep_hi, config.k_sweep_lo
+        )));
     }
     let window = StudyCalendar::temporal_window().num_hours();
     if config.run_forecast && config.forecast_horizon > window {
@@ -626,6 +648,28 @@ mod tests {
             IcnStudy::try_run(&d, bad_coarse),
             Err(StudyError::BadConfig(_))
         ));
+        // A sweep range that starts below 2 or ends before it starts.
+        for (k_sweep_lo, k_sweep_hi) in [(1, 15), (0, 15), (9, 8)] {
+            let bad_sweep = StudyConfig {
+                run_k_sweep: true,
+                k_sweep_lo,
+                k_sweep_hi,
+                ..StudyConfig::fast()
+            };
+            assert!(
+                matches!(
+                    IcnStudy::try_run(&d, bad_sweep),
+                    Err(StudyError::BadConfig(msg)) if msg.contains("k_sweep")
+                ),
+                "sweep {k_sweep_lo}..={k_sweep_hi} accepted"
+            );
+            // The range only matters when the sweep runs.
+            let unswept = StudyConfig {
+                run_k_sweep: false,
+                ..bad_sweep
+            };
+            assert!(IcnStudy::try_run(&d, unswept).is_ok());
+        }
         // NaN traffic.
         let mut poisoned = d.clone();
         poisoned.indoor_totals.set(0, 0, f64::NAN);
@@ -640,6 +684,26 @@ mod tests {
             IcnStudy::try_run(&silent, StudyConfig::fast()).err(),
             Some(StudyError::NoTraffic)
         );
+    }
+
+    #[test]
+    fn sampled_sample_is_capped_at_the_live_rows() {
+        // Where the old clamp was valid the sample is unchanged.
+        assert_eq!(sampled_sample_size(4000, 15, 9000), 4000);
+        assert_eq!(sampled_sample_size(10, 15, 9000), 16);
+        assert_eq!(sampled_sample_size(4000, 15, 300), 300);
+        // Fewer live rows than the sweep's lower bound: all of them.
+        assert_eq!(sampled_sample_size(4000, 15, 15), 15);
+        let d = Dataset::generate(SynthConfig::paper().with_scale(0.002));
+        let cfg = StudyConfig {
+            run_k_sweep: true,
+            cluster_path: ClusterPath::Sampled,
+            ..StudyConfig::fast()
+        };
+        let st = IcnStudy::try_run(&d, cfg).expect("tiny sampled run");
+        assert!(st.live_rows.len() <= cfg.k_sweep_hi, "not a tiny dataset");
+        assert_eq!(st.history.n, st.live_rows.len());
+        assert_eq!(st.labels.len(), st.live_rows.len());
     }
 
     #[test]

@@ -1,9 +1,11 @@
 //! Order-preserving parallel map over index ranges.
 //!
 //! The workspace previously leaned on `rayon`, which the offline build
-//! environment cannot fetch; this module provides the one shape of
-//! parallelism the codebase actually uses — `(0..n)` mapped through a pure
+//! environment cannot fetch; this module provides the shape of
+//! parallelism the codebase mostly uses — `(0..n)` mapped through a pure
 //! function, results collected in index order — on `std::thread::scope`.
+//! For loops of many short dependent rounds, [`with_team`] keeps helper
+//! threads alive for one call and hands each round over without a spawn.
 //!
 //! Determinism: the output of [`map_indexed`] depends only on `f`, never on
 //! the thread schedule. Work is handed out as contiguous index chunks via
@@ -24,7 +26,7 @@
 //! disabled this costs a single relaxed atomic load per call.
 
 use std::ops::Range;
-use std::sync::atomic::{AtomicUsize, Ordering};
+use std::sync::atomic::{AtomicBool, AtomicUsize, Ordering};
 use std::sync::Mutex;
 
 /// Effective worker-thread count for parallel sections: the `ICN_THREADS`
@@ -233,6 +235,181 @@ where
     });
 }
 
+/// Helper threads a [`with_team`] call may start: one fewer than
+/// [`thread_count`], and never more than the hardware has cores to spare,
+/// because a helper waits for its next round by spinning. Zero at
+/// `ICN_THREADS=1`.
+pub fn team_helpers() -> usize {
+    let hw = std::thread::available_parallelism().map_or(1, |v| v.get());
+    thread_count().min(hw) - 1
+}
+
+/// Spins before each yield while a team thread waits for a round.
+const SPINS_BEFORE_YIELD: u32 = 1 << 10;
+
+/// Waits for `ready` by spinning, then by yielding the core.
+fn spin_until(mut ready: impl FnMut() -> bool) {
+    let mut spins = 0;
+    while !ready() {
+        if spins < SPINS_BEFORE_YIELD {
+            spins += 1;
+            std::hint::spin_loop();
+        } else {
+            std::thread::yield_now();
+        }
+    }
+}
+
+/// A caller and the helper threads of one [`with_team`] call, splitting
+/// rounds of work that are too short to spawn threads for.
+///
+/// [`Team::run`] posts a round, runs part 0 of it on the calling thread
+/// while each helper runs one other part, and hands the part results back
+/// in part order once every part is done. Helpers wait between rounds by
+/// spinning, then yielding (`spin_until`); a posted round reaches them
+/// through a release/acquire counter, and their finished parts reach the
+/// caller the same way, so whatever a part writes is visible to
+/// everything after the round.
+pub struct Team<'w, T, R> {
+    work: &'w (dyn Fn(T, usize, usize) -> R + Sync),
+    helpers: usize,
+    task: Mutex<Option<T>>,
+    /// Each helper's result of the current round, by part − 1.
+    results: Vec<Mutex<Option<R>>>,
+    /// Rounds posted, plus one once the team is dismissed. The caller's
+    /// release increment pairs with a helper's acquire load, publishing
+    /// `task`, `dismissed` and everything the caller wrote before it.
+    posted: AtomicUsize,
+    /// Helper parts finished, over all rounds. A helper's release
+    /// increment pairs with the caller's acquire load, publishing its
+    /// `results` slot, `helper_panicked` and everything its part wrote.
+    finished: AtomicUsize,
+    /// Written only by the caller; helpers read it after `posted`.
+    dismissed: AtomicBool,
+    /// Written by helpers before `finished`; the caller reads it after.
+    helper_panicked: AtomicBool,
+}
+
+impl<T: Copy, R> Team<'_, T, R> {
+    /// Runs one round of `work`, hands its part results to `fold` in part
+    /// order, and returns the number of parts: one per team thread, or 1
+    /// once the team has no helpers left (none started, or
+    /// [`Team::dismiss`]ed).
+    pub fn run(&self, task: T, mut fold: impl FnMut(R)) -> usize {
+        if self.helpers == 0 || self.dismissed.load(Ordering::Relaxed) {
+            fold((self.work)(task, 0, 1));
+            return 1;
+        }
+        let parts = self.helpers + 1;
+        *self.task.lock().expect("par team poisoned") = Some(task);
+        let round = self.posted.fetch_add(1, Ordering::Release) + 1;
+        let own = (self.work)(task, 0, parts);
+        spin_until(|| self.finished.load(Ordering::Acquire) == round * self.helpers);
+        assert!(
+            !self.helper_panicked.load(Ordering::Relaxed),
+            "par::with_team: a helper panicked"
+        );
+        fold(own);
+        for slot in &self.results {
+            fold(
+                slot.lock()
+                    .expect("par team poisoned")
+                    .take()
+                    .expect("part result"),
+            );
+        }
+        parts
+    }
+
+    /// Sends the helpers home: they stop spinning and exit, and every later
+    /// round runs whole on the calling thread.
+    pub fn dismiss(&self) {
+        if !self.dismissed.swap(true, Ordering::Relaxed) {
+            self.posted.fetch_add(1, Ordering::Release);
+        }
+    }
+
+    /// A helper's loop: wait for a round, run part `part` of it, report.
+    fn serve(&self, part: usize) {
+        let mut seen = 0;
+        loop {
+            let mut posted = seen;
+            spin_until(|| {
+                posted = self.posted.load(Ordering::Acquire);
+                posted != seen
+            });
+            seen = posted;
+            if self.dismissed.load(Ordering::Relaxed) {
+                return;
+            }
+            let task = self
+                .task
+                .lock()
+                .expect("par team poisoned")
+                .expect("posted");
+            let run = || (self.work)(task, part, self.helpers + 1);
+            match std::panic::catch_unwind(std::panic::AssertUnwindSafe(run)) {
+                Ok(r) => *self.results[part - 1].lock().expect("par team poisoned") = Some(r),
+                Err(_) => self.helper_panicked.store(true, Ordering::Relaxed),
+            }
+            self.finished.fetch_add(1, Ordering::Release);
+        }
+    }
+}
+
+/// Runs `body` with a [`Team`] of `helpers` threads that live for this one
+/// call and run `work(task, part, parts)` for every round `body` posts
+/// through [`Team::run`]. With `helpers == 0` no thread starts and rounds
+/// run inline as part 0 of 1.
+///
+/// This is for loops of many short dependent rounds, such as the NN-chain's
+/// nearest-neighbour scans, where [`map_indexed`]'s thread spawn per call
+/// costs more than the round. Folding the part results in part order
+/// makes a round's outcome independent of the thread count whenever the
+/// fold is, e.g. a lowest-index argmin over contiguous parts. Ask for at
+/// most [`team_helpers`] helpers: each one spins on a core of its own
+/// until dismissed.
+pub fn with_team<T, R, W, B>(helpers: usize, work: W, body: impl FnOnce(&Team<'_, T, R>) -> B) -> B
+where
+    T: Copy + Send,
+    R: Send,
+    W: Fn(T, usize, usize) -> R + Sync,
+{
+    let team = Team {
+        work: &work,
+        helpers,
+        task: Mutex::new(None),
+        results: (0..helpers).map(|_| Mutex::new(None)).collect(),
+        posted: AtomicUsize::new(0),
+        finished: AtomicUsize::new(0),
+        dismissed: AtomicBool::new(false),
+        helper_panicked: AtomicBool::new(false),
+    };
+    if helpers == 0 {
+        return body(&team);
+    }
+    /// Dismisses the team when `body` returns or unwinds, so the scope can
+    /// join its helpers.
+    struct Dismiss<'a, 'w, T: Copy, R>(&'a Team<'w, T, R>);
+    impl<T: Copy, R> Drop for Dismiss<'_, '_, T, R> {
+        fn drop(&mut self) {
+            self.0.dismiss();
+        }
+    }
+    let handoff = icn_obs::current_handoff();
+    std::thread::scope(|scope| {
+        for part in 1..=helpers {
+            let (team, handoff) = (&team, handoff.clone());
+            scope.spawn(move || {
+                let _adopt = handoff.as_ref().map(icn_obs::Handoff::adopt);
+                team.serve(part);
+            });
+        }
+        let _dismiss = Dismiss(&team);
+        body(&team)
+    })
+}
+
 /// Parallel sum of `f(i)` over `0..n` (order-independent reduction of an
 /// associative/commutative combination; used where rayon's `map().sum()`
 /// was). Summation order is fixed (index order) so results are bit-stable.
@@ -408,6 +585,77 @@ mod tests {
         for s in snap.span_tree.iter().filter(|s| s.path == "dispatch/work") {
             assert_eq!(s.parent, Some(dispatch.id));
         }
+    }
+
+    #[test]
+    fn team_rounds_run_every_part_once_in_part_order() {
+        // Each part returns (round, part): a part run twice, skipped or
+        // folded out of order shows in the fold.
+        let mut folded = Vec::new();
+        let parts = with_team(
+            2,
+            |round: u64, part: usize, parts: usize| {
+                assert!(part < parts && parts == 3);
+                (round, part)
+            },
+            |team| {
+                (0..100)
+                    .map(|round| team.run(round, |r| folded.push(r)))
+                    .collect::<Vec<usize>>()
+            },
+        );
+        assert!(parts.iter().all(|&p| p == 3));
+        let want: Vec<(u64, usize)> = (0..100).flat_map(|r| (0..3).map(move |p| (r, p))).collect();
+        assert_eq!(folded, want);
+    }
+
+    #[test]
+    fn dismissed_or_empty_teams_run_rounds_inline() {
+        let caller = std::thread::current().id();
+        let work = |round: u8, part: usize, parts: usize| {
+            let on_caller = std::thread::current().id() == caller;
+            (round, part, parts, on_caller)
+        };
+        let mut ran = Vec::new();
+        assert_eq!(with_team(0, work, |team| team.run(0, |r| ran.push(r))), 1);
+        let parts = with_team(1, work, |team| {
+            let shared = team.run(1, |r| ran.push(r));
+            team.dismiss();
+            team.dismiss();
+            (shared, team.run(2, |r| ran.push(r)))
+        });
+        assert_eq!(parts, (2, 1));
+        assert_eq!(
+            ran,
+            vec![
+                (0, 0, 1, true),
+                (1, 0, 2, true),
+                (1, 1, 2, false),
+                (2, 0, 1, true)
+            ]
+        );
+    }
+
+    #[test]
+    #[should_panic(expected = "a helper panicked")]
+    fn helper_panic_reaches_the_caller() {
+        with_team(
+            1,
+            |_: (), part, _| assert_eq!(part, 0),
+            |team| team.run((), drop),
+        );
+    }
+
+    #[test]
+    fn team_helpers_never_exceed_the_cores() {
+        let hw = std::thread::available_parallelism().map_or(1, |v| v.get());
+        std::env::set_var("ICN_THREADS", "1");
+        let one = team_helpers();
+        std::env::set_var("ICN_THREADS", "64");
+        let many = team_helpers();
+        std::env::remove_var("ICN_THREADS");
+        assert_eq!(one, 0);
+        assert_eq!(many, hw - 1);
     }
 
     #[test]

@@ -54,6 +54,22 @@ fn good_flag_values_still_run() {
     assert!(String::from_utf8_lossy(&out.stdout).contains("over 1 days"));
 }
 
+/// A dataset with fewer live rows than the k-sweep needs runs down the
+/// sampled path the way it runs down the exact one: the sample is all of
+/// them.
+#[test]
+fn tiny_sampled_run_exits_0() {
+    for path in ["sampled", "exact"] {
+        let out = icn(&["run", "--scale", "0.002", "--cluster-path", path]);
+        let stderr = String::from_utf8_lossy(&out.stderr);
+        assert_eq!(
+            out.status.code(),
+            Some(0),
+            "--cluster-path {path}: {stderr}"
+        );
+    }
+}
+
 /// The stage-6 series spans 504 hours: a horizon up to it forecasts, one
 /// hour more is a usage error (above) rather than a forecast past the data.
 #[test]

@@ -402,3 +402,39 @@ fn stage6_series_is_attributed_to_weights_synth_and_median() {
         );
     }
 }
+
+#[test]
+fn stage2_is_attributed_to_condensed_agglomerate_and_sweep() {
+    let _guard = LOCK.lock().unwrap();
+    let ds = common::dataset();
+    let mut scans = Vec::new();
+    for threads in ["1", "2"] {
+        let (st, snap) = metered(Some(threads), || {
+            let config = StudyConfig {
+                run_k_sweep: true,
+                ..StudyConfig::fast()
+            };
+            IcnStudy::run(&ds, config)
+        });
+        assert!(!st.k_sweep.is_empty(), "sweep must actually run");
+        let children: BTreeSet<&str> = snap
+            .span_tree
+            .iter()
+            .filter(|s| s.path.rsplit_once('/').map(|(p, _)| p) == Some("stage2_cluster"))
+            .map(|s| s.name.as_str())
+            .collect();
+        assert_eq!(
+            children,
+            BTreeSet::from(["condensed", "agglomerate", "sweep"]),
+            "ICN_THREADS={threads}: stage-2 children"
+        );
+        // Each merge ends a scan.
+        let nn_scans = snap.counters["cluster.nn_scans"];
+        assert!(nn_scans >= snap.counters["cluster.merges"], "{nn_scans}");
+        if threads == "1" {
+            assert_eq!(snap.counters["cluster.nn_scans_shared"], 0);
+        }
+        scans.push(nn_scans);
+    }
+    assert_eq!(scans[0], scans[1], "scan count depends on ICN_THREADS");
+}
