@@ -149,36 +149,6 @@ pub fn banner(what: &str, ds: &Dataset) {
     );
 }
 
-/// Minimal manual benchmarking loop used by the `benches/` harnesses
-/// (`harness = false`): runs `f` a fixed number of times and reports
-/// min / median wall time. No statistics beyond that — the goal is
-/// regression *visibility*, not criterion-grade inference.
-pub mod timing {
-    use std::time::{Duration, Instant};
-
-    /// Times `iters` runs of `f` (plus one untimed warm-up) and prints
-    /// `name: median <m> min <n>`; returns the median.
-    pub fn bench<T>(name: &str, iters: usize, mut f: impl FnMut() -> T) -> Duration {
-        assert!(iters >= 1, "timing::bench: need at least one iteration");
-        std::hint::black_box(f());
-        let mut samples: Vec<Duration> = (0..iters)
-            .map(|_| {
-                let t = Instant::now();
-                std::hint::black_box(f());
-                t.elapsed()
-            })
-            .collect();
-        samples.sort();
-        let median = samples[samples.len() / 2];
-        println!(
-            "{name}: median {:.3} ms, min {:.3} ms ({iters} iters)",
-            median.as_secs_f64() * 1e3,
-            samples[0].as_secs_f64() * 1e3
-        );
-        median
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;

@@ -17,7 +17,7 @@ use icn_stats::summary::pearson;
 /// Runs in O(N²) using the union-find of merges in height order: when two
 /// clusters merge at height `h`, every cross pair receives cophenetic
 /// distance `h`.
-pub fn cophenetic_distances(history: &MergeHistory) -> Vec<f64> {
+fn cophenetic_distances(history: &MergeHistory) -> Vec<f64> {
     let n = history.n;
     let mut out = vec![0.0f64; n * (n - 1) / 2];
     // members[c] = leaves of current cluster labelled c (labels < n are

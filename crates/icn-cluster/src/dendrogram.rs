@@ -84,7 +84,7 @@ impl Dendrogram {
 
     /// Leaf ordering of the full tree — the x-axis order of Figure 3's
     /// dendrogram and Figure 4's heatmap columns.
-    pub fn leaf_order(&self) -> Vec<usize> {
+    fn leaf_order(&self) -> Vec<usize> {
         self.leaves_under(self.root())
     }
 
@@ -289,5 +289,27 @@ mod tests {
         let mut h = agglomerate(&m, Linkage::Ward);
         h.merges.pop();
         Dendrogram::from_history(&h);
+    }
+
+    #[test]
+    fn leaf_order_is_permutation_on_random_matrices() {
+        icn_stats::check::cases(48, |case, rng| {
+            let n = icn_stats::check::len_in(rng, 2, 25);
+            let d = icn_stats::check::len_in(rng, 1, 6);
+            let rows: Vec<Vec<f64>> = (0..n)
+                .map(|i| {
+                    (0..d)
+                        .map(|_| rng.gaussian() + (i % 3) as f64 * 2.0)
+                        .collect()
+                })
+                .collect();
+            let m = Matrix::from_rows(&rows);
+            let h = agglomerate(&m, Linkage::Complete);
+            let d = Dendrogram::from_history(&h);
+            let mut order = d.leaf_order();
+            order.sort_unstable();
+            order.dedup();
+            assert_eq!(order.len(), m.rows(), "case {case}");
+        });
     }
 }

@@ -26,7 +26,7 @@ pub struct KMeansResult {
 ///
 /// # Panics
 /// If `k == 0`, `k > rows`, or the data contains non-finite values.
-pub fn kmeans(data: &Matrix, k: usize, max_iter: usize, rng: &mut Rng) -> KMeansResult {
+fn kmeans(data: &Matrix, k: usize, max_iter: usize, rng: &mut Rng) -> KMeansResult {
     let n = data.rows();
     let d = data.cols();
     assert!(k >= 1 && k <= n, "kmeans: k={k} out of range for n={n}");

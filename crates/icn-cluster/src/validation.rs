@@ -8,7 +8,7 @@
 
 /// Contingency table between two labellings: `table[a][b]` counts items
 /// with label `a` in the first and `b` in the second labelling.
-pub fn contingency(labels_a: &[usize], labels_b: &[usize]) -> Vec<Vec<usize>> {
+fn contingency(labels_a: &[usize], labels_b: &[usize]) -> Vec<Vec<usize>> {
     assert_eq!(
         labels_a.len(),
         labels_b.len(),

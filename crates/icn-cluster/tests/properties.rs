@@ -168,16 +168,3 @@ fn condensed_agrees_with_metric() {
         }
     });
 }
-
-#[test]
-fn leaf_order_is_permutation() {
-    cases(48, |case, rng| {
-        let m = matrix(rng);
-        let h = agglomerate(&m, Linkage::Complete);
-        let d = Dendrogram::from_history(&h);
-        let mut order = d.leaf_order();
-        order.sort_unstable();
-        order.dedup();
-        assert_eq!(order.len(), m.rows(), "case {case}");
-    });
-}

@@ -10,7 +10,7 @@
 //! distribution plus the concentration statistics the prose quotes.
 
 use crate::rca::outdoor_rsca;
-use icn_forest::{RandomForest, SoaForest};
+use icn_forest::SoaForest;
 use icn_stats::Matrix;
 
 /// Outcome of classifying the outdoor population through the surrogate.
@@ -27,18 +27,9 @@ pub struct OutdoorComparison {
 /// Classifies outdoor antennas: Eq. 5 RCA → RSCA → surrogate prediction.
 ///
 /// `t_out` is the outdoor totals matrix, `t_in` the indoor one (reference),
-/// `surrogate` the forest trained on indoor RSCA with `k` classes.
-pub fn classify_outdoor(
-    t_out: &Matrix,
-    t_in: &Matrix,
-    surrogate: &RandomForest,
-) -> OutdoorComparison {
-    classify_outdoor_with(t_out, t_in, &SoaForest::from_forest(surrogate))
-}
-
-/// [`classify_outdoor`] over an already-frozen surrogate — the pipeline
-/// freezes the forest once in stage 3 and reuses it here for the ~20k
-/// outdoor antennas.
+/// `surrogate` the frozen forest trained on indoor RSCA — the pipeline
+/// freezes it once in stage 3 and reuses it here for the ~20k outdoor
+/// antennas.
 pub fn classify_outdoor_with(
     t_out: &Matrix,
     t_in: &Matrix,

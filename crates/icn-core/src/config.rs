@@ -1,9 +1,8 @@
 //! Study configuration.
 
-use icn_cluster::{ClusterPath, Linkage};
+use icn_cluster::ClusterPath;
 use icn_forecast::{ForecastConfig, Model};
 use icn_forest::ForestConfig;
-use icn_obs::Json;
 
 /// Configuration of the end-to-end study pipeline.
 #[derive(Clone, Copy, Debug)]
@@ -16,8 +15,6 @@ pub struct StudyConfig {
     pub k_sweep_lo: usize,
     /// Upper end of the sweep (inclusive).
     pub k_sweep_hi: usize,
-    /// Minimum relative drop in both indices for the stopping criterion.
-    pub min_rel_drop: f64,
     /// Number of surrogate forest trees (the paper uses 100).
     pub n_trees: usize,
     /// Surrogate training seed.
@@ -31,8 +28,6 @@ pub struct StudyConfig {
     /// Memory budget in MiB for the stage-2 distance structures; bounds
     /// the sample size on the sampled path and drives `Auto` selection.
     pub cluster_budget_mb: usize,
-    /// Centroid-refinement rounds on the sampled path.
-    pub cluster_refine_iters: usize,
     /// Whether to run the stage-6 forecasting/anomaly phase. Off by
     /// default: the five-stage pipeline and its goldens stay untouched
     /// unless a consumer opts in (`icn forecast` does).
@@ -50,13 +45,11 @@ impl Default for StudyConfig {
             k_coarse: 6,
             k_sweep_lo: 2,
             k_sweep_hi: 15,
-            min_rel_drop: 0.05,
             n_trees: 100,
             seed: 0x1C9_5EED,
             run_k_sweep: true,
             cluster_path: ClusterPath::Auto,
             cluster_budget_mb: 512,
-            cluster_refine_iters: 2,
             run_forecast: false,
             forecast_horizon: 24,
             forecast_model: Model::Ets,
@@ -79,12 +72,6 @@ impl StudyConfig {
         }
     }
 
-    /// Linkage used by the study (fixed to Ward, as in the paper; the
-    /// ablation bench varies it directly through `icn-cluster`).
-    pub fn linkage(&self) -> Linkage {
-        Linkage::Ward
-    }
-
     /// The stage-6 forecast configuration.
     pub fn forecast_config(&self) -> ForecastConfig {
         ForecastConfig {
@@ -101,89 +88,6 @@ impl StudyConfig {
             seed: self.seed,
             ..ForestConfig::default()
         }
-    }
-
-    /// JSON view of the configuration (seeds must stay below 2^53 to
-    /// round-trip exactly through the number representation).
-    pub fn to_json(&self) -> Json {
-        Json::obj(vec![
-            ("k", Json::num(self.k as f64)),
-            ("k_coarse", Json::num(self.k_coarse as f64)),
-            ("k_sweep_lo", Json::num(self.k_sweep_lo as f64)),
-            ("k_sweep_hi", Json::num(self.k_sweep_hi as f64)),
-            ("min_rel_drop", Json::num(self.min_rel_drop)),
-            ("n_trees", Json::num(self.n_trees as f64)),
-            ("seed", Json::num(self.seed as f64)),
-            ("run_k_sweep", Json::Bool(self.run_k_sweep)),
-            ("cluster_path", Json::str(self.cluster_path.as_str())),
-            (
-                "cluster_budget_mb",
-                Json::num(self.cluster_budget_mb as f64),
-            ),
-            (
-                "cluster_refine_iters",
-                Json::num(self.cluster_refine_iters as f64),
-            ),
-            ("run_forecast", Json::Bool(self.run_forecast)),
-            ("forecast_horizon", Json::num(self.forecast_horizon as f64)),
-            ("forecast_model", Json::str(self.forecast_model.as_str())),
-        ])
-    }
-
-    /// Parses a configuration previously produced by [`to_json`].
-    ///
-    /// [`to_json`]: StudyConfig::to_json
-    pub fn from_json(v: &Json) -> Result<StudyConfig, String> {
-        let num = |name: &str| {
-            v.get(name)
-                .and_then(Json::as_f64)
-                .ok_or_else(|| format!("StudyConfig: missing numeric field `{name}`"))
-        };
-        let run_k_sweep = v
-            .get("run_k_sweep")
-            .and_then(Json::as_bool)
-            .ok_or("StudyConfig: missing boolean field `run_k_sweep`")?;
-        // Stage-2 path fields postdate some serialized configs: absent
-        // fields fall back to the defaults rather than erroring, so old
-        // study manifests keep loading.
-        let defaults = StudyConfig::default();
-        let cluster_path = match v.get("cluster_path").and_then(Json::as_str) {
-            None => defaults.cluster_path,
-            Some(s) => ClusterPath::parse(s)
-                .ok_or_else(|| format!("StudyConfig: unknown cluster_path `{s}`"))?,
-        };
-        let opt_num = |name: &str, default: usize| {
-            v.get(name)
-                .and_then(Json::as_f64)
-                .map_or(default, |x| x as usize)
-        };
-        // Forecast fields postdate PR 7: absent fields keep the defaults
-        // (forecasting off) so earlier manifests load unchanged.
-        let run_forecast = v
-            .get("run_forecast")
-            .and_then(Json::as_bool)
-            .unwrap_or(defaults.run_forecast);
-        let forecast_model = match v.get("forecast_model").and_then(Json::as_str) {
-            None => defaults.forecast_model,
-            Some(s) => Model::parse(s)
-                .ok_or_else(|| format!("StudyConfig: unknown forecast_model `{s}`"))?,
-        };
-        Ok(StudyConfig {
-            k: num("k")? as usize,
-            k_coarse: num("k_coarse")? as usize,
-            k_sweep_lo: num("k_sweep_lo")? as usize,
-            k_sweep_hi: num("k_sweep_hi")? as usize,
-            min_rel_drop: num("min_rel_drop")?,
-            n_trees: num("n_trees")? as usize,
-            seed: num("seed")? as u64,
-            run_k_sweep,
-            cluster_path,
-            cluster_budget_mb: opt_num("cluster_budget_mb", defaults.cluster_budget_mb),
-            cluster_refine_iters: opt_num("cluster_refine_iters", defaults.cluster_refine_iters),
-            run_forecast,
-            forecast_horizon: opt_num("forecast_horizon", defaults.forecast_horizon),
-            forecast_model,
-        })
     }
 }
 
@@ -217,112 +121,5 @@ mod tests {
         let f = c.forest_config();
         assert_eq!(f.n_trees, 7);
         assert_eq!(f.seed, 3);
-    }
-
-    #[test]
-    fn json_round_trip() {
-        let c = StudyConfig::fast();
-        let s = c.to_json().to_compact();
-        let back = StudyConfig::from_json(&Json::parse(&s).unwrap()).unwrap();
-        assert_eq!(back.k, c.k);
-        assert_eq!(back.min_rel_drop, c.min_rel_drop);
-        assert_eq!(back.seed, c.seed);
-        assert_eq!(back.run_k_sweep, c.run_k_sweep);
-        assert_eq!(back.cluster_path, c.cluster_path);
-        assert_eq!(back.cluster_budget_mb, c.cluster_budget_mb);
-        assert_eq!(back.cluster_refine_iters, c.cluster_refine_iters);
-    }
-
-    #[test]
-    fn json_without_cluster_fields_gets_defaults() {
-        // Manifests written before the sampled path existed must keep
-        // loading with the default path/budget.
-        let mut c = StudyConfig::fast();
-        c.cluster_path = ClusterPath::Sampled;
-        c.cluster_budget_mb = 64;
-        let full = c.to_json().to_compact();
-        let legacy = {
-            // Strip the three new fields out of the serialized form.
-            let v = Json::parse(&full).unwrap();
-            Json::obj(
-                [
-                    "k",
-                    "k_coarse",
-                    "k_sweep_lo",
-                    "k_sweep_hi",
-                    "min_rel_drop",
-                    "n_trees",
-                    "seed",
-                    "run_k_sweep",
-                ]
-                .iter()
-                .map(|&name| (name, v.get(name).unwrap().clone()))
-                .collect(),
-            )
-        };
-        let back = StudyConfig::from_json(&legacy).unwrap();
-        let d = StudyConfig::default();
-        assert_eq!(back.cluster_path, d.cluster_path);
-        assert_eq!(back.cluster_budget_mb, d.cluster_budget_mb);
-        assert_eq!(back.cluster_refine_iters, d.cluster_refine_iters);
-        assert_eq!(back.k, c.k);
-    }
-
-    #[test]
-    fn forecast_fields_round_trip() {
-        let c = StudyConfig {
-            run_forecast: true,
-            forecast_horizon: 48,
-            forecast_model: Model::Forest,
-            ..StudyConfig::fast()
-        };
-        let s = c.to_json().to_compact();
-        let back = StudyConfig::from_json(&Json::parse(&s).unwrap()).unwrap();
-        assert!(back.run_forecast);
-        assert_eq!(back.forecast_horizon, 48);
-        assert_eq!(back.forecast_model, Model::Forest);
-    }
-
-    #[test]
-    fn json_without_forecast_fields_gets_defaults() {
-        // Manifests written before the forecast stage existed must keep
-        // loading with forecasting off.
-        let full = StudyConfig::fast().to_json().to_compact();
-        let v = Json::parse(&full).unwrap();
-        let legacy = Json::obj(
-            [
-                "k",
-                "k_coarse",
-                "k_sweep_lo",
-                "k_sweep_hi",
-                "min_rel_drop",
-                "n_trees",
-                "seed",
-                "run_k_sweep",
-            ]
-            .iter()
-            .map(|&name| (name, v.get(name).unwrap().clone()))
-            .collect(),
-        );
-        let back = StudyConfig::from_json(&legacy).unwrap();
-        assert!(!back.run_forecast);
-        assert_eq!(back.forecast_horizon, 24);
-        assert_eq!(back.forecast_model, Model::Ets);
-    }
-
-    #[test]
-    fn bad_forecast_model_rejected() {
-        let mut j = StudyConfig::fast().to_json().to_compact();
-        j = j.replace("\"ets\"", "\"oracle\"");
-        let err = StudyConfig::from_json(&Json::parse(&j).unwrap()).unwrap_err();
-        assert!(err.contains("forecast_model"), "{err}");
-    }
-
-    #[test]
-    fn bad_cluster_path_rejected() {
-        let mut j = StudyConfig::fast().to_json().to_compact();
-        j = j.replace("\"auto\"", "\"bogus\"");
-        let err = StudyConfig::from_json(&Json::parse(&j).unwrap()).unwrap_err();
-        assert!(err.contains("cluster_path"), "{err}");
     }
 }

@@ -55,28 +55,6 @@ impl Rhythm {
             weekly: autocorrelation(series, 168),
         }
     }
-
-    /// True when the series has a clear daily rhythm (the diurnal clusters
-    /// of Figure 10; event venues fail this).
-    pub fn is_diurnal(&self) -> bool {
-        self.daily > 0.3
-    }
-}
-
-/// The lag (within `min_lag..=max_lag`) with the highest autocorrelation —
-/// the dominant period of the series. `min_lag` exists because smooth
-/// series are trivially self-similar at lag 1; pass e.g. 12 when hunting
-/// for daily periods. Returns `None` for degenerate inputs.
-pub fn dominant_period(series: &[f64], min_lag: usize, max_lag: usize) -> Option<usize> {
-    let lo = min_lag.max(1);
-    let mut best: Option<(usize, f64)> = None;
-    for lag in lo..=max_lag.min(series.len().saturating_sub(1)) {
-        let ac = autocorrelation(series, lag);
-        if best.is_none_or(|(_, b)| ac > b) {
-            best = Some((lag, ac));
-        }
-    }
-    best.map(|(lag, _)| lag)
 }
 
 #[cfg(test)]
@@ -112,7 +90,6 @@ mod tests {
         let s = diurnal_series(14, 0.5, 2);
         let r = Rhythm::of(&s);
         assert!(r.daily > 0.8, "daily {}", r.daily);
-        assert!(r.is_diurnal());
     }
 
     #[test]
@@ -121,7 +98,6 @@ mod tests {
         let s: Vec<f64> = (0..500).map(|_| rng.gaussian()).collect();
         let r = Rhythm::of(&s);
         assert!(r.daily.abs() < 0.15, "daily {}", r.daily);
-        assert!(!r.is_diurnal());
     }
 
     #[test]
@@ -140,13 +116,6 @@ mod tests {
             .collect();
         let r = Rhythm::of(&s);
         assert!((r.weekly - 0.75).abs() < 0.02, "weekly {}", r.weekly);
-    }
-
-    #[test]
-    fn dominant_period_finds_24() {
-        let s = diurnal_series(10, 0.3, 4);
-        // min_lag 12 skips the trivial smooth-signal lag-1 similarity.
-        assert_eq!(dominant_period(&s, 12, 30), Some(24));
     }
 
     #[test]

@@ -205,7 +205,7 @@ impl IcnStudy {
                         &SampledWardConfig {
                             sample,
                             seed: config.seed,
-                            refine_iters: config.cluster_refine_iters,
+                            refine_iters: SAMPLED_REFINE_ITERS,
                         },
                     );
                     let dendrogram = Dendrogram::from_history(&sw.history);
@@ -433,6 +433,9 @@ impl IcnStudy {
             .collect()
     }
 }
+
+/// Centroid-refinement rounds on the sampled stage-2 path.
+const SAMPLED_REFINE_ITERS: usize = 2;
 
 /// Rows the sampled path clusters exactly: the `budgeted` sample, at least
 /// `k_sweep_hi + 1` so the k-sweep has a cut to score at every k, and

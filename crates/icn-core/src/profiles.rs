@@ -73,25 +73,6 @@ pub fn cluster_profiles(rsca: &Matrix, labels: &[usize], k: usize) -> Vec<Cluste
         .collect()
 }
 
-/// Cosine similarity between two profiles' mean RSCA vectors — used to
-/// verify that clusters inside a dendrogram group resemble each other more
-/// than clusters across groups (Section 4.2.2).
-pub fn profile_similarity(a: &ClusterProfile, b: &ClusterProfile) -> f64 {
-    let mut dot = 0.0;
-    let mut na = 0.0;
-    let mut nb = 0.0;
-    for (x, y) in a.mean_rsca.iter().zip(&b.mean_rsca) {
-        dot += x * y;
-        na += x * x;
-        nb += y * y;
-    }
-    if na == 0.0 || nb == 0.0 {
-        0.0
-    } else {
-        dot / (na.sqrt() * nb.sqrt())
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -148,15 +129,6 @@ mod tests {
             mean_rsca: vec![0.8, -0.7, 0.6],
         };
         assert!(spiky.rms() > 10.0 * flat.rms());
-    }
-
-    #[test]
-    fn similarity_of_self_is_one() {
-        let (m, labels) = rsca_fixture();
-        let profiles = cluster_profiles(&m, &labels, 2);
-        assert!((profile_similarity(&profiles[0], &profiles[0]) - 1.0).abs() < 1e-12);
-        // Opposed profiles are negatively similar.
-        assert!(profile_similarity(&profiles[0], &profiles[1]) < 0.0);
     }
 
     #[test]

@@ -165,7 +165,7 @@ pub fn outdoor_rca(t_out: &Matrix, t_in: &Matrix) -> Matrix {
 }
 
 /// Outdoor RSCA: Eq. (5) then Eq. (2).
-pub fn outdoor_rsca(t_out: &Matrix, t_in: &Matrix) -> Matrix {
+pub(crate) fn outdoor_rsca(t_out: &Matrix, t_in: &Matrix) -> Matrix {
     rsca_from_rca(&outdoor_rca(t_out, t_in))
 }
 
@@ -298,5 +298,25 @@ mod tests {
     #[should_panic(expected = "service dimension mismatch")]
     fn outdoor_shape_mismatch_panics() {
         outdoor_rca(&Matrix::zeros(1, 2), &Matrix::from_vec(1, 3, vec![1.0; 3]));
+    }
+
+    #[test]
+    fn outdoor_rca_identity_when_outdoor_equals_indoor_mix() {
+        // Referencing the indoor matrix against itself: an outdoor antenna
+        // whose share vector equals the aggregate indoor mix gets RCA = 1.
+        icn_stats::check::cases(64, |case, rng| {
+            let n = icn_stats::check::len_in(rng, 1, 12);
+            let m = icn_stats::check::len_in(rng, 2, 10);
+            let data: Vec<f64> = (0..n * m).map(|_| rng.lognormal(3.0, 2.0)).collect();
+            let t = Matrix::from_vec(n, m, data);
+            let col = t.col_sums();
+            let t_out = Matrix::from_rows(std::slice::from_ref(&col));
+            let r = outdoor_rca(&t_out, &t);
+            for j in 0..t.cols() {
+                assert!((r.get(0, j) - 1.0).abs() < 1e-9, "case {case} col {j}");
+            }
+            let s = outdoor_rsca(&t_out, &t);
+            assert!(s.as_slice().iter().all(|&v| v.abs() < 1e-9), "case {case}");
+        });
     }
 }

@@ -33,24 +33,8 @@ impl TemporalHeatmap {
         &self.values[d]
     }
 
-    /// Mean value at a given hour across all days matching `filter`.
-    pub fn mean_at_hour(&self, hour: usize, filter: impl Fn(usize) -> bool) -> f64 {
-        let vals: Vec<f64> = self
-            .values
-            .iter()
-            .enumerate()
-            .filter(|(d, _)| filter(*d))
-            .map(|(_, row)| row[hour])
-            .collect();
-        if vals.is_empty() {
-            0.0
-        } else {
-            summary::mean(&vals)
-        }
-    }
-
     /// Mean over all hours of one day.
-    pub fn day_mean(&self, d: usize) -> f64 {
+    fn day_mean(&self, d: usize) -> f64 {
         summary::mean(&self.values[d])
     }
 
@@ -138,7 +122,7 @@ impl TemporalHeatmap {
 
     /// The heatmap flattened back into one hourly series (day-major), for
     /// rhythm analysis with [`crate::periodicity`].
-    pub fn flat_series(&self) -> Vec<f64> {
+    pub(crate) fn flat_series(&self) -> Vec<f64> {
         self.values.iter().flatten().copied().collect()
     }
 
@@ -339,8 +323,15 @@ mod tests {
         );
         // Weekday 11:00 activity far above weekday 22:00.
         let weekday = |d: usize| !hm.window.date(d).weekday().is_weekend();
-        let work = hm.mean_at_hour(11, weekday);
-        let night = hm.mean_at_hour(22, weekday);
+        let weekday_mean = |hour: usize| {
+            let vals: Vec<f64> = (0..hm.values.len())
+                .filter(|&d| weekday(d))
+                .map(|d| hm.values[d][hour])
+                .collect();
+            summary::mean(&vals)
+        };
+        let work = weekday_mean(11);
+        let night = weekday_mean(22);
         assert!(work > 3.0 * (night + 1e-9), "work {work} night {night}");
     }
 

@@ -2,7 +2,7 @@
 //! identities Eq. (1), (2) and (5) must satisfy on arbitrary traffic —
 //! driven by the deterministic [`icn_stats::check`] harness.
 
-use icn_core::{filter_dead_rows, outdoor_rca, outdoor_rsca, rca, rsca, rsca_from_rca};
+use icn_core::{filter_dead_rows, rca, rsca, rsca_from_rca};
 use icn_stats::check::{cases, len_in};
 use icn_stats::{Matrix, Rng};
 
@@ -120,23 +120,6 @@ fn uniform_antenna_has_unit_rca() {
             r.as_slice().iter().all(|&v| (v - 1.0).abs() < 1e-9),
             "case {case}"
         );
-    });
-}
-
-#[test]
-fn outdoor_rca_identity_when_outdoor_equals_indoor_mix() {
-    // Referencing the indoor matrix against itself: an outdoor antenna
-    // whose share vector equals the aggregate indoor mix gets RCA = 1.
-    cases(64, |case, rng| {
-        let t = traffic_matrix(rng);
-        let col = t.col_sums();
-        let t_out = Matrix::from_rows(std::slice::from_ref(&col));
-        let r = outdoor_rca(&t_out, &t);
-        for j in 0..t.cols() {
-            assert!((r.get(0, j) - 1.0).abs() < 1e-9, "case {case} col {j}");
-        }
-        let s = outdoor_rsca(&t_out, &t);
-        assert!(s.as_slice().iter().all(|&v| v.abs() < 1e-9), "case {case}");
     });
 }
 

@@ -16,7 +16,7 @@ use icn_stats::par;
 
 /// Backtest configuration: training lengths (in hours) and horizon.
 #[derive(Clone, Debug)]
-pub struct BacktestConfig {
+pub(crate) struct BacktestConfig {
     /// Training lengths; each must be ≥ 2 periods and leave `horizon`
     /// hours of actuals after it.
     pub origins: Vec<usize>,
@@ -28,7 +28,7 @@ impl BacktestConfig {
     /// Default splits for an `n`-hour series: three origins across the
     /// final week, 24-hour horizon. Returns `None` when the series is too
     /// short to leave two full periods of training data.
-    pub fn standard(n: usize) -> Option<BacktestConfig> {
+    pub(crate) fn standard(n: usize) -> Option<BacktestConfig> {
         let horizon = 24;
         let min_train = 2 * models::PERIOD;
         if n < min_train + horizon {
@@ -64,19 +64,8 @@ pub struct BacktestScores {
     pub forest: ModelScore,
 }
 
-impl BacktestScores {
-    /// Score of `model`.
-    pub fn of(&self, model: Model) -> ModelScore {
-        match model {
-            Model::SeasonalNaive => self.naive,
-            Model::Ets => self.ets,
-            Model::Forest => self.forest,
-        }
-    }
-}
-
 /// Mean absolute error between a forecast and the actuals.
-pub fn mae(forecast: &[f64], actual: &[f64]) -> f64 {
+pub(crate) fn mae(forecast: &[f64], actual: &[f64]) -> f64 {
     assert_eq!(forecast.len(), actual.len(), "mae: length mismatch");
     assert!(!forecast.is_empty(), "mae: empty");
     forecast
@@ -107,20 +96,6 @@ pub fn smape(forecast: &[f64], actual: &[f64]) -> f64 {
         / forecast.len() as f64
 }
 
-/// Runs the rolling-origin backtest of all three models over one series.
-///
-/// `start_dow` is the day-of-week index (0 = Monday) of the series' first
-/// day, forwarded to the forest's calendar features.
-pub fn backtest(
-    values: &[f64],
-    cfg: &BacktestConfig,
-    ets: &EtsParams,
-    forest: &ForestParams,
-    start_dow: usize,
-) -> BacktestScores {
-    backtest_masked(values, values, &[], cfg, ets, forest, start_dow)
-}
-
 /// Robust rolling-origin backtest: models are **fit** on `train_values`
 /// (typically the anomaly-imputed series) and **scored** against
 /// `actual_values` (the raw observations), with the hours listed in
@@ -131,8 +106,8 @@ pub fn backtest(
 /// strike or a one-off fixture), so it belongs in neither the training
 /// state nor the score. Origins whose entire horizon is excluded drop
 /// out of the aggregate. With `train_values == actual_values` and an
-/// empty exclusion list this is exactly the plain [`backtest`].
-pub fn backtest_masked(
+/// empty exclusion list it is the plain rolling-origin backtest.
+pub(crate) fn backtest_masked(
     train_values: &[f64],
     actual_values: &[f64],
     excluded: &[usize],
@@ -244,7 +219,15 @@ mod tests {
             })
             .collect();
         let cfg = BacktestConfig::standard(v.len()).unwrap();
-        let s = backtest(&v, &cfg, &EtsParams::default(), &ForestParams::default(), 2);
+        let s = backtest_masked(
+            &v,
+            &v,
+            &[],
+            &cfg,
+            &EtsParams::default(),
+            &ForestParams::default(),
+            2,
+        );
         assert!(
             s.ets.mae < s.naive.mae,
             "ets {} naive {}",
@@ -265,8 +248,24 @@ mod tests {
             .map(|t| ((t % 168) as f64 * 0.3).cos() + 5.0)
             .collect();
         let cfg = BacktestConfig::standard(v.len()).unwrap();
-        let a = backtest(&v, &cfg, &EtsParams::default(), &ForestParams::default(), 0);
-        let b = backtest(&v, &cfg, &EtsParams::default(), &ForestParams::default(), 0);
+        let a = backtest_masked(
+            &v,
+            &v,
+            &[],
+            &cfg,
+            &EtsParams::default(),
+            &ForestParams::default(),
+            0,
+        );
+        let b = backtest_masked(
+            &v,
+            &v,
+            &[],
+            &cfg,
+            &EtsParams::default(),
+            &ForestParams::default(),
+            0,
+        );
         assert_eq!(a, b);
     }
 

@@ -33,7 +33,7 @@
 use std::collections::VecDeque;
 
 /// Consistency constant scaling MAD to the standard deviation of a normal.
-pub const MAD_TO_SIGMA: f64 = 1.4826;
+pub(crate) const MAD_TO_SIGMA: f64 = 1.4826;
 
 /// Detector configuration.
 #[derive(Clone, Copy, Debug)]
@@ -72,7 +72,7 @@ pub struct Anomalies {
     /// Sorted indices of flagged hours (`|z| ≥ z_threshold`).
     pub flagged: Vec<usize>,
     /// The robust hour-of-week baseline the residuals ran against
-    /// (length `period`; see [`robust_template`]).
+    /// (length `period`; strike-like days removed before the median).
     pub template: Vec<f64>,
 }
 
@@ -104,7 +104,7 @@ impl Anomalies {
 /// (fixtures 6 evening hours, expos 13 daytime hours), so on the quiet
 /// week of an event-heavy slot more than a quarter of the day's hours
 /// still sit near ratio 1 and the upper quartile stays clear.
-pub const DIP_DAY_MAX: f64 = 0.7;
+pub(crate) const DIP_DAY_MAX: f64 = 0.7;
 
 /// Direction-aware robust hour-of-week baseline.
 ///
@@ -119,7 +119,7 @@ pub const DIP_DAY_MAX: f64 = 0.7;
 ///    so the minimum recovers the event-free level even when most weeks
 ///    of the window carry an event at that slot; excluding collapse days
 ///    keeps the strike from posing as that quiet level.
-pub fn robust_template(values: &[f64], period: usize, floor_frac: f64) -> Vec<f64> {
+pub(crate) fn robust_template(values: &[f64], period: usize, floor_frac: f64) -> Vec<f64> {
     let n = values.len();
     let med = seasonal_template(values, period);
     let med_mean = med.iter().sum::<f64>() / med.len().max(1) as f64;
@@ -162,7 +162,7 @@ pub fn robust_template(values: &[f64], period: usize, floor_frac: f64) -> Vec<f6
 }
 
 /// Hour-of-week seasonal template: per-slot median across occurrences.
-pub fn seasonal_template(values: &[f64], period: usize) -> Vec<f64> {
+pub(crate) fn seasonal_template(values: &[f64], period: usize) -> Vec<f64> {
     assert!(period > 0, "seasonal_template: zero period");
     let mut out = Vec::with_capacity(period);
     let mut occ: Vec<f64> = Vec::with_capacity(values.len() / period + 1);
@@ -217,16 +217,6 @@ impl RollingRobust {
         self.fifo.push_back(x);
         let i = self.sorted.partition_point(|&v| v < x);
         self.sorted.insert(i, x);
-    }
-
-    /// Number of values currently in the window.
-    pub fn len(&self) -> usize {
-        self.sorted.len()
-    }
-
-    /// True when no value has been pushed yet.
-    pub fn is_empty(&self) -> bool {
-        self.sorted.is_empty()
     }
 
     /// Median of the current window (mean of the two mid values when even).

@@ -13,15 +13,14 @@
 //!   max-normalise, taken off one hourly cube of the live antennas. Its
 //!   signal-free control is the same series over a window
 //!   [`StudyCalendar::without_signals`].
-//! * [`models`] — seasonal-naive, additive Holt–Winters ETS, and a forest
+//! * `models` — seasonal-naive, additive Holt–Winters ETS, and a forest
 //!   regressor reusing the `icn-forest` classifier via quantile binning.
-//! * [`backtest`](mod@backtest) — rolling-origin MAE/sMAPE harness; ETS
-//!   and the forest must beat the naive baseline (gated in
-//!   `tests/forecast_signals.rs`).
-//! * [`detect`](mod@detect) — hour-of-week template + relative residuals +
-//!   rolling robust z-scores. Against `icn_synth::signals` ground truth it
-//!   must recover the planted Jan 19 strike and event bursts at F1 ≥ 0.9,
-//!   and flag nothing on the signal-free control.
+//! * `backtest` — rolling-origin MAE/sMAPE harness; ETS and the forest must
+//!   beat the naive baseline (gated in `tests/forecast_signals.rs`).
+//! * `detect` — hour-of-week template + relative residuals + rolling robust
+//!   z-scores. Against `icn_synth::cluster_planted_hours` ground truth it
+//!   must recover the planted Jan 19 strike and event bursts at F1 ≥ 0.9, and
+//!   flag nothing on the signal-free control.
 //!
 //! Everything is deterministic and bit-identical at any `ICN_THREADS`:
 //! the hourly cube and the cluster medians are in-place parallel fills
@@ -29,31 +28,26 @@
 //! by exactly one chunk), and the rest is order-preserving
 //! `par::map_indexed` — over the weight tables, per-tree forest fitting,
 //! the per-cluster model/detector work in [`forecast_series`], and the
-//! per-(origin × model) refits inside [`backtest_masked`] (whose error
+//! per-(origin × model) refits inside the rolling backtest (whose error
 //! accumulation stays serial in origin order, so scores never depend on
 //! the thread count).
 
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
 
-pub mod backtest;
-pub mod detect;
-pub mod models;
+mod backtest;
+mod detect;
+mod models;
 pub mod series;
 
-pub use backtest::{
-    backtest, backtest_masked, mae, smape, BacktestConfig, BacktestScores, ModelScore,
-};
-pub use detect::{
-    detect, robust_template, score_quantile, seasonal_template, Anomalies, DetectorConfig,
-    RollingRobust, DIP_DAY_MAX,
-};
-pub use models::{
-    ets_forecast, forest_forecast, seasonal_naive_forecast, EtsParams, ForestParams, Model, PERIOD,
-};
+pub use backtest::{smape, BacktestScores, ModelScore};
+pub use detect::{detect, score_quantile, Anomalies, DetectorConfig, RollingRobust};
+pub use models::{ets_forecast, seasonal_naive_forecast, EtsParams, ForestParams, Model};
 pub use series::{cluster_series, study_cluster_series, ClusterSeries};
 
+use backtest::{backtest_masked, BacktestConfig};
 use icn_synth::{StudyCalendar, Weekday};
+use models::{forest_forecast, PERIOD};
 
 /// Forecast-run configuration: the primary model and every sub-config.
 #[derive(Clone, Copy, Debug)]
@@ -154,7 +148,7 @@ impl ForecastReport {
 }
 
 /// Day-of-week index (0 = Monday … 6 = Sunday).
-pub fn dow_index(wd: Weekday) -> usize {
+pub(crate) fn dow_index(wd: Weekday) -> usize {
     match wd {
         Weekday::Mon => 0,
         Weekday::Tue => 1,

@@ -27,7 +27,7 @@ use icn_forest::{ForestConfig, MaxFeatures, RandomForest, SoaForest, TrainSet, T
 use icn_stats::Matrix;
 
 /// Hours per seasonal period: the hour-of-week cycle.
-pub const PERIOD: usize = 168;
+pub(crate) const PERIOD: usize = 168;
 
 /// Which forecasting model to run as the primary output.
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
@@ -248,7 +248,7 @@ fn feature_row(resid: &[f64], t: usize, start_dow: usize) -> [f64; 6] {
 /// the series, so calendar features stay correct past the history's end.
 /// Requires `history.len() ≥ period + bins` (one period of lag warm-up
 /// plus at least one training row per quantile bin).
-pub fn forest_forecast(
+pub(crate) fn forest_forecast(
     history: &[f64],
     params: &ForestParams,
     start_dow: usize,
@@ -368,7 +368,7 @@ pub fn forest_forecast(
 }
 
 /// Dispatches to the model's forecast function.
-pub fn forecast_with(
+pub(crate) fn forecast_with(
     model: Model,
     history: &[f64],
     ets: &EtsParams,

@@ -8,7 +8,7 @@
 //! one-offs (a single stadium's extra fixture) vanish while
 //! population-wide signals (the strike, the pinned NBA night) survive —
 //! matching the cluster-majority ground-truth labels in
-//! [`icn_synth::signals`]. The signal-free control the detector must stay
+//! [`icn_synth::cluster_planted_hours`]. The signal-free control the detector must stay
 //! silent on is the same series over a window
 //! [`StudyCalendar::without_signals`].
 //!

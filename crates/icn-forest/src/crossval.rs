@@ -37,7 +37,7 @@ impl CvResult {
 ///
 /// # Panics
 /// If `k < 2` or `k` exceeds the size of the smallest class.
-pub fn stratified_folds(y: &[usize], k: usize, rng: &mut Rng) -> Vec<Vec<usize>> {
+fn stratified_folds(y: &[usize], k: usize, rng: &mut Rng) -> Vec<Vec<usize>> {
     assert!(k >= 2, "stratified_folds: need k ≥ 2");
     let n_classes = y.iter().copied().max().map_or(0, |m| m + 1);
     // Bucket indices by class, shuffle each bucket, deal round-robin.

@@ -31,13 +31,14 @@ impl TrainSet {
         self.y.len()
     }
 
-    /// True when there are no samples (never, by construction).
+    /// True when there are no samples (never, by construction); the
+    /// companion clippy requires of a public `len`.
     pub fn is_empty(&self) -> bool {
         self.y.is_empty()
     }
 
     /// Number of features.
-    pub fn num_features(&self) -> usize {
+    pub(crate) fn num_features(&self) -> usize {
         self.x.cols()
     }
 
@@ -58,7 +59,7 @@ impl TrainSet {
     }
 
     /// Class distribution (counts) over a set of row indices.
-    pub fn class_counts(&self, rows: &[usize]) -> Vec<f64> {
+    pub(crate) fn class_counts(&self, rows: &[usize]) -> Vec<f64> {
         let mut c = vec![0.0; self.n_classes];
         for &r in rows {
             c[self.y[r]] += 1.0;

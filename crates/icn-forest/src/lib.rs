@@ -6,36 +6,33 @@
 //! Section 5.3 classifies ~20k outdoor antennas through it) and provides a
 //! tree ensemble that `icn-shap`'s TreeSHAP implementation can explain.
 //!
-//! * [`data`] — labelled training sets, bootstrap sampling, Gini impurity.
-//! * [`tree`] — CART decision trees with public flat node layout (cover +
-//!   class distribution per node, as TreeSHAP requires).
-//! * [`forest`] — bagging, √M feature subsampling, soft voting, OOB error,
-//!   deterministic parallel training.
-//! * [`importance`] — Gini and permutation importances (the classical
-//!   second opinion next to SHAP).
-//! * [`metrics`] — accuracy, confusion matrices, macro-F1 for the
-//!   surrogate-fidelity experiment.
-//! * [`soa`] — fitted trees frozen into structure-of-arrays form, the
+//! * [`TrainSet`] — labelled training sets, bootstrap sampling, [`gini`]
+//!   impurity.
+//! * [`DecisionTree`] — CART decision trees with public flat node layout
+//!   (cover + class distribution per node, as TreeSHAP requires).
+//! * [`RandomForest`] — bagging, √M feature subsampling, soft voting, OOB
+//!   error, deterministic parallel training.
+//! * [`accuracy`] — the surrogate-fidelity score (confusion matrices and
+//!   macro-F1 back the cross-validation).
+//! * [`SoaForest`] — fitted trees frozen into structure-of-arrays form, the
 //!   hot-path layout shared by batch prediction, TreeSHAP and the stage-5
 //!   outdoor classification.
-//! * [`crossval`] — stratified k-fold cross-validation, the sturdier
+//! * [`cross_validate`] — stratified k-fold cross-validation, the sturdier
 //!   generalisation estimate next to OOB error (B4).
 
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
 
-pub mod crossval;
-pub mod data;
-pub mod forest;
-pub mod importance;
-pub mod metrics;
-pub mod soa;
-pub mod tree;
+mod crossval;
+mod data;
+mod forest;
+mod metrics;
+mod soa;
+mod tree;
 
-pub use crossval::{cross_validate, stratified_folds, CvResult};
+pub use crossval::{cross_validate, CvResult};
 pub use data::{gini, TrainSet};
 pub use forest::{ForestConfig, RandomForest};
-pub use importance::{gini_importance, permutation_importance};
-pub use metrics::{accuracy, class_scores, confusion_matrix, macro_f1, ClassScore};
+pub use metrics::accuracy;
 pub use soa::{SoaForest, SoaTree};
 pub use tree::{DecisionTree, MaxFeatures, Node, TreeConfig};

@@ -6,7 +6,11 @@
 //! clustering labels before SHAP explains it.
 
 /// Confusion matrix: `m[truth][pred]` counts.
-pub fn confusion_matrix(truth: &[usize], pred: &[usize], n_classes: usize) -> Vec<Vec<usize>> {
+pub(crate) fn confusion_matrix(
+    truth: &[usize],
+    pred: &[usize],
+    n_classes: usize,
+) -> Vec<Vec<usize>> {
     assert_eq!(truth.len(), pred.len(), "confusion: length mismatch");
     let mut m = vec![vec![0usize; n_classes]; n_classes];
     for (&t, &p) in truth.iter().zip(pred) {
@@ -29,7 +33,7 @@ pub fn accuracy(truth: &[usize], pred: &[usize]) -> f64 {
 
 /// Per-class precision, recall and F1.
 #[derive(Clone, Copy, Debug, PartialEq)]
-pub struct ClassScore {
+pub(crate) struct ClassScore {
     /// Precision: TP / (TP + FP); 0 when the class is never predicted.
     pub precision: f64,
     /// Recall: TP / (TP + FN); 0 when the class never occurs.
@@ -39,7 +43,7 @@ pub struct ClassScore {
 }
 
 /// Computes per-class scores from a confusion matrix.
-pub fn class_scores(confusion: &[Vec<usize>]) -> Vec<ClassScore> {
+pub(crate) fn class_scores(confusion: &[Vec<usize>]) -> Vec<ClassScore> {
     let k = confusion.len();
     (0..k)
         .map(|c| {
@@ -69,7 +73,7 @@ pub fn class_scores(confusion: &[Vec<usize>]) -> Vec<ClassScore> {
 }
 
 /// Unweighted mean of per-class F1 scores.
-pub fn macro_f1(truth: &[usize], pred: &[usize], n_classes: usize) -> f64 {
+pub(crate) fn macro_f1(truth: &[usize], pred: &[usize], n_classes: usize) -> f64 {
     let scores = class_scores(&confusion_matrix(truth, pred, n_classes));
     scores.iter().map(|s| s.f1).sum::<f64>() / n_classes as f64
 }
@@ -124,5 +128,39 @@ mod tests {
     #[should_panic(expected = "empty input")]
     fn empty_accuracy_panics() {
         accuracy(&[], &[]);
+    }
+
+    #[test]
+    fn accuracy_bounds_and_confusion_mass() {
+        use crate::{ForestConfig, RandomForest, TrainSet};
+        use icn_stats::check::{cases, len_in};
+        use icn_stats::Matrix;
+        cases(32, |case, rng| {
+            let n = len_in(rng, 10, 60);
+            let d = len_in(rng, 1, 5);
+            let rows: Vec<Vec<f64>> = (0..n)
+                .map(|_| (0..d).map(|_| rng.uniform(0.0, 1.0)).collect())
+                .collect();
+            let mut labels: Vec<usize> = rows.iter().map(|r| usize::from(r[0] > 0.5)).collect();
+            labels[0] = 0;
+            labels[1] = 1;
+            let ts = TrainSet::new(Matrix::from_rows(&rows), labels);
+            let forest = RandomForest::fit(
+                &ts,
+                &ForestConfig {
+                    n_trees: 3,
+                    seed: rng.next_u64(),
+                    ..ForestConfig::default()
+                },
+            );
+            let preds = forest.predict_batch(&ts.x);
+            let acc = accuracy(&ts.y, &preds);
+            assert!((0.0..=1.0).contains(&acc), "case {case}");
+            let cm = confusion_matrix(&ts.y, &preds, ts.n_classes);
+            let mass: usize = cm.iter().flatten().sum();
+            assert_eq!(mass, ts.len(), "case {case}");
+            let f1 = macro_f1(&ts.y, &preds, ts.n_classes);
+            assert!((0.0..=1.0).contains(&f1), "case {case}");
+        });
     }
 }

@@ -178,7 +178,7 @@ impl SoaTree {
 
     /// Index of the leaf a sample lands in.
     #[inline]
-    pub fn leaf_for(&self, x: &[f64]) -> usize {
+    fn leaf_for(&self, x: &[f64]) -> usize {
         let mut i = 0usize;
         while self.left[i] != LEAF {
             i = if x[self.feature[i] as usize] <= self.threshold[i] {
@@ -192,7 +192,7 @@ impl SoaTree {
 
     /// The class distribution stored at leaf `i`.
     #[inline]
-    pub fn leaf_dist(&self, i: usize) -> &[f64] {
+    fn leaf_dist(&self, i: usize) -> &[f64] {
         let off = self.dist_off[i] as usize;
         &self.dist[off..off + self.n_classes]
     }
@@ -255,13 +255,6 @@ impl SoaForest {
         for a in acc.iter_mut() {
             *a *= inv;
         }
-    }
-
-    /// Most likely class for one sample.
-    pub fn predict(&self, x: &[f64]) -> usize {
-        let mut acc = vec![0.0f64; self.n_classes];
-        self.predict_proba_into(x, &mut acc);
-        icn_stats::rank::argmax(&acc)
     }
 
     /// Predicts every row of a matrix in parallel (chunked so each worker
@@ -369,7 +362,6 @@ mod tests {
             for (a, w) in acc.iter().zip(&want) {
                 assert_eq!(a.to_bits(), w.to_bits(), "row {i}");
             }
-            assert_eq!(soa.predict(x), forest.predict(x));
         }
     }
 
@@ -385,7 +377,7 @@ mod tests {
         );
         let soa = SoaForest::from_forest(&forest);
         let batch = soa.predict_batch(&ts.x);
-        let per: Vec<usize> = (0..ts.len()).map(|i| soa.predict(ts.x.row(i))).collect();
+        let per: Vec<usize> = (0..ts.len()).map(|i| forest.predict(ts.x.row(i))).collect();
         assert_eq!(batch, per);
     }
 
@@ -455,6 +447,6 @@ mod tests {
         );
         let soa = SoaForest::from_forest(&forest);
         assert_eq!(soa.max_depth, 0);
-        assert_eq!(soa.predict(&[1.0]), 0);
+        assert_eq!(soa.predict_batch(&Matrix::from_rows(&[vec![1.0]])), vec![0]);
     }
 }

@@ -24,7 +24,7 @@ pub enum MaxFeatures {
 
 impl MaxFeatures {
     /// Resolves to a concrete count for `m` total features (≥ 1).
-    pub fn resolve(&self, m: usize) -> usize {
+    pub(crate) fn resolve(&self, m: usize) -> usize {
         match self {
             MaxFeatures::All => m,
             MaxFeatures::Sqrt => ((m as f64).sqrt().round() as usize).clamp(1, m),
@@ -164,7 +164,7 @@ impl DecisionTree {
     }
 
     /// Index of the leaf a sample lands in.
-    pub fn leaf_for(&self, x: &[f64]) -> usize {
+    pub(crate) fn leaf_for(&self, x: &[f64]) -> usize {
         assert_eq!(x.len(), self.n_features, "leaf_for: feature mismatch");
         let mut i = 0usize;
         loop {
@@ -201,11 +201,6 @@ impl DecisionTree {
             }
         }
         rec(&self.nodes, 0)
-    }
-
-    /// Number of leaf nodes.
-    pub fn num_leaves(&self) -> usize {
-        self.nodes.iter().filter(|n| n.is_leaf()).count()
     }
 }
 

@@ -61,11 +61,6 @@ impl Slab {
         true
     }
 
-    /// Number of cells holding a record.
-    fn len(&self) -> usize {
-        self.taken.iter().map(|w| w.count_ones() as usize).sum()
-    }
-
     fn is_empty(&self) -> bool {
         self.taken.iter().all(|&w| w == 0)
     }
@@ -134,30 +129,25 @@ impl StreamAccumulator {
     }
 
     /// The schema this accumulator was built for.
-    pub fn schema(&self) -> &IngestSchema {
+    pub(crate) fn schema(&self) -> &IngestSchema {
         &self.schema
     }
 
     /// The configured lateness window, in hours.
-    pub fn lateness(&self) -> u32 {
+    pub(crate) fn lateness(&self) -> u32 {
         self.lateness
     }
 
     /// Highest hour observed so far, if any record was accepted.
-    pub fn max_hour_seen(&self) -> Option<u32> {
+    pub(crate) fn max_hour_seen(&self) -> Option<u32> {
         self.max_hour_seen
     }
 
     /// All hours below this bound have been folded into the totals; it
     /// is the first open hour, `max_hour_seen − lateness`.
-    pub fn committed_below(&self) -> u32 {
+    pub(crate) fn committed_below(&self) -> u32 {
         self.max_hour_seen
             .map_or(0, |max| max.saturating_sub(self.lateness))
-    }
-
-    /// Number of records currently held in open (unsealed) hours.
-    pub fn open_records(&self) -> usize {
-        self.open.iter().map(Slab::len).sum()
     }
 
     /// The open hours holding at least one record, ascending. Eager
@@ -171,12 +161,12 @@ impl StreamAccumulator {
     }
 
     /// Committed totals so far (open hours not included).
-    pub fn committed_totals(&self) -> &Matrix {
+    pub(crate) fn committed_totals(&self) -> &Matrix {
         &self.totals
     }
 
     /// Classifies and, if accepted, holds one record: the structural
-    /// checks of [`IngestSchema::validate`] first, then the stateful ones
+    /// checks of the schema first, then the stateful ones
     /// (late arrival, duplicate key). A record that advances
     /// `max_hour_seen` first seals every hour the watermark passes.
     ///
@@ -311,6 +301,17 @@ impl StreamAccumulator {
 mod tests {
     use super::*;
 
+    /// Records held in open (unsealed) hours.
+    fn open_records(acc: &StreamAccumulator) -> usize {
+        let held = |slab: &Slab| {
+            slab.taken
+                .iter()
+                .map(|w| w.count_ones() as usize)
+                .sum::<usize>()
+        };
+        acc.open.iter().map(held).sum()
+    }
+
     fn schema() -> IngestSchema {
         IngestSchema {
             antennas: 4,
@@ -368,7 +369,7 @@ mod tests {
             acc.insert(&rec(0, 0, 48, 1.0)),
             Err(QuarantineReason::OutOfWindowHour)
         );
-        assert_eq!(acc.open_records(), 1);
+        assert_eq!(open_records(&acc), 1);
     }
 
     #[test]
@@ -379,7 +380,7 @@ mod tests {
         // Hours < 5 − 2 = 3 are sealed: hour 0 folded, hour 5 still open.
         assert_eq!(acc.committed_below(), 3);
         assert_eq!(acc.committed_totals().get(0, 0), 1.0);
-        assert_eq!(acc.open_records(), 1);
+        assert_eq!(open_records(&acc), 1);
         let out = acc.finish();
         assert_eq!(out.totals.get(0, 0), 3.0);
         assert_eq!(out.hourly_volume[5], 2.0);

@@ -31,7 +31,7 @@ use crate::pipeline::IngestStats;
 use crate::record::{IngestSchema, QuarantineReason};
 
 /// Schema tag of the checkpoint document.
-pub const CHECKPOINT_SCHEMA: &str = "icn-ingest/v1";
+pub(crate) const CHECKPOINT_SCHEMA: &str = "icn-ingest/v1";
 
 /// A resumable snapshot of an ingest pipeline.
 #[derive(Clone, Debug)]

@@ -101,15 +101,6 @@ impl FaultConfig {
         }
         Ok(cfg)
     }
-
-    /// True if every rate is zero (the wrapper is a no-op).
-    pub fn is_noop(&self) -> bool {
-        self.drop == 0.0
-            && self.duplicate == 0.0
-            && self.reorder == 0.0
-            && self.corrupt == 0.0
-            && self.transient == 0.0
-    }
 }
 
 /// Exact accounting of every injected fault.
@@ -408,6 +399,6 @@ mod tests {
         assert!(FaultConfig::parse_spec("bogus=0.1").is_err());
         assert!(FaultConfig::parse_spec("drop=1.5").is_err());
         assert!(FaultConfig::parse_spec("drop").is_err());
-        assert!(FaultConfig::parse_spec("").unwrap().is_noop());
+        assert_eq!(FaultConfig::parse_spec("").unwrap(), FaultConfig::default());
     }
 }

@@ -7,21 +7,21 @@
 //! survive transient source failures and process crashes — while still
 //! producing a `T` **bit-identical** to the batch construction.
 //!
-//! * [`record`] — the [`HourlyRecord`] schema, structural validation with
+//! * [`HourlyRecord`] — the record schema, structural validation with
 //!   per-reason quarantine classification, and the [`RecordSource`] trait.
-//! * [`accumulator`] — watermark-bucketed folding: a dense slab per open
-//!   hour, sealed the moment the lateness watermark passes it and folded
+//! * [`StreamAccumulator`] — watermark-bucketed folding: a dense slab per
+//!   open hour, sealed the moment the lateness watermark passes it and folded
 //!   in canonical (hour, cell) order, which is what makes the result
 //!   invariant to chunking, threading, and bounded reordering. Per-record
 //!   validation runs here too, inline and in stream order.
-//! * [`pipeline`] — the chunked pipeline: bounded retry/backoff, one
-//!   allocation-free pass per record, quarantine accounting,
-//!   observability counters (`ingest.*` under the `ingest` stage span).
-//! * [`checkpoint`] — the `icn-ingest/v1` resume format; floats travel as
+//! * [`IngestPipeline`] — the chunked pipeline: bounded retry/backoff, one
+//!   allocation-free pass per record, quarantine accounting, observability
+//!   counters (`ingest.*` under the `ingest` stage span).
+//! * [`Checkpoint`] — the `icn-ingest/v1` resume format; floats travel as
 //!   IEEE-754 bit patterns so a crash/restore cycle cannot lose a ulp.
-//! * [`faults`] — a deterministic fault injector ([`FaultySource`]) whose
-//!   per-record decisions depend only on `(seed, record index)`, making
-//!   injected fault counts exactly reproducible at any chunk size.
+//! * [`FaultySource`] — a deterministic fault injector whose per-record
+//!   decisions depend only on `(seed, record index)`, making injected fault
+//!   counts exactly reproducible at any chunk size.
 //!
 //! The determinism contract is enforced by the workspace test-suite
 //! (`tests/ingest_determinism.rs`, `tests/ingest_faults.rs`) and by the
@@ -30,14 +30,14 @@
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
 
-pub mod accumulator;
-pub mod checkpoint;
-pub mod faults;
-pub mod pipeline;
-pub mod record;
+mod accumulator;
+mod checkpoint;
+mod faults;
+mod pipeline;
+mod record;
 
 pub use accumulator::{AccumulatedTotals, StreamAccumulator};
-pub use checkpoint::{Checkpoint, CHECKPOINT_SCHEMA};
+pub use checkpoint::Checkpoint;
 pub use faults::{FaultConfig, FaultReport, FaultySource};
 pub use pipeline::{IngestConfig, IngestError, IngestPipeline, IngestResult, IngestStats};
 pub use record::{

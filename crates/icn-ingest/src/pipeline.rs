@@ -18,9 +18,6 @@ use crate::accumulator::{AccumulatedTotals, StreamAccumulator};
 use crate::checkpoint::Checkpoint;
 use crate::record::{HourlyRecord, IngestSchema, QuarantineReason, RecordSource, SourceError};
 
-/// How many quarantined records are retained verbatim for diagnostics.
-const QUARANTINE_SAMPLE_CAP: usize = 32;
-
 /// Tuning knobs of the ingest driver.
 #[derive(Clone, Copy, Debug, PartialEq)]
 pub struct IngestConfig {
@@ -136,7 +133,6 @@ pub struct IngestPipeline {
     acc: StreamAccumulator,
     stats: IngestStats,
     records_consumed: u64,
-    quarantine_sample: Vec<(HourlyRecord, QuarantineReason)>,
 }
 
 impl IngestPipeline {
@@ -147,7 +143,6 @@ impl IngestPipeline {
             acc: StreamAccumulator::new(schema, config.lateness_hours),
             stats: IngestStats::default(),
             records_consumed: 0,
-            quarantine_sample: Vec::new(),
         }
     }
 
@@ -171,29 +166,12 @@ impl IngestPipeline {
             acc: ck.acc,
             stats: ck.stats,
             records_consumed: ck.records_consumed,
-            quarantine_sample: Vec::new(),
         })
-    }
-
-    /// The stream schema being enforced.
-    pub fn schema(&self) -> &IngestSchema {
-        self.acc.schema()
-    }
-
-    /// Records consumed from the source so far.
-    pub fn records_consumed(&self) -> u64 {
-        self.records_consumed
     }
 
     /// Accounting so far.
     pub fn stats(&self) -> &IngestStats {
         &self.stats
-    }
-
-    /// Up to 32 quarantined records kept verbatim for diagnostics (not
-    /// part of the checkpoint).
-    pub fn quarantine_sample(&self) -> &[(HourlyRecord, QuarantineReason)] {
-        &self.quarantine_sample
     }
 
     /// Snapshots the pipeline into a resumable checkpoint.
@@ -209,7 +187,10 @@ impl IngestPipeline {
 
     /// Processes one chunk. Returns `Ok(Some(n))` after consuming `n`
     /// records, `Ok(None)` at end of stream.
-    pub fn step<S: RecordSource>(&mut self, source: &mut S) -> Result<Option<usize>, IngestError> {
+    pub(crate) fn step<S: RecordSource>(
+        &mut self,
+        source: &mut S,
+    ) -> Result<Option<usize>, IngestError> {
         let chunk = self.pull_chunk(source)?;
         if chunk.is_empty() {
             return Ok(None);
@@ -221,12 +202,7 @@ impl IngestPipeline {
         for r in &chunk {
             match self.acc.insert(r) {
                 Ok(()) => ok += 1,
-                Err(reason) => {
-                    self.stats.quarantined[reason as usize] += 1;
-                    if self.quarantine_sample.len() < QUARANTINE_SAMPLE_CAP {
-                        self.quarantine_sample.push((*r, reason));
-                    }
-                }
+                Err(reason) => self.stats.quarantined[reason as usize] += 1,
             }
         }
         let quarantined = chunk.len() as u64 - ok;

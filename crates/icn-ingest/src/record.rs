@@ -31,12 +31,6 @@ pub struct HourlyRecord {
 }
 
 impl HourlyRecord {
-    /// Total volume of the record, the value folded into `T`.
-    #[inline]
-    pub fn volume(&self) -> f64 {
-        self.bytes_dl + self.bytes_ul
-    }
-
     /// The deduplication key: one record per (antenna, service, hour).
     #[inline]
     pub fn key(&self) -> (u32, u32, u32) {
@@ -93,7 +87,7 @@ impl QuarantineReason {
     }
 
     /// The reason whose [`label`](Self::label) is `label`.
-    pub fn from_label(label: &str) -> Option<QuarantineReason> {
+    pub(crate) fn from_label(label: &str) -> Option<QuarantineReason> {
         QuarantineReason::ALL
             .into_iter()
             .find(|r| r.label() == label)
@@ -125,7 +119,7 @@ impl IngestSchema {
     /// a requirement for exact quarantine accounting under fault
     /// injection. [`StreamAccumulator::insert`](crate::StreamAccumulator::insert)
     /// runs it before its stateful duplicate/late checks.
-    pub fn validate(&self, r: &HourlyRecord) -> Result<(), QuarantineReason> {
+    pub(crate) fn validate(&self, r: &HourlyRecord) -> Result<(), QuarantineReason> {
         if !r.bytes_dl.is_finite() || !r.bytes_ul.is_finite() {
             return Err(QuarantineReason::NonFiniteVolume);
         }
@@ -218,11 +212,6 @@ impl VecSource {
     /// Wraps a vector of records.
     pub fn new(records: Vec<HourlyRecord>) -> VecSource {
         VecSource { records, pos: 0 }
-    }
-
-    /// Records not yet served.
-    pub fn remaining(&self) -> usize {
-        self.records.len() - self.pos
     }
 }
 
@@ -341,7 +330,6 @@ mod tests {
             .collect();
         let mut src = VecSource::new(recs);
         assert_eq!(src.next_chunk(4).unwrap().len(), 4);
-        assert_eq!(src.remaining(), 6);
         src.skip_records(5).unwrap();
         let tail = src.next_chunk(100).unwrap();
         assert_eq!(tail.len(), 1);

@@ -70,7 +70,7 @@ impl DiffThresholds {
     /// [`stage_wall_ratios`] override, else the 2× default.
     ///
     /// [`stage_wall_ratios`]: DiffThresholds::stage_wall_ratios
-    pub fn wall_ratio_for(&self, stage: &str) -> f64 {
+    fn wall_ratio_for(&self, stage: &str) -> f64 {
         self.stage_wall_ratios
             .iter()
             .rev()

@@ -23,13 +23,13 @@
 use std::fmt;
 
 /// log2 of the number of sub-buckets per octave.
-pub const LOG_SUB_BUCKETS: u32 = 5;
+pub(crate) const LOG_SUB_BUCKETS: u32 = 5;
 /// Sub-buckets per power-of-two octave (relative error ≤ 1/32 ≈ 3%).
-pub const SUB_BUCKETS: u64 = 1 << LOG_SUB_BUCKETS;
+pub(crate) const SUB_BUCKETS: u64 = 1 << LOG_SUB_BUCKETS;
 /// Total number of buckets in the fixed layout. Values `0..SUB_BUCKETS`
 /// get exact unit buckets; each octave above contributes `SUB_BUCKETS`
 /// more, up to the full `u64` range.
-pub const N_BUCKETS: usize = ((64 - LOG_SUB_BUCKETS as usize) + 1) * SUB_BUCKETS as usize;
+pub(crate) const N_BUCKETS: usize = ((64 - LOG_SUB_BUCKETS as usize) + 1) * SUB_BUCKETS as usize;
 
 /// A mergeable log-bucketed histogram. See the module docs for layout and
 /// determinism guarantees.
@@ -72,9 +72,9 @@ impl Histogram {
         }
     }
 
-    /// The fixed bucket index of `v`. Values below [`SUB_BUCKETS`] map to
+    /// The fixed bucket index of `v`. Values below `SUB_BUCKETS` (32) map to
     /// exact unit buckets; larger values map to
-    /// `(octave − log₂S + 1)·S + sub` where `S` = [`SUB_BUCKETS`] and
+    /// `(octave − log₂S + 1)·S + sub` where `S` = `SUB_BUCKETS` and
     /// `sub` keeps the top `log₂S + 1` significant bits.
     pub fn bucket_index(v: u64) -> usize {
         if v < SUB_BUCKETS {
@@ -147,7 +147,7 @@ impl Histogram {
     }
 
     /// Mean observation (0.0 when empty).
-    pub fn mean(&self) -> f64 {
+    pub(crate) fn mean(&self) -> f64 {
         if self.count == 0 {
             0.0
         } else {

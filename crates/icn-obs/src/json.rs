@@ -59,14 +59,6 @@ impl Json {
         }
     }
 
-    /// The value as a bool, if it is one.
-    pub fn as_bool(&self) -> Option<bool> {
-        match self {
-            Json::Bool(b) => Some(*b),
-            _ => None,
-        }
-    }
-
     /// The value as a string slice, if it is one.
     pub fn as_str(&self) -> Option<&str> {
         match self {
@@ -174,7 +166,7 @@ impl Json {
 }
 
 /// Convenience: an object node built from a string-keyed map of counters.
-pub fn counters_obj(counters: &BTreeMap<String, u64>) -> Json {
+pub(crate) fn counters_obj(counters: &BTreeMap<String, u64>) -> Json {
     Json::Obj(
         counters
             .iter()
@@ -460,7 +452,6 @@ mod tests {
         let doc = Json::parse(r#"{"a": [1, 2], "b": "x", "c": true}"#).unwrap();
         assert_eq!(doc.get("a").unwrap().as_arr().unwrap().len(), 2);
         assert_eq!(doc.get("b").unwrap().as_str(), Some("x"));
-        assert_eq!(doc.get("c").unwrap().as_bool(), Some(true));
         assert!(doc.get("missing").is_none());
     }
 

@@ -9,29 +9,29 @@
 //!   (`stage2_cluster/condensed`), key=value attributes and point events.
 //!   Spans form a real tree ([`SpanData`]): parent/child by id, linked
 //!   **across threads** when work fans out through `icn_stats::par` (the
-//!   dispatching stage hands a [`span::Handoff`] to each worker). Inert
-//!   and allocation-free while collection is disabled.
+//!   dispatching stage hands a [`Handoff`] to each worker). Inert and
+//!   allocation-free while collection is disabled.
 //! * [`Registry`] — a thread-safe store of counters, gauges, log-bucketed
-//!   [`Histogram`]s and structured logs (ring-buffered, `ICN_LOG`-filtered
-//!   — see [`obs_log!`]). The process-global instance ([`global`]) starts
-//!   disabled; every mutating call short-circuits on one relaxed atomic
-//!   load, so instrumented library code costs nothing unless a harness
-//!   opts in. Hot loops tally locally and flush once per call, so enabling
-//!   metrics can never perturb numeric results either.
+//!   [`Histogram`]s and structured logs (ring-buffered, `ICN_LOG`-filtered —
+//!   see [`obs_log!`]). The process-global instance ([`global`]) starts
+//!   disabled; every mutating call short-circuits on one relaxed atomic load,
+//!   so instrumented library code costs nothing unless a harness opts in. Hot
+//!   loops tally locally and flush once per call, so enabling metrics can
+//!   never perturb numeric results either.
 //! * [`mem`] — allocation accounting: [`CountingAlloc`], a counting
 //!   `#[global_allocator]` wrapper over `System` that harness binaries
 //!   install, tracking window live/peak bytes globally and attributing
-//!   allocation churn to the span open on the allocating thread. Gated
-//!   on the same single-flag contract as the registry.
-//! * Exporters — [`BenchReport`], a stable JSON schema (`icn-obs/v3`)
-//!   that explains a single metered run (`--metrics-out`); and
-//!   [`chrome::chrome_trace`], a Chrome trace-event export
-//!   (`chrome://tracing` / Perfetto) of the full span tree.
-//! * Tooling — [`diff::diff_reports`] compares two reports against
-//!   fixed per-metric thresholds (the CI regression gate on live runs,
-//!   including the asymmetric peak-memory gate), [`diff::render_top`]
-//!   prints a self-time treetable and [`diff::render_mem`] the
-//!   allocation treetable behind `icn obs mem`.
+//!   allocation churn to the span open on the allocating thread. Gated on the
+//!   same single-flag contract as the registry.
+//! * Exporters — [`BenchReport`], a stable JSON schema (`icn-obs/v3`) that
+//!   explains a single metered run (`--metrics-out`); and [`chrome_trace`], a
+//!   Chrome trace-event export (`chrome://tracing` / Perfetto) of the full
+//!   span tree.
+//! * Tooling — [`diff_reports`] compares two reports against fixed per-metric
+//!   thresholds (the CI regression gate on live runs, including the
+//!   asymmetric peak-memory gate), [`render_top`] prints a self-time
+//!   treetable and [`render_mem`] the allocation treetable behind `icn obs
+//!   mem`.
 //!
 //! Typical harness usage:
 //!
@@ -56,30 +56,32 @@
 #![deny(unsafe_code)]
 #![warn(missing_docs)]
 
-pub mod chrome;
-pub mod diff;
-pub mod hist;
-pub mod json;
-pub mod log;
+mod chrome;
+mod diff;
+mod hist;
+mod json;
+mod log;
 pub mod mem;
-pub mod registry;
-pub mod report;
-pub mod span;
-pub mod trace;
+mod registry;
+mod report;
+mod span;
+mod trace;
 
 pub use chrome::{chrome_trace, write_chrome_trace};
-pub use diff::{diff_reports, render_mem, render_top, DiffReport, DiffStatus, DiffThresholds};
+pub use diff::{
+    diff_reports, render_mem, render_top, DiffLine, DiffReport, DiffStatus, DiffThresholds,
+};
 pub use hist::Histogram;
 pub use json::Json;
-pub use log::{Level, LogFilter, LogRecord};
-pub use mem::{gauge_bytes, vm_hwm_bytes, CountingAlloc, MemStats};
+pub use log::{Level, LogRecord};
+pub use mem::{gauge_bytes, CountingAlloc, MemStats};
 pub use registry::{Registry, Snapshot};
 pub use report::{
-    pair_reports, stage_for_counter, BenchReport, BenchReportSet, EnvInfo, MemoryReport, SpanAlloc,
-    StageReport, FORECAST_STAGE, PIPELINE_STAGES, SCHEMA, SET_SCHEMA,
+    pair_reports, BenchReport, BenchReportSet, EnvInfo, MemoryReport, SpanAlloc, StageReport,
+    FORECAST_STAGE, PIPELINE_STAGES,
 };
-pub use span::{current_handoff, Handoff, Span};
-pub use trace::{self_times, AttrValue, SpanData, SpanEvent};
+pub use span::{current_handoff, AdoptGuard, Handoff, Span};
+pub use trace::{AttrValue, SpanData, SpanEvent};
 
 static GLOBAL: Registry = Registry::new();
 

@@ -27,7 +27,7 @@ use std::time::Duration;
 
 /// Maximum number of retained log records; older records are dropped
 /// (and the drop count reported in [`crate::Snapshot::logs_dropped`]).
-pub const LOG_CAPACITY: usize = 4096;
+pub(crate) const LOG_CAPACITY: usize = 4096;
 
 /// Log severity, ordered from most to least severe.
 #[derive(Clone, Copy, Debug, PartialEq, Eq, PartialOrd, Ord)]
@@ -46,7 +46,7 @@ pub enum Level {
 
 impl Level {
     /// Lower-case name (`"warn"`).
-    pub fn name(self) -> &'static str {
+    pub(crate) fn name(self) -> &'static str {
         match self {
             Level::Error => "error",
             Level::Warn => "warn",
@@ -57,7 +57,7 @@ impl Level {
     }
 
     /// Parses a level name (case-insensitive). `None` for unknown names.
-    pub fn parse(s: &str) -> Option<Level> {
+    pub(crate) fn parse(s: &str) -> Option<Level> {
         match s.trim().to_ascii_lowercase().as_str() {
             "error" => Some(Level::Error),
             "warn" | "warning" => Some(Level::Warn),
@@ -89,7 +89,7 @@ pub struct LogRecord {
 /// A parsed `ICN_LOG` filter: a default maximum level plus per-target
 /// overrides (longest matching target prefix wins).
 #[derive(Clone, Debug, PartialEq)]
-pub struct LogFilter {
+pub(crate) struct LogFilter {
     /// Maximum level kept for targets without an override; `None` = off.
     pub default: Option<Level>,
     /// `(target, max level)` overrides; `None` silences the target.
@@ -101,7 +101,7 @@ pub struct LogFilter {
 impl LogFilter {
     /// The filter used when `ICN_LOG` is unset: keep `info` and above,
     /// no stderr echo.
-    pub fn default_filter() -> LogFilter {
+    fn default_filter() -> LogFilter {
         LogFilter {
             default: Some(Level::Info),
             targets: Vec::new(),
@@ -113,7 +113,7 @@ impl LogFilter {
     /// `off`/`none` silence). Unknown level names fall back to the
     /// default filter's level rather than erroring — observability must
     /// never take a process down.
-    pub fn from_spec(spec: &str) -> LogFilter {
+    fn from_spec(spec: &str) -> LogFilter {
         let mut filter = LogFilter {
             default: Some(Level::Info),
             targets: Vec::new(),
@@ -145,7 +145,7 @@ impl LogFilter {
 
     /// Reads the process-wide filter from `ICN_LOG` (cached after the
     /// first call).
-    pub fn from_env() -> &'static LogFilter {
+    pub(crate) fn from_env() -> &'static LogFilter {
         static FILTER: std::sync::OnceLock<LogFilter> = std::sync::OnceLock::new();
         FILTER.get_or_init(|| match std::env::var("ICN_LOG") {
             Ok(spec) => LogFilter::from_spec(&spec),
@@ -154,7 +154,7 @@ impl LogFilter {
     }
 
     /// Whether a record at `level` for `target` passes the filter.
-    pub fn enabled(&self, level: Level, target: &str) -> bool {
+    pub(crate) fn enabled(&self, level: Level, target: &str) -> bool {
         let mut best: Option<&(String, Option<Level>)> = None;
         for entry in &self.targets {
             let longer = match best {

@@ -236,7 +236,7 @@ unsafe impl GlobalAlloc for CountingAlloc {
 /// bytes. `None` off Linux or when the pseudo-file is unreadable —
 /// report building treats it as optional context next to the allocator
 /// window peak (which only sees heap traffic inside the window).
-pub fn vm_hwm_bytes() -> Option<u64> {
+pub(crate) fn vm_hwm_bytes() -> Option<u64> {
     let status = std::fs::read_to_string("/proc/self/status").ok()?;
     for line in status.lines() {
         if let Some(rest) = line.strip_prefix("VmHWM:") {

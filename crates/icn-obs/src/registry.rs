@@ -182,12 +182,6 @@ impl Registry {
         *inner.counters.entry(name.to_string()).or_insert(0) += delta;
     }
 
-    /// Increments the named counter by one.
-    #[inline]
-    pub fn incr(&self, name: &str) {
-        self.add_counter(name, 1);
-    }
-
     /// Sets the named gauge (last write wins).
     #[inline]
     pub fn set_gauge(&self, name: &str, value: f64) {
@@ -285,10 +279,10 @@ impl Registry {
         inner.spans.push(data);
     }
 
-    /// Test/report helper: records a minimal span occurrence with just a
-    /// path and wall time (no tree linkage).
-    #[doc(hidden)]
-    pub fn record_span_parts(&self, path: String, wall: Duration) {
+    /// Test helper: records a minimal span occurrence with just a path and
+    /// wall time (no tree linkage).
+    #[cfg(test)]
+    pub(crate) fn record_span_parts(&self, path: String, wall: Duration) {
         if !self.is_enabled() {
             return;
         }
@@ -355,7 +349,7 @@ mod tests {
         let r = Registry::new();
         r.enable();
         r.add_counter("x", 2);
-        r.incr("x");
+        r.add_counter("x", 1);
         assert_eq!(r.snapshot().counters["x"], 3);
         r.reset();
         assert!(r.snapshot().counters.is_empty());
@@ -401,7 +395,7 @@ mod tests {
                 let r = std::sync::Arc::clone(&r);
                 scope.spawn(move || {
                     for _ in 0..1000 {
-                        r.incr("hits");
+                        r.add_counter("hits", 1);
                     }
                 });
             }

@@ -56,13 +56,13 @@ use std::time::Duration;
 
 /// Schema identifier embedded in every report this crate writes, and the
 /// only one [`BenchReport::parse`] accepts.
-pub const SCHEMA: &str = "icn-obs/v3";
+pub(crate) const SCHEMA: &str = "icn-obs/v3";
 
 /// Schema identifier for a multi-configuration report *set* — the file
 /// `icn <cmd> --threads-sweep 1,2 --metrics-out` writes: one
 /// [`BenchReport`] per worker-thread count, produced by a single
 /// invocation so every run shares the binary, dataset and machine state.
-pub const SET_SCHEMA: &str = "icn-bench-set/1";
+pub(crate) const SET_SCHEMA: &str = "icn-bench-set/1";
 
 /// The five pipeline stages of `IcnStudy::run`, in execution order. The
 /// observability tests pin the stage set of a metered pipeline run to
@@ -85,7 +85,7 @@ pub const FORECAST_STAGE: &str = "stage6_forecast";
 /// stage 3, `env.*` → stage 4, `outdoor.*` → stage 5, `forecast.*` →
 /// stage 6, `synth.*` → `generate`, `probe.*` → `probe_campaign`,
 /// `ingest.*` → `ingest`. Unprefixed counters stay global-only.
-pub fn stage_for_counter(name: &str) -> Option<&'static str> {
+pub(crate) fn stage_for_counter(name: &str) -> Option<&'static str> {
     let prefix = name.split('.').next().unwrap_or("");
     match prefix {
         "transform" => Some(PIPELINE_STAGES[0]),
@@ -108,7 +108,7 @@ pub struct StageReport {
     pub name: String,
     /// Total wall time of the stage across all calls, in milliseconds.
     pub wall_ms: f64,
-    /// Counters attributed to this stage (see [`stage_for_counter`]).
+    /// Counters attributed to this stage (by counter-name prefix).
     pub counters: BTreeMap<String, u64>,
 }
 
@@ -145,7 +145,7 @@ impl EnvInfo {
     /// Captures the current environment. `scale` starts at 0.0 and is
     /// overwritten by [`BenchReport::build`]; `chunk` stays `None` unless
     /// the harness sets it.
-    pub fn capture() -> EnvInfo {
+    pub(crate) fn capture() -> EnvInfo {
         let hw = std::thread::available_parallelism().map_or(1, |n| n.get());
         let threads = std::env::var("ICN_THREADS")
             .ok()
@@ -171,7 +171,7 @@ impl EnvInfo {
 /// `packed-refs`), walking up from the current directory. Returns `None`
 /// outside a repository or on any read failure — environment capture must
 /// never fail a run.
-pub fn detect_git_commit() -> Option<String> {
+pub(crate) fn detect_git_commit() -> Option<String> {
     let mut dir = std::env::current_dir().ok()?;
     loop {
         let git = dir.join(".git");
@@ -441,7 +441,7 @@ impl BenchReport {
     }
 
     /// Parses a report back from its JSON rendering, validating the schema
-    /// tag ([`SCHEMA`]) and required fields.
+    /// tag (`icn-obs/v3`) and required fields.
     pub fn parse(text: &str) -> Result<BenchReport, String> {
         BenchReport::from_doc(&Json::parse(text)?)
     }
@@ -582,7 +582,7 @@ impl BenchReport {
 
 /// An ordered collection of reports from one invocation — one per
 /// worker-thread count when produced by `--threads-sweep`. The JSON
-/// rendering (`icn-bench-set/1`) wraps the individual [`SCHEMA`]
+/// rendering (`icn-bench-set/1`) wraps the individual `icn-obs/v3`
 /// documents verbatim:
 ///
 /// ```json
@@ -601,7 +601,7 @@ pub struct BenchReportSet {
 
 impl BenchReportSet {
     /// Renders the set as a pretty-printed JSON document.
-    pub fn to_json(&self) -> Json {
+    pub(crate) fn to_json(&self) -> Json {
         Json::obj(vec![
             ("schema", Json::str(SET_SCHEMA)),
             (
@@ -638,11 +638,6 @@ impl BenchReportSet {
         Ok(BenchReportSet {
             reports: vec![BenchReport::from_doc(&doc)?],
         })
-    }
-
-    /// The member report recorded at the given worker-thread count.
-    pub fn by_threads(&self, threads: usize) -> Option<&BenchReport> {
-        self.reports.iter().find(|r| r.env.threads == threads)
     }
 }
 
@@ -958,15 +953,13 @@ mod tests {
     }
 
     #[test]
-    fn report_set_round_trips_and_indexes_by_threads() {
+    fn report_set_round_trips() {
         let set = BenchReportSet {
             reports: vec![report_at_threads(1), report_at_threads(2)],
         };
         let back = BenchReportSet::parse(&set.to_json().to_pretty()).unwrap();
         assert_eq!(back.reports.len(), 2);
         assert_eq!(back, set);
-        assert_eq!(back.by_threads(2).unwrap().env.threads, 2);
-        assert!(back.by_threads(7).is_none());
     }
 
     #[test]

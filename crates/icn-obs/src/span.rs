@@ -165,7 +165,7 @@ impl Span {
     }
 
     /// Opens a span on a specific (static) registry.
-    pub fn enter_on(registry: &'static Registry, name: &str) -> Span {
+    fn enter_on(registry: &'static Registry, name: &str) -> Span {
         if !registry.is_enabled() {
             return Span { state: None };
         }
@@ -387,9 +387,10 @@ mod tests {
         let snap = reg.snapshot();
         reg.reset();
         let s = &snap.span_tree[0];
-        assert_eq!(s.attr("rows"), Some(&AttrValue::U64(128)));
-        assert_eq!(s.attr("ratio"), Some(&AttrValue::F64(0.5)));
-        assert_eq!(s.attr("mode"), Some(&AttrValue::Str("batch".into())));
+        let attr = |k: &str| s.attrs.iter().find(|(key, _)| key == k).map(|(_, v)| v);
+        assert_eq!(attr("rows"), Some(&AttrValue::U64(128)));
+        assert_eq!(attr("ratio"), Some(&AttrValue::F64(0.5)));
+        assert_eq!(attr("mode"), Some(&AttrValue::Str("batch".into())));
         assert_eq!(s.events.len(), 1);
         assert_eq!(s.events[0].name, "halfway");
     }

@@ -25,7 +25,7 @@ pub enum AttrValue {
 
 impl AttrValue {
     /// Renders the value as a [`crate::Json`] node.
-    pub fn to_json(&self) -> crate::Json {
+    pub(crate) fn to_json(&self) -> crate::Json {
         match self {
             AttrValue::U64(v) => crate::Json::Num(*v as f64),
             AttrValue::F64(v) => crate::Json::Num(*v),
@@ -101,20 +101,13 @@ pub struct SpanData {
     pub events: Vec<SpanEvent>,
 }
 
-impl SpanData {
-    /// Looks up an attribute by key.
-    pub fn attr(&self, key: &str) -> Option<&AttrValue> {
-        self.attrs.iter().find(|(k, _)| k == key).map(|(_, v)| v)
-    }
-}
-
 /// Aggregates per-occurrence *self* allocation attribution by span path:
 /// `path → (self bytes, self allocs, max peak growth)`. Because every
 /// occurrence carries self (not cumulative) figures — cross-thread
 /// children subtract nothing from their dispatcher — a path's cumulative
 /// bytes are simply the sum of self bytes over its subtree, which the
 /// treetable renderers compute by path prefix.
-pub fn alloc_by_path(
+pub(crate) fn alloc_by_path(
     span_tree: &[SpanData],
 ) -> std::collections::BTreeMap<String, (u64, u64, u64)> {
     let mut out: std::collections::BTreeMap<String, (u64, u64, u64)> =
@@ -133,7 +126,7 @@ pub fn alloc_by_path(
 /// `path → (calls, total, self)` in path order. Self time is clamped at
 /// zero: concurrent children (worker spans adopted from several threads)
 /// can legitimately sum to more wall time than their parent.
-pub fn self_times(
+pub(crate) fn self_times(
     spans: &std::collections::BTreeMap<String, (u64, Duration)>,
 ) -> std::collections::BTreeMap<String, (u64, Duration, Duration)> {
     let mut child_sum: std::collections::BTreeMap<&str, Duration> =
@@ -198,14 +191,6 @@ mod tests {
             attrs: Vec::new(),
             events: Vec::new(),
         }
-    }
-
-    #[test]
-    fn attr_lookup() {
-        let mut d = span_at("x", 0, 0, 0);
-        d.attrs = vec![("rows".into(), AttrValue::U64(9))];
-        assert_eq!(d.attr("rows"), Some(&AttrValue::U64(9)));
-        assert_eq!(d.attr("missing"), None);
     }
 
     #[test]

@@ -71,12 +71,14 @@ pub fn run_campaign(
     let root = Rng::seed_from(config.seed);
     let full_days = dataset.calendar.num_days();
 
-    // Per-antenna partial cubes, merged at the end.
-    let partials: Vec<HourlyCube> = par::map_indexed(n_antennas, |a| {
+    // Every session's ULI resolves to the antenna it was drawn for, so
+    // each worker fills only that antenna's service × hour slab and the
+    // merge copies one row per antenna.
+    let slabs: Vec<HourlyCube> = par::map_indexed(n_antennas, |a| {
         let antenna = &dataset.antennas[a];
         let mut rng = root.fork(a as u64);
         let dpi = DpiClassifier::new(&dataset.services, config.dpi);
-        let mut cube = HourlyCube::new(n_antennas, n_services, n_hours);
+        let mut slab = HourlyCube::slab(a, n_antennas, n_services, n_hours);
         for (s, svc) in dataset.services.iter().enumerate() {
             let total = dataset.indoor_totals.get(a, s);
             let series = hourly_series_for_window(
@@ -93,32 +95,18 @@ pub fn run_campaign(
                 }
                 for record in sessions_for_cell_hour(a, s, svc, hour, mb, &mut rng) {
                     let label = dpi.classify(record.service, &mut rng);
-                    cube.ingest(&record, label);
+                    slab.ingest(&record, label);
                 }
             }
         }
-        cube
+        slab
     });
 
-    // Merge partial cubes.
     let mut cube = HourlyCube::new(n_antennas, n_services, n_hours);
-    let mut sessions = 0usize;
-    for p in &partials {
-        cube.dropped_bad_uli += p.dropped_bad_uli;
-        cube.dropped_unclassified += p.dropped_unclassified;
-        for a in 0..n_antennas {
-            for s in 0..n_services {
-                for h in 0..n_hours {
-                    let mb = p.get_mb(a, s, h);
-                    let n = p.get_sessions(a, s, h);
-                    if n > 0 {
-                        cube.add_cell(a, s, h, mb, n);
-                        sessions += n as usize;
-                    }
-                }
-            }
-        }
+    for slab in slabs {
+        cube.add_slab(&slab);
     }
+    let sessions = cube.session_count();
 
     let suppressed_cells = if config.min_sessions_per_cell > 1 {
         cube.suppress_below(config.min_sessions_per_cell)

@@ -56,7 +56,7 @@ impl DpiConfig {
 }
 
 /// A DPI classifier over a service catalog.
-pub struct DpiClassifier<'a> {
+pub(crate) struct DpiClassifier<'a> {
     services: &'a [Service],
     config: DpiConfig,
     /// For each service, the indices of other services in its category.
@@ -65,7 +65,7 @@ pub struct DpiClassifier<'a> {
 
 impl<'a> DpiClassifier<'a> {
     /// Builds the classifier for a catalog.
-    pub fn new(services: &'a [Service], config: DpiConfig) -> Self {
+    pub(crate) fn new(services: &'a [Service], config: DpiConfig) -> Self {
         assert!(
             (0.0..=1.0).contains(&config.confusion_rate)
                 && (0.0..=1.0).contains(&config.within_category)
@@ -92,7 +92,7 @@ impl<'a> DpiClassifier<'a> {
     }
 
     /// Classifies one session whose ground-truth service is `truth`.
-    pub fn classify(&self, truth: usize, rng: &mut Rng) -> DpiLabel {
+    pub(crate) fn classify(&self, truth: usize, rng: &mut Rng) -> DpiLabel {
         assert!(truth < self.services.len(), "classify: bad service index");
         if rng.chance(self.config.unclassified_rate) {
             return DpiLabel::Unclassified;
@@ -114,16 +114,12 @@ impl<'a> DpiClassifier<'a> {
             DpiLabel::Service(j)
         }
     }
-
-    /// The service catalog being classified against.
-    pub fn services(&self) -> &[Service] {
-        self.services
-    }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use icn_stats::check::cases;
     use icn_synth::services::{catalog, index_of};
 
     #[test]
@@ -211,5 +207,43 @@ mod tests {
                 unclassified_rate: 0.0,
             },
         );
+    }
+
+    #[test]
+    fn classifier_rates_bounded() {
+        cases(64, |case, rng| {
+            let confusion = rng.uniform(0.0, 1.0);
+            let unclassified = rng.uniform(0.0, 0.5);
+            let services = catalog();
+            let dpi = DpiClassifier::new(
+                &services,
+                DpiConfig {
+                    confusion_rate: confusion,
+                    within_category: 0.8,
+                    unclassified_rate: unclassified,
+                },
+            );
+            for truth in (0..73).step_by(11) {
+                match dpi.classify(truth, rng) {
+                    DpiLabel::Service(s) => assert!(s < 73, "case {case}"),
+                    DpiLabel::Unclassified => {}
+                }
+            }
+        });
+    }
+
+    #[test]
+    fn zero_confusion_is_identity() {
+        cases(64, |case, rng| {
+            let services = catalog();
+            let dpi = DpiClassifier::new(&services, DpiConfig::perfect());
+            for truth in 0..73 {
+                assert_eq!(
+                    dpi.classify(truth, rng),
+                    DpiLabel::Service(truth),
+                    "case {case}"
+                );
+            }
+        });
     }
 }

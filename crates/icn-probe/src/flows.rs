@@ -30,7 +30,7 @@ pub struct SessionRecord {
     /// ULI of the serving cell (geo-reference).
     pub uli: Uli,
     /// Service index assigned by DPI — here still the ground truth; the
-    /// classifier in [`crate::dpi`] may relabel it.
+    /// DPI classifier may relabel it.
     pub service: usize,
     /// Hour slot index within the observation window.
     pub hour: usize,

@@ -11,28 +11,29 @@
 //! failure modes (malformed ULIs, DPI confusion, unclassified flows) and
 //! the privacy suppression step:
 //!
-//! * [`flows`] — IP-session synthesis: Poisson session counts, heavy-tailed
-//!   sizes, down/uplink split and TCP/UDP mix per service category.
-//! * [`uli`] — ULI (TAC + ECI) numbering plan, wire encoding, resolution
-//!   back to antennas, corruption detection.
-//! * [`dpi`] — the service classifier with a category-structured confusion
-//!   model and an unclassified fraction.
-//! * [`aggregate`] — the hourly (antenna, service, hour) cube, k-anonymity
+//! * [`sessions_for_cell_hour`] — IP-session synthesis: Poisson session
+//!   counts, heavy-tailed sizes, down/uplink split and TCP/UDP mix per
+//!   service category.
+//! * [`Uli`] — ULI (TAC + ECI) numbering plan and resolution back to
+//!   antennas, rejecting inconsistent or foreign records.
+//! * [`DpiConfig`] — the service classifier with a category-structured
+//!   confusion model and an unclassified fraction.
+//! * [`HourlyCube`] — the hourly (antenna, service, hour) cube, k-anonymity
 //!   suppression, and folding into the totals matrix.
-//! * [`campaign`] — end-to-end orchestration with conservation tests
+//! * [`run_campaign`] — end-to-end orchestration with conservation tests
 //!   against the direct generator.
 
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
 
-pub mod aggregate;
-pub mod campaign;
-pub mod dpi;
-pub mod flows;
-pub mod uli;
+mod aggregate;
+mod campaign;
+mod dpi;
+mod flows;
+mod uli;
 
 pub use aggregate::HourlyCube;
 pub use campaign::{run_campaign, CampaignConfig, CampaignResult};
-pub use dpi::{DpiClassifier, DpiConfig, DpiLabel};
+pub use dpi::{DpiConfig, DpiLabel};
 pub use flows::{sessions_for_cell_hour, Protocol, SessionRecord};
-pub use uli::{antenna_for_uli, decode, encode, uli_for_antenna, Uli};
+pub use uli::{antenna_for_uli, uli_for_antenna, Uli};

@@ -5,9 +5,8 @@
 //! Information (ULI) field present in the PDP Contexts and EPS Bearers over
 //! the GPRS Tunneling Protocol control plane (GTP-C)". We model the ULI as
 //! a `(tracking area code, E-UTRAN cell id)` pair with a deterministic
-//! mapping to antenna ids, an encoder/decoder, and a corruption model for
-//! malformed control-plane records (which real probes do see and must
-//! discard).
+//! mapping to antenna ids; resolution rejects inconsistent control-plane
+//! records (which real probes do see and must discard).
 
 /// A decoded ULI: tracking area + cell identity.
 #[derive(Clone, Copy, Debug, PartialEq, Eq, Hash)]
@@ -48,26 +47,6 @@ pub fn antenna_for_uli(uli: Uli, n_antennas: usize) -> Option<usize> {
     }
 }
 
-/// Serialises a ULI into the 6-byte wire layout we use (2-byte TAC +
-/// 4-byte ECI, both big-endian).
-pub fn encode(uli: Uli) -> [u8; 6] {
-    let mut out = [0u8; 6];
-    out[..2].copy_from_slice(&uli.tac.to_be_bytes());
-    out[2..].copy_from_slice(&uli.eci.to_be_bytes());
-    out
-}
-
-/// Parses the 6-byte layout back. Returns `None` if the ECI has bits above
-/// its 28-bit range (corrupted record).
-pub fn decode(bytes: &[u8; 6]) -> Option<Uli> {
-    let tac = u16::from_be_bytes([bytes[0], bytes[1]]);
-    let eci = u32::from_be_bytes([bytes[2], bytes[3], bytes[4], bytes[5]]);
-    if eci > 0x0FFF_FFFF {
-        return None;
-    }
-    Some(Uli { tac, eci })
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -91,20 +70,6 @@ mod tests {
         let mut uli = uli_for_antenna(300);
         uli.tac = 0; // now ECI says eNodeB 1 but TAC says 0
         assert_eq!(antenna_for_uli(uli, 4762), None);
-    }
-
-    #[test]
-    fn wire_round_trip() {
-        let uli = uli_for_antenna(1234);
-        let bytes = encode(uli);
-        assert_eq!(decode(&bytes), Some(uli));
-    }
-
-    #[test]
-    fn corrupted_eci_rejected() {
-        let mut bytes = encode(uli_for_antenna(7));
-        bytes[2] = 0xFF; // set bits above the 28-bit ECI range
-        assert_eq!(decode(&bytes), None);
     }
 
     #[test]

@@ -12,14 +12,14 @@ const SEQ_RAMP: [char; 5] = [' ', '░', '▒', '▓', '█'];
 const DIV_RAMP: [char; 7] = ['=', '-', '·', ' ', '·', '+', '#'];
 
 /// Maps a value in `[0, 1]` to a sequential shade.
-pub fn seq_shade(v: f64) -> char {
+fn seq_shade(v: f64) -> char {
     let v = v.clamp(0.0, 1.0);
     let idx = (v * (SEQ_RAMP.len() - 1) as f64).round() as usize;
     SEQ_RAMP[idx]
 }
 
 /// Maps a value in `[-1, 1]` to a diverging shade (negative = under-use).
-pub fn div_shade(v: f64) -> char {
+fn div_shade(v: f64) -> char {
     let v = v.clamp(-1.0, 1.0);
     let idx = ((v + 1.0) / 2.0 * (DIV_RAMP.len() - 1) as f64).round() as usize;
     DIV_RAMP[idx]
@@ -59,23 +59,6 @@ fn render(rows: &[Vec<f64>], row_labels: Option<&[String]>, shade: impl Fn(f64) 
         out.push('\n');
     }
     out
-}
-
-/// Renders an hour-of-day axis line aligned under a 24-column-per-day
-/// heatmap (tick every 6 hours), used by the temporal harnesses.
-pub fn hour_axis(days: usize, label_w: usize) -> String {
-    let mut line = String::new();
-    for _ in 0..label_w {
-        line.push(' ');
-    }
-    if label_w > 0 {
-        line.push_str(" |");
-    }
-    for _ in 0..days {
-        line.push_str("0.....6.....12....18....");
-    }
-    line.push('\n');
-    line
 }
 
 #[cfg(test)]
@@ -122,11 +105,5 @@ mod tests {
     #[should_panic(expected = "label count mismatch")]
     fn mismatched_labels_panic() {
         render_sequential(&[vec![0.0]], Some(&["a".to_string(), "b".to_string()]));
-    }
-
-    #[test]
-    fn hour_axis_width_matches_days() {
-        let a = hour_axis(2, 0);
-        assert_eq!(a.trim_end().chars().count(), 48);
     }
 }

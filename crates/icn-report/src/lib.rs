@@ -3,15 +3,15 @@
 //! The reproduction's deliverable is the *data series* behind every figure;
 //! these renderers make the shapes inspectable in a terminal or CI log:
 //!
-//! * [`table`] — aligned text tables (Table 1, k-sweep rows, ...).
+//! * [`Table`] — aligned text tables (Table 1, k-sweep rows, ...).
 //! * [`heatmap`] — shaded Unicode heatmaps, sequential for temporal data
 //!   (Figures 10–11) and diverging for RSCA (Figure 4).
-//! * [`dendro`] — top-of-hierarchy dendrograms with cut thresholds
-//!   (Figure 3).
+//! * [`dendro`] — top-of-hierarchy dendrograms with cut thresholds (Figure
+//!   3).
 //! * [`histogram_plot`] — horizontal-bar histograms (Figure 1).
 //! * [`sankey`] — proportional cluster→environment flow bands (Figure 6).
-//! * [`beeswarm`] — ranked SHAP influence lists with over-/under-use
-//!   markers (Figure 5).
+//! * [`beeswarm`] — ranked SHAP influence lists with over-/under-use markers
+//!   (Figure 5).
 
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
@@ -22,6 +22,6 @@ pub mod heatmap;
 pub mod histogram_plot;
 pub mod sankey;
 pub mod spark;
-pub mod table;
+mod table;
 
-pub use table::{num, pct, Table};
+pub use table::{num, Table};

@@ -9,7 +9,7 @@ const BARS: [char; 8] = ['▁', '▂', '▃', '▄', '▅', '▆', '▇', '█']
 /// Renders a series as a sparkline, min-max scaled over the series itself.
 /// Empty input renders as an empty string; a constant series renders at
 /// the lowest bar.
-pub fn sparkline(values: &[f64]) -> String {
+fn sparkline(values: &[f64]) -> String {
     if values.is_empty() {
         return String::new();
     }

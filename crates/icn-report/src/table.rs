@@ -33,16 +33,6 @@ impl Table {
         self
     }
 
-    /// Number of data rows.
-    pub fn len(&self) -> usize {
-        self.rows.len()
-    }
-
-    /// True when no data rows were added.
-    pub fn is_empty(&self) -> bool {
-        self.rows.is_empty()
-    }
-
     /// Renders the table with a separator line under the header.
     pub fn render(&self) -> String {
         let cols = self.header.len();
@@ -79,11 +69,6 @@ impl Table {
     }
 }
 
-/// Formats a fraction as a percentage with one decimal, e.g. `37.7%`.
-pub fn pct(frac: f64) -> String {
-    format!("{:.1}%", 100.0 * frac)
-}
-
 /// Formats a float compactly with the given number of decimals.
 pub fn num(v: f64, decimals: usize) -> String {
     format!("{v:.decimals$}")
@@ -116,13 +101,11 @@ mod tests {
     #[test]
     fn empty_table_has_header_only() {
         let t = Table::new(vec!["x"]);
-        assert!(t.is_empty());
         assert_eq!(t.render().lines().count(), 2);
     }
 
     #[test]
     fn formatting_helpers() {
-        assert_eq!(pct(0.377), "37.7%");
         assert_eq!(num(1.23456, 2), "1.23");
     }
 }

@@ -5,35 +5,37 @@
 //! random-forest surrogate (`icn-forest`) and attributing each antenna's
 //! predicted cluster to its per-service RSCA features.
 //!
-//! * [`treeshap`] — the polynomial-time, path-dependent TreeSHAP algorithm
-//!   for single trees and forests, exact for the tree's conditional
-//!   expectation and validated against brute force.
-//! * [`quad`] — Gauss–Legendre nodes/weights on [0, 1]; the TreeSHAP
-//!   kernel evaluates the Shapley subset weights in integral form, which
-//!   an `⌈l/2⌉`-point rule integrates exactly.
-//! * [`exact`] — the 2^M Shapley definition (Eq. 4 of the paper) for small
-//!   feature counts; the oracle the fast algorithm is tested against.
-//! * [`kernelshap`] — model-agnostic Kernel SHAP: coalition sampling with
-//!   Shapley-kernel weights and a constrained weighted-least-squares fit.
-//! * [`linalg`] — the small dense WLS solver backing KernelSHAP.
-//! * [`explain`] — the Figure 5 statistics: per-cluster mean-|SHAP| service
-//!   rankings with over-/under-utilisation directions.
+//! * [`tree_shap`] / [`forest_shap_batch_soa`] — the polynomial-time,
+//!   path-dependent TreeSHAP algorithm for single trees and forests, exact
+//!   for the tree's conditional expectation and validated against brute
+//!   force.
+//! * [`gauss_legendre_01`] — Gauss–Legendre nodes/weights on [0, 1]; the
+//!   TreeSHAP kernel evaluates the Shapley subset weights in integral form,
+//!   which an `⌈l/2⌉`-point rule integrates exactly.
+//! * [`exact_tree_shap`] — the 2^M Shapley definition (Eq. 4 of the paper)
+//!   for small feature counts; the oracle the fast algorithm is tested
+//!   against.
+//! * [`kernel_shap`] — model-agnostic Kernel SHAP: coalition sampling with
+//!   Shapley-kernel weights and a constrained weighted-least-squares fit (a
+//!   small dense solver kept inside the crate).
+//! * [`explain_class`] — the Figure 5 statistics: per-cluster mean-|SHAP|
+//!   service rankings with over-/under-utilisation directions.
 
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
 
-pub mod exact;
-pub mod explain;
-pub mod kernelshap;
-pub mod linalg;
-pub mod quad;
-pub mod treeshap;
+mod exact;
+mod explain;
+mod kernelshap;
+mod linalg;
+mod quad;
+mod treeshap;
 
 pub use exact::{exact_tree_shap, tree_expectation};
 pub use explain::{explain_class, ClassExplanation, Direction, FeatureInfluence};
 pub use kernelshap::{kernel_shap, KernelShapConfig, ScalarModel};
 pub use quad::gauss_legendre_01;
 pub use treeshap::{
-    base_value, forest_base_value, forest_shap, forest_shap_batch, forest_shap_batch_soa,
-    forest_shap_soa, tree_shap,
+    forest_base_value, forest_shap, forest_shap_batch, forest_shap_batch_soa, forest_shap_soa,
+    tree_shap,
 };

@@ -9,7 +9,7 @@
 /// Solves `A x = b` for square `A` (row-major, `n × n`) by Gaussian
 /// elimination with partial pivoting. Returns `None` for (numerically)
 /// singular systems.
-pub fn solve(a: &[f64], b: &[f64], n: usize) -> Option<Vec<f64>> {
+pub(crate) fn solve(a: &[f64], b: &[f64], n: usize) -> Option<Vec<f64>> {
     assert_eq!(a.len(), n * n, "solve: A shape mismatch");
     assert_eq!(b.len(), n, "solve: b length mismatch");
     let mut m = a.to_vec();
@@ -64,7 +64,7 @@ pub fn solve(a: &[f64], b: &[f64], n: usize) -> Option<Vec<f64>> {
 /// Weighted least squares: minimises `Σ_i w_i (y_i − z_iᵀ β)²` over rows
 /// `z_i` of the `rows × p` design matrix. Solves the normal equations
 /// `(ZᵀWZ) β = ZᵀW y`. Returns `None` when the system is singular.
-pub fn weighted_least_squares(z: &[Vec<f64>], y: &[f64], w: &[f64]) -> Option<Vec<f64>> {
+pub(crate) fn weighted_least_squares(z: &[Vec<f64>], y: &[f64], w: &[f64]) -> Option<Vec<f64>> {
     let rows = z.len();
     assert!(rows > 0, "wls: empty design");
     assert_eq!(y.len(), rows, "wls: y length mismatch");

@@ -767,13 +767,14 @@ fn unflatten(flat: &[f64], n_features: usize, n_classes: usize) -> Vec<Vec<f64>>
 
 /// TreeSHAP explanation of one tree for one sample.
 ///
-/// Returns `phi[feature][class]`; together with the base value (the root's
-/// cover-weighted expectation, [`base_value`]) these satisfy local accuracy:
+/// Returns `phi[feature][class]`; together with the base value (the
+/// cover-weighted expectation, i.e. the root's class distribution) these
+/// satisfy local accuracy:
 /// `Σ_f phi[f][c] + base[c] = predict_proba(x)[c]`.
 ///
 /// ```
 /// use icn_forest::{DecisionTree, TrainSet, TreeConfig};
-/// use icn_shap::{base_value, tree_shap};
+/// use icn_shap::tree_shap;
 /// use icn_stats::{Matrix, Rng};
 /// let ts = TrainSet::new(
 ///     Matrix::from_rows(&[vec![0.0], vec![0.2], vec![0.9], vec![1.0]]),
@@ -783,7 +784,7 @@ fn unflatten(flat: &[f64], n_features: usize, n_classes: usize) -> Vec<Vec<f64>>
 /// let tree = DecisionTree::fit(&ts, &rows, &TreeConfig::default(), &mut Rng::seed_from(1));
 /// let x = [0.95];
 /// let phi = tree_shap(&tree, &x);
-/// let base = base_value(&tree);
+/// let base = &tree.nodes[0].distribution;
 /// let pred = tree.predict_proba(&x);
 /// for c in 0..2 {
 ///     assert!((phi[0][c] + base[c] - pred[c]).abs() < 1e-12); // local accuracy
@@ -801,7 +802,7 @@ pub fn tree_shap(tree: &DecisionTree, x: &[f64]) -> Vec<Vec<f64>> {
 /// The base (expected) value of a tree: its output with every feature
 /// absent — the cover-weighted average over leaves, which for our trees is
 /// simply the root's class distribution.
-pub fn base_value(tree: &DecisionTree) -> Vec<f64> {
+fn base_value(tree: &DecisionTree) -> Vec<f64> {
     crate::exact::tree_expectation(
         tree,
         &vec![0.0; tree.n_features],
@@ -1192,5 +1193,41 @@ mod tests {
                 }
             }
         }
+    }
+
+    #[test]
+    fn local_accuracy_random_trees() {
+        use icn_stats::check::{cases, len_in};
+        cases(24, |case, rng| {
+            let n = len_in(rng, 20, 80);
+            let d = len_in(rng, 2, 6);
+            let rows: Vec<Vec<f64>> = (0..n)
+                .map(|_| (0..d).map(|_| rng.uniform(0.0, 1.0)).collect())
+                .collect();
+            let mut labels: Vec<usize> = rows
+                .iter()
+                .map(|r| {
+                    let s: f64 = r.iter().take(2).sum();
+                    usize::from(s > 1.0)
+                })
+                .collect();
+            labels[0] = 0;
+            labels[n - 1] = 1;
+            let ts = TrainSet::new(Matrix::from_rows(&rows), labels);
+            let all: Vec<usize> = (0..ts.len()).collect();
+            let tree = DecisionTree::fit(&ts, &all, &TreeConfig::default(), rng);
+            let base = base_value(&tree);
+            let x = ts.x.row(rng.index(n));
+            let phi = tree_shap(&tree, x);
+            let pred = tree.predict_proba(x);
+            for c in 0..tree.n_classes {
+                let total: f64 = phi.iter().map(|p| p[c]).sum::<f64>() + base[c];
+                assert!(
+                    (total - pred[c]).abs() < 1e-9,
+                    "case {case} class {c}: {total} vs {}",
+                    pred[c]
+                );
+            }
+        });
     }
 }

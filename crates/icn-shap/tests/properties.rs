@@ -4,7 +4,7 @@
 //! [`icn_stats::check`] harness.
 
 use icn_forest::{DecisionTree, ForestConfig, RandomForest, TrainSet, TreeConfig};
-use icn_shap::{base_value, exact_tree_shap, forest_base_value, forest_shap, tree_shap};
+use icn_shap::{exact_tree_shap, forest_base_value, forest_shap, tree_shap};
 use icn_stats::check::{cases, len_in};
 use icn_stats::{Matrix, Rng};
 
@@ -22,29 +22,6 @@ fn trainset(rng: &mut Rng, n: usize, d: usize) -> TrainSet {
     labels[0] = 0;
     labels[n - 1] = 1;
     TrainSet::new(Matrix::from_rows(&rows), labels)
-}
-
-#[test]
-fn local_accuracy_random_trees() {
-    cases(24, |case, rng| {
-        let n = len_in(rng, 20, 80);
-        let d = len_in(rng, 2, 6);
-        let ts = trainset(rng, n, d);
-        let all: Vec<usize> = (0..ts.len()).collect();
-        let tree = DecisionTree::fit(&ts, &all, &TreeConfig::default(), rng);
-        let base = base_value(&tree);
-        let x = ts.x.row(rng.index(n));
-        let phi = tree_shap(&tree, x);
-        let pred = tree.predict_proba(x);
-        for c in 0..tree.n_classes {
-            let total: f64 = phi.iter().map(|p| p[c]).sum::<f64>() + base[c];
-            assert!(
-                (total - pred[c]).abs() < 1e-9,
-                "case {case} class {c}: {total} vs {}",
-                pred[c]
-            );
-        }
-    });
 }
 
 #[test]

@@ -56,17 +56,6 @@ impl Metric {
             }
         }
     }
-
-    /// Human-readable name, used in bench output.
-    pub fn name(&self) -> &'static str {
-        match self {
-            Metric::Euclidean => "euclidean",
-            Metric::SqEuclidean => "sq-euclidean",
-            Metric::Manhattan => "manhattan",
-            Metric::Chebyshev => "chebyshev",
-            Metric::Cosine => "cosine",
-        }
-    }
 }
 
 /// Squared Euclidean distance, the hot inner loop of Ward clustering.
@@ -79,12 +68,6 @@ pub fn sq_euclidean(a: &[f64], b: &[f64]) -> f64 {
         s += d * d;
     }
     s
-}
-
-/// Euclidean distance.
-#[inline]
-pub fn euclidean(a: &[f64], b: &[f64]) -> f64 {
-    sq_euclidean(a, b).sqrt()
 }
 
 /// Squared Euclidean distance over four independent accumulator lanes.
@@ -133,7 +116,6 @@ mod tests {
     #[test]
     fn euclidean_345_triangle() {
         assert_eq!(Metric::Euclidean.distance(&A, &B), 5.0);
-        assert_eq!(euclidean(&A, &B), 5.0);
     }
 
     #[test]
@@ -176,7 +158,7 @@ mod tests {
             Metric::Manhattan,
             Metric::Chebyshev,
         ] {
-            assert_eq!(m.distance(&A, &A), 0.0, "{}", m.name());
+            assert_eq!(m.distance(&A, &A), 0.0, "{m:?}");
         }
     }
 
@@ -189,7 +171,7 @@ mod tests {
             Metric::Chebyshev,
             Metric::Cosine,
         ] {
-            assert_eq!(m.distance(&A, &B), m.distance(&B, &A), "{}", m.name());
+            assert_eq!(m.distance(&A, &B), m.distance(&B, &A), "{m:?}");
         }
     }
 

@@ -52,7 +52,7 @@ impl Histogram {
 
     /// Adds one observation. NaN is counted as overflow (it is out of every
     /// bin) so that mass conservation still holds.
-    pub fn add(&mut self, v: f64) {
+    fn add(&mut self, v: f64) {
         if v.is_nan() {
             self.overflow += 1;
             return;
@@ -102,37 +102,6 @@ impl Histogram {
         let width = (self.hi - self.lo) / self.counts.len() as f64;
         (self.lo + i as f64 * width, self.lo + (i + 1) as f64 * width)
     }
-
-    /// Bin centres, convenient for plotting/series output.
-    pub fn centers(&self) -> Vec<f64> {
-        (0..self.bins())
-            .map(|i| {
-                let (l, r) = self.edges(i);
-                0.5 * (l + r)
-            })
-            .collect()
-    }
-
-    /// Bin frequencies normalised by the total count (empty histogram yields
-    /// all zeros).
-    pub fn frequencies(&self) -> Vec<f64> {
-        let t = self.total();
-        if t == 0 {
-            return vec![0.0; self.bins()];
-        }
-        self.counts.iter().map(|&c| c as f64 / t as f64).collect()
-    }
-
-    /// Index of the fullest bin (first on ties).
-    pub fn mode_bin(&self) -> usize {
-        let mut best = 0;
-        for (i, &c) in self.counts.iter().enumerate() {
-            if c > self.counts[best] {
-                best = i;
-            }
-        }
-        best
-    }
 }
 
 #[cfg(test)]
@@ -164,30 +133,10 @@ mod tests {
     }
 
     #[test]
-    fn edges_and_centers() {
+    fn edges() {
         let h = Histogram::new(0.0, 2.0, 4);
         assert_eq!(h.edges(0), (0.0, 0.5));
         assert_eq!(h.edges(3), (1.5, 2.0));
-        assert_eq!(h.centers(), vec![0.25, 0.75, 1.25, 1.75]);
-    }
-
-    #[test]
-    fn frequencies_sum_below_one_with_outliers() {
-        let h = Histogram::of(&[0.1, 0.2, 9.0], 0.0, 1.0, 2);
-        let f: f64 = h.frequencies().iter().sum();
-        assert!((f - 2.0 / 3.0).abs() < 1e-12);
-    }
-
-    #[test]
-    fn empty_frequencies_are_zero() {
-        let h = Histogram::new(0.0, 1.0, 3);
-        assert_eq!(h.frequencies(), vec![0.0, 0.0, 0.0]);
-    }
-
-    #[test]
-    fn mode_bin_first_on_tie() {
-        let h = Histogram::of(&[0.1, 0.9], 0.0, 1.0, 2);
-        assert_eq!(h.mode_bin(), 0);
     }
 
     #[test]

@@ -3,26 +3,26 @@
 //! Small, dependency-free numerical building blocks shared by every other
 //! crate in the workspace:
 //!
-//! * [`matrix`] — a dense row-major `f64` matrix with row/column views and
+//! * [`Matrix`] — a dense row-major `f64` matrix with row/column views and
 //!   aggregation helpers; the canonical container for the antenna × service
 //!   traffic matrix `T` of the paper (Section 4.1).
 //! * [`rng`] — deterministic pseudo-random generators (SplitMix64 and
 //!   Xoshiro256++) plus the sampling distributions the synthetic measurement
 //!   substrate needs (uniform, normal, log-normal, exponential, Poisson,
-//!   categorical, Dirichlet-like share vectors). Bit-for-bit reproducible for
-//!   a fixed seed on every platform.
+//!   categorical). Bit-for-bit reproducible for a fixed seed on every
+//!   platform.
 //! * [`summary`] — mean / variance / standard deviation / median / quantiles
 //!   / min / max over slices, with NaN-hostile debug assertions.
-//! * [`histogram`] — fixed-width binning used by Figure 1 of the paper.
+//! * [`Histogram`] — fixed-width binning used by Figure 1 of the paper.
 //! * [`distance`] — metric kernels (Euclidean, squared Euclidean, Manhattan,
 //!   Chebyshev, cosine distance) used by the clustering substrate.
-//! * [`normalize`] — min-max, global-max, z-score and row-stochastic
+//! * [`normalize`] — global-max, per-slice max and row-stochastic
 //!   normalisation (the "normalized traffic" panel of Figure 1).
-//! * [`rank`] — argsort / top-k / rank transforms used for feature
-//!   importance orderings.
+//! * [`rank`] — argsort / top-k / argmax used for feature importance
+//!   orderings.
 //! * [`par`] — order-preserving scoped-thread parallel map (the workspace's
-//!   zero-dependency stand-in for rayon); results never depend on the
-//!   thread schedule.
+//!   zero-dependency stand-in for rayon); results never depend on the thread
+//!   schedule.
 //! * [`check`] — a deterministic property-test harness over [`rng::Rng`]
 //!   seeded case streams.
 //!
@@ -35,8 +35,8 @@
 
 pub mod check;
 pub mod distance;
-pub mod histogram;
-pub mod matrix;
+mod histogram;
+mod matrix;
 pub mod normalize;
 pub mod par;
 pub mod rank;

@@ -4,8 +4,8 @@
 //! antenna and one column per mobile service (Section 4.1). [`Matrix`] is a
 //! deliberately simple container: contiguous storage, checked indexing in
 //! debug builds, and the handful of aggregation/view operations the pipeline
-//! needs (row/column sums, per-row and per-column maps, transpose, column
-//! extraction). It is not a linear-algebra library — we add operations only
+//! needs (row/column sums, element-wise maps, row selection and stacking,
+//! column extraction). It is not a linear-algebra library — we add operations only
 //! when a paper experiment needs them.
 
 /// Dense row-major matrix of `f64` values.
@@ -124,7 +124,7 @@ impl Matrix {
     }
 
     /// Iterator over row slices.
-    pub fn iter_rows(&self) -> impl Iterator<Item = &[f64]> {
+    fn iter_rows(&self) -> impl Iterator<Item = &[f64]> {
         self.data.chunks_exact(self.cols.max(1))
     }
 
@@ -172,17 +172,6 @@ impl Matrix {
             cols: self.cols,
             data: self.data.iter().map(|&v| f(v)).collect(),
         }
-    }
-
-    /// Transposed copy.
-    pub fn transpose(&self) -> Matrix {
-        let mut out = Matrix::zeros(self.cols, self.rows);
-        for r in 0..self.rows {
-            for c in 0..self.cols {
-                out.set(c, r, self.get(r, c));
-            }
-        }
-        out
     }
 
     /// New matrix keeping only the rows whose indices appear in `idx`
@@ -282,15 +271,6 @@ mod tests {
         m2.map_inplace(|v| 2.0 * v);
         assert_eq!(doubled, m2);
         assert_eq!(doubled.get(1, 1), 10.0);
-    }
-
-    #[test]
-    fn transpose_round_trip() {
-        let m = sample();
-        let t = m.transpose();
-        assert_eq!(t.shape(), (3, 2));
-        assert_eq!(t.get(2, 1), 6.0);
-        assert_eq!(t.transpose(), m);
     }
 
     #[test]

@@ -34,45 +34,6 @@ pub fn row_stochastic(m: &Matrix) -> Matrix {
     out
 }
 
-/// Min-max scales a slice into `[0, 1]`. Constant slices map to all zeros.
-pub fn min_max(xs: &[f64]) -> Vec<f64> {
-    if xs.is_empty() {
-        return Vec::new();
-    }
-    let lo = xs.iter().copied().fold(f64::INFINITY, f64::min);
-    let hi = xs.iter().copied().fold(f64::NEG_INFINITY, f64::max);
-    if hi - lo <= 0.0 {
-        return vec![0.0; xs.len()];
-    }
-    xs.iter().map(|&x| (x - lo) / (hi - lo)).collect()
-}
-
-/// Z-scores each column of the matrix (zero mean, unit variance per
-/// feature). Constant columns become all zeros. Used by the k-means baseline
-/// to avoid scale dominance.
-pub fn z_score_columns(m: &Matrix) -> Matrix {
-    let mut out = m.clone();
-    let rows = m.rows();
-    if rows == 0 {
-        return out;
-    }
-    for c in 0..m.cols() {
-        let col = m.col(c);
-        let mean = col.iter().sum::<f64>() / rows as f64;
-        let var = col.iter().map(|x| (x - mean) * (x - mean)).sum::<f64>() / rows as f64;
-        let sd = var.sqrt();
-        for r in 0..rows {
-            let v = if sd > 0.0 {
-                (m.get(r, c) - mean) / sd
-            } else {
-                0.0
-            };
-            out.set(r, c, v);
-        }
-    }
-    out
-}
-
 /// Normalises a slice by its own maximum (used for the per-cluster temporal
 /// heatmaps of Figures 10–11, which plot *normalised* median traffic).
 /// All-zero input stays all-zero.
@@ -110,27 +71,6 @@ mod tests {
         assert!((s - 1.0).abs() < 1e-12);
         // Zero row untouched.
         assert_eq!(n.row(1), &[0.0, 0.0, 0.0]);
-    }
-
-    #[test]
-    fn min_max_range_and_constant() {
-        let v = min_max(&[2.0, 4.0, 6.0]);
-        assert_eq!(v, vec![0.0, 0.5, 1.0]);
-        assert_eq!(min_max(&[3.0, 3.0]), vec![0.0, 0.0]);
-        assert!(min_max(&[]).is_empty());
-    }
-
-    #[test]
-    fn z_score_columns_moments() {
-        let m = Matrix::from_vec(4, 2, vec![1.0, 5.0, 2.0, 5.0, 3.0, 5.0, 4.0, 5.0]);
-        let z = z_score_columns(&m);
-        let col0 = z.col(0);
-        let mean: f64 = col0.iter().sum::<f64>() / 4.0;
-        assert!(mean.abs() < 1e-12);
-        let var: f64 = col0.iter().map(|x| x * x).sum::<f64>() / 4.0;
-        assert!((var - 1.0).abs() < 1e-12);
-        // Constant column becomes zeros.
-        assert_eq!(z.col(1), vec![0.0; 4]);
     }
 
     #[test]

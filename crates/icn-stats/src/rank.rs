@@ -1,4 +1,4 @@
-//! Ordering utilities: argsort, top-k, rank transform.
+//! Ordering utilities: argsort, top-k, argmax.
 //!
 //! The SHAP analysis of the paper ranks services per cluster by mean
 //! absolute Shapley value (Figure 5 shows the 25 most influential services);
@@ -7,7 +7,7 @@
 use std::cmp::Ordering;
 
 /// Indices that would sort `xs` ascending. NaNs sort last, stably.
-pub fn argsort(xs: &[f64]) -> Vec<usize> {
+fn argsort(xs: &[f64]) -> Vec<usize> {
     let mut idx: Vec<usize> = (0..xs.len()).collect();
     idx.sort_by(|&a, &b| cmp_f64(xs[a], xs[b]));
     idx
@@ -40,35 +40,12 @@ pub fn bottom_k(xs: &[f64], k: usize) -> Vec<usize> {
     idx
 }
 
-/// 0-based dense ranks ascending (ties broken by index, i.e. competition
-/// order, matching `argsort` stability).
-pub fn ranks(xs: &[f64]) -> Vec<usize> {
-    let order = argsort(xs);
-    let mut r = vec![0usize; xs.len()];
-    for (rank, &i) in order.iter().enumerate() {
-        r[i] = rank;
-    }
-    r
-}
-
 /// Index of the maximum value (first on ties). Panics on an empty slice.
 pub fn argmax(xs: &[f64]) -> usize {
     assert!(!xs.is_empty(), "argmax of empty slice");
     let mut best = 0;
     for (i, &v) in xs.iter().enumerate() {
         if v > xs[best] {
-            best = i;
-        }
-    }
-    best
-}
-
-/// Index of the minimum value (first on ties). Panics on an empty slice.
-pub fn argmin(xs: &[f64]) -> usize {
-    assert!(!xs.is_empty(), "argmin of empty slice");
-    let mut best = 0;
-    for (i, &v) in xs.iter().enumerate() {
-        if v < xs[best] {
             best = i;
         }
     }
@@ -118,21 +95,29 @@ mod tests {
     }
 
     #[test]
-    fn ranks_inverse_of_argsort() {
-        let xs = [0.5, -1.0, 2.0];
-        assert_eq!(ranks(&xs), vec![1, 0, 2]);
-    }
-
-    #[test]
-    fn argmax_argmin_first_on_ties() {
+    fn argmax_first_on_ties() {
         let xs = [2.0, 5.0, 5.0, 1.0, 1.0];
         assert_eq!(argmax(&xs), 1);
-        assert_eq!(argmin(&xs), 3);
     }
 
     #[test]
     #[should_panic(expected = "argmax of empty")]
     fn argmax_empty_panics() {
         argmax(&[]);
+    }
+
+    #[test]
+    fn argsort_is_permutation_and_sorted() {
+        crate::check::cases(64, |case, rng| {
+            let len = crate::check::len_in(rng, 1, 50);
+            let xs = crate::check::uniform_vec(rng, len, -1e6, 1e6);
+            let idx = argsort(&xs);
+            let mut seen = idx.clone();
+            seen.sort_unstable();
+            assert_eq!(seen, (0..xs.len()).collect::<Vec<_>>(), "case {case}");
+            for w in idx.windows(2) {
+                assert!(xs[w[0]] <= xs[w[1]], "case {case}");
+            }
+        });
     }
 }

@@ -253,25 +253,6 @@ impl Rng {
         idx.truncate(k);
         idx
     }
-
-    /// Draws a random share vector of length `n` that sums to one, by
-    /// normalising independent Gamma(shape, 1)-ish deviates obtained from
-    /// products of exponentials (integer shape) — a Dirichlet(α=shape)
-    /// sample, used for mixing noise into service share vectors.
-    pub fn dirichlet_symmetric(&mut self, n: usize, shape: u32) -> Vec<f64> {
-        assert!(n > 0 && shape > 0, "dirichlet: empty or zero shape");
-        let mut v: Vec<f64> = (0..n)
-            .map(|_| {
-                // Gamma(k, 1) with integer k = sum of k exponentials.
-                (0..shape).map(|_| self.exponential(1.0)).sum::<f64>()
-            })
-            .collect();
-        let s: f64 = v.iter().sum();
-        for x in &mut v {
-            *x /= s;
-        }
-        v
-    }
 }
 
 #[cfg(test)]
@@ -444,16 +425,6 @@ mod tests {
         let mut s = r.sample_indices(10, 10);
         s.sort_unstable();
         assert_eq!(s, (0..10).collect::<Vec<usize>>());
-    }
-
-    #[test]
-    fn dirichlet_sums_to_one() {
-        let mut r = Rng::seed_from(47);
-        let v = r.dirichlet_symmetric(20, 3);
-        assert_eq!(v.len(), 20);
-        let s: f64 = v.iter().sum();
-        assert!((s - 1.0).abs() < 1e-12);
-        assert!(v.iter().all(|&x| x >= 0.0));
     }
 
     #[test]

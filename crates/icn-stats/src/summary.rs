@@ -14,7 +14,7 @@ pub fn mean(xs: &[f64]) -> f64 {
 }
 
 /// Population variance (divides by `n`). Panics on an empty slice.
-pub fn variance(xs: &[f64]) -> f64 {
+fn variance(xs: &[f64]) -> f64 {
     let m = mean(xs);
     xs.iter().map(|x| (x - m) * (x - m)).sum::<f64>() / xs.len() as f64
 }
@@ -97,40 +97,6 @@ pub fn pearson(xs: &[f64], ys: &[f64]) -> f64 {
     }
 }
 
-/// Compact five-number-style summary used in reports and EXPERIMENTS.md.
-#[derive(Clone, Copy, Debug, PartialEq)]
-pub struct Summary {
-    /// Number of observations.
-    pub n: usize,
-    /// Minimum.
-    pub min: f64,
-    /// First quartile.
-    pub q1: f64,
-    /// Median.
-    pub median: f64,
-    /// Third quartile.
-    pub q3: f64,
-    /// Maximum.
-    pub max: f64,
-    /// Arithmetic mean.
-    pub mean: f64,
-}
-
-impl Summary {
-    /// Computes the summary of a non-empty slice.
-    pub fn of(xs: &[f64]) -> Summary {
-        Summary {
-            n: xs.len(),
-            min: min(xs),
-            q1: quantile(xs, 0.25),
-            median: quantile(xs, 0.5),
-            q3: quantile(xs, 0.75),
-            max: max(xs),
-            mean: mean(xs),
-        }
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -209,15 +175,11 @@ mod tests {
     }
 
     #[test]
-    fn summary_matches_parts() {
-        let xs = [5.0, 1.0, 3.0, 2.0, 4.0];
-        let s = Summary::of(&xs);
-        assert_eq!(s.n, 5);
-        assert_eq!(s.min, 1.0);
-        assert_eq!(s.max, 5.0);
-        assert_eq!(s.median, 3.0);
-        assert_eq!(s.mean, 3.0);
-        assert_eq!(s.q1, 2.0);
-        assert_eq!(s.q3, 4.0);
+    fn variance_nonnegative() {
+        crate::check::cases(64, |case, rng| {
+            let len = crate::check::len_in(rng, 1, 60);
+            let xs = crate::check::uniform_vec(rng, len, -1e6, 1e6);
+            assert!(variance(&xs) >= 0.0, "case {case}");
+        });
     }
 }

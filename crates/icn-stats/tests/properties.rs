@@ -2,13 +2,11 @@
 //! deterministic [`icn_stats::check`] harness.
 
 use icn_stats::check::{cases, len_in, uniform_vec};
-use icn_stats::distance::{euclidean, sq_euclidean, Metric};
-use icn_stats::histogram::Histogram;
-use icn_stats::matrix::Matrix;
-use icn_stats::normalize;
+use icn_stats::distance::{sq_euclidean, Metric};
 use icn_stats::rank;
 use icn_stats::rng::Rng;
 use icn_stats::summary;
+use icn_stats::{Histogram, Matrix};
 
 fn finite_vec(rng: &mut Rng, lo: usize, hi: usize) -> Vec<f64> {
     let len = len_in(rng, lo, hi);
@@ -39,14 +37,6 @@ fn quantile_within_range() {
 }
 
 #[test]
-fn variance_nonnegative() {
-    cases(64, |case, rng| {
-        let xs = finite_vec(rng, 1, 60);
-        assert!(summary::variance(&xs) >= 0.0, "case {case}");
-    });
-}
-
-#[test]
 fn mean_shift_equivariance() {
     cases(64, |case, rng| {
         let xs = finite_vec(rng, 1, 40);
@@ -63,9 +53,9 @@ fn euclidean_triangle_inequality() {
         let a = uniform_vec(rng, 3, -1e6, 1e6);
         let b = uniform_vec(rng, 3, -1e6, 1e6);
         let c = uniform_vec(rng, 3, -1e6, 1e6);
-        let ab = euclidean(&a, &b);
-        let bc = euclidean(&b, &c);
-        let ac = euclidean(&a, &c);
+        let ab = Metric::Euclidean.distance(&a, &b);
+        let bc = Metric::Euclidean.distance(&b, &c);
+        let ac = Metric::Euclidean.distance(&a, &c);
         assert!(ac <= ab + bc + 1e-6, "case {case}");
     });
 }
@@ -96,7 +86,7 @@ fn sq_euclidean_is_square() {
     cases(64, |case, rng| {
         let a = uniform_vec(rng, 5, -1e6, 1e6);
         let b = uniform_vec(rng, 5, -1e6, 1e6);
-        let e = euclidean(&a, &b);
+        let e = Metric::Euclidean.distance(&a, &b);
         assert!(
             (sq_euclidean(&a, &b) - e * e).abs() < 1e-3_f64.max(e * e * 1e-12),
             "case {case}"
@@ -111,30 +101,6 @@ fn histogram_conserves_mass() {
         let bins = len_in(rng, 1, 30);
         let h = Histogram::of(&xs, -10.0, 10.0, bins);
         assert_eq!(h.total(), xs.len() as u64, "case {case}");
-    });
-}
-
-#[test]
-fn min_max_output_in_unit_interval() {
-    cases(64, |case, rng| {
-        let xs = finite_vec(rng, 1, 50);
-        for v in normalize::min_max(&xs) {
-            assert!((0.0..=1.0).contains(&v), "case {case}: {v}");
-        }
-    });
-}
-
-#[test]
-fn argsort_is_permutation_and_sorted() {
-    cases(64, |case, rng| {
-        let xs = finite_vec(rng, 1, 50);
-        let idx = rank::argsort(&xs);
-        let mut seen = idx.clone();
-        seen.sort_unstable();
-        assert_eq!(seen, (0..xs.len()).collect::<Vec<_>>(), "case {case}");
-        for w in idx.windows(2) {
-            assert!(xs[w[0]] <= xs[w[1]], "case {case}");
-        }
     });
 }
 
@@ -184,28 +150,5 @@ fn matrix_row_col_sums_total() {
         let cs: f64 = m.col_sums().iter().sum();
         assert!((t - rs).abs() < 1e-9, "case {case}");
         assert!((t - cs).abs() < 1e-9, "case {case}");
-    });
-}
-
-#[test]
-fn transpose_involution() {
-    cases(64, |case, rng| {
-        let rows = len_in(rng, 1, 6);
-        let cols = len_in(rng, 1, 6);
-        let data: Vec<f64> = (0..rows * cols).map(|_| rng.gaussian()).collect();
-        let m = Matrix::from_vec(rows, cols, data);
-        assert_eq!(m.transpose().transpose(), m, "case {case}");
-    });
-}
-
-#[test]
-fn dirichlet_simplex() {
-    cases(64, |case, rng| {
-        let n = len_in(rng, 1, 30);
-        let shape = 1 + rng.below(5) as u32;
-        let v = rng.dirichlet_symmetric(n, shape);
-        let s: f64 = v.iter().sum();
-        assert!((s - 1.0).abs() < 1e-9, "case {case}: sum {s}");
-        assert!(v.iter().all(|&x| (0.0..=1.0).contains(&x)), "case {case}");
     });
 }

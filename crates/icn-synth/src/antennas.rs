@@ -26,12 +26,12 @@ pub struct Antenna {
     /// Indoor environment type (planted; also re-derivable from the name).
     pub environment: Environment,
     /// City.
-    pub city: City,
+    pub(crate) city: City,
     /// Latent usage archetype — ground truth for validation only; the
     /// clustering pipeline never reads this.
     pub archetype: Archetype,
     /// Site coordinate (city centre + urban scatter).
-    pub coord: Coord,
+    pub(crate) coord: Coord,
     /// Radio access technology (4G for the vast majority; Section 3).
     pub rat: RadioTech,
 }

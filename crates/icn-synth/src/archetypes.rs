@@ -378,7 +378,7 @@ impl Archetype {
     /// one group stay close to each other (their shared group profile)
     /// while the groups themselves remain well separated — so Ward's
     /// criterion recovers three super-groups of three sub-clusters each.
-    pub fn service_affinity(&self, svc: &Service) -> f64 {
+    pub(crate) fn service_affinity(&self, svc: &Service) -> f64 {
         const GROUP_BLEND: f64 = 0.35;
         let group = self.group();
         let mut log_sum = 0.0;
@@ -396,7 +396,7 @@ impl Archetype {
 
     /// `(mu, sigma)` of the log-normal total-volume regime for antennas of
     /// this archetype, in natural-log MB over the two-month period.
-    pub fn volume_lognormal(&self) -> (f64, f64) {
+    pub(crate) fn volume_lognormal(&self) -> (f64, f64) {
         match self {
             // Busy commuter hubs move the most traffic.
             Archetype::ParisMetro => (13.2, 0.55),
@@ -418,6 +418,7 @@ impl Archetype {
 mod tests {
     use super::*;
     use crate::services::{catalog, index_of};
+    use icn_stats::check::cases;
 
     #[test]
     fn ids_are_consistent() {
@@ -560,5 +561,17 @@ mod tests {
         let (mu_metro, _) = Archetype::ParisMetro.volume_lognormal();
         let (mu_quiet, _) = Archetype::QuietVenue.volume_lognormal();
         assert!(mu_metro > mu_quiet + 2.0);
+    }
+
+    #[test]
+    fn affinities_positive_bounded() {
+        cases(32, |case, rng| {
+            let svcs = catalog();
+            let svc = &svcs[rng.index(svcs.len())];
+            for arch in Archetype::ALL {
+                let v = arch.service_affinity(svc);
+                assert!(v > 0.0 && v < 10.0, "case {case}: {v}");
+            }
+        });
     }
 }

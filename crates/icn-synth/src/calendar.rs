@@ -38,19 +38,6 @@ impl Weekday {
     pub fn is_weekend(self) -> bool {
         matches!(self, Weekday::Sat | Weekday::Sun)
     }
-
-    /// Short English label (used in heatmap axes).
-    pub fn label(self) -> &'static str {
-        match self {
-            Weekday::Mon => "Mon",
-            Weekday::Tue => "Tue",
-            Weekday::Wed => "Wed",
-            Weekday::Thu => "Thu",
-            Weekday::Fri => "Fri",
-            Weekday::Sat => "Sat",
-            Weekday::Sun => "Sun",
-        }
-    }
 }
 
 /// A calendar date (proleptic Gregorian).
@@ -77,7 +64,7 @@ impl Date {
 
     /// Days since 1970-01-01 (can be negative). Standard civil-days
     /// algorithm (Howard Hinnant's `days_from_civil`).
-    pub fn days_from_epoch(&self) -> i64 {
+    fn days_from_epoch(&self) -> i64 {
         let y = if self.month <= 2 {
             self.year - 1
         } else {
@@ -94,7 +81,7 @@ impl Date {
 
     /// Date from days since the Unix epoch (inverse of
     /// [`Date::days_from_epoch`]).
-    pub fn from_epoch_days(z: i64) -> Self {
+    fn from_epoch_days(z: i64) -> Self {
         let z = z + 719_468;
         let era = if z >= 0 { z } else { z - 146_096 } / 146_097;
         let doe = z - era * 146_097; // [0, 146096]
@@ -123,7 +110,7 @@ impl Date {
     }
 
     /// The date `n` days later (or earlier for negative `n`).
-    pub fn plus_days(&self, n: i64) -> Date {
+    fn plus_days(&self, n: i64) -> Date {
         Date::from_epoch_days(self.days_from_epoch() + n)
     }
 
@@ -244,7 +231,7 @@ impl StudyCalendar {
 
     /// True if `d` is a public-holiday-like day inside the period
     /// (Christmas, New Year) during which commute traffic collapses.
-    pub fn is_holiday(d: Date) -> bool {
+    pub(crate) fn is_holiday(d: Date) -> bool {
         matches!(
             (d.month, d.day),
             (12, 24) | (12, 25) | (12, 26) | (12, 31) | (1, 1)
@@ -255,6 +242,8 @@ impl StudyCalendar {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use icn_stats::check::{cases, len_in};
+    use icn_stats::Rng;
 
     #[test]
     fn epoch_anchor() {
@@ -344,5 +333,55 @@ mod tests {
     #[test]
     fn iso_format() {
         assert_eq!(Date::new(2023, 1, 4).iso(), "2023-01-04");
+    }
+
+    fn epoch_days_in(rng: &mut Rng, lo: i64, hi: i64) -> i64 {
+        lo + rng.below((hi - lo) as u64) as i64
+    }
+
+    #[test]
+    fn date_round_trip() {
+        cases(32, |case, rng| {
+            let z = epoch_days_in(rng, -200_000, 200_000);
+            let d = Date::from_epoch_days(z);
+            assert_eq!(d.days_from_epoch(), z, "case {case}");
+        });
+    }
+
+    #[test]
+    fn plus_days_is_additive() {
+        cases(32, |case, rng| {
+            let z = epoch_days_in(rng, -50_000, 50_000);
+            let a = epoch_days_in(rng, -500, 500);
+            let b = epoch_days_in(rng, -500, 500);
+            let d = Date::from_epoch_days(z);
+            assert_eq!(
+                d.plus_days(a).plus_days(b),
+                d.plus_days(a + b),
+                "case {case}"
+            );
+        });
+    }
+
+    #[test]
+    fn weekday_cycles_every_seven_days() {
+        cases(32, |case, rng| {
+            let d = Date::from_epoch_days(epoch_days_in(rng, -50_000, 50_000));
+            assert_eq!(d.weekday(), d.plus_days(7).weekday(), "case {case}");
+            assert_ne!(d.weekday(), d.plus_days(1).weekday(), "case {case}");
+        });
+    }
+
+    #[test]
+    fn calendar_day_index_consistent() {
+        cases(32, |case, rng| {
+            let start = epoch_days_in(rng, 18_000, 20_000);
+            let days = len_in(rng, 1, 90);
+            let cal = StudyCalendar::custom(Date::from_epoch_days(start), days);
+            for i in (0..days).step_by(7) {
+                assert_eq!(cal.day_index(cal.date(i)), Some(i), "case {case} day {i}");
+            }
+            assert_eq!(cal.num_hours(), days * 24, "case {case}");
+        });
     }
 }

@@ -1,7 +1,5 @@
 //! Generator configuration.
 
-use icn_obs::Json;
-
 /// Configuration of the synthetic measurement campaign.
 #[derive(Clone, Copy, Debug)]
 pub struct SynthConfig {
@@ -64,35 +62,6 @@ impl SynthConfig {
         let services = crate::services::catalog().len() as u64;
         rows.saturating_mul(services).saturating_mul(8)
     }
-
-    /// JSON view of the configuration (seeds must stay below 2^53 to
-    /// round-trip exactly through the number representation).
-    pub fn to_json(&self) -> Json {
-        Json::obj(vec![
-            ("seed", Json::num(self.seed as f64)),
-            ("scale", Json::num(self.scale)),
-            (
-                "outdoor_per_indoor",
-                Json::num(self.outdoor_per_indoor as f64),
-            ),
-        ])
-    }
-
-    /// Parses a configuration previously produced by [`to_json`].
-    ///
-    /// [`to_json`]: SynthConfig::to_json
-    pub fn from_json(v: &Json) -> Result<SynthConfig, String> {
-        let field = |name: &str| {
-            v.get(name)
-                .and_then(Json::as_f64)
-                .ok_or_else(|| format!("SynthConfig: missing numeric field `{name}`"))
-        };
-        Ok(SynthConfig {
-            seed: field("seed")? as u64,
-            scale: field("scale")?,
-            outdoor_per_indoor: field("outdoor_per_indoor")? as usize,
-        })
-    }
 }
 
 #[cfg(test)]
@@ -127,22 +96,5 @@ mod tests {
     #[should_panic(expected = "non-positive scale")]
     fn zero_scale_panics() {
         let _ = SynthConfig::small().with_scale(0.0);
-    }
-
-    #[test]
-    fn json_round_trip() {
-        let c = SynthConfig::small();
-        let text = c.to_json().to_compact();
-        let back = SynthConfig::from_json(&Json::parse(&text).unwrap()).unwrap();
-        assert_eq!(back.seed, c.seed);
-        assert_eq!(back.scale, c.scale);
-        assert_eq!(back.outdoor_per_indoor, c.outdoor_per_indoor);
-    }
-
-    #[test]
-    fn from_json_reports_missing_field() {
-        let v = Json::parse(r#"{"seed": 1}"#).unwrap();
-        let err = SynthConfig::from_json(&v).unwrap_err();
-        assert!(err.contains("scale"), "err: {err}");
     }
 }

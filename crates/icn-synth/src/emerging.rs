@@ -28,7 +28,7 @@ pub const EMERGING_LABEL: usize = 9;
 /// Heavy machine-to-machine and immersive traffic: cloud, VPN, video
 /// calling and real-time streaming over-used; human leisure services
 /// under-used.
-pub fn emerging_affinity(svc: &Service) -> f64 {
+fn emerging_affinity(svc: &Service) -> f64 {
     use crate::services::Category::*;
     match svc.name {
         "Corporate VPN" => 6.0,

@@ -105,7 +105,7 @@ impl Environment {
     /// Keywords that appear in site names for this environment; the
     /// name-mining extractor (Section 5.2.1's string manipulation step)
     /// recovers the environment from these.
-    pub fn name_keywords(&self) -> &'static [&'static str] {
+    pub(crate) fn name_keywords(&self) -> &'static [&'static str] {
         match self {
             Environment::Metro => &["METRO", "RER"],
             Environment::TrainStation => &["GARE"],
@@ -128,7 +128,7 @@ pub const PAPER_TOTAL_ANTENNAS: usize = 4762;
 /// Geography the paper distinguishes: Paris (plus suburbs) versus the
 /// provincial cities (the four non-capital metro cities and others).
 #[derive(Clone, Copy, Debug, PartialEq, Eq, Hash)]
-pub enum City {
+pub(crate) enum City {
     /// Paris and its suburbs (including RER reach).
     Paris,
     /// Lille (provincial metro city).
@@ -145,12 +145,12 @@ pub enum City {
 
 impl City {
     /// True for Paris and its suburbs.
-    pub fn is_paris(&self) -> bool {
+    pub(crate) fn is_paris(&self) -> bool {
         matches!(self, City::Paris)
     }
 
     /// Short label.
-    pub fn label(&self) -> &'static str {
+    pub(crate) fn label(&self) -> &'static str {
         match self {
             City::Paris => "Paris",
             City::Lille => "Lille",
@@ -163,7 +163,8 @@ impl City {
 
     /// The provincial metro cities (cluster 7 of the paper consists solely
     /// of these).
-    pub const PROVINCIAL_METRO: [City; 4] = [City::Lille, City::Lyon, City::Rennes, City::Toulouse];
+    pub(crate) const PROVINCIAL_METRO: [City; 4] =
+        [City::Lille, City::Lyon, City::Rennes, City::Toulouse];
 }
 
 #[cfg(test)]

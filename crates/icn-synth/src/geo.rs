@@ -22,7 +22,7 @@ pub enum RadioTech {
 
 impl RadioTech {
     /// Draws the technology with the paper's "vast majority 4G" skew.
-    pub fn sample(rng: &mut Rng) -> RadioTech {
+    pub(crate) fn sample(rng: &mut Rng) -> RadioTech {
         if rng.chance(0.06) {
             RadioTech::Nr
         } else {
@@ -31,7 +31,7 @@ impl RadioTech {
     }
 
     /// Short label.
-    pub fn label(&self) -> &'static str {
+    pub(crate) fn label(&self) -> &'static str {
         match self {
             RadioTech::Lte => "4G",
             RadioTech::Nr => "5G",
@@ -51,8 +51,10 @@ pub struct Coord {
 /// Mean Earth radius in metres.
 const EARTH_RADIUS_M: f64 = 6_371_000.0;
 
-/// Haversine great-circle distance between two coordinates, in metres.
-pub fn haversine_m(a: Coord, b: Coord) -> f64 {
+/// Haversine great-circle distance between two coordinates, in metres:
+/// the yardstick the site-placement tests measure radii with.
+#[cfg(test)]
+pub(crate) fn haversine_m(a: Coord, b: Coord) -> f64 {
     let lat1 = a.lat.to_radians();
     let lat2 = b.lat.to_radians();
     let dlat = (b.lat - a.lat).to_radians();
@@ -62,7 +64,7 @@ pub fn haversine_m(a: Coord, b: Coord) -> f64 {
 }
 
 /// The city centre each [`City`] scatters its sites around.
-pub fn city_center(city: City) -> Coord {
+fn city_center(city: City) -> Coord {
     match city {
         City::Paris => Coord {
             lat: 48.8566,
@@ -103,7 +105,7 @@ fn scatter_radius_m(city: City) -> f64 {
 }
 
 /// Draws a site coordinate: the city centre plus uniform-in-disc scatter.
-pub fn site_coord(city: City, rng: &mut Rng) -> Coord {
+pub(crate) fn site_coord(city: City, rng: &mut Rng) -> Coord {
     let center = city_center(city);
     offset_within(center, scatter_radius_m(city), rng)
 }
@@ -112,7 +114,7 @@ pub fn site_coord(city: City, rng: &mut Rng) -> Coord {
 /// around `center` (good flat-earth approximation at these scales). Used
 /// both for urban scatter and for dropping outdoor macros within the 1 km
 /// neighbourhood of an indoor site.
-pub fn offset_within(center: Coord, radius_m: f64, rng: &mut Rng) -> Coord {
+pub(crate) fn offset_within(center: Coord, radius_m: f64, rng: &mut Rng) -> Coord {
     assert!(radius_m >= 0.0, "offset_within: negative radius");
     // Uniform over the disc: r = R√u.
     let r = radius_m * rng.next_f64().sqrt();

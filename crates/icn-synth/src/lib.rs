@@ -15,49 +15,46 @@
 //!   per-engagement volume scales (streaming ≫ messaging).
 //! * [`environments`] — the eleven indoor environment types with the exact
 //!   Table 1 antenna counts, plus the Paris/provincial geography.
-//! * [`archetypes`] — the nine planted usage archetypes matching the
-//!   paper's clusters 0–8 (service affinities, temporal templates, volume
-//!   regimes, dendrogram groups).
-//! * [`calendar`] — the 21 Nov 2022 – 24 Jan 2023 study period, weekends,
-//!   holidays and the 19 Jan 2023 national strike. The one-off days are
-//!   calendar data: [`StudyCalendar::without_signals`] is the same period
-//!   with no strike, holidays or site events, and every generator path
-//!   below honours it.
-//! * [`temporal`] — commute/event/office/retail hour-weight templates,
-//!   per-site event schedules (NBA night, 4-day Lyon expo) and the
-//!   per-service modulations behind Figure 11.
+//! * [`Archetype`] — the nine planted usage archetypes matching the paper's
+//!   clusters 0–8 (service affinities, temporal templates, volume regimes,
+//!   dendrogram groups).
+//! * [`StudyCalendar`] — the 21 Nov 2022 – 24 Jan 2023 study period,
+//!   weekends, holidays and the 19 Jan 2023 national strike. The one-off days
+//!   are calendar data: [`StudyCalendar::without_signals`] is the same period
+//!   with no strike, holidays or site events, and every generator path below
+//!   honours it.
+//! * [`TemplateKind`] / [`EventSchedule`] — commute/event/office/retail
+//!   hour-weight templates, per-site event schedules (NBA night, 4-day Lyon
+//!   expo) and the per-service modulations behind Figure 11.
 //! * [`antennas`] — population generation: sites, names with environment
 //!   keywords, environment-conditional archetype mixtures.
 //! * [`traffic`] — the totals matrix `T` and consistent hourly series.
-//! * [`outdoor`] — the outdoor macro population (general-use mixtures with
-//!   faint local leakage) for the Section 5.3 comparison.
+//! * [`OutdoorAntenna`] — the outdoor macro population (general-use mixtures
+//!   with faint local leakage) for the Section 5.3 comparison.
 //! * [`mining`] — the antenna-name → environment extraction step.
-//! * [`noise`] — fault injection (dead antennas, DPI misclassification,
-//!   NaN poisoning) for robustness tests.
-//! * [`dataset`] — one-call campaign assembly + CSV/JSON export.
-//! * [`signals`] — ground-truth labels for the planted temporal anomalies
-//!   (strike, events, holidays): the planted template weight divided by
-//!   the weight on the calendar without signals. The known-signal oracle
-//!   for `icn-forecast`.
+//! * [`Dataset`] — one-call campaign assembly + CSV/JSON export.
+//! * [`cluster_planted_hours`] — ground-truth labels for the planted temporal
+//!   anomalies (strike, events, holidays): the planted template weight
+//!   divided by the weight on the calendar without signals. The known-signal
+//!   oracle for `icn-forecast`.
 
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
 
 pub mod antennas;
-pub mod archetypes;
-pub mod calendar;
-pub mod config;
-pub mod dataset;
+mod archetypes;
+mod calendar;
+mod config;
+mod dataset;
 pub mod emerging;
 pub mod environments;
-pub mod geo;
+mod geo;
 pub mod mining;
-pub mod noise;
-pub mod outdoor;
+mod outdoor;
 pub mod record_stream;
 pub mod services;
-pub mod signals;
-pub mod temporal;
+mod signals;
+mod temporal;
 pub mod traffic;
 
 pub use antennas::Antenna;
@@ -65,11 +62,10 @@ pub use archetypes::{Archetype, Group};
 pub use calendar::{Date, StudyCalendar, Weekday};
 pub use config::SynthConfig;
 pub use dataset::Dataset;
-pub use environments::{City, Environment};
-pub use geo::{haversine_m, Coord, RadioTech};
-pub use record_stream::{adversarial_record_stream, record_stream, RecordStream};
+pub use environments::Environment;
+pub use geo::{Coord, RadioTech};
+pub use outdoor::OutdoorAntenna;
+pub use record_stream::{record_stream, RecordStream};
 pub use services::{Category, Service};
-pub use signals::{
-    antenna_planted_hours, cluster_planted_hours, cluster_planted_hours_any, PlantedHours,
-    BURST_MIN_RATIO, DIP_MAX_RATIO,
-};
+pub use signals::{cluster_planted_hours, cluster_planted_hours_any, PlantedHours};
+pub use temporal::{EventSchedule, TemplateKind};

@@ -22,7 +22,7 @@ pub enum MinedLabel {
 /// Extracts the environment from a site name by keyword matching.
 ///
 /// Matching is case-insensitive and tolerant of `-`/`_`/space separators.
-pub fn mine_environment(site_name: &str) -> MinedLabel {
+fn mine_environment(site_name: &str) -> MinedLabel {
     let upper = site_name.to_uppercase();
     let normalized: String = upper
         .chars()
@@ -70,6 +70,7 @@ pub fn mine_all(names: &[String]) -> (Vec<MinedLabel>, usize) {
 mod tests {
     use super::*;
     use crate::antennas::generate_antennas;
+    use icn_stats::check::cases;
     use icn_stats::Rng;
 
     #[test]
@@ -135,5 +136,20 @@ mod tests {
             mine_environment("PARIS-METRO-GARE-DU-NORD"),
             MinedLabel::Env(Environment::Metro)
         );
+    }
+
+    #[test]
+    fn mining_never_mislabels_generated_names() {
+        cases(32, |case, rng| {
+            let ants = generate_antennas(0.01, rng);
+            for a in ants.iter().take(30) {
+                assert_eq!(
+                    mine_environment(&a.site_name),
+                    MinedLabel::Env(a.environment),
+                    "case {case}: {}",
+                    a.site_name
+                );
+            }
+        });
     }
 }

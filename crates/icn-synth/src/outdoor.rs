@@ -33,17 +33,12 @@ pub struct OutdoorAntenna {
 
 /// Mixing parameters for outdoor traffic synthesis.
 #[derive(Clone, Copy, Debug)]
-pub struct OutdoorConfig {
+pub(crate) struct OutdoorConfig {
     /// Number of outdoor antennas per indoor antenna (the paper has ~20k
     /// outdoor for 4,762 indoor ⇒ ≈ 4.2; we default to 4).
     pub per_indoor: usize,
     /// Mean leakage of the neighbour indoor profile (beta-ish around this).
     pub mean_leakage: f64,
-    /// Log-normal volume parameters (outdoor macros move more traffic than
-    /// most indoor antennas).
-    pub volume_mu: f64,
-    /// Log-normal sigma.
-    pub volume_sigma: f64,
 }
 
 impl Default for OutdoorConfig {
@@ -51,15 +46,13 @@ impl Default for OutdoorConfig {
         OutdoorConfig {
             per_indoor: 4,
             mean_leakage: 0.12,
-            volume_mu: 13.5,
-            volume_sigma: 0.7,
         }
     }
 }
 
 /// Generates the outdoor population: `per_indoor` outdoor BSs around each
 /// indoor antenna, each with a small random leakage of the local profile.
-pub fn generate_outdoor(
+pub(crate) fn generate_outdoor(
     indoor: &[Antenna],
     cfg: &OutdoorConfig,
     root: &Rng,
@@ -87,7 +80,7 @@ pub fn generate_outdoor(
 /// Each outdoor antenna's share vector is
 /// `(1 − leakage) × general-use shares + leakage × neighbour-profile shares`,
 /// both drawn with the same machinery as indoor antennas.
-pub fn outdoor_totals_matrix(
+pub(crate) fn outdoor_totals_matrix(
     outdoor: &[OutdoorAntenna],
     indoor: &[Antenna],
     services: &[Service],

@@ -129,16 +129,6 @@ pub fn record_stream(dataset: &Dataset, window: &StudyCalendar) -> RecordStream 
     }
 }
 
-/// Adversarial mode: the same stream wrapped in a deterministic fault
-/// injector.
-pub fn adversarial_record_stream(
-    dataset: &Dataset,
-    window: &StudyCalendar,
-    faults: FaultConfig,
-) -> FaultySource<RecordStream> {
-    FaultySource::new(record_stream(dataset, window), faults)
-}
-
 impl RecordStream {
     /// The ingest schema this stream conforms to.
     pub fn schema(&self) -> IngestSchema {
@@ -152,11 +142,6 @@ impl RecordStream {
     /// Total records a full drain emits.
     pub fn total_records(&self) -> u64 {
         self.end
-    }
-
-    /// Records already emitted.
-    pub fn position(&self) -> u64 {
-        self.pos
     }
 
     /// Wraps this stream in a fault injector.

@@ -220,9 +220,6 @@ pub fn catalog() -> Vec<Service> {
     ]
 }
 
-/// Number of services in the catalog — the paper's `M`.
-pub const NUM_SERVICES: usize = 73;
-
 /// Looks up a service index by exact name.
 pub fn index_of(services: &[Service], name: &str) -> Option<usize> {
     services.iter().position(|s| s.name == name)
@@ -234,7 +231,7 @@ mod tests {
 
     #[test]
     fn catalog_has_exactly_73_services() {
-        assert_eq!(catalog().len(), NUM_SERVICES);
+        assert_eq!(catalog().len(), 73);
     }
 
     #[test]
@@ -243,7 +240,7 @@ mod tests {
         let mut names: Vec<&str> = c.iter().map(|s| s.name).collect();
         names.sort_unstable();
         names.dedup();
-        assert_eq!(names.len(), NUM_SERVICES);
+        assert_eq!(names.len(), 73);
     }
 
     #[test]

@@ -25,31 +25,26 @@ use icn_stats::Rng;
 /// Minimum planted/counterfactual weight ratio for an hour to count as a
 /// planted burst. Event boosts multiply the base by 4–17×, so 2.0 cleanly
 /// separates them from seasonal structure (ratio exactly 1 off-signal).
-pub const BURST_MIN_RATIO: f64 = 2.0;
+const BURST_MIN_RATIO: f64 = 2.0;
 
 /// Maximum planted/counterfactual weight ratio for a planted dip. Captures
 /// every strike factor the generator uses (0.05–0.6) and the holiday
 /// factors (0.1–0.8 — none fall inside the 21-day temporal window).
-pub const DIP_MAX_RATIO: f64 = 0.7;
+const DIP_MAX_RATIO: f64 = 0.7;
 
 /// The planted anomalous hours of one antenna or one cluster, as indices
 /// into the window's hour axis (`day_index * 24 + hour`).
 #[derive(Clone, Debug, Default, PartialEq, Eq)]
 pub struct PlantedHours {
     /// Hours where planted traffic exceeds the counterfactual by
-    /// [`BURST_MIN_RATIO`] (event nights, expo days).
+    /// `BURST_MIN_RATIO` (2×; event nights, expo days).
     pub bursts: Vec<usize>,
-    /// Hours where planted traffic falls below [`DIP_MAX_RATIO`] of the
+    /// Hours where planted traffic falls below `DIP_MAX_RATIO` (0.7) of the
     /// counterfactual (strike collapse, holidays).
     pub dips: Vec<usize>,
 }
 
 impl PlantedHours {
-    /// True when no hour is labelled in either direction.
-    pub fn is_empty(&self) -> bool {
-        self.bursts.is_empty() && self.dips.is_empty()
-    }
-
     /// Sorted union of burst and dip hours.
     pub fn hours(&self) -> Vec<usize> {
         let mut all: Vec<usize> = self.bursts.iter().chain(&self.dips).copied().collect();
@@ -65,11 +60,7 @@ impl PlantedHours {
 /// re-derived through the same per-site fork the traffic generator uses, so
 /// the labels refer to exactly the events present in the synthesized
 /// series.
-pub fn antenna_planted_hours(
-    antenna: &Antenna,
-    window: &StudyCalendar,
-    root: &Rng,
-) -> PlantedHours {
+fn antenna_planted_hours(antenna: &Antenna, window: &StudyCalendar, root: &Rng) -> PlantedHours {
     let kind = antenna.archetype.template();
     let control = window.without_signals();
     let schedule = event_schedule(antenna, window, root);
@@ -209,7 +200,10 @@ mod tests {
             .iter()
             .find(|a| a.archetype == Archetype::GeneralUse)
             .unwrap();
-        assert!(antenna_planted_hours(a, &cal, &root).is_empty());
+        assert_eq!(
+            antenna_planted_hours(a, &cal, &root),
+            PlantedHours::default()
+        );
     }
 
     #[test]
@@ -271,14 +265,20 @@ mod tests {
             .iter()
             .filter(|a| a.archetype == Archetype::GeneralUse)
             .collect();
-        assert!(cluster_planted_hours(&general, &cal, &root).is_empty());
+        assert_eq!(
+            cluster_planted_hours(&general, &cal, &root),
+            PlantedHours::default()
+        );
     }
 
     #[test]
     fn empty_cluster_is_empty() {
         let (_, root) = pop();
         let cal = StudyCalendar::temporal_window();
-        assert!(cluster_planted_hours(&[], &cal, &root).is_empty());
+        assert_eq!(
+            cluster_planted_hours(&[], &cal, &root),
+            PlantedHours::default()
+        );
     }
 
     #[test]

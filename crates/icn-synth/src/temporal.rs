@@ -44,7 +44,7 @@ pub enum TemplateKind {
 
 /// A scheduled high-attendance event at a venue site.
 #[derive(Clone, Copy, Debug, PartialEq)]
-pub struct Event {
+pub(crate) struct Event {
     /// First day (index into the study calendar).
     pub start_day: usize,
     /// Number of consecutive days (1 for a match night, 4 for an expo).
@@ -59,7 +59,7 @@ pub struct Event {
 
 impl Event {
     /// True if the event is live at (`day`, `hour`).
-    pub fn active(&self, day: usize, hour: usize) -> bool {
+    pub(crate) fn active(&self, day: usize, hour: usize) -> bool {
         day >= self.start_day
             && day < self.start_day + self.duration_days
             && hour >= self.start_hour
@@ -75,7 +75,7 @@ pub struct EventSchedule {
 
 impl EventSchedule {
     /// Empty schedule (non-venue archetypes).
-    pub fn none() -> Self {
+    pub(crate) fn none() -> Self {
         EventSchedule { events: Vec::new() }
     }
 
@@ -86,7 +86,7 @@ impl EventSchedule {
     /// Match nights concentrate on weekends (league fixtures), so different
     /// stadium sites mostly burst on the *same* evenings — which is what
     /// makes the bursts survive the cross-antenna median of Figure 10e/f.
-    pub fn stadium(rng: &mut Rng, cal: &StudyCalendar, pin_nba_night: bool) -> Self {
+    pub(crate) fn stadium(rng: &mut Rng, cal: &StudyCalendar, pin_nba_night: bool) -> Self {
         let weekend_days: Vec<usize> = cal
             .iter_days()
             .filter(|(_, d)| d.weekday().is_weekend())
@@ -124,7 +124,7 @@ impl EventSchedule {
 
     /// Draws an expo-style schedule: one or two multi-day fairs, optionally
     /// pinning the paper's Sirha Lyon 4-day event starting 19 Jan 2023.
-    pub fn expo(rng: &mut Rng, cal: &StudyCalendar, pin_sirha_lyon: bool) -> Self {
+    pub(crate) fn expo(rng: &mut Rng, cal: &StudyCalendar, pin_sirha_lyon: bool) -> Self {
         let mut events = Vec::new();
         let n = 1 + rng.index(2);
         for _ in 0..n {
@@ -157,7 +157,7 @@ impl EventSchedule {
     }
 
     /// Peak event multiplier live at (`day`, `hour`), or 0.0 if none.
-    pub fn boost(&self, day: usize, hour: usize) -> f64 {
+    fn boost(&self, day: usize, hour: usize) -> f64 {
         self.events
             .iter()
             .filter(|e| e.active(day, hour))
@@ -168,16 +168,11 @@ impl EventSchedule {
     /// Like [`EventSchedule::boost`] but at a later hour — used for the
     /// Waze-lags-the-event effect of Figure 11e (attendees navigating home
     /// a couple of hours after the peak).
-    pub fn boost_lagged(&self, day: usize, hour: usize, lag: usize) -> f64 {
+    fn boost_lagged(&self, day: usize, hour: usize, lag: usize) -> f64 {
         if hour < lag {
             return 0.0;
         }
         self.boost(day, hour - lag)
-    }
-
-    /// The scheduled events.
-    pub fn events(&self) -> &[Event] {
-        &self.events
     }
 }
 
@@ -291,7 +286,7 @@ fn day_factor(kind: TemplateKind, cal: &StudyCalendar, date: Date) -> f64 {
 /// normalised by the generator so its integral matches the antenna total.
 /// On a calendar [`StudyCalendar::without_signals`] (whose schedules are
 /// empty) it is the seasonal template alone.
-pub fn template_weight(
+pub(crate) fn template_weight(
     kind: TemplateKind,
     schedule: &EventSchedule,
     cal: &StudyCalendar,
@@ -310,7 +305,7 @@ pub fn template_weight(
 /// aggregate template.
 ///
 /// Returns a multiplicative factor around 1.0.
-pub fn service_modulation(
+pub(crate) fn service_modulation(
     kind: TemplateKind,
     schedule: &EventSchedule,
     svc: &Service,

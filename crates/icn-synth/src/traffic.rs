@@ -29,7 +29,7 @@ const HOURLY_NOISE_SIGMA: f64 = 0.10;
 
 /// Draws the service share vector of one antenna: normalised
 /// `popularity × volume_scale × affinity × exp(N(0, σ))`.
-pub fn service_shares(antenna: &Antenna, services: &[Service], rng: &mut Rng) -> Vec<f64> {
+fn service_shares(antenna: &Antenna, services: &[Service], rng: &mut Rng) -> Vec<f64> {
     let mut shares: Vec<f64> = services
         .iter()
         .map(|svc| {
@@ -47,7 +47,7 @@ pub fn service_shares(antenna: &Antenna, services: &[Service], rng: &mut Rng) ->
 }
 
 /// Draws the two-month total volume (MB) of one antenna.
-pub fn total_volume(antenna: &Antenna, rng: &mut Rng) -> f64 {
+fn total_volume(antenna: &Antenna, rng: &mut Rng) -> f64 {
     let (mu, sigma) = antenna.archetype.volume_lognormal();
     rng.lognormal(mu, sigma)
 }
@@ -79,7 +79,7 @@ pub fn event_schedule(antenna: &Antenna, cal: &StudyCalendar, root: &Rng) -> Eve
 
 /// Builds the `N × M` totals matrix for a population of antennas — the
 /// paper's `T` (Section 4.1). Deterministic given `root`.
-pub fn totals_matrix(antennas: &[Antenna], services: &[Service], root: &Rng) -> Matrix {
+pub(crate) fn totals_matrix(antennas: &[Antenna], services: &[Service], root: &Rng) -> Matrix {
     let mut t = Matrix::zeros(antennas.len(), services.len());
     for (i, a) in antennas.iter().enumerate() {
         let mut rng = root.fork(0xA17E_0000 ^ a.id as u64);
@@ -144,7 +144,7 @@ fn noisy_samples<'a>(
 ///
 /// `total_mb` should be the totals-matrix entry scaled to the window (the
 /// caller decides; [`hourly_series_for_window`] does the standard scaling).
-pub fn hourly_series(
+fn hourly_series(
     antenna: &Antenna,
     svc: &Service,
     cal: &StudyCalendar,
@@ -379,7 +379,9 @@ mod tests {
     use crate::antennas::generate_antennas;
     use crate::archetypes::Archetype;
     use crate::calendar::Date;
+    use crate::calendar::StudyCalendar;
     use crate::services::{catalog, index_of};
+    use icn_stats::check::cases;
 
     fn small_pop() -> (Vec<Antenna>, Vec<Service>, Rng) {
         let mut rng = Rng::seed_from(123);
@@ -692,7 +694,56 @@ mod tests {
         {
             let s1 = event_schedule(a, &cal, &root);
             let s2 = event_schedule(a, &cal, &root);
-            assert_eq!(s1.events(), s2.events());
+            assert_eq!(s1, s2);
         }
+    }
+
+    #[test]
+    fn shares_always_simplex() {
+        cases(32, |case, rng| {
+            let ants = generate_antennas(0.01, rng);
+            let svcs = catalog();
+            let mut rng2 = Rng::seed_from(rng.next_u64());
+            for a in ants.iter().take(5) {
+                let s = service_shares(a, &svcs, &mut rng2);
+                let sum: f64 = s.iter().sum();
+                assert!((sum - 1.0).abs() < 1e-9, "case {case}: sum {sum}");
+                assert!(s.iter().all(|&x| x > 0.0), "case {case}");
+            }
+        });
+    }
+
+    #[test]
+    fn totals_matrix_positive_finite() {
+        cases(32, |case, rng| {
+            let ants = generate_antennas(0.008, rng);
+            let svcs = catalog();
+            let t = totals_matrix(&ants, &svcs, &Rng::seed_from(rng.next_u64()));
+            assert!(!t.has_non_finite(), "case {case}");
+            assert!(t.as_slice().iter().all(|&v| v > 0.0), "case {case}");
+        });
+    }
+
+    #[test]
+    fn hourly_series_nonnegative_and_integrates() {
+        cases(32, |case, rng| {
+            let total = rng.uniform(10.0, 10_000.0);
+            let ants = generate_antennas(0.008, rng);
+            let svcs = catalog();
+            let cal = StudyCalendar::custom(Date::new(2023, 1, 9), 7);
+            let a = &ants[rng.index(ants.len())];
+            let svc = &svcs[rng.index(svcs.len())];
+            let series = hourly_series(a, svc, &cal, total, &Rng::seed_from(rng.next_u64()));
+            assert_eq!(series.len(), cal.num_hours(), "case {case}");
+            assert!(
+                series.iter().all(|&v| v >= 0.0 && v.is_finite()),
+                "case {case}"
+            );
+            let sum: f64 = series.iter().sum();
+            assert!(
+                (sum - total).abs() / total < 0.25,
+                "case {case}: sum {sum} target {total}"
+            );
+        });
     }
 }

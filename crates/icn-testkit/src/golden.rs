@@ -21,14 +21,14 @@ use icn_synth::{Dataset, SynthConfig};
 use std::path::{Path, PathBuf};
 
 /// Schema tag written into golden files.
-pub const GOLDEN_SCHEMA: &str = "icn-golden/v1";
+const GOLDEN_SCHEMA: &str = "icn-golden/v1";
 
 /// The scale the checked-in golden snapshots are pinned at.
 pub const GOLDEN_SCALE: f64 = 0.05;
 
 /// The scale the sampled-path golden snapshot is pinned at. Deliberately
 /// larger than [`GOLDEN_SCALE`]: with the pinned
-/// [`SAMPLED_GOLDEN_BUDGET_MB`] budget the population at this scale does
+/// `SAMPLED_GOLDEN_BUDGET_MB` (1 MiB) budget the population at this scale does
 /// not fit the exact path, so the snapshot genuinely exercises the
 /// sample-cluster-extend machinery (a budget that admits the whole
 /// population would silently degrade the snapshot to exact Ward).
@@ -37,11 +37,11 @@ pub const SAMPLED_GOLDEN_SCALE: f64 = 0.1;
 /// The memory budget the sampled-path golden run is pinned at. 1 MB caps
 /// the sample at 362 antennas, a strict ~76% sample of the scale-0.1
 /// population (475 live antennas).
-pub const SAMPLED_GOLDEN_BUDGET_MB: usize = 1;
+const SAMPLED_GOLDEN_BUDGET_MB: usize = 1;
 
 /// Canonical fixed-precision rendering of one float. `-0.0` collapses to
 /// `0.0` so the hash cannot depend on sign-of-zero noise.
-pub fn canon_f64(v: f64) -> String {
+pub(crate) fn canon_f64(v: f64) -> String {
     if !v.is_finite() {
         return format!("{v}");
     }
@@ -51,7 +51,7 @@ pub fn canon_f64(v: f64) -> String {
 
 /// Streaming FNV-1a 64-bit hasher over canonical renderings. All `feed`
 /// methods separate values with `;` so adjacent fields cannot alias.
-pub struct Canon {
+pub(crate) struct Canon {
     state: u64,
 }
 
@@ -63,14 +63,14 @@ impl Default for Canon {
 
 impl Canon {
     /// A fresh hasher at the FNV-1a offset basis.
-    pub fn new() -> Canon {
+    pub(crate) fn new() -> Canon {
         Canon {
             state: 0xcbf2_9ce4_8422_2325,
         }
     }
 
     /// Feeds raw text.
-    pub fn text(&mut self, s: &str) -> &mut Self {
+    pub(crate) fn text(&mut self, s: &str) -> &mut Self {
         for &b in s.as_bytes() {
             self.state ^= b as u64;
             self.state = self.state.wrapping_mul(0x0000_0100_0000_01b3);
@@ -87,17 +87,17 @@ impl Canon {
     }
 
     /// Feeds one float in canonical form.
-    pub fn f64(&mut self, v: f64) -> &mut Self {
+    pub(crate) fn f64(&mut self, v: f64) -> &mut Self {
         self.text(&canon_f64(v))
     }
 
     /// Feeds one integer.
-    pub fn usize(&mut self, v: usize) -> &mut Self {
+    pub(crate) fn usize(&mut self, v: usize) -> &mut Self {
         self.text(&v.to_string())
     }
 
     /// Feeds a slice of floats.
-    pub fn f64s(&mut self, vs: &[f64]) -> &mut Self {
+    pub(crate) fn f64s(&mut self, vs: &[f64]) -> &mut Self {
         for &v in vs {
             self.f64(v);
         }
@@ -105,7 +105,7 @@ impl Canon {
     }
 
     /// Feeds a slice of integers.
-    pub fn usizes(&mut self, vs: &[usize]) -> &mut Self {
+    pub(crate) fn usizes(&mut self, vs: &[usize]) -> &mut Self {
         for &v in vs {
             self.usize(v);
         }
@@ -113,12 +113,12 @@ impl Canon {
     }
 
     /// Feeds a matrix: shape first, then all cells in row-major order.
-    pub fn matrix(&mut self, m: &Matrix) -> &mut Self {
+    pub(crate) fn matrix(&mut self, m: &Matrix) -> &mut Self {
         self.usize(m.rows()).usize(m.cols()).f64s(m.as_slice())
     }
 
     /// The final hash as a fixed-width hex string.
-    pub fn hex(&self) -> String {
+    pub(crate) fn hex(&self) -> String {
         format!("{:016x}", self.state)
     }
 }
@@ -144,7 +144,7 @@ pub fn snapshot_pipeline(scale: f64) -> PipelineSnapshot {
 }
 
 /// Runs the pinned study down the **sampled** stage-2 path (scalable
-/// large-N escape hatch forced on via [`SAMPLED_GOLDEN_BUDGET_MB`]) and
+/// large-N escape hatch forced on via a 1 MiB cluster budget) and
 /// hashes every stage output. The sampled path has its own golden file —
 /// see [`sampled_golden_file`] — so drift in the sampler, the
 /// nearest-centroid extension or the refinement loop is caught exactly
@@ -163,7 +163,7 @@ pub fn snapshot_pipeline_sampled(scale: f64) -> PipelineSnapshot {
 
 /// Hashes every stage of an already-run study (exposed so tests can reuse
 /// a fixture instead of re-running the pipeline).
-pub fn snapshot_study(scale: f64, dataset: &Dataset, study: &IcnStudy) -> PipelineSnapshot {
+pub(crate) fn snapshot_study(scale: f64, dataset: &Dataset, study: &IcnStudy) -> PipelineSnapshot {
     let mut stages = Vec::new();
 
     let mut c = Canon::new();

@@ -165,10 +165,10 @@ pub fn ingest_golden_file(dir: &std::path::Path) -> std::path::PathBuf {
 
 /// The pinned ingest-window length in days (a 72-hour slice of the study
 /// period starting Monday 9 Jan 2023).
-pub const INGEST_GOLDEN_DAYS: usize = 3;
+const INGEST_GOLDEN_DAYS: usize = 3;
 
 /// The pinned ingest window used by the golden snapshot and the CI smoke.
-pub fn ingest_golden_window() -> StudyCalendar {
+fn ingest_golden_window() -> StudyCalendar {
     StudyCalendar::custom(Date::new(2023, 1, 9), INGEST_GOLDEN_DAYS)
 }
 

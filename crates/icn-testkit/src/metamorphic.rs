@@ -22,11 +22,6 @@ pub fn permutation(rng: &mut Rng, n: usize) -> Vec<usize> {
     p
 }
 
-/// The identity permutation of `0..n`.
-pub fn identity_permutation(n: usize) -> Vec<usize> {
-    (0..n).collect()
-}
-
 /// The inverse permutation: `invert(p)[p[i]] == i`.
 pub fn invert_permutation(perm: &[usize]) -> Vec<usize> {
     let mut inv = vec![0usize; perm.len()];
@@ -131,7 +126,7 @@ mod tests {
             let p = permutation(rng, n);
             let mut sorted = p.clone();
             sorted.sort_unstable();
-            assert_eq!(sorted, identity_permutation(n));
+            assert_eq!(sorted, (0..n).collect::<Vec<_>>());
             let inv = invert_permutation(&p);
             for i in 0..n {
                 assert_eq!(inv[p[i]], i);

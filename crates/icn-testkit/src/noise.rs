@@ -1,11 +1,10 @@
-//! Fault and noise injection for robustness testing.
+//! Fault and noise injection into a totals matrix.
 //!
 //! Real measurement feeds are imperfect: probes drop hours, antennas go
 //! silent, classifiers misattribute sessions. These injectors corrupt a
 //! totals matrix in controlled ways so that tests can verify the pipeline's
 //! guards (dead-row filtering, NaN detection) and quantify the clustering's
-//! robustness to classifier noise — in the spirit of smoltcp's
-//! fault-injection example options.
+//! robustness to classifier noise.
 
 use icn_stats::{Matrix, Rng};
 
@@ -65,17 +64,6 @@ pub fn poison_nan(t: &mut Matrix, count: usize, rng: &mut Rng) {
     }
 }
 
-/// Indices of rows whose total traffic is zero (dead antennas that must be
-/// excluded before RCA, which would otherwise divide by zero).
-pub fn dead_rows(t: &Matrix) -> Vec<usize> {
-    t.row_sums()
-        .iter()
-        .enumerate()
-        .filter(|(_, &s)| s <= 0.0)
-        .map(|(i, _)| i)
-        .collect()
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -93,11 +81,8 @@ mod tests {
         for &r in &victims {
             assert!(t.row(r).iter().all(|&v| v == 0.0));
         }
-        assert_eq!(dead_rows(&t), {
-            let mut v = victims.clone();
-            v.sort_unstable();
-            v
-        });
+        let zero_rows = (0..t.rows()).filter(|&r| t.row(r).iter().sum::<f64>() <= 0.0);
+        assert_eq!(zero_rows.count(), victims.len());
     }
 
     #[test]
@@ -145,10 +130,5 @@ mod tests {
         assert!(!t.has_non_finite());
         poison_nan(&mut t, 3, &mut rng);
         assert!(t.has_non_finite());
-    }
-
-    #[test]
-    fn dead_rows_empty_for_healthy_matrix() {
-        assert!(dead_rows(&mat()).is_empty());
     }
 }

@@ -8,7 +8,7 @@
 //! divergence is a real algorithmic regression, not a tuning artefact.
 
 use icn_cluster::{Condensed, Linkage, Merge, MergeHistory};
-use icn_forest::{DecisionTree, RandomForest, TrainSet};
+use icn_forest::{gini, DecisionTree, RandomForest, TrainSet};
 use icn_stats::Matrix;
 
 /// Eq. (1) computed per cell with all four marginals re-derived from
@@ -498,6 +498,30 @@ pub fn per_sample_shap_batch(forest: &RandomForest, x: &Matrix) -> Vec<Matrix> {
     per_class
 }
 
+/// Gini (mean-decrease-in-impurity) importance of a forest, normalised to
+/// sum to 1 (all-zero if every tree is a single leaf): the classical
+/// second opinion SHAP's global importances are checked against.
+pub fn gini_importance(forest: &RandomForest) -> Vec<f64> {
+    let mut total = vec![0.0f64; forest.n_features];
+    for tree in &forest.trees {
+        for node in tree.nodes.iter().filter(|n| !n.is_leaf()) {
+            let l = &tree.nodes[node.left];
+            let r = &tree.nodes[node.right];
+            let decrease = node.cover * gini(&node.distribution)
+                - l.cover * gini(&l.distribution)
+                - r.cover * gini(&r.distribution);
+            total[node.feature] += decrease.max(0.0);
+        }
+    }
+    let s: f64 = total.iter().sum();
+    if s > 0.0 {
+        for t in &mut total {
+            *t /= s;
+        }
+    }
+    total
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -563,5 +587,50 @@ mod tests {
         let cond = Condensed::from_rows(&m, Metric::Euclidean);
         let s = naive_silhouette(&cond, &[0, 0, 1]);
         assert!((s - 2.0 / 3.0).abs() < 1e-12);
+    }
+
+    /// Class is determined entirely by feature 0; feature 1 is noise.
+    fn one_informative_feature(seed: u64) -> TrainSet {
+        let mut rng = icn_stats::Rng::seed_from(seed);
+        let mut rows = Vec::new();
+        let mut labels = Vec::new();
+        for _ in 0..120 {
+            let x0 = rng.uniform(0.0, 1.0);
+            let x1 = rng.uniform(0.0, 1.0);
+            rows.push(vec![x0, x1]);
+            labels.push(usize::from(x0 > 0.5));
+        }
+        TrainSet::new(Matrix::from_rows(&rows), labels)
+    }
+
+    fn forest_of(ts: &TrainSet, n_trees: usize) -> RandomForest {
+        let config = icn_forest::ForestConfig {
+            n_trees,
+            ..icn_forest::ForestConfig::default()
+        };
+        RandomForest::fit(ts, &config)
+    }
+
+    #[test]
+    fn gini_importance_finds_informative_feature() {
+        let imp = gini_importance(&forest_of(&one_informative_feature(1), 20));
+        assert!((imp.iter().sum::<f64>() - 1.0).abs() < 1e-9);
+        assert!(imp[0] > 0.8, "imp {imp:?}");
+    }
+
+    #[test]
+    fn importances_nonnegative_gini() {
+        let forest = forest_of(&one_informative_feature(4), 10);
+        assert!(gini_importance(&forest).iter().all(|&v| v >= 0.0));
+    }
+
+    #[test]
+    fn stump_forest_zero_importance() {
+        // One constant feature → single-leaf trees → all-zero importance.
+        let ts = TrainSet::new(
+            Matrix::from_rows(&[vec![1.0], vec![1.0], vec![1.0]]),
+            vec![0, 1, 0],
+        );
+        assert_eq!(gini_importance(&forest_of(&ts, 5)), vec![0.0]);
     }
 }

@@ -42,30 +42,28 @@ pub use icn_testkit;
 /// One-stop imports for examples and downstream users.
 pub mod prelude {
     pub use icn_cluster::{
-        adjusted_rand_index, agglomerate, dunn_index, exact_memory_bytes, kmeans_best_of,
-        max_sample_for_budget, normalized_mutual_info, purity, sampled_ward, silhouette_score,
-        ClusterPath, Condensed, Dendrogram, Linkage, SampledWardConfig,
+        adjusted_rand_index, agglomerate, exact_memory_bytes, kmeans_best_of,
+        max_sample_for_budget, normalized_mutual_info, purity, sampled_ward, ClusterPath,
+        Condensed, Linkage, SampledWardConfig,
     };
     pub use icn_core::{
-        classify_outdoor, cluster_heatmap, distribution_entropy, filter_dead_rows,
-        label_distribution, outdoor_rsca, rca, rsca, service_heatmap, EnvCrosstab, IcnStudy,
-        StudyConfig, TemporalHeatmap,
+        cluster_heatmap, distribution_entropy, filter_dead_rows, label_distribution, rca, rsca,
+        service_heatmap, IcnStudy, StudyConfig, TemporalHeatmap,
     };
     pub use icn_forecast::{
-        detect, ets_forecast, forest_forecast, seasonal_naive_forecast, Anomalies, DetectorConfig,
-        ForecastConfig, ForecastReport, Model,
+        detect, ets_forecast, seasonal_naive_forecast, Anomalies, DetectorConfig, ForecastReport,
+        Model,
     };
-    pub use icn_forest::{ForestConfig, RandomForest, TrainSet};
     pub use icn_ingest::{
         Checkpoint, FaultConfig, FaultySource, HourlyRecord, IngestConfig, IngestPipeline,
-        IngestResult, IngestSchema, QuarantineReason, RecordSource, VecSource,
+        IngestResult, QuarantineReason, RecordSource,
     };
-    pub use icn_obs::{BenchReport, Json, Registry, Span};
+    pub use icn_obs::{BenchReport, Json};
     pub use icn_probe::{run_campaign, CampaignConfig, DpiConfig};
     pub use icn_shap::{forest_shap, kernel_shap, Direction};
-    pub use icn_stats::{Histogram, Matrix, Metric, Rng};
+    pub use icn_stats::{Matrix, Rng};
     pub use icn_synth::{
-        record_stream, Archetype, Category, City, Dataset, Date, Environment, Group, RecordStream,
-        Service, StudyCalendar, SynthConfig,
+        record_stream, Archetype, Dataset, Date, Environment, RecordStream, Service, StudyCalendar,
+        SynthConfig,
     };
 }

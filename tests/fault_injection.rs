@@ -8,7 +8,7 @@
 use icn_repro::prelude::*;
 
 mod common;
-use icn_synth::noise;
+use icn_testkit::noise;
 
 #[test]
 fn dead_antennas_are_filtered_not_crashed() {

@@ -196,6 +196,57 @@ fn streamed_ingest_peak_is_a_matrix_not_the_feed() {
     );
 }
 
+/// FNV-1a over the little-endian bit patterns of a matrix, row-major.
+fn totals_hash(m: &Matrix) -> u64 {
+    let mut h: u64 = 0xcbf2_9ce4_8422_2325;
+    for v in m.as_slice() {
+        for b in v.to_bits().to_le_bytes() {
+            h ^= b as u64;
+            h = h.wrapping_mul(0x0000_0100_0000_01b3);
+        }
+    }
+    h
+}
+
+/// Each probe worker fills only its own antenna's service × hour slab, so
+/// the campaign's allocator peak is a few N·M·H cubes (8-byte MB plus
+/// 4-byte session count per cell), never one cube per antenna (N²·M·H,
+/// ~3.6 GB here). The totals hashes and counters are pinned, so a change
+/// to what the campaign computes cannot pass as a memory fix.
+#[test]
+fn probe_campaign_peak_is_one_cube_not_one_per_antenna() {
+    let _guard = LOCK.lock().unwrap();
+    let ds = Dataset::generate(SynthConfig::small().with_scale(0.05));
+    let window = common::probe_window(3);
+    let cube_bytes = ds.num_antennas() * ds.num_services() * window.num_hours() * 12;
+    let (result, stats) = windowed(|| run_campaign(&ds, &window, &CampaignConfig::default()));
+    let peak = stats.peak_bytes as usize;
+    println!("probe window: peak {peak} B, one cube {cube_bytes} B");
+    assert!(
+        peak < 4 * cube_bytes,
+        "probe campaign peak {peak} B is not within 4x one {cube_bytes} B cube"
+    );
+    assert_eq!(totals_hash(&result.totals), 0x3c78_4f99_8bd3_7068);
+    assert_eq!(result.sessions, 1_487_566);
+    assert_eq!(result.dropped_bad_uli, 0);
+    assert_eq!(result.dropped_unclassified, 14_873);
+    assert_eq!(result.suppressed_cells, 0);
+
+    let k2 = run_campaign(
+        &ds,
+        &window,
+        &CampaignConfig {
+            min_sessions_per_cell: 2,
+            ..CampaignConfig::default()
+        },
+    );
+    assert_eq!(totals_hash(&k2.totals), 0x99d0_a1c1_b5c0_30d6);
+    assert_eq!(k2.sessions, 1_487_566);
+    assert_eq!(k2.dropped_bad_uli, 0);
+    assert_eq!(k2.dropped_unclassified, 14_873);
+    assert_eq!(k2.suppressed_cells, 1_093_336);
+}
+
 fn icn(args: &[&str], envs: &[(&str, &str)]) -> std::process::Output {
     let mut cmd = Command::new(env!("CARGO_BIN_EXE_icn"));
     cmd.args(args);

@@ -94,7 +94,7 @@ fn shap_importance_correlates_with_gini_importance() {
     // Second-opinion check: services dominating SHAP for any cluster must
     // overlap with forest Gini importance.
     let (_, study) = small_study();
-    let gini = icn_forest::gini_importance(&study.surrogate);
+    let gini = icn_testkit::gini_importance(&study.surrogate);
     let gini_top: std::collections::HashSet<usize> =
         icn_stats::rank::top_k(&gini, 15).into_iter().collect();
     let mut hits = 0usize;

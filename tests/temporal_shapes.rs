@@ -21,6 +21,19 @@ fn fixture() -> Fixture {
     }
 }
 
+/// Mean value at `hour` across the days matching `filter` (0 if none).
+fn mean_at_hour(hm: &TemporalHeatmap, hour: usize, filter: impl Fn(usize) -> bool) -> f64 {
+    let vals: Vec<f64> = (0..hm.values.len())
+        .filter(|&d| filter(d))
+        .map(|d| hm.values[d][hour])
+        .collect();
+    if vals.is_empty() {
+        0.0
+    } else {
+        icn_stats::summary::mean(&vals)
+    }
+}
+
 fn heatmap_for_archetype(fx: &Fixture, arch: Archetype) -> TemporalHeatmap {
     let map = fx.study.cluster_to_archetype(&fx.dataset);
     let cluster = map
@@ -147,8 +160,8 @@ fn teams_follows_office_hours_netflix_hotel_nights() {
     // Figure 11g: Teams heavy in office hours at the workspace cluster.
     let teams = service_hm(Archetype::Workspace, svc("Microsoft Teams"));
     let weekday = |hm: &TemporalHeatmap, d: usize| !hm.window.date(d).weekday().is_weekend();
-    let work = teams.mean_at_hour(11, |d| weekday(&teams, d));
-    let night = teams.mean_at_hour(22, |d| weekday(&teams, d));
+    let work = mean_at_hour(&teams, 11, |d| weekday(&teams, d));
+    let night = mean_at_hour(&teams, 22, |d| weekday(&teams, d));
     assert!(
         work > 3.0 * (night + 1e-9),
         "teams work {work} night {night}"
@@ -156,8 +169,8 @@ fn teams_follows_office_hours_netflix_hotel_nights() {
 
     // Figure 11h: Netflix at the retail/hotel cluster peaks at night...
     let netflix_hotel = service_hm(Archetype::RetailHospitality, svc("Netflix"));
-    let hotel_night = netflix_hotel.mean_at_hour(22, |_| true);
-    let hotel_morning = netflix_hotel.mean_at_hour(9, |_| true);
+    let hotel_night = mean_at_hour(&netflix_hotel, 22, |_| true);
+    let hotel_morning = mean_at_hour(&netflix_hotel, 9, |_| true);
     assert!(
         hotel_night > hotel_morning,
         "netflix hotel night {hotel_night} vs morning {hotel_morning}"
@@ -165,8 +178,8 @@ fn teams_follows_office_hours_netflix_hotel_nights() {
 
     // ...while at the workspace cluster it is confined to lunch hours.
     let netflix_office = service_hm(Archetype::Workspace, svc("Netflix"));
-    let lunch = netflix_office.mean_at_hour(12, |d| weekday(&netflix_office, d));
-    let afternoon = netflix_office.mean_at_hour(16, |d| weekday(&netflix_office, d));
+    let lunch = mean_at_hour(&netflix_office, 12, |d| weekday(&netflix_office, d));
+    let afternoon = mean_at_hour(&netflix_office, 16, |d| weekday(&netflix_office, d));
     assert!(
         lunch > 2.0 * (afternoon + 1e-9),
         "netflix office lunch {lunch} vs afternoon {afternoon}"
