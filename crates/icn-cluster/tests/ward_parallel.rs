@@ -14,7 +14,7 @@ use icn_cluster::{
     agglomerate, agglomerate_condensed, dunn_index, sampled_ward, silhouette_score, sweep_k,
     Condensed, KQuality, Linkage, MergeHistory, SampledWardConfig,
 };
-use icn_stats::{Matrix, Metric, Rng};
+use icn_stats::{Fnv1a, Matrix, Metric, Rng};
 use icn_testkit::{naive_agglomerate, permutation, permute_rows, permute_slice, same_partition};
 use std::sync::Mutex;
 use std::time::{Duration, Instant};
@@ -68,11 +68,9 @@ impl Drop for EnvGuard {
 
 /// FNV-1a over the bits of a merge history and a sweep.
 fn fnv1a(history: &MergeHistory, sweep: &[KQuality]) -> u64 {
-    let mut h = 0xcbf2_9ce4_8422_2325u64;
+    let mut h = Fnv1a::new();
     let mut eat = |x: u64| {
-        for b in x.to_le_bytes() {
-            h = (h ^ u64::from(b)).wrapping_mul(0x0000_0100_0000_01b3);
-        }
+        h.write(&x.to_le_bytes());
     };
     for m in &history.merges {
         eat(m.a as u64);
@@ -85,7 +83,7 @@ fn fnv1a(history: &MergeHistory, sweep: &[KQuality]) -> u64 {
         eat(q.silhouette.to_bits());
         eat(q.dunn.to_bits());
     }
-    h
+    h.finish()
 }
 
 /// 2,000 rows, the last 600 exact copies of the first 600: zero-distance

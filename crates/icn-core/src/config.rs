@@ -77,7 +77,6 @@ impl StudyConfig {
         ForecastConfig {
             horizon: self.forecast_horizon,
             model: self.forecast_model,
-            ..ForecastConfig::default()
         }
     }
 

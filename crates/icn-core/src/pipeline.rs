@@ -141,13 +141,6 @@ impl IcnStudy {
                 obs.add_counter("transform.services", rsca_m.cols() as u64);
                 span.attr("input_rows", totals.rows() as u64);
                 span.attr("live_rows", live_rows.len() as u64);
-                icn_obs::obs_log!(
-                    Info,
-                    "pipeline",
-                    "stage1: {} of {} antennas live",
-                    live_rows.len(),
-                    totals.rows()
-                );
             }
             (t_live, live_rows, rsca_m)
         };
@@ -237,13 +230,6 @@ impl IcnStudy {
             if obs.is_enabled() {
                 obs.add_counter("cluster.k_sweep_points", k_sweep.len() as u64);
                 obs.add_counter("cluster.clusters", config.k as u64);
-                icn_obs::obs_log!(
-                    Info,
-                    "pipeline",
-                    "stage2: {} merges, cut at k = {}",
-                    history.merges.len(),
-                    config.k
-                );
             }
             (
                 history,

@@ -49,7 +49,8 @@ use backtest::{backtest_masked, BacktestConfig};
 use icn_synth::{StudyCalendar, Weekday};
 use models::{forest_forecast, PERIOD};
 
-/// Forecast-run configuration: the primary model and every sub-config.
+/// Forecast-run configuration: the horizon and the primary model. The
+/// models and the detector run at their default parameters.
 #[derive(Clone, Copy, Debug)]
 pub struct ForecastConfig {
     /// Hours to forecast past the window's end.
@@ -57,12 +58,6 @@ pub struct ForecastConfig {
     /// Model whose forecast is the primary `forecast` output (all three
     /// are always backtested).
     pub model: Model,
-    /// ETS smoothing parameters.
-    pub ets: EtsParams,
-    /// Forest-regressor parameters.
-    pub forest: ForestParams,
-    /// Anomaly-detector parameters.
-    pub detector: DetectorConfig,
 }
 
 impl Default for ForecastConfig {
@@ -70,9 +65,6 @@ impl Default for ForecastConfig {
         ForecastConfig {
             horizon: 24,
             model: Model::Ets,
-            ets: EtsParams::default(),
-            forest: ForestParams::default(),
-            detector: DetectorConfig::default(),
         }
     }
 }
@@ -172,6 +164,9 @@ pub fn forecast_series(
 ) -> ForecastReport {
     let obs = icn_obs::global();
     let start_dow = dow_index(window.start().weekday());
+    let ets_params = EtsParams::default();
+    let forest_params = ForestParams::default();
+    let detector = DetectorConfig::default();
     // Clusters are independent: detector + three model fits + backtest per
     // cluster run as one parallel job each (order-preserving map, so the
     // report is bit-identical at any `ICN_THREADS`); the backtest itself
@@ -181,13 +176,13 @@ pub fn forecast_series(
         {
             let t0 = std::time::Instant::now();
             let n = cs.values.len();
-            let forecastable = n >= 2 * cfg.ets.period && n >= PERIOD + cfg.forest.bins;
+            let forecastable = n >= 2 * PERIOD && n >= PERIOD + forest_params.bins;
             // Per-cluster forest seed: decorrelated but deterministic.
             let forest = ForestParams {
-                seed: cfg.forest.seed ^ ((cs.cluster as u64) << 32),
-                ..cfg.forest
+                seed: forest_params.seed ^ ((cs.cluster as u64) << 32),
+                ..forest_params
             };
-            let anomalies = detect(&cs.values, &cfg.detector);
+            let anomalies = detect(&cs.values, &detector);
             // Robust fitting series: detector-flagged hours are imputed
             // with the detection baseline (the event-free hour-of-week
             // level) so a strike day or a fixture night cannot drag the
@@ -200,14 +195,14 @@ pub fn forecast_series(
             } else {
                 let mut fit = cs.values.clone();
                 for &t in &anomalies.flagged {
-                    fit[t] = anomalies.template[t % cfg.detector.period];
+                    fit[t] = anomalies.template[t % PERIOD];
                 }
                 fit
             };
             let (naive, ets, forest_fc) = if forecastable {
                 (
-                    seasonal_naive_forecast(&fit, cfg.ets.period, cfg.horizon),
-                    ets_forecast(&fit, &cfg.ets, cfg.horizon),
+                    seasonal_naive_forecast(&fit, PERIOD, cfg.horizon),
+                    ets_forecast(&fit, &ets_params, cfg.horizon),
                     forest_forecast(&fit, &forest, start_dow, cfg.horizon),
                 )
             } else {
@@ -219,7 +214,7 @@ pub fn forecast_series(
                     &cs.values,
                     &anomalies.flagged,
                     &bt,
-                    &cfg.ets,
+                    &ets_params,
                     &forest,
                     start_dow,
                 ),

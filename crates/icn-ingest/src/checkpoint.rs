@@ -130,7 +130,10 @@ impl Checkpoint {
     /// FNV-1a hash of the rendered document, as a 16-hex-digit string.
     /// This is the value pinned by the ingest golden snapshot.
     pub fn hash(&self) -> String {
-        format!("{:016x}", fnv1a(self.render().as_bytes()))
+        let hash = icn_stats::Fnv1a::new()
+            .write(self.render().as_bytes())
+            .finish();
+        format!("{hash:016x}")
     }
 
     /// Parses a rendered checkpoint back into a resumable state.
@@ -287,18 +290,6 @@ impl Checkpoint {
             .map_err(|e| format!("cannot read checkpoint {}: {e}", path.display()))?;
         Checkpoint::parse(&text)
     }
-}
-
-/// FNV-1a over a byte slice (the same construction icn-testkit's canonical
-/// hasher uses; duplicated locally because icn-testkit depends on this
-/// crate, not the other way round).
-pub(crate) fn fnv1a(bytes: &[u8]) -> u64 {
-    let mut h: u64 = 0xcbf2_9ce4_8422_2325;
-    for &b in bytes {
-        h ^= u64::from(b);
-        h = h.wrapping_mul(0x0000_0100_0000_01b3);
-    }
-    h
 }
 
 fn bits_of(values: &[f64]) -> String {

@@ -14,7 +14,7 @@
 //!   in canonical (hour, cell) order, which is what makes the result
 //!   invariant to chunking, threading, and bounded reordering. Per-record
 //!   validation runs here too, inline and in stream order.
-//! * [`IngestPipeline`] — the chunked pipeline: bounded retry/backoff, one
+//! * [`IngestPipeline`] — the chunked pipeline: bounded retry, one
 //!   allocation-free pass per record, quarantine accounting, observability
 //!   counters (`ingest.*` under the `ingest` stage span).
 //! * [`Checkpoint`] — the `icn-ingest/v1` resume format; floats travel as

@@ -1,7 +1,7 @@
 //! The chunked ingest pipeline: pull → retry → classify → checkpoint.
 //!
-//! Each step pulls one chunk from the source (with bounded retry/backoff
-//! on transient errors), then hands the records **in order**, one pass and
+//! Each step pulls one chunk from the source (with bounded retry on
+//! transient errors), then hands the records **in order**, one pass and
 //! no allocation per record, to the accumulator, which runs the structural
 //! checks, the stateful duplicate/late checks, and seals hours as its
 //! watermark advances. Because accept/quarantine decisions depend only on
@@ -10,7 +10,7 @@
 //! `ICN_THREADS`.
 
 use std::fmt;
-use std::time::{Duration, Instant};
+use std::time::Instant;
 
 use icn_obs::Span;
 
@@ -26,11 +26,9 @@ pub struct IngestConfig {
     /// Hours a record may trail the newest hour seen before it is
     /// quarantined as late.
     pub lateness_hours: u32,
-    /// Transient-error retries before the run aborts.
+    /// Transient-error retries before the run aborts. Retries are
+    /// immediate.
     pub max_retries: u32,
-    /// Base backoff between retries; doubles per attempt (capped at
-    /// 64×). Zero disables sleeping, which tests use.
-    pub backoff: Duration,
 }
 
 impl Default for IngestConfig {
@@ -39,7 +37,6 @@ impl Default for IngestConfig {
             chunk_size: 4096,
             lateness_hours: 2,
             max_retries: 8,
-            backoff: Duration::ZERO,
         }
     }
 }
@@ -186,12 +183,15 @@ impl IngestPipeline {
     }
 
     /// Processes one chunk. Returns `Ok(Some(n))` after consuming `n`
-    /// records, `Ok(None)` at end of stream.
-    pub(crate) fn step<S: RecordSource>(
+    /// records, `Ok(None)` at end of stream. `run_span` is the span open
+    /// while the chunk is pulled; each transient retry marks it with a
+    /// `transient_retry` event.
+    fn step<S: RecordSource>(
         &mut self,
         source: &mut S,
+        run_span: &mut Span,
     ) -> Result<Option<usize>, IngestError> {
-        let chunk = self.pull_chunk(source)?;
+        let chunk = self.pull_chunk(source, run_span)?;
         if chunk.is_empty() {
             return Ok(None);
         }
@@ -215,13 +215,6 @@ impl IngestPipeline {
         reg.add_counter("ingest.chunks", 1);
         if quarantined > 0 {
             chunk_span.attr("quarantined", quarantined);
-            icn_obs::obs_log!(
-                Warn,
-                "ingest",
-                "quarantined {quarantined} of {} records in chunk {}",
-                chunk.len(),
-                self.stats.chunks
-            );
         }
         if let Some(t0) = chunk_t0 {
             reg.record_hist("ingest.chunk_ns", t0.elapsed().as_nanos() as u64);
@@ -242,7 +235,7 @@ impl IngestPipeline {
         source: &mut S,
         max_chunks: Option<u64>,
     ) -> Result<bool, IngestError> {
-        let _span = Span::enter("ingest");
+        let mut span = Span::enter("ingest");
         let start = Instant::now();
         let before = self.records_consumed;
         let mut chunks = 0u64;
@@ -250,7 +243,7 @@ impl IngestPipeline {
             if max_chunks.is_some_and(|m| chunks >= m) {
                 break false;
             }
-            match self.step(source)? {
+            match self.step(source, &mut span)? {
                 Some(_) => chunks += 1,
                 None => break true,
             }
@@ -282,6 +275,7 @@ impl IngestPipeline {
     fn pull_chunk<S: RecordSource>(
         &mut self,
         source: &mut S,
+        run_span: &mut Span,
     ) -> Result<Vec<HourlyRecord>, IngestError> {
         let mut attempt = 0u32;
         loop {
@@ -298,15 +292,7 @@ impl IngestPipeline {
                     }
                     self.stats.retried += 1;
                     icn_obs::global().add_counter("ingest.retried", 1);
-                    icn_obs::obs_log!(
-                        Warn,
-                        "ingest",
-                        "transient source error (attempt {attempt}): {m}"
-                    );
-                    if !self.config.backoff.is_zero() {
-                        let factor = 1u32 << (attempt - 1).min(6);
-                        std::thread::sleep(self.config.backoff.saturating_mul(factor));
-                    }
+                    run_span.event("transient_retry");
                 }
             }
         }
@@ -417,9 +403,7 @@ mod tests {
 
         let mut first = IngestPipeline::new(schema(), cfg);
         let mut src = VecSource::new(recs.clone());
-        for _ in 0..7 {
-            first.step(&mut src).unwrap();
-        }
+        first.run_until(&mut src, Some(7)).unwrap();
         let ck = Checkpoint::parse(&first.checkpoint().render()).unwrap();
         drop(first); // the "crash"
 
@@ -467,9 +451,9 @@ mod tests {
 
         let mut first = IngestPipeline::new(schema(), cfg);
         let mut src = VecSource::new(recs.clone());
-        for _ in 0..kill_at / 10 {
-            first.step(&mut src).unwrap();
-        }
+        first
+            .run_until(&mut src, Some(kill_at as u64 / 10))
+            .unwrap();
         let ck = Checkpoint::parse(&first.checkpoint().render()).unwrap();
         drop(first);
         let held: Vec<u32> = ck.acc.open_hours().collect();

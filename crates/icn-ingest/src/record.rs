@@ -148,7 +148,7 @@ impl IngestSchema {
 #[derive(Clone, Debug, PartialEq)]
 pub enum SourceError {
     /// Retryable (network hiccup, collector restart): the pipeline retries
-    /// with bounded backoff.
+    /// at once, a bounded number of times.
     Transient(String),
     /// Unrecoverable: the pipeline aborts and reports it.
     Fatal(String),

@@ -7,8 +7,7 @@
 //!   (start offset from the registry epoch) and `dur` in **microseconds**
 //!   as the format requires, `tid` = the dense icn-obs thread index, and
 //!   the span id/parent/path plus all attributes under `args`;
-//! * `"ph": "i"` *instant* events — span point events and retained log
-//!   records (thread-scoped);
+//! * `"ph": "i"` *instant* events — span point events (thread-scoped);
 //! * `"ph": "M"` *metadata* events naming the process and each thread.
 //!
 //! Load the written file directly in `chrome://tracing` or
@@ -34,8 +33,7 @@ pub fn chrome_trace(snapshot: &Snapshot) -> Json {
     let mut events: Vec<Json> = Vec::new();
 
     // Metadata: name the process and every thread that appears.
-    let mut threads: BTreeSet<u64> = snapshot.span_tree.iter().map(|s| s.thread).collect();
-    threads.extend(snapshot.logs.iter().map(|l| l.thread));
+    let threads: BTreeSet<u64> = snapshot.span_tree.iter().map(|s| s.thread).collect();
     events.push(Json::obj(vec![
         ("name", Json::str("process_name")),
         ("ph", Json::str("M")),
@@ -100,26 +98,6 @@ pub fn chrome_trace(snapshot: &Snapshot) -> Json {
         }
     }
 
-    for log in &snapshot.logs {
-        events.push(Json::obj(vec![
-            ("name", Json::str(&log.message)),
-            ("cat", Json::str("log")),
-            ("ph", Json::str("i")),
-            ("ts", Json::num(micros(log.at))),
-            ("pid", Json::num(PID)),
-            ("tid", Json::num(log.thread as f64)),
-            ("s", Json::str("t")),
-            (
-                "args",
-                Json::obj(vec![
-                    ("level", Json::str(log.level.name())),
-                    ("target", Json::str(&log.target)),
-                    ("seq", Json::num(log.seq as f64)),
-                ]),
-            ),
-        ]));
-    }
-
     Json::obj(vec![
         ("traceEvents", Json::Arr(events)),
         ("displayTimeUnit", Json::str("ms")),
@@ -142,7 +120,6 @@ pub fn write_chrome_trace(snapshot: &Snapshot, path: &str) -> std::io::Result<()
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::log::{Level, LogRecord};
     use crate::trace::{AttrValue, SpanData, SpanEvent};
     use std::time::Duration;
 
@@ -178,14 +155,6 @@ mod tests {
             peak_growth_bytes: 0,
             attrs: Vec::new(),
             events: Vec::new(),
-        });
-        snap.logs.push(LogRecord {
-            seq: 0,
-            level: Level::Warn,
-            target: "ingest".into(),
-            message: "quarantined 2 records".into(),
-            at: Duration::from_micros(50),
-            thread: 0,
         });
         snap
     }
@@ -225,7 +194,7 @@ mod tests {
     }
 
     #[test]
-    fn trace_includes_logs_events_and_metadata() {
+    fn trace_includes_events_and_metadata() {
         let doc = chrome_trace(&sample_snapshot());
         assert_eq!(
             doc.get("displayTimeUnit").and_then(Json::as_str),
@@ -236,8 +205,8 @@ mod tests {
             .iter()
             .filter(|e| e.get("ph").and_then(Json::as_str) == Some("i"))
             .collect();
-        // One span point event + one log record.
-        assert_eq!(instants.len(), 2);
+        // The one span point event.
+        assert_eq!(instants.len(), 1);
         assert!(events
             .iter()
             .any(|e| e.get("ph").and_then(Json::as_str) == Some("M")

@@ -20,7 +20,7 @@
 //! [`DiffThresholds::stage_wall_ratios`] holds individual hot stages to
 //! tighter bounds than the 2× default — the one tunable threshold.
 
-use crate::report::BenchReport;
+use crate::report::{BenchReport, BenchReportSet};
 use crate::trace::self_times;
 use std::fmt::Write as _;
 
@@ -77,6 +77,32 @@ impl DiffThresholds {
             .find(|(name, _)| name == stage)
             .map(|&(_, r)| r)
             .unwrap_or(MAX_WALL_RATIO)
+    }
+
+    /// Checks that every per-stage override can gate against `baseline`:
+    /// some report in it has the stage with a wall at or above the 5 ms
+    /// floor. `Err` says why the first override that cannot gate gates
+    /// nothing.
+    pub fn check_overrides(&self, baseline: &BenchReportSet) -> Result<(), String> {
+        for (name, _) in &self.stage_wall_ratios {
+            let wall = baseline
+                .reports
+                .iter()
+                .filter_map(|r| r.stage(name))
+                .map(|s| s.wall_ms)
+                .reduce(f64::max);
+            match wall {
+                None => return Err(format!("baseline has no stage {name}")),
+                Some(w) if w < MIN_WALL_MS => {
+                    return Err(format!(
+                        "stage {name} takes {w:.2} ms in the baseline, under the \
+                         {MIN_WALL_MS} ms floor below which stages are skipped"
+                    ))
+                }
+                Some(_) => {}
+            }
+        }
+        Ok(())
     }
 }
 

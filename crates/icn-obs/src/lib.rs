@@ -11,9 +11,8 @@
 //!   **across threads** when work fans out through `icn_stats::par` (the
 //!   dispatching stage hands a [`Handoff`] to each worker). Inert and
 //!   allocation-free while collection is disabled.
-//! * [`Registry`] — a thread-safe store of counters, gauges, log-bucketed
-//!   [`Histogram`]s and structured logs (ring-buffered, `ICN_LOG`-filtered —
-//!   see [`obs_log!`]). The process-global instance ([`global`]) starts
+//! * [`Registry`] — a thread-safe store of counters, gauges and log-bucketed
+//!   [`Histogram`]s. The process-global instance ([`global`]) starts
 //!   disabled; every mutating call short-circuits on one relaxed atomic load,
 //!   so instrumented library code costs nothing unless a harness opts in. Hot
 //!   loops tally locally and flush once per call, so enabling metrics can
@@ -60,7 +59,6 @@ mod chrome;
 mod diff;
 mod hist;
 mod json;
-mod log;
 pub mod mem;
 mod registry;
 mod report;
@@ -73,7 +71,6 @@ pub use diff::{
 };
 pub use hist::Histogram;
 pub use json::Json;
-pub use log::{Level, LogRecord};
 pub use mem::{gauge_bytes, CountingAlloc, MemStats};
 pub use registry::{Registry, Snapshot};
 pub use report::{
@@ -95,12 +92,6 @@ pub(crate) static MEM_TEST_LOCK: std::sync::Mutex<()> = std::sync::Mutex::new(()
 /// behind `--metrics-out` / `--trace-out`.
 pub fn global() -> &'static Registry {
     &GLOBAL
-}
-
-/// Convenience: time a closure as a named span on the global registry.
-pub fn timed<T>(name: &str, f: impl FnOnce() -> T) -> T {
-    let _span = Span::enter(name);
-    f()
 }
 
 #[cfg(test)]

@@ -1,11 +1,10 @@
 //! Thread-safe metrics and trace registry.
 //!
 //! A [`Registry`] collects named counters, gauges, log-bucketed
-//! [`Histogram`]s, structured [`LogRecord`]s and finished
-//! [`crate::Span`] occurrences (with full tree linkage — see
-//! [`SpanData`]). The process-global instance returned by
-//! [`crate::global`] starts **disabled**: every mutating call first
-//! checks one relaxed atomic load and returns immediately, so code paths
+//! [`Histogram`]s and finished [`crate::Span`] occurrences (with full
+//! tree linkage — see [`SpanData`]). The process-global instance
+//! returned by [`crate::global`] starts **disabled**: every mutating call
+//! first checks one relaxed atomic load and returns immediately, so code paths
 //! instrumented against the global registry pay nothing measurable unless
 //! a harness opts in with [`Registry::enable`].
 //!
@@ -18,9 +17,8 @@
 //! on metric values.
 
 use crate::hist::Histogram;
-use crate::log::{Level, LogFilter, LogRecord, LOG_CAPACITY};
 use crate::trace::SpanData;
-use std::collections::{BTreeMap, VecDeque};
+use std::collections::BTreeMap;
 use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
 use std::sync::Mutex;
 use std::time::{Duration, Instant};
@@ -31,10 +29,8 @@ struct Inner {
     gauges: BTreeMap<String, f64>,
     histograms: BTreeMap<String, Histogram>,
     spans: Vec<SpanData>,
-    logs: VecDeque<LogRecord>,
-    logs_dropped: u64,
-    /// Time origin for span starts and log timestamps; set when
-    /// collection starts, cleared by [`Registry::reset`].
+    /// Time origin for span starts; set when collection starts, cleared
+    /// by [`Registry::reset`].
     epoch: Option<Instant>,
 }
 
@@ -51,7 +47,6 @@ impl Inner {
 pub struct Registry {
     enabled: AtomicBool,
     next_span_id: AtomicU64,
-    log_seq: AtomicU64,
     inner: Mutex<Inner>,
 }
 
@@ -71,10 +66,6 @@ pub struct Snapshot {
     /// Every finished span occurrence with tree linkage, in completion
     /// order.
     pub span_tree: Vec<SpanData>,
-    /// Retained log records, oldest first.
-    pub logs: Vec<LogRecord>,
-    /// Number of log records dropped because the ring buffer was full.
-    pub logs_dropped: u64,
 }
 
 impl Snapshot {
@@ -107,14 +98,11 @@ impl Registry {
         Registry {
             enabled: AtomicBool::new(false),
             next_span_id: AtomicU64::new(1),
-            log_seq: AtomicU64::new(0),
             inner: Mutex::new(Inner {
                 counters: BTreeMap::new(),
                 gauges: BTreeMap::new(),
                 histograms: BTreeMap::new(),
                 spans: Vec::new(),
-                logs: VecDeque::new(),
-                logs_dropped: 0,
                 epoch: None,
             }),
         }
@@ -228,38 +216,6 @@ impl Registry {
         self.record_hist(name, d.as_nanos().min(u64::MAX as u128) as u64);
     }
 
-    /// Emits a structured log record (subject to the `ICN_LOG` filter;
-    /// retained only while collecting). Prefer the [`crate::obs_log!`]
-    /// macro, which formats lazily at the call site.
-    pub fn log(&self, level: Level, target: &str, message: &str) {
-        if !self.is_enabled() {
-            return;
-        }
-        let filter = LogFilter::from_env();
-        if !filter.enabled(level, target) {
-            return;
-        }
-        if filter.echo {
-            eprintln!("[{:<5} {target}] {message}", level.name());
-        }
-        let now = Instant::now();
-        let seq = self.log_seq.fetch_add(1, Ordering::Relaxed);
-        let mut inner = self.inner.lock().expect("icn-obs registry poisoned");
-        let at = inner.offset_from_epoch(now);
-        if inner.logs.len() >= LOG_CAPACITY {
-            inner.logs.pop_front();
-            inner.logs_dropped += 1;
-        }
-        inner.logs.push_back(LogRecord {
-            seq,
-            level,
-            target: target.to_string(),
-            message: message.to_string(),
-            at,
-            thread: crate::span::thread_index(),
-        });
-    }
-
     /// Allocates a process-unique span id (monotonic from 1).
     pub(crate) fn alloc_span_id(&self) -> u64 {
         self.next_span_id.fetch_add(1, Ordering::Relaxed)
@@ -320,8 +276,6 @@ impl Registry {
             histograms: inner.histograms.clone(),
             spans,
             span_tree: inner.spans.clone(),
-            logs: inner.logs.iter().cloned().collect(),
-            logs_dropped: inner.logs_dropped,
         }
     }
 }
@@ -337,10 +291,9 @@ mod tests {
         r.set_gauge("g", 1.0);
         r.record_duration("d", Duration::from_millis(1));
         r.record_hist("h", 42);
-        r.log(Level::Error, "t", "dropped");
         let s = r.snapshot();
         assert!(s.counters.is_empty() && s.gauges.is_empty());
-        assert!(s.histograms.is_empty() && s.logs.is_empty());
+        assert!(s.histograms.is_empty());
         assert!(s.span_tree.is_empty());
     }
 
@@ -410,31 +363,5 @@ mod tests {
         r.set_gauge("g", 1.0);
         r.set_gauge("g", 2.5);
         assert_eq!(r.snapshot().gauges["g"], 2.5);
-    }
-
-    #[test]
-    fn log_ring_is_bounded() {
-        let r = Registry::new();
-        r.enable();
-        for i in 0..(LOG_CAPACITY + 10) {
-            r.log(Level::Error, "t", &format!("m{i}"));
-        }
-        let s = r.snapshot();
-        assert_eq!(s.logs.len(), LOG_CAPACITY);
-        assert_eq!(s.logs_dropped, 10);
-        // Oldest records were the ones dropped.
-        assert_eq!(s.logs.first().unwrap().message, "m10");
-    }
-
-    #[test]
-    fn log_below_default_filter_is_skipped() {
-        // The default ICN_LOG filter keeps info and above.
-        let r = Registry::new();
-        r.enable();
-        r.log(Level::Debug, "t", "too detailed");
-        r.log(Level::Info, "t", "kept");
-        let s = r.snapshot();
-        assert_eq!(s.logs.len(), 1);
-        assert_eq!(s.logs[0].message, "kept");
     }
 }

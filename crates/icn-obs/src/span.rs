@@ -59,8 +59,8 @@ thread_local! {
 static NEXT_THREAD: AtomicU64 = AtomicU64::new(0);
 
 /// Dense per-process index of the calling OS thread (0 for the first
-/// thread that asks, usually the main thread). Used to label spans and
-/// log records; stable for the lifetime of the thread.
+/// thread that asks, usually the main thread). Used to label spans;
+/// stable for the lifetime of the thread.
 pub(crate) fn thread_index() -> u64 {
     THREAD_INDEX.with(|cell| match cell.get() {
         Some(i) => i,

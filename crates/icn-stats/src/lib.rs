@@ -25,6 +25,8 @@
 //!   schedule.
 //! * [`check`] — a deterministic property-test harness over [`rng::Rng`]
 //!   seeded case streams.
+//! * [`Fnv1a`] — the stable 64-bit hash behind golden snapshots,
+//!   checkpoint hashes and per-service noise seeds.
 //!
 //! The crate is intentionally free of external dependencies so that numeric
 //! results are stable across toolchains, which the integration tests rely on
@@ -35,6 +37,7 @@
 
 pub mod check;
 pub mod distance;
+mod fnv;
 mod histogram;
 mod matrix;
 pub mod normalize;
@@ -44,6 +47,7 @@ pub mod rng;
 pub mod summary;
 
 pub use distance::Metric;
+pub use fnv::Fnv1a;
 pub use histogram::Histogram;
 pub use matrix::Matrix;
 pub use rng::Rng;

@@ -110,9 +110,11 @@ fn raw_weights(
     w
 }
 
-/// The measurement-noise stream of one antenna-service pair.
+/// The measurement-noise stream of one antenna-service pair. FNV-1a of
+/// the service name decorrelates the service streams.
 fn noise_rng(root: &Rng, antenna: &Antenna, svc: &Service) -> Rng {
-    root.fork(0x700A_0000 ^ (antenna.id as u64) << 16 ^ hash_name(svc.name))
+    let name = icn_stats::Fnv1a::new().write(svc.name.as_bytes()).finish();
+    root.fork(0x700A_0000 ^ (antenna.id as u64) << 16 ^ name)
 }
 
 /// A full-period total scaled to `window` by the window/period day ratio.
@@ -361,16 +363,6 @@ impl<'a> WeightBook<'a> {
             }
         }
     }
-}
-
-fn hash_name(name: &str) -> u64 {
-    // FNV-1a: stable, cheap, good enough to decorrelate service streams.
-    let mut h: u64 = 0xcbf2_9ce4_8422_2325;
-    for b in name.as_bytes() {
-        h ^= *b as u64;
-        h = h.wrapping_mul(0x100_0000_01b3);
-    }
-    h
 }
 
 #[cfg(test)]

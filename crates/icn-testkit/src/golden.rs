@@ -16,7 +16,7 @@
 use icn_cluster::ClusterPath;
 use icn_core::{IcnStudy, StudyConfig};
 use icn_obs::Json;
-use icn_stats::Matrix;
+use icn_stats::{Fnv1a, Matrix};
 use icn_synth::{Dataset, SynthConfig};
 use std::path::{Path, PathBuf};
 
@@ -51,38 +51,20 @@ pub(crate) fn canon_f64(v: f64) -> String {
 
 /// Streaming FNV-1a 64-bit hasher over canonical renderings. All `feed`
 /// methods separate values with `;` so adjacent fields cannot alias.
+#[derive(Default)]
 pub(crate) struct Canon {
-    state: u64,
-}
-
-impl Default for Canon {
-    fn default() -> Self {
-        Canon::new()
-    }
+    state: Fnv1a,
 }
 
 impl Canon {
     /// A fresh hasher at the FNV-1a offset basis.
     pub(crate) fn new() -> Canon {
-        Canon {
-            state: 0xcbf2_9ce4_8422_2325,
-        }
+        Canon::default()
     }
 
     /// Feeds raw text.
     pub(crate) fn text(&mut self, s: &str) -> &mut Self {
-        for &b in s.as_bytes() {
-            self.state ^= b as u64;
-            self.state = self.state.wrapping_mul(0x0000_0100_0000_01b3);
-        }
-        self.text_raw(";")
-    }
-
-    fn text_raw(&mut self, s: &str) -> &mut Self {
-        for &b in s.as_bytes() {
-            self.state ^= b as u64;
-            self.state = self.state.wrapping_mul(0x0000_0100_0000_01b3);
-        }
+        self.state.write(s.as_bytes()).write(b";");
         self
     }
 
@@ -119,7 +101,7 @@ impl Canon {
 
     /// The final hash as a fixed-width hex string.
     pub(crate) fn hex(&self) -> String {
-        format!("{:016x}", self.state)
+        format!("{:016x}", self.state.finish())
     }
 }
 
@@ -146,7 +128,7 @@ pub fn snapshot_pipeline(scale: f64) -> PipelineSnapshot {
 /// Runs the pinned study down the **sampled** stage-2 path (scalable
 /// large-N escape hatch forced on via a 1 MiB cluster budget) and
 /// hashes every stage output. The sampled path has its own golden file —
-/// see [`sampled_golden_file`] — so drift in the sampler, the
+/// see [`goldens`] — so drift in the sampler, the
 /// nearest-centroid extension or the refinement loop is caught exactly
 /// like drift in the exact path, without touching the exact-path hashes.
 pub fn snapshot_pipeline_sampled(scale: f64) -> PipelineSnapshot {
@@ -240,7 +222,7 @@ pub(crate) fn snapshot_study(scale: f64, dataset: &Dataset, study: &IcnStudy) ->
 /// five pipeline stages are deliberately *not* re-hashed here — they have
 /// their own golden file — so this snapshot moves only when forecasting
 /// behaviour moves.
-pub fn snapshot_forecast(scale: f64) -> PipelineSnapshot {
+fn snapshot_forecast(scale: f64) -> PipelineSnapshot {
     let dataset = Dataset::generate(SynthConfig::paper().with_scale(scale));
     let config = StudyConfig {
         run_forecast: true,
@@ -292,21 +274,61 @@ pub fn snapshot_forecast(scale: f64) -> PipelineSnapshot {
     PipelineSnapshot { scale, stages }
 }
 
-/// The golden file for `scale` inside `dir` (e.g. `pipeline-0.05.json`).
-pub fn golden_file(dir: &Path, scale: f64) -> PathBuf {
-    dir.join(format!("pipeline-{scale}.json"))
+/// One checked-in golden: its label, its file and the recipe that
+/// recomputes it.
+#[derive(Debug)]
+pub struct Golden {
+    /// Names the golden in `icn testkit` output (`"ingest"`).
+    pub label: &'static str,
+    /// The golden file.
+    pub path: PathBuf,
+    /// The scale the recipe runs at.
+    pub scale: f64,
+    recipe: fn(f64) -> PipelineSnapshot,
 }
 
-/// The golden file for the forecast snapshot inside `dir`
-/// (e.g. `forecast-0.05.json`).
-pub fn forecast_golden_file(dir: &Path, scale: f64) -> PathBuf {
-    dir.join(format!("forecast-{scale}.json"))
+impl Golden {
+    /// Recomputes the snapshot.
+    pub fn snapshot(&self) -> PipelineSnapshot {
+        (self.recipe)(self.scale)
+    }
 }
 
-/// The golden file for the sampled-path snapshot inside `dir`. The name
-/// carries the pinned scale so an accidental re-pin is visible in review.
-pub fn sampled_golden_file(dir: &Path) -> PathBuf {
-    dir.join(format!("pipeline-sampled-{SAMPLED_GOLDEN_SCALE}.json"))
+/// The goldens `icn testkit` checks in `dir` when asked for `scale`: the
+/// pipeline golden (`pipeline-<scale>.json`) at any scale, and at
+/// [`GOLDEN_SCALE`] also the ingest, sampled-path and forecast goldens,
+/// which are pinned there. The sampled-path file name carries its own
+/// pinned scale so an accidental re-pin is visible in review.
+pub fn goldens(dir: &Path, scale: f64) -> Vec<Golden> {
+    let mut list = vec![Golden {
+        label: "pipeline",
+        path: dir.join(format!("pipeline-{scale}.json")),
+        scale,
+        recipe: snapshot_pipeline,
+    }];
+    if (scale - GOLDEN_SCALE).abs() < 1e-12 {
+        list.extend([
+            Golden {
+                label: "ingest",
+                path: dir.join("ingest_scale005.json"),
+                scale,
+                recipe: crate::ingest::snapshot_ingest,
+            },
+            Golden {
+                label: "sampled-path",
+                path: dir.join(format!("pipeline-sampled-{SAMPLED_GOLDEN_SCALE}.json")),
+                scale: SAMPLED_GOLDEN_SCALE,
+                recipe: snapshot_pipeline_sampled,
+            },
+            Golden {
+                label: "forecast",
+                path: dir.join(format!("forecast-{scale}.json")),
+                scale,
+                recipe: snapshot_forecast,
+            },
+        ]);
+    }
+    list
 }
 
 /// The repo's checked-in golden directory (`tests/golden/` at the
@@ -331,33 +353,19 @@ pub fn render_golden(snap: &PipelineSnapshot) -> String {
     out.to_pretty() // to_pretty already ends with a newline
 }
 
-/// Writes (blesses) the golden file for a snapshot, creating `dir` if
-/// needed. Returns the path written.
-pub fn write_golden(dir: &Path, snap: &PipelineSnapshot) -> std::io::Result<PathBuf> {
-    let path = golden_file(dir, snap.scale);
-    write_golden_at(&path, snap)?;
-    Ok(path)
-}
-
-/// Writes (blesses) a snapshot to an explicit path, creating the parent
-/// directory if needed. Used for snapshots whose file name does not follow
-/// the `pipeline-<scale>.json` convention (e.g. the ingest golden).
-pub fn write_golden_at(path: &Path, snap: &PipelineSnapshot) -> std::io::Result<()> {
+/// Writes (blesses) a snapshot to `path`, creating the parent directory
+/// if needed.
+pub fn write_golden(path: &Path, snap: &PipelineSnapshot) -> std::io::Result<()> {
     if let Some(parent) = path.parent() {
         std::fs::create_dir_all(parent)?;
     }
     std::fs::write(path, render_golden(snap))
 }
 
-/// Compares a freshly computed snapshot against the blessed golden file.
-/// `Ok(())` means no drift; `Err` carries one human-readable line per
-/// divergence (missing file, missing/extra stage, hash mismatch).
-pub fn compare_golden(dir: &Path, snap: &PipelineSnapshot) -> Result<(), Vec<String>> {
-    compare_golden_at(&golden_file(dir, snap.scale), snap)
-}
-
-/// [`compare_golden`] against an explicit golden-file path.
-pub fn compare_golden_at(path: &Path, snap: &PipelineSnapshot) -> Result<(), Vec<String>> {
+/// Compares a freshly computed snapshot against the blessed golden file
+/// at `path`. `Ok(())` means no drift; `Err` carries one human-readable
+/// line per divergence (missing file, missing/extra stage, hash mismatch).
+pub fn compare_golden(path: &Path, snap: &PipelineSnapshot) -> Result<(), Vec<String>> {
     let text = match std::fs::read_to_string(path) {
         Ok(t) => t,
         Err(e) => {
@@ -447,14 +455,6 @@ mod tests {
     }
 
     #[test]
-    fn fnv_known_vector() {
-        // FNV-1a 64 of "a" (no separator involved).
-        let mut c = Canon::new();
-        c.text_raw("a");
-        assert_eq!(c.hex(), "af63dc4c8601ec8c");
-    }
-
-    #[test]
     fn render_is_byte_stable() {
         let snap = PipelineSnapshot {
             scale: 0.05,
@@ -474,21 +474,22 @@ mod tests {
     fn compare_reports_drift_and_missing_stages() {
         let dir = std::env::temp_dir().join(format!("icn-golden-{}", std::process::id()));
         let _ = std::fs::remove_dir_all(&dir);
+        let path = dir.join("pipeline-0.5.json");
         let snap = PipelineSnapshot {
             scale: 0.5,
             stages: vec![("dataset".into(), "aa".into())],
         };
         // Missing file is drift.
-        assert!(compare_golden(&dir, &snap).is_err());
+        assert!(compare_golden(&path, &snap).is_err());
         // Blessed copy matches itself.
-        write_golden(&dir, &snap).unwrap();
-        assert!(compare_golden(&dir, &snap).is_ok());
+        write_golden(&path, &snap).unwrap();
+        assert!(compare_golden(&path, &snap).is_ok());
         // A changed hash is reported by stage name.
         let moved = PipelineSnapshot {
             scale: 0.5,
             stages: vec![("dataset".into(), "bb".into())],
         };
-        let drift = compare_golden(&dir, &moved).unwrap_err();
+        let drift = compare_golden(&path, &moved).unwrap_err();
         assert_eq!(drift.len(), 1);
         assert!(drift[0].contains("dataset"), "{drift:?}");
         let _ = std::fs::remove_dir_all(&dir);

@@ -13,7 +13,7 @@
 //!   an in-memory source, for differential comparison.
 //! * [`shuffle_within_blocks`] — the metamorphic input transformation:
 //!   a bounded reordering that must not change any pipeline output.
-//! * [`snapshot_ingest`] — the golden-snapshot recipe: a pinned
+//! * `snapshot_ingest` — the golden-snapshot recipe: a pinned
 //!   checkpoint/kill/resume ingest run at a fixed scale, hashed together
 //!   with the stage hashes of the study built *from* the streamed matrix.
 
@@ -158,11 +158,6 @@ pub fn shuffle_within_blocks(
     out
 }
 
-/// The golden file for the pinned ingest snapshot inside `dir`.
-pub fn ingest_golden_file(dir: &std::path::Path) -> std::path::PathBuf {
-    dir.join("ingest_scale005.json")
-}
-
 /// The pinned ingest-window length in days (a 72-hour slice of the study
 /// period starting Monday 9 Jan 2023).
 const INGEST_GOLDEN_DAYS: usize = 3;
@@ -182,7 +177,7 @@ fn ingest_golden_window() -> StudyCalendar {
 ///   cannot hide);
 /// * every stage hash of the study built via `IcnStudy::from_ingest` on
 ///   the streamed matrix.
-pub fn snapshot_ingest(scale: f64) -> PipelineSnapshot {
+pub(crate) fn snapshot_ingest(scale: f64) -> PipelineSnapshot {
     let dataset = icn_synth::Dataset::generate(icn_synth::SynthConfig::paper().with_scale(scale));
     let window = ingest_golden_window();
     let config = IngestConfig::default();

@@ -48,13 +48,11 @@ mod shap_walk;
 
 pub use forecast::{brute_rolling_median_mad, oracle_ets, oracle_seasonal_naive, set_f1};
 pub use golden::{
-    compare_golden, compare_golden_at, default_golden_dir, forecast_golden_file, golden_file,
-    render_golden, sampled_golden_file, snapshot_forecast, snapshot_pipeline,
-    snapshot_pipeline_sampled, write_golden, write_golden_at, PipelineSnapshot,
+    compare_golden, default_golden_dir, goldens, render_golden, snapshot_pipeline,
+    snapshot_pipeline_sampled, write_golden, Golden, PipelineSnapshot,
 };
 pub use ingest::{
-    assert_bits_eq, ingest_golden_file, ingest_via_pipeline, naive_ingest, shuffle_within_blocks,
-    snapshot_ingest, NaiveIngest,
+    assert_bits_eq, ingest_via_pipeline, naive_ingest, shuffle_within_blocks, NaiveIngest,
 };
 pub use metamorphic::{
     invert_permutation, permutation, permute_cols, permute_forest_features, permute_labels,

@@ -23,8 +23,6 @@
 //! written. A dataset whose totals matrices alone exceed the budget is
 //! refused before generation, also with status 3. `icn obs mem
 //! report.json` prints the per-span allocation treetable of a v3 report.
-//! `ICN_LOG=level[,target=level]` filters the structured event log and
-//! echoes matches to stderr.
 //!
 //! Flags are parsed by hand (the workspace deliberately avoids extra
 //! dependencies); an unknown flag or a missing or bad value exits with
@@ -268,12 +266,10 @@ fn cmd_obs(args: &[String]) {
             };
             let a = load_set(a_path);
             let b = load_set(b_path);
-            // An override naming a stage the baseline lacks gates nothing.
-            for (name, _) in &t.stage_wall_ratios {
-                if !a.reports.iter().any(|r| r.stage(name).is_some()) {
-                    eprintln!("--stage-wall-ratio: baseline {a_path} has no stage {name}");
-                    std::process::exit(2);
-                }
+            // An override that gates nothing is a usage error.
+            if let Err(e) = t.check_overrides(&a) {
+                eprintln!("--stage-wall-ratio: {e} ({a_path})");
+                std::process::exit(2);
             }
             let pairs = icn_repro::icn_obs::pair_reports(&a, &b);
             if pairs.is_empty() {
@@ -598,7 +594,7 @@ fn usage_and_exit(bad: Option<&str>) -> ! {
          --horizon <h>  forecast horizon in hours (forecast, default 24)\n  \
          --model <m>    headline forecast model: naive, ets or forest (forecast, default ets)\n  \
          --stage-wall-ratio <stage>=<r>  obs diff: per-stage wall-clock ratio override\n                 \
-         (repeatable; default 2.0, the stage must exist in the baseline)"
+         (repeatable; default 2.0, the stage must take at least 5 ms in the baseline)"
     );
     std::process::exit(if bad.is_some() { 2 } else { 0 });
 }
@@ -1019,7 +1015,7 @@ fn cmd_ingest(o: &Opts) {
 }
 
 fn cmd_testkit(o: &Opts) {
-    use icn_repro::icn_testkit::{golden, ingest};
+    use icn_repro::icn_testkit::golden;
     // Golden snapshots are pinned at scale 0.05 (not the CLI's usual 0.1
     // default); an explicit --scale still wins for ad-hoc comparisons.
     let scale = if o.scale_explicit {
@@ -1032,152 +1028,41 @@ fn cmd_testkit(o: &Opts) {
         .clone()
         .map(std::path::PathBuf::from)
         .unwrap_or_else(golden::default_golden_dir);
-    eprintln!("computing pipeline snapshot at scale {scale}...");
-    let snap = golden::snapshot_pipeline(scale);
-    // The ingest golden is pinned at GOLDEN_SCALE only (its file name
-    // carries no scale), so skip it for ad-hoc scales.
-    let ingest_snap = if (scale - golden::GOLDEN_SCALE).abs() < 1e-12 {
-        eprintln!("computing ingest checkpoint/resume snapshot at scale {scale}...");
-        Some((
-            ingest::ingest_golden_file(&dir),
-            ingest::snapshot_ingest(scale),
-        ))
-    } else {
-        None
-    };
-    // The sampled-path golden is pinned at its own scale/budget; like the
-    // ingest golden it only participates in the default pinned run.
-    let sampled_snap = if (scale - golden::GOLDEN_SCALE).abs() < 1e-12 {
-        eprintln!(
-            "computing sampled-path pipeline snapshot at scale {}...",
-            golden::SAMPLED_GOLDEN_SCALE
-        );
-        Some((
-            golden::sampled_golden_file(&dir),
-            golden::snapshot_pipeline_sampled(golden::SAMPLED_GOLDEN_SCALE),
-        ))
-    } else {
-        None
-    };
-    // The forecast golden is likewise pinned at GOLDEN_SCALE only.
-    let forecast_snap = if (scale - golden::GOLDEN_SCALE).abs() < 1e-12 {
-        eprintln!("computing forecast snapshot at scale {scale}...");
-        Some((
-            golden::forecast_golden_file(&dir, scale),
-            golden::snapshot_forecast(scale),
-        ))
-    } else {
-        None
-    };
+    let snaps: Vec<_> = golden::goldens(&dir, scale)
+        .into_iter()
+        .map(|g| {
+            eprintln!("computing {} snapshot at scale {}...", g.label, g.scale);
+            let snap = g.snapshot();
+            (g, snap)
+        })
+        .collect();
     if o.bless {
-        match golden::write_golden(&dir, &snap) {
-            Ok(path) => {
-                println!(
-                    "blessed {} stage hashes -> {}",
-                    snap.stages.len(),
-                    path.display()
-                );
-            }
-            Err(e) => {
-                eprintln!("failed to write golden file: {e}");
+        for (g, snap) in &snaps {
+            if let Err(e) = golden::write_golden(&g.path, snap) {
+                eprintln!("failed to write {} golden file: {e}", g.label);
                 std::process::exit(1);
             }
-        }
-        if let Some((path, isnap)) = &ingest_snap {
-            match golden::write_golden_at(path, isnap) {
-                Ok(()) => println!(
-                    "blessed {} ingest hashes -> {}",
-                    isnap.stages.len(),
-                    path.display()
-                ),
-                Err(e) => {
-                    eprintln!("failed to write ingest golden file: {e}");
-                    std::process::exit(1);
-                }
-            }
-        }
-        if let Some((path, ssnap)) = &sampled_snap {
-            match golden::write_golden_at(path, ssnap) {
-                Ok(()) => println!(
-                    "blessed {} sampled-path hashes -> {}",
-                    ssnap.stages.len(),
-                    path.display()
-                ),
-                Err(e) => {
-                    eprintln!("failed to write sampled-path golden file: {e}");
-                    std::process::exit(1);
-                }
-            }
-        }
-        if let Some((path, fsnap)) = &forecast_snap {
-            match golden::write_golden_at(path, fsnap) {
-                Ok(()) => println!(
-                    "blessed {} forecast hashes -> {}",
-                    fsnap.stages.len(),
-                    path.display()
-                ),
-                Err(e) => {
-                    eprintln!("failed to write forecast golden file: {e}");
-                    std::process::exit(1);
-                }
-            }
+            println!(
+                "blessed {} {} hashes -> {}",
+                snap.stages.len(),
+                g.label,
+                g.path.display()
+            );
         }
         return;
     }
     let mut drift = Vec::new();
-    match golden::compare_golden(&dir, &snap) {
-        Ok(()) => {
-            for (name, hash) in &snap.stages {
-                println!("ok  {name}  {hash}");
-            }
-            println!(
-                "{} stages match {}",
-                snap.stages.len(),
-                golden::golden_file(&dir, scale).display()
-            );
-        }
-        Err(lines) => drift.extend(lines),
-    }
-    if let Some((path, isnap)) = &ingest_snap {
-        match golden::compare_golden_at(path, isnap) {
+    for (g, snap) in &snaps {
+        match golden::compare_golden(&g.path, snap) {
             Ok(()) => {
-                for (name, hash) in &isnap.stages {
+                for (name, hash) in &snap.stages {
                     println!("ok  {name}  {hash}");
                 }
                 println!(
-                    "{} ingest hashes match {}",
-                    isnap.stages.len(),
-                    path.display()
-                );
-            }
-            Err(lines) => drift.extend(lines),
-        }
-    }
-    if let Some((path, ssnap)) = &sampled_snap {
-        match golden::compare_golden_at(path, ssnap) {
-            Ok(()) => {
-                for (name, hash) in &ssnap.stages {
-                    println!("ok  {name}  {hash}  (sampled)");
-                }
-                println!(
-                    "{} sampled-path hashes match {}",
-                    ssnap.stages.len(),
-                    path.display()
-                );
-            }
-            Err(lines) => drift.extend(lines),
-        }
-    }
-    if let Some((path, fsnap)) = &forecast_snap {
-        match golden::compare_golden_at(path, fsnap) {
-            Ok(()) => {
-                for (name, hash) in &fsnap.stages {
-                    println!("ok  {name}  {hash}");
-                }
-                println!(
-                    "{} forecast hashes match {}",
-                    fsnap.stages.len(),
-                    path.display()
+                    "{} {} hashes match {}",
+                    snap.stages.len(),
+                    g.label,
+                    g.path.display()
                 );
             }
             Err(lines) => drift.extend(lines),

@@ -11,16 +11,24 @@
 
 use icn_repro::icn_testkit::golden::{GOLDEN_SCALE, SAMPLED_GOLDEN_SCALE};
 use icn_repro::icn_testkit::{
-    compare_golden, compare_golden_at, default_golden_dir, golden_file, render_golden,
-    sampled_golden_file, snapshot_pipeline, snapshot_pipeline_sampled, write_golden,
+    compare_golden, default_golden_dir, goldens, render_golden, snapshot_pipeline,
+    snapshot_pipeline_sampled, write_golden, Golden,
 };
 
 mod common;
 
+/// The checked-in golden `icn testkit` lists under `label`.
+fn checked_in(label: &str) -> Golden {
+    goldens(&default_golden_dir(), GOLDEN_SCALE)
+        .into_iter()
+        .find(|g| g.label == label)
+        .unwrap_or_else(|| panic!("no {label} golden listed"))
+}
+
 #[test]
 fn blessed_golden_matches_current_pipeline() {
-    let snap = snapshot_pipeline(GOLDEN_SCALE);
-    if let Err(drift) = compare_golden(&default_golden_dir(), &snap) {
+    let golden = checked_in("pipeline");
+    if let Err(drift) = compare_golden(&golden.path, &golden.snapshot()) {
         panic!(
             "pipeline output drifted from tests/golden (re-bless with \
              `cargo run --bin icn -- testkit --bless` if intentional):\n  {}",
@@ -35,9 +43,8 @@ fn blessed_sampled_golden_matches_current_pipeline() {
     // golden, pinned at a scale/budget pair that forces a strict sample.
     // Drift in the sampler, the centroid extension or the refinement loop
     // fails here without disturbing the exact-path hashes above.
-    let snap = snapshot_pipeline_sampled(SAMPLED_GOLDEN_SCALE);
-    let path = sampled_golden_file(&default_golden_dir());
-    if let Err(drift) = compare_golden_at(&path, &snap) {
+    let golden = checked_in("sampled-path");
+    if let Err(drift) = compare_golden(&golden.path, &golden.snapshot()) {
         panic!(
             "sampled-path output drifted from tests/golden (re-bless with \
              `cargo run --bin icn -- testkit --bless` if intentional):\n  {}",
@@ -68,17 +75,17 @@ fn bless_round_trip_is_byte_identical() {
     let dir = std::env::temp_dir().join(format!("icn-golden-roundtrip-{}", std::process::id()));
     std::fs::create_dir_all(&dir).unwrap();
     let snap = snapshot_pipeline(GOLDEN_SCALE);
+    let path = dir.join("pipeline.json");
 
-    let path = write_golden(&dir, &snap).unwrap();
+    write_golden(&path, &snap).unwrap();
     let first = std::fs::read(&path).unwrap();
-    write_golden(&dir, &snap).unwrap();
+    write_golden(&path, &snap).unwrap();
     let second = std::fs::read(&path).unwrap();
     assert_eq!(first, second, "re-blessing must be byte-identical");
-    assert_eq!(path, golden_file(&dir, snap.scale));
     assert_eq!(first, render_golden(&snap).into_bytes());
 
-    // A freshly blessed directory always passes its own check.
-    assert!(compare_golden(&dir, &snap).is_ok());
+    // A freshly blessed file always passes its own check.
+    assert!(compare_golden(&path, &snap).is_ok());
     std::fs::remove_dir_all(&dir).ok();
 }
 
@@ -89,11 +96,12 @@ fn drift_reports_name_the_stage() {
     let dir = std::env::temp_dir().join(format!("icn-golden-drift-{}", std::process::id()));
     std::fs::create_dir_all(&dir).unwrap();
     let mut snap = snapshot_pipeline(GOLDEN_SCALE);
-    write_golden(&dir, &snap).unwrap();
+    let path = dir.join("pipeline.json");
+    write_golden(&path, &snap).unwrap();
 
     let victim = snap.stages[2].0.clone();
     snap.stages[2].1 = format!("{:016x}", 0xdead_beefu64);
-    let drift = compare_golden(&dir, &snap).unwrap_err();
+    let drift = compare_golden(&path, &snap).unwrap_err();
     assert!(
         drift.iter().any(|d| d.contains(&victim)),
         "drift lines {drift:?} must name stage {victim}"

@@ -10,17 +10,19 @@
 //! `cargo run --bin icn -- testkit --bless` and commit the JSON.
 
 use icn_repro::icn_testkit::golden::GOLDEN_SCALE;
-use icn_repro::icn_testkit::{
-    compare_golden_at, default_golden_dir, ingest_golden_file, snapshot_ingest, write_golden_at,
-};
+use icn_repro::icn_testkit::{compare_golden, default_golden_dir, goldens, write_golden};
 
 mod common;
 
 #[test]
 fn blessed_ingest_golden_matches_current_subsystem() {
-    let snap = snapshot_ingest(GOLDEN_SCALE);
-    let path = ingest_golden_file(&default_golden_dir());
-    if let Err(drift) = compare_golden_at(&path, &snap) {
+    let golden = goldens(&default_golden_dir(), GOLDEN_SCALE)
+        .into_iter()
+        .find(|g| g.label == "ingest")
+        .expect("ingest golden listed");
+    let snap = golden.snapshot();
+    let path = &golden.path;
+    if let Err(drift) = compare_golden(path, &snap) {
         panic!(
             "ingest output drifted from {} (re-bless with \
              `cargo run --bin icn -- testkit --bless` if intentional):\n  {}",
@@ -34,10 +36,10 @@ fn blessed_ingest_golden_matches_current_subsystem() {
     let dir = std::env::temp_dir().join(format!("icn-ingest-golden-{}", std::process::id()));
     std::fs::create_dir_all(&dir).unwrap();
     let tmp = dir.join("ingest_scale005.json");
-    write_golden_at(&tmp, &snap).unwrap();
+    write_golden(&tmp, &snap).unwrap();
     let first = std::fs::read(&tmp).unwrap();
-    write_golden_at(&tmp, &snap).unwrap();
+    write_golden(&tmp, &snap).unwrap();
     assert_eq!(first, std::fs::read(&tmp).unwrap());
-    assert!(compare_golden_at(&tmp, &snap).is_ok());
+    assert!(compare_golden(&tmp, &snap).is_ok());
     std::fs::remove_dir_all(&dir).ok();
 }

@@ -198,14 +198,11 @@ fn streamed_ingest_peak_is_a_matrix_not_the_feed() {
 
 /// FNV-1a over the little-endian bit patterns of a matrix, row-major.
 fn totals_hash(m: &Matrix) -> u64 {
-    let mut h: u64 = 0xcbf2_9ce4_8422_2325;
+    let mut h = icn_repro::icn_stats::Fnv1a::new();
     for v in m.as_slice() {
-        for b in v.to_bits().to_le_bytes() {
-            h ^= b as u64;
-            h = h.wrapping_mul(0x0000_0100_0000_01b3);
-        }
+        h.write(&v.to_bits().to_le_bytes());
     }
-    h
+    h.finish()
 }
 
 /// Each probe worker fills only its own antenna's service × hour slab, so

@@ -84,14 +84,16 @@ fn cli_exit_codes_match_the_gate() {
         String::from_utf8_lossy(&bad.stdout)
     );
     // A stage override that would gate nothing is a usage error, not a
-    // silent pass: a NaN, infinite or non-positive ratio, or a stage the
-    // baseline does not have.
+    // silent pass: a NaN, infinite or non-positive ratio, a stage the
+    // baseline does not have, or one under the 5 ms floor in it (stage 2
+    // takes 2.7 ms in the baseline).
     for ratio in [
         "stage3_surrogate=nan",
         "stage3_surrogate=inf",
         "stage3_surrogate=0",
         "stage3_surrogate=-1.5",
         "stage9_bogus=1.5",
+        "stage2_cluster=1.5",
     ] {
         let out = run(
             "bench_smoke005.json",

@@ -195,6 +195,46 @@ fn ingest_counters_flow_into_reports() {
 }
 
 #[test]
+fn transient_retries_are_instants_on_the_ingest_span() {
+    let _guard = LOCK.lock().unwrap();
+    let ds = common::dataset_at(0.2);
+    let window = common::probe_window(1);
+    let faults = FaultConfig {
+        transient: 0.2,
+        ..FaultConfig::default()
+    };
+    let (retried, snap) = metered(None, || {
+        let mut src = record_stream(&ds, &window).with_faults(faults);
+        let config = IngestConfig {
+            max_retries: 64,
+            ..IngestConfig::default()
+        };
+        let mut pipe = IngestPipeline::new(src.inner().schema(), config);
+        pipe.run(&mut src).expect("retries absorb the transients");
+        pipe.stats().retried
+    });
+    assert!(retried > 0, "rate 0.2 must fire");
+    assert_eq!(snap.counters["ingest.retried"], retried);
+    let trace = icn_obs::chrome_trace(&snap);
+    let events = trace.get("traceEvents").and_then(Json::as_arr).unwrap();
+    let instants: Vec<&str> = events
+        .iter()
+        .filter(|e| e.get("ph").and_then(Json::as_str) == Some("i"))
+        .filter_map(|e| e.get("name").and_then(Json::as_str))
+        .collect();
+    assert_eq!(instants.len() as u64, retried);
+    assert!(instants.iter().all(|&name| name == "transient_retry"));
+    // The chunk spans still parent to the `ingest` span within the trace.
+    let arg = |e: &Json, key: &str| e.get("args")?.get(key)?.as_f64().map(|v| v as u64);
+    let ids: BTreeSet<u64> = events.iter().filter_map(|e| arg(e, "id")).collect();
+    assert!(ids.len() > 1);
+    assert!(events
+        .iter()
+        .filter_map(|e| arg(e, "parent"))
+        .all(|p| ids.contains(&p)));
+}
+
+#[test]
 fn every_span_roots_to_a_stage_at_any_thread_count() {
     let _guard = LOCK.lock().unwrap();
     let mut allowed: BTreeSet<&str> = PIPELINE_STAGES.iter().copied().collect();

@@ -97,8 +97,6 @@ fn disabled_registry_records_nothing() {
         "histograms leaked: {:?}",
         snap.histograms.keys()
     );
-    assert!(snap.logs.is_empty(), "log records leaked: {:?}", snap.logs);
-    assert_eq!(snap.logs_dropped, 0, "drop counter moved while disabled");
     // The span handoff must also be inert while disabled, or worker
     // threads would pay for clone+adopt on every parallel section.
     assert!(
