@@ -34,7 +34,7 @@ use icn_obs::BenchReport;
 use icn_stats::{Matrix, Rng};
 use icn_synth::{Dataset, SynthConfig};
 
-// Count allocations so `--metrics-out` reports carry the `icn-obs/v3`
+// Count allocations so `--metrics-out` reports carry the `icn-obs/v4`
 // memory section (inert single-branch overhead while metering is off).
 #[global_allocator]
 static ALLOC: icn_obs::CountingAlloc = icn_obs::CountingAlloc::system();
@@ -49,8 +49,12 @@ struct ClusterBenchOpts {
     metrics_out: Option<String>,
 }
 
-fn parse_args() -> ClusterBenchOpts {
-    let args: Vec<String> = std::env::args().collect();
+/// Parses the flags (program name excluded). Every flag takes a value;
+/// an unknown argument, a missing or unparsable value, an empty list
+/// entry, a scale that is not a positive finite number, a zero count and
+/// a large-N fixture with fewer rows than the k clusters it is cut into
+/// are errors.
+fn parse_args(args: &[String]) -> Result<ClusterBenchOpts, String> {
     let mut opts = ClusterBenchOpts {
         scales: vec![0.05, 0.25, 1.0],
         threads: vec![Some(1), None],
@@ -60,67 +64,56 @@ fn parse_args() -> ClusterBenchOpts {
         repeat: 3,
         metrics_out: None,
     };
-    let mut i = 1;
-    while i < args.len() {
-        match args[i].as_str() {
+    let mut iter = args.iter();
+    while let Some(flag) = iter.next() {
+        let mut value = || iter.next().ok_or_else(|| format!("{flag} needs a value"));
+        let bad = |v: &str| format!("bad value for {flag}: {v}");
+        let count = |v: &str| {
+            v.parse()
+                .ok()
+                .filter(|&c: &usize| c > 0)
+                .ok_or_else(|| bad(v))
+        };
+        match flag.as_str() {
             "--scales" => {
-                if let Some(v) = args.get(i + 1) {
-                    opts.scales = v.split(',').filter_map(|s| s.parse().ok()).collect();
-                }
-                i += 2;
+                let v = value()?;
+                opts.scales = v
+                    .split(',')
+                    .map(|s| s.parse().ok().filter(|s: &f64| s.is_finite() && *s > 0.0))
+                    .collect::<Option<_>>()
+                    .ok_or_else(|| bad(v))?;
             }
             "--threads" => {
-                if let Some(v) = args.get(i + 1) {
-                    opts.threads = v
-                        .split(',')
-                        .map(|s| {
-                            if s == "max" {
-                                None
-                            } else {
-                                Some(s.parse().unwrap_or(1).max(1))
-                            }
-                        })
-                        .collect();
-                }
-                i += 2;
+                let v = value()?;
+                opts.threads = v
+                    .split(',')
+                    .map(|s| match s {
+                        "max" => Some(None),
+                        _ => count(s).ok().map(Some),
+                    })
+                    .collect::<Option<_>>()
+                    .ok_or_else(|| bad(v))?;
             }
             "--seed" => {
-                if let Some(v) = args.get(i + 1).and_then(|s| s.parse().ok()) {
-                    opts.seed = v;
-                }
-                i += 2;
+                let v = value()?;
+                opts.seed = v.parse().map_err(|_| bad(v))?;
             }
             "--large-n" => {
-                if let Some(v) = args.get(i + 1).and_then(|s| s.parse().ok()) {
-                    opts.large_n = v;
-                }
-                i += 2;
+                let v = value()?;
+                let k = StudyConfig::paper().k;
+                opts.large_n = v
+                    .parse()
+                    .ok()
+                    .filter(|&n: &usize| n >= k)
+                    .ok_or_else(|| bad(v))?;
             }
-            "--budget-mb" => {
-                if let Some(v) = args.get(i + 1).and_then(|s| s.parse().ok()) {
-                    opts.budget_mb = v;
-                }
-                i += 2;
-            }
-            "--repeat" => {
-                if let Some(v) = args.get(i + 1).and_then(|s| s.parse::<usize>().ok()) {
-                    opts.repeat = v.max(1);
-                }
-                i += 2;
-            }
-            "--metrics-out" => {
-                opts.metrics_out = args.get(i + 1).cloned();
-                i += 2;
-            }
-            _ => i += 1,
+            "--budget-mb" => opts.budget_mb = count(value()?)?,
+            "--repeat" => opts.repeat = count(value()?)?,
+            "--metrics-out" => opts.metrics_out = Some(value()?.clone()),
+            _ => return Err(format!("unknown argument: {flag}")),
         }
     }
-    assert!(!opts.scales.is_empty(), "bench_cluster: no scales given");
-    assert!(
-        !opts.threads.is_empty(),
-        "bench_cluster: no thread counts given"
-    );
-    opts
+    Ok(opts)
 }
 
 /// Stage 1 + RSCA for a scaled synthetic population.
@@ -167,7 +160,7 @@ fn span_ms(report: &BenchReport, path: &str) -> f64 {
     report
         .spans
         .get(path)
-        .map_or(0.0, |&(_, wall)| wall.as_secs_f64() * 1e3)
+        .map_or(0.0, |s| s.wall.as_secs_f64() * 1e3)
 }
 
 /// Overlays `extra` (the agreement + large-N phase) onto `base` (the best
@@ -179,12 +172,18 @@ fn span_ms(report: &BenchReport, path: &str) -> f64 {
 fn overlay(base: &mut icn_obs::Snapshot, extra: icn_obs::Snapshot) {
     base.counters.extend(extra.counters);
     base.gauges.extend(extra.gauges);
-    base.histograms.extend(extra.histograms);
     base.spans.extend(extra.spans);
 }
 
 fn main() {
-    let opts = parse_args();
+    let args: Vec<String> = std::env::args().skip(1).collect();
+    let opts = parse_args(&args).unwrap_or_else(|e| {
+        eprintln!(
+            "{e}\nflags: --scales <f64,...> --threads <n|max,...> --seed <u64> \
+             --large-n <n> --budget-mb <n> --repeat <n> --metrics-out <path>"
+        );
+        std::process::exit(2);
+    });
     let obs = icn_obs::global();
     obs.enable();
     let config = StudyConfig::paper();
@@ -232,7 +231,7 @@ fn main() {
                 let wall = snap
                     .spans
                     .get("stage2_cluster")
-                    .map_or(f64::INFINITY, |&(_, w)| w.as_secs_f64());
+                    .map_or(f64::INFINITY, |s| s.wall.as_secs_f64());
                 if best.as_ref().is_none_or(|(bw, _)| wall < *bw) {
                     best = Some((wall, snap));
                 }
@@ -337,6 +336,75 @@ fn main() {
                 eprintln!("failed to write metrics to {path}: {e}");
                 std::process::exit(1);
             }
+        }
+    }
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+
+    fn parse(list: &[&str]) -> Result<ClusterBenchOpts, String> {
+        parse_args(&list.iter().map(|s| s.to_string()).collect::<Vec<_>>())
+    }
+
+    #[test]
+    fn parses_every_flag() {
+        let o = parse(&[]).unwrap();
+        assert_eq!(o.scales, vec![0.05, 0.25, 1.0]);
+        assert_eq!(o.threads, vec![Some(1), None]);
+        let o = parse(&[
+            "--scales",
+            "0.05,0.25",
+            "--threads",
+            "1,max",
+            "--seed",
+            "7",
+            "--large-n",
+            "20000",
+            "--budget-mb",
+            "64",
+            "--repeat",
+            "2",
+            "--metrics-out",
+            "m.json",
+        ])
+        .unwrap();
+        assert_eq!(o.scales, vec![0.05, 0.25]);
+        assert_eq!(o.threads, vec![Some(1), None]);
+        assert_eq!(
+            (o.seed, o.large_n, o.budget_mb, o.repeat),
+            (7, 20_000, 64, 2)
+        );
+        assert_eq!(o.metrics_out.as_deref(), Some("m.json"));
+    }
+
+    #[test]
+    fn rejects_unknown_flags_and_bad_values() {
+        for bad in [
+            &["--scale", "0.1"][..],
+            &["0.1"],
+            &["--scales", ""],
+            &["--scales", "0.05,"],
+            &["--scales", "0.05,x"],
+            &["--scales", "0"],
+            &["--scales", "-1"],
+            &["--scales", "nan"],
+            &["--scales", "inf"],
+            &["--threads", "x"],
+            &["--threads", "0"],
+            &["--threads", "1,"],
+            &["--seed", "-3"],
+            &["--large-n", "0"],
+            &["--large-n", "8"],
+            &["--large-n", "many"],
+            &["--budget-mb", "0"],
+            &["--repeat", "0"],
+            &["--repeat", "-1"],
+            &["--scales"],
+            &["--metrics-out"],
+        ] {
+            assert!(parse(bad).is_err(), "{bad:?} accepted");
         }
     }
 }

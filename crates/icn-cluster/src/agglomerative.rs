@@ -370,13 +370,6 @@ pub fn agglomerate_condensed(cond: &Condensed, linkage: Linkage) -> MergeHistory
     let mut raw: Vec<(usize, usize, f64, usize)> = Vec::with_capacity(n - 1);
     let (mut scans, mut shared) = (0u64, 0u64);
 
-    // Per-merge latency tallied locally and flushed once at the end
-    // (flush-once pattern: the enabled check happens a single time here,
-    // and the hot loop never touches the registry mutex).
-    let obs = icn_obs::global();
-    let metered = obs.is_enabled();
-    let mut merge_hist = icn_obs::Histogram::new();
-
     par::with_team(helpers, work, |team| {
         let mut active = n;
         while active > 1 {
@@ -415,7 +408,6 @@ pub fn agglomerate_condensed(cond: &Condensed, linkage: Linkage) -> MergeHistory
                 debug_assert!(best != usize::MAX);
                 if Some(best) == prev {
                     // Reciprocal nearest neighbours: merge x and best.
-                    let merge_t0 = metered.then(std::time::Instant::now);
                     chain.pop();
                     chain.pop();
                     let (i, j) = (x.min(best), x.max(best));
@@ -434,9 +426,6 @@ pub fn agglomerate_condensed(cond: &Condensed, linkage: Linkage) -> MergeHistory
                     label[i] = n + raw.len() - 1;
                     if active <= SHARED_MIN_ACTIVE {
                         team.dismiss();
-                    }
-                    if let Some(t0) = merge_t0 {
-                        merge_hist.record(t0.elapsed().as_nanos() as u64);
                     }
                     break;
                 } else {
@@ -481,10 +470,10 @@ pub fn agglomerate_condensed(cond: &Condensed, linkage: Linkage) -> MergeHistory
         })
         .collect();
 
+    let obs = icn_obs::global();
     obs.add_counter("cluster.merges", merges.len() as u64);
     obs.add_counter("cluster.nn_scans", scans);
     obs.add_counter("cluster.nn_scans_shared", shared);
-    obs.merge_hist("cluster.merge_ns", &merge_hist);
     MergeHistory { n, linkage, merges }
 }
 

@@ -32,10 +32,9 @@ impl Condensed {
     /// fill order and the per-pair kernel are fixed, so the result is
     /// bit-identical at any `ICN_THREADS`.
     ///
-    /// Metering: each worker chunk's wall time is recorded into the
-    /// `cluster.distance_build_ns` histogram, and the finished matrix size
-    /// is published as the `cluster.condensed_bytes` gauge (the scalable
-    /// sampled-Ward path is budget-gated on this gauge).
+    /// Metering: the finished matrix size is published as the
+    /// `cluster.condensed_bytes` gauge (the scalable sampled-Ward path is
+    /// budget-gated on this gauge).
     pub fn from_rows(data: &Matrix, metric: Metric) -> Condensed {
         let _span = icn_obs::Span::enter("condensed");
         let n = data.rows();
@@ -49,8 +48,6 @@ impl Condensed {
         };
         const TILE: usize = 64;
         let chunk = (n / (par::thread_count() * 8)).clamp(1, 256);
-        let obs = icn_obs::global();
-        let metered = obs.is_enabled();
         // Row-chunk b covers i ∈ [b·chunk, (b+1)·chunk): unequal element
         // spans (row i holds n−1−i pairs), so the in-place parallel fill
         // uses an explicit block partition at the row boundaries.
@@ -60,7 +57,6 @@ impl Condensed {
         bounds.push(n * (n.max(1) - 1) / 2);
         let mut d = vec![0.0f64; n * (n.max(1) - 1) / 2];
         par::fill_blocks(&mut d, &bounds, |b, out| {
-            let t0 = metered.then(std::time::Instant::now);
             let (lo, hi) = (b * chunk, ((b + 1) * chunk).min(n));
             let base = block_start(n, lo);
             let mut jt = lo + 1;
@@ -75,11 +71,8 @@ impl Condensed {
                 }
                 jt = jhi;
             }
-            if let Some(t0) = t0 {
-                obs.record_hist("cluster.distance_build_ns", t0.elapsed().as_nanos() as u64);
-            }
         });
-        obs.add_counter("cluster.pairs", d.len() as u64);
+        icn_obs::global().add_counter("cluster.pairs", d.len() as u64);
         icn_obs::gauge_bytes("cluster.condensed_bytes", d.len() * 8);
         Condensed { n, d }
     }

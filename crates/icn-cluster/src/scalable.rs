@@ -128,7 +128,6 @@ const PAR_ASSIGN_MIN: usize = 4096;
 /// (lowest-index argmin, strict `<`, identical to the sequential fold).
 fn assign_rows(data: &Matrix, centroids: &Matrix, which: &[usize], out: &mut [usize]) -> bool {
     let k = centroids.rows();
-    let metered = icn_obs::global().is_enabled();
     let nearest = |row: &[f64]| -> usize {
         let mut best = 0usize;
         let mut best_d = f64::INFINITY;
@@ -144,23 +143,16 @@ fn assign_rows(data: &Matrix, centroids: &Matrix, which: &[usize], out: &mut [us
     let labels: Vec<usize> = if which.len() >= PAR_ASSIGN_MIN && par::thread_count() > 1 {
         let chunk = (which.len() / (par::thread_count() * 4)).clamp(1, 4096);
         par::map_chunks(which.len(), chunk, |r| {
-            let t0 = std::time::Instant::now();
-            let part: Vec<usize> = which[r].iter().map(|&i| nearest(data.row(i))).collect();
-            if metered {
-                icn_obs::global().record_hist("cluster.assign_ns", t0.elapsed().as_nanos() as u64);
-            }
-            part
+            which[r]
+                .iter()
+                .map(|&i| nearest(data.row(i)))
+                .collect::<Vec<_>>()
         })
         .into_iter()
         .flatten()
         .collect()
     } else {
-        let t0 = std::time::Instant::now();
-        let part: Vec<usize> = which.iter().map(|&i| nearest(data.row(i))).collect();
-        if metered {
-            icn_obs::global().record_hist("cluster.assign_ns", t0.elapsed().as_nanos() as u64);
-        }
-        part
+        which.iter().map(|&i| nearest(data.row(i))).collect()
     };
     let mut changed = false;
     for (&i, &l) in which.iter().zip(&labels) {

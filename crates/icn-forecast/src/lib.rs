@@ -154,9 +154,9 @@ pub(crate) fn dow_index(wd: Weekday) -> usize {
 
 /// Runs models + backtest + detector over pre-built cluster series.
 ///
-/// Instrumented under `forecast.*` when the global `icn-obs` registry is
-/// enabled (child spans per phase, per-cluster latency histogram, summary
-/// counters/gauges) — the stage-6 pipeline span wraps this call.
+/// Instrumented when the global `icn-obs` registry is enabled: one
+/// `cluster` span per cluster job and `forecast.*` summary
+/// counters/gauges — the stage-6 pipeline's `models` span wraps this call.
 pub fn forecast_series(
     all: &[ClusterSeries],
     window: &StudyCalendar,
@@ -174,7 +174,8 @@ pub fn forecast_series(
     let clusters: Vec<ClusterForecast> = icn_stats::par::map_indexed(all.len(), |ci| {
         let cs = &all[ci];
         {
-            let t0 = std::time::Instant::now();
+            let mut span = icn_obs::Span::enter("cluster");
+            span.attr("cluster", cs.cluster as u64);
             let n = cs.values.len();
             let forecastable = n >= 2 * PERIOD && n >= PERIOD + forest_params.bins;
             // Per-cluster forest seed: decorrelated but deterministic.
@@ -232,9 +233,6 @@ pub fn forecast_series(
                 .max_by(|(_, a), (_, b)| a.partial_cmp(b).expect("finite forecast"))
                 .map(|(h, _)| h)
                 .unwrap_or(0);
-            if obs.is_enabled() {
-                obs.record_duration("forecast.cluster_ns", t0.elapsed());
-            }
             ClusterForecast {
                 cluster: cs.cluster,
                 n_antennas: cs.n_antennas,

@@ -59,14 +59,10 @@ impl RandomForest {
         let results: Vec<(DecisionTree, Vec<usize>)> = par::map_indexed(cfg.n_trees, |t| {
             let mut tree_span = icn_obs::Span::enter("fit_tree");
             tree_span.attr("tree", t as u64);
-            let t0 = tree_span.path().is_some().then(std::time::Instant::now);
             let mut rng = root.fork(t as u64);
             let (in_bag, oob) = ts.bootstrap(&mut rng);
             let tree = DecisionTree::fit(ts, &in_bag, &cfg.tree, &mut rng);
             tree_span.attr("nodes", tree.nodes.len() as u64);
-            if let Some(t0) = t0 {
-                icn_obs::global().record_hist("forest.tree_fit_ns", t0.elapsed().as_nanos() as u64);
-            }
             (tree, oob)
         });
         let obs = icn_obs::global();

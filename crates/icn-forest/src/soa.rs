@@ -258,13 +258,11 @@ impl SoaForest {
     }
 
     /// Predicts every row of a matrix in parallel (chunked so each worker
-    /// reuses one probability accumulator across its samples). Emits the
-    /// `forest.predict_rows_per_sec` throughput gauge when the global
-    /// metrics registry is enabled.
+    /// reuses one probability accumulator across its samples), under a
+    /// `predict` span.
     pub fn predict_batch(&self, x: &Matrix) -> Vec<usize> {
         assert_eq!(x.cols(), self.n_features, "predict_batch: feature mismatch");
-        let obs = icn_obs::global();
-        let started = obs.is_enabled().then(std::time::Instant::now);
+        let _span = icn_obs::Span::enter("predict");
         let n = x.rows();
         let chunk = predict_chunk_size(n);
         let chunks: Vec<Vec<usize>> = par::map_chunks(n, chunk, |range| {
@@ -276,12 +274,6 @@ impl SoaForest {
                 })
                 .collect()
         });
-        if let Some(t0) = started {
-            let secs = t0.elapsed().as_secs_f64();
-            if secs > 0.0 {
-                obs.set_gauge("forest.predict_rows_per_sec", n as f64 / secs);
-            }
-        }
         chunks.into_iter().flatten().collect()
     }
 }

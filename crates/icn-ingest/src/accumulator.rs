@@ -26,7 +26,6 @@
 //! sealed slab is cleared by its fold and reused for the next hour.
 
 use std::collections::VecDeque;
-use std::time::Instant;
 
 use icn_stats::Matrix;
 
@@ -229,8 +228,6 @@ impl StreamAccumulator {
         if slab.taken.is_empty() {
             return;
         }
-        let reg = icn_obs::global();
-        let t0 = reg.is_enabled().then(Instant::now);
         let h = hour as usize;
         let totals = self.totals.as_mut_slice();
         let mut volume = self.hourly_volume[h];
@@ -244,9 +241,6 @@ impl StreamAccumulator {
         slab.taken.fill(0);
         self.hourly_volume[h] = volume;
         self.hourly_records[h] += records;
-        if let Some(t0) = t0 {
-            reg.record_hist("ingest.seal_ns", t0.elapsed().as_nanos() as u64);
-        }
     }
 
     /// Reconstructs an accumulator from checkpoint state, with an empty

@@ -10,7 +10,6 @@
 //! `ICN_THREADS`.
 
 use std::fmt;
-use std::time::Instant;
 
 use icn_obs::Span;
 
@@ -197,7 +196,6 @@ impl IngestPipeline {
         }
         let mut chunk_span = icn_obs::Span::enter("ingest_chunk");
         chunk_span.attr("records", chunk.len() as u64);
-        let chunk_t0 = chunk_span.path().is_some().then(Instant::now);
         let mut ok = 0u64;
         for r in &chunk {
             match self.acc.insert(r) {
@@ -216,9 +214,6 @@ impl IngestPipeline {
         if quarantined > 0 {
             chunk_span.attr("quarantined", quarantined);
         }
-        if let Some(t0) = chunk_t0 {
-            reg.record_hist("ingest.chunk_ns", t0.elapsed().as_nanos() as u64);
-        }
         Ok(Some(chunk.len()))
     }
 
@@ -236,8 +231,6 @@ impl IngestPipeline {
         max_chunks: Option<u64>,
     ) -> Result<bool, IngestError> {
         let mut span = Span::enter("ingest");
-        let start = Instant::now();
-        let before = self.records_consumed;
         let mut chunks = 0u64;
         let finished = loop {
             if max_chunks.is_some_and(|m| chunks >= m) {
@@ -248,11 +241,6 @@ impl IngestPipeline {
                 None => break true,
             }
         };
-        let secs = start.elapsed().as_secs_f64();
-        if secs > 0.0 {
-            let processed = (self.records_consumed - before) as f64;
-            icn_obs::global().set_gauge("ingest.records_per_sec", processed / secs);
-        }
         Ok(finished)
     }
 

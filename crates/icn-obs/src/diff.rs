@@ -5,18 +5,19 @@
 //! `a` and a candidate `b` — against fixed per-metric thresholds and
 //! classifies every metric as pass / fail / informational. CI uses it as
 //! a regression gate on live runs: generous thresholds (fail only when a
-//! stage or p99 gets more than 2× slower) keep the gate insensitive to
-//! shared-runner noise while still catching real regressions. Tiny
-//! absolute walls (below 5 ms) and micro-scale latency distributions
-//! (p99 below 10 ms) are skipped entirely — a 3 ms stage doubling to
-//! 6 ms is scheduler noise, not a regression. `*_bytes` gauges fail
-//! above 1.2× and the allocator peak above 1.5×.
+//! stage's wall or a nested span's p99 occurrence gets more than 2×
+//! slower) keep the gate insensitive to shared-runner noise while still
+//! catching real regressions. Tiny absolute walls (a stage below 5 ms, a
+//! nested span whose p99 is below 10 ms) are skipped entirely — a 3 ms
+//! stage doubling to 6 ms is scheduler noise, not a regression. A nested
+//! span with one call gates on its wall, since that is its p99.
+//! `*_bytes` gauges fail above 1.2× and the allocator peak above 1.5×.
 //!
 //! The comparison is deliberately asymmetric: `b` getting *faster* never
 //! fails, and metrics present only in `b` (new instrumentation) are
-//! informational. A stage present in `a` but missing from `b` fails — a
-//! silently skipped stage must not read as a speedup. Counters never
-//! gate; changed ones are listed for context.
+//! informational, as are span paths only `a` has. A stage present in `a`
+//! but missing from `b` fails — a silently skipped stage must not read as
+//! a speedup. Counters never gate; changed ones are listed for context.
 //! [`DiffThresholds::stage_wall_ratios`] holds individual hot stages to
 //! tighter bounds than the 2× default — the one tunable threshold.
 
@@ -24,21 +25,20 @@ use crate::report::{BenchReport, BenchReportSet};
 use crate::trace::self_times;
 use std::fmt::Write as _;
 
-/// Maximum allowed `b/a` wall-time ratio for stages, and the maximum
-/// allowed throughput loss `a/b` for `*_per_sec` gauges.
+/// Maximum allowed `b/a` wall-time ratio for stages.
 const MAX_WALL_RATIO: f64 = 2.0;
 
 /// Stages with a baseline wall below this many milliseconds are skipped.
 const MIN_WALL_MS: f64 = 5.0;
 
-/// Maximum allowed `b/a` ratio for histogram p99s.
-const MAX_HIST_RATIO: f64 = 2.0;
+/// Maximum allowed `b/a` ratio for nested spans' p99 occurrence walls.
+const MAX_P99_RATIO: f64 = 2.0;
 
-/// Histograms with a baseline p99 below this many nanoseconds (10 ms) are
-/// skipped: per-tree and per-merge p99s are micro-scale and dominated by
-/// scheduling noise on shared runners, so only chunk-scale latency
-/// distributions gate.
-const MIN_HIST_NS: u64 = 10_000_000;
+/// Nested spans with a baseline p99 below this many milliseconds are
+/// skipped: per-tree and per-merge task walls are micro-scale and
+/// dominated by scheduling noise on shared runners, so only chunk-scale
+/// tasks and whole sub-stages gate.
+const MIN_P99_MS: f64 = 10.0;
 
 /// Maximum allowed `b/a` ratio for `*_bytes` gauges. Memory footprints are
 /// arithmetic consequences of the input size, not scheduler-noisy walls,
@@ -122,7 +122,8 @@ pub enum DiffStatus {
 /// One compared metric.
 #[derive(Clone, Debug)]
 pub struct DiffLine {
-    /// Metric identifier (`stage:stage3_surrogate`, `hist:shap.chunk_ns p99`).
+    /// Metric identifier (`stage:stage3_surrogate wall_ms`,
+    /// `span:stage3_surrogate/shap_batch p99_ms`).
     pub metric: String,
     /// Baseline value.
     pub a: f64,
@@ -244,12 +245,13 @@ pub fn diff_reports(a: &BenchReport, b: &BenchReport, t: &DiffThresholds) -> Dif
         }
     }
 
-    for (name, hist) in &a.histograms {
-        let metric = format!("hist:{name} p99_ns");
-        let base = hist.quantile(0.99) as f64;
-        match b.histograms.get(name) {
-            // New/removed instrumentation is informational: histogram
-            // coverage changes with the code, unlike the stage set.
+    // Per-task latency: every nested span path gates on the p99 of its
+    // occurrence walls. Span coverage changes with the code, so a path
+    // the candidate lacks is informational, unlike a missing stage.
+    for (path, span) in a.spans.iter().filter(|(path, _)| path.contains('/')) {
+        let metric = format!("span:{path} p99_ms");
+        let base = span.p99.as_secs_f64() * 1e3;
+        match b.spans.get(path) {
             None => lines.push(DiffLine {
                 metric,
                 a: base,
@@ -258,60 +260,24 @@ pub fn diff_reports(a: &BenchReport, b: &BenchReport, t: &DiffThresholds) -> Dif
                 status: DiffStatus::Info,
             }),
             Some(cand) => {
-                if hist.quantile(0.99) < MIN_HIST_NS {
+                let candp = cand.p99.as_secs_f64() * 1e3;
+                if base < MIN_P99_MS {
                     lines.push(DiffLine {
                         metric,
                         a: base,
-                        b: cand.quantile(0.99) as f64,
+                        b: candp,
                         ratio: f64::NAN,
                         status: DiffStatus::Skipped,
                     });
                     continue;
                 }
-                let candp = cand.quantile(0.99) as f64;
                 let ratio = candp / base;
                 lines.push(DiffLine {
                     metric,
                     a: base,
                     b: candp,
                     ratio,
-                    status: if ratio > MAX_HIST_RATIO {
-                        DiffStatus::Fail
-                    } else {
-                        DiffStatus::Ok
-                    },
-                });
-            }
-        }
-    }
-
-    // Throughput gauges: higher is better, so the regression factor is
-    // a/b (how much throughput was lost).
-    for (name, &base) in &a.gauges {
-        if !name.ends_with("_per_sec") || base <= 0.0 {
-            continue;
-        }
-        let metric = format!("gauge:{name}");
-        match b.gauges.get(name) {
-            None => lines.push(DiffLine {
-                metric,
-                a: base,
-                b: f64::NAN,
-                ratio: f64::NAN,
-                status: DiffStatus::Info,
-            }),
-            Some(&cand) => {
-                let ratio = if cand > 0.0 {
-                    base / cand
-                } else {
-                    f64::INFINITY
-                };
-                lines.push(DiffLine {
-                    metric,
-                    a: base,
-                    b: cand,
-                    ratio,
-                    status: if ratio > MAX_WALL_RATIO {
+                    status: if ratio > MAX_P99_RATIO {
                         DiffStatus::Fail
                     } else {
                         DiffStatus::Ok
@@ -324,7 +290,7 @@ pub fn diff_reports(a: &BenchReport, b: &BenchReport, t: &DiffThresholds) -> Dif
     // Footprint gauges: lower is better and the values are deterministic
     // functions of the workload, so the candidate gates directly on b/a.
     // Missing in the candidate is informational (instrumentation
-    // coverage, like histograms) — the stage set is what must not shrink.
+    // coverage, like span paths) — the stage set is what must not shrink.
     for (name, &base) in &a.gauges {
         if !name.ends_with("_bytes") || base <= 0.0 {
             continue;
@@ -596,51 +562,63 @@ pub fn render_mem(report: &BenchReport) -> String {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::hist::Histogram;
     use crate::registry::Registry;
+    use crate::SpanStats;
     use std::time::Duration;
 
-    fn report_with(stage_ms: f64, p99_base_ns: u64, throughput: f64) -> BenchReport {
+    const CHUNK: &str = "stage3_surrogate/shap_batch/shap_chunk";
+
+    /// A stage-3 report: the stage, one `shap_batch` call of half its
+    /// wall, and one `shap_chunk` occurrence per entry of `chunk_ms`.
+    fn report_with(stage_ms: f64, chunk_ms: &[f64]) -> BenchReport {
         let r = Registry::new();
         r.enable();
-        r.record_span_parts(
-            "stage3_surrogate".into(),
-            Duration::from_secs_f64(stage_ms / 1e3),
-        );
-        r.record_span_parts(
-            "stage3_surrogate/shap_batch".into(),
-            Duration::from_secs_f64(stage_ms / 2e3),
-        );
-        let mut h = Histogram::new();
-        for i in 0..100u64 {
-            h.record(p99_base_ns + i);
+        let ms = |v: f64| Duration::from_secs_f64(v / 1e3);
+        r.record_span_parts("stage3_surrogate".into(), ms(stage_ms));
+        r.record_span_parts("stage3_surrogate/shap_batch".into(), ms(stage_ms / 2.0));
+        for &c in chunk_ms {
+            r.record_span_parts(CHUNK.into(), ms(c));
         }
-        r.merge_hist("shap.chunk_ns", &h);
-        r.set_gauge("shap.samples_per_sec", throughput);
         r.add_counter("shap.tree_walks", 1234);
         BenchReport::build(&r.snapshot(), "t", 1.0)
     }
 
+    /// 100 chunk occurrences of 20.0, 20.1, …, 29.9 ms: p99 29.8 ms.
+    fn chunks() -> Vec<f64> {
+        (0..100).map(|i| 20.0 + f64::from(i) * 0.1).collect()
+    }
+
+    fn base() -> BenchReport {
+        report_with(100.0, &chunks())
+    }
+
+    fn status_of(d: &DiffReport, metric: &str) -> Option<DiffStatus> {
+        d.lines
+            .iter()
+            .find(|l| l.metric == metric)
+            .map(|l| l.status)
+    }
+
     #[test]
     fn self_diff_passes() {
-        let a = report_with(100.0, 50_000_000, 1000.0);
+        let a = base();
         let d = diff_reports(&a, &a, &DiffThresholds::default());
         assert!(d.passed(), "self-diff must pass:\n{}", d.render());
     }
 
     #[test]
     fn wall_regression_fails_and_speedup_passes() {
-        let a = report_with(100.0, 50_000_000, 1000.0);
-        let slow = report_with(250.0, 50_000_000, 1000.0);
-        let fast = report_with(40.0, 50_000_000, 1000.0);
+        let a = base();
+        let slow = report_with(250.0, &chunks());
+        let fast = report_with(40.0, &chunks());
         assert!(!diff_reports(&a, &slow, &DiffThresholds::default()).passed());
         assert!(diff_reports(&a, &fast, &DiffThresholds::default()).passed());
     }
 
     #[test]
     fn tiny_stages_are_skipped() {
-        let a = report_with(2.0, 50_000_000, 1000.0);
-        let b = report_with(4.9, 50_000_000, 1000.0); // 2.45x but under the 5 ms floor
+        let a = report_with(2.0, &chunks());
+        let b = report_with(4.9, &chunks()); // 2.45x but under the 5 ms floor
         let d = diff_reports(&a, &b, &DiffThresholds::default());
         assert!(d.passed());
         assert!(d
@@ -650,48 +628,97 @@ mod tests {
     }
 
     #[test]
-    fn histogram_p99_regression_fails() {
-        let a = report_with(100.0, 50_000_000, 1000.0);
-        let b = report_with(100.0, 200_000_000, 1000.0);
-        let d = diff_reports(&a, &b, &DiffThresholds::default());
-        assert!(!d.passed());
-        assert!(d
-            .lines
-            .iter()
-            .any(|l| l.status == DiffStatus::Fail && l.metric.starts_with("hist:")));
-        // The same 4x shift below the 10 ms floor is micro-scale noise.
-        let a = report_with(100.0, 50_000, 1000.0);
-        let b = report_with(100.0, 200_000, 1000.0);
-        let d = diff_reports(&a, &b, &DiffThresholds::default());
+    fn multi_call_p99_regression_fails() {
+        let a = base();
+        let metric = format!("span:{CHUNK} p99_ms");
+        // Five of 100 tasks at 80 ms: the 99th smallest is 80 ms, 2.7x
+        // the baseline's 29.8 ms, with the stage wall unchanged.
+        let mut tail = chunks();
+        tail[95..].fill(80.0);
+        let d = diff_reports(&a, &report_with(100.0, &tail), &DiffThresholds::default());
+        assert!(!d.passed(), "{}", d.render());
+        assert_eq!(status_of(&d, &metric), Some(DiffStatus::Fail));
+        // One slow task of 100 is above the 99th rank and cannot fail it.
+        let mut outlier = chunks();
+        outlier[99] = 500.0;
+        let d = diff_reports(
+            &a,
+            &report_with(100.0, &outlier),
+            &DiffThresholds::default(),
+        );
         assert!(d.passed(), "{}", d.render());
-        assert!(d
-            .lines
-            .iter()
-            .any(|l| l.status == DiffStatus::Skipped && l.metric.starts_with("hist:")));
+        assert_eq!(status_of(&d, &metric), Some(DiffStatus::Ok));
     }
 
     #[test]
-    fn throughput_drop_fails() {
-        let a = report_with(100.0, 50_000_000, 1000.0);
-        let b = report_with(100.0, 50_000_000, 400.0);
-        assert!(!diff_reports(&a, &b, &DiffThresholds::default()).passed());
+    fn sub_10ms_p99s_are_skipped() {
+        // A 4x shift of 1 ms tasks is micro-scale noise.
+        let a = report_with(100.0, &[1.0; 100]);
+        let b = report_with(100.0, &[4.0; 100]);
+        let d = diff_reports(&a, &b, &DiffThresholds::default());
+        assert!(d.passed(), "{}", d.render());
+        assert_eq!(
+            status_of(&d, &format!("span:{CHUNK} p99_ms")),
+            Some(DiffStatus::Skipped)
+        );
+    }
+
+    #[test]
+    fn single_call_nested_span_gates_on_its_wall() {
+        let a = base();
+        let mut b = base();
+        // shap_batch: one call of 50 ms in `a`; 125 ms here, stage unchanged.
+        let batch = Duration::from_millis(125);
+        b.spans.insert(
+            "stage3_surrogate/shap_batch".into(),
+            SpanStats {
+                calls: 1,
+                wall: batch,
+                p99: batch,
+            },
+        );
+        let d = diff_reports(&a, &b, &DiffThresholds::default());
+        assert!(!d.passed(), "{}", d.render());
+        assert_eq!(
+            status_of(&d, "span:stage3_surrogate/shap_batch p99_ms"),
+            Some(DiffStatus::Fail)
+        );
+        assert_eq!(
+            status_of(&d, "stage:stage3_surrogate wall_ms"),
+            Some(DiffStatus::Ok)
+        );
+    }
+
+    #[test]
+    fn span_path_missing_from_the_candidate_is_informational() {
+        let a = base();
+        let mut b = base();
+        b.spans.remove(CHUNK);
+        let d = diff_reports(&a, &b, &DiffThresholds::default());
+        assert!(d.passed(), "{}", d.render());
+        assert_eq!(
+            status_of(&d, &format!("span:{CHUNK} p99_ms")),
+            Some(DiffStatus::Info)
+        );
+        // Top-level paths are stages: gated on wall, not repeated as spans.
+        assert_eq!(status_of(&d, "span:stage3_surrogate p99_ms"), None);
     }
 
     #[test]
     fn scale_mismatch_fails() {
-        let a = report_with(100.0, 50_000_000, 1000.0);
-        let mut b = report_with(100.0, 50_000_000, 1000.0);
+        let a = base();
+        let mut b = base();
         b.scale = 0.5;
         assert!(!diff_reports(&a, &b, &DiffThresholds::default()).passed());
     }
 
     #[test]
     fn bytes_gauges_gate_on_growth_not_shrinkage() {
-        let mut a = report_with(100.0, 50_000_000, 1000.0);
+        let mut a = base();
         a.gauges
             .insert("cluster.condensed_bytes".into(), 1_000_000.0);
         // Within the 1.2x default: passes.
-        let mut b = report_with(100.0, 50_000_000, 1000.0);
+        let mut b = base();
         b.gauges
             .insert("cluster.condensed_bytes".into(), 1_100_000.0);
         assert!(diff_reports(&a, &b, &DiffThresholds::default()).passed());
@@ -707,14 +734,14 @@ mod tests {
             .lines
             .iter()
             .any(|l| l.metric == "gauge:cluster.condensed_bytes" && l.status == DiffStatus::Fail));
-        // Missing in the candidate is informational, like histograms.
-        let c = report_with(100.0, 50_000_000, 1000.0);
+        // Missing in the candidate is informational, like span paths.
+        let c = base();
         assert!(diff_reports(&a, &c, &DiffThresholds::default()).passed());
     }
 
     #[test]
     fn missing_stage_fails() {
-        let a = report_with(100.0, 50_000_000, 1000.0);
+        let a = base();
         let r = Registry::new();
         r.enable();
         r.record_span_parts("other_stage".into(), Duration::from_millis(10));
@@ -728,8 +755,8 @@ mod tests {
 
     #[test]
     fn per_stage_wall_ratio_overrides_the_global_bound() {
-        let a = report_with(100.0, 50_000_000, 1000.0);
-        let b = report_with(150.0, 50_000_000, 1000.0); // 1.5x: under the 2x default
+        let a = base();
+        let b = report_with(150.0, &chunks()); // 1.5x: under the 2x default
         assert!(diff_reports(&a, &b, &DiffThresholds::default()).passed());
         let tight = DiffThresholds {
             stage_wall_ratios: vec![("stage3_surrogate".into(), 1.3)],
@@ -752,8 +779,8 @@ mod tests {
 
     #[test]
     fn changed_counters_are_informational() {
-        let a = report_with(100.0, 50_000_000, 1000.0);
-        let mut b = report_with(100.0, 50_000_000, 1000.0);
+        let a = base();
+        let mut b = base();
         b.counters.insert("shap.tree_walks".into(), 999);
         let d = diff_reports(&a, &b, &DiffThresholds::default());
         assert!(d.passed());
@@ -765,7 +792,7 @@ mod tests {
 
     #[test]
     fn top_table_is_a_tree() {
-        let a = report_with(100.0, 50_000_000, 1000.0);
+        let a = base();
         let table = render_top(&a);
         let lines: Vec<&str> = table.lines().collect();
         assert!(lines[1].contains("stage3_surrogate"));
@@ -788,10 +815,10 @@ mod tests {
 
     #[test]
     fn allocator_peak_gates_growth_not_shrinkage() {
-        let mut a = report_with(100.0, 50_000_000, 1000.0);
+        let mut a = base();
         a.memory = Some(memory_with(100 << 20));
         // 1.4x growth: under the 1.5x default.
-        let mut b = report_with(100.0, 50_000_000, 1000.0);
+        let mut b = base();
         b.memory = Some(memory_with(140 << 20));
         assert!(diff_reports(&a, &b, &DiffThresholds::default()).passed());
         // Shrinkage is a win, never a failure.
@@ -811,8 +838,8 @@ mod tests {
     fn missing_memory_section_is_informational_both_ways() {
         // A baseline without a memory section against a counted candidate
         // (and vice versa) must not fail the gate.
-        let plain = report_with(100.0, 50_000_000, 1000.0);
-        let mut counted = report_with(100.0, 50_000_000, 1000.0);
+        let plain = base();
+        let mut counted = base();
         counted.memory = Some(memory_with(100 << 20));
         for (base, cand) in [(&plain, &counted), (&counted, &plain)] {
             let d = diff_reports(base, cand, &DiffThresholds::default());
@@ -829,7 +856,7 @@ mod tests {
 
     #[test]
     fn mem_table_renders_summary_and_tree() {
-        let mut rep = report_with(100.0, 50_000_000, 1000.0);
+        let mut rep = base();
         let mut mem = memory_with(5000);
         mem.budget_mb = Some(512);
         mem.budget_verdict = Some("ok".into());
@@ -862,13 +889,13 @@ mod tests {
         assert!(root.contains("1250"));
         assert!(table.contains("  shap_batch"));
         // A report without a memory section explains itself.
-        let plain = report_with(100.0, 50_000_000, 1000.0);
+        let plain = base();
         assert!(render_mem(&plain).contains("no memory section"));
     }
 
     #[test]
     fn top_table_gains_alloc_columns_with_memory() {
-        let mut rep = report_with(100.0, 50_000_000, 1000.0);
+        let mut rep = base();
         assert!(!render_top(&rep).contains("cum_alloc_b"));
         let mut mem = memory_with(5000);
         mem.spans.insert(

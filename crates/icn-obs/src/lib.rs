@@ -11,8 +11,10 @@
 //!   **across threads** when work fans out through `icn_stats::par` (the
 //!   dispatching stage hands a [`Handoff`] to each worker). Inert and
 //!   allocation-free while collection is disabled.
-//! * [`Registry`] — a thread-safe store of counters, gauges and log-bucketed
-//!   [`Histogram`]s. The process-global instance ([`global`]) starts
+//! * [`Registry`] — a thread-safe store of counters, gauges and finished
+//!   span occurrences. Spans are the only timing record: a report's span
+//!   row carries calls, total wall and the exact p99 occurrence wall
+//!   ([`SpanStats`]). The process-global instance ([`global`]) starts
 //!   disabled; every mutating call short-circuits on one relaxed atomic load,
 //!   so instrumented library code costs nothing unless a harness opts in. Hot
 //!   loops tally locally and flush once per call, so enabling metrics can
@@ -22,7 +24,7 @@
 //!   install, tracking window live/peak bytes globally and attributing
 //!   allocation churn to the span open on the allocating thread. Gated on the
 //!   same single-flag contract as the registry.
-//! * Exporters — [`BenchReport`], a stable JSON schema (`icn-obs/v3`) that
+//! * Exporters — [`BenchReport`], a stable JSON schema (`icn-obs/v4`) that
 //!   explains a single metered run (`--metrics-out`); and [`chrome_trace`], a
 //!   Chrome trace-event export (`chrome://tracing` / Perfetto) of the full
 //!   span tree.
@@ -57,7 +59,6 @@
 
 mod chrome;
 mod diff;
-mod hist;
 mod json;
 pub mod mem;
 mod registry;
@@ -69,7 +70,6 @@ pub use chrome::{chrome_trace, write_chrome_trace};
 pub use diff::{
     diff_reports, render_mem, render_top, DiffLine, DiffReport, DiffStatus, DiffThresholds,
 };
-pub use hist::Histogram;
 pub use json::Json;
 pub use mem::{gauge_bytes, CountingAlloc, MemStats};
 pub use registry::{Registry, Snapshot};
@@ -78,7 +78,7 @@ pub use report::{
     FORECAST_STAGE, PIPELINE_STAGES,
 };
 pub use span::{current_handoff, AdoptGuard, Handoff, Span};
-pub use trace::{AttrValue, SpanData, SpanEvent};
+pub use trace::{AttrValue, SpanData, SpanEvent, SpanStats};
 
 static GLOBAL: Registry = Registry::new();
 

@@ -1,5 +1,5 @@
 //! Allocation accounting: a counting [`GlobalAlloc`] wrapper and the
-//! process-wide byte window behind the `icn-obs/v3` `memory` report
+//! process-wide byte window behind the `icn-obs/v4` `memory` report
 //! section.
 //!
 //! Harness binaries install [`CountingAlloc`] as their global allocator:

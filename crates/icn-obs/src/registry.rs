@@ -1,23 +1,21 @@
 //! Thread-safe metrics and trace registry.
 //!
-//! A [`Registry`] collects named counters, gauges, log-bucketed
-//! [`Histogram`]s and finished [`crate::Span`] occurrences (with full
-//! tree linkage — see [`SpanData`]). The process-global instance
-//! returned by [`crate::global`] starts **disabled**: every mutating call
-//! first checks one relaxed atomic load and returns immediately, so code paths
-//! instrumented against the global registry pay nothing measurable unless
-//! a harness opts in with [`Registry::enable`].
+//! A [`Registry`] collects named counters, gauges and finished
+//! [`crate::Span`] occurrences (with full tree linkage — see
+//! [`SpanData`]). Spans are the only timing record: a task's latency
+//! distribution is its span path's occurrences ([`SpanStats`]). The
+//! process-global instance returned by [`crate::global`] starts
+//! **disabled**: every mutating call first checks one relaxed atomic load
+//! and returns immediately, so code paths instrumented against the global
+//! registry pay nothing measurable unless a harness opts in with
+//! [`Registry::enable`].
 //!
 //! Hot loops should tally into a local variable and flush once per stage
-//! call (`registry.add_counter("cluster.merges", local_tally)`); for
-//! per-step latencies, tally into a local [`Histogram`] and flush once
-//! with [`Registry::merge_hist`] — the fixed bucket layout makes the
-//! merge independent of flush order. This keeps instrumentation both
-//! cheap and incapable of perturbing results: the library never branches
-//! on metric values.
+//! call (`registry.add_counter("cluster.merges", local_tally)`). This
+//! keeps instrumentation both cheap and incapable of perturbing results:
+//! the library never branches on metric values.
 
-use crate::hist::Histogram;
-use crate::trace::SpanData;
+use crate::trace::{SpanData, SpanStats};
 use std::collections::BTreeMap;
 use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
 use std::sync::Mutex;
@@ -27,7 +25,6 @@ use std::time::{Duration, Instant};
 struct Inner {
     counters: BTreeMap<String, u64>,
     gauges: BTreeMap<String, f64>,
-    histograms: BTreeMap<String, Histogram>,
     spans: Vec<SpanData>,
     /// Time origin for span starts; set when collection starts, cleared
     /// by [`Registry::reset`].
@@ -57,12 +54,9 @@ pub struct Snapshot {
     pub counters: BTreeMap<String, u64>,
     /// Last-write-wins gauges by name.
     pub gauges: BTreeMap<String, f64>,
-    /// Log-bucketed histograms by name (durations in nanoseconds by
-    /// convention).
-    pub histograms: BTreeMap<String, Histogram>,
-    /// Span occurrences aggregated by path: `(calls, total wall)` — the
-    /// report's `spans` view, derived from [`Snapshot::span_tree`].
-    pub spans: BTreeMap<String, (u64, Duration)>,
+    /// Span occurrences aggregated by path — the report's `spans` view,
+    /// derived from [`Snapshot::span_tree`].
+    pub spans: BTreeMap<String, SpanStats>,
     /// Every finished span occurrence with tree linkage, in completion
     /// order.
     pub span_tree: Vec<SpanData>,
@@ -101,7 +95,6 @@ impl Registry {
             inner: Mutex::new(Inner {
                 counters: BTreeMap::new(),
                 gauges: BTreeMap::new(),
-                histograms: BTreeMap::new(),
                 spans: Vec::new(),
                 epoch: None,
             }),
@@ -180,42 +173,6 @@ impl Registry {
         inner.gauges.insert(name.to_string(), value);
     }
 
-    /// Records one observation into the named histogram.
-    #[inline]
-    pub fn record_hist(&self, name: &str, value: u64) {
-        if !self.is_enabled() {
-            return;
-        }
-        let mut inner = self.inner.lock().expect("icn-obs registry poisoned");
-        inner
-            .histograms
-            .entry(name.to_string())
-            .or_default()
-            .record(value);
-    }
-
-    /// Merges a locally-tallied histogram into the named one — the
-    /// flush-once pattern for per-step latencies in hot loops. The fixed
-    /// bucket layout makes the result independent of flush order.
-    pub fn merge_hist(&self, name: &str, local: &Histogram) {
-        if !self.is_enabled() || local.count() == 0 {
-            return;
-        }
-        let mut inner = self.inner.lock().expect("icn-obs registry poisoned");
-        inner
-            .histograms
-            .entry(name.to_string())
-            .or_default()
-            .merge(local);
-    }
-
-    /// Records one duration observation under `name`, as nanoseconds in
-    /// the named histogram.
-    #[inline]
-    pub fn record_duration(&self, name: &str, d: Duration) {
-        self.record_hist(name, d.as_nanos().min(u64::MAX as u128) as u64);
-    }
-
     /// Allocates a process-unique span id (monotonic from 1).
     pub(crate) fn alloc_span_id(&self) -> u64 {
         self.next_span_id.fetch_add(1, Ordering::Relaxed)
@@ -264,17 +221,10 @@ impl Registry {
     /// Copies out the current state.
     pub fn snapshot(&self) -> Snapshot {
         let inner = self.inner.lock().expect("icn-obs registry poisoned");
-        let mut spans: BTreeMap<String, (u64, Duration)> = BTreeMap::new();
-        for s in &inner.spans {
-            let e = spans.entry(s.path.clone()).or_insert((0, Duration::ZERO));
-            e.0 += 1;
-            e.1 += s.wall;
-        }
         Snapshot {
             counters: inner.counters.clone(),
             gauges: inner.gauges.clone(),
-            histograms: inner.histograms.clone(),
-            spans,
+            spans: crate::trace::span_stats(&inner.spans),
             span_tree: inner.spans.clone(),
         }
     }
@@ -289,12 +239,10 @@ mod tests {
         let r = Registry::new();
         r.add_counter("a", 5);
         r.set_gauge("g", 1.0);
-        r.record_duration("d", Duration::from_millis(1));
-        r.record_hist("h", 42);
+        r.record_span_parts("s".into(), Duration::from_millis(1));
         let s = r.snapshot();
         assert!(s.counters.is_empty() && s.gauges.is_empty());
-        assert!(s.histograms.is_empty());
-        assert!(s.span_tree.is_empty());
+        assert!(s.spans.is_empty() && s.span_tree.is_empty());
     }
 
     #[test]
@@ -306,37 +254,6 @@ mod tests {
         assert_eq!(r.snapshot().counters["x"], 3);
         r.reset();
         assert!(r.snapshot().counters.is_empty());
-    }
-
-    #[test]
-    fn durations_become_histograms() {
-        let r = Registry::new();
-        r.enable();
-        r.record_duration("d", Duration::from_nanos(10));
-        r.record_duration("d", Duration::from_nanos(30));
-        let h = &r.snapshot().histograms["d"];
-        assert_eq!(h.count(), 2);
-        assert_eq!(h.min(), 10);
-        assert_eq!(h.max(), 30);
-        assert_eq!(h.sum(), 40);
-    }
-
-    #[test]
-    fn local_histograms_flush_by_merge() {
-        let r = Registry::new();
-        r.enable();
-        let mut local = Histogram::new();
-        for v in [1u64, 2, 3] {
-            local.record(v);
-        }
-        r.merge_hist("steps", &local);
-        r.merge_hist("steps", &local);
-        let h = &r.snapshot().histograms["steps"];
-        assert_eq!(h.count(), 6);
-        assert_eq!(h.sum(), 12);
-        // Empty locals are a no-op (no empty entry created).
-        r.merge_hist("empty", &Histogram::new());
-        assert!(!r.snapshot().histograms.contains_key("empty"));
     }
 
     #[test]

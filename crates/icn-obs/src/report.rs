@@ -1,28 +1,24 @@
 //! Machine-readable run reports (`--metrics-out`).
 //!
 //! A [`BenchReport`] freezes a [`crate::Registry`] snapshot into a stable
-//! JSON schema (`icn-obs/v3`) that `icn obs top|mem` render and
+//! JSON schema (`icn-obs/v4`) that `icn obs top|mem` render and
 //! `icn obs diff` gates against a blessed baseline:
 //!
 //! ```json
 //! {
-//!   "schema": "icn-obs/v3",
+//!   "schema": "icn-obs/v4",
 //!   "run_id": "all_experiments",
 //!   "scale": 1.0,
 //!   "env": {"os": "linux", "arch": "x86_64", "threads": 16, "unix_time": 0,
-//!           "git_commit": "a9df246...", "scale": 1.0, "chunk": 512},
+//!           "git_commit": "a9df246...", "chunk": 512},
 //!   "stages": [
 //!     {"name": "stage2_cluster", "wall_ms": 1234.5,
 //!      "counters": {"cluster.merges": 4761, "cluster.pairs": 11335641}}
 //!   ],
-//!   "spans": [{"path": "stage2_cluster/condensed", "calls": 1,
-//!              "wall_ms": 200.0, "self_ms": 200.0}],
-//!   "histograms": [{"name": "shap.chunk_ns", "unit": "ns", "count": 64,
-//!                   "sum": 123456, "min": 900, "max": 4100,
-//!                   "p50": 1920, "p90": 3584, "p99": 4096,
-//!                   "buckets": [[61, 10], [70, 54]]}],
+//!   "spans": [{"path": "stage3_surrogate/shap_batch/shap_chunk", "calls": 64,
+//!              "wall_ms": 200.0, "p99_ms": 4.1, "self_ms": 200.0}],
 //!   "counters": {"cluster.merges": 4761},
-//!   "gauges": {"shap.samples_per_sec": 1234.5},
+//!   "gauges": {"cluster.condensed_bytes": 90682880},
 //!   "memory": {
 //!     "allocator": {"live_bytes": 104857, "peak_bytes": 412000000,
 //!                   "total_alloc_bytes": 900000000,
@@ -35,7 +31,9 @@
 //! ```
 //!
 //! **Versioning.** [`BenchReport::parse`] reads exactly the schema this
-//! crate writes. Its one optional section is `memory`
+//! crate writes, and rejects a span row whose `calls`, `wall_ms` or
+//! `p99_ms` is missing, negative or not finite, or whose time is too
+//! large for a `Duration`. Its one optional section is `memory`
 //! ([`MemoryReport`]): the allocator window from [`crate::mem`], `VmHWM`
 //! where readable, the per-span *self* allocation table, and the
 //! `--mem-budget-mb` verdict when a budget was enforced. It is emitted
@@ -46,17 +44,19 @@
 //! Stages are the **top-level** spans of the run (nesting path without a
 //! `/`). Counters attach to stages by name prefix — see
 //! [`stage_for_counter`] — so tallies flushed from worker threads land on
-//! the right stage without any thread-local bookkeeping.
+//! the right stage without any thread-local bookkeeping. Every span row,
+//! stage or nested, carries `p99_ms`: the exact p99 of its occurrence
+//! walls ([`SpanStats::p99`]), the one per-task latency statistic.
 
-use crate::hist::Histogram;
 use crate::json::{counters_obj, Json};
 use crate::registry::Snapshot;
+use crate::trace::SpanStats;
 use std::collections::BTreeMap;
 use std::time::Duration;
 
 /// Schema identifier embedded in every report this crate writes, and the
 /// only one [`BenchReport::parse`] accepts.
-pub(crate) const SCHEMA: &str = "icn-obs/v3";
+pub(crate) const SCHEMA: &str = "icn-obs/v4";
 
 /// Schema identifier for a multi-configuration report *set* — the file
 /// `icn <cmd> --threads-sweep 1,2 --metrics-out` writes: one
@@ -114,8 +114,9 @@ pub struct StageReport {
 
 /// Execution environment fingerprint, which makes reports self-describing:
 /// besides OS/arch/threads, it records the producing git commit (when the
-/// working directory is inside a repository), the run's population scale,
-/// and — for ingest runs — the chunk size.
+/// working directory is inside a repository) and — for ingest runs — the
+/// chunk size. The run's population scale is the report's own
+/// [`BenchReport::scale`].
 #[derive(Clone, Debug, PartialEq)]
 pub struct EnvInfo {
     /// Operating system (`std::env::consts::OS`).
@@ -133,18 +134,14 @@ pub struct EnvInfo {
     /// walking up from the working directory (no subprocess is spawned —
     /// `.git/HEAD` and, if needed, `packed-refs` are read directly).
     pub git_commit: Option<String>,
-    /// Population scale of the run, duplicated from the report root so
-    /// the environment block alone identifies the configuration.
-    pub scale: f64,
     /// Ingest chunk size in records, when the producing harness streams
     /// (`icn ingest --chunk N`); `None` for batch runs.
     pub chunk: Option<u64>,
 }
 
 impl EnvInfo {
-    /// Captures the current environment. `scale` starts at 0.0 and is
-    /// overwritten by [`BenchReport::build`]; `chunk` stays `None` unless
-    /// the harness sets it.
+    /// Captures the current environment. `chunk` stays `None` unless the
+    /// harness sets it.
     pub(crate) fn capture() -> EnvInfo {
         let hw = std::thread::available_parallelism().map_or(1, |n| n.get());
         let threads = std::env::var("ICN_THREADS")
@@ -160,7 +157,6 @@ impl EnvInfo {
                 .duration_since(std::time::UNIX_EPOCH)
                 .map_or(0, |d| d.as_secs()),
             git_commit: detect_git_commit(),
-            scale: 0.0,
             chunk: None,
         }
     }
@@ -236,7 +232,7 @@ pub struct SpanAlloc {
     pub peak_growth_bytes: u64,
 }
 
-/// The v3 `memory` section: the allocator window totals, optional OS
+/// The `memory` section: the allocator window totals, optional OS
 /// high-water mark, the per-span allocation table, and — when the run
 /// enforced `--mem-budget-mb` — the budget and its verdict. Present only
 /// when the producing binary counted allocations (see [`crate::mem`]).
@@ -284,14 +280,13 @@ pub struct BenchReport {
     pub env: EnvInfo,
     /// Per-stage wall time and counters, in stage-name order.
     pub stages: Vec<StageReport>,
-    /// All spans by nesting path: `(calls, total wall)`.
-    pub spans: BTreeMap<String, (u64, Duration)>,
-    /// Log-bucketed histograms by name.
-    pub histograms: BTreeMap<String, Histogram>,
+    /// All spans by nesting path.
+    pub spans: BTreeMap<String, SpanStats>,
     /// All counters, unattributed.
     pub counters: BTreeMap<String, u64>,
-    /// Last-write-wins gauges (throughputs such as `shap.samples_per_sec`
-    /// and `forest.predict_rows_per_sec`).
+    /// Last-write-wins gauges (footprints such as
+    /// `cluster.condensed_bytes`, quality figures such as
+    /// `forecast.mae_ets`).
     pub gauges: BTreeMap<String, f64>,
     /// The memory section; `None` when the producing binary did not
     /// count allocations.
@@ -302,7 +297,7 @@ impl BenchReport {
     /// Builds a report from a registry snapshot.
     pub fn build(snapshot: &Snapshot, run_id: &str, scale: f64) -> BenchReport {
         let mut stages: BTreeMap<String, StageReport> = BTreeMap::new();
-        for (path, &(_calls, wall)) in &snapshot.spans {
+        for (path, span) in &snapshot.spans {
             if path.contains('/') {
                 continue; // nested span, not a stage
             }
@@ -311,7 +306,7 @@ impl BenchReport {
                 wall_ms: 0.0,
                 counters: BTreeMap::new(),
             });
-            stage.wall_ms += wall.as_secs_f64() * 1e3;
+            stage.wall_ms += span.wall.as_secs_f64() * 1e3;
         }
         for (name, &value) in &snapshot.counters {
             if let Some(stage_name) = stage_for_counter(name) {
@@ -320,8 +315,6 @@ impl BenchReport {
                 }
             }
         }
-        let mut env = EnvInfo::capture();
-        env.scale = scale;
         // A memory section is meaningful only when the running binary
         // installed a counting allocator and the window saw traffic;
         // `allocs == 0` otherwise, and the section is omitted.
@@ -352,10 +345,9 @@ impl BenchReport {
         BenchReport {
             run_id: run_id.to_string(),
             scale,
-            env,
+            env: EnvInfo::capture(),
             stages: stages.into_values().collect(),
             spans: snapshot.spans.clone(),
-            histograms: snapshot.histograms.clone(),
             counters: snapshot.counters.clone(),
             gauges: snapshot.gauges.clone(),
             memory,
@@ -379,30 +371,25 @@ impl BenchReport {
         let spans: Vec<Json> = self
             .spans
             .iter()
-            .map(|(path, &(calls, wall))| {
+            .map(|(path, s)| {
                 let own = self_ms
                     .get(path)
                     .map(|&(_, _, own)| own.as_secs_f64() * 1e3)
                     .unwrap_or(0.0);
                 Json::obj(vec![
                     ("path", Json::str(path)),
-                    ("calls", Json::num(calls as f64)),
-                    ("wall_ms", Json::num(wall.as_secs_f64() * 1e3)),
+                    ("calls", Json::num(s.calls as f64)),
+                    ("wall_ms", Json::num(s.wall.as_secs_f64() * 1e3)),
+                    ("p99_ms", Json::num(s.p99.as_secs_f64() * 1e3)),
                     ("self_ms", Json::num(own)),
                 ])
             })
-            .collect();
-        let histograms: Vec<Json> = self
-            .histograms
-            .iter()
-            .map(|(name, h)| hist_to_json(name, h))
             .collect();
         let mut env_fields = vec![
             ("os", Json::str(&self.env.os)),
             ("arch", Json::str(&self.env.arch)),
             ("threads", Json::num(self.env.threads as f64)),
             ("unix_time", Json::num(self.env.unix_time as f64)),
-            ("scale", Json::num(self.env.scale)),
         ];
         if let Some(commit) = &self.env.git_commit {
             env_fields.push(("git_commit", Json::str(commit)));
@@ -417,7 +404,6 @@ impl BenchReport {
             ("env", Json::obj(env_fields)),
             ("stages", Json::Arr(stages)),
             ("spans", Json::Arr(spans)),
-            ("histograms", Json::Arr(histograms)),
             ("counters", counters_obj(&self.counters)),
             (
                 "gauges",
@@ -441,7 +427,7 @@ impl BenchReport {
     }
 
     /// Parses a report back from its JSON rendering, validating the schema
-    /// tag (`icn-obs/v3`) and required fields.
+    /// tag (`icn-obs/v4`) and required fields.
     pub fn parse(text: &str) -> Result<BenchReport, String> {
         BenchReport::from_doc(&Json::parse(text)?)
     }
@@ -482,10 +468,6 @@ impl BenchReport {
                 .get("git_commit")
                 .and_then(Json::as_str)
                 .map(str::to_string),
-            scale: env_doc
-                .get("scale")
-                .and_then(Json::as_f64)
-                .ok_or("env missing scale")?,
             chunk: env_doc
                 .get("chunk")
                 .and_then(Json::as_f64)
@@ -525,22 +507,27 @@ impl BenchReport {
                     .get("path")
                     .and_then(Json::as_str)
                     .ok_or("span missing path")?;
-                let calls = s.get("calls").and_then(Json::as_f64).unwrap_or(0.0) as u64;
-                let wall_ms = s.get("wall_ms").and_then(Json::as_f64).unwrap_or(0.0);
-                spans.insert(
-                    path.to_string(),
-                    (calls, Duration::from_secs_f64(wall_ms / 1e3)),
-                );
+                // A report is untrusted input: a count or time it cannot
+                // hold is an error, never a panic or a silent zero.
+                let field = |key: &str| {
+                    s.get(key)
+                        .and_then(Json::as_f64)
+                        .filter(|v| v.is_finite() && *v >= 0.0)
+                        .ok_or_else(|| {
+                            format!("span {path}: {key} missing, negative or not finite")
+                        })
+                };
+                let ms = |key: &str| {
+                    Duration::try_from_secs_f64(field(key)? / 1e3)
+                        .map_err(|e| format!("span {path}: {key}: {e}"))
+                };
+                let stats = SpanStats {
+                    calls: field("calls")? as u64,
+                    wall: ms("wall_ms")?,
+                    p99: ms("p99_ms")?,
+                };
+                spans.insert(path.to_string(), stats);
             }
-        }
-        let mut histograms = BTreeMap::new();
-        for h in doc
-            .get("histograms")
-            .and_then(Json::as_arr)
-            .ok_or("missing histograms")?
-        {
-            let (name, hist) = hist_from_json(h)?;
-            histograms.insert(name, hist);
         }
         let mut counters = BTreeMap::new();
         if let Some(entries) = doc.get("counters").and_then(Json::entries) {
@@ -567,7 +554,6 @@ impl BenchReport {
             env,
             stages,
             spans,
-            histograms,
             counters,
             gauges,
             memory,
@@ -582,7 +568,7 @@ impl BenchReport {
 
 /// An ordered collection of reports from one invocation — one per
 /// worker-thread count when produced by `--threads-sweep`. The JSON
-/// rendering (`icn-bench-set/1`) wraps the individual `icn-obs/v3`
+/// rendering (`icn-bench-set/1`) wraps the individual `icn-obs/v4`
 /// documents verbatim:
 ///
 /// ```json
@@ -745,57 +731,6 @@ fn memory_from_json(doc: &Json) -> Result<MemoryReport, String> {
     })
 }
 
-/// Renders one histogram as its JSON object. Quantiles are included
-/// for human readers and dashboards; [`hist_from_json`] recomputes them
-/// from the buckets, which are the source of truth. `sum` is rendered as
-/// a JSON number — exact below 2^53, which covers > 100 days of
-/// nanoseconds.
-fn hist_to_json(name: &str, h: &Histogram) -> Json {
-    let buckets: Vec<Json> = h
-        .nonzero_buckets()
-        .map(|(idx, c)| Json::Arr(vec![Json::num(idx as f64), Json::num(c as f64)]))
-        .collect();
-    Json::obj(vec![
-        ("name", Json::str(name)),
-        ("unit", Json::str("ns")),
-        ("count", Json::num(h.count() as f64)),
-        ("sum", Json::num(h.sum() as f64)),
-        ("min", Json::num(h.min() as f64)),
-        ("max", Json::num(h.max() as f64)),
-        ("mean", Json::num(h.mean())),
-        ("p50", Json::num(h.quantile(0.50) as f64)),
-        ("p90", Json::num(h.quantile(0.90) as f64)),
-        ("p99", Json::num(h.quantile(0.99) as f64)),
-        ("buckets", Json::Arr(buckets)),
-    ])
-}
-
-fn hist_from_json(doc: &Json) -> Result<(String, Histogram), String> {
-    let name = doc
-        .get("name")
-        .and_then(Json::as_str)
-        .ok_or("histogram missing name")?
-        .to_string();
-    let sum = doc.get("sum").and_then(Json::as_f64).unwrap_or(0.0) as u128;
-    let min = doc.get("min").and_then(Json::as_f64).unwrap_or(0.0) as u64;
-    let max = doc.get("max").and_then(Json::as_f64).unwrap_or(0.0) as u64;
-    let mut buckets = Vec::new();
-    for b in doc
-        .get("buckets")
-        .and_then(Json::as_arr)
-        .ok_or("histogram missing buckets")?
-    {
-        let pair = b.as_arr().ok_or("bucket is not a pair")?;
-        if pair.len() != 2 {
-            return Err("bucket is not a pair".into());
-        }
-        let idx = pair[0].as_f64().ok_or("non-numeric bucket index")? as usize;
-        let count = pair[1].as_f64().ok_or("non-numeric bucket count")? as u64;
-        buckets.push((idx, count));
-    }
-    Ok((name, Histogram::from_sparse(&buckets, sum, min, max)))
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -807,12 +742,15 @@ mod tests {
         r.add_counter("cluster.merges", 99);
         r.add_counter("forest.trees", 30);
         r.add_counter("unprefixed", 1);
-        r.set_gauge("shap.samples_per_sec", 321.5);
+        r.set_gauge("cluster.condensed_bytes", 4096.0);
         r.record_span_parts("stage2_cluster".into(), Duration::from_millis(20));
         r.record_span_parts("stage2_cluster/condensed".into(), Duration::from_millis(5));
         r.record_span_parts("stage3_surrogate".into(), Duration::from_millis(10));
-        for v in [900u64, 1500, 2800, 4100] {
-            r.record_hist("shap.chunk_ns", v);
+        for ms in [1, 4, 2] {
+            r.record_span_parts(
+                "stage3_surrogate/shap_chunk".into(),
+                Duration::from_millis(ms),
+            );
         }
         r.snapshot()
     }
@@ -832,33 +770,30 @@ mod tests {
             .iter()
             .all(|s| !s.counters.contains_key("unprefixed")));
         assert_eq!(rep.counters["unprefixed"], 1);
-        // The build stamps the run's scale into the env block.
-        assert_eq!(rep.env.scale, 0.1);
+        assert_eq!(rep.scale, 0.1);
     }
 
     #[test]
-    fn json_round_trip_preserves_stages_counters_and_histograms() {
+    fn json_round_trip_preserves_stages_counters_and_spans() {
         let rep = BenchReport::build(&sample_snapshot(), "rt", 1.0);
         let back = BenchReport::parse(&rep.to_json().to_pretty()).unwrap();
         assert_eq!(back.run_id, "rt");
         assert_eq!(back.scale, 1.0);
         assert_eq!(back.counters, rep.counters);
         assert_eq!(back.gauges, rep.gauges);
-        assert_eq!(back.gauges["shap.samples_per_sec"], 321.5);
+        assert_eq!(back.gauges["cluster.condensed_bytes"], 4096.0);
         assert_eq!(back.stages.len(), rep.stages.len());
         for (a, b) in back.stages.iter().zip(&rep.stages) {
             assert_eq!(a.name, b.name);
             assert_eq!(a.counters, b.counters);
             assert!((a.wall_ms - b.wall_ms).abs() < 1e-6);
         }
-        // Histograms round-trip bit-exactly (buckets + exact aggregates).
-        assert_eq!(back.histograms, rep.histograms);
-        let h = &back.histograms["shap.chunk_ns"];
-        assert_eq!(h.count(), 4);
-        assert_eq!(h.min(), 900);
-        assert_eq!(h.max(), 4100);
-        // Env extras survive too.
-        assert_eq!(back.env.scale, rep.env.scale);
+        // Span rows round-trip calls, total wall and the p99 occurrence.
+        assert_eq!(back.spans, rep.spans);
+        let chunk = &back.spans["stage3_surrogate/shap_chunk"];
+        assert_eq!(chunk.calls, 3);
+        assert_eq!(chunk.wall, Duration::from_millis(7));
+        assert_eq!(chunk.p99, Duration::from_millis(4));
         assert_eq!(back.env.git_commit, rep.env.git_commit);
     }
 
@@ -1006,7 +941,6 @@ mod tests {
         // a different scale is a different workload, never a pair.
         let mut small = report_at_threads(1);
         small.scale = 0.05;
-        small.env.scale = 0.05;
         let mixed = BenchReportSet {
             reports: vec![small, report_at_threads(1)],
         };

@@ -306,8 +306,8 @@ mod tests {
         reg.disable();
         let snap = reg.snapshot();
         reg.reset();
-        assert_eq!(snap.spans["outer"].0, 1);
-        assert_eq!(snap.spans["outer/inner"].0, 2);
+        assert_eq!(snap.spans["outer"].calls, 1);
+        assert_eq!(snap.spans["outer/inner"].calls, 2);
     }
 
     #[test]

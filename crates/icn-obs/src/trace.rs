@@ -10,6 +10,7 @@
 //! registry epoch — which is exactly what the Chrome trace-event exporter
 //! ([`crate::chrome`]) and the span-tree shape tests need.
 
+use std::collections::BTreeMap;
 use std::time::Duration;
 
 /// An attribute value attached to a span (key = value pairs).
@@ -101,17 +102,53 @@ pub struct SpanData {
     pub events: Vec<SpanEvent>,
 }
 
+/// Every occurrence of one span path, aggregated: one row of a report's
+/// `spans` table.
+#[derive(Clone, Copy, Debug, Default, PartialEq, Eq)]
+pub struct SpanStats {
+    /// Number of occurrences.
+    pub calls: u64,
+    /// Total wall time over all occurrences.
+    pub wall: Duration,
+    /// The 99th-percentile occurrence wall: exactly the
+    /// `clamp(⌈0.99·calls⌉, 1, calls)`-th smallest, so the largest for
+    /// up to 99 calls and the 99th smallest of 100.
+    pub p99: Duration,
+}
+
+/// Aggregates span occurrences by path: calls, total wall and the exact
+/// p99 occurrence wall (see [`SpanStats::p99`]).
+pub(crate) fn span_stats(span_tree: &[SpanData]) -> BTreeMap<String, SpanStats> {
+    let mut walls: BTreeMap<&str, Vec<Duration>> = BTreeMap::new();
+    for s in span_tree {
+        walls.entry(&s.path).or_default().push(s.wall);
+    }
+    walls
+        .into_iter()
+        .map(|(path, mut w)| {
+            let calls = w.len();
+            let wall = w.iter().sum();
+            // ⌈0.99·calls⌉ in integers, so no float rounding moves the rank.
+            let rank = (calls * 99).div_ceil(100).clamp(1, calls);
+            let p99 = *w.select_nth_unstable(rank - 1).1;
+            let stats = SpanStats {
+                calls: calls as u64,
+                wall,
+                p99,
+            };
+            (path.to_string(), stats)
+        })
+        .collect()
+}
+
 /// Aggregates per-occurrence *self* allocation attribution by span path:
 /// `path → (self bytes, self allocs, max peak growth)`. Because every
 /// occurrence carries self (not cumulative) figures — cross-thread
 /// children subtract nothing from their dispatcher — a path's cumulative
 /// bytes are simply the sum of self bytes over its subtree, which the
 /// treetable renderers compute by path prefix.
-pub(crate) fn alloc_by_path(
-    span_tree: &[SpanData],
-) -> std::collections::BTreeMap<String, (u64, u64, u64)> {
-    let mut out: std::collections::BTreeMap<String, (u64, u64, u64)> =
-        std::collections::BTreeMap::new();
+pub(crate) fn alloc_by_path(span_tree: &[SpanData]) -> BTreeMap<String, (u64, u64, u64)> {
+    let mut out: BTreeMap<String, (u64, u64, u64)> = BTreeMap::new();
     for s in span_tree {
         let e = out.entry(s.path.clone()).or_insert((0, 0, 0));
         e.0 += s.alloc_bytes;
@@ -122,27 +159,26 @@ pub(crate) fn alloc_by_path(
 }
 
 /// Computes per-path self time (total wall minus the wall of direct
-/// children) from the v1-style path aggregation. Returns
+/// children) from the path aggregation. Returns
 /// `path → (calls, total, self)` in path order. Self time is clamped at
 /// zero: concurrent children (worker spans adopted from several threads)
 /// can legitimately sum to more wall time than their parent.
 pub(crate) fn self_times(
-    spans: &std::collections::BTreeMap<String, (u64, Duration)>,
-) -> std::collections::BTreeMap<String, (u64, Duration, Duration)> {
-    let mut child_sum: std::collections::BTreeMap<&str, Duration> =
-        std::collections::BTreeMap::new();
-    for (path, &(_, wall)) in spans {
+    spans: &BTreeMap<String, SpanStats>,
+) -> BTreeMap<String, (u64, Duration, Duration)> {
+    let mut child_sum: BTreeMap<&str, Duration> = BTreeMap::new();
+    for (path, s) in spans {
         if let Some(cut) = path.rfind('/') {
             let parent = &path[..cut];
-            *child_sum.entry(parent).or_default() += wall;
+            *child_sum.entry(parent).or_default() += s.wall;
         }
     }
     spans
         .iter()
-        .map(|(path, &(calls, wall))| {
+        .map(|(path, s)| {
             let children = child_sum.get(path.as_str()).copied().unwrap_or_default();
-            let own = wall.saturating_sub(children);
-            (path.clone(), (calls, wall, own))
+            let own = s.wall.saturating_sub(children);
+            (path.clone(), (s.calls, s.wall, own))
         })
         .collect()
 }
@@ -150,15 +186,22 @@ pub(crate) fn self_times(
 #[cfg(test)]
 mod tests {
     use super::*;
-    use std::collections::BTreeMap;
+
+    fn stats(calls: u64, wall_ms: u64) -> SpanStats {
+        SpanStats {
+            calls,
+            wall: Duration::from_millis(wall_ms),
+            p99: Duration::ZERO,
+        }
+    }
 
     #[test]
     fn self_time_subtracts_direct_children() {
-        let mut spans: BTreeMap<String, (u64, Duration)> = BTreeMap::new();
-        spans.insert("a".into(), (1, Duration::from_millis(100)));
-        spans.insert("a/b".into(), (2, Duration::from_millis(60)));
-        spans.insert("a/b/c".into(), (2, Duration::from_millis(10)));
-        spans.insert("d".into(), (1, Duration::from_millis(5)));
+        let mut spans: BTreeMap<String, SpanStats> = BTreeMap::new();
+        spans.insert("a".into(), stats(1, 100));
+        spans.insert("a/b".into(), stats(2, 60));
+        spans.insert("a/b/c".into(), stats(2, 10));
+        spans.insert("d".into(), stats(1, 5));
         let t = self_times(&spans);
         assert_eq!(t["a"].2, Duration::from_millis(40));
         assert_eq!(t["a/b"].2, Duration::from_millis(50));
@@ -168,15 +211,19 @@ mod tests {
 
     #[test]
     fn concurrent_children_clamp_to_zero_self() {
-        let mut spans: BTreeMap<String, (u64, Duration)> = BTreeMap::new();
-        spans.insert("p".into(), (1, Duration::from_millis(10)));
+        let mut spans: BTreeMap<String, SpanStats> = BTreeMap::new();
+        spans.insert("p".into(), stats(1, 10));
         // 4 workers x 8ms wall under a 10ms parent: self clamps to 0.
-        spans.insert("p/w".into(), (4, Duration::from_millis(32)));
+        spans.insert("p/w".into(), stats(4, 32));
         let t = self_times(&spans);
         assert_eq!(t["p"].2, Duration::ZERO);
     }
 
     fn span_at(path: &str, alloc_bytes: u64, allocs: u64, peak: u64) -> SpanData {
+        timed(path, Duration::ZERO, alloc_bytes, allocs, peak)
+    }
+
+    fn timed(path: &str, wall: Duration, alloc_bytes: u64, allocs: u64, peak: u64) -> SpanData {
         SpanData {
             id: 1,
             parent: None,
@@ -184,7 +231,7 @@ mod tests {
             path: path.into(),
             thread: 0,
             start: Duration::ZERO,
-            wall: Duration::ZERO,
+            wall,
             alloc_bytes,
             allocs,
             peak_growth_bytes: peak,
@@ -207,5 +254,35 @@ mod tests {
         // growth — peaks are high-water marks, not additive.
         assert_eq!(agg["a/b"], (50, 2, 40));
         assert_eq!(agg["c"], (0, 0, 0));
+    }
+
+    #[test]
+    fn p99_is_the_exact_rank_of_the_occurrence_walls() {
+        let tree = |path: &str, walls_ms: &[u64]| -> Vec<SpanData> {
+            walls_ms
+                .iter()
+                .map(|&ms| timed(path, Duration::from_millis(ms), 0, 0, 0))
+                .collect()
+        };
+        // 3 occurrences: ⌈2.97⌉ = 3, the largest.
+        let three = span_stats(&tree("a", &[7, 30, 2]));
+        assert_eq!(three["a"].calls, 3);
+        assert_eq!(three["a"].wall, Duration::from_millis(39));
+        assert_eq!(three["a"].p99, Duration::from_millis(30));
+        // 100 occurrences, walls 1..=100 ms in scrambled order: ⌈99⌉ = 99,
+        // the 99th smallest, not the largest.
+        let walls: Vec<u64> = (1..=100).map(|i| (i * 37) % 100 + 1).collect();
+        let hundred = span_stats(&tree("b", &walls));
+        assert_eq!(hundred["b"].p99, Duration::from_millis(99));
+        // 101 occurrences: ⌈99.99⌉ = 100, one below the largest.
+        let mut walls: Vec<u64> = (1..=101).collect();
+        walls.reverse();
+        assert_eq!(
+            span_stats(&tree("c", &walls))["c"].p99,
+            Duration::from_millis(100)
+        );
+        // One occurrence: its own wall.
+        let one = span_stats(&tree("d", &[5]));
+        assert_eq!(one["d"].p99, one["d"].wall);
     }
 }

@@ -863,7 +863,6 @@ pub fn forest_shap_batch_soa(forest: &SoaForest, x: &Matrix) -> Vec<Matrix> {
     assert_eq!(x.cols(), forest.n_features, "feature mismatch");
     let _span = icn_obs::Span::enter("shap_batch");
     let obs = icn_obs::global();
-    let started = obs.is_enabled().then(std::time::Instant::now);
 
     let n = x.rows();
     let (nf, nc) = (forest.n_features, forest.n_classes);
@@ -885,7 +884,6 @@ pub fn forest_shap_batch_soa(forest: &SoaForest, x: &Matrix) -> Vec<Matrix> {
         let mut chunk_span = icn_obs::Span::enter("shap_chunk");
         chunk_span.attr("start", rows.start as u64);
         chunk_span.attr("samples", rows.len() as u64);
-        let chunk_t0 = chunk_span.path().is_some().then(std::time::Instant::now);
         // At most `workers` chunks run at once, so the pool never runs dry.
         let mut scratch = pool
             .lock()
@@ -898,9 +896,6 @@ pub fn forest_shap_batch_soa(forest: &SoaForest, x: &Matrix) -> Vec<Matrix> {
             .expect("shap scratch pool poisoned")
             .push(scratch);
         states.fetch_add(derived, Ordering::Relaxed);
-        if let Some(t0) = chunk_t0 {
-            obs.record_hist("shap.chunk_ns", t0.elapsed().as_nanos() as u64);
-        }
     });
 
     // One flush for the whole batch. The walk a sample would take alone
@@ -916,12 +911,6 @@ pub fn forest_shap_batch_soa(forest: &SoaForest, x: &Matrix) -> Vec<Matrix> {
     obs.add_counter("shap.tree_walks", (n * forest.trees.len()) as u64);
     obs.add_counter("shap.node_visits", (n * visits) as u64);
     obs.add_counter("shap.walk_states", states.into_inner());
-    if let Some(t0) = started {
-        let secs = t0.elapsed().as_secs_f64();
-        if secs > 0.0 {
-            obs.set_gauge("shap.samples_per_sec", n as f64 / secs);
-        }
-    }
 
     // `flat` is `[sample][feature][class]`, so every `nc`-th value from `c`
     // on is class `c`'s `samples × features` matrix in row-major order.

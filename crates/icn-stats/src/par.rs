@@ -575,7 +575,7 @@ mod tests {
         let snap = reg.snapshot();
         reg.reset();
         // Worker spans landed under the dispatching span, never as roots.
-        assert_eq!(snap.spans["dispatch/work"].0, 64);
+        assert_eq!(snap.spans["dispatch/work"].calls, 64);
         assert!(!snap.spans.contains_key("work"));
         let dispatch = snap
             .span_tree

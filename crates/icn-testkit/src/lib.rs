@@ -8,9 +8,9 @@
 //!
 //! * `oracle` — **differential oracles**: small, obviously-correct naive
 //!   reference implementations (per-cell RCA/RSCA, O(n³) greedy Ward,
-//!   brute-force silhouette/Dunn, per-sample SHAP recomputation, sort-based
-//!   histogram quantiles, Gini importance) that the optimized paths are
-//!   compared against over seeded random inputs.
+//!   brute-force silhouette/Dunn, per-sample SHAP recomputation, Gini
+//!   importance) that the optimized paths are compared against over seeded
+//!   random inputs.
 //! * `metamorphic` — **metamorphic invariants**: input-transformation helpers
 //!   (row/column permutations, uniform row rescales, label relabelings) plus
 //!   the partition/equivalence predicates that assert the pipeline commutes
@@ -59,8 +59,8 @@ pub use metamorphic::{
     permute_rows, permute_slice, same_partition, scale_rows,
 };
 pub use oracle::{
-    gini_importance, hist_of, naive_accuracy, naive_agglomerate, naive_ari, naive_dunn,
-    naive_forest_shap, naive_nmi, naive_predict_batch, naive_predict_proba, naive_rca, naive_rsca,
-    naive_silhouette, naive_tree_shap, per_sample_shap_batch, sort_quantile,
+    gini_importance, naive_accuracy, naive_agglomerate, naive_ari, naive_dunn, naive_forest_shap,
+    naive_nmi, naive_predict_batch, naive_predict_proba, naive_rca, naive_rsca, naive_silhouette,
+    naive_tree_shap, per_sample_shap_batch,
 };
 pub use shap_walk::{walk_forest_shap, walk_tree_shap};

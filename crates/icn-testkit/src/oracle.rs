@@ -232,37 +232,6 @@ pub fn naive_nmi(labels_a: &[usize], labels_b: &[usize]) -> f64 {
     }
 }
 
-/// Sort-based quantile oracle for [`icn_obs::Histogram`].
-///
-/// The histogram promises *exact* rank selection at bucket resolution:
-/// `quantile(q)` must equal the bucket floor of the bucket containing the
-/// `clamp(⌈q·n⌉, 1, n)`-th smallest sample. This oracle restates that
-/// contract directly — sort the raw samples, pick the ranked one, round it
-/// down through the same bucket layout — so a differential test over
-/// random samples catches any drift in the cumulative-walk implementation
-/// (off-by-one ranks, boundary buckets, saturation).
-///
-/// Panics on an empty sample set: the quantile of nothing is a test bug,
-/// not a value.
-pub fn sort_quantile(samples: &[u64], q: f64) -> u64 {
-    assert!(!samples.is_empty(), "sort_quantile: no samples");
-    let mut sorted = samples.to_vec();
-    sorted.sort_unstable();
-    let rank = icn_obs::Histogram::quantile_rank(sorted.len() as u64, q);
-    let v = sorted[(rank - 1) as usize];
-    icn_obs::Histogram::bucket_floor(icn_obs::Histogram::bucket_index(v))
-}
-
-/// Builds a histogram from raw samples (convenience for differential and
-/// metamorphic histogram tests).
-pub fn hist_of(samples: &[u64]) -> icn_obs::Histogram {
-    let mut h = icn_obs::Histogram::new();
-    for &v in samples {
-        h.record(v);
-    }
-    h
-}
-
 /// Per-sample forest prediction, one row at a time (oracle for the
 /// parallel `predict_batch`).
 pub fn naive_predict_batch(forest: &RandomForest, x: &Matrix) -> Vec<usize> {

@@ -11,18 +11,18 @@
 //! icn testkit  [--bless]                        # golden-snapshot check / regeneration
 //! icn obs diff a.json b.json                    # gate report b against baseline a
 //! icn obs top  report.json                      # self-time treetable of a report
-//! icn obs mem  report.json                      # allocation treetable of a v3 report
+//! icn obs mem  report.json                      # allocation treetable of a report
 //! ```
 //!
 //! `icn run` is an alias of `icn study`. `--metrics-out <path>` writes an
-//! `icn-obs/v3` BenchReport, `--trace-out <path>` a Chrome trace-event
+//! `icn-obs/v4` BenchReport, `--trace-out <path>` a Chrome trace-event
 //! JSON (open in `chrome://tracing` or Perfetto); either flag enables the
 //! observability registry for the run. `--mem-budget-mb <n>` additionally
 //! enforces a ceiling on the allocator window peak — a breached budget
 //! exits with status 3 after the report (with its stamped verdict) is
 //! written. A dataset whose totals matrices alone exceed the budget is
 //! refused before generation, also with status 3. `icn obs mem
-//! report.json` prints the per-span allocation treetable of a v3 report.
+//! report.json` prints the per-span allocation treetable of a report.
 //!
 //! Flags are parsed by hand (the workspace deliberately avoids extra
 //! dependencies); an unknown flag or a missing or bad value exits with
@@ -576,7 +576,7 @@ fn usage_and_exit(bad: Option<&str>) -> ! {
          --out <dir>    export directory (generate)\n  \
          --bless        regenerate golden snapshots instead of checking (testkit)\n  \
          --golden-dir <dir>  golden snapshot directory (testkit, default tests/golden)\n  \
-         --metrics-out <path>  write an icn-obs/v3 benchmark report (JSON)\n  \
+         --metrics-out <path>  write an icn-obs/v4 benchmark report (JSON)\n  \
          --mem-budget-mb <n>  enforce a ceiling on the run's allocator peak; a breach\n                 \
          stamps the report verdict and exits with status 3 (before generation when\n                 \
          the dataset's totals matrices alone exceed it)\n  \

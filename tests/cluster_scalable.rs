@@ -122,8 +122,8 @@ fn sampled_path_never_materializes_full_condensed() {
         "condensed allocation {gauge} B is suspiciously close to the full \
          matrix's {full_bytes} B — did the sampled path degrade to exact?"
     );
-    // The assignment stage must have metered the non-sample rows.
-    assert!(snap.histograms.contains_key("cluster.assign_ns"));
+    // The assignment stage must have run over the non-sample rows.
+    assert!(snap.spans.contains_key("sampled_ward/assign"));
     assert_eq!(sw.labels.len(), n);
     assert!(sw.labels.iter().all(|&l| l < 6));
 }

@@ -254,7 +254,7 @@ fn icn(args: &[&str], envs: &[(&str, &str)]) -> std::process::Output {
 }
 
 /// `--mem-budget-mb` end to end: a generous budget passes (exit 0,
-/// verdict "ok" stamped into the v3 report), a 1 MiB budget breaches
+/// verdict "ok" stamped into the report), a 1 MiB budget breaches
 /// (exit 3 — but only after the report is written, verdict "breached"),
 /// and `icn obs mem` renders the byte treetable from the written report.
 #[test]
@@ -283,7 +283,7 @@ fn cli_mem_budget_gate_and_obs_mem_render() {
     );
     let report = icn_obs::BenchReport::parse(&std::fs::read_to_string(&ok_path).unwrap())
         .expect("parse ok report");
-    let mem_section = report.memory.as_ref().expect("v3 memory section");
+    let mem_section = report.memory.as_ref().expect("memory section");
     assert_eq!(mem_section.budget_mb, Some(4096));
     assert_eq!(mem_section.budget_verdict.as_deref(), Some("ok"));
     assert!(!mem_section.breached());

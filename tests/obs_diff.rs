@@ -5,8 +5,8 @@
 //!
 //! The fixtures are real reports: `bench_smoke005.json` is a recorded
 //! `icn run --scale 0.05` and `bench_regression_fixture.json` is the same
-//! report with stage3's wall tripled and the `shap.chunk_ns` histogram
-//! shifted four octaves up — the two metric kinds the gate must catch.
+//! report with stage3's wall tripled and the `shap_chunk` span's p99
+//! occurrence 16x longer — the two metric kinds the gate must catch.
 
 use icn_repro::icn_obs::{diff_reports, BenchReport, BenchReportSet, DiffStatus, DiffThresholds};
 use std::process::Command;
@@ -30,8 +30,8 @@ fn doctored_regression_fixture_fails_the_gate() {
     let b = load("bench_regression_fixture.json");
     let report = diff_reports(&a, &b, &DiffThresholds::default());
     assert!(report.failures() > 0, "regression fixture slipped through");
-    // Both the wall regression and the histogram regression must be
-    // caught independently.
+    // Both the stage wall regression and the per-task p99 regression must
+    // be caught independently.
     let failed: Vec<&str> = report
         .lines
         .iter()
@@ -39,12 +39,12 @@ fn doctored_regression_fixture_fails_the_gate() {
         .map(|l| l.metric.as_str())
         .collect();
     assert!(
-        failed.iter().any(|m| m.contains("stage3_surrogate")),
+        failed.contains(&"stage:stage3_surrogate wall_ms"),
         "stage3 wall regression missed: {failed:?}"
     );
     assert!(
-        failed.iter().any(|m| m.contains("shap.chunk_ns")),
-        "shap.chunk_ns p99 regression missed: {failed:?}"
+        failed.contains(&"span:stage3_surrogate/shap_batch/shap_chunk p99_ms"),
+        "shap_chunk p99 regression missed: {failed:?}"
     );
 }
 
@@ -131,6 +131,69 @@ fn cli_rejects_deeply_nested_reports() {
     assert!(stderr.contains("cannot parse"), "{stderr}");
 }
 
+/// A span row whose `calls`, `wall_ms` or `p99_ms` is missing, negative
+/// or not finite — or a time too large for a duration — is a parse error
+/// (exit 1) for every `icn obs` command, not a panic or a silent zero.
+#[test]
+fn cli_rejects_span_times_a_report_cannot_hold() {
+    let golden = format!(
+        "{}/tests/golden/bench_smoke005.json",
+        env!("CARGO_MANIFEST_DIR")
+    );
+    let path = std::env::temp_dir().join("icn_obs_bad_span_time.json");
+    let report_with_span = |row: &str| {
+        format!(
+            r#"{{"schema": "icn-obs/v4", "run_id": "icn-run", "scale": 0.05,
+                "env": {{"threads": 1}}, "stages": [],
+                "spans": [{{"path": "stage3_surrogate", {row}}}],
+                "counters": {{}}, "gauges": {{}}}}"#
+        )
+    };
+    let obs = |cmd: &[&str]| {
+        Command::new(env!("CARGO_BIN_EXE_icn"))
+            .arg("obs")
+            .args(cmd)
+            .arg(&path)
+            .output()
+            .expect("spawn icn")
+    };
+    // The same document with a well-formed row parses.
+    let good = r#""calls": 1, "wall_ms": 12.5, "p99_ms": 12.5"#;
+    std::fs::write(&path, report_with_span(good)).expect("write fixture");
+    assert!(obs(&["top"]).status.success(), "well-formed row rejected");
+    for key in ["calls", "wall_ms", "p99_ms"] {
+        let mut values = vec![None, Some("-1"), Some("1e999"), Some("null")];
+        if key != "calls" {
+            values.push(Some("1e300")); // ms beyond any Duration
+        }
+        for value in values {
+            let row = [("calls", "1"), ("wall_ms", "12.5"), ("p99_ms", "12.5")]
+                .iter()
+                .filter_map(|&(k, v)| {
+                    let v = if k == key { value? } else { v };
+                    Some(format!(r#""{k}": {v}"#))
+                })
+                .collect::<Vec<_>>()
+                .join(", ");
+            std::fs::write(&path, report_with_span(&row)).expect("write fixture");
+            for cmd in [&["top"][..], &["mem"], &["diff", golden.as_str()]] {
+                let out = obs(cmd);
+                let stderr = String::from_utf8_lossy(&out.stderr);
+                assert_eq!(
+                    out.status.code(),
+                    Some(1),
+                    "obs {cmd:?} with {key} = {value:?}: {stderr}"
+                );
+                assert!(
+                    stderr.contains("cannot parse"),
+                    "{key} = {value:?}: {stderr}"
+                );
+            }
+        }
+    }
+    let _ = std::fs::remove_file(&path);
+}
+
 /// The memory fixtures: `bench_mem_smoke.json` is a recorded
 /// metered `icn run --scale 0.05` (ICN_THREADS=1) and the regression
 /// fixture is the same report with the allocator peak (and VmHWM)
@@ -141,15 +204,19 @@ fn v3_memory_report_round_trips_and_self_diffs_clean() {
     let mem = a
         .memory
         .as_ref()
-        .expect("v3 golden carries a memory section");
+        .expect("memory golden carries a memory section");
     assert!(mem.peak_bytes > 0);
     assert!(!mem.spans.is_empty(), "span attribution missing");
     // Round trip through render + parse preserves the memory section.
     let text = a.to_json().to_pretty();
-    let back = BenchReport::parse(&text).expect("re-parse rendered v3");
+    let back = BenchReport::parse(&text).expect("re-parse rendered report");
     assert_eq!(back.memory, a.memory);
     let report = diff_reports(&a, &a, &DiffThresholds::default());
-    assert!(report.passed(), "v3 self-diff failed:\n{}", report.render());
+    assert!(
+        report.passed(),
+        "memory self-diff failed:\n{}",
+        report.render()
+    );
 }
 
 #[test]
@@ -177,7 +244,7 @@ fn doctored_peak_fixture_fails_the_asymmetric_peak_gate() {
 
 /// A baseline without a memory section diffs against a counted candidate
 /// (and vice versa) as an informational line, never a failure — such
-/// baselines keep gating wall and histograms unchanged.
+/// baselines keep gating walls and span p99s unchanged.
 #[test]
 fn missing_memory_section_diffs_informationally() {
     let plain = load("bench_smoke005.json");

@@ -92,11 +92,6 @@ fn disabled_registry_records_nothing() {
         "span tree leaked {} spans",
         snap.span_tree.len()
     );
-    assert!(
-        snap.histograms.is_empty(),
-        "histograms leaked: {:?}",
-        snap.histograms.keys()
-    );
     // The span handoff must also be inert while disabled, or worker
     // threads would pay for clone+adopt on every parallel section.
     assert!(
