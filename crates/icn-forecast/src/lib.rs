@@ -23,11 +23,11 @@
 //!   flag nothing on the signal-free control.
 //!
 //! Everything is deterministic and bit-identical at any `ICN_THREADS`:
-//! the hourly cube and the cluster medians are in-place parallel fills
-//! (`par::fill_chunks`, `par::fill_blocks`: each output element written
-//! by exactly one chunk), and the rest is order-preserving
-//! `par::map_indexed` — over the weight tables, per-tree forest fitting,
-//! the per-cluster model/detector work in [`forecast_series`], and the
+//! the hourly cube, the cluster medians and the per-tree forest fits are
+//! in-place parallel fills (`par::fill_chunks`, `par::fill_blocks`: each
+//! output element written by exactly one chunk), and the rest is
+//! order-preserving `par::map_indexed` — over the weight tables, the
+//! per-cluster model/detector work in [`forecast_series`], and the
 //! per-(origin × model) refits inside the rolling backtest (whose error
 //! accumulation stays serial in origin order, so scores never depend on
 //! the thread count).

@@ -8,7 +8,7 @@
 //! distributions, and an out-of-bag error estimate.
 
 use crate::data::TrainSet;
-use crate::tree::{DecisionTree, MaxFeatures, TreeConfig};
+use crate::tree::{DecisionTree, MaxFeatures, RankTable, TreeConfig};
 use icn_stats::{par, Matrix, Rng};
 
 /// Forest hyper-parameters.
@@ -56,15 +56,25 @@ impl RandomForest {
         assert!(cfg.n_trees >= 1, "RandomForest: need at least one tree");
         let _span = icn_obs::Span::enter("forest_fit");
         let root = Rng::seed_from(cfg.seed);
-        let results: Vec<(DecisionTree, Vec<usize>)> = par::map_indexed(cfg.n_trees, |t| {
+        // One rank table serves every node of every tree.
+        let ranks = RankTable::build(ts);
+        // One work item per tree: tree costs vary with the bootstrap, and
+        // a forest has few trees per worker to balance them over.
+        let mut fitted: Vec<Option<(DecisionTree, Vec<usize>)>> = vec![None; cfg.n_trees];
+        par::fill_chunks(&mut fitted, 1, |range, slot| {
+            let t = range.start;
             let mut tree_span = icn_obs::Span::enter("fit_tree");
             tree_span.attr("tree", t as u64);
             let mut rng = root.fork(t as u64);
             let (in_bag, oob) = ts.bootstrap(&mut rng);
-            let tree = DecisionTree::fit(ts, &in_bag, &cfg.tree, &mut rng);
+            let tree = DecisionTree::fit_ranked(ts, &ranks, &in_bag, &cfg.tree, &mut rng);
             tree_span.attr("nodes", tree.nodes.len() as u64);
-            (tree, oob)
+            slot[0] = Some((tree, oob));
         });
+        let results: Vec<(DecisionTree, Vec<usize>)> = fitted
+            .into_iter()
+            .map(|r| r.expect("every tree fitted"))
+            .collect();
         let obs = icn_obs::global();
         if obs.is_enabled() {
             obs.add_counter("forest.trees", results.len() as u64);

@@ -9,7 +9,8 @@
 //! * [`TrainSet`] — labelled training sets, bootstrap sampling, [`gini`]
 //!   impurity.
 //! * [`DecisionTree`] — CART decision trees with public flat node layout
-//!   (cover + class distribution per node, as TreeSHAP requires).
+//!   (cover + class distribution per node, as TreeSHAP requires), grown
+//!   by a split search that sorts integer value ranks, never floats.
 //! * [`RandomForest`] — bagging, √M feature subsampling, soft voting, OOB
 //!   error, deterministic parallel training.
 //! * [`accuracy`] — the surrogate-fidelity score (confusion matrices and

@@ -8,7 +8,7 @@
 //! of absent features.
 
 use crate::data::{gini, TrainSet};
-use icn_stats::Rng;
+use icn_stats::{par, Rng};
 
 /// How many features a split may consider.
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
@@ -94,8 +94,21 @@ pub struct DecisionTree {
 
 impl DecisionTree {
     /// Fits a tree on the rows `rows` of `ts` (duplicates allowed — pass a
-    /// bootstrap sample for forests, or `0..n` for a plain tree).
+    /// bootstrap sample for forests, or `0..n` for a plain tree). Ranks
+    /// every feature of `ts` first; a forest ranks once for all its trees.
     pub fn fit(ts: &TrainSet, rows: &[usize], cfg: &TreeConfig, rng: &mut Rng) -> DecisionTree {
+        DecisionTree::fit_ranked(ts, &RankTable::build(ts), rows, cfg, rng)
+    }
+
+    /// [`DecisionTree::fit`] over a prebuilt rank table of `ts`. Flushes
+    /// the tree's split-search counters when the registry is metering.
+    pub(crate) fn fit_ranked(
+        ts: &TrainSet,
+        ranks: &RankTable,
+        rows: &[usize],
+        cfg: &TreeConfig,
+        rng: &mut Rng,
+    ) -> DecisionTree {
         assert!(!rows.is_empty(), "DecisionTree::fit: empty row set");
         let mut tree = DecisionTree {
             nodes: Vec::new(),
@@ -104,20 +117,31 @@ impl DecisionTree {
         };
         let mut rows_scratch = rows.to_vec();
         let mut scratch = FitScratch {
-            pairs: Vec::with_capacity(rows.len()),
-            left: vec![0.0; ts.n_classes],
-            right: vec![0.0; ts.n_classes],
+            keys: Vec::with_capacity(rows.len()),
+            radix: Vec::with_capacity(rows.len()),
+            candidates: Vec::with_capacity(ts.num_features()),
+            left: vec![0; ts.n_classes],
+            right: vec![0; ts.n_classes],
             part: Vec::with_capacity(rows.len()),
+            boundaries: 0,
+            exact_scores: 0,
         };
-        tree.grow(ts, &mut rows_scratch, 0, cfg, rng, &mut scratch);
+        tree.grow(ts, ranks, &mut rows_scratch, 0, cfg, rng, &mut scratch);
+        let obs = icn_obs::global();
+        if obs.is_enabled() {
+            obs.add_counter("forest.split_boundaries", scratch.boundaries);
+            obs.add_counter("forest.exact_scores", scratch.exact_scores);
+        }
         tree
     }
 
     /// Recursively grows the subtree over `rows` (which it may reorder) and
     /// returns the index of the created node.
+    #[allow(clippy::too_many_arguments)] // the recursion threads every input through
     fn grow(
         &mut self,
         ts: &TrainSet,
+        ranks: &RankTable,
         rows: &mut [usize],
         depth: usize,
         cfg: &TreeConfig,
@@ -142,19 +166,22 @@ impl DecisionTree {
             return node_idx;
         }
 
-        let Some((feature, threshold)) = best_split(ts, rows, &counts, cfg, rng, scratch) else {
+        let Some((feature, threshold)) = best_split(ts, ranks, rows, &counts, cfg, rng, scratch)
+        else {
             return node_idx;
         };
 
         // Partition rows in place around the threshold (stable, via the
-        // reused scratch buffer).
+        // reused scratch buffer). The test reads values, never ranks: the
+        // midpoint of two adjacent doubles can round to one of them, and
+        // the fitted tree is defined by what `x <= threshold` does.
         let mid = partition_into(rows, &mut scratch.part, |&r| {
             ts.x.get(r, feature) <= threshold
         });
         debug_assert!(mid > 0 && mid < rows.len(), "degenerate split survived");
         let (left_rows, right_rows) = rows.split_at_mut(mid);
-        let left = self.grow(ts, left_rows, depth + 1, cfg, rng, scratch);
-        let right = self.grow(ts, right_rows, depth + 1, cfg, rng, scratch);
+        let left = self.grow(ts, ranks, left_rows, depth + 1, cfg, rng, scratch);
+        let right = self.grow(ts, ranks, right_rows, depth + 1, cfg, rng, scratch);
         let node = &mut self.nodes[node_idx];
         node.feature = feature;
         node.threshold = threshold;
@@ -204,17 +231,85 @@ impl DecisionTree {
     }
 }
 
-/// Reusable per-fit scratch buffers: one allocation set per tree instead
-/// of one per node (or per candidate feature, for `left`/`right`).
+/// Dense per-feature value ranks of every row of a training set, stored
+/// feature-major (`ranks[f · n + r]`, 4·N·M bytes): ranks ascend with the
+/// value, and equal values — `-0.0` and `0.0` included — share one. The
+/// split search sorts and compares these integers instead of floats, so
+/// a forest builds the table once and every node of every tree reads it.
+pub(crate) struct RankTable {
+    ranks: Vec<u32>,
+    rows: usize,
+}
+
+impl RankTable {
+    /// Ranks every column of `ts.x` (one sort per feature, features in
+    /// parallel, filled in place).
+    pub(crate) fn build(ts: &TrainSet) -> RankTable {
+        let n = ts.len();
+        assert!(u32::try_from(n).is_ok(), "RankTable: more than 2^32 rows");
+        let mut ranks = vec![0u32; n * ts.num_features()];
+        par::fill_chunks(&mut ranks, n, |range, column| {
+            let f = range.start / n;
+            let mut order: Vec<(f64, u32)> = (0..n).map(|r| (ts.x.get(r, f), r as u32)).collect();
+            order.sort_unstable_by(|a, b| a.0.partial_cmp(&b.0).expect("finite features"));
+            let mut rank = 0u32;
+            let mut prev = order[0].0;
+            for &(v, r) in &order {
+                if v != prev {
+                    rank += 1;
+                    prev = v;
+                }
+                column[r as usize] = rank;
+            }
+        });
+        RankTable { ranks, rows: n }
+    }
+
+    /// The ranks of feature `f`, indexed by row.
+    fn column(&self, f: usize) -> &[u32] {
+        &self.ranks[f * self.rows..(f + 1) * self.rows]
+    }
+}
+
+/// Nodes with at least this many rows sort their keys with an LSD radix
+/// on the rank bits; smaller ones call `sort_unstable`. On rank spans of
+/// 200–1,193 the two tie near 96 keys, and from 128 keys up the radix is
+/// 1.1–1.7× faster; below that its histogram passes cost more than the
+/// comparisons they save.
+const RADIX_MIN_ROWS: usize = 128;
+
+/// Widest radix digit, in bits: 256 buckets stay in L1, and any node's
+/// rank span (< 2^32) takes at most four passes.
+const RADIX_DIGIT_BITS: u32 = 8;
+
+/// Slack of the integer Gini pre-filter. A boundary is skipped only when
+/// its exact score exceeds the score it must beat (the best so far, or
+/// the parent's Gini less 1e-12) by more than this.
+/// The float expression rounds each score by at most ~(classes + 14)·2⁻⁵³
+/// (under 4e-15 at 16 classes), five orders of magnitude below the
+/// margin, so a skipped boundary could never have won the float
+/// comparison.
+const PREFILTER_MARGIN: f64 = 1e-9;
+
+/// Reusable per-fit scratch buffers and split-search tallies: one
+/// allocation set per tree instead of one per node or candidate feature.
 struct FitScratch {
-    /// (value, label) pairs sorted per candidate feature.
-    pairs: Vec<(f64, usize)>,
+    /// `rank << 32 | row` keys of the node, sorted per candidate feature.
+    keys: Vec<u64>,
+    /// The radix sort's ping-pong buffer.
+    radix: Vec<u64>,
+    /// Candidate feature indices (a partial Fisher–Yates per node).
+    candidates: Vec<usize>,
     /// Left-child class counts during the threshold scan.
-    left: Vec<f64>,
+    left: Vec<u32>,
     /// Right-child class counts during the threshold scan.
-    right: Vec<f64>,
+    right: Vec<u32>,
     /// Stable-partition buffer.
     part: Vec<usize>,
+    /// Distinct-value boundaries that passed `min_samples_leaf`.
+    boundaries: u64,
+    /// Boundaries the pre-filter could not rule out, scored in floats.
+    exact_scores: u64,
 }
 
 /// Finds the impurity-minimising `(feature, threshold)` over a random
@@ -224,82 +319,169 @@ struct FitScratch {
 /// `parent_counts` must be `ts.class_counts(rows)` (the caller already has
 /// it from the node's distribution).
 ///
-/// The threshold scan is the fit's hot loop and is written for speed
-/// without changing a single result bit:
+/// No float is sorted or compared to find a boundary, yet every result
+/// bit matches the per-node sort-and-scan this replaced
+/// (`icn_testkit::sort_scan_tree_fit`):
 ///
-/// * the per-feature sort is `sort_unstable_by` — tie order among equal
-///   feature values is irrelevant because scores are only evaluated at
-///   *distinct-value* boundaries, where the left/right class counts are
-///   exact integers determined by the value multiset alone;
-/// * the left and right Gini impurities are fused into one lane-widened
-///   pass with four independent accumulator chains (`p_l`, `p_r` products
-///   into `sl`, `sr`); each side keeps the exact per-class op order of
-///   [`gini`], and the totals it would recompute (`n_left`, `n_right`) are
-///   exact small integers, so every score is bit-identical to the
-///   two-call form.
+/// * per candidate feature the node's rows become `rank << 32 | row`
+///   keys from the [`RankTable`], sorted by rank (LSD radix at
+///   [`RADIX_MIN_ROWS`] rows and up, `sort_unstable` below). Scores are
+///   only evaluated at distinct-value (= distinct-rank) boundaries, where
+///   the left/right class counts are exact integers fixed by the value
+///   multiset alone, so the order within a rank is irrelevant;
+/// * the scan keeps integer class counts and the integer sums of squared
+///   counts `Σl²`, `Σr²`, updated in O(1) per row. The exact score is
+///   `1 − (Σl²·n_r + Σr²·n_l) / (n·n_l·n_r)`; a boundary whose numerator
+///   cannot beat `min(best, parent_gini − 1e-12)` by [`PREFILTER_MARGIN`]
+///   is skipped without a division. The integers are exact in `f64` while
+///   `n·n_l·n_r ≤ n³/4 < 2^53`; a larger node scores every boundary;
+/// * a surviving boundary pays the fused two-sided Gini in the original
+///   op order (per class `p = count / n_side`, `Σp²` per side in class
+///   order), and the strict `<` comparisons keep the first minimum in
+///   scan order;
+/// * the threshold is `0.5·(v + next_v)` of the two boundary rows'
+///   values; a `±0.0` representative gives the same midpoint.
 fn best_split(
     ts: &TrainSet,
+    ranks: &RankTable,
     rows: &[usize],
     parent_counts: &[f64],
     cfg: &TreeConfig,
     rng: &mut Rng,
     scratch: &mut FitScratch,
 ) -> Option<(usize, f64)> {
+    let FitScratch {
+        keys,
+        radix,
+        candidates,
+        left,
+        right,
+        boundaries,
+        exact_scores,
+        ..
+    } = scratch;
+    // Candidates: the draws `Rng::sample_indices(m, k)` makes, without
+    // its per-node `Vec`.
     let m = ts.num_features();
     let k = cfg.max_features.resolve(m);
-    let candidates = if k >= m {
-        (0..m).collect::<Vec<usize>>()
-    } else {
-        rng.sample_indices(m, k)
-    };
+    candidates.clear();
+    candidates.extend(0..m);
+    if k < m {
+        for i in 0..k {
+            let j = i + rng.index(m - i);
+            candidates.swap(i, j);
+        }
+    }
 
-    let n = rows.len() as f64;
+    let n = rows.len();
+    let nf = n as f64;
     let parent_gini = gini(parent_counts);
+    let floor = parent_gini - 1e-12;
+    // `n·n_l·n_r ≤ n³/4` stays below 2^53 (exact in `f64`).
+    let prefilter = (n as u128).pow(3) < 1 << 55;
+    let parent_sq: u64 = parent_counts.iter().map(|&c| (c as u64) * (c as u64)).sum();
+    // Skip a boundary when `Σl²·n_r + Σr²·n_l < keep · n·n_l·n_r`.
+    let mut keep = 1.0 - floor - PREFILTER_MARGIN;
     let mut best: Option<(usize, f64, f64)> = None; // (feature, threshold, score)
 
-    let FitScratch {
-        pairs, left, right, ..
-    } = scratch;
-    for &f in &candidates {
-        pairs.clear();
-        pairs.extend(rows.iter().map(|&r| (ts.x.get(r, f), ts.y[r])));
-        pairs.sort_unstable_by(|a, b| a.0.partial_cmp(&b.0).expect("finite features"));
-        if pairs[0].0 == pairs[pairs.len() - 1].0 {
+    for &f in &candidates[..k] {
+        let column = ranks.column(f);
+        keys.clear();
+        let (mut lo, mut hi) = (u32::MAX, 0u32);
+        for &r in rows {
+            let rank = column[r];
+            lo = lo.min(rank);
+            hi = hi.max(rank);
+            keys.push(u64::from(rank) << 32 | r as u64);
+        }
+        if lo == hi {
             continue; // constant feature
         }
-        left.fill(0.0);
-        right.copy_from_slice(parent_counts);
-        let mut n_left = 0.0f64;
-        for w in 0..pairs.len() - 1 {
-            let (v, y) = pairs[w];
-            left[y] += 1.0;
-            right[y] -= 1.0;
-            n_left += 1.0;
-            let next_v = pairs[w + 1].0;
-            if v == next_v {
+        sort_by_rank(keys, radix, lo, hi);
+        left.fill(0);
+        for (r, &c) in right.iter_mut().zip(parent_counts) {
+            *r = c as u32;
+        }
+        let (mut sum_sq_left, mut sum_sq_right) = (0u64, parent_sq);
+        for w in 0..n - 1 {
+            let key = keys[w];
+            let y = ts.y[key as u32 as usize];
+            // (c + 1)² = c² + 2c + 1 and (c − 1)² = c² − (2(c − 1) + 1).
+            sum_sq_left += 2 * u64::from(left[y]) + 1;
+            left[y] += 1;
+            right[y] -= 1;
+            sum_sq_right -= 2 * u64::from(right[y]) + 1;
+            if key >> 32 == keys[w + 1] >> 32 {
                 continue; // can't split between equal values
             }
-            let n_right = n - n_left;
-            if (n_left as usize) < cfg.min_samples_leaf || (n_right as usize) < cfg.min_samples_leaf
-            {
+            let (n_left, n_right) = (w + 1, n - w - 1);
+            if n_left < cfg.min_samples_leaf || n_right < cfg.min_samples_leaf {
                 continue;
             }
+            *boundaries += 1;
+            if prefilter {
+                let purity = sum_sq_left * n_right as u64 + sum_sq_right * n_left as u64;
+                let scale = (n * n_left * n_right) as u64;
+                if (purity as f64) < keep * scale as f64 {
+                    continue;
+                }
+            }
+            *exact_scores += 1;
             // Fused two-sided Gini: independent accumulator lanes per side.
+            let (n_left, n_right) = (n_left as f64, n_right as f64);
             let (mut sl, mut sr) = (0.0f64, 0.0f64);
             for c in 0..left.len() {
-                let pl = left[c] / n_left;
-                let pr = right[c] / n_right;
+                let pl = f64::from(left[c]) / n_left;
+                let pr = f64::from(right[c]) / n_right;
                 sl += pl * pl;
                 sr += pr * pr;
             }
-            let score = (n_left / n) * (1.0 - sl) + (n_right / n) * (1.0 - sr);
-            if score < parent_gini - 1e-12 && best.as_ref().is_none_or(|&(_, _, s)| score < s) {
+            let score = (n_left / nf) * (1.0 - sl) + (n_right / nf) * (1.0 - sr);
+            if score < floor && best.as_ref().is_none_or(|&(_, _, s)| score < s) {
                 // Midpoint threshold is robust to unseen values.
+                let v = ts.x.get(key as u32 as usize, f);
+                let next_v = ts.x.get(keys[w + 1] as u32 as usize, f);
                 best = Some((f, 0.5 * (v + next_v), score));
+                keep = 1.0 - score - PREFILTER_MARGIN;
             }
         }
     }
     best.map(|(f, t, _)| (f, t))
+}
+
+/// Sorts `rank << 32 | row` keys whose ranks lie in `lo..=hi` by rank:
+/// `sort_unstable` below [`RADIX_MIN_ROWS`] keys, else a stable LSD radix
+/// on the bits of `rank − lo` in equal digits of at most
+/// [`RADIX_DIGIT_BITS`]. Only the rank order is guaranteed.
+fn sort_by_rank(keys: &mut Vec<u64>, buf: &mut Vec<u64>, lo: u32, hi: u32) {
+    if keys.len() < RADIX_MIN_ROWS {
+        keys.sort_unstable();
+        return;
+    }
+    let bits = u32::BITS - (hi - lo).leading_zeros();
+    let passes = bits.div_ceil(RADIX_DIGIT_BITS);
+    let width = bits.div_ceil(passes);
+    let mask = (1u32 << width) - 1;
+    let mut counts = [0usize; 1 << RADIX_DIGIT_BITS];
+    let counts = &mut counts[..=mask as usize];
+    buf.resize(keys.len(), 0);
+    for pass in 0..passes {
+        let digit = |key: u64| ((((key >> 32) as u32 - lo) >> (pass * width)) & mask) as usize;
+        counts.fill(0);
+        for &key in keys.iter() {
+            counts[digit(key)] += 1;
+        }
+        let mut start = 0;
+        for c in counts.iter_mut() {
+            (*c, start) = (start, start + *c);
+        }
+        for &key in keys.iter() {
+            let d = digit(key);
+            buf[counts[d]] = key;
+            counts[d] += 1;
+        }
+        std::mem::swap(keys, buf);
+    }
 }
 
 /// Stable in-place partition using a caller-provided scratch buffer;

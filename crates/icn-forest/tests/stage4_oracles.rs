@@ -1,19 +1,21 @@
 //! Stage 4 (random-forest surrogate): differential oracle + metamorphic
 //! invariants against `icn-testkit`.
 //!
-//! Oracle: the batched/parallel prediction paths are compared to the
-//! testkit's per-sample, hand-walked tree traversal. Metamorphic: Gini
+//! Oracles: the rank-based CART fit is compared node for node, bit for
+//! bit, to the testkit's per-node sort-and-scan fit, and the
+//! batched/parallel prediction paths to the testkit's per-sample,
+//! hand-walked tree traversal. Metamorphic: Gini
 //! impurity is invariant under class renaming, so training on permuted
 //! class labels (same seed) must permute the predicted probabilities; and
 //! a feature-permuted forest must predict identically on column-permuted
 //! inputs.
 
-use icn_forest::{ForestConfig, RandomForest, TrainSet};
+use icn_forest::{DecisionTree, ForestConfig, MaxFeatures, RandomForest, TrainSet, TreeConfig};
 use icn_stats::check::{self, cases};
-use icn_stats::Matrix;
+use icn_stats::{Matrix, Rng};
 use icn_testkit::{
     naive_accuracy, naive_predict_batch, naive_predict_proba, permutation, permute_cols,
-    permute_forest_features, permute_labels,
+    permute_forest_features, permute_labels, sort_scan_tree_fit,
 };
 
 /// Gaussian blobs: k classes, each concentrated on its own axis.
@@ -142,4 +144,170 @@ fn prediction_invariant_under_consistent_feature_permutation() {
             }
         }
     });
+}
+
+/// Asserts two fitted trees are equal node for node: feature, threshold
+/// bits, children, cover bits and every distribution bit.
+fn assert_same_tree(fast: &DecisionTree, oracle: &DecisionTree, what: &str) {
+    assert_eq!(
+        fast.nodes.len(),
+        oracle.nodes.len(),
+        "{what}: node count differs"
+    );
+    for (i, (a, b)) in fast.nodes.iter().zip(&oracle.nodes).enumerate() {
+        assert_eq!(
+            (a.feature, a.threshold.to_bits(), a.left, a.right),
+            (b.feature, b.threshold.to_bits(), b.left, b.right),
+            "{what}: node {i} split differs (threshold {} vs oracle {})",
+            a.threshold,
+            b.threshold
+        );
+        assert_eq!(
+            a.cover.to_bits(),
+            b.cover.to_bits(),
+            "{what}: node {i} cover"
+        );
+        let bits = |d: &[f64]| d.iter().map(|p| p.to_bits()).collect::<Vec<u64>>();
+        assert_eq!(
+            bits(&a.distribution),
+            bits(&b.distribution),
+            "{what}: node {i} distribution"
+        );
+    }
+}
+
+/// A training set whose columns exercise every tie pattern the rank table
+/// must get right: continuous class-shifted values, integer-valued hour
+/// (0–23) and weekday (0–6) columns like the stage-6 features, a column
+/// of mixed `-0.0`/`0.0` with a few class-dependent values, and a
+/// constant column. 2–16 classes, 40–599 rows (the root sits on either
+/// side of the radix threshold; deep nodes are always below it).
+fn mixed_columns(rng: &mut Rng) -> TrainSet {
+    let k = check::len_in(rng, 2, 17);
+    let n = check::len_in(rng, 40, 600);
+    let m = check::len_in(rng, 5, 10);
+    let y: Vec<usize> = (0..n)
+        .map(|i| if i < k { i } else { rng.index(k) })
+        .collect();
+    let mut x = Matrix::zeros(n, m);
+    for (i, &c) in y.iter().enumerate() {
+        for j in 0..m {
+            let v = match j % 5 {
+                0 => rng.normal(c as f64 * 0.7, 1.0),
+                1 => ((3 * c + rng.index(6)) % 24) as f64,
+                2 => ((c + rng.index(3)) % 7) as f64,
+                3 => match rng.index(4) {
+                    0 => -0.0,
+                    1 => 0.0,
+                    2 => (c % 3) as f64 - 1.0,
+                    _ => -((c % 2) as f64),
+                },
+                _ => 3.25,
+            };
+            x.set(i, j, v);
+        }
+    }
+    check::record(format!("{k} classes, {n} rows, {m} features"));
+    TrainSet::new(x, y)
+}
+
+/// A random tree configuration over every `MaxFeatures` variant,
+/// `min_samples_leaf` 1–5, `min_samples_split` 2–9 and, half the time, a
+/// `max_depth` cap of 1–6.
+fn any_tree_config(rng: &mut Rng, m: usize) -> TreeConfig {
+    let max_features = match rng.index(3) {
+        0 => MaxFeatures::All,
+        1 => MaxFeatures::Sqrt,
+        _ => MaxFeatures::Fixed(check::len_in(rng, 1, m + 1)),
+    };
+    let cfg = TreeConfig {
+        max_depth: if rng.chance(0.5) {
+            usize::MAX
+        } else {
+            check::len_in(rng, 1, 7)
+        },
+        min_samples_split: check::len_in(rng, 2, 10),
+        min_samples_leaf: check::len_in(rng, 1, 6),
+        max_features,
+    };
+    check::record(format!("{cfg:?}"));
+    cfg
+}
+
+#[test]
+fn tree_fit_matches_sort_scan_oracle_bit_for_bit() {
+    let mut split = 0;
+    cases(40, |case, rng| {
+        let ts = mixed_columns(rng);
+        let cfg = any_tree_config(rng, ts.x.cols());
+        // Bootstrap rows (with repeats) or every row once.
+        let rows: Vec<usize> = if rng.chance(0.5) {
+            ts.bootstrap(rng).0
+        } else {
+            (0..ts.len()).collect()
+        };
+        let mut fast_rng = Rng::seed_from(case);
+        let mut oracle_rng = Rng::seed_from(case);
+        let fast = DecisionTree::fit(&ts, &rows, &cfg, &mut fast_rng);
+        let oracle = sort_scan_tree_fit(&ts, &rows, &cfg, &mut oracle_rng);
+        assert_same_tree(&fast, &oracle, "tree");
+        // Same candidate draws: both streams end in the same state.
+        assert_eq!(fast_rng.next_u64(), oracle_rng.next_u64(), "rng drift");
+        split += usize::from(oracle.nodes.len() > 1);
+    });
+    // A root whose only candidate is the constant column stays a leaf;
+    // most cases must grow real trees.
+    assert!(split >= 30, "only {split} of 40 oracle trees split");
+}
+
+#[test]
+fn forest_trees_match_sort_scan_oracle_bit_for_bit() {
+    cases(10, |case, rng| {
+        let ts = mixed_columns(rng);
+        let cfg = ForestConfig {
+            n_trees: 6,
+            tree: any_tree_config(rng, ts.x.cols()),
+            seed: case + 11,
+        };
+        let forest = RandomForest::fit(&ts, &cfg);
+        // Replay each tree's stream as `fit` derives it: one fork per
+        // tree, the bootstrap first, then the growth draws.
+        let root = Rng::seed_from(cfg.seed);
+        for (t, tree) in forest.trees.iter().enumerate() {
+            let mut tree_rng = root.fork(t as u64);
+            let (in_bag, _) = ts.bootstrap(&mut tree_rng);
+            let oracle = sort_scan_tree_fit(&ts, &in_bag, &cfg.tree, &mut tree_rng);
+            assert_same_tree(tree, &oracle, &format!("tree {t}"));
+        }
+    });
+}
+
+#[test]
+fn splits_between_adjacent_doubles_match_the_oracle() {
+    // Between 1 + 2^-52 and the next double the midpoint rounds up to the
+    // upper value, so `x <= threshold` sends both sides left; between 1.0
+    // and the next double it rounds down to 1.0. A rank-based partition
+    // would keep the two values apart in the first case.
+    let one = 1.0f64;
+    for lower in [one, f64::from_bits(one.to_bits() + 1)] {
+        let upper = f64::from_bits(lower.to_bits() + 1);
+        let mut rows = Vec::new();
+        let mut y = Vec::new();
+        for (v, c) in [(lower, 0usize), (upper, 1), (2.0, 1)] {
+            for _ in 0..4 {
+                rows.push(vec![v, 5.0]);
+                y.push(c);
+            }
+        }
+        let ts = TrainSet::new(Matrix::from_rows(&rows), y);
+        let all: Vec<usize> = (0..ts.len()).collect();
+        let cfg = TreeConfig {
+            max_depth: 1,
+            ..TreeConfig::default()
+        };
+        let fast = DecisionTree::fit(&ts, &all, &cfg, &mut Rng::seed_from(1));
+        let oracle = sort_scan_tree_fit(&ts, &all, &cfg, &mut Rng::seed_from(1));
+        assert_same_tree(&fast, &oracle, &format!("lower {lower:e}"));
+        assert_eq!(fast.nodes.len(), 3, "the root must split");
+    }
 }

@@ -484,16 +484,14 @@ impl BenchReport {
                 .and_then(Json::as_str)
                 .ok_or("stage missing name")?
                 .to_string();
+            // A stage wall is a gate's baseline: a time the report cannot
+            // hold would pass any candidate, so it is an error.
             let wall_ms = s
                 .get("wall_ms")
                 .and_then(Json::as_f64)
-                .ok_or("stage missing wall_ms")?;
-            let mut counters = BTreeMap::new();
-            if let Some(entries) = s.get("counters").and_then(Json::entries) {
-                for (k, v) in entries {
-                    counters.insert(k.clone(), v.as_f64().ok_or("non-numeric counter")? as u64);
-                }
-            }
+                .filter(|v| v.is_finite() && *v >= 0.0)
+                .ok_or_else(|| format!("stage {name}: wall_ms missing, negative or not finite"))?;
+            let counters = counters_from_json(s.get("counters"))?;
             stages.push(StageReport {
                 name,
                 wall_ms,
@@ -529,19 +527,15 @@ impl BenchReport {
                 spans.insert(path.to_string(), stats);
             }
         }
-        let mut counters = BTreeMap::new();
-        if let Some(entries) = doc.get("counters").and_then(Json::entries) {
-            for (k, v) in entries {
-                counters.insert(k.clone(), v.as_f64().ok_or("non-numeric counter")? as u64);
-            }
-        }
+        let counters = counters_from_json(doc.get("counters"))?;
         let mut gauges = BTreeMap::new();
         for (k, v) in doc
             .get("gauges")
             .and_then(Json::entries)
             .ok_or("missing gauges")?
         {
-            gauges.insert(k.clone(), v.as_f64().ok_or("non-numeric gauge")?);
+            let value = v.as_f64().filter(|g| g.is_finite());
+            gauges.insert(k.clone(), value.ok_or("non-numeric or non-finite gauge")?);
         }
         // Absent in reports from binaries that did not count allocations.
         let memory = match doc.get("memory") {
@@ -689,9 +683,35 @@ fn memory_to_json(mem: &MemoryReport) -> Json {
     Json::obj(fields)
 }
 
+/// Largest count a report number holds exactly: 2^53.
+const MAX_COUNT: f64 = 9_007_199_254_740_992.0;
+
+/// A count read from a report: a whole number in `0..=2^53`. Anything
+/// else is an error, never a silent zero or a saturated cast — a count a
+/// gate compares against must mean what it says.
+fn count(v: Option<&Json>, what: &str) -> Result<u64, String> {
+    v.and_then(Json::as_f64)
+        .filter(|c| c.fract() == 0.0 && (0.0..=MAX_COUNT).contains(c))
+        .map(|c| c as u64)
+        .ok_or_else(|| format!("{what}: missing, negative, fractional, non-finite or above 2^53"))
+}
+
+/// A `counters` object (absent = no counters), every value a [`count`].
+fn counters_from_json(doc: Option<&Json>) -> Result<BTreeMap<String, u64>, String> {
+    let mut counters = BTreeMap::new();
+    for (k, v) in doc.and_then(Json::entries).into_iter().flatten() {
+        counters.insert(k.clone(), count(Some(v), &format!("counter {k}"))?);
+    }
+    Ok(counters)
+}
+
 fn memory_from_json(doc: &Json) -> Result<MemoryReport, String> {
     let alloc = doc.get("allocator").ok_or("memory missing allocator")?;
-    let num = |d: &Json, key: &str| d.get(key).and_then(Json::as_f64).unwrap_or(0.0);
+    let num = |d: &Json, key: &str| count(d.get(key), &format!("memory {key}"));
+    let optional = |key: &str| {
+        doc.get(key)
+            .map(|v| count(Some(v), &format!("memory {key}")))
+    };
     let mut spans = BTreeMap::new();
     if let Some(items) = doc.get("spans").and_then(Json::as_arr) {
         for s in items {
@@ -702,27 +722,28 @@ fn memory_from_json(doc: &Json) -> Result<MemoryReport, String> {
             spans.insert(
                 path.to_string(),
                 SpanAlloc {
-                    bytes: num(s, "alloc_bytes") as u64,
-                    allocs: num(s, "allocs") as u64,
-                    peak_growth_bytes: num(s, "peak_growth_bytes") as u64,
+                    bytes: num(s, "alloc_bytes")?,
+                    allocs: num(s, "allocs")?,
+                    peak_growth_bytes: num(s, "peak_growth_bytes")?,
                 },
             );
         }
     }
+    // Live bytes are a signed balance (frees of memory allocated before
+    // the window opened), but still a whole, finite number.
+    let live_bytes = alloc
+        .get("live_bytes")
+        .and_then(Json::as_f64)
+        .filter(|v| v.fract() == 0.0 && v.abs() <= MAX_COUNT)
+        .ok_or("memory live_bytes: missing, fractional, non-finite or beyond 2^53")?;
     Ok(MemoryReport {
-        live_bytes: num(alloc, "live_bytes") as i64,
-        peak_bytes: num(alloc, "peak_bytes") as u64,
-        total_alloc_bytes: num(alloc, "total_alloc_bytes") as u64,
-        total_allocs: num(alloc, "allocs") as u64,
-        total_frees: num(alloc, "frees") as u64,
-        vm_hwm_bytes: doc
-            .get("vm_hwm_bytes")
-            .and_then(Json::as_f64)
-            .map(|v| v as u64),
-        budget_mb: doc
-            .get("budget_mb")
-            .and_then(Json::as_f64)
-            .map(|v| v as u64),
+        live_bytes: live_bytes as i64,
+        peak_bytes: num(alloc, "peak_bytes")?,
+        total_alloc_bytes: num(alloc, "total_alloc_bytes")?,
+        total_allocs: num(alloc, "allocs")?,
+        total_frees: num(alloc, "frees")?,
+        vm_hwm_bytes: optional("vm_hwm_bytes").transpose()?,
+        budget_mb: optional("budget_mb").transpose()?,
         budget_verdict: doc
             .get("budget_verdict")
             .and_then(Json::as_str)

@@ -414,6 +414,37 @@ impl Archetype {
     }
 }
 
+/// Every archetype's [`Archetype::service_affinity`] for every service of
+/// a catalog, computed once per dataset: row `a.id()` holds archetype
+/// `a`'s multipliers in catalog order. The totals matrices read it for
+/// each of their N·M (indoor) and 2·N_out·M (outdoor) entries instead of
+/// recomputing four logarithms, an exponential and the name matches per
+/// entry.
+pub(crate) struct AffinityTable {
+    values: Vec<f64>,
+    services: usize,
+}
+
+impl AffinityTable {
+    /// The 9 × M table of `services`.
+    pub(crate) fn new(services: &[Service]) -> AffinityTable {
+        let values = Archetype::ALL
+            .iter()
+            .flat_map(|a| services.iter().map(|svc| a.service_affinity(svc)))
+            .collect();
+        AffinityTable {
+            values,
+            services: services.len(),
+        }
+    }
+
+    /// Archetype `arch`'s affinity per service, in catalog order.
+    pub(crate) fn row(&self, arch: Archetype) -> &[f64] {
+        let start = arch.id() * self.services;
+        &self.values[start..start + self.services]
+    }
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;

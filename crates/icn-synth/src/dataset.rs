@@ -8,6 +8,7 @@
 //! paper promises to release has an equivalent artefact here.
 
 use crate::antennas::{generate_antennas, Antenna};
+use crate::archetypes::AffinityTable;
 use crate::calendar::StudyCalendar;
 use crate::config::SynthConfig;
 use crate::outdoor::{generate_outdoor, outdoor_totals_matrix, OutdoorAntenna, OutdoorConfig};
@@ -46,13 +47,15 @@ impl Dataset {
         let services = catalog();
         let mut pop_rng = root.fork(0xB0B_u64);
         let antennas = generate_antennas(config.scale, &mut pop_rng);
-        let indoor_totals = totals_matrix(&antennas, &services, &root);
+        let affinity = AffinityTable::new(&services);
+        let indoor_totals = totals_matrix(&antennas, &services, &affinity, &root);
         let out_cfg = OutdoorConfig {
             per_indoor: config.outdoor_per_indoor,
             ..OutdoorConfig::default()
         };
         let outdoor = generate_outdoor(&antennas, &out_cfg, &root);
-        let outdoor_totals = outdoor_totals_matrix(&outdoor, &antennas, &services, &root);
+        let outdoor_totals =
+            outdoor_totals_matrix(&outdoor, &antennas, &services, &affinity, &root);
         let obs = icn_obs::global();
         if obs.is_enabled() {
             obs.add_counter("synth.antennas", antennas.len() as u64);

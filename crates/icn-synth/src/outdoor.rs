@@ -11,9 +11,10 @@
 //! of event traffic, strongly diluted by pass-by users).
 
 use crate::antennas::Antenna;
-use crate::archetypes::Archetype;
+use crate::archetypes::{AffinityTable, Archetype};
 use crate::geo::{offset_within, Coord};
 use crate::services::Service;
+use crate::traffic::fill_rows;
 use icn_stats::{Matrix, Rng};
 
 /// One outdoor macro antenna near an indoor site.
@@ -79,34 +80,38 @@ pub(crate) fn generate_outdoor(
 ///
 /// Each outdoor antenna's share vector is
 /// `(1 − leakage) × general-use shares + leakage × neighbour-profile shares`,
-/// both drawn with the same machinery as indoor antennas.
+/// both drawn with the same machinery as indoor antennas. Rows fill in
+/// parallel from their own forked streams, bit-identical at any
+/// `ICN_THREADS`.
 pub(crate) fn outdoor_totals_matrix(
     outdoor: &[OutdoorAntenna],
     indoor: &[Antenna],
     services: &[Service],
+    affinity: &AffinityTable,
     root: &Rng,
 ) -> Matrix {
     let mut t = Matrix::zeros(outdoor.len(), services.len());
-    for (i, o) in outdoor.iter().enumerate() {
+    fill_rows(&mut t, |i, row| {
+        let o = &outdoor[i];
         let neighbor = &indoor[o.neighbor_indoor_id];
         let mut rng = root.fork(0x0D0A_0000 ^ o.id as u64);
         let vol = rng.lognormal(13.5, 0.7);
         // General-use base shares with this antenna's own noise.
-        let base = mixture_shares(Archetype::GeneralUse, services, &mut rng);
-        let local = mixture_shares(neighbor.archetype, services, &mut rng);
+        let base = mixture_shares(services, affinity.row(Archetype::GeneralUse), &mut rng);
+        let local = mixture_shares(services, affinity.row(neighbor.archetype), &mut rng);
         for j in 0..services.len() {
             let share = (1.0 - o.leakage) * base[j] + o.leakage * local[j];
-            t.set(i, j, vol * share);
+            row[j] = vol * share;
         }
-    }
+    });
     t
 }
 
-fn mixture_shares(arch: Archetype, services: &[Service], rng: &mut Rng) -> Vec<f64> {
+fn mixture_shares(services: &[Service], affinity: &[f64], rng: &mut Rng) -> Vec<f64> {
     let mut shares: Vec<f64> = services
         .iter()
-        .map(|svc| {
-            let aff = arch.service_affinity(svc);
+        .zip(affinity)
+        .map(|(svc, &aff)| {
             let noise = rng.lognormal(0.0, 0.3);
             svc.popularity * svc.volume_scale * aff * noise
         })
@@ -151,7 +156,7 @@ mod tests {
     #[test]
     fn totals_shape_and_positivity() {
         let (indoor, outdoor, svcs, root) = setup();
-        let t = outdoor_totals_matrix(&outdoor, &indoor, &svcs, &root);
+        let t = outdoor_totals_matrix(&outdoor, &indoor, &svcs, &AffinityTable::new(&svcs), &root);
         assert_eq!(t.shape(), (outdoor.len(), svcs.len()));
         assert!(t.as_slice().iter().all(|&v| v > 0.0));
     }
@@ -161,7 +166,7 @@ mod tests {
         // An outdoor antenna's share vector must correlate more with the
         // general-use profile than with its (non-general) neighbour's.
         let (indoor, outdoor, svcs, root) = setup();
-        let t = outdoor_totals_matrix(&outdoor, &indoor, &svcs, &root);
+        let t = outdoor_totals_matrix(&outdoor, &indoor, &svcs, &AffinityTable::new(&svcs), &root);
         // Expected (noise-free) share vectors per archetype:
         let expected = |arch: Archetype| -> Vec<f64> {
             let mut v: Vec<f64> = svcs
@@ -216,8 +221,9 @@ mod tests {
         for (a, b) in o1.iter().zip(&o2) {
             assert_eq!(a.leakage, b.leakage);
         }
-        let t1 = outdoor_totals_matrix(&o1, &indoor, &svcs, &root);
-        let t2 = outdoor_totals_matrix(&o2, &indoor, &svcs, &root);
+        let table = AffinityTable::new(&svcs);
+        let t1 = outdoor_totals_matrix(&o1, &indoor, &svcs, &table, &root);
+        let t2 = outdoor_totals_matrix(&o2, &indoor, &svcs, &table, &root);
         assert_eq!(t1, t2);
     }
 }

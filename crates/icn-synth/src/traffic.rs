@@ -15,6 +15,7 @@
 //! bit the sum the per-service series give.
 
 use crate::antennas::Antenna;
+use crate::archetypes::AffinityTable;
 use crate::calendar::StudyCalendar;
 use crate::services::{Category, Service};
 use crate::temporal::{self, EventSchedule, TemplateKind};
@@ -28,12 +29,13 @@ const SHARE_NOISE_SIGMA: f64 = 0.35;
 const HOURLY_NOISE_SIGMA: f64 = 0.10;
 
 /// Draws the service share vector of one antenna: normalised
-/// `popularity × volume_scale × affinity × exp(N(0, σ))`.
-fn service_shares(antenna: &Antenna, services: &[Service], rng: &mut Rng) -> Vec<f64> {
+/// `popularity × volume_scale × affinity × exp(N(0, σ))`, with `affinity`
+/// the antenna archetype's row of the [`AffinityTable`].
+fn service_shares(services: &[Service], affinity: &[f64], rng: &mut Rng) -> Vec<f64> {
     let mut shares: Vec<f64> = services
         .iter()
-        .map(|svc| {
-            let aff = antenna.archetype.service_affinity(svc);
+        .zip(affinity)
+        .map(|(svc, &aff)| {
             let noise = rng.lognormal(0.0, SHARE_NOISE_SIGMA);
             svc.popularity * svc.volume_scale * aff * noise
         })
@@ -78,18 +80,38 @@ pub fn event_schedule(antenna: &Antenna, cal: &StudyCalendar, root: &Rng) -> Eve
 }
 
 /// Builds the `N × M` totals matrix for a population of antennas — the
-/// paper's `T` (Section 4.1). Deterministic given `root`.
-pub(crate) fn totals_matrix(antennas: &[Antenna], services: &[Service], root: &Rng) -> Matrix {
+/// paper's `T` (Section 4.1). Deterministic given `root`: each row draws
+/// from its own forked stream, so rows fill in parallel, bit-identical at
+/// any `ICN_THREADS`.
+pub(crate) fn totals_matrix(
+    antennas: &[Antenna],
+    services: &[Service],
+    affinity: &AffinityTable,
+    root: &Rng,
+) -> Matrix {
     let mut t = Matrix::zeros(antennas.len(), services.len());
-    for (i, a) in antennas.iter().enumerate() {
+    fill_rows(&mut t, |i, row| {
+        let a = &antennas[i];
         let mut rng = root.fork(0xA17E_0000 ^ a.id as u64);
         let vol = total_volume(a, &mut rng);
-        let shares = service_shares(a, services, &mut rng);
-        for (j, s) in shares.iter().enumerate() {
-            t.set(i, j, vol * s);
+        let shares = service_shares(services, affinity.row(a.archetype), &mut rng);
+        for (t, s) in row.iter_mut().zip(&shares) {
+            *t = vol * s;
         }
-    }
+    });
     t
+}
+
+/// Fills every row of `t` in parallel: `fill(i, row)` writes row `i`.
+/// Rows go out in blocks of at least 64 (about four blocks per worker).
+pub(crate) fn fill_rows(t: &mut Matrix, fill: impl Fn(usize, &mut [f64]) + Sync) {
+    let m = t.cols().max(1);
+    let rows_per_block = t.rows().div_ceil(4 * par::thread_count()).max(64);
+    par::fill_chunks(t.as_mut_slice(), rows_per_block * m, |range, block| {
+        for (k, row) in block.chunks_mut(m).enumerate() {
+            fill(range.start / m + k, row);
+        }
+    });
 }
 
 /// Unnormalised hourly weights of one antenna-service pair over a calendar.
@@ -385,7 +407,11 @@ mod tests {
     fn shares_form_a_distribution() {
         let (ants, svcs, root) = small_pop();
         let mut rng = root.fork(1);
-        let shares = service_shares(&ants[0], &svcs, &mut rng);
+        let shares = service_shares(
+            &svcs,
+            AffinityTable::new(&svcs).row(ants[0].archetype),
+            &mut rng,
+        );
         assert_eq!(shares.len(), svcs.len());
         let sum: f64 = shares.iter().sum();
         assert!((sum - 1.0).abs() < 1e-9);
@@ -395,7 +421,7 @@ mod tests {
     #[test]
     fn totals_matrix_shape_and_positivity() {
         let (ants, svcs, root) = small_pop();
-        let t = totals_matrix(&ants, &svcs, &root);
+        let t = totals_matrix(&ants, &svcs, &AffinityTable::new(&svcs), &root);
         assert_eq!(t.shape(), (ants.len(), svcs.len()));
         assert!(!t.has_non_finite());
         assert!(t.as_slice().iter().all(|&v| v > 0.0));
@@ -404,8 +430,9 @@ mod tests {
     #[test]
     fn totals_matrix_deterministic() {
         let (ants, svcs, root) = small_pop();
-        let a = totals_matrix(&ants, &svcs, &root);
-        let b = totals_matrix(&ants, &svcs, &Rng::seed_from(123));
+        let table = AffinityTable::new(&svcs);
+        let a = totals_matrix(&ants, &svcs, &table, &root);
+        let b = totals_matrix(&ants, &svcs, &table, &Rng::seed_from(123));
         assert_eq!(a, b);
     }
 
@@ -413,7 +440,7 @@ mod tests {
     fn row_sum_equals_volume_regime() {
         // Antenna totals should live in the archetype's log-normal range.
         let (ants, svcs, root) = small_pop();
-        let t = totals_matrix(&ants, &svcs, &root);
+        let t = totals_matrix(&ants, &svcs, &AffinityTable::new(&svcs), &root);
         for (i, a) in ants.iter().enumerate().take(50) {
             let (mu, sigma) = a.archetype.volume_lognormal();
             let log_total = t.row_sums()[i].ln();
@@ -508,7 +535,7 @@ mod tests {
         let root = Rng::seed_from(123);
         let ants = generate_antennas(1.0, &mut root.fork(0xB0B));
         let svcs = catalog();
-        let t = totals_matrix(&ants, &svcs, &root);
+        let t = totals_matrix(&ants, &svcs, &AffinityTable::new(&svcs), &root);
         (ants, svcs, t, root)
     }
 
@@ -696,8 +723,9 @@ mod tests {
             let ants = generate_antennas(0.01, rng);
             let svcs = catalog();
             let mut rng2 = Rng::seed_from(rng.next_u64());
+            let table = AffinityTable::new(&svcs);
             for a in ants.iter().take(5) {
-                let s = service_shares(a, &svcs, &mut rng2);
+                let s = service_shares(&svcs, table.row(a.archetype), &mut rng2);
                 let sum: f64 = s.iter().sum();
                 assert!((sum - 1.0).abs() < 1e-9, "case {case}: sum {sum}");
                 assert!(s.iter().all(|&x| x > 0.0), "case {case}");
@@ -710,7 +738,8 @@ mod tests {
         cases(32, |case, rng| {
             let ants = generate_antennas(0.008, rng);
             let svcs = catalog();
-            let t = totals_matrix(&ants, &svcs, &Rng::seed_from(rng.next_u64()));
+            let table = AffinityTable::new(&svcs);
+            let t = totals_matrix(&ants, &svcs, &table, &Rng::seed_from(rng.next_u64()));
             assert!(!t.has_non_finite(), "case {case}");
             assert!(t.as_slice().iter().all(|&v| v > 0.0), "case {case}");
         });

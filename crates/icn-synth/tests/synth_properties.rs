@@ -69,3 +69,37 @@ fn different_seeds_synthesise_different_campaigns() {
         );
     });
 }
+
+#[test]
+fn generation_is_bit_identical_at_any_thread_count() {
+    // `ICN_THREADS` is process-global: this is the only test in this
+    // binary that sets it. Restored even on unwind.
+    struct Restore(Option<String>);
+    impl Drop for Restore {
+        fn drop(&mut self) {
+            match &self.0 {
+                Some(v) => std::env::set_var("ICN_THREADS", v),
+                None => std::env::remove_var("ICN_THREADS"),
+            }
+        }
+    }
+    let _restore = Restore(std::env::var("ICN_THREADS").ok());
+    let bits = |m: &icn_stats::Matrix| m.as_slice().iter().map(|v| v.to_bits()).collect::<Vec<_>>();
+    let totals_at = |threads: &str| {
+        std::env::set_var("ICN_THREADS", threads);
+        let ds = Dataset::generate(SynthConfig::small().with_seed(17).with_scale(0.1));
+        (
+            bits(&ds.indoor_totals),
+            bits(&ds.outdoor_totals),
+            ds.num_antennas(),
+        )
+    };
+    let reference = totals_at("1");
+    assert!(reference.2 > 3 * 64, "several row blocks per matrix");
+    for threads in ["2", "3"] {
+        assert!(
+            totals_at(threads) == reference,
+            "totals drifted at ICN_THREADS={threads}"
+        );
+    }
+}

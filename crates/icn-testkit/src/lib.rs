@@ -30,6 +30,8 @@
 //!   misclassification, multiplicative noise, NaN poisoning).
 //! * `shap_walk` — the per-sample TreeSHAP walk, kept verbatim as the
 //!   bit-exact oracle of the two-phase batch kernel in `icn-shap`.
+//! * `cart` — the per-node sort-and-scan CART fit, kept verbatim as the
+//!   bit-exact oracle of `icn-forest`'s rank-based split search.
 //!
 //! The shrinking/persistence side of the property harness lives in
 //! [`icn_stats::check`] so that even the zero-dependency numeric substrate
@@ -38,6 +40,7 @@
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
 
+mod cart;
 mod forecast;
 pub mod golden;
 pub mod ingest;
@@ -46,6 +49,7 @@ pub mod noise;
 mod oracle;
 mod shap_walk;
 
+pub use cart::sort_scan_tree_fit;
 pub use forecast::{brute_rolling_median_mad, oracle_ets, oracle_seasonal_naive, set_f1};
 pub use golden::{
     compare_golden, default_golden_dir, goldens, render_golden, snapshot_pipeline,

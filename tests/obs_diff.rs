@@ -10,6 +10,7 @@
 
 use icn_repro::icn_obs::{diff_reports, BenchReport, BenchReportSet, DiffStatus, DiffThresholds};
 use std::process::Command;
+use std::sync::atomic::{AtomicUsize, Ordering};
 
 fn load(name: &str) -> BenchReport {
     let path = format!("{}/tests/golden/{name}", env!("CARGO_MANIFEST_DIR"));
@@ -129,6 +130,122 @@ fn cli_rejects_deeply_nested_reports() {
     let stderr = String::from_utf8_lossy(&out.stderr);
     assert_eq!(out.status.code(), Some(1), "{stderr}");
     assert!(stderr.contains("cannot parse"), "{stderr}");
+}
+
+/// `text` with the number after the first `"key": ` that follows `anchor`
+/// replaced by `value` (`None` renames the key, so the field goes missing).
+fn doctor(text: &str, anchor: &str, key: &str, value: Option<&str>) -> String {
+    let from = text.find(anchor).expect("anchor in fixture");
+    let field = format!("\"{key}\": ");
+    let at = from + text[from..].find(&field).expect("key after anchor");
+    let start = at + field.len();
+    let end = start + text[start..].find([',', '\n', '}']).expect("number end");
+    match value {
+        Some(v) => format!("{}{v}{}", &text[..start], &text[end..]),
+        None => format!("{}\"{key}_removed\": {}", &text[..at], &text[start..]),
+    }
+}
+
+/// Runs `icn obs diff <baseline> <candidate>` and `icn obs top <baseline>`
+/// on a doctored baseline text and asserts both exit 1 ("cannot parse").
+fn assert_unreadable_baseline(text: &str, candidate: &str, what: &str) {
+    // Tests run concurrently: one file per call.
+    static CALLS: AtomicUsize = AtomicUsize::new(0);
+    let call = CALLS.fetch_add(1, Ordering::Relaxed);
+    let name = format!("icn_obs_doctored_{}_{call}.json", std::process::id());
+    let path = std::env::temp_dir().join(name);
+    std::fs::write(&path, text).expect("write fixture");
+    for cmd in [&["diff"][..], &["top"]] {
+        let mut command = Command::new(env!("CARGO_BIN_EXE_icn"));
+        command.arg("obs").args(cmd).arg(&path);
+        if cmd == ["diff"] {
+            command.arg(candidate);
+        }
+        let out = command.output().expect("spawn icn");
+        let stderr = String::from_utf8_lossy(&out.stderr);
+        assert_eq!(
+            out.status.code(),
+            Some(1),
+            "obs {cmd:?} with {what}: {stderr}"
+        );
+        assert!(
+            stderr.contains("cannot parse"),
+            "obs {cmd:?} with {what}: {stderr}"
+        );
+    }
+    let _ = std::fs::remove_file(&path);
+}
+
+/// A stage wall or counter a report cannot hold is a parse error (exit 1)
+/// for every `icn obs` command: a baseline stage wall of `1e999` used to
+/// pass any candidate at ratio 0.000, and a negative counter read as 0.
+#[test]
+fn cli_rejects_stage_walls_and_counters_a_gate_cannot_read() {
+    let golden = format!(
+        "{}/tests/golden/bench_mem_smoke.json",
+        env!("CARGO_MANIFEST_DIR")
+    );
+    let base = std::fs::read_to_string(&golden).expect("read baseline");
+    let stage = r#""name": "stage3_surrogate""#;
+    for wall in [Some("1e999"), Some("-1"), Some("null"), None] {
+        let text = doctor(&base, stage, "wall_ms", wall);
+        assert_unreadable_baseline(&text, &golden, &format!("stage wall_ms {wall:?}"));
+    }
+    let root_counters = "\n  \"counters\": {";
+    for anchor in [stage, root_counters] {
+        for value in ["-5", "1.5", "1e999", "9007199254740994"] {
+            let text = doctor(&base, anchor, "forest.trees", Some(value));
+            assert_unreadable_baseline(&text, &golden, &format!("counter {value} after {anchor}"));
+        }
+    }
+    // The limits themselves still parse.
+    let text = doctor(
+        &base,
+        root_counters,
+        "forest.trees",
+        Some("9007199254740992"),
+    );
+    assert!(BenchReport::parse(&text).is_ok(), "2^53 is a valid count");
+}
+
+/// A memory number a report cannot hold is a parse error (exit 1): a
+/// baseline `peak_bytes` of -5 used to read as 0, which turned the peak
+/// gate informational and let the doctored 2x fixture pass.
+#[test]
+fn cli_rejects_memory_numbers_a_gate_cannot_read() {
+    let dir = format!("{}/tests/golden", env!("CARGO_MANIFEST_DIR"));
+    let base = std::fs::read_to_string(format!("{dir}/bench_mem_smoke.json")).expect("read");
+    let doubled = format!("{dir}/bench_mem_regression_fixture.json");
+    let allocator = r#""allocator""#;
+    for key in ["peak_bytes", "total_alloc_bytes", "allocs", "frees"] {
+        for value in [Some("-5"), Some("1e999"), Some("null"), None] {
+            let text = doctor(&base, allocator, key, value);
+            assert_unreadable_baseline(&text, &doubled, &format!("{key} {value:?}"));
+        }
+    }
+    for value in [Some("-5"), Some("1e999")] {
+        let text = doctor(&base, allocator, "vm_hwm_bytes", value);
+        assert_unreadable_baseline(&text, &doubled, &format!("vm_hwm_bytes {value:?}"));
+    }
+    let memory_span = r#""path": "stage3_surrogate""#;
+    let memory_rows = &base[base.find(r#""memory""#).expect("memory section")..];
+    for key in ["alloc_bytes", "allocs", "peak_growth_bytes"] {
+        let text = base.replace(
+            memory_rows,
+            &doctor(memory_rows, memory_span, key, Some("-1")),
+        );
+        assert_unreadable_baseline(&text, &doubled, &format!("memory span {key}"));
+    }
+    // Live bytes are a signed balance: negative parses, non-finite does not.
+    let text = doctor(&base, allocator, "live_bytes", Some("-5"));
+    assert!(
+        BenchReport::parse(&text).is_ok(),
+        "negative live_bytes is valid"
+    );
+    for value in [Some("1e999"), None] {
+        let text = doctor(&base, allocator, "live_bytes", value);
+        assert_unreadable_baseline(&text, &doubled, &format!("live_bytes {value:?}"));
+    }
 }
 
 /// A span row whose `calls`, `wall_ms` or `p99_ms` is missing, negative

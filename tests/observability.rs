@@ -492,3 +492,27 @@ fn stage2_is_attributed_to_condensed_agglomerate_and_sweep() {
     }
     assert_eq!(scans[0], scans[1], "scan count depends on ICN_THREADS");
 }
+
+#[test]
+fn split_search_counters_attribute_the_prefilter() {
+    let _guard = LOCK.lock().unwrap();
+    let ds = common::dataset();
+    let mut tallies = Vec::new();
+    for threads in ["1", "2"] {
+        let (_, snap) = metered(Some(threads), || {
+            IcnStudy::run(&ds, StudyConfig::fast());
+        });
+        let boundaries = snap.counters["forest.split_boundaries"];
+        let exact = snap.counters["forest.exact_scores"];
+        assert!(0 < exact && exact <= boundaries, "{exact} of {boundaries}");
+        // Every split a tree made was scored exactly: a binary tree with
+        // `nodes` nodes has `(nodes − 1) / 2` of them.
+        let splits = (snap.counters["forest.nodes"] - snap.counters["forest.trees"]) / 2;
+        assert!(exact >= splits, "{exact} exact scores for {splits} splits");
+        tallies.push((boundaries, exact));
+    }
+    assert_eq!(
+        tallies[0], tallies[1],
+        "split tallies depend on ICN_THREADS"
+    );
+}
