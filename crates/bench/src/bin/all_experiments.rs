@@ -16,7 +16,7 @@ use icn_core::{cluster_heatmap, distribution_entropy, filter_dead_rows, label_di
 use icn_shap::Direction;
 use icn_synth::{Environment, StudyCalendar};
 
-// Count allocations so `--metrics-out` reports carry the `icn-obs/v4`
+// Count allocations so `--metrics-out` reports carry the `icn-obs/v5`
 // memory section (inert single-branch overhead while metering is off).
 #[global_allocator]
 static ALLOC: icn_obs::CountingAlloc = icn_obs::CountingAlloc::system();

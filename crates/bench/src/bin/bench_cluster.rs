@@ -34,7 +34,7 @@ use icn_obs::BenchReport;
 use icn_stats::{Matrix, Rng};
 use icn_synth::{Dataset, SynthConfig};
 
-// Count allocations so `--metrics-out` reports carry the `icn-obs/v4`
+// Count allocations so `--metrics-out` reports carry the `icn-obs/v5`
 // memory section (inert single-branch overhead while metering is off).
 #[global_allocator]
 static ALLOC: icn_obs::CountingAlloc = icn_obs::CountingAlloc::system();
@@ -168,7 +168,8 @@ fn span_ms(report: &BenchReport, path: &str) -> f64 {
 /// snapshots come from their own registry sessions; name collisions (the
 /// condensed-build gauges both phases set) resolve to the later phase,
 /// matching the last-write-wins the registry itself would have applied
-/// had the phases shared a session.
+/// had the phases shared a session. Span rows carry their own allocation
+/// figures, so the overlaid rows keep theirs.
 fn overlay(base: &mut icn_obs::Snapshot, extra: icn_obs::Snapshot) {
     base.counters.extend(extra.counters);
     base.gauges.extend(extra.gauges);

@@ -173,8 +173,8 @@ impl DecisionTree {
 
         // Partition rows in place around the threshold (stable, via the
         // reused scratch buffer). The test reads values, never ranks: the
-        // midpoint of two adjacent doubles can round to one of them, and
-        // the fitted tree is defined by what `x <= threshold` does.
+        // fitted tree is defined by what `x <= threshold` does, and the
+        // threshold keeps the boundary's two values apart.
         let mid = partition_into(rows, &mut scratch.part, |&r| {
             ts.x.get(r, feature) <= threshold
         });
@@ -339,7 +339,7 @@ struct FitScratch {
 ///   op order (per class `p = count / n_side`, `Σp²` per side in class
 ///   order), and the strict `<` comparisons keep the first minimum in
 ///   scan order;
-/// * the threshold is `0.5·(v + next_v)` of the two boundary rows'
+/// * the threshold is [`split_threshold`] of the two boundary rows'
 ///   values; a `±0.0` representative gives the same midpoint.
 fn best_split(
     ts: &TrainSet,
@@ -438,15 +438,29 @@ fn best_split(
             }
             let score = (n_left / nf) * (1.0 - sl) + (n_right / nf) * (1.0 - sr);
             if score < floor && best.as_ref().is_none_or(|&(_, _, s)| score < s) {
-                // Midpoint threshold is robust to unseen values.
                 let v = ts.x.get(key as u32 as usize, f);
                 let next_v = ts.x.get(keys[w + 1] as u32 as usize, f);
-                best = Some((f, 0.5 * (v + next_v), score));
+                best = Some((f, split_threshold(v, next_v), score));
                 keep = 1.0 - score - PREFILTER_MARGIN;
             }
         }
     }
     best.map(|(f, t, _)| (f, t))
+}
+
+/// The threshold between adjacent distinct values `v < next_v`: their
+/// midpoint, which is robust to unseen values, when `x <= threshold` keeps
+/// the two apart (`v <= mid < next_v`). Between adjacent doubles the
+/// midpoint can round up to `next_v`, and a sum beyond `f64::MAX` makes
+/// it infinite; either would send every row to one side, so the
+/// threshold is then `v` itself.
+fn split_threshold(v: f64, next_v: f64) -> f64 {
+    let mid = 0.5 * (v + next_v);
+    if v <= mid && mid < next_v {
+        mid
+    } else {
+        v
+    }
 }
 
 /// Sorts `rank << 32 | row` keys whose ranks lie in `lo..=hi` by rank:

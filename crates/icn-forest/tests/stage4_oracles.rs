@@ -285,9 +285,9 @@ fn forest_trees_match_sort_scan_oracle_bit_for_bit() {
 #[test]
 fn splits_between_adjacent_doubles_match_the_oracle() {
     // Between 1 + 2^-52 and the next double the midpoint rounds up to the
-    // upper value, so `x <= threshold` sends both sides left; between 1.0
-    // and the next double it rounds down to 1.0. A rank-based partition
-    // would keep the two values apart in the first case.
+    // upper value, so the threshold falls back to the lower one; between
+    // 1.0 and the next double it rounds down to 1.0. Either way the fit
+    // must agree with the oracle.
     let one = 1.0f64;
     for lower in [one, f64::from_bits(one.to_bits() + 1)] {
         let upper = f64::from_bits(lower.to_bits() + 1);
@@ -309,5 +309,42 @@ fn splits_between_adjacent_doubles_match_the_oracle() {
         let oracle = sort_scan_tree_fit(&ts, &all, &cfg, &mut Rng::seed_from(1));
         assert_same_tree(&fast, &oracle, &format!("lower {lower:e}"));
         assert_eq!(fast.nodes.len(), 3, "the root must split");
+    }
+}
+
+/// A boundary whose midpoint is not in `[v, next_v)` splits at `v`: the
+/// midpoint of adjacent doubles can round up to the upper value, and a sum
+/// beyond `f64::MAX` is infinite. Either midpoint would send every row to
+/// one side, and at the default depth the fit would recurse on the same
+/// rows until the stack overflows.
+#[test]
+fn boundaries_without_an_interior_midpoint_split_at_the_lower_value() {
+    let above_one = |ulps: u64| f64::from_bits(1.0f64.to_bits() + ulps);
+    for (lower, upper) in [
+        (above_one(1), above_one(2)),
+        (1e308, 1.5e308),
+        (-1.5e308, -1e308),
+    ] {
+        let rows: Vec<Vec<f64>> = (0..8)
+            .map(|i| vec![if i < 4 { lower } else { upper }])
+            .collect();
+        let y: Vec<usize> = (0..8).map(|i| usize::from(i >= 4)).collect();
+        let ts = TrainSet::new(Matrix::from_rows(&rows), y);
+        let all: Vec<usize> = (0..ts.len()).collect();
+        let cfg = TreeConfig::default();
+        let fast = DecisionTree::fit(&ts, &all, &cfg, &mut Rng::seed_from(1));
+        let oracle = sort_scan_tree_fit(&ts, &all, &cfg, &mut Rng::seed_from(1));
+        let what = format!("{lower:e} | {upper:e}");
+        assert_same_tree(&fast, &oracle, &what);
+        assert_eq!(fast.nodes.len(), 3, "{what}: the root must split once");
+        assert_eq!(fast.nodes[0].threshold.to_bits(), lower.to_bits(), "{what}");
+        let covers: Vec<f64> = fast.nodes[1..].iter().map(|n| n.cover).collect();
+        assert_eq!(covers, [4.0, 4.0], "{what}: children cover");
+        assert!(
+            fast.nodes
+                .iter()
+                .all(|n| n.distribution.iter().all(|p| p.is_finite())),
+            "{what}: NaN distribution"
+        );
     }
 }

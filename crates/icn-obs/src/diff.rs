@@ -4,26 +4,34 @@
 //! [`diff_reports`] compares two [`BenchReport`]s — a blessed baseline
 //! `a` and a candidate `b` — against fixed per-metric thresholds and
 //! classifies every metric as pass / fail / informational. CI uses it as
-//! a regression gate on live runs: generous thresholds (fail only when a
-//! stage's wall or a nested span's p99 occurrence gets more than 2×
-//! slower) keep the gate insensitive to shared-runner noise while still
-//! catching real regressions. Tiny absolute walls (a stage below 5 ms, a
-//! nested span whose p99 is below 10 ms) are skipped entirely — a 3 ms
-//! stage doubling to 6 ms is scheduler noise, not a regression. A nested
-//! span with one call gates on its wall, since that is its p99.
+//! a regression gate on live runs. One walk over the span rows gates both
+//! kinds: a top-level row (a stage) on its wall, a nested row on its p99
+//! occurrence. Generous thresholds (fail only when either gets more than
+//! 2× slower) keep the gate insensitive to shared-runner noise while
+//! still catching real regressions. Tiny absolute walls (a stage below
+//! 5 ms, a nested span whose p99 is below 10 ms) are skipped entirely — a
+//! 3 ms stage doubling to 6 ms is scheduler noise, not a regression. A
+//! nested span with one call gates on its wall, since that is its p99.
 //! `*_bytes` gauges fail above 1.2× and the allocator peak above 1.5×.
 //!
 //! The comparison is deliberately asymmetric: `b` getting *faster* never
 //! fails, and metrics present only in `b` (new instrumentation) are
-//! informational, as are span paths only `a` has. A stage present in `a`
-//! but missing from `b` fails — a silently skipped stage must not read as
-//! a speedup. Counters never gate; changed ones are listed for context.
-//! [`DiffThresholds::stage_wall_ratios`] holds individual hot stages to
-//! tighter bounds than the 2× default — the one tunable threshold.
+//! informational, as are nested span paths only `a` has. A stage present
+//! in `a` but missing from `b` fails — a silently skipped stage must not
+//! read as a speedup. Counters never gate; changed ones are listed for
+//! context. [`DiffThresholds::stage_wall_ratios`] holds individual hot
+//! stages to tighter bounds than the 2× default — the one tunable
+//! threshold.
+//!
+//! [`render_top`] and [`render_mem`] draw the span rows as one
+//! depth-first tree: the first orders siblings by self time, the second
+//! by cumulative allocated bytes.
 
 use crate::report::{BenchReport, BenchReportSet};
-use crate::trace::self_times;
+use crate::trace::{self_times, SpanStats};
+use std::collections::BTreeMap;
 use std::fmt::Write as _;
+use std::time::Duration;
 
 /// Maximum allowed `b/a` wall-time ratio for stages.
 const MAX_WALL_RATIO: f64 = 2.0;
@@ -80,16 +88,17 @@ impl DiffThresholds {
     }
 
     /// Checks that every per-stage override can gate against `baseline`:
-    /// some report in it has the stage with a wall at or above the 5 ms
-    /// floor. `Err` says why the first override that cannot gate gates
-    /// nothing.
+    /// some report in it has the stage as a top-level span row with a wall
+    /// at or above the 5 ms floor. `Err` says why the first override that
+    /// cannot gate gates nothing.
     pub fn check_overrides(&self, baseline: &BenchReportSet) -> Result<(), String> {
         for (name, _) in &self.stage_wall_ratios {
             let wall = baseline
                 .reports
                 .iter()
-                .filter_map(|r| r.stage(name))
-                .map(|s| s.wall_ms)
+                // A nested path is never a stage.
+                .filter_map(|r| r.spans.get(name).filter(|_| !name.contains('/')))
+                .map(|s| ms(s.wall))
                 .reduce(f64::max);
             match wall {
                 None => return Err(format!("baseline has no stage {name}")),
@@ -192,6 +201,36 @@ impl DiffReport {
     }
 }
 
+/// Milliseconds of a span time.
+fn ms(d: Duration) -> f64 {
+    d.as_secs_f64() * 1e3
+}
+
+/// One gated metric: skipped under `floor`, failing above `bound`, and
+/// `missing` when the candidate lacks it.
+fn gate(
+    metric: String,
+    a: f64,
+    b: Option<f64>,
+    floor: f64,
+    bound: f64,
+    missing: DiffStatus,
+) -> DiffLine {
+    let (b, ratio, status) = match b {
+        None => (f64::NAN, f64::NAN, missing),
+        Some(b) if a < floor => (b, f64::NAN, DiffStatus::Skipped),
+        Some(b) if b / a > bound => (b, b / a, DiffStatus::Fail),
+        Some(b) => (b, b / a, DiffStatus::Ok),
+    };
+    DiffLine {
+        metric,
+        a,
+        b,
+        ratio,
+        status,
+    }
+}
+
 /// Compares candidate `b` against baseline `a`. See the module docs for
 /// semantics.
 pub fn diff_reports(a: &BenchReport, b: &BenchReport, t: &DiffThresholds) -> DiffReport {
@@ -208,84 +247,38 @@ pub fn diff_reports(a: &BenchReport, b: &BenchReport, t: &DiffThresholds) -> Dif
         });
     }
 
-    for stage in &a.stages {
-        let metric = format!("stage:{} wall_ms", stage.name);
-        match b.stage(&stage.name) {
-            None => lines.push(DiffLine {
+    // Span rows, walked once. A top-level row is a stage: it gates on its
+    // wall, and missing from the candidate it fails. A nested row gates
+    // on its per-task p99; span coverage changes with the code, so a
+    // path the candidate lacks is informational. Stage lines come first.
+    let mut nested = Vec::new();
+    for (path, span) in &a.spans {
+        let cand = b.spans.get(path);
+        if path.contains('/') {
+            let metric = format!("span:{path} p99_ms");
+            let p99 = cand.map(|c| ms(c.p99));
+            nested.push(gate(
                 metric,
-                a: stage.wall_ms,
-                b: f64::NAN,
-                ratio: f64::NAN,
-                status: DiffStatus::Fail,
-            }),
-            Some(cand) => {
-                if stage.wall_ms < MIN_WALL_MS {
-                    lines.push(DiffLine {
-                        metric,
-                        a: stage.wall_ms,
-                        b: cand.wall_ms,
-                        ratio: f64::NAN,
-                        status: DiffStatus::Skipped,
-                    });
-                    continue;
-                }
-                let ratio = cand.wall_ms / stage.wall_ms;
-                lines.push(DiffLine {
-                    metric,
-                    a: stage.wall_ms,
-                    b: cand.wall_ms,
-                    ratio,
-                    status: if ratio > t.wall_ratio_for(&stage.name) {
-                        DiffStatus::Fail
-                    } else {
-                        DiffStatus::Ok
-                    },
-                });
-            }
+                ms(span.p99),
+                p99,
+                MIN_P99_MS,
+                MAX_P99_RATIO,
+                DiffStatus::Info,
+            ));
+        } else {
+            let metric = format!("stage:{path} wall_ms");
+            let (wall, bound) = (cand.map(|c| ms(c.wall)), t.wall_ratio_for(path));
+            lines.push(gate(
+                metric,
+                ms(span.wall),
+                wall,
+                MIN_WALL_MS,
+                bound,
+                DiffStatus::Fail,
+            ));
         }
     }
-
-    // Per-task latency: every nested span path gates on the p99 of its
-    // occurrence walls. Span coverage changes with the code, so a path
-    // the candidate lacks is informational, unlike a missing stage.
-    for (path, span) in a.spans.iter().filter(|(path, _)| path.contains('/')) {
-        let metric = format!("span:{path} p99_ms");
-        let base = span.p99.as_secs_f64() * 1e3;
-        match b.spans.get(path) {
-            None => lines.push(DiffLine {
-                metric,
-                a: base,
-                b: f64::NAN,
-                ratio: f64::NAN,
-                status: DiffStatus::Info,
-            }),
-            Some(cand) => {
-                let candp = cand.p99.as_secs_f64() * 1e3;
-                if base < MIN_P99_MS {
-                    lines.push(DiffLine {
-                        metric,
-                        a: base,
-                        b: candp,
-                        ratio: f64::NAN,
-                        status: DiffStatus::Skipped,
-                    });
-                    continue;
-                }
-                let ratio = candp / base;
-                lines.push(DiffLine {
-                    metric,
-                    a: base,
-                    b: candp,
-                    ratio,
-                    status: if ratio > MAX_P99_RATIO {
-                        DiffStatus::Fail
-                    } else {
-                        DiffStatus::Ok
-                    },
-                });
-            }
-        }
-    }
+    lines.append(&mut nested);
 
     // Footprint gauges: lower is better and the values are deterministic
     // functions of the workload, so the candidate gates directly on b/a.
@@ -295,30 +288,15 @@ pub fn diff_reports(a: &BenchReport, b: &BenchReport, t: &DiffThresholds) -> Dif
         if !name.ends_with("_bytes") || base <= 0.0 {
             continue;
         }
-        let metric = format!("gauge:{name}");
-        match b.gauges.get(name) {
-            None => lines.push(DiffLine {
-                metric,
-                a: base,
-                b: f64::NAN,
-                ratio: f64::NAN,
-                status: DiffStatus::Info,
-            }),
-            Some(&cand) => {
-                let ratio = cand / base;
-                lines.push(DiffLine {
-                    metric,
-                    a: base,
-                    b: cand,
-                    ratio,
-                    status: if ratio > MAX_BYTES_RATIO {
-                        DiffStatus::Fail
-                    } else {
-                        DiffStatus::Ok
-                    },
-                });
-            }
-        }
+        let cand = b.gauges.get(name).copied();
+        lines.push(gate(
+            format!("gauge:{name}"),
+            base,
+            cand,
+            0.0,
+            MAX_BYTES_RATIO,
+            DiffStatus::Info,
+        ));
     }
 
     // Allocator window peak (memory section): the number
@@ -383,116 +361,95 @@ pub fn diff_reports(a: &BenchReport, b: &BenchReport, t: &DiffThresholds) -> Dif
     DiffReport { lines }
 }
 
-/// Renders the `icn obs top` self-time treetable for a report: every span
-/// path as an indented tree with calls, total wall and self time (total
-/// minus direct children), sorted within each level by self time
-/// descending.
-pub fn render_top(report: &BenchReport) -> String {
-    let times = self_times(&report.spans);
-    let mut entries: Vec<(&String, &(u64, std::time::Duration, std::time::Duration))> =
-        times.iter().collect();
-    // Stable tree order: parents before children (BTreeMap path order),
-    // then self-time descending among siblings.
-    entries.sort_by(|(pa, ta), (pb, tb)| {
-        let depth_a = pa.matches('/').count();
-        let depth_b = pb.matches('/').count();
-        let parent_a = pa.rsplit_once('/').map(|(p, _)| p).unwrap_or("");
-        let parent_b = pb.rsplit_once('/').map(|(p, _)| p).unwrap_or("");
-        (parent_a, depth_a)
-            .cmp(&(parent_b, depth_b))
-            .then(tb.2.cmp(&ta.2))
-    });
-    let mut out = String::new();
-    // When the report carries a memory section, the treetable gains
-    // self/cumulative allocation columns next to the time columns.
-    let mem = report.memory.as_ref();
-    if mem.is_some() {
-        let _ = writeln!(
-            out,
-            "{:>8}  {:>12}  {:>12}  {:>14}  {:>14}  span",
-            "calls", "total_ms", "self_ms", "self_alloc_b", "cum_alloc_b"
-        );
-    } else {
-        let _ = writeln!(
-            out,
-            "{:>8}  {:>12}  {:>12}  span",
-            "calls", "total_ms", "self_ms"
-        );
-    }
-    // Emit as a tree: walk paths depth-first using the path prefix.
-    let mut ordered: Vec<&String> = Vec::new();
-    fn push_children<'a>(
+/// The span paths in depth-first tree order: every row is followed by its
+/// subtree, and siblings are ordered by `key` descending (ties in path
+/// order). The one tree walk behind [`render_top`] and [`render_mem`].
+fn tree_order<K: Ord>(spans: &BTreeMap<String, SpanStats>, key: impl Fn(&str) -> K) -> Vec<&str> {
+    fn visit<'a, K: Ord>(
         parent: &str,
-        entries: &[(&'a String, &(u64, std::time::Duration, std::time::Duration))],
-        ordered: &mut Vec<&'a String>,
+        spans: &'a BTreeMap<String, SpanStats>,
+        key: &impl Fn(&str) -> K,
+        out: &mut Vec<&'a str>,
     ) {
-        for (path, _) in entries {
-            let is_child = match path.rsplit_once('/') {
-                Some((p, _)) => p == parent,
-                None => parent.is_empty(),
-            };
-            if is_child {
-                ordered.push(path);
-                push_children(path, entries, ordered);
-            }
+        let mut level: Vec<&str> = spans
+            .keys()
+            .map(String::as_str)
+            .filter(|path| path.rsplit_once('/').map_or("", |(p, _)| p) == parent)
+            .collect();
+        level.sort_by_key(|path| std::cmp::Reverse(key(path)));
+        for path in level {
+            out.push(path);
+            visit(path, spans, key, out);
         }
     }
-    push_children("", &entries, &mut ordered);
-    for path in ordered {
-        let &(calls, total, own) = &times[path];
-        let depth = path.matches('/').count();
-        let leaf = path.rsplit('/').next().unwrap_or(path);
-        if let Some(m) = mem {
-            let self_b = m.spans.get(path).map_or(0, |a| a.bytes);
-            let _ = writeln!(
-                out,
-                "{:>8}  {:>12.3}  {:>12.3}  {:>14}  {:>14}  {}{}",
-                calls,
-                total.as_secs_f64() * 1e3,
-                own.as_secs_f64() * 1e3,
-                self_b,
-                cumulative_bytes(&m.spans, path),
-                "  ".repeat(depth),
-                leaf
-            );
-        } else {
-            let _ = writeln!(
-                out,
-                "{:>8}  {:>12.3}  {:>12.3}  {}{}",
-                calls,
-                total.as_secs_f64() * 1e3,
-                own.as_secs_f64() * 1e3,
-                "  ".repeat(depth),
-                leaf
-            );
-        }
-    }
+    let mut out = Vec::with_capacity(spans.len());
+    visit("", spans, &key, &mut out);
     out
 }
 
+/// A row's label in a treetable: its leaf name, indented by depth.
+fn label(path: &str) -> String {
+    let leaf = path.rsplit('/').next().unwrap_or(path);
+    format!("{}{leaf}", "  ".repeat(path.matches('/').count()))
+}
+
 /// Cumulative allocation bytes for a path: its own self bytes plus every
-/// descendant's (path-prefix sum). Valid at any thread count because the
-/// table stores *self* figures per path — cross-thread children carry
-/// their own rows, never double-counted in the dispatcher's.
-fn cumulative_bytes(
-    spans: &std::collections::BTreeMap<String, crate::SpanAlloc>,
-    path: &str,
-) -> u64 {
+/// descendant's (path-prefix sum). Valid at any thread count because rows
+/// carry *self* figures — cross-thread children have their own rows,
+/// never double-counted in the dispatcher's.
+fn cumulative_bytes(spans: &BTreeMap<String, SpanStats>, path: &str) -> u64 {
     spans
         .iter()
         .filter(|(p, _)| {
             p.as_str() == path
                 || (p.starts_with(path) && p.as_bytes().get(path.len()) == Some(&b'/'))
         })
-        .map(|(_, a)| a.bytes)
+        .map(|(_, s)| s.alloc_bytes)
         .sum()
 }
 
+/// Renders the `icn obs top` self-time treetable for a report: every span
+/// row as an indented tree with calls, total wall and self time (total
+/// minus direct children), sorted within each level by self time
+/// descending. With a memory section it gains self and cumulative
+/// allocation columns.
+pub fn render_top(report: &BenchReport) -> String {
+    let own = self_times(&report.spans);
+    let with_mem = report.memory.is_some();
+    let mut out = String::new();
+    let _ = write!(
+        out,
+        "{:>8}  {:>12}  {:>12}  ",
+        "calls", "total_ms", "self_ms"
+    );
+    if with_mem {
+        let _ = write!(out, "{:>14}  {:>14}  ", "self_alloc_b", "cum_alloc_b");
+    }
+    out.push_str("span\n");
+    for path in tree_order(&report.spans, |p| own[p]) {
+        let s = &report.spans[path];
+        let _ = write!(
+            out,
+            "{:>8}  {:>12.3}  {:>12.3}  ",
+            s.calls,
+            ms(s.wall),
+            ms(own[path])
+        );
+        if with_mem {
+            let cum = cumulative_bytes(&report.spans, path);
+            let _ = write!(out, "{:>14}  {:>14}  ", s.alloc_bytes, cum);
+        }
+        let _ = writeln!(out, "{}", label(path));
+    }
+    out
+}
+
 /// Renders the `icn obs mem` allocation treetable for a report: the
-/// allocator window summary followed by every span path as an indented
+/// allocator window summary followed by every span row as an indented
 /// tree with self bytes, cumulative bytes (self + descendants), self
 /// allocation count, and the path's largest single-occurrence peak
-/// contribution. Reports without a memory section (produced by a binary
+/// contribution, sorted within each level by cumulative bytes
+/// descending. Reports without a memory section (produced by a binary
 /// without a counting allocator) render an explanatory line instead.
 pub fn render_mem(report: &BenchReport) -> String {
     let Some(mem) = &report.memory else {
@@ -519,41 +476,17 @@ pub fn render_mem(report: &BenchReport) -> String {
         "{:>14}  {:>14}  {:>8}  {:>14}  span",
         "self_bytes", "cum_bytes", "allocs", "peak_growth_b"
     );
-    // Same depth-first tree walk as `render_top`, ordered by cumulative
-    // bytes descending among siblings.
-    let mut ordered: Vec<&String> = Vec::new();
-    fn push_children<'a>(
-        parent: &str,
-        spans: &'a std::collections::BTreeMap<String, crate::SpanAlloc>,
-        ordered: &mut Vec<&'a String>,
-    ) {
-        let mut level: Vec<&String> = spans
-            .keys()
-            .filter(|path| match path.rsplit_once('/') {
-                Some((p, _)) => p == parent,
-                None => parent.is_empty(),
-            })
-            .collect();
-        level.sort_by_key(|path| std::cmp::Reverse(cumulative_bytes(spans, path)));
-        for path in level {
-            ordered.push(path);
-            push_children(path, spans, ordered);
-        }
-    }
-    push_children("", &mem.spans, &mut ordered);
-    for path in ordered {
-        let a = &mem.spans[path.as_str()];
-        let depth = path.matches('/').count();
-        let leaf = path.rsplit('/').next().unwrap_or(path);
+    let cum = |path: &str| cumulative_bytes(&report.spans, path);
+    for path in tree_order(&report.spans, cum) {
+        let s = &report.spans[path];
         let _ = writeln!(
             out,
-            "{:>14}  {:>14}  {:>8}  {:>14}  {}{}",
-            a.bytes,
-            cumulative_bytes(&mem.spans, path),
-            a.allocs,
-            a.peak_growth_bytes,
-            "  ".repeat(depth),
-            leaf
+            "{:>14}  {:>14}  {:>8}  {:>14}  {}",
+            s.alloc_bytes,
+            cum(path),
+            s.allocs,
+            s.peak_growth_bytes,
+            label(path)
         );
     }
     out
@@ -675,6 +608,7 @@ mod tests {
                 calls: 1,
                 wall: batch,
                 p99: batch,
+                ..SpanStats::default()
             },
         );
         let d = diff_reports(&a, &b, &DiffThresholds::default());
@@ -809,7 +743,6 @@ mod tests {
             vm_hwm_bytes: None,
             budget_mb: None,
             budget_verdict: None,
-            spans: std::collections::BTreeMap::new(),
         }
     }
 
@@ -854,29 +787,21 @@ mod tests {
         assert!(!d.lines.iter().any(|l| l.metric.starts_with("mem:")));
     }
 
+    /// Sets a span row's self allocation figures.
+    fn alloc(rep: &mut BenchReport, path: &str, bytes: u64, allocs: u64, peak: u64) {
+        let row = rep.spans.get_mut(path).unwrap();
+        (row.alloc_bytes, row.allocs, row.peak_growth_bytes) = (bytes, allocs, peak);
+    }
+
     #[test]
     fn mem_table_renders_summary_and_tree() {
         let mut rep = base();
         let mut mem = memory_with(5000);
         mem.budget_mb = Some(512);
         mem.budget_verdict = Some("ok".into());
-        mem.spans.insert(
-            "stage3_surrogate".into(),
-            crate::SpanAlloc {
-                bytes: 1000,
-                allocs: 3,
-                peak_growth_bytes: 5000,
-            },
-        );
-        mem.spans.insert(
-            "stage3_surrogate/shap_batch".into(),
-            crate::SpanAlloc {
-                bytes: 250,
-                allocs: 2,
-                peak_growth_bytes: 250,
-            },
-        );
         rep.memory = Some(mem);
+        alloc(&mut rep, "stage3_surrogate", 1000, 3, 5000);
+        alloc(&mut rep, "stage3_surrogate/shap_batch", 250, 2, 250);
         let table = render_mem(&rep);
         assert!(table.contains("peak 5000 B"));
         assert!(table.contains("budget: 512 MiB -> ok"));
@@ -888,6 +813,8 @@ mod tests {
         // Cumulative = self (1000) + child (250).
         assert!(root.contains("1250"));
         assert!(table.contains("  shap_batch"));
+        // Every span row is drawn, with or without allocations.
+        assert!(table.contains("    shap_chunk"));
         // A report without a memory section explains itself.
         let plain = base();
         assert!(render_mem(&plain).contains("no memory section"));
@@ -897,16 +824,8 @@ mod tests {
     fn top_table_gains_alloc_columns_with_memory() {
         let mut rep = base();
         assert!(!render_top(&rep).contains("cum_alloc_b"));
-        let mut mem = memory_with(5000);
-        mem.spans.insert(
-            "stage3_surrogate".into(),
-            crate::SpanAlloc {
-                bytes: 4096,
-                allocs: 1,
-                peak_growth_bytes: 4096,
-            },
-        );
-        rep.memory = Some(mem);
+        rep.memory = Some(memory_with(5000));
+        alloc(&mut rep, "stage3_surrogate", 4096, 1, 4096);
         let table = render_top(&rep);
         assert!(table.contains("cum_alloc_b"));
         assert!(table.contains("4096"));

@@ -24,15 +24,18 @@
 //!   install, tracking window live/peak bytes globally and attributing
 //!   allocation churn to the span open on the allocating thread. Gated on the
 //!   same single-flag contract as the registry.
-//! * Exporters — [`BenchReport`], a stable JSON schema (`icn-obs/v4`) that
+//! * Exporters — [`BenchReport`], a stable JSON schema (`icn-obs/v5`) that
 //!   explains a single metered run (`--metrics-out`); and [`chrome_trace`], a
 //!   Chrome trace-event export (`chrome://tracing` / Perfetto) of the full
-//!   span tree.
+//!   span tree. A report's span row is its one per-span record: calls,
+//!   wall, p99, self time and, when allocations were counted, self
+//!   allocation figures. A stage is a top-level row; counters live once, at
+//!   the root.
 //! * Tooling — [`diff_reports`] compares two reports against fixed per-metric
-//!   thresholds (the CI regression gate on live runs, including the
-//!   asymmetric peak-memory gate), [`render_top`] prints a self-time
-//!   treetable and [`render_mem`] the allocation treetable behind `icn obs
-//!   mem`.
+//!   thresholds in one walk over the span rows (the CI regression gate on
+//!   live runs, including the asymmetric peak-memory gate); [`render_top`]
+//!   prints a self-time treetable and [`render_mem`] the allocation
+//!   treetable behind `icn obs mem`, both by one depth-first walk.
 //!
 //! Typical harness usage:
 //!
@@ -46,7 +49,8 @@
 //!     reg.add_counter("transform.live_rows", 123);
 //! }
 //! let report = icn_obs::BenchReport::build(&reg.snapshot(), "doc-test", 0.1);
-//! assert!(report.stage("stage1_transform").is_some());
+//! assert_eq!(report.spans["stage1_transform"].calls, 1); // a stage
+//! assert_eq!(report.counters["transform.live_rows"], 123);
 //! reg.disable();
 //! reg.reset();
 //! ```
@@ -74,8 +78,8 @@ pub use json::Json;
 pub use mem::{gauge_bytes, CountingAlloc, MemStats};
 pub use registry::{Registry, Snapshot};
 pub use report::{
-    pair_reports, BenchReport, BenchReportSet, EnvInfo, MemoryReport, SpanAlloc, StageReport,
-    FORECAST_STAGE, PIPELINE_STAGES,
+    pair_reports, BenchReport, BenchReportSet, EnvInfo, MemoryReport, FORECAST_STAGE,
+    PIPELINE_STAGES,
 };
 pub use span::{current_handoff, AdoptGuard, Handoff, Span};
 pub use trace::{AttrValue, SpanData, SpanEvent, SpanStats};

@@ -1,6 +1,6 @@
-//! Allocation accounting: a counting [`GlobalAlloc`] wrapper and the
-//! process-wide byte window behind the `icn-obs/v4` `memory` report
-//! section.
+//! Allocation accounting: a counting [`GlobalAlloc`] wrapper, the
+//! process-wide byte window behind the `icn-obs/v5` `memory` report
+//! section, and the per-span self figures on the report's span rows.
 //!
 //! Harness binaries install [`CountingAlloc`] as their global allocator:
 //!

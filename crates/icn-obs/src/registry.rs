@@ -54,8 +54,8 @@ pub struct Snapshot {
     pub counters: BTreeMap<String, u64>,
     /// Last-write-wins gauges by name.
     pub gauges: BTreeMap<String, f64>,
-    /// Span occurrences aggregated by path — the report's `spans` view,
-    /// derived from [`Snapshot::span_tree`].
+    /// Span occurrences aggregated by path, allocation figures included —
+    /// the report's span rows, derived from [`Snapshot::span_tree`].
     pub spans: BTreeMap<String, SpanStats>,
     /// Every finished span occurrence with tree linkage, in completion
     /// order.

@@ -1,52 +1,54 @@
 //! Machine-readable run reports (`--metrics-out`).
 //!
 //! A [`BenchReport`] freezes a [`crate::Registry`] snapshot into a stable
-//! JSON schema (`icn-obs/v4`) that `icn obs top|mem` render and
+//! JSON schema (`icn-obs/v5`) that `icn obs top|mem` render and
 //! `icn obs diff` gates against a blessed baseline:
 //!
 //! ```json
 //! {
-//!   "schema": "icn-obs/v4",
+//!   "schema": "icn-obs/v5",
 //!   "run_id": "all_experiments",
 //!   "scale": 1.0,
 //!   "env": {"os": "linux", "arch": "x86_64", "threads": 16, "unix_time": 0,
 //!           "git_commit": "a9df246...", "chunk": 512},
-//!   "stages": [
-//!     {"name": "stage2_cluster", "wall_ms": 1234.5,
-//!      "counters": {"cluster.merges": 4761, "cluster.pairs": 11335641}}
-//!   ],
-//!   "spans": [{"path": "stage3_surrogate/shap_batch/shap_chunk", "calls": 64,
-//!              "wall_ms": 200.0, "p99_ms": 4.1, "self_ms": 200.0}],
+//!   "spans": [{"path": "stage2_cluster", "calls": 1, "wall_ms": 1234.5,
+//!              "p99_ms": 1234.5, "self_ms": 12.0, "alloc_bytes": 4096,
+//!              "allocs": 3, "peak_growth_bytes": 4096},
+//!             {"path": "stage3_surrogate/shap_batch/shap_chunk", "calls": 64,
+//!              "wall_ms": 200.0, "p99_ms": 4.1, "self_ms": 200.0,
+//!              "alloc_bytes": 0, "allocs": 0, "peak_growth_bytes": 0}],
 //!   "counters": {"cluster.merges": 4761},
 //!   "gauges": {"cluster.condensed_bytes": 90682880},
 //!   "memory": {
 //!     "allocator": {"live_bytes": 104857, "peak_bytes": 412000000,
 //!                   "total_alloc_bytes": 900000000,
 //!                   "allocs": 120000, "frees": 119000},
-//!     "vm_hwm_bytes": 523000000,
-//!     "spans": [{"path": "stage2_cluster/condensed", "alloc_bytes": 4096,
-//!                "allocs": 1, "peak_growth_bytes": 4096}]
+//!     "vm_hwm_bytes": 523000000
 //!   }
 //! }
 //! ```
 //!
+//! The span row is the one per-span record. Every row carries calls, total
+//! wall, `p99_ms` — the exact p99 of its occurrence walls
+//! ([`SpanStats::p99`]), the one per-task latency statistic — and
+//! `self_ms`. A **stage** is a top-level row (a path without a `/`); the
+//! documented top-level set is [`PIPELINE_STAGES`] plus
+//! [`FORECAST_STAGE`]. Counters live once, at the root. When the report
+//! has a memory section, every row also carries its *self* allocation
+//! figures (`alloc_bytes`, `allocs`, `peak_growth_bytes`; see
+//! [`SpanStats`]).
+//!
 //! **Versioning.** [`BenchReport::parse`] reads exactly the schema this
-//! crate writes, and rejects a span row whose `calls`, `wall_ms` or
-//! `p99_ms` is missing, negative or not finite, or whose time is too
-//! large for a `Duration`. Its one optional section is `memory`
-//! ([`MemoryReport`]): the allocator window from [`crate::mem`], `VmHWM`
-//! where readable, the per-span *self* allocation table, and the
+//! crate writes. It rejects a span row whose `calls`, `wall_ms` or
+//! `p99_ms` is missing, negative or not finite, or whose time is too large
+//! for a `Duration`; absent allocation fields read as 0, and present ones,
+//! like counters and memory numbers, must be whole numbers in `0..=2^53`.
+//! Its one optional section is `memory` ([`MemoryReport`]): the allocator
+//! window from [`crate::mem`], `VmHWM` where readable, and the
 //! `--mem-budget-mb` verdict when a budget was enforced. It is emitted
 //! only when the run actually counted allocations (a
 //! [`crate::mem::CountingAlloc`] was installed and the window saw
 //! traffic); reports from uncounted binaries simply omit it.
-//!
-//! Stages are the **top-level** spans of the run (nesting path without a
-//! `/`). Counters attach to stages by name prefix — see
-//! [`stage_for_counter`] — so tallies flushed from worker threads land on
-//! the right stage without any thread-local bookkeeping. Every span row,
-//! stage or nested, carries `p99_ms`: the exact p99 of its occurrence
-//! walls ([`SpanStats::p99`]), the one per-task latency statistic.
 
 use crate::json::{counters_obj, Json};
 use crate::registry::Snapshot;
@@ -56,7 +58,7 @@ use std::time::Duration;
 
 /// Schema identifier embedded in every report this crate writes, and the
 /// only one [`BenchReport::parse`] accepts.
-pub(crate) const SCHEMA: &str = "icn-obs/v4";
+pub(crate) const SCHEMA: &str = "icn-obs/v5";
 
 /// Schema identifier for a multi-configuration report *set* — the file
 /// `icn <cmd> --threads-sweep 1,2 --metrics-out` writes: one
@@ -79,38 +81,6 @@ pub const PIPELINE_STAGES: [&str; 5] = [
 /// out of [`PIPELINE_STAGES`] so the default five-stage pipeline — and
 /// every golden pinned to it — is unchanged when forecasting is off.
 pub const FORECAST_STAGE: &str = "stage6_forecast";
-
-/// Maps a counter name to the stage it belongs to, by prefix convention:
-/// `transform.*` → stage 1, `cluster.*` → stage 2, `forest.*` / `shap.*` →
-/// stage 3, `env.*` → stage 4, `outdoor.*` → stage 5, `forecast.*` →
-/// stage 6, `synth.*` → `generate`, `probe.*` → `probe_campaign`,
-/// `ingest.*` → `ingest`. Unprefixed counters stay global-only.
-pub(crate) fn stage_for_counter(name: &str) -> Option<&'static str> {
-    let prefix = name.split('.').next().unwrap_or("");
-    match prefix {
-        "transform" => Some(PIPELINE_STAGES[0]),
-        "cluster" => Some(PIPELINE_STAGES[1]),
-        "forest" | "shap" => Some(PIPELINE_STAGES[2]),
-        "env" => Some(PIPELINE_STAGES[3]),
-        "outdoor" => Some(PIPELINE_STAGES[4]),
-        "forecast" => Some(FORECAST_STAGE),
-        "synth" => Some("generate"),
-        "probe" => Some("probe_campaign"),
-        "ingest" => Some("ingest"),
-        _ => None,
-    }
-}
-
-/// One pipeline stage in a report.
-#[derive(Clone, Debug, PartialEq)]
-pub struct StageReport {
-    /// Stage name (top-level span name).
-    pub name: String,
-    /// Total wall time of the stage across all calls, in milliseconds.
-    pub wall_ms: f64,
-    /// Counters attributed to this stage (by counter-name prefix).
-    pub counters: BTreeMap<String, u64>,
-}
 
 /// Execution environment fingerprint, which makes reports self-describing:
 /// besides OS/arch/threads, it records the producing git commit (when the
@@ -216,26 +186,11 @@ fn validate_hash(s: &str) -> Option<String> {
     }
 }
 
-/// Per-span *self* allocation attribution in a report's memory section —
-/// one row of the `icn obs mem` treetable. Cumulative figures are
-/// derived by summing self bytes over a path's subtree (path-prefix sum).
-#[derive(Clone, Copy, Debug, Default, PartialEq, Eq)]
-pub struct SpanAlloc {
-    /// Self allocation bytes (see [`crate::SpanData::alloc_bytes`]),
-    /// summed over all occurrences of the path.
-    pub bytes: u64,
-    /// Self allocation count, summed over all occurrences.
-    pub allocs: u64,
-    /// Largest single-occurrence peak contribution
-    /// ([`crate::SpanData::peak_growth_bytes`]) — max, not sum: peaks
-    /// are high-water marks.
-    pub peak_growth_bytes: u64,
-}
-
 /// The `memory` section: the allocator window totals, optional OS
-/// high-water mark, the per-span allocation table, and — when the run
-/// enforced `--mem-budget-mb` — the budget and its verdict. Present only
-/// when the producing binary counted allocations (see [`crate::mem`]).
+/// high-water mark, and — when the run enforced `--mem-budget-mb` — the
+/// budget and its verdict. Present only when the producing binary counted
+/// allocations (see [`crate::mem`]); the per-span figures are on the span
+/// rows.
 #[derive(Clone, Debug, Default, PartialEq)]
 pub struct MemoryReport {
     /// Net bytes allocated minus freed over the metered window (signed:
@@ -257,9 +212,6 @@ pub struct MemoryReport {
     pub budget_mb: Option<u64>,
     /// `"ok"` or `"breached"`, when a budget was enforced.
     pub budget_verdict: Option<String>,
-    /// Per-path self allocation attribution (threads-advisory — see
-    /// [`crate::mem`]; canonical at `ICN_THREADS=1`).
-    pub spans: BTreeMap<String, SpanAlloc>,
 }
 
 impl MemoryReport {
@@ -278,11 +230,11 @@ pub struct BenchReport {
     pub scale: f64,
     /// Environment fingerprint.
     pub env: EnvInfo,
-    /// Per-stage wall time and counters, in stage-name order.
-    pub stages: Vec<StageReport>,
-    /// All spans by nesting path.
+    /// Every span row by nesting path; the top-level rows are the stages.
+    /// Allocation figures are attributed threads-advisory (see
+    /// [`crate::mem`]; canonical at `ICN_THREADS=1`).
     pub spans: BTreeMap<String, SpanStats>,
-    /// All counters, unattributed.
+    /// All counters.
     pub counters: BTreeMap<String, u64>,
     /// Last-write-wins gauges (footprints such as
     /// `cluster.condensed_bytes`, quality figures such as
@@ -296,25 +248,6 @@ pub struct BenchReport {
 impl BenchReport {
     /// Builds a report from a registry snapshot.
     pub fn build(snapshot: &Snapshot, run_id: &str, scale: f64) -> BenchReport {
-        let mut stages: BTreeMap<String, StageReport> = BTreeMap::new();
-        for (path, span) in &snapshot.spans {
-            if path.contains('/') {
-                continue; // nested span, not a stage
-            }
-            let stage = stages.entry(path.clone()).or_insert_with(|| StageReport {
-                name: path.clone(),
-                wall_ms: 0.0,
-                counters: BTreeMap::new(),
-            });
-            stage.wall_ms += span.wall.as_secs_f64() * 1e3;
-        }
-        for (name, &value) in &snapshot.counters {
-            if let Some(stage_name) = stage_for_counter(name) {
-                if let Some(stage) = stages.get_mut(stage_name) {
-                    stage.counters.insert(name.clone(), value);
-                }
-            }
-        }
         // A memory section is meaningful only when the running binary
         // installed a counting allocator and the window saw traffic;
         // `allocs == 0` otherwise, and the section is omitted.
@@ -328,25 +261,11 @@ impl BenchReport {
             vm_hwm_bytes: crate::mem::vm_hwm_bytes(),
             budget_mb: None,
             budget_verdict: None,
-            spans: crate::trace::alloc_by_path(&snapshot.span_tree)
-                .into_iter()
-                .map(|(path, (bytes, allocs, peak))| {
-                    (
-                        path,
-                        SpanAlloc {
-                            bytes,
-                            allocs,
-                            peak_growth_bytes: peak,
-                        },
-                    )
-                })
-                .collect(),
         });
         BenchReport {
             run_id: run_id.to_string(),
             scale,
             env: EnvInfo::capture(),
-            stages: stages.into_values().collect(),
             spans: snapshot.spans.clone(),
             counters: snapshot.counters.clone(),
             gauges: snapshot.gauges.clone(),
@@ -356,33 +275,27 @@ impl BenchReport {
 
     /// Renders the report as a pretty-printed JSON document.
     pub fn to_json(&self) -> Json {
-        let stages: Vec<Json> = self
-            .stages
-            .iter()
-            .map(|s| {
-                Json::obj(vec![
-                    ("name", Json::str(&s.name)),
-                    ("wall_ms", Json::num(s.wall_ms)),
-                    ("counters", counters_obj(&s.counters)),
-                ])
-            })
-            .collect();
-        let self_ms = crate::trace::self_times(&self.spans);
+        let own = crate::trace::self_times(&self.spans);
+        let ms = |d: Duration| Json::num(d.as_secs_f64() * 1e3);
         let spans: Vec<Json> = self
             .spans
             .iter()
             .map(|(path, s)| {
-                let own = self_ms
-                    .get(path)
-                    .map(|&(_, _, own)| own.as_secs_f64() * 1e3)
-                    .unwrap_or(0.0);
-                Json::obj(vec![
+                let mut row = vec![
                     ("path", Json::str(path)),
                     ("calls", Json::num(s.calls as f64)),
-                    ("wall_ms", Json::num(s.wall.as_secs_f64() * 1e3)),
-                    ("p99_ms", Json::num(s.p99.as_secs_f64() * 1e3)),
-                    ("self_ms", Json::num(own)),
-                ])
+                    ("wall_ms", ms(s.wall)),
+                    ("p99_ms", ms(s.p99)),
+                    ("self_ms", ms(own[path.as_str()])),
+                ];
+                if self.memory.is_some() {
+                    row.extend([
+                        ("alloc_bytes", Json::num(s.alloc_bytes as f64)),
+                        ("allocs", Json::num(s.allocs as f64)),
+                        ("peak_growth_bytes", Json::num(s.peak_growth_bytes as f64)),
+                    ]);
+                }
+                Json::obj(row)
             })
             .collect();
         let mut env_fields = vec![
@@ -402,7 +315,6 @@ impl BenchReport {
             ("run_id", Json::str(&self.run_id)),
             ("scale", Json::num(self.scale)),
             ("env", Json::obj(env_fields)),
-            ("stages", Json::Arr(stages)),
             ("spans", Json::Arr(spans)),
             ("counters", counters_obj(&self.counters)),
             (
@@ -427,7 +339,7 @@ impl BenchReport {
     }
 
     /// Parses a report back from its JSON rendering, validating the schema
-    /// tag (`icn-obs/v4`) and required fields.
+    /// tag (`icn-obs/v5`) and required fields.
     pub fn parse(text: &str) -> Result<BenchReport, String> {
         BenchReport::from_doc(&Json::parse(text)?)
     }
@@ -473,31 +385,6 @@ impl BenchReport {
                 .and_then(Json::as_f64)
                 .map(|c| c as u64),
         };
-        let mut stages = Vec::new();
-        for s in doc
-            .get("stages")
-            .and_then(Json::as_arr)
-            .ok_or("missing stages")?
-        {
-            let name = s
-                .get("name")
-                .and_then(Json::as_str)
-                .ok_or("stage missing name")?
-                .to_string();
-            // A stage wall is a gate's baseline: a time the report cannot
-            // hold would pass any candidate, so it is an error.
-            let wall_ms = s
-                .get("wall_ms")
-                .and_then(Json::as_f64)
-                .filter(|v| v.is_finite() && *v >= 0.0)
-                .ok_or_else(|| format!("stage {name}: wall_ms missing, negative or not finite"))?;
-            let counters = counters_from_json(s.get("counters"))?;
-            stages.push(StageReport {
-                name,
-                wall_ms,
-                counters,
-            });
-        }
         let mut spans = BTreeMap::new();
         if let Some(items) = doc.get("spans").and_then(Json::as_arr) {
             for s in items {
@@ -519,10 +406,19 @@ impl BenchReport {
                     Duration::try_from_secs_f64(field(key)? / 1e3)
                         .map_err(|e| format!("span {path}: {key}: {e}"))
                 };
+                // Allocation figures are present exactly when the report
+                // has a memory section; absent reads as 0.
+                let bytes = |key: &str| {
+                    s.get(key)
+                        .map_or(Ok(0), |v| count(Some(v), &format!("span {path}: {key}")))
+                };
                 let stats = SpanStats {
                     calls: field("calls")? as u64,
                     wall: ms("wall_ms")?,
                     p99: ms("p99_ms")?,
+                    alloc_bytes: bytes("alloc_bytes")?,
+                    allocs: bytes("allocs")?,
+                    peak_growth_bytes: bytes("peak_growth_bytes")?,
                 };
                 spans.insert(path.to_string(), stats);
             }
@@ -546,23 +442,17 @@ impl BenchReport {
             run_id,
             scale,
             env,
-            stages,
             spans,
             counters,
             gauges,
             memory,
         })
     }
-
-    /// The stage with the given name, if present.
-    pub fn stage(&self, name: &str) -> Option<&StageReport> {
-        self.stages.iter().find(|s| s.name == name)
-    }
 }
 
 /// An ordered collection of reports from one invocation — one per
 /// worker-thread count when produced by `--threads-sweep`. The JSON
-/// rendering (`icn-bench-set/1`) wraps the individual `icn-obs/v4`
+/// rendering (`icn-bench-set/1`) wraps the individual `icn-obs/v5`
 /// documents verbatim:
 ///
 /// ```json
@@ -667,19 +557,6 @@ fn memory_to_json(mem: &MemoryReport) -> Json {
     if let Some(verdict) = &mem.budget_verdict {
         fields.push(("budget_verdict", Json::str(verdict)));
     }
-    let spans: Vec<Json> = mem
-        .spans
-        .iter()
-        .map(|(path, a)| {
-            Json::obj(vec![
-                ("path", Json::str(path)),
-                ("alloc_bytes", Json::num(a.bytes as f64)),
-                ("allocs", Json::num(a.allocs as f64)),
-                ("peak_growth_bytes", Json::num(a.peak_growth_bytes as f64)),
-            ])
-        })
-        .collect();
-    fields.push(("spans", Json::Arr(spans)));
     Json::obj(fields)
 }
 
@@ -712,23 +589,6 @@ fn memory_from_json(doc: &Json) -> Result<MemoryReport, String> {
         doc.get(key)
             .map(|v| count(Some(v), &format!("memory {key}")))
     };
-    let mut spans = BTreeMap::new();
-    if let Some(items) = doc.get("spans").and_then(Json::as_arr) {
-        for s in items {
-            let path = s
-                .get("path")
-                .and_then(Json::as_str)
-                .ok_or("memory span missing path")?;
-            spans.insert(
-                path.to_string(),
-                SpanAlloc {
-                    bytes: num(s, "alloc_bytes")?,
-                    allocs: num(s, "allocs")?,
-                    peak_growth_bytes: num(s, "peak_growth_bytes")?,
-                },
-            );
-        }
-    }
     // Live bytes are a signed balance (frees of memory allocated before
     // the window opened), but still a whole, finite number.
     let live_bytes = alloc
@@ -748,7 +608,6 @@ fn memory_from_json(doc: &Json) -> Result<MemoryReport, String> {
             .get("budget_verdict")
             .and_then(Json::as_str)
             .map(str::to_string),
-        spans,
     })
 }
 
@@ -777,25 +636,25 @@ mod tests {
     }
 
     #[test]
-    fn stages_are_top_level_spans_with_attributed_counters() {
+    fn stages_are_top_level_span_rows_and_counters_live_at_the_root() {
         let rep = BenchReport::build(&sample_snapshot(), "test", 0.1);
-        assert_eq!(rep.stages.len(), 2);
-        let s2 = rep.stage("stage2_cluster").unwrap();
-        assert_eq!(s2.counters["cluster.merges"], 99);
-        assert!((s2.wall_ms - 20.0).abs() < 1.0);
-        let s3 = rep.stage("stage3_surrogate").unwrap();
-        assert_eq!(s3.counters["forest.trees"], 30);
-        // Unprefixed counters stay out of stages but survive globally.
-        assert!(rep
-            .stages
-            .iter()
-            .all(|s| !s.counters.contains_key("unprefixed")));
+        let stages: Vec<&str> = rep
+            .spans
+            .keys()
+            .map(String::as_str)
+            .filter(|p| !p.contains('/'))
+            .collect();
+        assert_eq!(stages, ["stage2_cluster", "stage3_surrogate"]);
+        let s2 = rep.spans["stage2_cluster"].wall.as_secs_f64() * 1e3;
+        assert!((s2 - 20.0).abs() < 1.0);
+        assert_eq!(rep.counters["cluster.merges"], 99);
+        assert_eq!(rep.counters["forest.trees"], 30);
         assert_eq!(rep.counters["unprefixed"], 1);
         assert_eq!(rep.scale, 0.1);
     }
 
     #[test]
-    fn json_round_trip_preserves_stages_counters_and_spans() {
+    fn json_round_trip_preserves_counters_and_spans() {
         let rep = BenchReport::build(&sample_snapshot(), "rt", 1.0);
         let back = BenchReport::parse(&rep.to_json().to_pretty()).unwrap();
         assert_eq!(back.run_id, "rt");
@@ -803,12 +662,6 @@ mod tests {
         assert_eq!(back.counters, rep.counters);
         assert_eq!(back.gauges, rep.gauges);
         assert_eq!(back.gauges["cluster.condensed_bytes"], 4096.0);
-        assert_eq!(back.stages.len(), rep.stages.len());
-        for (a, b) in back.stages.iter().zip(&rep.stages) {
-            assert_eq!(a.name, b.name);
-            assert_eq!(a.counters, b.counters);
-            assert!((a.wall_ms - b.wall_ms).abs() < 1e-6);
-        }
         // Span rows round-trip calls, total wall and the p99 occurrence.
         assert_eq!(back.spans, rep.spans);
         let chunk = &back.spans["stage3_surrogate/shap_chunk"];
@@ -850,14 +703,22 @@ mod tests {
         if cfg!(target_os = "linux") {
             assert!(m.vm_hwm_bytes.is_some());
         }
-        // Every snapshot span path appears in the attribution table (all
-        // zeros here: record_span_parts carries no allocation data).
-        assert!(m.spans.contains_key("stage2_cluster/condensed"));
         // Budget stamps survive the JSON round trip too.
         m.budget_mb = Some(512);
         m.budget_verdict = Some("ok".into());
-        let back = BenchReport::parse(&rep.to_json().to_pretty()).unwrap();
+        // With a memory section every span row carries its allocation
+        // figures, and they round-trip.
+        let row = rep.spans.get_mut("stage2_cluster/condensed").unwrap();
+        (row.alloc_bytes, row.allocs, row.peak_growth_bytes) = (4096, 2, 1024);
+        let doc = rep.to_json();
+        let rows = doc.get("spans").and_then(Json::as_arr).unwrap();
+        let keys = ["alloc_bytes", "allocs", "peak_growth_bytes"];
+        assert!(rows
+            .iter()
+            .all(|r| keys.iter().all(|&k| r.get(k).is_some())));
+        let back = BenchReport::parse(&doc.to_pretty()).unwrap();
         assert_eq!(back.memory, rep.memory);
+        assert_eq!(back.spans, rep.spans);
         assert!(!back.memory.unwrap().breached());
     }
 
@@ -867,8 +728,10 @@ mod tests {
         crate::mem::reset_window();
         let rep = BenchReport::build(&sample_snapshot(), "nomem", 1.0);
         assert!(rep.memory.is_none());
-        // And the JSON carries no memory key at all.
+        // And the JSON carries no memory key at all, nor any span row an
+        // allocation field.
         assert!(rep.to_json().get("memory").is_none());
+        assert!(!rep.to_json().to_pretty().contains("alloc_bytes"));
     }
 
     #[test]
@@ -968,32 +831,5 @@ mod tests {
         let cross = pair_reports(&mixed, &set12);
         assert_eq!(cross.len(), 1);
         assert_eq!(cross[0].0.scale, 1.0);
-    }
-
-    #[test]
-    fn counter_prefix_mapping_covers_pipeline() {
-        assert_eq!(
-            stage_for_counter("transform.live_rows"),
-            Some("stage1_transform")
-        );
-        assert_eq!(stage_for_counter("cluster.pairs"), Some("stage2_cluster"));
-        assert_eq!(
-            stage_for_counter("shap.tree_walks"),
-            Some("stage3_surrogate")
-        );
-        assert_eq!(stage_for_counter("env.sites"), Some("stage4_environments"));
-        assert_eq!(
-            stage_for_counter("outdoor.classified"),
-            Some("stage5_outdoor")
-        );
-        assert_eq!(
-            stage_for_counter("forecast.clusters"),
-            Some("stage6_forecast")
-        );
-        assert_eq!(stage_for_counter("forecast.clusters"), Some(FORECAST_STAGE));
-        assert_eq!(stage_for_counter("synth.antennas"), Some("generate"));
-        assert_eq!(stage_for_counter("probe.sessions"), Some("probe_campaign"));
-        assert_eq!(stage_for_counter("ingest.records_ok"), Some("ingest"));
-        assert_eq!(stage_for_counter("misc"), None);
     }
 }

@@ -114,62 +114,51 @@ pub struct SpanStats {
     /// `clamp(⌈0.99·calls⌉, 1, calls)`-th smallest, so the largest for
     /// up to 99 calls and the 99th smallest of 100.
     pub p99: Duration,
+    /// *Self* allocation bytes ([`SpanData::alloc_bytes`]) summed over the
+    /// occurrences. Self figures never double count, so a path's
+    /// cumulative bytes are the sum over its subtree's rows.
+    pub alloc_bytes: u64,
+    /// *Self* allocation count, summed over the occurrences.
+    pub allocs: u64,
+    /// The largest single-occurrence peak contribution
+    /// ([`SpanData::peak_growth_bytes`]): a max, not a sum, since peaks are
+    /// high-water marks.
+    pub peak_growth_bytes: u64,
 }
 
-/// Aggregates span occurrences by path: calls, total wall and the exact
-/// p99 occurrence wall (see [`SpanStats::p99`]).
+/// Aggregates span occurrences by path in one pass: calls, total wall, the
+/// exact p99 occurrence wall (see [`SpanStats::p99`]) and the self
+/// allocation figures.
 pub(crate) fn span_stats(span_tree: &[SpanData]) -> BTreeMap<String, SpanStats> {
-    let mut walls: BTreeMap<&str, Vec<Duration>> = BTreeMap::new();
+    let mut rows: BTreeMap<&str, (SpanStats, Vec<Duration>)> = BTreeMap::new();
     for s in span_tree {
-        walls.entry(&s.path).or_default().push(s.wall);
+        let (stats, walls) = rows.entry(&s.path).or_default();
+        stats.alloc_bytes += s.alloc_bytes;
+        stats.allocs += s.allocs;
+        stats.peak_growth_bytes = stats.peak_growth_bytes.max(s.peak_growth_bytes);
+        walls.push(s.wall);
     }
-    walls
-        .into_iter()
-        .map(|(path, mut w)| {
+    rows.into_iter()
+        .map(|(path, (mut stats, mut w))| {
             let calls = w.len();
-            let wall = w.iter().sum();
+            stats.calls = calls as u64;
+            stats.wall = w.iter().sum();
             // ⌈0.99·calls⌉ in integers, so no float rounding moves the rank.
             let rank = (calls * 99).div_ceil(100).clamp(1, calls);
-            let p99 = *w.select_nth_unstable(rank - 1).1;
-            let stats = SpanStats {
-                calls: calls as u64,
-                wall,
-                p99,
-            };
+            stats.p99 = *w.select_nth_unstable(rank - 1).1;
             (path.to_string(), stats)
         })
         .collect()
 }
 
-/// Aggregates per-occurrence *self* allocation attribution by span path:
-/// `path → (self bytes, self allocs, max peak growth)`. Because every
-/// occurrence carries self (not cumulative) figures — cross-thread
-/// children subtract nothing from their dispatcher — a path's cumulative
-/// bytes are simply the sum of self bytes over its subtree, which the
-/// treetable renderers compute by path prefix.
-pub(crate) fn alloc_by_path(span_tree: &[SpanData]) -> BTreeMap<String, (u64, u64, u64)> {
-    let mut out: BTreeMap<String, (u64, u64, u64)> = BTreeMap::new();
-    for s in span_tree {
-        let e = out.entry(s.path.clone()).or_insert((0, 0, 0));
-        e.0 += s.alloc_bytes;
-        e.1 += s.allocs;
-        e.2 = e.2.max(s.peak_growth_bytes);
-    }
-    out
-}
-
-/// Computes per-path self time (total wall minus the wall of direct
-/// children) from the path aggregation. Returns
-/// `path → (calls, total, self)` in path order. Self time is clamped at
-/// zero: concurrent children (worker spans adopted from several threads)
-/// can legitimately sum to more wall time than their parent.
-pub(crate) fn self_times(
-    spans: &BTreeMap<String, SpanStats>,
-) -> BTreeMap<String, (u64, Duration, Duration)> {
+/// Per-path self time: total wall minus the wall of direct children.
+/// Clamped at zero: concurrent children (worker spans adopted from
+/// several threads) can legitimately sum to more wall time than their
+/// parent.
+pub(crate) fn self_times(spans: &BTreeMap<String, SpanStats>) -> BTreeMap<&str, Duration> {
     let mut child_sum: BTreeMap<&str, Duration> = BTreeMap::new();
     for (path, s) in spans {
-        if let Some(cut) = path.rfind('/') {
-            let parent = &path[..cut];
+        if let Some((parent, _)) = path.rsplit_once('/') {
             *child_sum.entry(parent).or_default() += s.wall;
         }
     }
@@ -177,8 +166,7 @@ pub(crate) fn self_times(
         .iter()
         .map(|(path, s)| {
             let children = child_sum.get(path.as_str()).copied().unwrap_or_default();
-            let own = s.wall.saturating_sub(children);
-            (path.clone(), (s.calls, s.wall, own))
+            (path.as_str(), s.wall.saturating_sub(children))
         })
         .collect()
 }
@@ -191,7 +179,7 @@ mod tests {
         SpanStats {
             calls,
             wall: Duration::from_millis(wall_ms),
-            p99: Duration::ZERO,
+            ..SpanStats::default()
         }
     }
 
@@ -203,10 +191,10 @@ mod tests {
         spans.insert("a/b/c".into(), stats(2, 10));
         spans.insert("d".into(), stats(1, 5));
         let t = self_times(&spans);
-        assert_eq!(t["a"].2, Duration::from_millis(40));
-        assert_eq!(t["a/b"].2, Duration::from_millis(50));
-        assert_eq!(t["a/b/c"].2, Duration::from_millis(10));
-        assert_eq!(t["d"].2, Duration::from_millis(5));
+        assert_eq!(t["a"], Duration::from_millis(40));
+        assert_eq!(t["a/b"], Duration::from_millis(50));
+        assert_eq!(t["a/b/c"], Duration::from_millis(10));
+        assert_eq!(t["d"], Duration::from_millis(5));
     }
 
     #[test]
@@ -216,7 +204,7 @@ mod tests {
         // 4 workers x 8ms wall under a 10ms parent: self clamps to 0.
         spans.insert("p/w".into(), stats(4, 32));
         let t = self_times(&spans);
-        assert_eq!(t["p"].2, Duration::ZERO);
+        assert_eq!(t["p"], Duration::ZERO);
     }
 
     fn span_at(path: &str, alloc_bytes: u64, allocs: u64, peak: u64) -> SpanData {
@@ -241,19 +229,27 @@ mod tests {
     }
 
     #[test]
-    fn alloc_by_path_sums_self_and_maxes_peak_growth() {
+    fn span_rows_sum_self_allocations_and_max_peak_growth() {
         let tree = vec![
             span_at("a", 100, 2, 50),
             span_at("a/b", 30, 1, 10),
             span_at("a/b", 20, 1, 40),
             span_at("c", 0, 0, 0),
         ];
-        let agg = alloc_by_path(&tree);
-        assert_eq!(agg["a"], (100, 2, 50));
+        let rows = span_stats(&tree);
+        let alloc = |p: &str| {
+            (
+                rows[p].alloc_bytes,
+                rows[p].allocs,
+                rows[p].peak_growth_bytes,
+            )
+        };
+        assert_eq!(alloc("a"), (100, 2, 50));
         // Repeated occurrences sum bytes/allocs but keep the max peak
         // growth — peaks are high-water marks, not additive.
-        assert_eq!(agg["a/b"], (50, 2, 40));
-        assert_eq!(agg["c"], (0, 0, 0));
+        assert_eq!(alloc("a/b"), (50, 2, 40));
+        assert_eq!(rows["a/b"].calls, 2);
+        assert_eq!(alloc("c"), (0, 0, 0));
     }
 
     #[test]

@@ -182,8 +182,12 @@ fn best_split(
             }
             let score = (n_left / n) * (1.0 - sl) + (n_right / n) * (1.0 - sr);
             if score < parent_gini - 1e-12 && best.as_ref().is_none_or(|&(_, _, s)| score < s) {
-                // Midpoint threshold is robust to unseen values.
-                best = Some((f, 0.5 * (v + next_v), score));
+                // Midpoint threshold is robust to unseen values, unless it
+                // rounds up to `next_v` or overflows: then `x <= mid` would
+                // send every row to one side, and `v` splits instead.
+                let mid = 0.5 * (v + next_v);
+                let threshold = if v <= mid && mid < next_v { mid } else { v };
+                best = Some((f, threshold, score));
             }
         }
     }

@@ -15,14 +15,16 @@
 //! ```
 //!
 //! `icn run` is an alias of `icn study`. `--metrics-out <path>` writes an
-//! `icn-obs/v4` BenchReport, `--trace-out <path>` a Chrome trace-event
-//! JSON (open in `chrome://tracing` or Perfetto); either flag enables the
+//! `icn-obs/v5` BenchReport (one row per span path; a stage is a top-level
+//! row), `--trace-out <path>` a Chrome trace-event JSON (open in
+//! `chrome://tracing` or Perfetto); either flag enables the
 //! observability registry for the run. `--mem-budget-mb <n>` additionally
 //! enforces a ceiling on the allocator window peak — a breached budget
 //! exits with status 3 after the report (with its stamped verdict) is
 //! written. A dataset whose totals matrices alone exceed the budget is
 //! refused before generation, also with status 3. `icn obs mem
-//! report.json` prints the per-span allocation treetable of a report.
+//! report.json` prints the per-span allocation treetable of a report;
+//! `obs top` and `obs mem` take exactly one report path.
 //!
 //! Flags are parsed by hand (the workspace deliberately avoids extra
 //! dependencies); an unknown flag or a missing or bad value exits with
@@ -295,9 +297,9 @@ fn cmd_obs(args: &[String]) {
             }
             println!("perf gate passed: {b_path} vs {a_path}");
         }
-        Some("top") => {
-            let Some(path) = args.get(1) else {
-                eprintln!("usage: icn obs top <report.json>");
+        Some(cmd @ ("top" | "mem")) => {
+            let [path] = &args[1..] else {
+                eprintln!("usage: icn obs {cmd} <report.json>");
                 std::process::exit(2);
             };
             let set = load_set(path);
@@ -308,23 +310,11 @@ fn cmd_obs(args: &[String]) {
                         report.scale, report.env.threads
                     );
                 }
-                print!("{}", icn_repro::icn_obs::render_top(report));
-            }
-        }
-        Some("mem") => {
-            let Some(path) = args.get(1) else {
-                eprintln!("usage: icn obs mem <report.json>");
-                std::process::exit(2);
-            };
-            let set = load_set(path);
-            for report in &set.reports {
-                if set.reports.len() > 1 {
-                    println!(
-                        "== scale={} threads={} ==",
-                        report.scale, report.env.threads
-                    );
+                if cmd == "top" {
+                    print!("{}", icn_repro::icn_obs::render_top(report));
+                } else {
+                    print!("{}", icn_repro::icn_obs::render_mem(report));
                 }
-                print!("{}", icn_repro::icn_obs::render_mem(report));
             }
         }
         _ => {
@@ -576,7 +566,7 @@ fn usage_and_exit(bad: Option<&str>) -> ! {
          --out <dir>    export directory (generate)\n  \
          --bless        regenerate golden snapshots instead of checking (testkit)\n  \
          --golden-dir <dir>  golden snapshot directory (testkit, default tests/golden)\n  \
-         --metrics-out <path>  write an icn-obs/v4 benchmark report (JSON)\n  \
+         --metrics-out <path>  write an icn-obs/v5 benchmark report (JSON)\n  \
          --mem-budget-mb <n>  enforce a ceiling on the run's allocator peak; a breach\n                 \
          stamps the report verdict and exits with status 3 (before generation when\n                 \
          the dataset's totals matrices alone exceed it)\n  \

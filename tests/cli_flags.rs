@@ -37,6 +37,8 @@ fn bad_flag_values_exit_2_with_a_message() {
         &["run", "--cluster-budget-mb", "x"],
         &["run", "--scale"],
         &["run", "--bogus"],
+        &["obs", "top", "r.json", "--bogus"],
+        &["obs", "mem", "r.json", "junk.json"],
     ];
     for args in cases {
         let out = icn(args);

@@ -5,8 +5,9 @@
 //!
 //! The fixtures are real reports: `bench_smoke005.json` is a recorded
 //! `icn run --scale 0.05` and `bench_regression_fixture.json` is the same
-//! report with stage3's wall tripled and the `shap_chunk` span's p99
-//! occurrence 16x longer — the two metric kinds the gate must catch.
+//! report with stage3's wall (its top-level span row) tripled and the
+//! `shap_chunk` span's p99 occurrence 16x longer — the two metric kinds
+//! the gate must catch.
 
 use icn_repro::icn_obs::{diff_reports, BenchReport, BenchReportSet, DiffStatus, DiffThresholds};
 use std::process::Command;
@@ -16,6 +17,34 @@ fn load(name: &str) -> BenchReport {
     let path = format!("{}/tests/golden/{name}", env!("CARGO_MANIFEST_DIR"));
     let text = std::fs::read_to_string(&path).unwrap_or_else(|e| panic!("read {path}: {e}"));
     BenchReport::parse(&text).unwrap_or_else(|e| panic!("parse {path}: {e}"))
+}
+
+/// Every committed `tests/golden/bench_*.json` baseline — including any
+/// added later — parses as `icn-obs/v5` and self-diffs with no failures.
+#[test]
+fn every_committed_baseline_parses_and_self_diffs_clean() {
+    let dir = format!("{}/tests/golden", env!("CARGO_MANIFEST_DIR"));
+    let mut names: Vec<String> = std::fs::read_dir(&dir)
+        .expect("golden dir")
+        .map(|e| {
+            e.expect("dir entry")
+                .file_name()
+                .to_string_lossy()
+                .into_owned()
+        })
+        .filter(|n| n.starts_with("bench_") && n.ends_with(".json"))
+        .collect();
+    names.sort();
+    assert!(names.len() >= 5, "baselines missing: {names:?}");
+    for name in &names {
+        let text = std::fs::read_to_string(format!("{dir}/{name}")).expect("read baseline");
+        assert!(text.contains(r#""schema": "icn-obs/v5""#), "{name}: schema");
+        let set = BenchReportSet::parse(&text).unwrap_or_else(|e| panic!("{name}: {e}"));
+        for report in &set.reports {
+            let diff = diff_reports(report, report, &DiffThresholds::default());
+            assert_eq!(diff.failures(), 0, "{name}:\n{}", diff.render());
+        }
+    }
 }
 
 #[test]
@@ -146,8 +175,9 @@ fn doctor(text: &str, anchor: &str, key: &str, value: Option<&str>) -> String {
     }
 }
 
-/// Runs `icn obs diff <baseline> <candidate>` and `icn obs top <baseline>`
-/// on a doctored baseline text and asserts both exit 1 ("cannot parse").
+/// Runs `icn obs diff <baseline> <candidate>`, `icn obs top <baseline>`
+/// and `icn obs mem <baseline>` on a doctored baseline text and asserts
+/// each exits 1 ("cannot parse").
 fn assert_unreadable_baseline(text: &str, candidate: &str, what: &str) {
     // Tests run concurrently: one file per call.
     static CALLS: AtomicUsize = AtomicUsize::new(0);
@@ -155,7 +185,7 @@ fn assert_unreadable_baseline(text: &str, candidate: &str, what: &str) {
     let name = format!("icn_obs_doctored_{}_{call}.json", std::process::id());
     let path = std::env::temp_dir().join(name);
     std::fs::write(&path, text).expect("write fixture");
-    for cmd in [&["diff"][..], &["top"]] {
+    for cmd in [&["diff"][..], &["top"], &["mem"]] {
         let mut command = Command::new(env!("CARGO_BIN_EXE_icn"));
         command.arg("obs").args(cmd).arg(&path);
         if cmd == ["diff"] {
@@ -178,7 +208,8 @@ fn assert_unreadable_baseline(text: &str, candidate: &str, what: &str) {
 
 /// A stage wall or counter a report cannot hold is a parse error (exit 1)
 /// for every `icn obs` command: a baseline stage wall of `1e999` used to
-/// pass any candidate at ratio 0.000, and a negative counter read as 0.
+/// pass any candidate at ratio 0.000, and a negative counter read as 0. A
+/// stage wall is its top-level span row's `wall_ms`.
 #[test]
 fn cli_rejects_stage_walls_and_counters_a_gate_cannot_read() {
     let golden = format!(
@@ -186,17 +217,15 @@ fn cli_rejects_stage_walls_and_counters_a_gate_cannot_read() {
         env!("CARGO_MANIFEST_DIR")
     );
     let base = std::fs::read_to_string(&golden).expect("read baseline");
-    let stage = r#""name": "stage3_surrogate""#;
+    let stage = r#""path": "stage3_surrogate""#;
     for wall in [Some("1e999"), Some("-1"), Some("null"), None] {
         let text = doctor(&base, stage, "wall_ms", wall);
         assert_unreadable_baseline(&text, &golden, &format!("stage wall_ms {wall:?}"));
     }
     let root_counters = "\n  \"counters\": {";
-    for anchor in [stage, root_counters] {
-        for value in ["-5", "1.5", "1e999", "9007199254740994"] {
-            let text = doctor(&base, anchor, "forest.trees", Some(value));
-            assert_unreadable_baseline(&text, &golden, &format!("counter {value} after {anchor}"));
-        }
+    for value in ["-5", "1.5", "1e999", "9007199254740994"] {
+        let text = doctor(&base, root_counters, "forest.trees", Some(value));
+        assert_unreadable_baseline(&text, &golden, &format!("counter {value}"));
     }
     // The limits themselves still parse.
     let text = doctor(
@@ -227,14 +256,13 @@ fn cli_rejects_memory_numbers_a_gate_cannot_read() {
         let text = doctor(&base, allocator, "vm_hwm_bytes", value);
         assert_unreadable_baseline(&text, &doubled, &format!("vm_hwm_bytes {value:?}"));
     }
-    let memory_span = r#""path": "stage3_surrogate""#;
-    let memory_rows = &base[base.find(r#""memory""#).expect("memory section")..];
+    // A span row's allocation figures are counts too.
+    let span_row = r#""path": "stage3_surrogate""#;
     for key in ["alloc_bytes", "allocs", "peak_growth_bytes"] {
-        let text = base.replace(
-            memory_rows,
-            &doctor(memory_rows, memory_span, key, Some("-1")),
-        );
-        assert_unreadable_baseline(&text, &doubled, &format!("memory span {key}"));
+        for value in ["-1", "1.5", "1e999"] {
+            let text = doctor(&base, span_row, key, Some(value));
+            assert_unreadable_baseline(&text, &doubled, &format!("span row {key} {value}"));
+        }
     }
     // Live bytes are a signed balance: negative parses, non-finite does not.
     let text = doctor(&base, allocator, "live_bytes", Some("-5"));
@@ -260,8 +288,8 @@ fn cli_rejects_span_times_a_report_cannot_hold() {
     let path = std::env::temp_dir().join("icn_obs_bad_span_time.json");
     let report_with_span = |row: &str| {
         format!(
-            r#"{{"schema": "icn-obs/v4", "run_id": "icn-run", "scale": 0.05,
-                "env": {{"threads": 1}}, "stages": [],
+            r#"{{"schema": "icn-obs/v5", "run_id": "icn-run", "scale": 0.05,
+                "env": {{"threads": 1}},
                 "spans": [{{"path": "stage3_surrogate", {row}}}],
                 "counters": {{}}, "gauges": {{}}}}"#
         )
@@ -311,6 +339,44 @@ fn cli_rejects_span_times_a_report_cannot_hold() {
     let _ = std::fs::remove_file(&path);
 }
 
+/// An `icn-obs/v4` report (stage rows, per-stage counters) is no longer
+/// read: every `icn obs` command exits 1 ("cannot parse") and names the
+/// one schema it reads.
+#[test]
+fn cli_rejects_the_v4_schema() {
+    let golden = format!(
+        "{}/tests/golden/bench_smoke005.json",
+        env!("CARGO_MANIFEST_DIR")
+    );
+    let path = std::env::temp_dir().join(format!("icn_obs_v4_{}.json", std::process::id()));
+    let v4 = r#"{"schema": "icn-obs/v4", "run_id": "icn-run", "scale": 0.05,
+        "env": {"threads": 1},
+        "stages": [{"name": "stage3_surrogate", "wall_ms": 12.5,
+                    "counters": {"forest.trees": 100}}],
+        "spans": [{"path": "stage3_surrogate", "calls": 1, "wall_ms": 12.5,
+                   "p99_ms": 12.5, "self_ms": 12.5}],
+        "counters": {"forest.trees": 100}, "gauges": {}}"#;
+    std::fs::write(&path, v4).expect("write fixture");
+    let path = path.to_str().expect("utf-8 temp path");
+    for args in [
+        &["top", path][..],
+        &["mem", path],
+        &["diff", path, &golden],
+        &["diff", &golden, path],
+    ] {
+        let out = Command::new(env!("CARGO_BIN_EXE_icn"))
+            .arg("obs")
+            .args(args)
+            .output()
+            .expect("spawn icn");
+        let stderr = String::from_utf8_lossy(&out.stderr);
+        assert_eq!(out.status.code(), Some(1), "obs {args:?}: {stderr}");
+        assert!(stderr.contains("cannot parse"), "obs {args:?}: {stderr}");
+        assert!(stderr.contains("icn-obs/v5"), "obs {args:?}: {stderr}");
+    }
+    let _ = std::fs::remove_file(path);
+}
+
 /// The memory fixtures: `bench_mem_smoke.json` is a recorded
 /// metered `icn run --scale 0.05` (ICN_THREADS=1) and the regression
 /// fixture is the same report with the allocator peak (and VmHWM)
@@ -323,11 +389,16 @@ fn v3_memory_report_round_trips_and_self_diffs_clean() {
         .as_ref()
         .expect("memory golden carries a memory section");
     assert!(mem.peak_bytes > 0);
-    assert!(!mem.spans.is_empty(), "span attribution missing");
-    // Round trip through render + parse preserves the memory section.
+    assert!(
+        a.spans.values().any(|s| s.alloc_bytes > 0),
+        "span attribution missing"
+    );
+    // Round trip through render + parse preserves the memory section and
+    // the span rows' allocation figures.
     let text = a.to_json().to_pretty();
     let back = BenchReport::parse(&text).expect("re-parse rendered report");
     assert_eq!(back.memory, a.memory);
+    assert_eq!(back.spans, a.spans);
     let report = diff_reports(&a, &a, &DiffThresholds::default());
     assert!(
         report.passed(),
