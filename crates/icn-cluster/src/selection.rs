@@ -208,8 +208,8 @@ pub fn sweep_k<'a>(
         ChunkOut { sil, pmin, pmax }
     });
 
-    // Reduce: silhouette totals in point order (matching the sequential
-    // `par::sum_indexed` order), pair tables through exact min/max, then
+    // Reduce: silhouette totals in point order (the order
+    // `silhouette_score` sums in), pair tables through exact min/max, then
     // each table's lower triangle folded onto its upper one.
     let mut totals = vec![0.0f64; nk];
     let mut pmin = vec![f64::INFINITY; nf * nf];

@@ -26,7 +26,7 @@ pub fn silhouette_score<'a>(dist: impl Into<Distances<'a>>, labels: &[usize]) ->
         counts[l] += 1;
     }
 
-    let total: f64 = par::sum_indexed(n, |i| {
+    let total: f64 = par::map_indexed(n, |i| {
         if counts[labels[i]] <= 1 {
             return 0.0; // singleton convention
         }
@@ -48,7 +48,9 @@ pub fn silhouette_score<'a>(dist: impl Into<Distances<'a>>, labels: &[usize]) ->
         } else {
             (b - a) / a.max(b)
         }
-    });
+    })
+    .iter()
+    .sum();
     total / n as f64
 }
 

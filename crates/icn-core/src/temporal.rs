@@ -5,15 +5,16 @@
 //! 4–24 January 2023 — both for total traffic (Figure 10) and for selected
 //! services (Figure 11). The Figure 10 heatmap is the cluster's stage-6
 //! series ([`crate::IcnStudy::cluster_series`]) max-normalised; the
-//! Figure 11 heatmaps synthesise one service's hourly series per member on
-//! demand and take the same per-hour median. This module also computes the
-//! summary statistics the prose reads off them (commute-peak ratios,
-//! strike-day dips, weekend effects, event bursts).
+//! Figure 11 heatmaps read one service's hourly series per member on
+//! demand from the same weight model and take the same per-hour median.
+//! This module also computes the summary statistics the prose reads off
+//! them (commute-peak ratios, strike-day dips, weekend effects, event
+//! bursts).
 
 use icn_forecast::series::median_over_members;
 use icn_forecast::ClusterSeries;
 use icn_stats::{normalize, par, summary, Rng};
-use icn_synth::traffic::hourly_series_for_window;
+use icn_synth::traffic::WeightBook;
 use icn_synth::{Antenna, Service, StudyCalendar, Weekday};
 
 /// An hour × day heatmap of normalised median traffic.
@@ -152,7 +153,9 @@ pub fn cluster_heatmap(series: &ClusterSeries, window: &StudyCalendar) -> Tempor
     max_normalised(&series.values, series.n_antennas, window)
 }
 
-/// Builds the Figure 11 heatmap for one cluster and one service.
+/// Builds the Figure 11 heatmap for one cluster and one service: each
+/// member's series from a [`WeightBook`] of the members and the service,
+/// then the per-hour median, max-normalised.
 pub fn service_heatmap(
     members: &[&Antenna],
     member_totals: &[f64],
@@ -167,18 +170,12 @@ pub fn service_heatmap(
         "service_heatmap: mismatch"
     );
     assert!(!members.is_empty(), "service_heatmap: no members");
+    let book = WeightBook::new(members, std::slice::from_ref(service), window, root);
     let hours = window.num_hours();
     let mut slab = vec![0.0; members.len() * hours];
     par::fill_chunks(&mut slab, hours, |range, row| {
         let i = range.start / hours;
-        row.copy_from_slice(&hourly_series_for_window(
-            members[i],
-            service,
-            member_totals[i],
-            full_period_days,
-            window,
-            root,
-        ));
+        book.fill_series(i, 0, member_totals[i], full_period_days, row);
     });
     let medians = median_over_members(&slab, hours);
     max_normalised(&medians, members.len(), window)

@@ -2,10 +2,10 @@
 //!
 //! Orchestrates the full Section 3 collection path over a synthetic
 //! population: for every antenna, service and hour of an observation
-//! window, generate the hourly ground-truth volume (via `icn-synth`'s
-//! temporal machinery), explode it into IP sessions, run each session
-//! through the ULI resolver and the DPI classifier, and aggregate the
-//! surviving records hourly. The result is a totals matrix produced the
+//! window, read the hourly ground-truth volume from `icn-synth`'s weight
+//! model (`traffic::WeightBook`), explode it into IP sessions, run each
+//! session through the ULI resolver and the DPI classifier, and aggregate
+//! the surviving records hourly. The result is a totals matrix produced the
 //! way the operator actually produced theirs — and tests verify it agrees
 //! with the direct generator up to classifier noise.
 
@@ -13,8 +13,8 @@ use crate::aggregate::HourlyCube;
 use crate::dpi::{DpiClassifier, DpiConfig};
 use crate::flows::sessions_for_cell_hour;
 use icn_stats::{par, Matrix, Rng};
-use icn_synth::traffic::hourly_series_for_window;
-use icn_synth::{Dataset, StudyCalendar};
+use icn_synth::traffic::WeightBook;
+use icn_synth::{Antenna, Dataset, StudyCalendar};
 
 /// Outcome of a probe-plane campaign.
 #[derive(Clone, Debug)]
@@ -70,25 +70,20 @@ pub fn run_campaign(
     let n_hours = window.num_hours();
     let root = Rng::seed_from(config.seed);
     let full_days = dataset.calendar.num_days();
+    let antennas: Vec<&Antenna> = dataset.antennas.iter().collect();
+    let book = WeightBook::new(&antennas, &dataset.services, window, dataset.root_rng());
 
     // Every session's ULI resolves to the antenna it was drawn for, so
     // each worker fills only that antenna's service × hour slab and the
     // merge copies one row per antenna.
     let slabs: Vec<HourlyCube> = par::map_indexed(n_antennas, |a| {
-        let antenna = &dataset.antennas[a];
         let mut rng = root.fork(a as u64);
         let dpi = DpiClassifier::new(&dataset.services, config.dpi);
         let mut slab = HourlyCube::slab(a, n_antennas, n_services, n_hours);
+        let mut series = vec![0.0; n_hours];
         for (s, svc) in dataset.services.iter().enumerate() {
             let total = dataset.indoor_totals.get(a, s);
-            let series = hourly_series_for_window(
-                antenna,
-                svc,
-                total,
-                full_days,
-                window,
-                dataset.root_rng(),
-            );
+            book.fill_series(a, s, total, full_days, &mut series);
             for (hour, &mb) in series.iter().enumerate() {
                 if mb <= 0.0 {
                     continue;

@@ -7,10 +7,16 @@
 //! For loops of many short dependent rounds, [`with_team`] keeps helper
 //! threads alive for one call and hands each round over without a spawn.
 //!
+//! One dispatcher, [`fill_blocks`], starts the threads of every parallel
+//! region but a [`with_team`]: it hands out contiguous blocks of one
+//! output buffer via an atomic cursor (so fast threads steal remaining
+//! blocks), and each block is written by exactly one worker. [`fill_chunks`]
+//! is that fill over equal chunks, and [`map_indexed`] and [`map_chunks`]
+//! are fills of one result slot per index or chunk.
+//!
 //! Determinism: the output of [`map_indexed`] depends only on `f`, never on
-//! the thread schedule. Work is handed out as contiguous index chunks via
-//! an atomic cursor (so fast threads steal remaining chunks), and each
-//! chunk's results are stitched back in index order at the end.
+//! the thread schedule — every result lands in its own slot, in index
+//! order, whichever worker computed it.
 //!
 //! Thread count comes from `std::thread::available_parallelism`, overridden
 //! by the `ICN_THREADS` environment variable when set (useful for overhead
@@ -18,8 +24,8 @@
 //! never depend on it). The override may exceed the hardware count, so
 //! benches can pin a worker count on any machine.
 //!
-//! Observability: when the global `icn_obs` registry is collecting,
-//! [`map_indexed`] hands the dispatching thread's open span to every
+//! Observability: when the global `icn_obs` registry is collecting, the
+//! dispatcher hands the dispatching thread's open span to every
 //! worker ([`icn_obs::current_handoff`]), so spans opened inside `f`
 //! parent to the dispatching stage — the span tree looks the same at any
 //! `ICN_THREADS`, including the sequential fallback. With observability
@@ -51,54 +57,25 @@ fn workers_for(n: usize) -> usize {
 ///
 /// `f` must be pure with respect to its argument for the result to be
 /// deterministic (all call sites in this workspace fork per-index RNG
-/// streams, which preserves that).
+/// streams, which preserves that). Each result lands in its own slot of
+/// one buffer, filled by [`fill_chunks`] in chunks of `n / (4·threads)`
+/// indices (~4 chunks per thread balances stealing against bookkeeping).
 pub fn map_indexed<R, F>(n: usize, f: F) -> Vec<R>
 where
     R: Send,
     F: Fn(usize) -> R + Sync,
 {
-    let threads = workers_for(n);
-    if threads <= 1 || n < 2 {
-        return (0..n).map(f).collect();
-    }
-    // ~4 chunks per thread balances stealing against bookkeeping.
-    let chunk = (n / (threads * 4)).max(1);
-    let cursor = AtomicUsize::new(0);
-    let parts: Mutex<Vec<(usize, Vec<R>)>> = Mutex::new(Vec::new());
-    // Capture the dispatching thread's open span (None when observability
-    // is disabled — one relaxed load) so spans opened inside `f` on the
-    // workers parent to the dispatching stage instead of becoming
-    // disconnected roots. Purely observational: no effect on results.
-    let handoff = icn_obs::current_handoff();
-    std::thread::scope(|scope| {
-        let (cursor, parts, f) = (&cursor, &parts, &f);
-        for _ in 0..threads {
-            let handoff = handoff.clone();
-            scope.spawn(move || {
-                let _adopt = handoff.as_ref().map(icn_obs::Handoff::adopt);
-                loop {
-                    let start = cursor.fetch_add(chunk, Ordering::Relaxed);
-                    if start >= n {
-                        break;
-                    }
-                    let end = (start + chunk).min(n);
-                    let block: Vec<R> = (start..end).map(f).collect();
-                    parts
-                        .lock()
-                        .expect("par worker poisoned")
-                        .push((start, block));
-                }
-            });
+    let chunk = (n / (workers_for(n) * 4)).max(1);
+    let mut slots: Vec<Option<R>> = (0..n).map(|_| None).collect();
+    fill_chunks(&mut slots, chunk, |range, out| {
+        for (i, slot) in range.zip(out) {
+            *slot = Some(f(i));
         }
     });
-    let mut parts = parts.into_inner().expect("par result poisoned");
-    parts.sort_unstable_by_key(|&(start, _)| start);
-    let mut out = Vec::with_capacity(n);
-    for (_, block) in parts {
-        out.extend(block);
-    }
-    debug_assert_eq!(out.len(), n);
-    out
+    slots
+        .into_iter()
+        .map(|r| r.expect("par::map_indexed: slot filled"))
+        .collect()
 }
 
 /// Maps `f` over contiguous index chunks of width `chunk`, in parallel,
@@ -109,8 +86,8 @@ where
 /// matrix per sample chunk, summed over trees in a fixed order): because a
 /// chunk is processed start-to-finish by exactly one worker, any in-chunk
 /// reduction order the caller chooses is preserved bit-for-bit regardless
-/// of the thread count, and stitching the chunk results back in index
-/// order yields a schedule-independent total result.
+/// of the thread count, and collecting the chunk results in index order
+/// yields a schedule-independent total result.
 ///
 /// The final chunk may be shorter than `chunk` when `chunk` does not
 /// divide `n`.
@@ -410,16 +387,6 @@ where
     })
 }
 
-/// Parallel sum of `f(i)` over `0..n` (order-independent reduction of an
-/// associative/commutative combination; used where rayon's `map().sum()`
-/// was). Summation order is fixed (index order) so results are bit-stable.
-pub fn sum_indexed<F>(n: usize, f: F) -> f64
-where
-    F: Fn(usize) -> f64 + Sync,
-{
-    map_indexed(n, f).iter().sum()
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -445,13 +412,6 @@ mod tests {
     fn handles_tiny_and_empty_inputs() {
         assert_eq!(map_indexed(0, |i| i), Vec::<usize>::new());
         assert_eq!(map_indexed(1, |i| i + 7), vec![7]);
-    }
-
-    #[test]
-    fn sum_matches_sequential() {
-        let s = sum_indexed(500, |i| 1.0 / (i as f64 + 1.0));
-        let t: f64 = (0..500).map(|i| 1.0 / (i as f64 + 1.0)).sum();
-        assert_eq!(s, t);
     }
 
     #[test]

@@ -28,7 +28,10 @@
 //!   expo) and the per-service modulations behind Figure 11.
 //! * [`antennas`] — population generation: sites, names with environment
 //!   keywords, environment-conditional archetype mixtures.
-//! * [`traffic`] — the totals matrix `T` and consistent hourly series.
+//! * [`traffic`] — the totals matrix `T` and [`traffic::WeightBook`], the
+//!   one hourly weight model: the stage-6 hourly cube, the Figure 11 and
+//!   probe-campaign series and the [`RecordStream`] feed all read their
+//!   hourly volume from a book.
 //! * [`OutdoorAntenna`] — the outdoor macro population (general-use mixtures
 //!   with faint local leakage) for the Section 5.3 comparison.
 //! * [`mining`] — the antenna-name → environment extraction step.

@@ -3,8 +3,10 @@
 //! [`RecordStream`] is the bridge between the batch world (the dataset's
 //! totals matrix `T`) and the streaming world (`icn-ingest`): it emits one
 //! [`HourlyRecord`] per (hour, antenna, service) cell of a study window,
-//! hour-major, shaped by the same temporal templates the generator uses for
-//! hourly series.
+//! hour-major. Each cell's hourly shape is its weight vector in the
+//! dataset's [`WeightBook`] over the window, the model every other hourly
+//! volume is read from: a record's volume is the cell's total times its
+//! hour's weight over the vector's ascending-hour sum.
 //!
 //! ## The exactness contract
 //!
@@ -32,100 +34,47 @@ use icn_ingest::{
     FaultConfig, FaultySource, HourlyRecord, IngestSchema, RecordSource, SourceError,
 };
 use icn_stats::rng::mix64;
-use icn_stats::{par, Matrix};
+use icn_stats::Matrix;
 
-use crate::calendar::{Date, StudyCalendar};
+use crate::antennas::Antenna;
+use crate::calendar::StudyCalendar;
 use crate::dataset::Dataset;
-use crate::services::Service;
-use crate::temporal::{service_modulation, template_weight, EventSchedule, TemplateKind};
-use crate::traffic::event_schedule;
+use crate::traffic::WeightBook;
 
 /// A deterministic hourly record stream over a study window, emitting
 /// `antennas × services` records per hour in (hour, antenna, service)
 /// order.
 pub struct RecordStream {
-    services: Vec<Service>,
-    kinds: Vec<TemplateKind>,
-    schedules: Vec<EventSchedule>,
-    window: StudyCalendar,
+    /// The dataset's hourly weights over the window.
+    book: WeightBook,
     /// Target totals (the dataset's `T` restricted to nothing — the full
     /// matrix; the window only shapes how each total is spread over hours).
     totals: Matrix,
-    /// Per-cell sum of hourly weights over the window.
-    weight_sum: Matrix,
     /// Per-cell simulated ingest fold (ascending-hour partial sums).
     folded: Matrix,
     split_seed: u64,
     hours: usize,
     pos: u64,
     end: u64,
-    cached_cell: Option<(usize, usize)>,
-    cached_tw: f64,
-    cached_date: Date,
 }
 
 /// Builds the record stream for `dataset` over `window`. The stream
-/// re-derives each antenna's event schedule from the dataset's root RNG,
-/// so it is fully determined by `(dataset.config.seed, window)`.
+/// reads every cell's hourly weights and their window sum from the
+/// dataset's [`WeightBook`] over `window`, so it is fully determined by
+/// `(dataset.config.seed, window)`.
 pub fn record_stream(dataset: &Dataset, window: &StudyCalendar) -> RecordStream {
-    let n = dataset.num_antennas();
-    let m = dataset.num_services();
+    let antennas: Vec<&Antenna> = dataset.antennas.iter().collect();
+    let book = WeightBook::new(&antennas, &dataset.services, window, dataset.root_rng());
+    let (n, m) = dataset.indoor_totals.shape();
     let hours = window.num_hours();
-    let kinds: Vec<TemplateKind> = dataset
-        .antennas
-        .iter()
-        .map(|a| a.archetype.template())
-        .collect();
-    let schedules: Vec<EventSchedule> = dataset
-        .antennas
-        .iter()
-        .map(|a| event_schedule(a, window, dataset.root_rng()))
-        .collect();
-    let days: Vec<(usize, Date)> = window.iter_days().collect();
-    let services = dataset.services.clone();
-
-    // Per-cell weight integral W[i][j] = Σ_h tw(i,h) · sm(i,j,h). Computed
-    // per antenna in ascending hour order — sequentially within a row, so
-    // the value is identical at any thread count.
-    let rows: Vec<Vec<f64>> = par::map_indexed(n, |i| {
-        let kind = kinds[i];
-        let sched = &schedules[i];
-        let mut wsum = vec![0.0; m];
-        for &(di, date) in &days {
-            for hod in 0..24 {
-                let tw = template_weight(kind, sched, window, date, di, hod);
-                for (j, svc) in services.iter().enumerate() {
-                    wsum[j] += tw * service_modulation(kind, sched, svc, date, di, hod);
-                }
-            }
-        }
-        wsum
-    });
-    let mut weight_sum = Matrix::zeros(n, m);
-    for (i, row) in rows.iter().enumerate() {
-        for (j, &w) in row.iter().enumerate() {
-            weight_sum.set(i, j, w);
-        }
-    }
-
-    let mut seed_rng = dataset.root_rng().fork(0xD15717_u64);
-    let split_seed = seed_rng.next_u64();
-
     RecordStream {
-        services,
-        kinds,
-        schedules,
-        window: window.clone(),
+        book,
         totals: dataset.indoor_totals.clone(),
-        weight_sum,
         folded: Matrix::zeros(n, m),
-        split_seed,
+        split_seed: dataset.root_rng().fork(0xD15717_u64).next_u64(),
         hours,
         pos: 0,
         end: hours as u64 * n as u64 * m as u64,
-        cached_cell: None,
-        cached_tw: 0.0,
-        cached_date: window.start(),
     }
 }
 
@@ -158,38 +107,15 @@ impl RecordStream {
         let j = (rest % m) as usize;
         self.pos += 1;
 
-        let (day, hod) = (h / 24, h % 24);
-        if self.cached_cell != Some((h, i)) {
-            self.cached_date = self.window.date(day);
-            self.cached_tw = template_weight(
-                self.kinds[i],
-                &self.schedules[i],
-                &self.window,
-                self.cached_date,
-                day,
-                hod,
-            );
-            self.cached_cell = Some((h, i));
-        }
-
         let total = self.totals.get(i, j);
         let v = if total <= 0.0 {
             0.0
         } else if h + 1 == self.hours {
             exact_residual(self.folded.get(i, j), total)
         } else {
-            let w = self.cached_tw
-                * service_modulation(
-                    self.kinds[i],
-                    &self.schedules[i],
-                    &self.services[j],
-                    self.cached_date,
-                    day,
-                    hod,
-                );
-            let ws = self.weight_sum.get(i, j);
-            if ws > 0.0 {
-                total * w / ws
+            let (w, sum) = self.book.weights(i, j);
+            if sum > 0.0 {
+                total * w[h] / sum
             } else {
                 0.0
             }

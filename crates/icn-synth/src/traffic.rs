@@ -1,5 +1,5 @@
-//! Traffic synthesis: the antenna × service totals matrix, the
-//! per-antenna hourly series, and the hourly cube of a set of antennas.
+//! Traffic synthesis: the antenna × service totals matrix and the one
+//! model of hourly volume, [`WeightBook`].
 //!
 //! The generator ties the two representations together so that they remain
 //! mutually consistent: each antenna first receives a two-month **total
@@ -9,17 +9,22 @@
 //! of a service at an antenna is then `T[i][j]` spread over the calendar
 //! proportionally to the archetype's temporal template weight times the
 //! service modulation — so summing the hourly series over the full study
-//! period returns `T[i][j]` exactly (up to floating-point rounding). The
-//! **hourly cube** ([`WeightBook::fill_cube`]) is the all-service sum of
-//! those series for many antennas at once, one row per antenna, bit for
-//! bit the sum the per-service series give.
+//! period returns `T[i][j]` exactly (up to floating-point rounding).
+//!
+//! A [`WeightBook`] is the only code that turns an antenna and a service
+//! into hourly weights, and every hourly volume is read from one: the
+//! stage-6 **hourly cube** ([`WeightBook::fill_cube`], the all-service sum
+//! of many antennas' series, one row per antenna), one antenna-service
+//! series ([`WeightBook::fill_series`]: the Figure 11 heatmaps and the
+//! probe campaign) and the per-record weights of the ingest feed
+//! ([`crate::RecordStream`]).
 
 use crate::antennas::Antenna;
 use crate::archetypes::AffinityTable;
 use crate::calendar::StudyCalendar;
 use crate::services::{Category, Service};
 use crate::temporal::{self, EventSchedule, TemplateKind};
-use icn_stats::{par, Matrix, Rng};
+use icn_stats::{par, Fnv1a, Matrix, Rng};
 
 /// Per-antenna log-normal noise applied to each service share (models
 /// site-to-site diversity of habits within an archetype).
@@ -114,7 +119,8 @@ pub(crate) fn fill_rows(t: &mut Matrix, fill: impl Fn(usize, &mut [f64]) + Sync)
     });
 }
 
-/// Unnormalised hourly weights of one antenna-service pair over a calendar.
+/// Unnormalised hourly weights of one antenna-service pair over a calendar:
+/// the one place the template weight and the service modulation meet.
 fn raw_weights(
     kind: TemplateKind,
     schedule: &EventSchedule,
@@ -132,72 +138,10 @@ fn raw_weights(
     w
 }
 
-/// The measurement-noise stream of one antenna-service pair. FNV-1a of
-/// the service name decorrelates the service streams.
-fn noise_rng(root: &Rng, antenna: &Antenna, svc: &Service) -> Rng {
-    let name = icn_stats::Fnv1a::new().write(svc.name.as_bytes()).finish();
-    root.fork(0x700A_0000 ^ (antenna.id as u64) << 16 ^ name)
-}
-
 /// A full-period total scaled to `window` by the window/period day ratio.
 fn window_total(full_period_total_mb: f64, full_period_days: usize, window: &StudyCalendar) -> f64 {
     assert!(full_period_days > 0, "zero-length full period");
     full_period_total_mb * window.num_days() as f64 / full_period_days as f64
-}
-
-/// One antenna-service pair's hourly samples, in hour order: `total_mb`
-/// spread by the weights `w` (which sum to `sum > 0`), with multiplicative
-/// measurement noise truncated at zero. The one copy of the noise
-/// expression: [`hourly_series`] collects the samples and the
-/// [`WeightBook::fill_cube`] rows add them up, so the two agree bit for
-/// bit by construction.
-fn noisy_samples<'a>(
-    w: &'a [f64],
-    sum: f64,
-    total_mb: f64,
-    rng: &'a mut Rng,
-) -> impl Iterator<Item = f64> + 'a {
-    w.iter().map(move |&x| {
-        let clean = total_mb * x / sum;
-        (clean * (1.0 + HOURLY_NOISE_SIGMA * rng.gaussian())).max(0.0)
-    })
-}
-
-/// Hourly traffic series (MB per hour) of service `svc` at `antenna` over
-/// `cal`, integrating to `total_mb` before measurement noise.
-///
-/// `total_mb` should be the totals-matrix entry scaled to the window (the
-/// caller decides; [`hourly_series_for_window`] does the standard scaling).
-fn hourly_series(
-    antenna: &Antenna,
-    svc: &Service,
-    cal: &StudyCalendar,
-    total_mb: f64,
-    root: &Rng,
-) -> Vec<f64> {
-    let schedule = event_schedule(antenna, cal, root);
-    let w = raw_weights(antenna.archetype.template(), &schedule, svc, cal);
-    let sum: f64 = w.iter().sum();
-    if sum <= 0.0 {
-        return vec![0.0; w.len()];
-    }
-    let mut rng = noise_rng(root, antenna, svc);
-    noisy_samples(&w, sum, total_mb, &mut rng).collect()
-}
-
-/// Hourly series over an analysis window, scaling the full-period total by
-/// the window/period day ratio (the convention used by the Figure 10–11
-/// harnesses: they analyse the 21-day January window of a 65-day study).
-pub fn hourly_series_for_window(
-    antenna: &Antenna,
-    svc: &Service,
-    full_period_total_mb: f64,
-    full_period_days: usize,
-    window: &StudyCalendar,
-    root: &Rng,
-) -> Vec<f64> {
-    let scaled = window_total(full_period_total_mb, full_period_days, window);
-    hourly_series(antenna, svc, window, scaled, root)
 }
 
 /// The modulation class of a service under one template: weight vectors
@@ -226,21 +170,29 @@ struct WeightTable {
     vector_of: Vec<usize>,
 }
 
-/// Every hourly weight vector a set of antennas needs over one window,
-/// computed once per distinct `(template, event schedule)` pair and weight
-/// class instead of once per antenna.
+/// The hourly volume model of a set of antennas over one window: every
+/// hourly weight vector they need, computed once per distinct
+/// `(template, event schedule)` pair and weight class instead of once per
+/// antenna, plus the per-pair measurement-noise streams.
 ///
 /// An antenna's weights depend on nothing but its archetype's
 /// [`TemplateKind`] and its site's [`EventSchedule`], so antennas with
 /// equal pairs (every non-venue antenna of an archetype; every antenna of
 /// one venue site) share a table. The key is value equality of the pair,
-/// so no archetype list is hard-coded. [`WeightBook::fill_cube`] then
-/// synthesises the antennas' hourly volume from the shared tables.
-pub struct WeightBook<'a> {
-    antennas: &'a [&'a Antenna],
-    services: &'a [Service],
-    window: &'a StudyCalendar,
-    root: &'a Rng,
+/// so no archetype list is hard-coded.
+///
+/// The book owns what it reads after construction (antenna ids, service
+/// name hashes, the window and the root stream), so a long-lived consumer
+/// can hold it; it never changes after [`WeightBook::new`].
+pub struct WeightBook {
+    /// Id of each antenna: with the service name, the key of a pair's
+    /// noise stream.
+    antenna_ids: Vec<usize>,
+    /// FNV-1a hash of each service name; it decorrelates the service
+    /// streams.
+    name_hashes: Vec<u64>,
+    window: StudyCalendar,
+    root: Rng,
     /// Weight class of each service.
     class_of: Vec<usize>,
     tables: Vec<WeightTable>,
@@ -248,15 +200,16 @@ pub struct WeightBook<'a> {
     table_of: Vec<usize>,
 }
 
-impl<'a> WeightBook<'a> {
-    /// Builds the book of `antennas` over `window`: each distinct
-    /// `(template, schedule)` pair's weight vectors and sums, the tables
-    /// computed in parallel.
+impl WeightBook {
+    /// Builds the book of `antennas` and `services` over `window`: each
+    /// distinct `(template, schedule)` pair's weight vectors and sums, the
+    /// tables computed in parallel. Antenna `i` and service `j` of the
+    /// other methods index these two slices.
     pub fn new(
-        antennas: &'a [&'a Antenna],
-        services: &'a [Service],
-        window: &'a StudyCalendar,
-        root: &'a Rng,
+        antennas: &[&Antenna],
+        services: &[Service],
+        window: &StudyCalendar,
+        root: &Rng,
     ) -> Self {
         let mut classes: Vec<(WeightClass, &Service)> = Vec::new();
         let class_of = services
@@ -310,10 +263,13 @@ impl<'a> WeightBook<'a> {
             table
         });
         WeightBook {
-            antennas,
-            services,
-            window,
-            root,
+            antenna_ids: antennas.iter().map(|a| a.id).collect(),
+            name_hashes: services
+                .iter()
+                .map(|svc| Fnv1a::new().write(svc.name.as_bytes()).finish())
+                .collect(),
+            window: window.clone(),
+            root: root.clone(),
             class_of,
             tables,
             table_of,
@@ -339,20 +295,31 @@ impl<'a> WeightBook<'a> {
             .sum()
     }
 
+    /// Antenna `i`'s unnormalised hourly weights of service `j` over the
+    /// window, and their ascending-hour sum: the stored vector of the
+    /// service's weight class in the antenna's table.
+    pub(crate) fn weights(&self, i: usize, j: usize) -> (&[f64], f64) {
+        let table = &self.tables[self.table_of[i]];
+        let v = table.vector_of[self.class_of[j]];
+        let hours = self.window.num_hours();
+        (&table.weights[v * hours..(v + 1) * hours], table.sums[v])
+    }
+
     /// The antennas' all-service hourly volume over the window, as a flat
     /// `antennas × hours` slab: row `i` is antenna `i`'s per-service
     /// series summed in catalog order, its totals row `rows[i]` scaled to
     /// the window by `tot × days ÷ full_period_days`.
     ///
     /// One parallel fill over every antenna; each row is written by
-    /// exactly one chunk, with the per-service noise stream and the op
-    /// order of [`hourly_series_for_window`], so every row equals the sum
-    /// of that function's series bit for bit at any `ICN_THREADS`.
+    /// exactly one chunk and adds the samples [`WeightBook::fill_series`]
+    /// writes, so every row equals the sum of the per-service series bit
+    /// for bit at any `ICN_THREADS`.
     pub fn fill_cube(&self, rows: &[&[f64]], full_period_days: usize) -> Vec<f64> {
-        assert_eq!(rows.len(), self.antennas.len(), "fill_cube: rows/antennas");
+        let n = self.antenna_ids.len();
+        assert_eq!(rows.len(), n, "fill_cube: rows/antennas");
         assert!(full_period_days > 0, "zero-length full period");
         let hours = self.window.num_hours();
-        let mut cube = vec![0.0; self.antennas.len() * hours];
+        let mut cube = vec![0.0; n * hours];
         par::fill_chunks(&mut cube, CUBE_CHUNK_ROWS * hours, |range, block| {
             let first = range.start / hours;
             for (r, out) in block.chunks_exact_mut(hours).enumerate() {
@@ -364,26 +331,73 @@ impl<'a> WeightBook<'a> {
 
     /// Adds antenna `i`'s per-service series into `out`, catalog order.
     fn fill_row(&self, i: usize, totals: &[f64], full_period_days: usize, out: &mut [f64]) {
-        assert_eq!(totals.len(), self.services.len(), "row/services mismatch");
-        let antenna = self.antennas[i];
-        let table = &self.tables[self.table_of[i]];
-        let hours = out.len();
-        for ((svc, &tot), &c) in self.services.iter().zip(totals).zip(&self.class_of) {
-            let v = table.vector_of[c];
-            let sum = table.sums[v];
-            if sum <= 0.0 {
-                continue; // the per-service series would be all zeros
-            }
-            let w = &table.weights[v * hours..(v + 1) * hours];
-            let total_mb = window_total(tot, full_period_days, self.window);
-            let mut rng = noise_rng(self.root, antenna, svc);
-            for (a, x) in out
-                .iter_mut()
-                .zip(noisy_samples(w, sum, total_mb, &mut rng))
-            {
-                *a += x;
+        assert_eq!(
+            totals.len(),
+            self.name_hashes.len(),
+            "row/services mismatch"
+        );
+        for (j, &tot) in totals.iter().enumerate() {
+            // A pair whose weights sum to zero adds nothing.
+            if let Some(samples) = self.samples(i, j, tot, full_period_days) {
+                for (a, x) in out.iter_mut().zip(samples) {
+                    *a += x;
+                }
             }
         }
+    }
+
+    /// Writes antenna `i`'s hourly series (MB per hour) of service `j`
+    /// into `out`, one entry per window hour: the full-period total
+    /// `full_period_total_mb` scaled to the window by
+    /// `tot × days ÷ full_period_days`, spread by the pair's weights, with
+    /// multiplicative measurement noise truncated at zero. All zeros when
+    /// the weights sum to zero. The samples are written, not added, so a
+    /// zero sample keeps its sign.
+    pub fn fill_series(
+        &self,
+        i: usize,
+        j: usize,
+        full_period_total_mb: f64,
+        full_period_days: usize,
+        out: &mut [f64],
+    ) {
+        assert_eq!(out.len(), self.window.num_hours(), "fill_series: hours");
+        match self.samples(i, j, full_period_total_mb, full_period_days) {
+            Some(samples) => {
+                for (o, x) in out.iter_mut().zip(samples) {
+                    *o = x;
+                }
+            }
+            None => out.fill(0.0),
+        }
+    }
+
+    /// Antenna `i`'s noisy hourly samples of service `j`, in hour order,
+    /// or `None` when the pair's weights sum to zero. The one copy of the
+    /// noise expression and of the per-pair noise stream (a fork of the
+    /// root keyed on the antenna id and the service name hash):
+    /// [`WeightBook::fill_cube`] adds the samples and
+    /// [`WeightBook::fill_series`] writes them, so the two agree bit for
+    /// bit by construction.
+    fn samples(
+        &self,
+        i: usize,
+        j: usize,
+        full_period_total_mb: f64,
+        full_period_days: usize,
+    ) -> Option<impl Iterator<Item = f64> + '_> {
+        let total_mb = window_total(full_period_total_mb, full_period_days, &self.window);
+        let (w, sum) = self.weights(i, j);
+        if sum <= 0.0 {
+            return None;
+        }
+        let mut rng = self
+            .root
+            .fork(0x700A_0000 ^ (self.antenna_ids[i] as u64) << 16 ^ self.name_hashes[j]);
+        Some(w.iter().map(move |&x| {
+            let clean = total_mb * x / sum;
+            (clean * (1.0 + HOURLY_NOISE_SIGMA * rng.gaussian())).max(0.0)
+        }))
     }
 }
 
@@ -401,6 +415,23 @@ mod tests {
         let mut rng = Rng::seed_from(123);
         let ants = generate_antennas(0.02, &mut rng);
         (ants, catalog(), Rng::seed_from(123))
+    }
+
+    /// One antenna-service pair's series over `cal` from a book of that
+    /// pair alone, so its weights are the service's own `raw_weights`,
+    /// shared with no other service.
+    fn pair_series(
+        a: &Antenna,
+        svc: &Service,
+        full_period_total_mb: f64,
+        full_period_days: usize,
+        cal: &StudyCalendar,
+        root: &Rng,
+    ) -> Vec<f64> {
+        let book = WeightBook::new(&[a], std::slice::from_ref(svc), cal, root);
+        let mut out = vec![f64::NAN; cal.num_hours()];
+        book.fill_series(0, 0, full_period_total_mb, full_period_days, &mut out);
+        out
     }
 
     #[test]
@@ -461,7 +492,7 @@ mod tests {
             .find(|a| a.archetype == Archetype::ParisMetro)
             .expect("some metro antenna");
         let spotify = &svcs[index_of(&svcs, "Spotify").unwrap()];
-        let series = hourly_series(a, spotify, &cal, 5000.0, &root);
+        let series = pair_series(a, spotify, 5000.0, cal.num_days(), &cal, &root);
         assert_eq!(series.len(), cal.num_hours());
         let sum: f64 = series.iter().sum();
         // Multiplicative zero-mean noise keeps the integral near the target.
@@ -478,7 +509,7 @@ mod tests {
             .find(|a| a.archetype == Archetype::ParisMetro)
             .unwrap();
         let spotify = &svcs[index_of(&svcs, "Spotify").unwrap()];
-        let series = hourly_series(a, spotify, &cal, 10_000.0, &root);
+        let series = pair_series(a, spotify, 10_000.0, cal.num_days(), &cal, &root);
         // Monday 9 Jan: index of 08:00 vs 13:00.
         let day = cal.day_index(Date::new(2023, 1, 9)).unwrap();
         let am = series[day * 24 + 8];
@@ -495,7 +526,7 @@ mod tests {
             .find(|a| a.archetype == Archetype::ParisMetro)
             .unwrap();
         let maps = &svcs[index_of(&svcs, "Google Maps").unwrap()];
-        let series = hourly_series(a, maps, &cal, 10_000.0, &root);
+        let series = pair_series(a, maps, 10_000.0, cal.num_days(), &cal, &root);
         let strike = cal.day_index(StudyCalendar::strike_day()).unwrap();
         let mon = cal.day_index(Date::new(2023, 1, 9)).unwrap();
         assert!(series[strike * 24 + 8] < 0.2 * series[mon * 24 + 8]);
@@ -509,7 +540,7 @@ mod tests {
             a.archetype == Archetype::ParisArena && a.city == crate::environments::City::Paris
         }) {
             let snap = &svcs[index_of(&svcs, "Snapchat").unwrap()];
-            let series = hourly_series(a, snap, &cal, 10_000.0, &root);
+            let series = pair_series(a, snap, 10_000.0, cal.num_days(), &cal, &root);
             let strike = cal.day_index(StudyCalendar::strike_day()).unwrap();
             let peak = series[strike * 24 + 21];
             let quiet_day = cal.day_index(Date::new(2023, 1, 10)).unwrap();
@@ -524,7 +555,7 @@ mod tests {
         let window = StudyCalendar::temporal_window();
         let a = &ants[0];
         let svc = &svcs[0];
-        let series = hourly_series_for_window(a, svc, 6500.0, 65, &window, &root);
+        let series = pair_series(a, svc, 6500.0, 65, &window, &root);
         let sum: f64 = series.iter().sum();
         let expected = 6500.0 * 21.0 / 65.0;
         assert!((sum - expected).abs() / expected < 0.06, "sum {sum}");
@@ -544,7 +575,7 @@ mod tests {
     }
 
     /// Builds the cube of `ants` over `cal` and checks every row against
-    /// the per-service sum of [`hourly_series_for_window`], bit for bit.
+    /// the per-service sum of their unshared [`pair_series`], bit for bit.
     fn assert_rows_are_service_sums(
         ants: &[&Antenna],
         svcs: &[Service],
@@ -559,7 +590,7 @@ mod tests {
         for (i, a) in ants.iter().enumerate() {
             let mut manual = vec![0.0; hours];
             for (svc, &tot) in svcs.iter().zip(rows[i]) {
-                let s = hourly_series_for_window(a, svc, tot, 65, cal, root);
+                let s = pair_series(a, svc, tot, 65, cal, root);
                 for (m, v) in manual.iter_mut().zip(s) {
                     *m += v;
                 }
@@ -633,6 +664,50 @@ mod tests {
     }
 
     #[test]
+    fn every_class_vector_is_each_services_own_raw_weights() {
+        // The stage-6 cube, the Figure 11 and probe series and the ingest
+        // feed all read weights through the book's class sharing, so for
+        // every distinct pair each service's own `raw_weights` must be the
+        // book's vector for it, bit for bit: over the paper dataset at
+        // scale 0.05, the temporal window, a 3-day feed window and both
+        // windows without signals.
+        let ds = crate::Dataset::generate(crate::SynthConfig::paper().with_scale(0.05));
+        let members: Vec<&Antenna> = ds.antennas.iter().collect();
+        let temporal = StudyCalendar::temporal_window();
+        let feed = StudyCalendar::custom(Date::new(2023, 1, 9), 3);
+        let windows = [
+            temporal.without_signals(),
+            feed.without_signals(),
+            temporal,
+            feed,
+        ];
+        for window in &windows {
+            let book = WeightBook::new(&members, &ds.services, window, ds.root_rng());
+            let mut checked = vec![false; book.num_tables()];
+            for (i, a) in members.iter().enumerate() {
+                if std::mem::replace(&mut checked[book.table_of[i]], true) {
+                    continue;
+                }
+                let schedule = event_schedule(a, window, ds.root_rng());
+                for (j, svc) in ds.services.iter().enumerate() {
+                    let own = raw_weights(a.archetype.template(), &schedule, svc, window);
+                    let (w, sum) = book.weights(i, j);
+                    assert_eq!(
+                        bits(w),
+                        bits(&own),
+                        "{} at antenna {} over {} days",
+                        svc.name,
+                        a.id,
+                        window.num_days()
+                    );
+                    assert_eq!(sum.to_bits(), own.iter().sum::<f64>().to_bits());
+                }
+            }
+            assert!(checked.iter().all(|&c| c), "every table checked");
+        }
+    }
+
+    #[test]
     fn cube_is_bit_identical_at_any_thread_count() {
         // `ICN_THREADS` is process-global: this is the only test in the
         // crate that sets it, and every other test reads results that are
@@ -682,8 +757,9 @@ mod tests {
             .find(|a| a.archetype == Archetype::GeneralUse)
             .unwrap();
         let svc = &svcs[0];
-        let planted = hourly_series(a, svc, &cal, 8000.0, &root);
-        let clean = hourly_series(a, svc, &cal.without_signals(), 8000.0, &root);
+        let control = cal.without_signals();
+        let planted = pair_series(a, svc, 8000.0, cal.num_days(), &cal, &root);
+        let clean = pair_series(a, svc, 8000.0, cal.num_days(), &control, &root);
         assert_eq!(planted, clean);
     }
 
@@ -696,8 +772,9 @@ mod tests {
             .find(|a| a.archetype == Archetype::ParisMetro)
             .unwrap();
         let maps = &svcs[index_of(&svcs, "Google Maps").unwrap()];
-        let planted = hourly_series(a, maps, &cal, 10_000.0, &root);
-        let clean = hourly_series(a, maps, &cal.without_signals(), 10_000.0, &root);
+        let control = cal.without_signals();
+        let planted = pair_series(a, maps, 10_000.0, cal.num_days(), &cal, &root);
+        let clean = pair_series(a, maps, 10_000.0, cal.num_days(), &control, &root);
         let strike = cal.day_index(StudyCalendar::strike_day()).unwrap();
         assert!(planted[strike * 24 + 8] < 0.2 * clean[strike * 24 + 8]);
     }
@@ -754,7 +831,8 @@ mod tests {
             let cal = StudyCalendar::custom(Date::new(2023, 1, 9), 7);
             let a = &ants[rng.index(ants.len())];
             let svc = &svcs[rng.index(svcs.len())];
-            let series = hourly_series(a, svc, &cal, total, &Rng::seed_from(rng.next_u64()));
+            let root = Rng::seed_from(rng.next_u64());
+            let series = pair_series(a, svc, total, cal.num_days(), &cal, &root);
             assert_eq!(series.len(), cal.num_hours(), "case {case}");
             assert!(
                 series.iter().all(|&v| v >= 0.0 && v.is_finite()),

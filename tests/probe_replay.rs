@@ -9,7 +9,7 @@
 
 use icn_repro::icn_probe::{
     antenna_for_uli, run_campaign, sessions_for_cell_hour, uli_for_antenna, CampaignConfig,
-    DpiConfig, DpiLabel, HourlyCube,
+    CampaignResult, DpiConfig, DpiLabel, HourlyCube,
 };
 use icn_repro::prelude::*;
 
@@ -26,6 +26,35 @@ fn campaign_replays_bit_identically_under_same_seed() {
     assert_eq!(a.dropped_bad_uli, b.dropped_bad_uli);
     assert_eq!(a.dropped_unclassified, b.dropped_unclassified);
     assert_eq!(a.suppressed_cells, b.suppressed_cells);
+}
+
+/// FNV-1a over everything a campaign reports: the totals' bit patterns,
+/// row-major, then the session, drop and suppression counts.
+fn campaign_hash(r: &CampaignResult) -> u64 {
+    let mut h = icn_repro::icn_stats::Fnv1a::new();
+    for v in r.totals.as_slice() {
+        h.write(&v.to_bits().to_le_bytes());
+    }
+    for count in [
+        r.sessions,
+        r.dropped_bad_uli,
+        r.dropped_unclassified,
+        r.suppressed_cells,
+    ] {
+        h.write(&(count as u64).to_le_bytes());
+    }
+    h.finish()
+}
+
+#[test]
+fn campaign_output_is_pinned() {
+    // The campaign reads each (antenna, service) hourly volume from the
+    // synthetic weight model; any drift in that model, the session
+    // synthesis or the classifier moves this hash.
+    let ds = common::dataset_at(0.02);
+    let window = common::probe_window(2);
+    let hash = campaign_hash(&run_campaign(&ds, &window, &CampaignConfig::default()));
+    assert_eq!(hash, 0xda4d_de80_8448_f5ac, "{hash:#018x}");
 }
 
 #[test]

@@ -233,3 +233,42 @@ fn waze_peaks_after_events_in_green_group() {
     );
     assert!(snap_early > 0.0);
 }
+
+#[test]
+fn service_heatmaps_are_pinned() {
+    // Figure 11 reads each member's per-service hourly series from the
+    // synthetic weight model; any drift in that model, its noise stream
+    // or the per-hour median moves this hash. Scale 0.05 holds no Paris
+    // arena, so Waze runs on the provincial stadiums: the same
+    // event-burst template, site schedules and Waze lag.
+    let ds = common::dataset_at(0.05);
+    let window = StudyCalendar::temporal_window();
+    let mut h = icn_repro::icn_stats::Fnv1a::new();
+    for (name, arch) in [
+        ("Spotify", Archetype::ParisMetro),
+        ("Waze", Archetype::ProvincialStadium),
+        ("Microsoft Teams", Archetype::Workspace),
+    ] {
+        let j = icn_synth::services::index_of(&ds.services, name).expect("service");
+        let (members, totals): (Vec<&icn_synth::Antenna>, Vec<f64>) = ds
+            .antennas
+            .iter()
+            .enumerate()
+            .filter(|(_, a)| a.archetype == arch)
+            .map(|(i, a)| (a, ds.indoor_totals.get(i, j)))
+            .unzip();
+        let hm = service_heatmap(
+            &members,
+            &totals,
+            &ds.services[j],
+            ds.calendar.num_days(),
+            &window,
+            ds.root_rng(),
+        );
+        for v in hm.values.iter().flatten() {
+            h.write(&v.to_bits().to_le_bytes());
+        }
+    }
+    let hash = h.finish();
+    assert_eq!(hash, 0x92f1_c6da_aec4_6edf, "{hash:#018x}");
+}
