@@ -29,7 +29,7 @@ use icn_cluster::{
     Dendrogram, KQuality, Linkage, MergeHistory, SampledWardConfig,
 };
 use icn_forecast::ClusterSeries;
-use icn_forest::{RandomForest, SoaForest, TrainSet};
+use icn_forest::{RandomForest, TrainSet};
 use icn_ingest::IngestResult;
 use icn_shap::ClassExplanation;
 use icn_stats::Matrix;
@@ -243,38 +243,33 @@ impl IcnStudy {
         };
 
         // 3. Surrogate + SHAP.
-        let (surrogate, frozen, surrogate_accuracy, surrogate_oob, explanations) = {
+        let (surrogate, surrogate_accuracy, surrogate_oob, explanations) = {
             let mut span = icn_obs::Span::enter("stage3_surrogate");
             span.attr("trees", config.n_trees as u64);
             span.attr("samples", rsca_m.rows() as u64);
             let ts = TrainSet::new(rsca_m.clone(), labels.clone());
             let surrogate = RandomForest::fit(&ts, &config.forest_config());
-            // Freeze the fitted forest into its structure-of-arrays form
-            // once; training accuracy, the SHAP batch and the stage-5
-            // outdoor classification all walk this shared layout.
-            let frozen = SoaForest::from_forest(&surrogate);
-            let preds = frozen.predict_batch(&ts.x);
+            let preds = surrogate.predict_batch(&ts.x);
             let hits = preds.iter().zip(&ts.y).filter(|(p, y)| p == y).count();
             let surrogate_accuracy = hits as f64 / ts.len() as f64;
-            span.attr("accuracy", surrogate_accuracy);
             let surrogate_oob = surrogate.oob_accuracy;
+            if obs.is_enabled() {
+                obs.set_gauge("surrogate.accuracy", surrogate_accuracy);
+                if let Some(oob) = surrogate_oob {
+                    obs.set_gauge("surrogate.oob_accuracy", oob);
+                }
+            }
             // One batched SHAP pass serves all k classes at once, and
             // within each sample chunk derives every distinct tree-walk
             // state once, replaying it for the samples that share it
             // (`icn_shap::treeshap`).
-            let shap_per_class = icn_shap::forest_shap_batch_soa(&frozen, &rsca_m);
+            let shap_per_class = icn_shap::forest_shap_batch(&surrogate, &rsca_m);
             let explanations: Vec<ClassExplanation> = shap_per_class
                 .iter()
                 .enumerate()
                 .map(|(c, shap)| icn_shap::explain_class(shap, &rsca_m, &labels, c))
                 .collect();
-            (
-                surrogate,
-                frozen,
-                surrogate_accuracy,
-                surrogate_oob,
-                explanations,
-            )
+            (surrogate, surrogate_accuracy, surrogate_oob, explanations)
         };
 
         // 4. Environments.
@@ -294,9 +289,10 @@ impl IcnStudy {
         // 5. Outdoor.
         let outdoor = {
             let _span = icn_obs::Span::enter("stage5_outdoor");
-            let outdoor = classify_outdoor_with(&dataset.outdoor_totals, &t_live, &frozen);
+            let outdoor = classify_outdoor_with(&dataset.outdoor_totals, &t_live, &surrogate);
             if obs.is_enabled() {
                 obs.add_counter("outdoor.antennas", outdoor.predicted.len() as u64);
+                obs.set_gauge("outdoor.dominant_share", outdoor.dominant.1);
             }
             outdoor
         };

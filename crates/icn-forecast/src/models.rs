@@ -23,7 +23,7 @@
 //! parallelism lives one level up (clusters fan out via `icn_stats::par`)
 //! and forest fitting is already deterministic per-tree parallel.
 
-use icn_forest::{ForestConfig, MaxFeatures, RandomForest, SoaForest, TrainSet, TreeConfig};
+use icn_forest::{ForestConfig, MaxFeatures, RandomForest, TrainSet, TreeConfig};
 use icn_stats::Matrix;
 
 /// Hours per seasonal period: the hour-of-week cycle.
@@ -349,17 +349,15 @@ pub(crate) fn forest_forecast(
     );
     // Recursive multi-step: predicted residuals extend the residual
     // series and feed the short lags of later steps (the 168 h lag stays
-    // inside the history for any horizon ≤ period). The forest is frozen
-    // into its structure-of-arrays form once and probed through a reused
-    // scratch buffer — `SoaForest::predict_proba_into` is bit-identical to
-    // `RandomForest::predict_proba`, without the per-step allocation.
-    let soa = SoaForest::from_forest(&forest);
-    let mut proba = vec![0.0f64; soa.n_classes];
+    // inside the history for any horizon ≤ period). The forest is probed
+    // through a reused scratch buffer — `predict_proba_into` is
+    // `predict_proba` without the per-step allocation.
+    let mut proba = vec![0.0f64; forest.n_classes];
     let mut extended = resid;
     let mut out = Vec::with_capacity(horizon);
     for h in 0..horizon {
         let feats = feature_row(&extended, n + h, start_dow);
-        soa.predict_proba_into(&feats, &mut proba);
+        forest.predict_proba_into(&feats, &mut proba);
         let pred: f64 = proba.iter().zip(&bin_mean).map(|(p, m)| p * m).sum();
         extended.push(pred);
         out.push(template[(n + h) % PERIOD] + pred);

@@ -68,7 +68,7 @@ impl RandomForest {
             let mut rng = root.fork(t as u64);
             let (in_bag, oob) = ts.bootstrap(&mut rng);
             let tree = DecisionTree::fit_ranked(ts, &ranks, &in_bag, &cfg.tree, &mut rng);
-            tree_span.attr("nodes", tree.nodes.len() as u64);
+            tree_span.attr("nodes", tree.num_nodes() as u64);
             slot[0] = Some((tree, oob));
         });
         let results: Vec<(DecisionTree, Vec<usize>)> = fitted
@@ -80,7 +80,7 @@ impl RandomForest {
             obs.add_counter("forest.trees", results.len() as u64);
             obs.add_counter(
                 "forest.nodes",
-                results.iter().map(|(t, _)| t.nodes.len() as u64).sum(),
+                results.iter().map(|(t, _)| t.num_nodes() as u64).sum(),
             );
             obs.add_counter("forest.training_rows", ts.len() as u64);
         }
@@ -135,18 +135,35 @@ impl RandomForest {
         }
     }
 
-    /// Mean class-probability vector over all trees (soft voting).
-    pub fn predict_proba(&self, x: &[f64]) -> Vec<f64> {
-        let mut acc = vec![0.0f64; self.n_classes];
+    /// The forest itself, cloned. Kept only for the traced replay of the
+    /// repository benchmark (`perfbench/src/replay.rs`), which still
+    /// calls it; nothing in the workspace does.
+    pub fn from_forest(forest: &RandomForest) -> RandomForest {
+        forest.clone()
+    }
+
+    /// Soft-vote class probabilities for one sample, written into `acc`
+    /// (length `n_classes`): leaf distributions summed in tree order, then
+    /// scaled by `1/T`.
+    pub fn predict_proba_into(&self, x: &[f64], acc: &mut [f64]) {
+        assert_eq!(x.len(), self.n_features, "predict_proba: feature mismatch");
+        acc.fill(0.0);
         for tree in &self.trees {
-            for (a, &p) in acc.iter_mut().zip(tree.predict_proba(x)) {
+            let leaf = tree.leaf_for(x);
+            for (a, &p) in acc.iter_mut().zip(tree.distribution(leaf)) {
                 *a += p;
             }
         }
         let inv = 1.0 / self.trees.len() as f64;
-        for a in &mut acc {
+        for a in acc.iter_mut() {
             *a *= inv;
         }
+    }
+
+    /// Mean class-probability vector over all trees (soft voting).
+    pub fn predict_proba(&self, x: &[f64]) -> Vec<f64> {
+        let mut acc = vec![0.0f64; self.n_classes];
+        self.predict_proba_into(x, &mut acc);
         acc
     }
 
@@ -155,13 +172,24 @@ impl RandomForest {
         icn_stats::rank::argmax(&self.predict_proba(x))
     }
 
-    /// Predicts every row of a matrix (in parallel). Freezes the forest
-    /// into its structure-of-arrays form first; callers that classify many
-    /// batches should freeze once via [`crate::soa::SoaForest`] and reuse
-    /// it.
+    /// Predicts every row of a matrix in parallel (chunked so each worker
+    /// reuses one probability accumulator across its samples), under a
+    /// `predict` span.
     pub fn predict_batch(&self, x: &Matrix) -> Vec<usize> {
         assert_eq!(x.cols(), self.n_features, "predict_batch: feature mismatch");
-        crate::soa::SoaForest::from_forest(self).predict_batch(x)
+        let _span = icn_obs::Span::enter("predict");
+        let n = x.rows();
+        let chunk = predict_chunk_size(n);
+        let chunks: Vec<Vec<usize>> = par::map_chunks(n, chunk, |range| {
+            let mut acc = vec![0.0f64; self.n_classes];
+            range
+                .map(|i| {
+                    self.predict_proba_into(x.row(i), &mut acc);
+                    icn_stats::rank::argmax(&acc)
+                })
+                .collect()
+        });
+        chunks.into_iter().flatten().collect()
     }
 
     /// Training accuracy on a labelled set.
@@ -170,6 +198,15 @@ impl RandomForest {
         let hits = preds.iter().zip(&ts.y).filter(|(p, y)| p == y).count();
         hits as f64 / ts.len() as f64
     }
+}
+
+/// Sample-chunk width for batched prediction: small enough to load-balance
+/// across workers, large enough to amortize per-chunk bookkeeping. The
+/// chunking never affects results — each row is classified independently.
+fn predict_chunk_size(n: usize) -> usize {
+    (n / (par::thread_count() * 8))
+        .clamp(64, 4096)
+        .min(n.max(1))
 }
 
 #[cfg(test)]
@@ -240,7 +277,7 @@ mod tests {
         assert_eq!(a.oob_accuracy, b.oob_accuracy);
         // Tree structures match too.
         for (ta, tb) in a.trees.iter().zip(&b.trees) {
-            assert_eq!(ta.nodes.len(), tb.nodes.len());
+            assert_eq!(ta.num_nodes(), tb.num_nodes());
         }
     }
 
@@ -267,7 +304,7 @@ mod tests {
             .trees
             .iter()
             .zip(&b.trees)
-            .any(|(x, y)| x.nodes.len() != y.nodes.len());
+            .any(|(x, y)| x.num_nodes() != y.num_nodes());
         assert!(differs || a.predict_proba(ts.x.row(0)) != b.predict_proba(ts.x.row(0)));
     }
 
@@ -297,6 +334,38 @@ mod tests {
         );
         assert_eq!(forest.trees.len(), 1);
         assert!(forest.accuracy(&ts) > 0.6);
+    }
+
+    #[test]
+    fn batch_prediction_matches_per_sample() {
+        let ts = blobs(40, 3);
+        let forest = RandomForest::fit(
+            &ts,
+            &ForestConfig {
+                n_trees: 9,
+                ..ForestConfig::default()
+            },
+        );
+        let batch = forest.predict_batch(&ts.x);
+        let per: Vec<usize> = (0..ts.len()).map(|i| forest.predict(ts.x.row(i))).collect();
+        assert_eq!(batch, per);
+    }
+
+    #[test]
+    fn stump_forest_predicts() {
+        let ts = TrainSet::new(Matrix::from_rows(&[vec![1.0], vec![1.0]]), vec![0, 0]);
+        let forest = RandomForest::fit(
+            &ts,
+            &ForestConfig {
+                n_trees: 2,
+                ..ForestConfig::default()
+            },
+        );
+        assert!(forest.trees.iter().all(|t| t.max_depth == 0));
+        assert_eq!(
+            forest.predict_batch(&Matrix::from_rows(&[vec![1.0]])),
+            vec![0]
+        );
     }
 
     #[test]

@@ -8,16 +8,16 @@
 //!
 //! * [`TrainSet`] — labelled training sets, bootstrap sampling, [`gini`]
 //!   impurity.
-//! * [`DecisionTree`] — CART decision trees with public flat node layout
-//!   (cover + class distribution per node, as TreeSHAP requires), grown
-//!   by a split search that sorts integer value ranks, never floats.
+//! * [`DecisionTree`] — CART decision trees grown straight into public
+//!   structure-of-arrays form (split, children, cover, class distribution
+//!   and cover ratio per node, as TreeSHAP requires) by a split search
+//!   that sorts integer value ranks, never floats; prediction and
+//!   TreeSHAP read the same arrays.
 //! * [`RandomForest`] — bagging, √M feature subsampling, soft voting, OOB
-//!   error, deterministic parallel training.
+//!   error, deterministic parallel training, batched parallel prediction
+//!   (training accuracy and the stage-5 outdoor classification).
 //! * [`accuracy`] — the surrogate-fidelity score (confusion matrices and
 //!   macro-F1 back the cross-validation).
-//! * [`SoaForest`] — fitted trees frozen into structure-of-arrays form, the
-//!   hot-path layout shared by batch prediction, TreeSHAP and the stage-5
-//!   outdoor classification.
 //! * [`cross_validate`] — stratified k-fold cross-validation, the sturdier
 //!   generalisation estimate next to OOB error (B4).
 
@@ -28,12 +28,15 @@ mod crossval;
 mod data;
 mod forest;
 mod metrics;
-mod soa;
 mod tree;
 
 pub use crossval::{cross_validate, CvResult};
 pub use data::{gini, TrainSet};
 pub use forest::{ForestConfig, RandomForest};
 pub use metrics::accuracy;
-pub use soa::{SoaForest, SoaTree};
-pub use tree::{DecisionTree, MaxFeatures, Node, TreeConfig};
+pub use tree::{DecisionTree, MaxFeatures, TreeConfig};
+
+/// The forest under the name the traced replay of the repository
+/// benchmark (`perfbench/src/replay.rs`) still imports; nothing in the
+/// workspace names it.
+pub type SoaForest = RandomForest;

@@ -1,14 +1,18 @@
 //! CART decision tree (Gini impurity, axis-aligned thresholds).
 //!
 //! The surrogate classifier of Section 5.1.2 is a random forest; each
-//! member is this tree. The node layout is flat (`Vec<Node>`) and public
-//! because the TreeSHAP explainer (`icn-shap`) walks it directly: every
-//! node carries its **cover** (number of training samples that reached it)
-//! and its **class distribution**, which TreeSHAP uses to weigh the paths
-//! of absent features.
+//! member is this tree. A fitted tree is one set of parallel per-node
+//! arrays, grown in pre-order by the fit and read as they are by
+//! prediction, the OOB votes and the TreeSHAP explainer (`icn-shap`):
+//! every node carries its **cover** (number of training samples that
+//! reached it) and its **class distribution**, which TreeSHAP uses to
+//! weigh the paths of absent features.
 
 use crate::data::{gini, TrainSet};
 use icn_stats::{par, Rng};
+
+/// Child index marking a leaf.
+const LEAF: u32 = u32::MAX;
 
 /// How many features a split may consider.
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
@@ -57,39 +61,50 @@ impl Default for TreeConfig {
     }
 }
 
-/// One node of a fitted tree.
-#[derive(Clone, Debug)]
-pub struct Node {
-    /// Split feature index (meaningless for leaves).
-    pub feature: usize,
-    /// Split threshold: samples with `x[feature] <= threshold` go left.
-    pub threshold: f64,
-    /// Left child index, or `usize::MAX` for a leaf.
-    pub left: usize,
-    /// Right child index, or `usize::MAX` for a leaf.
-    pub right: usize,
-    /// Number of training samples that reached this node (the "cover").
-    pub cover: f64,
-    /// Class probability distribution of the training samples here.
-    pub distribution: Vec<f64>,
-}
-
-impl Node {
-    /// True if this node has no children.
-    pub fn is_leaf(&self) -> bool {
-        self.left == usize::MAX
-    }
-}
-
-/// A fitted CART decision tree.
-#[derive(Clone, Debug)]
+/// A fitted CART decision tree in structure-of-arrays form: node `i`'s
+/// fields sit at index `i` of each array, node 0 is the root, and nodes
+/// are numbered in pre-order (a split's left child is the next node).
+#[derive(Clone, Debug, Default)]
 pub struct DecisionTree {
-    /// Flat node storage; index 0 is the root.
-    pub nodes: Vec<Node>,
+    /// Split feature per node (0 at leaves).
+    pub feature: Vec<u32>,
+    /// Split threshold per node: `x[feature] <= threshold` goes left
+    /// (0.0 at leaves).
+    pub threshold: Vec<f64>,
+    /// Left child per node, `u32::MAX` at leaves.
+    pub left: Vec<u32>,
+    /// Right child per node, `u32::MAX` at leaves.
+    pub right: Vec<u32>,
+    /// Number of training samples that reached each node (the "cover").
+    pub cover: Vec<f64>,
+    /// Class distribution of the training samples at each node,
+    /// `n_classes` per node (see [`DecisionTree::distribution`]).
+    pub dist: Vec<f64>,
+    /// `cover[i] / cover[parent(i)]` per node (1.0 at the root) — the
+    /// TreeSHAP `zero_fraction` of descending into `i`.
+    pub ratio: Vec<f64>,
+    /// Node `i`'s nonzero distribution entries are `nz_off[i]..nz_off[i +
+    /// 1]` of [`DecisionTree::nz_class`] / [`DecisionTree::nz_val`] (one
+    /// offset per node plus the end), empty at internal nodes. Fully-grown
+    /// CART leaves are pure, so the sparse view is usually a single
+    /// `(class, value)` pair where the dense row is `n_classes` wide — the
+    /// SHAP accumulator iterates this instead.
+    pub nz_off: Vec<u32>,
+    /// Concatenated class indices of nonzero leaf-distribution entries.
+    pub nz_class: Vec<u32>,
+    /// Concatenated values of nonzero leaf-distribution entries.
+    pub nz_val: Vec<f64>,
     /// Number of classes.
     pub n_classes: usize,
     /// Number of features the tree was trained on.
     pub n_features: usize,
+    /// Maximum depth of the tree (root = 0); sizes the TreeSHAP scratch
+    /// arenas up front.
+    pub max_depth: usize,
+    /// Largest number of **unique** split features on any root→leaf path.
+    /// TreeSHAP's per-leaf weight polynomial has degree `< max_unique_path`,
+    /// so this bounds the quadrature order the kernel needs.
+    pub max_unique_path: usize,
 }
 
 impl DecisionTree {
@@ -111,11 +126,10 @@ impl DecisionTree {
     ) -> DecisionTree {
         assert!(!rows.is_empty(), "DecisionTree::fit: empty row set");
         let mut tree = DecisionTree {
-            nodes: Vec::new(),
             n_classes: ts.n_classes,
             n_features: ts.num_features(),
+            ..DecisionTree::default()
         };
-        let mut rows_scratch = rows.to_vec();
         let mut scratch = FitScratch {
             keys: Vec::with_capacity(rows.len()),
             radix: Vec::with_capacity(rows.len()),
@@ -123,10 +137,28 @@ impl DecisionTree {
             left: vec![0; ts.n_classes],
             right: vec![0; ts.n_classes],
             part: Vec::with_capacity(rows.len()),
+            on_path: vec![0; ts.num_features()],
+            unique: 0,
             boundaries: 0,
             exact_scores: 0,
         };
-        tree.grow(ts, ranks, &mut rows_scratch, 0, cfg, rng, &mut scratch);
+        // The root is its own parent: its cover ratio is 1.
+        let root_cover = rows.len() as f64;
+        let mut rows = rows.to_vec();
+        tree.grow(ts, ranks, &mut rows, 0, root_cover, cfg, rng, &mut scratch);
+        tree.nz_off.push(tree.nz_len());
+        // A fitted tree never grows again: drop the arrays' doubling slack,
+        // which a forest would otherwise hold for as long as it lives.
+        tree.feature.shrink_to_fit();
+        tree.threshold.shrink_to_fit();
+        tree.left.shrink_to_fit();
+        tree.right.shrink_to_fit();
+        tree.cover.shrink_to_fit();
+        tree.dist.shrink_to_fit();
+        tree.ratio.shrink_to_fit();
+        tree.nz_off.shrink_to_fit();
+        tree.nz_class.shrink_to_fit();
+        tree.nz_val.shrink_to_fit();
         let obs = icn_obs::global();
         if obs.is_enabled() {
             obs.add_counter("forest.split_boundaries", scratch.boundaries);
@@ -135,8 +167,9 @@ impl DecisionTree {
         tree
     }
 
-    /// Recursively grows the subtree over `rows` (which it may reorder) and
-    /// returns the index of the created node.
+    /// Recursively grows the subtree over `rows` (which it may reorder),
+    /// pushing its nodes in pre-order, and returns the index of the
+    /// created node. `parent_cover` is the cover of the node being split.
     #[allow(clippy::too_many_arguments)] // the recursion threads every input through
     fn grow(
         &mut self,
@@ -144,31 +177,44 @@ impl DecisionTree {
         ranks: &RankTable,
         rows: &mut [usize],
         depth: usize,
+        parent_cover: f64,
         cfg: &TreeConfig,
         rng: &mut Rng,
         scratch: &mut FitScratch,
-    ) -> usize {
+    ) -> u32 {
         let counts = ts.class_counts(rows);
         let total: f64 = counts.iter().sum();
-        let distribution: Vec<f64> = counts.iter().map(|&c| c / total).collect();
-        let node_idx = self.nodes.len();
-        self.nodes.push(Node {
-            feature: 0,
-            threshold: 0.0,
-            left: usize::MAX,
-            right: usize::MAX,
-            cover: total,
-            distribution,
-        });
+        let node = u32::try_from(self.left.len()).expect("DecisionTree: node index overflow");
+        self.feature.push(0);
+        self.threshold.push(0.0);
+        self.left.push(LEAF);
+        self.right.push(LEAF);
+        self.cover.push(total);
+        self.dist.extend(counts.iter().map(|&c| c / total));
+        self.ratio.push(total / parent_cover);
+        self.nz_off.push(self.nz_len());
+        self.max_depth = self.max_depth.max(depth);
 
         let impurity = gini(&counts);
-        if depth >= cfg.max_depth || rows.len() < cfg.min_samples_split || impurity <= 0.0 {
-            return node_idx;
-        }
-
-        let Some((feature, threshold)) = best_split(ts, ranks, rows, &counts, cfg, rng, scratch)
-        else {
-            return node_idx;
+        let split =
+            if depth >= cfg.max_depth || rows.len() < cfg.min_samples_split || impurity <= 0.0 {
+                None
+            } else {
+                best_split(ts, ranks, rows, &counts, cfg, rng, scratch)
+            };
+        let Some((feature, threshold)) = split else {
+            // A leaf: its sparse view, and the distinct split features
+            // above it.
+            let k = self.n_classes;
+            let i = node as usize;
+            for (c, &p) in self.dist[i * k..(i + 1) * k].iter().enumerate() {
+                if p != 0.0 {
+                    self.nz_class.push(c as u32);
+                    self.nz_val.push(p);
+                }
+            }
+            self.max_unique_path = self.max_unique_path.max(scratch.unique);
+            return node;
         };
 
         // Partition rows in place around the threshold (stable, via the
@@ -180,54 +226,73 @@ impl DecisionTree {
         });
         debug_assert!(mid > 0 && mid < rows.len(), "degenerate split survived");
         let (left_rows, right_rows) = rows.split_at_mut(mid);
-        let left = self.grow(ts, ranks, left_rows, depth + 1, cfg, rng, scratch);
-        let right = self.grow(ts, ranks, right_rows, depth + 1, cfg, rng, scratch);
-        let node = &mut self.nodes[node_idx];
-        node.feature = feature;
-        node.threshold = threshold;
-        node.left = left;
-        node.right = right;
-        node_idx
+        scratch.unique += usize::from(scratch.on_path[feature] == 0);
+        scratch.on_path[feature] += 1;
+        let left = self.grow(ts, ranks, left_rows, depth + 1, total, cfg, rng, scratch);
+        let right = self.grow(ts, ranks, right_rows, depth + 1, total, cfg, rng, scratch);
+        scratch.on_path[feature] -= 1;
+        scratch.unique -= usize::from(scratch.on_path[feature] == 0);
+        let i = node as usize;
+        self.feature[i] = feature as u32;
+        self.threshold[i] = threshold;
+        self.left[i] = left;
+        self.right[i] = right;
+        node
+    }
+
+    /// Number of nonzero leaf entries so far, as the next `nz_off`.
+    fn nz_len(&self) -> u32 {
+        u32::try_from(self.nz_class.len()).expect("DecisionTree: nonzero view overflow")
+    }
+
+    /// Number of nodes.
+    pub fn num_nodes(&self) -> usize {
+        self.left.len()
+    }
+
+    /// True if node `i` has no children.
+    #[inline]
+    pub fn is_leaf(&self, i: usize) -> bool {
+        self.left[i] == LEAF
+    }
+
+    /// The class distribution of the training samples at node `i`.
+    #[inline]
+    pub fn distribution(&self, i: usize) -> &[f64] {
+        &self.dist[i * self.n_classes..(i + 1) * self.n_classes]
+    }
+
+    /// The nonzero entries of leaf `i`'s distribution as parallel
+    /// `(classes, values)` slices (both empty at internal nodes).
+    #[inline]
+    pub fn leaf_nonzero(&self, i: usize) -> (&[u32], &[f64]) {
+        let (lo, hi) = (self.nz_off[i] as usize, self.nz_off[i + 1] as usize);
+        (&self.nz_class[lo..hi], &self.nz_val[lo..hi])
     }
 
     /// Index of the leaf a sample lands in.
+    #[inline]
     pub(crate) fn leaf_for(&self, x: &[f64]) -> usize {
-        assert_eq!(x.len(), self.n_features, "leaf_for: feature mismatch");
         let mut i = 0usize;
-        loop {
-            let n = &self.nodes[i];
-            if n.is_leaf() {
-                return i;
-            }
-            i = if x[n.feature] <= n.threshold {
-                n.left
+        while self.left[i] != LEAF {
+            i = if x[self.feature[i] as usize] <= self.threshold[i] {
+                self.left[i] as usize
             } else {
-                n.right
+                self.right[i] as usize
             };
         }
+        i
     }
 
     /// Class probability distribution for a sample.
     pub fn predict_proba(&self, x: &[f64]) -> &[f64] {
-        &self.nodes[self.leaf_for(x)].distribution
+        assert_eq!(x.len(), self.n_features, "predict_proba: feature mismatch");
+        self.distribution(self.leaf_for(x))
     }
 
     /// Most likely class for a sample.
     pub fn predict(&self, x: &[f64]) -> usize {
         icn_stats::rank::argmax(self.predict_proba(x))
-    }
-
-    /// Maximum depth of the fitted tree (root = 0).
-    pub fn depth(&self) -> usize {
-        fn rec(nodes: &[Node], i: usize) -> usize {
-            let n = &nodes[i];
-            if n.is_leaf() {
-                0
-            } else {
-                1 + rec(nodes, n.left).max(rec(nodes, n.right))
-            }
-        }
-        rec(&self.nodes, 0)
     }
 }
 
@@ -306,6 +371,11 @@ struct FitScratch {
     right: Vec<u32>,
     /// Stable-partition buffer.
     part: Vec<usize>,
+    /// Occurrences of each feature among the splits above the node being
+    /// grown.
+    on_path: Vec<u32>,
+    /// Distinct features among those splits.
+    unique: usize,
     /// Distinct-value boundaries that passed `min_samples_leaf`.
     boundaries: u64,
     /// Boundaries the pre-filter could not rule out, scored in floats.
@@ -553,7 +623,7 @@ mod tests {
         for i in 0..ts.len() {
             assert_eq!(tree.predict(ts.x.row(i)), ts.y[i], "row {i}");
         }
-        assert!(tree.depth() >= 2);
+        assert!(tree.max_depth >= 2);
     }
 
     #[test]
@@ -561,8 +631,8 @@ mod tests {
         let ts = TrainSet::new(Matrix::from_rows(&[vec![1.0], vec![2.0]]), vec![0, 0]);
         let mut rng = Rng::seed_from(2);
         let tree = DecisionTree::fit(&ts, &[0, 1], &TreeConfig::default(), &mut rng);
-        assert_eq!(tree.nodes.len(), 1);
-        assert!(tree.nodes[0].is_leaf());
+        assert_eq!(tree.num_nodes(), 1);
+        assert!(tree.is_leaf(0));
         assert_eq!(tree.predict(&[5.0]), 0);
     }
 
@@ -576,9 +646,9 @@ mod tests {
         };
         let mut rng = Rng::seed_from(3);
         let tree = DecisionTree::fit(&ts, &rows, &cfg, &mut rng);
-        assert_eq!(tree.nodes.len(), 1);
+        assert_eq!(tree.num_nodes(), 1);
         // Balanced classes: distribution is 50/50.
-        assert!((tree.nodes[0].distribution[0] - 0.5).abs() < 1e-12);
+        assert!((tree.distribution(0)[0] - 0.5).abs() < 1e-12);
     }
 
     #[test]
@@ -591,8 +661,8 @@ mod tests {
         };
         let mut rng = Rng::seed_from(4);
         let tree = DecisionTree::fit(&ts, &rows, &cfg, &mut rng);
-        for n in tree.nodes.iter().filter(|n| n.is_leaf()) {
-            assert!(n.cover >= 3.0, "leaf cover {}", n.cover);
+        for i in (0..tree.num_nodes()).filter(|&i| tree.is_leaf(i)) {
+            assert!(tree.cover[i] >= 3.0, "leaf cover {}", tree.cover[i]);
         }
     }
 
@@ -602,13 +672,13 @@ mod tests {
         let rows: Vec<usize> = (0..ts.len()).collect();
         let mut rng = Rng::seed_from(5);
         let tree = DecisionTree::fit(&ts, &rows, &TreeConfig::default(), &mut rng);
-        assert_eq!(tree.nodes[0].cover, ts.len() as f64);
-        for n in &tree.nodes {
-            if !n.is_leaf() {
-                let sum = tree.nodes[n.left].cover + tree.nodes[n.right].cover;
-                assert_eq!(sum, n.cover);
+        assert_eq!(tree.cover[0], ts.len() as f64);
+        for i in 0..tree.num_nodes() {
+            if !tree.is_leaf(i) {
+                let sum = tree.cover[tree.left[i] as usize] + tree.cover[tree.right[i] as usize];
+                assert_eq!(sum, tree.cover[i]);
             }
-            let s: f64 = n.distribution.iter().sum();
+            let s: f64 = tree.distribution(i).iter().sum();
             assert!((s - 1.0).abs() < 1e-12);
         }
     }
@@ -621,7 +691,7 @@ mod tests {
         );
         let mut rng = Rng::seed_from(6);
         let tree = DecisionTree::fit(&ts, &[0, 1, 2], &TreeConfig::default(), &mut rng);
-        assert_eq!(tree.nodes.len(), 1);
+        assert_eq!(tree.num_nodes(), 1);
         assert_eq!(tree.predict(&[1.0]), 0); // majority
     }
 

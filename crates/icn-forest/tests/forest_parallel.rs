@@ -65,7 +65,7 @@ fn fingerprint(forest: &RandomForest, ts: &TrainSet) -> (Vec<usize>, Vec<u64>, O
         })
         .collect();
     (
-        forest.trees.iter().map(|t| t.nodes.len()).collect(),
+        forest.trees.iter().map(|t| t.num_nodes()).collect(),
         probas,
         forest.oob_accuracy.map(f64::to_bits),
     )

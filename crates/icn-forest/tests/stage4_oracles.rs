@@ -15,7 +15,7 @@ use icn_stats::check::{self, cases};
 use icn_stats::{Matrix, Rng};
 use icn_testkit::{
     naive_accuracy, naive_predict_batch, naive_predict_proba, permutation, permute_cols,
-    permute_forest_features, permute_labels, sort_scan_tree_fit,
+    permute_forest_features, permute_labels, sort_scan_tree_fit, CartNode,
 };
 
 /// Gaussian blobs: k classes, each concentrated on its own axis.
@@ -146,30 +146,40 @@ fn prediction_invariant_under_consistent_feature_permutation() {
     });
 }
 
-/// Asserts two fitted trees are equal node for node: feature, threshold
-/// bits, children, cover bits and every distribution bit.
-fn assert_same_tree(fast: &DecisionTree, oracle: &DecisionTree, what: &str) {
-    assert_eq!(
-        fast.nodes.len(),
-        oracle.nodes.len(),
-        "{what}: node count differs"
-    );
-    for (i, (a, b)) in fast.nodes.iter().zip(&oracle.nodes).enumerate() {
+/// Asserts a fitted tree equals the oracle's node list node for node:
+/// feature, threshold bits, children (`u32::MAX` and `usize::MAX` both
+/// mark a leaf), cover bits and every distribution bit.
+fn assert_same_tree(fast: &DecisionTree, oracle: &[CartNode], what: &str) {
+    assert_eq!(fast.num_nodes(), oracle.len(), "{what}: node count differs");
+    let child = |c: u32| {
+        if c == u32::MAX {
+            usize::MAX
+        } else {
+            c as usize
+        }
+    };
+    for (i, b) in oracle.iter().enumerate() {
+        let (feature, threshold) = (fast.feature[i] as usize, fast.threshold[i]);
         assert_eq!(
-            (a.feature, a.threshold.to_bits(), a.left, a.right),
+            (
+                feature,
+                threshold.to_bits(),
+                child(fast.left[i]),
+                child(fast.right[i])
+            ),
             (b.feature, b.threshold.to_bits(), b.left, b.right),
             "{what}: node {i} split differs (threshold {} vs oracle {})",
-            a.threshold,
+            threshold,
             b.threshold
         );
         assert_eq!(
-            a.cover.to_bits(),
+            fast.cover[i].to_bits(),
             b.cover.to_bits(),
             "{what}: node {i} cover"
         );
         let bits = |d: &[f64]| d.iter().map(|p| p.to_bits()).collect::<Vec<u64>>();
         assert_eq!(
-            bits(&a.distribution),
+            bits(fast.distribution(i)),
             bits(&b.distribution),
             "{what}: node {i} distribution"
         );
@@ -253,7 +263,7 @@ fn tree_fit_matches_sort_scan_oracle_bit_for_bit() {
         assert_same_tree(&fast, &oracle, "tree");
         // Same candidate draws: both streams end in the same state.
         assert_eq!(fast_rng.next_u64(), oracle_rng.next_u64(), "rng drift");
-        split += usize::from(oracle.nodes.len() > 1);
+        split += usize::from(oracle.len() > 1);
     });
     // A root whose only candidate is the constant column stays a leaf;
     // most cases must grow real trees.
@@ -308,7 +318,7 @@ fn splits_between_adjacent_doubles_match_the_oracle() {
         let fast = DecisionTree::fit(&ts, &all, &cfg, &mut Rng::seed_from(1));
         let oracle = sort_scan_tree_fit(&ts, &all, &cfg, &mut Rng::seed_from(1));
         assert_same_tree(&fast, &oracle, &format!("lower {lower:e}"));
-        assert_eq!(fast.nodes.len(), 3, "the root must split");
+        assert_eq!(fast.num_nodes(), 3, "the root must split");
     }
 }
 
@@ -336,14 +346,11 @@ fn boundaries_without_an_interior_midpoint_split_at_the_lower_value() {
         let oracle = sort_scan_tree_fit(&ts, &all, &cfg, &mut Rng::seed_from(1));
         let what = format!("{lower:e} | {upper:e}");
         assert_same_tree(&fast, &oracle, &what);
-        assert_eq!(fast.nodes.len(), 3, "{what}: the root must split once");
-        assert_eq!(fast.nodes[0].threshold.to_bits(), lower.to_bits(), "{what}");
-        let covers: Vec<f64> = fast.nodes[1..].iter().map(|n| n.cover).collect();
-        assert_eq!(covers, [4.0, 4.0], "{what}: children cover");
+        assert_eq!(fast.num_nodes(), 3, "{what}: the root must split once");
+        assert_eq!(fast.threshold[0].to_bits(), lower.to_bits(), "{what}");
+        assert_eq!(fast.cover[1..], [4.0, 4.0], "{what}: children cover");
         assert!(
-            fast.nodes
-                .iter()
-                .all(|n| n.distribution.iter().all(|p| p.is_finite())),
+            fast.dist.iter().all(|p| p.is_finite()),
             "{what}: NaN distribution"
         );
     }

@@ -75,7 +75,7 @@ pub use diff::{
     diff_reports, render_mem, render_top, DiffLine, DiffReport, DiffStatus, DiffThresholds,
 };
 pub use json::Json;
-pub use mem::{gauge_bytes, CountingAlloc, MemStats};
+pub use mem::{gauge_bytes, mem_total_bytes, CountingAlloc, MemStats};
 pub use registry::{Registry, Snapshot};
 pub use report::{
     pair_reports, BenchReport, BenchReportSet, EnvInfo, MemoryReport, FORECAST_STAGE,

@@ -237,14 +237,25 @@ unsafe impl GlobalAlloc for CountingAlloc {
 /// report building treats it as optional context next to the allocator
 /// window peak (which only sees heap traffic inside the window).
 pub(crate) fn vm_hwm_bytes() -> Option<u64> {
-    let status = std::fs::read_to_string("/proc/self/status").ok()?;
-    for line in status.lines() {
-        if let Some(rest) = line.strip_prefix("VmHWM:") {
-            let kb: u64 = rest.trim().trim_end_matches("kB").trim().parse().ok()?;
-            return Some(kb * 1024);
-        }
-    }
-    None
+    proc_kb("/proc/self/status", "VmHWM")
+}
+
+/// The machine's physical memory (`MemTotal` from `/proc/meminfo`) in
+/// bytes. `None` off Linux or when the pseudo-file is unreadable — `icn`
+/// then skips the check that refuses, before generation, a campaign too
+/// large for the machine.
+pub fn mem_total_bytes() -> Option<u64> {
+    proc_kb("/proc/meminfo", "MemTotal")
+}
+
+/// The `<key>: <n> kB` line of a `/proc` pseudo-file, in bytes.
+fn proc_kb(path: &str, key: &str) -> Option<u64> {
+    let text = std::fs::read_to_string(path).ok()?;
+    let rest = text
+        .lines()
+        .find_map(|line| line.strip_prefix(key)?.strip_prefix(':'))?;
+    let kb: u64 = rest.trim().trim_end_matches("kB").trim().parse().ok()?;
+    kb.checked_mul(1024)
 }
 
 /// Sets a `*_bytes` gauge on the global registry — the one helper behind
@@ -335,10 +346,12 @@ mod tests {
     }
 
     #[test]
-    fn vm_hwm_parses_on_linux() {
+    fn vm_hwm_and_mem_total_parse_on_linux() {
         if cfg!(target_os = "linux") {
             let hwm = vm_hwm_bytes().expect("VmHWM readable on Linux");
             assert!(hwm > 0, "VmHWM must be positive, got {hwm}");
+            let total = mem_total_bytes().expect("MemTotal readable on Linux");
+            assert!(total > hwm, "MemTotal {total} not above VmHWM {hwm}");
         }
     }
 }

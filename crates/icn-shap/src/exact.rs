@@ -26,22 +26,23 @@ pub fn tree_expectation(tree: &DecisionTree, x: &[f64], present: &[bool]) -> Vec
         "tree_expectation: mask mismatch"
     );
     fn rec(tree: &DecisionTree, x: &[f64], present: &[bool], idx: usize) -> Vec<f64> {
-        let node = &tree.nodes[idx];
-        if node.is_leaf() {
-            return node.distribution.clone();
+        if tree.is_leaf(idx) {
+            return tree.distribution(idx).to_vec();
         }
-        if present[node.feature] {
-            let next = if x[node.feature] <= node.threshold {
-                node.left
+        let feature = tree.feature[idx] as usize;
+        let (left, right) = (tree.left[idx] as usize, tree.right[idx] as usize);
+        if present[feature] {
+            let next = if x[feature] <= tree.threshold[idx] {
+                left
             } else {
-                node.right
+                right
             };
             rec(tree, x, present, next)
         } else {
-            let l = rec(tree, x, present, node.left);
-            let r = rec(tree, x, present, node.right);
-            let wl = tree.nodes[node.left].cover / node.cover;
-            let wr = tree.nodes[node.right].cover / node.cover;
+            let l = rec(tree, x, present, left);
+            let r = rec(tree, x, present, right);
+            let wl = tree.cover[left] / tree.cover[idx];
+            let wr = tree.cover[right] / tree.cover[idx];
             l.iter().zip(&r).map(|(a, b)| wl * a + wr * b).collect()
         }
     }
@@ -141,7 +142,7 @@ mod tests {
         let x = ts.x.row(0);
         let e = tree_expectation(&tree, x, &[false, false, false]);
         // Root distribution equals the cover-weighted leaf average.
-        let root = &tree.nodes[0].distribution;
+        let root = tree.distribution(0);
         for (a, b) in e.iter().zip(root) {
             assert!((a - b).abs() < 1e-9);
         }
@@ -171,7 +172,7 @@ mod tests {
         // Feature 2 never splits (labels depend only on features 0, 1), so
         // its Shapley value must be 0 by the missingness property.
         let (tree, ts) = small_tree(4);
-        let uses_f2 = tree.nodes.iter().any(|n| !n.is_leaf() && n.feature == 2);
+        let uses_f2 = (0..tree.num_nodes()).any(|i| !tree.is_leaf(i) && tree.feature[i] == 2);
         if !uses_f2 {
             let x = ts.x.row(0);
             let (phi, _) = exact_tree_shap(&tree, x);

@@ -5,7 +5,7 @@
 //! random-forest surrogate (`icn-forest`) and attributing each antenna's
 //! predicted cluster to its per-service RSCA features.
 //!
-//! * [`tree_shap`] / [`forest_shap_batch_soa`] — the polynomial-time,
+//! * [`tree_shap`] / [`forest_shap_batch`] — the polynomial-time,
 //!   path-dependent TreeSHAP algorithm for single trees and forests, exact
 //!   for the tree's conditional expectation and validated against brute
 //!   force.
@@ -35,7 +35,9 @@ pub use exact::{exact_tree_shap, tree_expectation};
 pub use explain::{explain_class, ClassExplanation, Direction, FeatureInfluence};
 pub use kernelshap::{kernel_shap, KernelShapConfig, ScalarModel};
 pub use quad::gauss_legendre_01;
-pub use treeshap::{
-    forest_base_value, forest_shap, forest_shap_batch, forest_shap_batch_soa, forest_shap_soa,
-    tree_shap,
-};
+pub use treeshap::{forest_base_value, forest_shap, forest_shap_batch, tree_shap};
+
+/// [`forest_shap_batch`] under the name the traced replay of the
+/// repository benchmark (`perfbench/src/replay.rs`) still calls; nothing
+/// in the workspace does.
+pub use treeshap::forest_shap_batch as forest_shap_batch_soa;

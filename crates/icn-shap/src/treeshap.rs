@@ -68,7 +68,7 @@
 //! `icn_testkit::naive_forest_shap` remain the mathematical oracles.
 
 use crate::quad::gauss_legendre_01;
-use icn_forest::{DecisionTree, RandomForest, SoaForest, SoaTree};
+use icn_forest::{DecisionTree, RandomForest};
 use icn_stats::{par, Matrix};
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Mutex;
@@ -264,11 +264,11 @@ impl Scratch {
     /// keeps memory level: a buffer grows inside the allocator arena it was
     /// first allocated from, while a memo first allocated on a worker would
     /// land in that worker's arena, which keeps the freed memory resident.
-    fn new(trees: &[SoaTree], rows: usize) -> Scratch {
+    fn new(trees: &[DecisionTree], rows: usize) -> Scratch {
         let levels = trees.iter().map(|t| t.max_depth).max().unwrap_or(0) + 1;
         let unique = trees.iter().map(|t| t.max_unique_path).max().unwrap_or(0);
         let m = unique.div_ceil(2).max(1);
-        let nodes = trees.iter().map(SoaTree::num_nodes).max().unwrap_or(1);
+        let nodes = trees.iter().map(DecisionTree::num_nodes).max().unwrap_or(1);
         let (fc, n_classes) = trees
             .first()
             .map_or((0, 0), |t| (t.n_features * t.n_classes, t.n_classes));
@@ -306,7 +306,7 @@ impl Scratch {
     /// `m = ⌈max_unique_path/2⌉` (exact for every leaf polynomial of this
     /// tree), derived point tables, and the per-node inverse rows shared
     /// by every state of this tree.
-    fn prepare(&mut self, tree: &SoaTree) {
+    fn prepare(&mut self, tree: &DecisionTree) {
         self.levels = self.levels.max(tree.max_depth + 1);
         let m = tree.max_unique_path.div_ceil(2).max(1);
         if m != self.m {
@@ -374,7 +374,7 @@ fn dot(a: &[f64], b: &[f64]) -> f64 {
 /// every distinct state the `rows` samples of the chunk (transposed into
 /// `s.xt`) reach, memoizing the leaf credits and child links [`replay`]
 /// follows. Returns the number of states derived, leaf states included.
-fn derive_states(tree: &SoaTree, rows: usize, s: &mut Scratch) -> u64 {
+fn derive_states(tree: &DecisionTree, rows: usize, s: &mut Scratch) -> u64 {
     s.states.clear();
     if tree.is_leaf(0) || rows == 0 {
         // Single-node tree: no features to credit.
@@ -557,7 +557,7 @@ struct Split {
 
 /// Emits the credits of leaf child `cnode` of the state `at`, reached hot
 /// or cold, in the order the per-sample walk added them to `phi`.
-fn emit_leaf(tree: &SoaTree, s: &mut Scratch, at: &Split, cnode: usize, hot_child: bool) {
+fn emit_leaf(tree: &DecisionTree, s: &mut Scratch, at: &Split, cnode: usize, hot_child: bool) {
     let &Split {
         depth,
         len,
@@ -712,7 +712,7 @@ fn replay(s: &mut Scratch, x: &[f64]) {
 /// whole chunk, while each row's accumulator folds trees in strict forest
 /// order. Returns the number of states derived.
 fn explain_chunk(
-    trees: &[SoaTree],
+    trees: &[DecisionTree],
     x: &[f64],
     rows: usize,
     s: &mut Scratch,
@@ -784,7 +784,7 @@ fn unflatten(flat: &[f64], n_features: usize, n_classes: usize) -> Vec<Vec<f64>>
 /// let tree = DecisionTree::fit(&ts, &rows, &TreeConfig::default(), &mut Rng::seed_from(1));
 /// let x = [0.95];
 /// let phi = tree_shap(&tree, &x);
-/// let base = &tree.nodes[0].distribution;
+/// let base = tree.distribution(0);
 /// let pred = tree.predict_proba(&x);
 /// for c in 0..2 {
 ///     assert!((phi[0][c] + base[c] - pred[c]).abs() < 1e-12); // local accuracy
@@ -792,10 +792,10 @@ fn unflatten(flat: &[f64], n_features: usize, n_classes: usize) -> Vec<Vec<f64>>
 /// ```
 pub fn tree_shap(tree: &DecisionTree, x: &[f64]) -> Vec<Vec<f64>> {
     assert_eq!(x.len(), tree.n_features, "tree_shap: feature mismatch");
-    let trees = [SoaTree::from_tree(tree)];
-    let mut scratch = Scratch::new(&trees, 1);
+    let trees = std::slice::from_ref(tree);
+    let mut scratch = Scratch::new(trees, 1);
     let mut phi = vec![0.0f64; tree.n_features * tree.n_classes];
-    explain_chunk(&trees, x, 1, &mut scratch, &mut phi);
+    explain_chunk(trees, x, 1, &mut scratch, &mut phi);
     unflatten(&phi, tree.n_features, tree.n_classes)
 }
 
@@ -811,18 +811,9 @@ fn base_value(tree: &DecisionTree) -> Vec<f64> {
 }
 
 /// TreeSHAP explanation of a random forest for one sample: the average of
-/// per-tree explanations (Shapley values are linear in the model).
-/// Returns `phi[feature][class]`.
-///
-/// Freezes the forest into [`SoaForest`] form first; callers explaining
-/// many samples should freeze once and use [`forest_shap_batch_soa`].
+/// per-tree explanations (Shapley values are linear in the model), by the
+/// batch kernel on a batch of one. Returns `phi[feature][class]`.
 pub fn forest_shap(forest: &RandomForest, x: &[f64]) -> Vec<Vec<f64>> {
-    forest_shap_soa(&SoaForest::from_forest(forest), x)
-}
-
-/// [`forest_shap`] over an already-frozen forest: the batch kernel on a
-/// batch of one.
-pub fn forest_shap_soa(forest: &SoaForest, x: &[f64]) -> Vec<Vec<f64>> {
     assert_eq!(x.len(), forest.n_features, "forest_shap: feature mismatch");
     let mut scratch = Scratch::new(&forest.trees, 1);
     let mut phi = vec![0.0f64; forest.n_features * forest.n_classes];
@@ -844,22 +835,16 @@ pub fn forest_base_value(forest: &RandomForest) -> Vec<f64> {
 
 /// SHAP values of a forest for **all output classes** across a batch of
 /// samples in one parallel pass: returns one `samples × features` matrix
-/// per class — the shape the Figure 5 beeswarm plots consume. The tree
-/// work is shared across classes and across the samples of a chunk.
+/// per class — the shape the Figure 5 beeswarm plots consume, and the
+/// stage-3 hot path. The tree work is shared across classes and across
+/// the samples of a chunk: samples are processed in parallel chunks, each
+/// tree-major through the two-phase kernel (see the module docs). Each
+/// worker's scratch, memo included, is allocated here on the dispatching
+/// thread and lent to the chunks, so its memory comes from — and returns
+/// to — one allocator arena. Chunk boundaries never enter any
+/// floating-point expression, so results are bit-identical for every
+/// thread count and chunk size.
 pub fn forest_shap_batch(forest: &RandomForest, x: &Matrix) -> Vec<Matrix> {
-    assert_eq!(x.cols(), forest.n_features, "feature mismatch");
-    forest_shap_batch_soa(&SoaForest::from_forest(forest), x)
-}
-
-/// [`forest_shap_batch`] over an already-frozen forest — the stage-3 hot
-/// path. Samples are processed in parallel chunks, each tree-major
-/// through the two-phase kernel (see the module docs). Each worker's
-/// scratch, memo included, is allocated here on the dispatching thread
-/// and lent to the chunks, so its memory comes from — and returns to —
-/// one allocator arena. Chunk boundaries never enter any floating-point
-/// expression, so results are bit-identical for every thread count and
-/// chunk size.
-pub fn forest_shap_batch_soa(forest: &SoaForest, x: &Matrix) -> Vec<Matrix> {
     assert_eq!(x.cols(), forest.n_features, "feature mismatch");
     let _span = icn_obs::Span::enter("shap_batch");
     let obs = icn_obs::global();
@@ -906,7 +891,7 @@ pub fn forest_shap_batch_soa(forest: &SoaForest, x: &Matrix) -> Vec<Matrix> {
         .trees
         .iter()
         .filter(|t| !t.is_leaf(0))
-        .map(SoaTree::num_nodes)
+        .map(DecisionTree::num_nodes)
         .sum();
     obs.add_counter("shap.tree_walks", (n * forest.trees.len()) as u64);
     obs.add_counter("shap.node_visits", (n * visits) as u64);
@@ -954,9 +939,9 @@ mod tests {
         TrainSet::new(Matrix::from_rows(&rows), labels)
     }
 
-    fn fit_tree(ts: &TrainSet, seed: u64) -> icn_forest::DecisionTree {
+    fn fit_tree(ts: &TrainSet, seed: u64) -> DecisionTree {
         let all: Vec<usize> = (0..ts.len()).collect();
-        icn_forest::DecisionTree::fit(ts, &all, &TreeConfig::default(), &mut Rng::seed_from(seed))
+        DecisionTree::fit(ts, &all, &TreeConfig::default(), &mut Rng::seed_from(seed))
     }
 
     #[test]
@@ -1043,7 +1028,7 @@ mod tests {
         }
         let ts = TrainSet::new(Matrix::from_rows(&rows), labels);
         let tree = fit_tree(&ts, 6);
-        assert!(tree.depth() >= 2, "need depth to reuse the feature");
+        assert!(tree.max_depth >= 2, "need depth to reuse the feature");
         let base = base_value(&tree);
         for x in [[0.5], [1.5], [2.5], [3.5]] {
             let phi = tree_shap(&tree, &x);
@@ -1092,7 +1077,7 @@ mod tests {
     fn stump_tree_returns_zero_phi() {
         let ts = TrainSet::new(Matrix::from_rows(&[vec![1.0], vec![1.0]]), vec![0, 0]);
         let tree = fit_tree(&ts, 7);
-        assert!(tree.nodes[0].is_leaf());
+        assert!(tree.is_leaf(0));
         let phi = tree_shap(&tree, &[1.0]);
         assert_eq!(phi, vec![vec![0.0]]);
     }
@@ -1138,12 +1123,12 @@ mod tests {
         // a worker's chunks and trees); stale arena or memo contents must
         // never leak into a later chunk.
         let deep_ts = training_set(10, 5, 150);
-        let deep = [SoaTree::from_tree(&fit_tree(&deep_ts, 10))];
+        let deep = [fit_tree(&deep_ts, 10)];
         let shallow_ts = training_set(11, 5, 12);
-        let shallow = [SoaTree::from_tree(&fit_tree(&shallow_ts, 11))];
+        let shallow = [fit_tree(&shallow_ts, 11)];
         let x = &deep_ts.x.as_slice()[..5 * 40];
         let x1 = deep_ts.x.row(3);
-        let fc = |t: &[SoaTree]| 5 * t[0].n_classes;
+        let fc = |t: &[DecisionTree]| 5 * t[0].n_classes;
         let mut scratch = Scratch::new(&shallow, 1);
         // Dirty the arena and memo with a wide chunk of the deep tree,
         // then explain one sample through the shallow one.
@@ -1159,7 +1144,7 @@ mod tests {
     }
 
     #[test]
-    fn batch_soa_matches_per_sample_bitwise() {
+    fn batch_matches_per_sample_bitwise() {
         let ts = training_set(12, 5, 90);
         let forest = icn_forest::RandomForest::fit(
             &ts,
@@ -1168,10 +1153,9 @@ mod tests {
                 ..ForestConfig::default()
             },
         );
-        let soa = SoaForest::from_forest(&forest);
-        let batched = forest_shap_batch_soa(&soa, &ts.x);
+        let batched = forest_shap_batch(&forest, &ts.x);
         for i in 0..ts.len() {
-            let phi = forest_shap_soa(&soa, ts.x.row(i));
+            let phi = forest_shap(&forest, ts.x.row(i));
             for c in 0..forest.n_classes {
                 for f in 0..forest.n_features {
                     assert_eq!(

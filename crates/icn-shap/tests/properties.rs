@@ -63,11 +63,9 @@ fn missingness_unused_features_get_zero() {
         let ts = TrainSet::new(Matrix::from_rows(&rows), labels);
         let all: Vec<usize> = (0..ts.len()).collect();
         let tree = DecisionTree::fit(&ts, &all, &TreeConfig::default(), rng);
-        let used: std::collections::HashSet<usize> = tree
-            .nodes
-            .iter()
-            .filter(|nd| !nd.is_leaf())
-            .map(|nd| nd.feature)
+        let used: std::collections::HashSet<usize> = (0..tree.num_nodes())
+            .filter(|&i| !tree.is_leaf(i))
+            .map(|i| tree.feature[i] as usize)
             .collect();
         let phi = tree_shap(&tree, ts.x.row(3));
         for f in 0..5 {

@@ -11,11 +11,8 @@
 //! rewiring the fitted trees accordingly) must permute the attributions,
 //! and local accuracy must survive both.
 
-use icn_forest::{ForestConfig, RandomForest, SoaForest, SoaTree, TrainSet, TreeConfig};
-use icn_shap::{
-    exact_tree_shap, forest_base_value, forest_shap, forest_shap_batch, forest_shap_batch_soa,
-    forest_shap_soa, tree_shap,
-};
+use icn_forest::{ForestConfig, RandomForest, TrainSet, TreeConfig};
+use icn_shap::{exact_tree_shap, forest_base_value, forest_shap, forest_shap_batch, tree_shap};
 use icn_stats::check::{self, cases};
 use icn_stats::Matrix;
 use icn_testkit::{
@@ -83,7 +80,7 @@ fn batched_shap_matches_per_sample_recomputation() {
 /// chunk), through the whole batch at 1 thread (one chunk of all n rows)
 /// and at 2 and 3 threads (n/2- and n/3-wide chunks, the last one
 /// ragged), and through the single-sample entry point.
-fn assert_kernel_matches_walk(forest: &SoaForest, x: &Matrix) {
+fn assert_kernel_matches_walk(forest: &RandomForest, x: &Matrix) {
     let n = x.rows();
     let fc = forest.n_features * forest.n_classes;
     let want: Vec<Vec<f64>> = (0..n).map(|i| walk_forest_shap(forest, x.row(i))).collect();
@@ -105,18 +102,18 @@ fn assert_kernel_matches_walk(forest: &SoaForest, x: &Matrix) {
     for width in [1, 2, 5, 7] {
         for start in (0..n).step_by(width) {
             let rows = &all[start..(start + width).min(n)];
-            let batch = forest_shap_batch_soa(forest, &x.select_rows(rows));
+            let batch = forest_shap_batch(forest, &x.select_rows(rows));
             check(&batch, rows, &format!("chunk of {}", rows.len()));
         }
     }
     for threads in ["1", "2", "3"] {
         std::env::set_var("ICN_THREADS", threads);
-        let batch = forest_shap_batch_soa(forest, x);
+        let batch = forest_shap_batch(forest, x);
         std::env::remove_var("ICN_THREADS");
         check(&batch, &all, &format!("{threads} threads"));
     }
     for (i, exp) in want.iter().enumerate() {
-        let phi = forest_shap_soa(forest, x.row(i));
+        let phi = forest_shap(forest, x.row(i));
         let got: Vec<f64> = phi.concat();
         assert_eq!(got.len(), fc);
         for (k, (a, b)) in got.iter().zip(exp).enumerate() {
@@ -125,15 +122,15 @@ fn assert_kernel_matches_walk(forest: &SoaForest, x: &Matrix) {
     }
 }
 
-fn fit_forest(ts: &TrainSet, seed: u64, n_trees: usize, tree: TreeConfig) -> SoaForest {
-    SoaForest::from_forest(&RandomForest::fit(
+fn fit_forest(ts: &TrainSet, seed: u64, n_trees: usize, tree: TreeConfig) -> RandomForest {
+    RandomForest::fit(
         ts,
         &ForestConfig {
             n_trees,
             tree,
             seed,
         },
-    ))
+    )
 }
 
 /// Uniform points on `[0, 4)^m` labelled by `⌊Σx / 2⌋` (capped at 3):
@@ -153,7 +150,7 @@ fn diagonal(rng: &mut icn_stats::Rng, n: usize, m: usize) -> TrainSet {
 fn batch_kernel_matches_walk_on_random_forests() {
     cases(8, |case, rng| {
         let ts = blobs(rng);
-        let forest = SoaForest::from_forest(&small_forest(&ts, case + 1));
+        let forest = small_forest(&ts, case + 1);
         assert_kernel_matches_walk(&forest, &ts.x);
     });
 }
@@ -197,7 +194,7 @@ fn batch_kernel_matches_walk_on_impure_multiclass_leaves() {
                 forest
                     .trees
                     .iter()
-                    .any(|t| t.nz_len.iter().any(|&nnz| nnz > 1)),
+                    .any(|t| (0..t.num_nodes()).any(|i| t.leaf_nonzero(i).0.len() > 1)),
                 "no impure leaf under {cap:?}"
             );
             assert_kernel_matches_walk(&forest, &ts.x);
@@ -219,17 +216,12 @@ fn batch_kernel_matches_walk_on_stumps() {
     assert!(stumps.trees.iter().all(|t| t.is_leaf(0)));
     assert_kernel_matches_walk(&stumps, &ts.x);
     let grown = fit_forest(&ts, 2, 4, TreeConfig::default());
-    let mut trees: Vec<SoaTree> = Vec::new();
+    let mut trees = Vec::new();
     for (s, g) in stumps.trees.iter().zip(&grown.trees) {
         trees.push(s.clone());
         trees.push(g.clone());
     }
-    let mixed = SoaForest {
-        max_depth: grown.max_depth,
-        max_unique_path: grown.max_unique_path,
-        trees,
-        ..grown
-    };
+    let mixed = RandomForest { trees, ..grown };
     assert_kernel_matches_walk(&mixed, &ts.x);
 }
 
@@ -238,14 +230,10 @@ fn single_tree_entry_point_matches_walk() {
     cases(6, |case, rng| {
         let ts = blobs(rng);
         let forest = small_forest(&ts, case + 1);
-        for (tree, soa) in forest
-            .trees
-            .iter()
-            .zip(&SoaForest::from_forest(&forest).trees)
-        {
+        for tree in &forest.trees {
             for i in (0..ts.x.rows()).step_by(3) {
                 let got = tree_shap(tree, ts.x.row(i)).concat();
-                let want = walk_tree_shap(soa, ts.x.row(i));
+                let want = walk_tree_shap(tree, ts.x.row(i));
                 for (k, (a, b)) in got.iter().zip(&want).enumerate() {
                     assert_eq!(a.to_bits(), b.to_bits(), "row {i} slot {k}");
                 }

@@ -10,26 +10,43 @@
 //! reproduce it **bit for bit** — same feature, threshold, children,
 //! cover and distribution at every node. Keep the arithmetic and the
 //! random draws here untouched: any edit turns the oracle into a
-//! different function.
+//! different function. The oracle grows its own node list, so it shares
+//! no tree-building code with the fit it checks.
 
-use icn_forest::{gini, DecisionTree, MaxFeatures, Node, TrainSet, TreeConfig};
+use icn_forest::{gini, MaxFeatures, TrainSet, TreeConfig};
 use icn_stats::Rng;
+
+/// One node of an oracle tree. Nodes are numbered in pre-order from the
+/// root at index 0.
+#[derive(Clone, Debug)]
+pub struct CartNode {
+    /// Split feature index (0 at leaves).
+    pub feature: usize,
+    /// Split threshold: samples with `x[feature] <= threshold` go left
+    /// (0.0 at leaves).
+    pub threshold: f64,
+    /// Left child index, or `usize::MAX` for a leaf.
+    pub left: usize,
+    /// Right child index, or `usize::MAX` for a leaf.
+    pub right: usize,
+    /// Number of training samples that reached this node.
+    pub cover: f64,
+    /// Class probability distribution of the training samples here.
+    pub distribution: Vec<f64>,
+}
 
 /// Fits a CART tree on the rows `rows` of `ts` (duplicates allowed) by
 /// the per-node sort-and-scan split search, drawing candidate features
-/// from `rng` exactly as `icn_forest::DecisionTree::fit` does.
+/// from `rng` exactly as `icn_forest::DecisionTree::fit` does. Returns
+/// the tree's nodes.
 pub fn sort_scan_tree_fit(
     ts: &TrainSet,
     rows: &[usize],
     cfg: &TreeConfig,
     rng: &mut Rng,
-) -> DecisionTree {
+) -> Vec<CartNode> {
     assert!(!rows.is_empty(), "sort_scan_tree_fit: empty row set");
-    let mut tree = DecisionTree {
-        nodes: Vec::new(),
-        n_classes: ts.n_classes,
-        n_features: ts.x.cols(),
-    };
+    let mut tree = Vec::new();
     let mut rows_scratch = rows.to_vec();
     let mut scratch = FitScratch {
         pairs: Vec::with_capacity(rows.len()),
@@ -62,7 +79,7 @@ fn class_counts(ts: &TrainSet, rows: &[usize]) -> Vec<f64> {
 /// Recursively grows the subtree over `rows` (which it may reorder) and
 /// returns the index of the created node.
 fn grow(
-    tree: &mut DecisionTree,
+    tree: &mut Vec<CartNode>,
     ts: &TrainSet,
     rows: &mut [usize],
     depth: usize,
@@ -73,8 +90,8 @@ fn grow(
     let counts = class_counts(ts, rows);
     let total: f64 = counts.iter().sum();
     let distribution: Vec<f64> = counts.iter().map(|&c| c / total).collect();
-    let node_idx = tree.nodes.len();
-    tree.nodes.push(Node {
+    let node_idx = tree.len();
+    tree.push(CartNode {
         feature: 0,
         threshold: 0.0,
         left: usize::MAX,
@@ -101,7 +118,7 @@ fn grow(
     let (left_rows, right_rows) = rows.split_at_mut(mid);
     let left = grow(tree, ts, left_rows, depth + 1, cfg, rng, scratch);
     let right = grow(tree, ts, right_rows, depth + 1, cfg, rng, scratch);
-    let node = &mut tree.nodes[node_idx];
+    let node = &mut tree[node_idx];
     node.feature = feature;
     node.threshold = threshold;
     node.left = left;

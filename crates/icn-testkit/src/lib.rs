@@ -49,7 +49,7 @@ pub mod noise;
 mod oracle;
 mod shap_walk;
 
-pub use cart::sort_scan_tree_fit;
+pub use cart::{sort_scan_tree_fit, CartNode};
 pub use forecast::{brute_rolling_median_mad, oracle_ets, oracle_seasonal_naive, set_f1};
 pub use golden::{
     compare_golden, default_golden_dir, goldens, render_golden, snapshot_pipeline,

@@ -106,9 +106,9 @@ pub fn permute_forest_features(forest: &RandomForest, perm: &[usize]) -> RandomF
     let inv = invert_permutation(perm);
     let mut out = forest.clone();
     for tree in &mut out.trees {
-        for node in &mut tree.nodes {
-            if !node.is_leaf() {
-                node.feature = inv[node.feature];
+        for (feature, &left) in tree.feature.iter_mut().zip(&tree.left) {
+            if left != u32::MAX {
+                *feature = inv[*feature as usize] as u32;
             }
         }
     }

@@ -239,24 +239,23 @@ pub fn naive_predict_batch(forest: &RandomForest, x: &Matrix) -> Vec<usize> {
 }
 
 /// Soft-voting class probabilities recomputed by walking every tree by
-/// hand through the public node layout, bypassing the forest's own
+/// hand through the public node arrays, bypassing the forest's own
 /// traversal code entirely.
 pub fn naive_predict_proba(forest: &RandomForest, x: &[f64]) -> Vec<f64> {
     let mut acc = vec![0.0f64; forest.n_classes];
     for tree in &forest.trees {
         let mut node = 0usize;
         loop {
-            let nd = &tree.nodes[node];
-            if nd.is_leaf() {
-                for (c, &p) in nd.distribution.iter().enumerate() {
+            if tree.is_leaf(node) {
+                for (c, &p) in tree.distribution(node).iter().enumerate() {
                     acc[c] += p;
                 }
                 break;
             }
-            node = if x[nd.feature] <= nd.threshold {
-                nd.left
+            node = if x[tree.feature[node] as usize] <= tree.threshold[node] {
+                tree.left[node] as usize
             } else {
-                nd.right
+                tree.right[node] as usize
             };
         }
     }
@@ -345,28 +344,29 @@ pub fn naive_tree_shap(tree: &DecisionTree, x: &[f64]) -> Vec<Vec<f64>> {
         feature: usize,
     ) {
         extend(&mut path, zero_fraction, one_fraction, feature);
-        let node = &tree.nodes[node_idx];
 
-        if node.is_leaf() {
+        if tree.is_leaf(node_idx) {
             for i in 1..path.len() {
                 let w = unwound_weight_sum(&path, i);
                 let el = path[i];
                 let scale = w * (el.one_fraction - el.zero_fraction);
                 let f = el.feature;
-                for (c, &v) in node.distribution.iter().enumerate() {
+                for (c, &v) in tree.distribution(node_idx).iter().enumerate() {
                     phi[f][c] += scale * v;
                 }
             }
             return;
         }
 
-        let (hot, cold) = if x[node.feature] <= node.threshold {
-            (node.left, node.right)
+        let split = tree.feature[node_idx] as usize;
+        let (left, right) = (tree.left[node_idx] as usize, tree.right[node_idx] as usize);
+        let (hot, cold) = if x[split] <= tree.threshold[node_idx] {
+            (left, right)
         } else {
-            (node.right, node.left)
+            (right, left)
         };
-        let hot_zero = tree.nodes[hot].cover / node.cover;
-        let cold_zero = tree.nodes[cold].cover / node.cover;
+        let hot_zero = tree.cover[hot] / tree.cover[node_idx];
+        let cold_zero = tree.cover[cold] / tree.cover[node_idx];
         let mut incoming_zero = 1.0;
         let mut incoming_one = 1.0;
 
@@ -374,7 +374,7 @@ pub fn naive_tree_shap(tree: &DecisionTree, x: &[f64]) -> Vec<Vec<f64>> {
             .iter()
             .enumerate()
             .skip(1)
-            .find(|(_, e)| e.feature == node.feature)
+            .find(|(_, e)| e.feature == split)
             .map(|(k, _)| k)
         {
             incoming_zero = path[k].zero_fraction;
@@ -390,7 +390,7 @@ pub fn naive_tree_shap(tree: &DecisionTree, x: &[f64]) -> Vec<Vec<f64>> {
             path.clone(),
             incoming_zero * hot_zero,
             incoming_one,
-            node.feature,
+            split,
         );
         recurse(
             tree,
@@ -400,7 +400,7 @@ pub fn naive_tree_shap(tree: &DecisionTree, x: &[f64]) -> Vec<Vec<f64>> {
             path,
             incoming_zero * cold_zero,
             0.0,
-            node.feature,
+            split,
         );
     }
 
@@ -410,7 +410,7 @@ pub fn naive_tree_shap(tree: &DecisionTree, x: &[f64]) -> Vec<Vec<f64>> {
         "naive_tree_shap: feature mismatch"
     );
     let mut phi = vec![vec![0.0f64; tree.n_classes]; tree.n_features];
-    if tree.nodes[0].is_leaf() {
+    if tree.is_leaf(0) {
         return phi;
     }
     recurse(
@@ -473,13 +473,12 @@ pub fn per_sample_shap_batch(forest: &RandomForest, x: &Matrix) -> Vec<Matrix> {
 pub fn gini_importance(forest: &RandomForest) -> Vec<f64> {
     let mut total = vec![0.0f64; forest.n_features];
     for tree in &forest.trees {
-        for node in tree.nodes.iter().filter(|n| !n.is_leaf()) {
-            let l = &tree.nodes[node.left];
-            let r = &tree.nodes[node.right];
-            let decrease = node.cover * gini(&node.distribution)
-                - l.cover * gini(&l.distribution)
-                - r.cover * gini(&r.distribution);
-            total[node.feature] += decrease.max(0.0);
+        for i in (0..tree.num_nodes()).filter(|&i| !tree.is_leaf(i)) {
+            let (l, r) = (tree.left[i] as usize, tree.right[i] as usize);
+            let decrease = tree.cover[i] * gini(tree.distribution(i))
+                - tree.cover[l] * gini(tree.distribution(l))
+                - tree.cover[r] * gini(tree.distribution(r));
+            total[tree.feature[i] as usize] += decrease.max(0.0);
         }
     }
     let s: f64 = total.iter().sum();

@@ -1,7 +1,7 @@
 //! The per-sample TreeSHAP walk — the bit-exact oracle of the batch kernel.
 //!
 //! This is the quadrature kernel exactly as it ran before
-//! `icn_shap::forest_shap_batch_soa` became two-phase: every sample walks
+//! `icn_shap::forest_shap_batch` became two-phase: every sample walks
 //! every node of every tree on its own, deriving the per-depth path and
 //! product rows from its parent's and folding each leaf child's credits
 //! into `phi` as soon as the parent is processed. The two-phase kernel
@@ -11,7 +11,7 @@
 //! untouched: any edit to an expression or an addition order turns the
 //! oracle into a different function.
 
-use icn_forest::{SoaForest, SoaTree};
+use icn_forest::{DecisionTree, RandomForest};
 use icn_shap::gauss_legendre_01;
 
 /// Marker for "no node / no slot" in `u32` fields.
@@ -69,7 +69,7 @@ struct Scratch {
 impl Scratch {
     /// Arenas and tables for `tree`: rule order `⌈max_unique_path/2⌉` and
     /// the per-node inverse rows `1/(t_q + ratio·(1−t_q))`.
-    fn for_tree(tree: &SoaTree) -> Scratch {
+    fn for_tree(tree: &DecisionTree) -> Scratch {
         let levels = tree.max_depth + 1;
         let m = tree.max_unique_path.div_ceil(2).max(1);
         let (qt, qw) = gauss_legendre_01(m);
@@ -124,7 +124,7 @@ fn dot(a: &[f64], b: &[f64]) -> f64 {
 
 /// Walks one tree for one sample, writing the flat row-major
 /// `phi[feature * n_classes + class]` (zeroed first).
-fn walk(tree: &SoaTree, x: &[f64], scratch: &mut Scratch, phi: &mut [f64]) {
+fn walk(tree: &DecisionTree, x: &[f64], scratch: &mut Scratch, phi: &mut [f64]) {
     phi.fill(0.0);
     if tree.is_leaf(0) {
         return;
@@ -316,7 +316,7 @@ fn walk(tree: &SoaTree, x: &[f64], scratch: &mut Scratch, phi: &mut [f64]) {
 
 /// One tree's SHAP values for one sample by the per-sample walk, as a flat
 /// row-major `features × classes` buffer.
-pub fn walk_tree_shap(tree: &SoaTree, x: &[f64]) -> Vec<f64> {
+pub fn walk_tree_shap(tree: &DecisionTree, x: &[f64]) -> Vec<f64> {
     let mut phi = vec![0.0f64; tree.n_features * tree.n_classes];
     walk(tree, x, &mut Scratch::for_tree(tree), &mut phi);
     phi
@@ -325,7 +325,7 @@ pub fn walk_tree_shap(tree: &SoaTree, x: &[f64]) -> Vec<f64> {
 /// A forest's SHAP values for one sample by the per-sample walk: per-tree
 /// buffers summed in forest order, then scaled by `1/T` — the flat
 /// `features × classes` row the batch kernel must reproduce bit for bit.
-pub fn walk_forest_shap(forest: &SoaForest, x: &[f64]) -> Vec<f64> {
+pub fn walk_forest_shap(forest: &RandomForest, x: &[f64]) -> Vec<f64> {
     let fc = forest.n_features * forest.n_classes;
     let mut acc = vec![0.0f64; fc];
     let mut phi = vec![0.0f64; fc];

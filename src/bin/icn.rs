@@ -470,22 +470,31 @@ impl Opts {
     }
 
     /// Generates the campaign, after refusing one that cannot fit
-    /// `--mem-budget-mb`: its totals matrices alone bound the footprint
-    /// from below, so a budget below them exits 3 before generation.
+    /// `--mem-budget-mb`, or physical memory when no budget is given: its
+    /// totals matrices alone bound the footprint from below, so a limit
+    /// below them exits 3 before generation. Where physical memory cannot
+    /// be read, an unbudgeted run is not checked.
     fn dataset(&self) -> Dataset {
         let config = SynthConfig::paper()
             .with_scale(self.scale)
             .with_seed(self.seed);
-        if let Some(mb) = self.mem_budget_mb {
-            let need = config.min_footprint_bytes();
-            if need > mb.saturating_mul(1024 * 1024) {
-                eprintln!(
-                    "memory budget BREACHED before generation: the scale-{} totals \
-                     matrices alone need {need} bytes > {mb} MiB",
-                    self.scale
-                );
-                std::process::exit(3);
-            }
+        let need = config.min_footprint_bytes();
+        let limit = match self.mem_budget_mb {
+            Some(mb) => Some((
+                "memory budget",
+                mb.saturating_mul(1024 * 1024),
+                format!("{mb} MiB"),
+            )),
+            None => icn_repro::icn_obs::mem_total_bytes()
+                .map(|b| ("physical memory", b, format!("{b} bytes of MemTotal"))),
+        };
+        if let Some((what, _, limit)) = limit.filter(|&(_, bytes, _)| need > bytes) {
+            eprintln!(
+                "{what} BREACHED before generation: the scale-{} totals matrices \
+                 alone need {need} bytes > {limit}",
+                self.scale
+            );
+            std::process::exit(3);
         }
         Dataset::generate(config)
     }

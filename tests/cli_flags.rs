@@ -185,3 +185,45 @@ fn mem_budget_below_the_dataset_exits_3_before_generation() {
     let stderr = String::from_utf8_lossy(&out.stderr);
     assert_eq!(out.status.code(), Some(0), "{stderr}");
 }
+
+/// Without `--mem-budget-mb`, physical memory is the limit: a scale whose
+/// totals matrices alone exceed `MemTotal` exits 3 before generation,
+/// naming both numbers. The child is killed if it has not exited within
+/// 60 s, so a broken check cannot go on generating.
+#[cfg(target_os = "linux")]
+#[test]
+fn scale_beyond_physical_memory_exits_3_before_generation() {
+    use std::io::Read;
+    use std::process::Stdio;
+    use std::time::{Duration, Instant};
+    let mut child = Command::new(env!("CARGO_BIN_EXE_icn"))
+        .args(["run", "--scale", "1000000"])
+        .stdout(Stdio::null())
+        .stderr(Stdio::piped())
+        .spawn()
+        .expect("spawn icn");
+    let deadline = Instant::now() + Duration::from_secs(60);
+    let status = loop {
+        if let Some(status) = child.try_wait().expect("wait on icn") {
+            break status;
+        }
+        if Instant::now() >= deadline {
+            child.kill().ok();
+            child.wait().ok();
+            panic!("`icn run --scale 1000000` still ran after 60 s: it is generating");
+        }
+        std::thread::sleep(Duration::from_millis(20));
+    };
+    let mut stderr = String::new();
+    child
+        .stderr
+        .take()
+        .expect("piped stderr")
+        .read_to_string(&mut stderr)
+        .expect("read stderr");
+    assert_eq!(status.code(), Some(3), "{stderr}");
+    assert!(
+        stderr.contains("before generation") && stderr.contains("bytes of MemTotal"),
+        "{stderr}"
+    );
+}

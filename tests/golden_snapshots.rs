@@ -9,11 +9,13 @@
 //! and commit the updated JSON; the per-stage oracle suites then explain
 //! *what* changed.
 
+use icn_repro::icn_stats::Fnv1a;
 use icn_repro::icn_testkit::golden::{GOLDEN_SCALE, SAMPLED_GOLDEN_SCALE};
 use icn_repro::icn_testkit::{
     compare_golden, default_golden_dir, goldens, render_golden, snapshot_pipeline,
     snapshot_pipeline_sampled, write_golden, Golden,
 };
+use icn_repro::prelude::*;
 
 mod common;
 
@@ -107,4 +109,49 @@ fn drift_reports_name_the_stage() {
         "drift lines {drift:?} must name stage {victim}"
     );
     std::fs::remove_dir_all(&dir).ok();
+}
+
+#[test]
+fn surrogate_layout_and_shap_are_pinned() {
+    // The stage hashes cover predictions and SHAP aggregates only; this
+    // pins every fitted node of the surrogate (split, children, cover,
+    // distribution, cover ratio, plus each tree's depth and unique-path
+    // width) and every bit of its batched SHAP values.
+    let ds = Dataset::generate(SynthConfig::paper().with_scale(0.05));
+    let study = IcnStudy::run(&ds, StudyConfig::fast());
+    let word = |h: &mut Fnv1a, v: u64| {
+        h.write(&v.to_le_bytes());
+    };
+    let mut forest = Fnv1a::new();
+    for tree in &study.surrogate.trees {
+        for i in 0..tree.num_nodes() {
+            if tree.is_leaf(i) {
+                forest.write(b"L");
+            } else {
+                word(&mut forest, u64::from(tree.feature[i]));
+                word(&mut forest, tree.threshold[i].to_bits());
+                word(&mut forest, u64::from(tree.left[i]));
+                word(&mut forest, u64::from(tree.right[i]));
+            }
+            word(&mut forest, tree.cover[i].to_bits());
+            for p in tree.distribution(i) {
+                word(&mut forest, p.to_bits());
+            }
+            word(&mut forest, tree.ratio[i].to_bits());
+        }
+        word(&mut forest, tree.max_depth as u64);
+        word(&mut forest, tree.max_unique_path as u64);
+    }
+    let mut shap = Fnv1a::new();
+    for class in icn_repro::icn_shap::forest_shap_batch(&study.surrogate, &study.rsca) {
+        for v in class.as_slice() {
+            word(&mut shap, v.to_bits());
+        }
+    }
+    let (forest, shap) = (forest.finish(), shap.finish());
+    assert_eq!(
+        forest, 0x2485_b290_25d9_5940,
+        "fitted forest {forest:#018x}"
+    );
+    assert_eq!(shap, 0xc62f_3542_2e83_1f1f, "SHAP values {shap:#018x}");
 }

@@ -94,6 +94,43 @@ fn report_round_trips_through_schema() {
     assert_eq!(stages(&back), stages(&report));
 }
 
+/// Result quality is recorded next to time and memory: stage 3 gauges
+/// the surrogate's training and OOB accuracy, stage 5 the outdoor
+/// population's modal-cluster share. Each gauge holds the study's own
+/// value bit for bit, and survives a written report.
+#[test]
+fn quality_gauges_hold_the_study_results() {
+    let _guard = LOCK.lock().unwrap();
+    let ds = common::dataset();
+    let (study, snap) = metered(None, || common::study_for(&ds));
+    let want = [
+        ("surrogate.accuracy", study.surrogate_accuracy),
+        (
+            "surrogate.oob_accuracy",
+            study.surrogate_oob.expect("some OOB rows"),
+        ),
+        ("outdoor.dominant_share", study.outdoor.dominant.1),
+    ];
+    for (name, value) in want {
+        assert_eq!(snap.gauges[name].to_bits(), value.to_bits(), "{name}");
+    }
+    let path = std::env::temp_dir().join(format!("icn-quality-{}.json", std::process::id()));
+    let path = path.to_str().expect("utf-8 temp path");
+    BenchReport::build(&snap, "quality-gauges", ds.config.scale)
+        .write_to_file(path)
+        .expect("write report");
+    let text = std::fs::read_to_string(path).expect("read report");
+    std::fs::remove_file(path).ok();
+    let back = BenchReport::parse(&text).expect("schema-valid report");
+    for (name, value) in want {
+        assert_eq!(
+            back.gauges[name].to_bits(),
+            value.to_bits(),
+            "{name} read back"
+        );
+    }
+}
+
 #[test]
 fn stages_are_exactly_the_documented_pipeline() {
     let _guard = LOCK.lock().unwrap();
