@@ -14,13 +14,14 @@
 
 use icn_bench::{banner, dataset, parse_opts, write_metrics};
 use icn_cluster::{
-    adjusted_rand_index, agglomerate, kmeans_best_of, silhouette_score, Condensed, Linkage,
+    adjusted_rand_index, agglomerate, agglomerate_condensed, kmeans_best_of, silhouette_score,
+    Condensed, Linkage,
 };
 use icn_core::{filter_dead_rows, rca, rsca};
 use icn_forest::{ForestConfig, MaxFeatures, RandomForest, TrainSet, TreeConfig};
 use icn_report::Table;
 use icn_shap::{forest_shap, kernel_shap, KernelShapConfig};
-use icn_stats::{normalize, Matrix, Metric, Rng};
+use icn_stats::{normalize, Matrix, Rng};
 
 fn main() {
     let opts = parse_opts();
@@ -42,13 +43,14 @@ fn main() {
         ("RSCA (paper)", features.clone()),
     ];
     for (name, m) in &variants {
-        let history = agglomerate(m, Linkage::Ward);
-        let labels = history.cut(9);
-        let cond = Condensed::from_rows(m, Metric::Euclidean);
+        // Silhouette reads Euclidean distances as square roots of Ward's
+        // matrix: one pairwise pass per transform.
+        let cond = Condensed::from_rows(m, Linkage::Ward.base_metric());
+        let labels = agglomerate_condensed(&cond, Linkage::Ward).cut(9);
         b1.row(vec![
             name.to_string(),
             format!("{:.3}", adjusted_rand_index(&labels, &planted)),
-            format!("{:.3}", silhouette_score(&cond, &labels)),
+            format!("{:.3}", silhouette_score(cond.sqrt_values(), &labels)),
         ]);
     }
     println!("{}", b1.render());

@@ -100,7 +100,7 @@ fn main() {
     // Fig 3.
     println!("\n== fig03 ==");
     println!("cluster sizes: {:?}", st.cluster_sizes());
-    let coarse3 = st.dendrogram.cut(3);
+    let coarse3 = st.history.cut(3);
     let mut groups: Vec<Vec<usize>> = vec![Vec::new(); 3];
     for c in 0..9 {
         let pos = st.labels.iter().position(|&l| l == c).unwrap();

@@ -26,8 +26,8 @@
 //!   `cluster.large_n_condensed_bytes`, `cluster.budget_bytes`.
 
 use icn_cluster::{
-    adjusted_rand_index, agglomerate_condensed, sampled_ward, sweep_k, Condensed, Dendrogram,
-    Linkage, SampledWardConfig,
+    adjusted_rand_index, agglomerate_condensed, sampled_ward, sweep_k, Condensed, Linkage,
+    SampledWardConfig,
 };
 use icn_core::{filter_dead_rows, rsca, StudyConfig};
 use icn_obs::BenchReport;
@@ -129,14 +129,13 @@ fn run_exact_stage2(rsca_m: &Matrix, config: &StudyConfig) -> Vec<usize> {
     span.attr("antennas", rsca_m.rows() as u64);
     let cond = Condensed::from_rows(rsca_m, Linkage::Ward.base_metric());
     let history = agglomerate_condensed(&cond, Linkage::Ward);
-    let dendrogram = Dendrogram::from_history(&history);
     let _k_sweep = sweep_k(
         &history,
         cond.sqrt_values(),
         config.k_sweep_lo..=config.k_sweep_hi.min(history.n - 1),
     );
     let labels = history.cut(config.k);
-    let _ = dendrogram.consolidation(config.k, config.k_coarse);
+    let _ = history.consolidation(config.k, config.k_coarse);
     labels
 }
 
@@ -185,6 +184,9 @@ fn main() {
         );
         std::process::exit(2);
     });
+    for &scale in &opts.scales {
+        icn_bench::refuse_unfit(&SynthConfig::paper().with_scale(scale));
+    }
     let obs = icn_obs::global();
     obs.enable();
     let config = StudyConfig::paper();

@@ -12,21 +12,16 @@
 //! cargo run --release -p icn-bench --bin emerging_clusters [-- --scale 0.25]
 //! ```
 
-use icn_bench::{parse_opts, write_metrics};
+use icn_bench::{dataset, parse_opts, write_metrics};
 use icn_cluster::{adjusted_rand_index, agglomerate_condensed, sweep_k, Condensed, Linkage};
 use icn_core::{filter_dead_rows, rsca};
 use icn_report::Table;
-use icn_stats::Metric;
 use icn_synth::emerging::{inject_emerging, EMERGING_LABEL};
-use icn_synth::{Dataset, SynthConfig};
+use icn_synth::Dataset;
 
 fn main() {
     let opts = parse_opts();
-    let base = Dataset::generate(
-        SynthConfig::paper()
-            .with_scale(opts.scale)
-            .with_seed(opts.seed),
-    );
+    let base = dataset(&opts);
     // Inject ~4% of the population as emerging antennas.
     let n_inject = (base.num_antennas() / 25).max(8);
     let emerging = inject_emerging(&base, n_inject, 0xE317);
@@ -37,13 +32,14 @@ fn main() {
         n_inject
     );
 
-    let run_sweep = |ds: &Dataset, label: &str| -> Vec<icn_cluster::KQuality> {
-        let (t, _) = filter_dead_rows(&ds.indoor_totals);
+    // Ward on the live rows' RSCA features, then the k-sweep on the square
+    // roots of its matrix: one pairwise pass per dataset.
+    let cluster = |ds: &Dataset, label: &str| {
+        let (t, live_rows) = filter_dead_rows(&ds.indoor_totals);
         let features = rsca(&t);
-        let cond_w = Condensed::from_rows(&features, Linkage::Ward.base_metric());
-        let history = agglomerate_condensed(&cond_w, Linkage::Ward);
-        let cond = Condensed::from_rows(&features, Metric::Euclidean);
-        let sweep = sweep_k(&history, &cond, 2..=14);
+        let cond = Condensed::from_rows(&features, Linkage::Ward.base_metric());
+        let history = agglomerate_condensed(&cond, Linkage::Ward);
+        let sweep = sweep_k(&history, cond.sqrt_values(), 2..=14);
         let mut table = Table::new(vec!["k", "silhouette", "dunn"]);
         for q in &sweep {
             table.row(vec![
@@ -53,17 +49,13 @@ fn main() {
             ]);
         }
         println!("{label}:\n{}", table.render());
-        sweep
+        (sweep, history, live_rows)
     };
 
-    let _before = run_sweep(&base, "quality indices BEFORE injection");
-    let after = run_sweep(&emerging.dataset, "quality indices AFTER injection");
+    let _before = cluster(&base, "quality indices BEFORE injection");
+    let (after, history, live_rows) = cluster(&emerging.dataset, "quality indices AFTER injection");
 
     // Recovery of the injected cluster at k = 10.
-    let (t, live_rows) = filter_dead_rows(&emerging.dataset.indoor_totals);
-    let features = rsca(&t);
-    let cond_w = Condensed::from_rows(&features, Linkage::Ward.base_metric());
-    let history = agglomerate_condensed(&cond_w, Linkage::Ward);
     let labels10 = history.cut(10);
     let truth: Vec<usize> = live_rows.iter().map(|&i| emerging.labels[i]).collect();
     let ari = adjusted_rand_index(&labels10, &truth);

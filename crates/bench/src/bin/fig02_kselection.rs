@@ -13,7 +13,6 @@ use icn_bench::{banner, dataset, parse_opts, write_metrics};
 use icn_cluster::{agglomerate_condensed, detect_drops, select_k, sweep_k, Condensed, Linkage};
 use icn_core::{filter_dead_rows, rsca};
 use icn_report::Table;
-use icn_stats::Metric;
 
 fn main() {
     let opts = parse_opts();
@@ -23,10 +22,11 @@ fn main() {
     let (t, _) = filter_dead_rows(&ds.indoor_totals);
     let features = rsca(&t);
     eprintln!("clustering {} antennas ...", features.rows());
-    let cond_ward = Condensed::from_rows(&features, Linkage::Ward.base_metric());
-    let history = agglomerate_condensed(&cond_ward, Linkage::Ward);
-    let cond_eucl = Condensed::from_rows(&features, Metric::Euclidean);
-    let sweep = sweep_k(&history, &cond_eucl, 2..=15);
+    // The indices read Euclidean distances as square roots of Ward's
+    // matrix: one pairwise pass.
+    let cond = Condensed::from_rows(&features, Linkage::Ward.base_metric());
+    let history = agglomerate_condensed(&cond, Linkage::Ward);
+    let sweep = sweep_k(&history, cond.sqrt_values(), 2..=15);
 
     let mut table = Table::new(vec!["k", "silhouette", "dunn"]);
     for q in &sweep {

@@ -41,10 +41,10 @@ fn main() {
     println!("{}", t.render());
 
     // The top of the tree over the 9 cluster roots.
-    println!("{}", icn_report::dendro::render_top(&st.dendrogram, 9));
+    println!("{}", icn_report::dendro::render_top(&st.history, 9));
 
     // Super-group structure at k = 3 (the paper's orange/green/red).
-    let coarse3 = st.dendrogram.cut(3);
+    let coarse3 = st.history.cut(3);
     let mut groups: Vec<Vec<usize>> = vec![Vec::new(); 3];
     for c in 0..9 {
         // Representative antenna of cluster c.

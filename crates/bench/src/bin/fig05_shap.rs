@@ -25,7 +25,7 @@ fn main() {
 
     let names: Vec<&str> = ds.services.iter().map(|s| s.name).collect();
     // Present by dendrogram group, like the paper's layout.
-    let coarse3 = st.dendrogram.cut(3);
+    let coarse3 = st.history.cut(3);
     let group_of = |c: usize| {
         let pos = st.labels.iter().position(|&l| l == c).expect("non-empty");
         coarse3[pos]

@@ -20,7 +20,7 @@ fn main() {
     banner("Figure 7 — environment composition per cluster", &ds);
     let st = study(&ds, &opts);
 
-    let coarse3 = st.dendrogram.cut(3);
+    let coarse3 = st.history.cut(3);
     let group_of = |c: usize| {
         let pos = st.labels.iter().position(|&l| l == c).expect("non-empty");
         coarse3[pos]

@@ -25,7 +25,7 @@ fn main() {
     let window = StudyCalendar::temporal_window();
 
     // Order clusters by super-group, as in the paper's panel layout.
-    let coarse3 = st.dendrogram.cut(3);
+    let coarse3 = st.history.cut(3);
     let group_of = |c: usize| {
         let pos = st.labels.iter().position(|&l| l == c).expect("non-empty");
         coarse3[pos]

@@ -5,7 +5,9 @@
 //! population, `--seed <u64>`, `--sweep` to enable the Figure 2 sweep,
 //! `--metrics-out <path>` to export an [`icn_obs::BenchReport`],
 //! `--trace-out <path>` for a Chrome trace) and common dataset/study
-//! runners. An unknown flag or a bad value exits with status 2.
+//! runners. An unknown flag or a bad value exits with status 2; a scale
+//! whose totals matrices alone exceed physical memory exits with status 3
+//! before anything is generated.
 
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
@@ -120,13 +122,25 @@ pub fn write_metrics(opts: &HarnessOpts, run_id: &str) {
     }
 }
 
-/// Generates the dataset for the harness options.
+/// Exits with status 3, naming both numbers, when the totals matrices
+/// of `config` alone exceed physical memory
+/// ([`SynthConfig::check_fits`]): a harness refuses an unfit `--scale`
+/// before it generates anything.
+pub fn refuse_unfit(config: &SynthConfig) {
+    if let Err(e) = config.check_fits(None) {
+        eprintln!("{e}");
+        std::process::exit(3);
+    }
+}
+
+/// Generates the dataset for the harness options, after
+/// [`refuse_unfit`].
 pub fn dataset(opts: &HarnessOpts) -> Dataset {
-    Dataset::generate(
-        SynthConfig::paper()
-            .with_scale(opts.scale)
-            .with_seed(opts.seed),
-    )
+    let config = SynthConfig::paper()
+        .with_scale(opts.scale)
+        .with_seed(opts.seed);
+    refuse_unfit(&config);
+    Dataset::generate(config)
 }
 
 /// Runs the full study (with or without the k-sweep).

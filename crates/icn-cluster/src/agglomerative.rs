@@ -32,7 +32,11 @@ pub struct Merge {
     pub size: usize,
 }
 
-/// The full merge history of an agglomerative run (N − 1 merges).
+/// The full merge history of an agglomerative run (N − 1 merges): the
+/// one merge tree the pipeline keeps. Figure 3 and the k = 9 → 6
+/// consolidation navigate it directly — the root is the last merge, and
+/// a label `≥ N` is an internal node whose children are that merge's `a`
+/// (left) and `b` (right).
 #[derive(Clone, Debug)]
 pub struct MergeHistory {
     /// Number of original observations.
@@ -88,7 +92,80 @@ impl MergeHistory {
     pub fn heights(&self) -> Vec<f64> {
         self.merges.iter().map(|m| m.height).collect()
     }
+
+    /// Label of the root cluster (the last merge).
+    pub fn root(&self) -> usize {
+        self.n + self.merges.len() - 1
+    }
+
+    /// All leaf indices under cluster `label`, left to right (each merge's
+    /// `a` before its `b`).
+    pub fn leaves_under(&self, label: usize) -> Vec<usize> {
+        let mut out = Vec::new();
+        let mut stack = vec![label];
+        while let Some(l) = stack.pop() {
+            if l < self.n {
+                out.push(l);
+            } else {
+                let m = self.merges[l - self.n];
+                // Push `b` first so `a` is visited first.
+                stack.push(m.b);
+                stack.push(m.a);
+            }
+        }
+        out
+    }
+
+    /// The cluster roots (node labels) of the cut into `k` clusters,
+    /// ordered left to right. Starting from the root, the part created
+    /// last is split into its two children in place until `k` parts
+    /// remain: that undoes the last `k − 1` merges, so the parts are
+    /// [`MergeHistory::cut`]'s clusters even where heights tie.
+    pub fn roots_at_k(&self, k: usize) -> Vec<usize> {
+        assert!(k >= 1 && k <= self.n, "roots_at_k: bad k");
+        let mut parts = vec![self.root()];
+        while parts.len() < k {
+            let (idx, &label) = parts
+                .iter()
+                .enumerate()
+                .max_by_key(|&(_, &l)| l)
+                .expect("at least one part");
+            let m = self.merges[label - self.n];
+            parts.splice(idx..=idx, [m.a, m.b]);
+        }
+        parts
+    }
+
+    /// Maps each cluster of the finer cut (`k_fine`) to its enclosing
+    /// cluster of the coarser cut (`k_coarse`): `map[fine_label] =
+    /// coarse_label`. This is the paper's observation that moving
+    /// k = 9 → 6 consolidates the orange group and merges clusters 6 and 8.
+    pub fn consolidation(&self, k_fine: usize, k_coarse: usize) -> Vec<usize> {
+        assert!(k_coarse <= k_fine, "consolidation: coarse must be ≤ fine");
+        let fine = self.cut(k_fine);
+        let coarse = self.cut(k_coarse);
+        let mut map = vec![usize::MAX; k_fine];
+        for (&f, &c) in fine.iter().zip(&coarse) {
+            if map[f] == usize::MAX {
+                map[f] = c;
+            } else {
+                debug_assert_eq!(map[f], c, "cuts are not nested?");
+            }
+        }
+        map
+    }
+
+    /// A clone. Kept only because `perfbench/src/replay.rs` still calls it
+    /// through the [`crate::Dendrogram`] alias; nothing in the workspace
+    /// does.
+    pub fn from_history(history: &MergeHistory) -> MergeHistory {
+        history.clone()
+    }
 }
+
+/// An alias of [`MergeHistory`], kept only because
+/// `perfbench/src/replay.rs` still names it; nothing in the workspace does.
+pub type Dendrogram = MergeHistory;
 
 /// Runs agglomerative clustering on the rows of `data` under `linkage`.
 ///
@@ -700,6 +777,82 @@ mod tests {
         let cells: Vec<AtomicU64> = bits.into_iter().map(AtomicU64::new).collect();
         assert_eq!(cells.as_ptr() as usize, ptr);
         assert_eq!(cells[999].load(Ordering::Relaxed), 7);
+    }
+
+    /// Three well-separated 2-D blobs of 10, 13 and 16 points.
+    fn three_blobs() -> (MergeHistory, Vec<usize>) {
+        let mut rng = Rng::seed_from(21);
+        let mut rows = Vec::new();
+        let mut truth = Vec::new();
+        let centers = [(0.0, 0.0), (8.0, 0.0), (4.0, 12.0)];
+        for (c, &(x, y)) in centers.iter().enumerate() {
+            for _ in 0..(10 + c * 3) {
+                rows.push(vec![rng.normal(x, 0.4), rng.normal(y, 0.4)]);
+                truth.push(c);
+            }
+        }
+        (agglomerate(&Matrix::from_rows(&rows), Linkage::Ward), truth)
+    }
+
+    #[test]
+    fn root_covers_every_leaf_once() {
+        let (h, truth) = three_blobs();
+        let mut order = h.leaves_under(h.root());
+        assert_eq!(order.len(), truth.len());
+        order.sort_unstable();
+        assert!(order.iter().copied().eq(0..truth.len()));
+    }
+
+    #[test]
+    fn three_blobs_recovered_at_k3() {
+        let (h, truth) = three_blobs();
+        // Same partition as the truth (up to relabelling).
+        let mut map: std::collections::HashMap<usize, usize> = Default::default();
+        for (l, t) in h.cut(3).iter().zip(&truth) {
+            assert_eq!(map.entry(*l).or_insert(*t), t);
+        }
+        assert_eq!(map.len(), 3);
+    }
+
+    #[test]
+    fn clusters_are_contiguous_in_leaf_order() {
+        let (h, _) = three_blobs();
+        let labels = h.cut(3);
+        let mut seen = std::collections::HashSet::new();
+        let mut prev = usize::MAX;
+        for l in h.leaves_under(h.root()).into_iter().map(|i| labels[i]) {
+            if l != prev {
+                assert!(seen.insert(l), "cluster {l} appears in two spans");
+                prev = l;
+            }
+        }
+    }
+
+    #[test]
+    fn consolidation_is_well_defined_and_nested() {
+        let (h, _) = three_blobs();
+        let map = h.consolidation(5, 2);
+        assert_eq!(map.len(), 5);
+        assert!(map.iter().all(|&c| c < 2));
+        // At least one coarse cluster hosts ≥ 2 fine clusters.
+        let mut counts = [0usize; 2];
+        for &c in &map {
+            counts[c] += 1;
+        }
+        assert!(counts.iter().any(|&c| c >= 2));
+        let (fine, coarse) = (h.cut(5), h.cut(2));
+        assert!(fine.iter().zip(&coarse).all(|(&f, &c)| map[f] == c));
+    }
+
+    #[test]
+    fn roots_at_k_sizes_sum_to_n() {
+        let (h, truth) = three_blobs();
+        for k in [2, 3, 4, 7] {
+            let roots = h.roots_at_k(k);
+            assert_eq!(roots.len(), k);
+            let total: usize = roots.iter().map(|&r| h.leaves_under(r).len()).sum();
+            assert_eq!(total, truth.len());
+        }
     }
 
     #[test]

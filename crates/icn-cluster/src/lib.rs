@@ -10,8 +10,9 @@
 //! * [`agglomerate_condensed`] — the nearest-neighbour-chain algorithm
 //!   (O(N²), exact for reducible linkages), producing a SciPy-style merge
 //!   history.
-//! * [`Dendrogram`] — navigable hierarchy: cut-at-k, leaf ordering for the
-//!   Figure 4 heatmap, k = 9 → k = 6 consolidation maps.
+//! * [`MergeHistory`] — the one merge tree: cut-at-k, the height band of a
+//!   cut, the cluster roots and leaves Figure 3 draws, and the k = 9 → 6
+//!   consolidation map.
 //! * [`silhouette_score`] / [`dunn_index`] — the two quality indices of
 //!   Figure 2.
 //! * [`cophenetic_correlation`] — the CPCC dendrogram-fidelity diagnostic
@@ -33,7 +34,6 @@
 mod agglomerative;
 mod condensed;
 mod cophenetic;
-mod dendrogram;
 mod dunn;
 mod kmeans;
 mod linkage;
@@ -43,10 +43,9 @@ mod silhouette;
 mod stability;
 mod validation;
 
-pub use agglomerative::{agglomerate, agglomerate_condensed, Merge, MergeHistory};
+pub use agglomerative::{agglomerate, agglomerate_condensed, Dendrogram, Merge, MergeHistory};
 pub use condensed::{Condensed, Distances};
 pub use cophenetic::cophenetic_correlation;
-pub use dendrogram::{Dendrogram, Node};
 pub use dunn::dunn_index;
 pub use kmeans::{kmeans_best_of, KMeansResult};
 pub use linkage::Linkage;

@@ -3,7 +3,7 @@
 
 use icn_cluster::{
     adjusted_rand_index, agglomerate, dunn_index, normalized_mutual_info, purity, silhouette_score,
-    Condensed, Dendrogram, Linkage,
+    Condensed, Linkage,
 };
 use icn_stats::check::{cases, len_in};
 use icn_stats::{Matrix, Metric, Rng};
@@ -84,14 +84,46 @@ fn cuts_are_nested() {
     });
 }
 
+/// Two independent computations of one cut: the leaf sets under
+/// `roots_at_k(k)` (a top-down walk of the tree) are exactly `cut(k)`'s
+/// clusters (a union-find over the first `n − k` merges), and read left to
+/// right they spell the root's leaf order. Half the matrices repeat rows,
+/// so zero-height merges tie.
 #[test]
-fn dendrogram_cut_matches_history_cut() {
+fn roots_at_k_leaf_sets_are_the_cut_clusters() {
     cases(48, |case, rng| {
         let m = matrix(rng);
-        let h = agglomerate(&m, Linkage::Average);
-        let d = Dendrogram::from_history(&h);
-        for k in [1, 2, m.rows() / 2 + 1, m.rows()] {
-            assert_eq!(d.cut(k), h.cut(k), "case {case} k={k}");
+        let mut rows: Vec<Vec<f64>> = (0..m.rows()).map(|i| m.row(i).to_vec()).collect();
+        if case % 2 == 1 {
+            for _ in 0..len_in(rng, 1, rows.len()) {
+                let (from, to) = (rng.index(rows.len()), rng.index(rows.len()));
+                rows[to] = rows[from].clone();
+            }
+        }
+        let m = Matrix::from_rows(&rows);
+        let h = agglomerate(&m, Linkage::ALL[case as usize % Linkage::ALL.len()]);
+        let n = m.rows();
+        let order = h.leaves_under(h.root());
+        let mut sorted = order.clone();
+        sorted.sort_unstable();
+        assert!(sorted.iter().copied().eq(0..n), "case {case}: leaf order");
+        for k in 1..=n {
+            let labels = h.cut(k);
+            let roots = h.roots_at_k(k);
+            assert_eq!(roots.len(), k, "case {case} k={k}");
+            let mut seen = vec![false; k];
+            let mut walked = Vec::with_capacity(n);
+            for &r in &roots {
+                let leaves = h.leaves_under(r);
+                let l = labels[leaves[0]];
+                assert!(!seen[l], "case {case} k={k}: cluster {l} split");
+                seen[l] = true;
+                let size = labels.iter().filter(|&&x| x == l).count();
+                assert_eq!(leaves.len(), size, "case {case} k={k}: cluster {l}");
+                assert!(leaves.iter().all(|&i| labels[i] == l), "case {case} k={k}");
+                walked.extend(leaves);
+            }
+            assert_eq!(walked, order, "case {case} k={k}: roots out of order");
         }
     });
 }

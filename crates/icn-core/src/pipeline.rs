@@ -25,8 +25,8 @@ use crate::insights::EnvCrosstab;
 use crate::profiles::{cluster_profiles, ClusterProfile};
 use crate::rca::{filter_dead_rows, rsca};
 use icn_cluster::{
-    agglomerate_condensed, max_sample_for_budget, sampled_ward, sweep_k, ClusterPath, Condensed,
-    Dendrogram, KQuality, Linkage, MergeHistory, SampledWardConfig,
+    adjusted_rand_index, agglomerate_condensed, max_sample_for_budget, sampled_ward, sweep_k,
+    ClusterPath, Condensed, KQuality, Linkage, MergeHistory, SampledWardConfig,
 };
 use icn_forecast::ClusterSeries;
 use icn_forest::{RandomForest, TrainSet};
@@ -43,10 +43,9 @@ pub struct IcnStudy {
     pub live_rows: Vec<usize>,
     /// RSCA feature matrix of the live antennas (N × M).
     pub rsca: Matrix,
-    /// Full agglomerative merge history.
+    /// Full agglomerative merge history: the Figure 3 tree, its cuts and
+    /// the k = 9 → 6 consolidation.
     pub history: MergeHistory,
-    /// Navigable dendrogram (Figure 3).
-    pub dendrogram: Dendrogram,
     /// Figure 2 sweep results (empty when `run_k_sweep` is off).
     pub k_sweep: Vec<KQuality>,
     /// Primary labels at `config.k` (per live antenna).
@@ -146,47 +145,26 @@ impl IcnStudy {
         };
 
         // 2. Cluster.
-        let (history, dendrogram, k_sweep, labels, labels_coarse, consolidation, profiles) = {
+        let (history, k_sweep, labels, labels_coarse, consolidation, profiles) = {
             let mut span = icn_obs::Span::enter("stage2_cluster");
             span.attr("k", config.k as u64);
             let budget_bytes = config.cluster_budget_mb.saturating_mul(1024 * 1024);
             let path = config.cluster_path.resolve(rsca_m.rows(), budget_bytes);
-            let (history, dendrogram, k_sweep, labels, labels_coarse, consolidation) = match path {
+            // Each arm yields a hierarchy, the Ward matrix it was built on
+            // and the fine labels.
+            let (history, cond, labels) = match path {
                 ClusterPath::Exact | ClusterPath::Auto => {
                     let cond = Condensed::from_rows(&rsca_m, Linkage::Ward.base_metric());
                     let history = agglomerate_condensed(&cond, Linkage::Ward);
-                    let dendrogram = Dendrogram::from_history(&history);
-                    let k_sweep = if config.run_k_sweep {
-                        // Quality indices use Euclidean geometry (not the
-                        // squared distances Ward works in): the sweep reads
-                        // square roots of Ward's matrix on the fly — no
-                        // second pairwise pass and no second matrix.
-                        sweep_k(
-                            &history,
-                            cond.sqrt_values(),
-                            config.k_sweep_lo..=config.k_sweep_hi.min(history.n - 1),
-                        )
-                    } else {
-                        Vec::new()
-                    };
                     let labels = history.cut(config.k);
-                    let labels_coarse = history.cut(config.k_coarse);
-                    let consolidation = dendrogram.consolidation(config.k, config.k_coarse);
-                    (
-                        history,
-                        dendrogram,
-                        k_sweep,
-                        labels,
-                        labels_coarse,
-                        consolidation,
-                    )
+                    (history, cond, labels)
                 }
                 ClusterPath::Sampled => {
                     // Large-N escape hatch: exact Ward on a budget-sized
                     // seeded sample, nearest-centroid extension to the
-                    // rest. The hierarchy artefacts (history, dendrogram,
-                    // sweep) describe the sample; the labels cover the
-                    // full population.
+                    // rest. The hierarchy artefacts (history, sweep)
+                    // describe the sample; the labels cover the full
+                    // population.
                     let sample = sampled_sample_size(
                         max_sample_for_budget(budget_bytes),
                         config.k_sweep_hi,
@@ -201,39 +179,41 @@ impl IcnStudy {
                             refine_iters: SAMPLED_REFINE_ITERS,
                         },
                     );
-                    let dendrogram = Dendrogram::from_history(&sw.history);
-                    let k_sweep = if config.run_k_sweep {
-                        sweep_k(
-                            &sw.history,
-                            sw.sample_condensed.sqrt_values(),
-                            config.k_sweep_lo..=config.k_sweep_hi.min(sw.history.n - 1),
-                        )
-                    } else {
-                        Vec::new()
-                    };
-                    let consolidation = dendrogram.consolidation(config.k, config.k_coarse);
-                    // Coarse labels extend to the population through the
-                    // nested fine → coarse map.
-                    let labels_coarse: Vec<usize> =
-                        sw.labels.iter().map(|&l| consolidation[l]).collect();
-                    (
-                        sw.history,
-                        dendrogram,
-                        k_sweep,
-                        sw.labels,
-                        labels_coarse,
-                        consolidation,
-                    )
+                    (sw.history, sw.sample_condensed, sw.labels)
                 }
             };
+            let k_sweep = if config.run_k_sweep {
+                // Quality indices use Euclidean geometry (not the squared
+                // distances Ward works in): the sweep reads square roots
+                // of Ward's matrix on the fly — no second pairwise pass
+                // and no second matrix.
+                sweep_k(
+                    &history,
+                    cond.sqrt_values(),
+                    config.k_sweep_lo..=config.k_sweep_hi.min(history.n - 1),
+                )
+            } else {
+                Vec::new()
+            };
+            drop(cond);
+            let consolidation = history.consolidation(config.k, config.k_coarse);
+            // Coarse labels through the nested fine → coarse map: the
+            // coarse cut itself on the exact path, its extension to the
+            // population on the sampled one.
+            let labels_coarse: Vec<usize> = labels.iter().map(|&l| consolidation[l]).collect();
             let profiles = cluster_profiles(&rsca_m, &labels, config.k);
             if obs.is_enabled() {
                 obs.add_counter("cluster.k_sweep_points", k_sweep.len() as u64);
                 obs.add_counter("cluster.clusters", config.k as u64);
+                let planted = dataset.planted_labels();
+                let truth: Vec<usize> = live_rows.iter().map(|&i| planted[i]).collect();
+                obs.set_gauge("cluster.ari_planted", adjusted_rand_index(&labels, &truth));
+                if let Some(q) = k_sweep.iter().find(|q| q.k == config.k) {
+                    obs.set_gauge("cluster.silhouette", q.silhouette);
+                }
             }
             (
                 history,
-                dendrogram,
                 k_sweep,
                 labels,
                 labels_coarse,
@@ -338,7 +318,6 @@ impl IcnStudy {
             live_rows,
             rsca: rsca_m,
             history,
-            dendrogram,
             k_sweep,
             labels,
             labels_coarse,

@@ -58,13 +58,12 @@ impl TrainSet {
         (in_bag, oob)
     }
 
-    /// Class distribution (counts) over a set of row indices.
-    pub(crate) fn class_counts(&self, rows: &[usize]) -> Vec<f64> {
-        let mut c = vec![0.0; self.n_classes];
+    /// Adds the class counts over a set of row indices into `counts`
+    /// (`n_classes` long; zero it first for plain counts).
+    pub(crate) fn count_classes(&self, rows: &[usize], counts: &mut [f64]) {
         for &r in rows {
-            c[self.y[r]] += 1.0;
+            counts[self.y[r]] += 1.0;
         }
-        c
     }
 }
 
@@ -138,8 +137,13 @@ mod tests {
     #[test]
     fn class_counts_per_rows() {
         let ts = tiny();
-        assert_eq!(ts.class_counts(&[0, 1, 2, 3]), vec![2.0, 1.0, 1.0]);
-        assert_eq!(ts.class_counts(&[2, 2]), vec![0.0, 2.0, 0.0]);
+        let counts = |rows: &[usize]| {
+            let mut c = vec![0.0; ts.n_classes];
+            ts.count_classes(rows, &mut c);
+            c
+        };
+        assert_eq!(counts(&[0, 1, 2, 3]), vec![2.0, 1.0, 1.0]);
+        assert_eq!(counts(&[2, 2]), vec![0.0, 2.0, 0.0]);
     }
 
     #[test]

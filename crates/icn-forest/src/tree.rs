@@ -182,32 +182,38 @@ impl DecisionTree {
         rng: &mut Rng,
         scratch: &mut FitScratch,
     ) -> u32 {
-        let counts = ts.class_counts(rows);
-        let total: f64 = counts.iter().sum();
+        let k = self.n_classes;
         let node = u32::try_from(self.left.len()).expect("DecisionTree: node index overflow");
+        let at = node as usize * k..(node as usize + 1) * k;
+        // The node's distribution row is its class-count buffer: counted
+        // in place, divided by the cover once the split is chosen.
+        self.dist.resize(at.end, 0.0);
+        ts.count_classes(rows, &mut self.dist[at.clone()]);
+        let total: f64 = self.dist[at.clone()].iter().sum();
         self.feature.push(0);
         self.threshold.push(0.0);
         self.left.push(LEAF);
         self.right.push(LEAF);
         self.cover.push(total);
-        self.dist.extend(counts.iter().map(|&c| c / total));
         self.ratio.push(total / parent_cover);
         self.nz_off.push(self.nz_len());
         self.max_depth = self.max_depth.max(depth);
 
-        let impurity = gini(&counts);
+        let counts = &self.dist[at.clone()];
+        let impurity = gini(counts);
         let split =
             if depth >= cfg.max_depth || rows.len() < cfg.min_samples_split || impurity <= 0.0 {
                 None
             } else {
-                best_split(ts, ranks, rows, &counts, cfg, rng, scratch)
+                best_split(ts, ranks, rows, counts, cfg, rng, scratch)
             };
+        for p in &mut self.dist[at.clone()] {
+            *p /= total;
+        }
         let Some((feature, threshold)) = split else {
             // A leaf: its sparse view, and the distinct split features
             // above it.
-            let k = self.n_classes;
-            let i = node as usize;
-            for (c, &p) in self.dist[i * k..(i + 1) * k].iter().enumerate() {
+            for (c, &p) in self.dist[at].iter().enumerate() {
                 if p != 0.0 {
                     self.nz_class.push(c as u32);
                     self.nz_val.push(p);
@@ -386,8 +392,8 @@ struct FitScratch {
 /// feature subset, or `None` when no valid split exists (constant features
 /// or `min_samples_leaf` unsatisfiable).
 ///
-/// `parent_counts` must be `ts.class_counts(rows)` (the caller already has
-/// it from the node's distribution).
+/// `parent_counts` must be the class counts of `rows` (the caller already
+/// has them in the node's distribution row).
 ///
 /// No float is sorted or compared to find a boundary, yet every result
 /// bit matches the per-node sort-and-scan this replaced

@@ -6,23 +6,17 @@
 //! root annotated by its size, plus the distance thresholds for the k = 6
 //! and k = 9 cuts.
 
-use icn_cluster::Dendrogram;
+use icn_cluster::MergeHistory;
 use std::fmt::Write as _;
 
 /// Renders the hierarchy over the cluster roots at `k`, one line per node,
 /// indented by depth, heights annotated. Cluster roots are labelled with
 /// their cut label (size order) and member count.
-pub fn render_top(dendro: &Dendrogram, k: usize) -> String {
-    let roots = dendro.roots_at_k(k);
-    let labels = dendro.cut(k);
-    // Map each root to its cut label via its first leaf.
-    let root_label = |root: usize| -> usize {
-        let leaf = dendro.leaves_under(root)[0];
-        labels[leaf]
-    };
-    let n = dendro.num_leaves();
+pub fn render_top(history: &MergeHistory, k: usize) -> String {
+    let roots = history.roots_at_k(k);
+    let labels = history.cut(k);
     let mut out = String::new();
-    let (lo, hi) = cut_band_from_dendrogram(dendro, k);
+    let (lo, hi) = history.cut_band(k);
     let _ = writeln!(
         out,
         "dendrogram top (k={k}; cut threshold between heights {:.4} and {:.4})",
@@ -31,49 +25,36 @@ pub fn render_top(dendro: &Dendrogram, k: usize) -> String {
 
     // Recursive print from the overall root, stopping at cluster roots.
     fn rec(
-        d: &Dendrogram,
+        h: &MergeHistory,
         node: usize,
         depth: usize,
         roots: &[usize],
-        root_label: &dyn Fn(usize) -> usize,
-        n: usize,
+        labels: &[usize],
         out: &mut String,
     ) {
         let indent = "  ".repeat(depth);
         if roots.contains(&node) {
-            let size = if node < n {
+            // A root's cut label is its first leaf's.
+            let size = if node < h.n {
                 1
             } else {
-                d.nodes()[node - n].size
+                h.merges[node - h.n].size
             };
             let _ = writeln!(
                 out,
                 "{indent}cluster {} ({} antennas)",
-                root_label(node),
+                labels[h.leaves_under(node)[0]],
                 size
             );
             return;
         }
-        let nd = d.nodes()[node - n];
-        let _ = writeln!(out, "{indent}+- merge @ {:.4}", nd.height);
-        rec(d, nd.left, depth + 1, roots, root_label, n, out);
-        rec(d, nd.right, depth + 1, roots, root_label, n, out);
+        let m = h.merges[node - h.n];
+        let _ = writeln!(out, "{indent}+- merge @ {:.4}", m.height);
+        rec(h, m.a, depth + 1, roots, labels, out);
+        rec(h, m.b, depth + 1, roots, labels, out);
     }
-    rec(dendro, dendro.root(), 0, &roots, &root_label, n, &mut out);
+    rec(history, history.root(), 0, &roots, &labels, &mut out);
     out
-}
-
-/// The height band within which cutting yields exactly `k` clusters.
-fn cut_band_from_dendrogram(dendro: &Dendrogram, k: usize) -> (f64, f64) {
-    let n = dendro.num_leaves();
-    let heights: Vec<f64> = dendro.nodes().iter().map(|nd| nd.height).collect();
-    let lo = if n > k { heights[n - k - 1] } else { 0.0 };
-    let hi = if k >= 2 {
-        heights[n - k]
-    } else {
-        f64::INFINITY
-    };
-    (lo, hi)
 }
 
 #[cfg(test)]
@@ -82,7 +63,7 @@ mod tests {
     use icn_cluster::{agglomerate, Linkage};
     use icn_stats::{Matrix, Rng};
 
-    fn dendro() -> Dendrogram {
+    fn dendro() -> MergeHistory {
         let mut rng = Rng::seed_from(77);
         let mut rows = Vec::new();
         for c in 0..3 {
@@ -91,7 +72,7 @@ mod tests {
             }
         }
         let m = Matrix::from_rows(&rows);
-        Dendrogram::from_history(&agglomerate(&m, Linkage::Ward))
+        agglomerate(&m, Linkage::Ward)
     }
 
     #[test]
@@ -115,7 +96,7 @@ mod tests {
                 l[open + 1..close].parse::<usize>().ok()
             })
             .sum();
-        assert_eq!(total, d.num_leaves());
+        assert_eq!(total, d.n);
     }
 
     #[test]

@@ -62,6 +62,32 @@ impl SynthConfig {
         let services = crate::services::catalog().len() as u64;
         rows.saturating_mul(services).saturating_mul(8)
     }
+
+    /// Refuses, before anything is generated, a configuration whose
+    /// totals matrices alone ([`SynthConfig::min_footprint_bytes`]) exceed
+    /// `budget_mb` MiB, or physical memory (`MemTotal`) when no budget is
+    /// given. The error names both numbers. Where physical memory cannot
+    /// be read, an unbudgeted configuration passes.
+    pub fn check_fits(&self, budget_mb: Option<u64>) -> Result<(), String> {
+        let need = self.min_footprint_bytes();
+        let limit = match budget_mb {
+            Some(mb) => Some((
+                "memory budget",
+                mb.saturating_mul(1024 * 1024),
+                format!("{mb} MiB"),
+            )),
+            None => icn_obs::mem_total_bytes()
+                .map(|b| ("physical memory", b, format!("{b} bytes of MemTotal"))),
+        };
+        match limit {
+            Some((what, bytes, limit)) if need > bytes => Err(format!(
+                "{what} BREACHED before generation: the scale-{} totals matrices \
+                 alone need {need} bytes > {limit}",
+                self.scale
+            )),
+            _ => Ok(()),
+        }
+    }
 }
 
 #[cfg(test)]
@@ -90,6 +116,25 @@ mod tests {
         let held = (d.indoor_totals.as_slice().len() + d.outdoor_totals.as_slice().len()) * 8;
         assert_eq!(d.config.min_footprint_bytes(), held as u64);
         assert_eq!(c.with_scale(1e300).min_footprint_bytes(), u64::MAX);
+    }
+
+    #[test]
+    fn unfit_configuration_is_refused_naming_both_numbers() {
+        let huge = SynthConfig::paper().with_scale(1e6);
+        let need = huge.min_footprint_bytes();
+        let err = huge.check_fits(Some(1)).unwrap_err();
+        assert!(err.contains(&format!("{need} bytes")), "{err}");
+        assert!(err.contains("> 1 MiB"), "{err}");
+        assert!(err.starts_with("memory budget BREACHED before generation"));
+        let small = SynthConfig::paper().with_scale(0.05);
+        assert_eq!(small.check_fits(Some(1)), Ok(()));
+        assert_eq!(small.check_fits(None), Ok(()));
+        if let Some(total) = icn_obs::mem_total_bytes() {
+            let err = SynthConfig::paper().with_scale(1e300).check_fits(None);
+            let err = err.unwrap_err();
+            assert!(err.contains(&format!("{} bytes > {total} bytes of MemTotal", u64::MAX)));
+            assert!(err.starts_with("physical memory BREACHED before generation"));
+        }
     }
 
     #[test]

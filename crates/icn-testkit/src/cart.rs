@@ -67,7 +67,7 @@ fn resolve(max_features: MaxFeatures, m: usize) -> usize {
     }
 }
 
-/// `TrainSet::class_counts`: class counts over a set of row indices.
+/// Class counts over a set of row indices (`TrainSet::count_classes`).
 fn class_counts(ts: &TrainSet, rows: &[usize]) -> Vec<f64> {
     let mut c = vec![0.0; ts.n_classes];
     for &r in rows {

@@ -478,22 +478,8 @@ impl Opts {
         let config = SynthConfig::paper()
             .with_scale(self.scale)
             .with_seed(self.seed);
-        let need = config.min_footprint_bytes();
-        let limit = match self.mem_budget_mb {
-            Some(mb) => Some((
-                "memory budget",
-                mb.saturating_mul(1024 * 1024),
-                format!("{mb} MiB"),
-            )),
-            None => icn_repro::icn_obs::mem_total_bytes()
-                .map(|b| ("physical memory", b, format!("{b} bytes of MemTotal"))),
-        };
-        if let Some((what, _, limit)) = limit.filter(|&(_, bytes, _)| need > bytes) {
-            eprintln!(
-                "{what} BREACHED before generation: the scale-{} totals matrices \
-                 alone need {need} bytes > {limit}",
-                self.scale
-            );
+        if let Err(e) = config.check_fits(self.mem_budget_mb) {
+            eprintln!("{e}");
             std::process::exit(3);
         }
         Dataset::generate(config)

@@ -94,41 +94,76 @@ fn report_round_trips_through_schema() {
     assert_eq!(stages(&back), stages(&report));
 }
 
-/// Result quality is recorded next to time and memory: stage 3 gauges
-/// the surrogate's training and OOB accuracy, stage 5 the outdoor
-/// population's modal-cluster share. Each gauge holds the study's own
-/// value bit for bit, and survives a written report.
+/// Result quality is recorded next to time and memory: stage 2 gauges
+/// the clustering's ARI against the planted archetypes and, when the
+/// sweep scored k, the silhouette at k; stage 3 the surrogate's training
+/// and OOB accuracy; stage 5 the outdoor population's modal-cluster
+/// share. Each gauge holds the study's own value bit for bit, and
+/// survives a written report. The fast config sweeps nothing, so it sets
+/// no silhouette gauge.
 #[test]
 fn quality_gauges_hold_the_study_results() {
     let _guard = LOCK.lock().unwrap();
     let ds = common::dataset();
+    let planted = ds.planted_labels();
+    let ari = |st: &IcnStudy| {
+        let truth: Vec<usize> = st.live_rows.iter().map(|&i| planted[i]).collect();
+        adjusted_rand_index(&st.labels, &truth)
+    };
+    let check = |snap: &Snapshot, want: &[(&str, f64)]| {
+        for &(name, value) in want {
+            assert_eq!(snap.gauges[name].to_bits(), value.to_bits(), "{name}");
+        }
+        let path = std::env::temp_dir().join(format!("icn-quality-{}.json", std::process::id()));
+        let path = path.to_str().expect("utf-8 temp path");
+        BenchReport::build(snap, "quality-gauges", ds.config.scale)
+            .write_to_file(path)
+            .expect("write report");
+        let text = std::fs::read_to_string(path).expect("read report");
+        std::fs::remove_file(path).ok();
+        let back = BenchReport::parse(&text).expect("schema-valid report");
+        for &(name, value) in want {
+            assert_eq!(
+                back.gauges[name].to_bits(),
+                value.to_bits(),
+                "{name} read back"
+            );
+        }
+    };
+
     let (study, snap) = metered(None, || common::study_for(&ds));
-    let want = [
-        ("surrogate.accuracy", study.surrogate_accuracy),
-        (
-            "surrogate.oob_accuracy",
-            study.surrogate_oob.expect("some OOB rows"),
-        ),
-        ("outdoor.dominant_share", study.outdoor.dominant.1),
-    ];
-    for (name, value) in want {
-        assert_eq!(snap.gauges[name].to_bits(), value.to_bits(), "{name}");
-    }
-    let path = std::env::temp_dir().join(format!("icn-quality-{}.json", std::process::id()));
-    let path = path.to_str().expect("utf-8 temp path");
-    BenchReport::build(&snap, "quality-gauges", ds.config.scale)
-        .write_to_file(path)
-        .expect("write report");
-    let text = std::fs::read_to_string(path).expect("read report");
-    std::fs::remove_file(path).ok();
-    let back = BenchReport::parse(&text).expect("schema-valid report");
-    for (name, value) in want {
-        assert_eq!(
-            back.gauges[name].to_bits(),
-            value.to_bits(),
-            "{name} read back"
-        );
-    }
+    assert!(study.k_sweep.is_empty());
+    assert!(!snap.gauges.contains_key("cluster.silhouette"));
+    check(
+        &snap,
+        &[
+            ("cluster.ari_planted", ari(&study)),
+            ("surrogate.accuracy", study.surrogate_accuracy),
+            (
+                "surrogate.oob_accuracy",
+                study.surrogate_oob.expect("some OOB rows"),
+            ),
+            ("outdoor.dominant_share", study.outdoor.dominant.1),
+        ],
+    );
+
+    let swept_config = StudyConfig {
+        run_k_sweep: true,
+        ..StudyConfig::fast()
+    };
+    let (swept, snap) = metered(None, || IcnStudy::run(&ds, swept_config));
+    let at_k = swept
+        .k_sweep
+        .iter()
+        .find(|q| q.k == swept.config.k)
+        .expect("the sweep scores k");
+    check(
+        &snap,
+        &[
+            ("cluster.ari_planted", ari(&swept)),
+            ("cluster.silhouette", at_k.silhouette),
+        ],
+    );
 }
 
 #[test]

@@ -47,7 +47,7 @@ fn dendrogram_groups_match_paper_structure() {
     // Cutting at k=3 must reproduce the orange/green/red super-groups:
     // clusters mapping to archetypes of the same group share a k=3 branch.
     let (dataset, study) = study_fixture();
-    let coarse = study.dendrogram.cut(3);
+    let coarse = study.history.cut(3);
     let planted = dataset.planted_labels();
     use std::collections::HashMap;
     // For each archetype group, collect the coarse labels of its antennas.
