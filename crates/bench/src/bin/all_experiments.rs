@@ -100,11 +100,9 @@ fn main() {
     // Fig 3.
     println!("\n== fig03 ==");
     println!("cluster sizes: {:?}", st.cluster_sizes());
-    let coarse3 = st.history.cut(3);
     let mut groups: Vec<Vec<usize>> = vec![Vec::new(); 3];
-    for c in 0..9 {
-        let pos = st.labels.iter().position(|&l| l == c).unwrap();
-        groups[coarse3[pos]].push(c);
+    for (c, &g) in st.history.consolidation(st.config.k, 3).iter().enumerate() {
+        groups[g].push(c);
     }
     println!("three super-groups: {groups:?}");
     let mut consolidated: Vec<Vec<usize>> = vec![Vec::new(); 6];

@@ -296,7 +296,6 @@ fn main() {
     let budget_bytes = opts.budget_mb * 1024 * 1024;
     let fixture = large_fixture(opts.large_n, 73, config.k, opts.seed);
     let sample = icn_cluster::max_sample_for_budget(budget_bytes).min(opts.large_n);
-    let t0 = std::time::Instant::now();
     let sw = {
         let mut span = icn_obs::Span::enter("stage2_sampled_large_n");
         span.attr("rows", opts.large_n as u64);
@@ -310,7 +309,11 @@ fn main() {
             },
         )
     };
-    let wall = t0.elapsed().as_secs_f64() * 1e3;
+    let wall = obs
+        .snapshot()
+        .spans
+        .get("stage2_sampled_large_n")
+        .map_or(0.0, |s| s.wall.as_secs_f64() * 1e3);
     obs.set_gauge("cluster.large_n_rows", opts.large_n as f64);
     obs.set_gauge("cluster.large_n_sample", sw.sample.len() as f64);
     icn_obs::gauge_bytes("cluster.large_n_condensed_bytes", sw.condensed_bytes);

@@ -44,12 +44,9 @@ fn main() {
     println!("{}", icn_report::dendro::render_top(&st.history, 9));
 
     // Super-group structure at k = 3 (the paper's orange/green/red).
-    let coarse3 = st.history.cut(3);
     let mut groups: Vec<Vec<usize>> = vec![Vec::new(); 3];
-    for c in 0..9 {
-        // Representative antenna of cluster c.
-        let pos = st.labels.iter().position(|&l| l == c).expect("non-empty");
-        groups[coarse3[pos]].push(c);
+    for (c, &g) in st.history.consolidation(st.config.k, 3).iter().enumerate() {
+        groups[g].push(c);
     }
     println!("three super-groups (k = 3 cut): {groups:?}");
 

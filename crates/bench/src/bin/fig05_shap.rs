@@ -25,14 +25,10 @@ fn main() {
 
     let names: Vec<&str> = ds.services.iter().map(|s| s.name).collect();
     // Present by dendrogram group, like the paper's layout.
-    let coarse3 = st.history.cut(3);
-    let group_of = |c: usize| {
-        let pos = st.labels.iter().position(|&l| l == c).expect("non-empty");
-        coarse3[pos]
-    };
+    let group_of = st.history.consolidation(st.config.k, 3);
     for g in 0..3 {
         println!("--- super-group {g} ---");
-        for ex in st.explanations.iter().filter(|e| group_of(e.class) == g) {
+        for ex in st.explanations.iter().filter(|e| group_of[e.class] == g) {
             println!("{}", icn_report::beeswarm::render(ex, &names, 25, 28));
         }
     }

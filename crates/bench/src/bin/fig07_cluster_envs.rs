@@ -20,18 +20,14 @@ fn main() {
     banner("Figure 7 — environment composition per cluster", &ds);
     let st = study(&ds, &opts);
 
-    let coarse3 = st.history.cut(3);
-    let group_of = |c: usize| {
-        let pos = st.labels.iter().position(|&l| l == c).expect("non-empty");
-        coarse3[pos]
-    };
+    let group_of = st.history.consolidation(st.config.k, 3);
 
     for g in 0..3 {
         println!("--- super-group {g} ---");
         let mut header: Vec<String> = vec!["cluster".into(), "n".into(), "paris%".into()];
         header.extend(Environment::ALL.iter().map(|e| e.label().to_string()));
         let mut t = Table::new(header);
-        for c in (0..9).filter(|&c| group_of(c) == g) {
+        for c in (0..9).filter(|&c| group_of[c] == g) {
             let comp = st.crosstab.cluster_composition(c);
             let mut row = vec![
                 c.to_string(),

@@ -25,17 +25,13 @@ fn main() {
     let window = StudyCalendar::temporal_window();
 
     // Order clusters by super-group, as in the paper's panel layout.
-    let coarse3 = st.history.cut(3);
-    let group_of = |c: usize| {
-        let pos = st.labels.iter().position(|&l| l == c).expect("non-empty");
-        coarse3[pos]
-    };
+    let group_of = st.history.consolidation(st.config.k, 3);
     // Identify which super-group is which by its dominant environments.
     let mut commuter_group = 0usize;
     let mut event_group = 0usize;
     let mut daytime_group = 0usize;
     for g in 0..3 {
-        let clusters: Vec<usize> = (0..9).filter(|&c| group_of(c) == g).collect();
+        let clusters: Vec<usize> = (0..9).filter(|&c| group_of[c] == g).collect();
         let metro_mass: usize = clusters
             .iter()
             .map(|&c| st.crosstab.counts[c][icn_core::env_index(icn_synth::Environment::Metro)])
@@ -78,7 +74,7 @@ fn main() {
             .live_rows
             .iter()
             .enumerate()
-            .filter(|(pos, _)| group_of(st.labels[*pos]) == g)
+            .filter(|(pos, _)| group_of[st.labels[*pos]] == g)
             .map(|(_, &row)| (&ds.antennas[row], ds.indoor_totals.get(row, j)))
             .unzip();
         if members.is_empty() {

@@ -17,7 +17,9 @@ pub struct Condensed {
 
 impl Condensed {
     /// Computes all pairwise distances between the rows of `data` under
-    /// `metric`, in parallel.
+    /// `metric`, in parallel: squared Euclidean for Ward (its
+    /// [`crate::Linkage::base_metric`]), Euclidean for the other linkages
+    /// and the CPCC.
     ///
     /// Rows are processed in chunks of the lower-triangle's i-dimension;
     /// each worker writes its chunk's contiguous window of the final
@@ -26,11 +28,11 @@ impl Condensed {
     /// of right-hand rows stays cache-resident across all of the chunk's
     /// left-hand rows.
     ///
-    /// The (squared) Euclidean metrics go through the 4-lane accumulator
-    /// kernel [`icn_stats::distance::sq_euclidean4`]: four independent
-    /// partial sums hide FP-add latency for a large single-thread win. The
-    /// fill order and the per-pair kernel are fixed, so the result is
-    /// bit-identical at any `ICN_THREADS`.
+    /// Both metrics go through the 4-lane accumulator kernel
+    /// [`icn_stats::distance::sq_euclidean4`] (Euclidean takes its square
+    /// root): four independent partial sums hide FP-add latency for a large
+    /// single-thread win. The fill order and the per-pair kernel are fixed,
+    /// so the result is bit-identical at any `ICN_THREADS`.
     ///
     /// Metering: the finished matrix size is published as the
     /// `cluster.condensed_bytes` gauge (the scalable sampled-Ward path is
@@ -40,10 +42,10 @@ impl Condensed {
         let n = data.rows();
         let rows: Vec<&[f64]> = (0..n).map(|i| data.row(i)).collect();
         let dist = |a: &[f64], b: &[f64]| -> f64 {
+            let sq = icn_stats::distance::sq_euclidean4(a, b);
             match metric {
-                Metric::SqEuclidean => icn_stats::distance::sq_euclidean4(a, b),
-                Metric::Euclidean => icn_stats::distance::sq_euclidean4(a, b).sqrt(),
-                other => other.distance(a, b),
+                Metric::SqEuclidean => sq,
+                Metric::Euclidean => sq.sqrt(),
             }
         };
         const TILE: usize = 64;
@@ -107,9 +109,9 @@ impl Condensed {
     /// takes the root of the stored entry on the fly, so no second matrix
     /// is allocated.
     ///
-    /// `Metric::Euclidean.distance` is defined as
-    /// `Metric::SqEuclidean.distance(..).sqrt()`, so for a condensed matrix
-    /// built with `Metric::SqEuclidean` (Ward's base metric) every read is
+    /// [`Condensed::from_rows`] computes a Euclidean entry as the square
+    /// root of the squared one, so for a matrix built with
+    /// `Metric::SqEuclidean` (Ward's base metric) every read is
     /// **bit-identical** to recomputing `from_rows(data, Metric::Euclidean)`
     /// — without the second full pairwise pass. This is how the k-sweep
     /// reads Euclidean geometry off Ward's matrix.
@@ -196,6 +198,7 @@ pub(crate) fn block_start(n: usize, i: usize) -> usize {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use icn_stats::distance::sq_euclidean;
 
     fn data() -> Matrix {
         Matrix::from_rows(&[
@@ -212,7 +215,7 @@ mod tests {
         let c = Condensed::from_rows(&m, Metric::Euclidean);
         for i in 0..4 {
             for j in 0..4 {
-                let want = Metric::Euclidean.distance(m.row(i), m.row(j));
+                let want = sq_euclidean(m.row(i), m.row(j)).sqrt();
                 assert!((c.get(i, j) - want).abs() < 1e-12, "({i},{j})");
             }
         }
@@ -220,7 +223,7 @@ mod tests {
 
     #[test]
     fn symmetric_and_zero_diagonal() {
-        let c = Condensed::from_rows(&data(), Metric::Manhattan);
+        let c = Condensed::from_rows(&data(), Metric::SqEuclidean);
         for i in 0..4 {
             assert_eq!(c.get(i, i), 0.0);
             for j in 0..4 {
@@ -273,7 +276,7 @@ mod tests {
         let c = Condensed::from_rows(&m, Metric::SqEuclidean);
         for i in (0..40).step_by(7) {
             for j in (0..40).step_by(5) {
-                let want = Metric::SqEuclidean.distance(m.row(i), m.row(j));
+                let want = sq_euclidean(m.row(i), m.row(j));
                 assert!((c.get(i, j) - want).abs() < 1e-9);
             }
         }

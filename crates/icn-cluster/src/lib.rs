@@ -18,7 +18,7 @@
 //! * [`cophenetic_correlation`] — the CPCC dendrogram-fidelity diagnostic
 //!   reported alongside Figure 3.
 //! * [`sweep_k`] / [`detect_drops`] — the sweep-and-detect-drop stopping
-//!   criterion.
+//!   criterion, scoring every k up to [`MAX_SWEEP_K`] in one pass.
 //! * [`bootstrap_stability`] — bootstrap cluster-stability analysis ("the
 //!   profiles are inherent, not sampling artefacts").
 //! * [`sampled_ward`] — the sampled Ward path for populations too large for
@@ -53,7 +53,7 @@ pub use scalable::{
     exact_memory_bytes, max_sample_for_budget, sampled_ward, ClusterPath, SampledWardConfig,
     SampledWardResult,
 };
-pub use selection::{detect_drops, select_k, sweep_k, Drop, KQuality};
+pub use selection::{detect_drops, select_k, sweep_k, Drop, KQuality, MAX_SWEEP_K};
 pub use silhouette::silhouette_score;
 pub use stability::{bootstrap_stability, StabilityResult};
 pub use validation::{adjusted_rand_index, normalized_mutual_info, purity};

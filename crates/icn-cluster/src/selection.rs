@@ -10,8 +10,6 @@
 
 use crate::agglomerative::MergeHistory;
 use crate::condensed::{block_start, Distances};
-use crate::dunn::dunn_index;
-use crate::silhouette::silhouette_score;
 use icn_stats::par;
 
 /// Points per parallel work item of the fused sweep.
@@ -40,9 +38,11 @@ pub struct KQuality {
     pub dunn: f64,
 }
 
-/// Widest fine partition the fused sweep will build `O(hi²)` pair tables
-/// for; beyond this the per-k direct path is cheaper anyway.
-const FUSED_MAX_HI: usize = 256;
+/// The widest cut [`sweep_k`] scores. The sweep builds `hi × hi` min/max
+/// tables over the finest cut's clusters for every work item, which a
+/// sweep to the paper's k = 15 keeps tiny; `IcnStudy::try_run` refuses a
+/// wider `k_sweep_hi` with a typed error.
+pub const MAX_SWEEP_K: usize = 256;
 
 /// Sweeps cuts of `history` over `k_range` (inclusive) against the
 /// distances in `dist` (which must be over the same observations, in any
@@ -51,9 +51,10 @@ const FUSED_MAX_HI: usize = 256;
 ///
 /// # Fused evaluation
 ///
-/// The naive sweep walks the full O(N²) condensed matrix twice (silhouette
-/// and Dunn) *per candidate k* — 2·|range| passes. Cuts of one hierarchy
-/// are nested, so this implementation walks the matrix **once**: each
+/// Scoring each k with [`crate::silhouette_score`] and [`crate::dunn_index`]
+/// would walk the full O(N²) condensed matrix twice *per candidate k* —
+/// 2·|range| passes. Cuts of one hierarchy are nested, so the sweep walks
+/// the matrix **once**: each
 /// point accumulates its distance sums per *finest* cluster (the `k = hi`
 /// cut) and per-pair min/max tables over the finest clusters, then every
 /// coarser k is scored by regrouping those per-fine-cluster aggregates.
@@ -71,13 +72,18 @@ const FUSED_MAX_HI: usize = 256;
 /// chunking.
 ///
 /// Dunn regroups by min/max — exactly associative, so the values are
-/// bit-identical to [`dunn_index`] per k. Silhouette regroups sums, which
-/// reorders additions; values agree with [`silhouette_score`] to within a
-/// few ulps (≲1e-12 relative — see `fused_sweep_matches_direct`). Both are
-/// bit-identical at any `ICN_THREADS`: per-point results are summed in
-/// index order and the pair tables merge through exact min/max.
+/// bit-identical to [`crate::dunn_index`] per k. Silhouette regroups sums,
+/// which reorders additions; values agree with [`crate::silhouette_score`]
+/// to within a few ulps (≲1e-12 relative — see
+/// `fused_sweep_matches_direct`). Both are bit-identical at any
+/// `ICN_THREADS`: per-point results are summed in index order and the pair
+/// tables merge through exact min/max.
 ///
 /// Metered as a `sweep` span.
+///
+/// # Panics
+/// If `k_range` starts below 2 or ends above the number of observations
+/// or [`MAX_SWEEP_K`].
 pub fn sweep_k<'a>(
     history: &MergeHistory,
     dist: impl Into<Distances<'a>>,
@@ -88,9 +94,7 @@ pub fn sweep_k<'a>(
     let (lo, hi) = (*k_range.start(), *k_range.end());
     assert!(lo >= 2, "sweep_k: k must start at ≥ 2");
     assert!(hi <= history.n, "sweep_k: k exceeds number of observations");
-    if hi > FUSED_MAX_HI {
-        return sweep_k_direct(history, cond, lo, hi);
-    }
+    assert!(hi <= MAX_SWEEP_K, "sweep_k: k exceeds MAX_SWEEP_K");
     let n = history.n;
     assert_eq!(cond.len(), n, "sweep_k: distance matrix size mismatch");
 
@@ -266,21 +270,6 @@ pub fn sweep_k<'a>(
         .collect()
 }
 
-/// The straightforward two-passes-per-k sweep; reference semantics for the
-/// fused path and fallback for very wide ranges.
-fn sweep_k_direct(history: &MergeHistory, cond: Distances, lo: usize, hi: usize) -> Vec<KQuality> {
-    (lo..=hi)
-        .map(|k| {
-            let labels = history.cut(k);
-            KQuality {
-                k,
-                silhouette: silhouette_score(cond, &labels),
-                dunn: dunn_index(cond, &labels),
-            }
-        })
-        .collect()
-}
-
 /// One detected drop: quality at k is high, and moving to k + 1 loses a
 /// substantial fraction of it.
 #[derive(Clone, Copy, Debug, PartialEq)]
@@ -341,8 +330,29 @@ mod tests {
     use super::*;
     use crate::agglomerative::agglomerate;
     use crate::condensed::Condensed;
+    use crate::dunn::dunn_index;
     use crate::linkage::Linkage;
+    use crate::silhouette::silhouette_score;
     use icn_stats::{Matrix, Metric, Rng};
+
+    /// Scores every k of `sweep` on its own with the two quality indices
+    /// and checks the fused values: Dunn bit for bit, silhouette to 1e-12
+    /// relative.
+    fn assert_matches_per_k_indices(sweep: &[KQuality], h: &MergeHistory, cond: &Condensed) {
+        for f in sweep {
+            let labels = h.cut(f.k);
+            let (sil, dunn) = (silhouette_score(cond, &labels), dunn_index(cond, &labels));
+            // Dunn regroups through exact min/max: bit-identical.
+            assert_eq!(f.dunn.to_bits(), dunn.to_bits(), "k={}", f.k);
+            // Silhouette regroups sums: equal to a few ulps.
+            assert!(
+                (f.silhouette - sil).abs() <= 1e-12 * sil.abs().max(1.0),
+                "k={}: {} vs {sil}",
+                f.k,
+                f.silhouette
+            );
+        }
+    }
 
     /// 4 well-separated blobs: quality should peak at k = 4 then drop.
     fn four_blobs() -> Matrix {
@@ -480,22 +490,8 @@ mod tests {
             let h = agglomerate(&m, Linkage::Ward);
             let cond = Condensed::from_rows(&m, Metric::Euclidean);
             let fused = sweep_k(&h, &cond, 2..=15);
-            let direct = sweep_k_direct(&h, (&cond).into(), 2, 15);
-            assert_eq!(fused.len(), direct.len());
-            for (f, d) in fused.iter().zip(&direct) {
-                assert_eq!(f.k, d.k);
-                // Dunn regroups through exact min/max: bit-identical.
-                assert_eq!(f.dunn.to_bits(), d.dunn.to_bits(), "n={n}, k={}", f.k);
-                // Silhouette regroups sums: equal to a few ulps.
-                let tol = 1e-12 * d.silhouette.abs().max(1.0);
-                assert!(
-                    (f.silhouette - d.silhouette).abs() <= tol,
-                    "n={n}, k={}: {} vs {}",
-                    f.k,
-                    f.silhouette,
-                    d.silhouette
-                );
-            }
+            assert_eq!(fused.len(), 14, "n={n}");
+            assert_matches_per_k_indices(&fused, &h, &cond);
         }
     }
 
@@ -509,10 +505,17 @@ mod tests {
         let cond = Condensed::from_rows(&m, Metric::Euclidean);
         let sweep = sweep_k(&h, &cond, 2..=n);
         assert_eq!(sweep.last().unwrap().silhouette, 0.0);
-        let direct = sweep_k_direct(&h, (&cond).into(), 2, n);
-        for (f, d) in sweep.iter().zip(&direct) {
-            assert_eq!(f.dunn.to_bits(), d.dunn.to_bits());
-            assert!((f.silhouette - d.silhouette).abs() <= 1e-12);
-        }
+        assert_matches_per_k_indices(&sweep, &h, &cond);
+    }
+
+    #[test]
+    #[should_panic(expected = "exceeds MAX_SWEEP_K")]
+    fn sweep_beyond_the_bound_panics() {
+        let n = MAX_SWEEP_K + 2;
+        let rows: Vec<Vec<f64>> = (0..n).map(|i| vec![i as f64]).collect();
+        let m = Matrix::from_rows(&rows);
+        let h = agglomerate(&m, Linkage::Ward);
+        let cond = Condensed::from_rows(&m, Metric::Euclidean);
+        sweep_k(&h, &cond, 2..=MAX_SWEEP_K + 1);
     }
 }

@@ -6,6 +6,7 @@ use icn_cluster::{
     Condensed, Linkage,
 };
 use icn_stats::check::{cases, len_in};
+use icn_stats::distance::sq_euclidean;
 use icn_stats::{Matrix, Metric, Rng};
 
 /// Random small matrix with at least two distinct rows.
@@ -188,10 +189,10 @@ fn permuted_labels_keep_ari_one() {
 fn condensed_agrees_with_metric() {
     cases(48, |case, rng| {
         let m = matrix(rng);
-        let cond = Condensed::from_rows(&m, Metric::Manhattan);
+        let cond = Condensed::from_rows(&m, Metric::Euclidean);
         for i in 0..m.rows().min(6) {
             for j in 0..m.rows().min(6) {
-                let want = Metric::Manhattan.distance(m.row(i), m.row(j));
+                let want = sq_euclidean(m.row(i), m.row(j)).sqrt();
                 assert!(
                     (cond.get(i, j) - want).abs() < 1e-9,
                     "case {case} ({i},{j})"

@@ -13,7 +13,8 @@ pub struct StudyConfig {
     pub k_coarse: usize,
     /// Range of k swept for the Figure 2 quality indices.
     pub k_sweep_lo: usize,
-    /// Upper end of the sweep (inclusive).
+    /// Upper end of the sweep (inclusive), at most
+    /// [`icn_cluster::MAX_SWEEP_K`].
     pub k_sweep_hi: usize,
     /// Number of surrogate forest trees (the paper uses 100).
     pub n_trees: usize,

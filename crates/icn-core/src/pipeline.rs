@@ -26,7 +26,7 @@ use crate::profiles::{cluster_profiles, ClusterProfile};
 use crate::rca::{filter_dead_rows, rsca};
 use icn_cluster::{
     adjusted_rand_index, agglomerate_condensed, max_sample_for_budget, sampled_ward, sweep_k,
-    ClusterPath, Condensed, KQuality, Linkage, MergeHistory, SampledWardConfig,
+    ClusterPath, Condensed, KQuality, Linkage, MergeHistory, SampledWardConfig, MAX_SWEEP_K,
 };
 use icn_forecast::ClusterSeries;
 use icn_forest::{RandomForest, TrainSet};
@@ -436,6 +436,12 @@ fn validate_totals(totals: &Matrix, config: &StudyConfig) -> Result<(), crate::S
             config.k_sweep_hi, config.k_sweep_lo
         )));
     }
+    if config.run_k_sweep && config.k_sweep_hi > MAX_SWEEP_K {
+        return Err(StudyError::BadConfig(format!(
+            "k_sweep_hi = {} exceeds the sweep's limit of {MAX_SWEEP_K}",
+            config.k_sweep_hi
+        )));
+    }
     let window = StudyCalendar::temporal_window().num_hours();
     if config.run_forecast && config.forecast_horizon > window {
         return Err(StudyError::BadConfig(format!(
@@ -612,8 +618,10 @@ mod tests {
             IcnStudy::try_run(&d, bad_coarse),
             Err(StudyError::BadConfig(_))
         ));
-        // A sweep range that starts below 2 or ends before it starts.
-        for (k_sweep_lo, k_sweep_hi) in [(1, 15), (0, 15), (9, 8)] {
+        // A sweep range that starts below 2, ends before it starts or ends
+        // past the sweep's limit.
+        let past_limit = MAX_SWEEP_K + 1;
+        for (k_sweep_lo, k_sweep_hi) in [(1, 15), (0, 15), (9, 8), (2, past_limit)] {
             let bad_sweep = StudyConfig {
                 run_k_sweep: true,
                 k_sweep_lo,
@@ -643,7 +651,7 @@ mod tests {
         );
         // All-dead matrix.
         let mut silent = d.clone();
-        silent.indoor_totals.map_inplace(|_| 0.0);
+        silent.indoor_totals = Matrix::zeros(d.num_antennas(), d.num_services());
         assert_eq!(
             IcnStudy::try_run(&silent, StudyConfig::fast()).err(),
             Some(StudyError::NoTraffic)

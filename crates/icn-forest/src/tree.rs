@@ -22,8 +22,6 @@ pub enum MaxFeatures {
     /// `√(num_features)` random features per node — the random-forest
     /// default for classification.
     Sqrt,
-    /// A fixed number per node.
-    Fixed(usize),
 }
 
 impl MaxFeatures {
@@ -32,7 +30,6 @@ impl MaxFeatures {
         match self {
             MaxFeatures::All => m,
             MaxFeatures::Sqrt => ((m as f64).sqrt().round() as usize).clamp(1, m),
-            MaxFeatures::Fixed(k) => (*k).clamp(1, m),
         }
     }
 }
@@ -719,8 +716,7 @@ mod tests {
         assert_eq!(MaxFeatures::All.resolve(73), 73);
         assert_eq!(MaxFeatures::Sqrt.resolve(73), 9);
         assert_eq!(MaxFeatures::Sqrt.resolve(1), 1);
-        assert_eq!(MaxFeatures::Fixed(5).resolve(3), 3);
-        assert_eq!(MaxFeatures::Fixed(0).resolve(3), 1);
+        assert_eq!(MaxFeatures::Sqrt.resolve(2), 1);
     }
 
     #[test]

@@ -221,14 +221,14 @@ fn mixed_columns(rng: &mut Rng) -> TrainSet {
     TrainSet::new(x, y)
 }
 
-/// A random tree configuration over every `MaxFeatures` variant,
+/// A random tree configuration over both `MaxFeatures` policies,
 /// `min_samples_leaf` 1–5, `min_samples_split` 2–9 and, half the time, a
 /// `max_depth` cap of 1–6.
-fn any_tree_config(rng: &mut Rng, m: usize) -> TreeConfig {
-    let max_features = match rng.index(3) {
-        0 => MaxFeatures::All,
-        1 => MaxFeatures::Sqrt,
-        _ => MaxFeatures::Fixed(check::len_in(rng, 1, m + 1)),
+fn any_tree_config(rng: &mut Rng) -> TreeConfig {
+    let max_features = if rng.chance(0.5) {
+        MaxFeatures::All
+    } else {
+        MaxFeatures::Sqrt
     };
     let cfg = TreeConfig {
         max_depth: if rng.chance(0.5) {
@@ -249,7 +249,7 @@ fn tree_fit_matches_sort_scan_oracle_bit_for_bit() {
     let mut split = 0;
     cases(40, |case, rng| {
         let ts = mixed_columns(rng);
-        let cfg = any_tree_config(rng, ts.x.cols());
+        let cfg = any_tree_config(rng);
         // Bootstrap rows (with repeats) or every row once.
         let rows: Vec<usize> = if rng.chance(0.5) {
             ts.bootstrap(rng).0
@@ -276,7 +276,7 @@ fn forest_trees_match_sort_scan_oracle_bit_for_bit() {
         let ts = mixed_columns(rng);
         let cfg = ForestConfig {
             n_trees: 6,
-            tree: any_tree_config(rng, ts.x.cols()),
+            tree: any_tree_config(rng),
             seed: case + 11,
         };
         let forest = RandomForest::fit(&ts, &cfg);

@@ -72,7 +72,7 @@ pub fn chrome_trace(snapshot: &Snapshot) -> Json {
             args.push(("alloc_bytes", Json::num(span.alloc_bytes as f64)));
         }
         for (key, value) in &span.attrs {
-            args.push((key.as_str(), value.to_json()));
+            args.push((key.as_str(), Json::num(*value as f64)));
         }
         events.push(Json::obj(vec![
             ("name", Json::str(&span.name)),
@@ -120,7 +120,7 @@ pub fn write_chrome_trace(snapshot: &Snapshot, path: &str) -> std::io::Result<()
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::trace::{AttrValue, SpanData, SpanEvent};
+    use crate::trace::{SpanData, SpanEvent};
     use std::time::Duration;
 
     fn sample_snapshot() -> Snapshot {
@@ -136,7 +136,7 @@ mod tests {
             alloc_bytes: 2048,
             allocs: 2,
             peak_growth_bytes: 2048,
-            attrs: vec![("rows".into(), AttrValue::U64(64))],
+            attrs: vec![("rows".into(), 64)],
             events: vec![SpanEvent {
                 name: "fitted".into(),
                 at: Duration::from_micros(400),

@@ -6,7 +6,8 @@
 //! four layers:
 //!
 //! * [`Span`] — an RAII stage timer with per-thread nesting
-//!   (`stage2_cluster/condensed`), key=value attributes and point events.
+//!   (`stage2_cluster/condensed`), integer key=value attributes (counts
+//!   and indices) and point events.
 //!   Spans form a real tree ([`SpanData`]): parent/child by id, linked
 //!   **across threads** when work fans out through `icn_stats::par` (the
 //!   dispatching stage hands a [`Handoff`] to each worker). Inert and
@@ -45,7 +46,7 @@
 //! reg.enable();
 //! {
 //!     let mut span = icn_obs::Span::enter("stage1_transform");
-//!     span.attr("rows", 123u64);
+//!     span.attr("rows", 123);
 //!     reg.add_counter("transform.live_rows", 123);
 //! }
 //! let report = icn_obs::BenchReport::build(&reg.snapshot(), "doc-test", 0.1);
@@ -82,7 +83,7 @@ pub use report::{
     PIPELINE_STAGES,
 };
 pub use span::{current_handoff, AdoptGuard, Handoff, Span};
-pub use trace::{AttrValue, SpanData, SpanEvent, SpanStats};
+pub use trace::{SpanData, SpanEvent, SpanStats};
 
 static GLOBAL: Registry = Registry::new();
 

@@ -62,30 +62,6 @@ pub struct Snapshot {
     pub span_tree: Vec<SpanData>,
 }
 
-impl Snapshot {
-    /// Looks up a span occurrence by id in [`Snapshot::span_tree`].
-    pub fn span_by_id(&self, id: u64) -> Option<&SpanData> {
-        self.span_tree.iter().find(|s| s.id == id)
-    }
-
-    /// The root ancestor (a span with no parent) of the given occurrence,
-    /// found by walking `parent` links. Returns `span` itself when it has
-    /// no parent; `None` if a parent id is missing from the tree (a
-    /// broken link — the shape tests treat that as a failure).
-    pub fn root_of<'a>(&'a self, span: &'a SpanData) -> Option<&'a SpanData> {
-        let mut cur = span;
-        let mut hops = 0;
-        while let Some(pid) = cur.parent {
-            cur = self.span_by_id(pid)?;
-            hops += 1;
-            if hops > 1_000 {
-                return None; // cycle guard; cannot happen with monotonic ids
-            }
-        }
-        Some(cur)
-    }
-}
-
 impl Registry {
     /// A fresh, disabled registry.
     pub const fn new() -> Registry {

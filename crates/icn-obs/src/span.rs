@@ -6,7 +6,7 @@
 //! {
 //!     let _outer = icn_obs::Span::enter("stage2_cluster");
 //!     let mut inner = icn_obs::Span::enter("condensed");
-//!     inner.attr("pairs", 42u64);
+//!     inner.attr("pairs", 42);
 //!     inner.event("allocated");
 //!     // ... work ...
 //! } // both spans record their wall time on drop
@@ -34,7 +34,7 @@
 //! [`current_handoff`] returns `None` after a single relaxed load.
 
 use crate::registry::Registry;
-use crate::trace::{AttrValue, SpanData, SpanEvent};
+use crate::trace::{SpanData, SpanEvent};
 use std::cell::{Cell, RefCell};
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::time::Instant;
@@ -153,7 +153,7 @@ struct SpanState {
     /// Window peak at enter, so the drop can report how far the
     /// process-wide high-water mark rose during the span.
     peak_at_enter: u64,
-    attrs: Vec<(String, AttrValue)>,
+    attrs: Vec<(String, u64)>,
     events: Vec<SpanEvent>,
 }
 
@@ -210,11 +210,12 @@ impl Span {
         self.state.as_ref().map(|s| s.path.as_str())
     }
 
-    /// Attaches a key = value attribute (last write appends; keys are not
-    /// deduplicated). No-op while disabled.
-    pub fn attr(&mut self, key: &str, value: impl Into<AttrValue>) {
+    /// Attaches an integer key = value attribute — a count or an index
+    /// (last write appends; keys are not deduplicated). No-op while
+    /// disabled.
+    pub fn attr(&mut self, key: &str, value: u64) {
         if let Some(state) = self.state.as_mut() {
-            state.attrs.push((key.to_string(), value.into()));
+            state.attrs.push((key.to_string(), value));
         }
     }
 
@@ -341,7 +342,7 @@ mod tests {
         reg.reset();
         let mut s = Span::enter("ghost");
         assert!(s.path().is_none());
-        s.attr("k", 1u64);
+        s.attr("k", 1);
         s.event("e");
         drop(s);
         assert!(reg.snapshot().spans.is_empty());
@@ -378,9 +379,8 @@ mod tests {
         reg.enable();
         {
             let mut s = Span::enter("work");
-            s.attr("rows", 128u64);
-            s.attr("ratio", 0.5f64);
-            s.attr("mode", "batch");
+            s.attr("rows", 128);
+            s.attr("start", 0);
             s.event("halfway");
         }
         reg.disable();
@@ -388,9 +388,9 @@ mod tests {
         reg.reset();
         let s = &snap.span_tree[0];
         let attr = |k: &str| s.attrs.iter().find(|(key, _)| key == k).map(|(_, v)| v);
-        assert_eq!(attr("rows"), Some(&AttrValue::U64(128)));
-        assert_eq!(attr("ratio"), Some(&AttrValue::F64(0.5)));
-        assert_eq!(attr("mode"), Some(&AttrValue::Str("batch".into())));
+        assert_eq!(attr("rows"), Some(&128));
+        assert_eq!(attr("start"), Some(&0));
+        assert_eq!(s.attrs.len(), 2);
         assert_eq!(s.events.len(), 1);
         assert_eq!(s.events[0].name, "halfway");
     }

@@ -13,46 +13,6 @@
 use std::collections::BTreeMap;
 use std::time::Duration;
 
-/// An attribute value attached to a span (key = value pairs).
-#[derive(Clone, Debug, PartialEq)]
-pub enum AttrValue {
-    /// Unsigned integer attribute (counts, indices).
-    U64(u64),
-    /// Floating-point attribute (ratios, throughputs).
-    F64(f64),
-    /// String attribute.
-    Str(String),
-}
-
-impl AttrValue {
-    /// Renders the value as a [`crate::Json`] node.
-    pub(crate) fn to_json(&self) -> crate::Json {
-        match self {
-            AttrValue::U64(v) => crate::Json::Num(*v as f64),
-            AttrValue::F64(v) => crate::Json::Num(*v),
-            AttrValue::Str(s) => crate::Json::Str(s.clone()),
-        }
-    }
-}
-
-impl From<u64> for AttrValue {
-    fn from(v: u64) -> AttrValue {
-        AttrValue::U64(v)
-    }
-}
-
-impl From<f64> for AttrValue {
-    fn from(v: f64) -> AttrValue {
-        AttrValue::F64(v)
-    }
-}
-
-impl From<&str> for AttrValue {
-    fn from(v: &str) -> AttrValue {
-        AttrValue::Str(v.to_string())
-    }
-}
-
 /// A point event recorded inside a span (`span.event("sealed")`).
 #[derive(Clone, Debug, PartialEq)]
 pub struct SpanEvent {
@@ -96,8 +56,9 @@ pub struct SpanData {
     /// span was open (its peak contribution; zero when the high-water
     /// mark was set elsewhere).
     pub peak_growth_bytes: u64,
-    /// Attached key = value attributes, in insertion order.
-    pub attrs: Vec<(String, AttrValue)>,
+    /// Attached integer key = value attributes (counts, indices), in
+    /// insertion order.
+    pub attrs: Vec<(String, u64)>,
     /// Point events recorded inside the span, in time order.
     pub events: Vec<SpanEvent>,
 }

@@ -4,10 +4,11 @@
 //! population: for every antenna, service and hour of an observation
 //! window, read the hourly ground-truth volume from `icn-synth`'s weight
 //! model (`traffic::WeightBook`), explode it into IP sessions, run each
-//! session through the ULI resolver and the DPI classifier, and aggregate
-//! the surviving records hourly. The result is a totals matrix produced the
-//! way the operator actually produced theirs — and tests verify it agrees
-//! with the direct generator up to classifier noise.
+//! session through the ULI resolver and the DPI classifier, aggregate the
+//! surviving records hourly in the antenna's own cube, and fold that cube
+//! into the antenna's row of the totals matrix. The result is a totals
+//! matrix produced the way the operator actually produced theirs — and
+//! tests verify it agrees with the direct generator up to classifier noise.
 
 use crate::aggregate::HourlyCube;
 use crate::dpi::{DpiClassifier, DpiConfig};
@@ -56,9 +57,12 @@ impl Default for CampaignConfig {
 /// `dataset`, producing the aggregated totals matrix the analysis pipeline
 /// would consume. Deterministic in `config.seed`.
 ///
-/// The per-antenna work (session synthesis + classification) runs in
-/// parallel; each antenna owns a forked RNG stream, so results do not
-/// depend on the thread schedule.
+/// The per-antenna work (session synthesis, classification, aggregation,
+/// suppression and the hourly fold) runs in parallel; each antenna owns a
+/// forked RNG stream, so results do not depend on the thread schedule.
+/// Every session's ULI resolves to the antenna it was drawn for, so a
+/// worker holds only that antenna's service × hour cube and drops it once
+/// it is folded into the antenna's totals row.
 pub fn run_campaign(
     dataset: &Dataset,
     window: &StudyCalendar,
@@ -73,13 +77,17 @@ pub fn run_campaign(
     let antennas: Vec<&Antenna> = dataset.antennas.iter().collect();
     let book = WeightBook::new(&antennas, &dataset.services, window, dataset.root_rng());
 
-    // Every session's ULI resolves to the antenna it was drawn for, so
-    // each worker fills only that antenna's service × hour slab and the
-    // merge copies one row per antenna.
-    let slabs: Vec<HourlyCube> = par::map_indexed(n_antennas, |a| {
+    struct AntennaFold {
+        row: Vec<f64>,
+        sessions: usize,
+        dropped_bad_uli: usize,
+        dropped_unclassified: usize,
+        suppressed_cells: usize,
+    }
+    let folds: Vec<AntennaFold> = par::map_indexed(n_antennas, |a| {
         let mut rng = root.fork(a as u64);
         let dpi = DpiClassifier::new(&dataset.services, config.dpi);
-        let mut slab = HourlyCube::slab(a, n_antennas, n_services, n_hours);
+        let mut cube = HourlyCube::new(a, n_antennas, n_services, n_hours);
         let mut series = vec![0.0; n_hours];
         for (s, svc) in dataset.services.iter().enumerate() {
             let total = dataset.indoor_totals.get(a, s);
@@ -90,44 +98,52 @@ pub fn run_campaign(
                 }
                 for record in sessions_for_cell_hour(a, s, svc, hour, mb, &mut rng) {
                     let label = dpi.classify(record.service, &mut rng);
-                    slab.ingest(&record, label);
+                    cube.ingest(&record, label);
                 }
             }
         }
-        slab
+        let sessions = cube.session_count();
+        let suppressed_cells = if config.min_sessions_per_cell > 1 {
+            cube.suppress_below(config.min_sessions_per_cell)
+        } else {
+            0
+        };
+        AntennaFold {
+            row: cube.totals_row(),
+            sessions,
+            dropped_bad_uli: cube.dropped_bad_uli,
+            dropped_unclassified: cube.dropped_unclassified,
+            suppressed_cells,
+        }
     });
 
-    let mut cube = HourlyCube::new(n_antennas, n_services, n_hours);
-    for slab in slabs {
-        cube.add_slab(&slab);
-    }
-    let sessions = cube.session_count();
-
-    let suppressed_cells = if config.min_sessions_per_cell > 1 {
-        cube.suppress_below(config.min_sessions_per_cell)
-    } else {
-        0
+    let mut result = CampaignResult {
+        totals: Matrix::zeros(n_antennas, n_services),
+        sessions: 0,
+        dropped_bad_uli: 0,
+        dropped_unclassified: 0,
+        suppressed_cells: 0,
     };
+    for (a, fold) in folds.into_iter().enumerate() {
+        result.totals.row_mut(a).copy_from_slice(&fold.row);
+        result.sessions += fold.sessions;
+        result.dropped_bad_uli += fold.dropped_bad_uli;
+        result.dropped_unclassified += fold.dropped_unclassified;
+        result.suppressed_cells += fold.suppressed_cells;
+    }
 
     let obs = icn_obs::global();
     if obs.is_enabled() {
         obs.add_counter("probe.antennas", n_antennas as u64);
-        obs.add_counter("probe.sessions", sessions as u64);
-        obs.add_counter("probe.dropped_bad_uli", cube.dropped_bad_uli as u64);
+        obs.add_counter("probe.sessions", result.sessions as u64);
+        obs.add_counter("probe.dropped_bad_uli", result.dropped_bad_uli as u64);
         obs.add_counter(
             "probe.dropped_unclassified",
-            cube.dropped_unclassified as u64,
+            result.dropped_unclassified as u64,
         );
-        obs.add_counter("probe.suppressed_cells", suppressed_cells as u64);
+        obs.add_counter("probe.suppressed_cells", result.suppressed_cells as u64);
     }
-
-    CampaignResult {
-        totals: cube.totals_matrix(),
-        sessions,
-        dropped_bad_uli: cube.dropped_bad_uli,
-        dropped_unclassified: cube.dropped_unclassified,
-        suppressed_cells,
-    }
+    result
 }
 
 #[cfg(test)]

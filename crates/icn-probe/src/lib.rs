@@ -18,10 +18,10 @@
 //!   antennas, rejecting inconsistent or foreign records.
 //! * [`DpiConfig`] — the service classifier with a category-structured
 //!   confusion model and an unclassified fraction.
-//! * [`HourlyCube`] — the hourly (antenna, service, hour) cube, k-anonymity
-//!   suppression, and folding into the totals matrix.
-//! * [`run_campaign`] — end-to-end orchestration with conservation tests
-//!   against the direct generator.
+//! * [`HourlyCube`] — one antenna's hourly service × hour cube, k-anonymity
+//!   suppression, and folding into the antenna's row of the totals matrix.
+//! * [`run_campaign`] — end-to-end orchestration, one antenna's cube at a
+//!   time, with conservation tests against the direct generator.
 
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]

@@ -1,12 +1,12 @@
 //! Distance kernels between feature vectors.
 //!
-//! The clustering substrate (Ward linkage, silhouette, Dunn, k-means) is
-//! parameterised over a [`Metric`]. The paper uses Euclidean geometry (Ward's
-//! criterion is defined on squared Euclidean distances); the other metrics
-//! exist for the linkage-ablation bench (B2 in DESIGN.md) and for tests of
-//! metric axioms.
+//! The paper's clustering geometry is Euclidean: Ward's criterion works on
+//! squared Euclidean distances, and the quality indices (silhouette, Dunn)
+//! and the CPCC read their square roots. [`Metric`] names those two
+//! geometries for the condensed distance matrix; the kernels below compute
+//! them (k-means reads [`sq_euclidean`] directly).
 
-/// A distance metric between equal-length `f64` vectors.
+/// The geometry of a pairwise distance matrix.
 #[derive(Clone, Copy, Debug, PartialEq, Eq, Hash)]
 pub enum Metric {
     /// Straight-line (L2) distance.
@@ -14,51 +14,9 @@ pub enum Metric {
     /// Squared L2 distance (not a metric — violates the triangle
     /// inequality — but the natural quantity for Ward's variance criterion).
     SqEuclidean,
-    /// City-block (L1) distance.
-    Manhattan,
-    /// Maximum coordinate difference (L∞).
-    Chebyshev,
-    /// `1 − cosine similarity`; 0 for parallel vectors, 2 for anti-parallel.
-    /// Zero vectors are treated as orthogonal to everything (distance 1).
-    Cosine,
 }
 
-impl Metric {
-    /// Distance between `a` and `b`.
-    ///
-    /// # Panics
-    /// If the slices have different lengths.
-    pub fn distance(&self, a: &[f64], b: &[f64]) -> f64 {
-        assert_eq!(a.len(), b.len(), "Metric::distance: length mismatch");
-        match self {
-            Metric::Euclidean => sq_euclidean(a, b).sqrt(),
-            Metric::SqEuclidean => sq_euclidean(a, b),
-            Metric::Manhattan => a.iter().zip(b).map(|(x, y)| (x - y).abs()).sum(),
-            Metric::Chebyshev => a
-                .iter()
-                .zip(b)
-                .map(|(x, y)| (x - y).abs())
-                .fold(0.0, f64::max),
-            Metric::Cosine => {
-                let mut dot = 0.0;
-                let mut na = 0.0;
-                let mut nb = 0.0;
-                for (x, y) in a.iter().zip(b) {
-                    dot += x * y;
-                    na += x * x;
-                    nb += y * y;
-                }
-                if na == 0.0 || nb == 0.0 {
-                    1.0
-                } else {
-                    1.0 - dot / (na.sqrt() * nb.sqrt())
-                }
-            }
-        }
-    }
-}
-
-/// Squared Euclidean distance, the hot inner loop of Ward clustering.
+/// Squared Euclidean distance as one serial sum (k-means' assignment step).
 #[inline]
 pub fn sq_euclidean(a: &[f64], b: &[f64]) -> f64 {
     debug_assert_eq!(a.len(), b.len());
@@ -114,71 +72,11 @@ mod tests {
     const B: [f64; 3] = [4.0, 0.0, -1.0];
 
     #[test]
-    fn euclidean_345_triangle() {
-        assert_eq!(Metric::Euclidean.distance(&A, &B), 5.0);
-    }
-
-    #[test]
-    fn sq_euclidean_matches() {
-        assert_eq!(Metric::SqEuclidean.distance(&A, &B), 25.0);
+    fn sq_euclidean_345_triangle() {
         assert_eq!(sq_euclidean(&A, &B), 25.0);
-    }
-
-    #[test]
-    fn manhattan_hand_value() {
-        assert_eq!(Metric::Manhattan.distance(&A, &B), 7.0);
-    }
-
-    #[test]
-    fn chebyshev_hand_value() {
-        assert_eq!(Metric::Chebyshev.distance(&A, &B), 4.0);
-    }
-
-    #[test]
-    fn cosine_parallel_orthogonal_antiparallel() {
-        let x = [1.0, 0.0];
-        let y = [2.0, 0.0];
-        let z = [0.0, 5.0];
-        let w = [-1.0, 0.0];
-        assert!(Metric::Cosine.distance(&x, &y).abs() < 1e-12);
-        assert!((Metric::Cosine.distance(&x, &z) - 1.0).abs() < 1e-12);
-        assert!((Metric::Cosine.distance(&x, &w) - 2.0).abs() < 1e-12);
-    }
-
-    #[test]
-    fn cosine_zero_vector_is_one() {
-        assert_eq!(Metric::Cosine.distance(&[0.0, 0.0], &[1.0, 2.0]), 1.0);
-    }
-
-    #[test]
-    fn identity_of_indiscernibles() {
-        for m in [
-            Metric::Euclidean,
-            Metric::SqEuclidean,
-            Metric::Manhattan,
-            Metric::Chebyshev,
-        ] {
-            assert_eq!(m.distance(&A, &A), 0.0, "{m:?}");
-        }
-    }
-
-    #[test]
-    fn symmetry() {
-        for m in [
-            Metric::Euclidean,
-            Metric::SqEuclidean,
-            Metric::Manhattan,
-            Metric::Chebyshev,
-            Metric::Cosine,
-        ] {
-            assert_eq!(m.distance(&A, &B), m.distance(&B, &A), "{m:?}");
-        }
-    }
-
-    #[test]
-    #[should_panic(expected = "length mismatch")]
-    fn length_mismatch_panics() {
-        Metric::Euclidean.distance(&[1.0], &[1.0, 2.0]);
+        assert_eq!(sq_euclidean(&A, &B).sqrt(), 5.0);
+        assert_eq!(sq_euclidean(&A, &A), 0.0);
+        assert_eq!(sq_euclidean(&A, &B), sq_euclidean(&B, &A));
     }
 
     #[test]

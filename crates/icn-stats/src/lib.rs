@@ -11,11 +11,12 @@
 //!   substrate needs (uniform, normal, log-normal, exponential, Poisson,
 //!   categorical). Bit-for-bit reproducible for a fixed seed on every
 //!   platform.
-//! * [`summary`] — mean / variance / standard deviation / median / quantiles
-//!   / min / max over slices, with NaN-hostile debug assertions.
+//! * [`summary`] — mean / median / quantiles / min / max / Pearson
+//!   correlation over slices, with NaN-hostile assertions.
 //! * [`Histogram`] — fixed-width binning used by Figure 1 of the paper.
-//! * [`distance`] — metric kernels (Euclidean, squared Euclidean, Manhattan,
-//!   Chebyshev, cosine distance) used by the clustering substrate.
+//! * [`distance`] — squared-Euclidean kernels, and the [`Metric`]
+//!   (Euclidean or squared Euclidean) of the clustering substrate's
+//!   pairwise distance matrix.
 //! * [`normalize`] — global-max, per-slice max and row-stochastic
 //!   normalisation (the "normalized traffic" panel of Figure 1).
 //! * [`rank`] — argsort / top-k / argmax used for feature importance

@@ -158,13 +158,6 @@ impl Matrix {
             .max(0.0)
     }
 
-    /// Applies `f` to every element in place.
-    pub fn map_inplace(&mut self, mut f: impl FnMut(f64) -> f64) {
-        for v in &mut self.data {
-            *v = f(*v);
-        }
-    }
-
     /// Returns a new matrix with `f` applied elementwise.
     pub fn map(&self, mut f: impl FnMut(f64) -> f64) -> Matrix {
         Matrix {
@@ -264,13 +257,11 @@ mod tests {
     }
 
     #[test]
-    fn map_and_map_inplace_agree() {
-        let m = sample();
-        let doubled = m.map(|v| 2.0 * v);
-        let mut m2 = m.clone();
-        m2.map_inplace(|v| 2.0 * v);
-        assert_eq!(doubled, m2);
+    fn map_applies_elementwise() {
+        let doubled = sample().map(|v| 2.0 * v);
+        assert_eq!(doubled.shape(), (2, 3));
         assert_eq!(doubled.get(1, 1), 10.0);
+        assert_eq!(doubled.total(), 42.0);
     }
 
     #[test]

@@ -391,6 +391,10 @@ where
 mod tests {
     use super::*;
 
+    /// Serialises the tests that set `ICN_THREADS`: the variable is
+    /// process-global and the tests of one binary run concurrently.
+    static ENV_LOCK: std::sync::Mutex<()> = std::sync::Mutex::new(());
+
     #[test]
     fn preserves_index_order() {
         let out = map_indexed(1000, |i| i * 3);
@@ -484,6 +488,7 @@ mod tests {
 
     #[test]
     fn fill_chunks_thread_invariant_and_degenerate() {
+        let _guard = ENV_LOCK.lock().unwrap();
         // Single-chunk and empty buffers take the sequential fallback.
         let mut one = vec![0u8; 3];
         fill_chunks(&mut one, 100, |r, s| {
@@ -608,6 +613,7 @@ mod tests {
 
     #[test]
     fn team_helpers_never_exceed_the_cores() {
+        let _guard = ENV_LOCK.lock().unwrap();
         let hw = std::thread::available_parallelism().map_or(1, |v| v.get());
         std::env::set_var("ICN_THREADS", "1");
         let one = team_helpers();
@@ -620,6 +626,7 @@ mod tests {
 
     #[test]
     fn thread_count_honors_env_override() {
+        let _guard = ENV_LOCK.lock().unwrap();
         std::env::set_var("ICN_THREADS", "3");
         let n = thread_count();
         std::env::remove_var("ICN_THREADS");

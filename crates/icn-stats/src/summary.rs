@@ -1,8 +1,8 @@
-//! Scalar summaries over slices: mean, variance, median, quantiles.
+//! Scalar summaries over slices: mean, median, quantiles, correlation.
 //!
 //! The temporal analysis of the paper (Section 6) reports the *median*
 //! traffic per hour across the antennas of a cluster, and the clustering
-//! quality indices need means and variances; these are the shared
+//! diagnostics need means and correlations; these are the shared
 //! implementations. All functions treat an empty slice as an error (they
 //! panic with a clear message) rather than silently returning NaN — upstream
 //! code guards against empty clusters explicitly.
@@ -11,17 +11,6 @@
 pub fn mean(xs: &[f64]) -> f64 {
     assert!(!xs.is_empty(), "mean of empty slice");
     xs.iter().sum::<f64>() / xs.len() as f64
-}
-
-/// Population variance (divides by `n`). Panics on an empty slice.
-fn variance(xs: &[f64]) -> f64 {
-    let m = mean(xs);
-    xs.iter().map(|x| (x - m) * (x - m)).sum::<f64>() / xs.len() as f64
-}
-
-/// Population standard deviation.
-pub fn std_dev(xs: &[f64]) -> f64 {
-    variance(xs).sqrt()
 }
 
 /// Minimum value. Panics on an empty slice.
@@ -113,13 +102,6 @@ mod tests {
     }
 
     #[test]
-    fn variance_and_std() {
-        let xs = [2.0, 4.0, 4.0, 4.0, 5.0, 5.0, 7.0, 9.0];
-        assert!((variance(&xs) - 4.0).abs() < 1e-12);
-        assert!((std_dev(&xs) - 2.0).abs() < 1e-12);
-    }
-
-    #[test]
     fn median_odd_and_even() {
         assert_eq!(median(&[3.0, 1.0, 2.0]), 2.0);
         assert_eq!(median(&[4.0, 1.0, 2.0, 3.0]), 2.5);
@@ -172,14 +154,5 @@ mod tests {
     #[test]
     fn pearson_zero_variance_is_zero() {
         assert_eq!(pearson(&[1.0, 1.0], &[2.0, 3.0]), 0.0);
-    }
-
-    #[test]
-    fn variance_nonnegative() {
-        crate::check::cases(64, |case, rng| {
-            let len = crate::check::len_in(rng, 1, 60);
-            let xs = crate::check::uniform_vec(rng, len, -1e6, 1e6);
-            assert!(variance(&xs) >= 0.0, "case {case}");
-        });
     }
 }

@@ -2,7 +2,7 @@
 //! deterministic [`icn_stats::check`] harness.
 
 use icn_stats::check::{cases, len_in, uniform_vec};
-use icn_stats::distance::{sq_euclidean, Metric};
+use icn_stats::distance::{sq_euclidean, sq_euclidean4};
 use icn_stats::rank;
 use icn_stats::rng::Rng;
 use icn_stats::summary;
@@ -53,9 +53,9 @@ fn euclidean_triangle_inequality() {
         let a = uniform_vec(rng, 3, -1e6, 1e6);
         let b = uniform_vec(rng, 3, -1e6, 1e6);
         let c = uniform_vec(rng, 3, -1e6, 1e6);
-        let ab = Metric::Euclidean.distance(&a, &b);
-        let bc = Metric::Euclidean.distance(&b, &c);
-        let ac = Metric::Euclidean.distance(&a, &c);
+        let ab = sq_euclidean(&a, &b).sqrt();
+        let bc = sq_euclidean(&b, &c).sqrt();
+        let ac = sq_euclidean(&a, &c).sqrt();
         assert!(ac <= ab + bc + 1e-6, "case {case}");
     });
 }
@@ -65,31 +65,27 @@ fn metric_symmetry_and_identity() {
     cases(64, |case, rng| {
         let a = uniform_vec(rng, 4, -1e6, 1e6);
         let b = uniform_vec(rng, 4, -1e6, 1e6);
-        for m in [
-            Metric::Euclidean,
-            Metric::Manhattan,
-            Metric::Chebyshev,
-            Metric::SqEuclidean,
+        for (name, kernel) in [
+            ("sq_euclidean", sq_euclidean as fn(&[f64], &[f64]) -> f64),
+            ("sq_euclidean4", sq_euclidean4),
         ] {
-            assert!(
-                (m.distance(&a, &b) - m.distance(&b, &a)).abs() < 1e-9,
-                "case {case}: {m:?}"
-            );
-            assert!(m.distance(&a, &a).abs() < 1e-9, "case {case}: {m:?}");
-            assert!(m.distance(&a, &b) >= 0.0, "case {case}: {m:?}");
+            assert_eq!(kernel(&a, &b), kernel(&b, &a), "case {case}: {name}");
+            assert_eq!(kernel(&a, &a), 0.0, "case {case}: {name}");
+            assert!(kernel(&a, &b) >= 0.0, "case {case}: {name}");
         }
     });
 }
 
 #[test]
-fn sq_euclidean_is_square() {
+fn four_lane_kernel_agrees_with_scalar() {
     cases(64, |case, rng| {
-        let a = uniform_vec(rng, 5, -1e6, 1e6);
-        let b = uniform_vec(rng, 5, -1e6, 1e6);
-        let e = Metric::Euclidean.distance(&a, &b);
+        let len = len_in(rng, 1, 40);
+        let a = uniform_vec(rng, len, -1e6, 1e6);
+        let b = uniform_vec(rng, len, -1e6, 1e6);
+        let (scalar, lanes) = (sq_euclidean(&a, &b), sq_euclidean4(&a, &b));
         assert!(
-            (sq_euclidean(&a, &b) - e * e).abs() < 1e-3_f64.max(e * e * 1e-12),
-            "case {case}"
+            (scalar - lanes).abs() <= 1e-12 * scalar.max(1.0),
+            "case {case}: {scalar} vs {lanes}"
         );
     });
 }

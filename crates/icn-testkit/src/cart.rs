@@ -63,7 +63,6 @@ fn resolve(max_features: MaxFeatures, m: usize) -> usize {
     match max_features {
         MaxFeatures::All => m,
         MaxFeatures::Sqrt => ((m as f64).sqrt().round() as usize).clamp(1, m),
-        MaxFeatures::Fixed(k) => k.clamp(1, m),
     }
 }
 

@@ -51,7 +51,7 @@ pub fn misclassify(t: &mut Matrix, fraction: f64, rng: &mut Rng) {
 /// measurement noise.
 pub fn multiplicative_noise(t: &mut Matrix, sigma: f64, rng: &mut Rng) {
     assert!(sigma >= 0.0, "multiplicative_noise: negative sigma");
-    t.map_inplace(|v| v * rng.lognormal(0.0, sigma));
+    *t = t.map(|v| v * rng.lognormal(0.0, sigma));
 }
 
 /// Poisons `count` random entries with NaN — used to test the pipeline's

@@ -9,7 +9,8 @@
 
 use icn_cluster::{Condensed, Linkage, Merge, MergeHistory};
 use icn_forest::{gini, DecisionTree, RandomForest, TrainSet};
-use icn_stats::Matrix;
+use icn_stats::distance::sq_euclidean;
+use icn_stats::{Matrix, Metric};
 
 /// Eq. (1) computed per cell with all four marginals re-derived from
 /// scratch inside the inner loop — O(N²M²) on purpose, so no intermediate
@@ -49,11 +50,14 @@ pub fn naive_rsca(t: &Matrix) -> Matrix {
 pub fn naive_agglomerate(data: &Matrix, linkage: Linkage) -> MergeHistory {
     let n = data.rows();
     assert!(n >= 2, "naive_agglomerate: need at least 2 observations");
-    let metric = linkage.base_metric();
     let mut d = vec![vec![0.0f64; n]; n];
     for i in 0..n {
         for j in 0..n {
-            d[i][j] = metric.distance(data.row(i), data.row(j));
+            let sq = sq_euclidean(data.row(i), data.row(j));
+            d[i][j] = match linkage.base_metric() {
+                Metric::SqEuclidean => sq,
+                Metric::Euclidean => sq.sqrt(),
+            };
         }
     }
     let mut alive: Vec<usize> = (0..n).collect();
@@ -493,7 +497,6 @@ pub fn gini_importance(forest: &RandomForest) -> Vec<f64> {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use icn_stats::Metric;
 
     #[test]
     fn naive_rca_hand_computed() {

@@ -56,6 +56,21 @@ fn blessed_sampled_golden_matches_current_pipeline() {
 }
 
 #[test]
+fn blessed_forecast_golden_matches_current_pipeline() {
+    // Stage 6 (the per-cluster hourly series, the model fits and the
+    // detector) has its own golden; drift there fails here, not only in
+    // `icn testkit`.
+    let golden = checked_in("forecast");
+    if let Err(drift) = compare_golden(&golden.path, &golden.snapshot()) {
+        panic!(
+            "forecast output drifted from tests/golden (re-bless with \
+             `cargo run --bin icn -- testkit --bless` if intentional):\n  {}",
+            drift.join("\n  ")
+        );
+    }
+}
+
+#[test]
 fn sampled_snapshot_is_deterministic() {
     let a = snapshot_pipeline_sampled(SAMPLED_GOLDEN_SCALE);
     let b = snapshot_pipeline_sampled(SAMPLED_GOLDEN_SCALE);

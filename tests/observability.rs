@@ -6,7 +6,7 @@
 //! Every test drives the process-global registry, so they serialize on a
 //! shared lock (tests within one binary run concurrently by default).
 
-use icn_repro::icn_obs::{self, BenchReport, Snapshot, PIPELINE_STAGES};
+use icn_repro::icn_obs::{self, BenchReport, Snapshot, SpanData, PIPELINE_STAGES};
 use icn_repro::prelude::*;
 
 mod common;
@@ -15,6 +15,27 @@ use std::sync::Mutex;
 use std::time::Duration;
 
 static LOCK: Mutex<()> = Mutex::new(());
+
+/// Looks up a span occurrence by id in the snapshot's span tree.
+fn span_by_id(snap: &Snapshot, id: u64) -> Option<&SpanData> {
+    snap.span_tree.iter().find(|s| s.id == id)
+}
+
+/// The root ancestor (a span with no parent) of `span`, found by walking
+/// `parent` links: `span` itself when it has no parent, `None` when a
+/// parent id is missing from the tree (a broken link).
+fn root_of<'a>(snap: &'a Snapshot, span: &'a SpanData) -> Option<&'a SpanData> {
+    let mut cur = span;
+    let mut hops = 0;
+    while let Some(pid) = cur.parent {
+        cur = span_by_id(snap, pid)?;
+        hops += 1;
+        if hops > 1_000 {
+            return None; // cycle guard; cannot happen with monotonic ids
+        }
+    }
+    Some(cur)
+}
 
 /// Runs `run` with the registry enabled and returns its result with the
 /// raw snapshot (span tree included). `threads` pins `ICN_THREADS` for
@@ -332,8 +353,7 @@ fn every_span_roots_to_a_stage_at_any_thread_count() {
         let snap = metered_snapshot(7, Some(threads));
         assert!(!snap.span_tree.is_empty(), "no spans recorded");
         for span in &snap.span_tree {
-            let root = snap
-                .root_of(span)
+            let root = root_of(&snap, span)
                 .unwrap_or_else(|| panic!("broken parent link under {}", span.path));
             assert!(
                 allowed.contains(root.name.as_str()),
@@ -344,7 +364,7 @@ fn every_span_roots_to_a_stage_at_any_thread_count() {
             // Cross-thread workers must be adopted, never orphaned roots.
             if span.name == "fit_tree" || span.name == "shap_chunk" {
                 let parent = span.parent.expect("worker span must have a parent");
-                let p = snap.span_by_id(parent).expect("parent present in tree");
+                let p = span_by_id(&snap, parent).expect("parent present in tree");
                 assert!(
                     p.name == "forest_fit" || p.name == "shap_batch",
                     "worker span {} parented to {} instead of its stage",

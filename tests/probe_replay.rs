@@ -5,7 +5,7 @@
 //! config) — rerunning it must reproduce every output bit-for-bit, and
 //! changing only the seed must not. Consistency: the ULI grouping stage
 //! is a partition of the session stream, so no byte may be lost or
-//! double-counted between the raw records and the aggregated cube.
+//! double-counted between the raw records and the per-antenna cubes.
 
 use icn_repro::icn_probe::{
     antenna_for_uli, run_campaign, sessions_for_cell_hour, uli_for_antenna, CampaignConfig,
@@ -96,14 +96,16 @@ fn uli_round_trips_for_every_antenna() {
 
 #[test]
 fn aggregation_preserves_bytes_across_uli_grouping() {
-    // Synthesise raw session records for a handful of cells, ingest them
-    // through the ULI-grouped cube, and check the books balance: total MB
-    // in equals total MB out, per antenna and overall.
+    // Synthesise raw session records for a handful of cells, route each to
+    // the cube of the antenna its ULI resolves to, and check the books
+    // balance: total MB in equals total MB out, per antenna.
     let ds = common::dataset_at(0.02);
     let n_antennas = ds.num_antennas();
     let n_services = ds.services.len();
     let mut rng = Rng::seed_from(42);
-    let mut cube = HourlyCube::new(n_antennas, n_services, 24);
+    let mut cubes: Vec<HourlyCube> = (0..n_antennas)
+        .map(|a| HourlyCube::new(a, n_antennas, n_services, 24))
+        .collect();
 
     let mut expected_mb = vec![0.0f64; n_antennas];
     let mut expected_records = 0usize;
@@ -113,27 +115,24 @@ fn aggregation_preserves_bytes_across_uli_grouping() {
             let records = sessions_for_cell_hour(a, s, service, a % 24, volume, &mut rng);
             for r in &records {
                 expected_mb[a] += r.bytes_total() as f64 / 1e6;
-                cube.ingest(r, DpiLabel::Service(r.service));
+                let owner = antenna_for_uli(r.uli, n_antennas).expect("planned ULIs resolve");
+                cubes[owner].ingest(r, DpiLabel::Service(r.service));
             }
             expected_records += records.len();
         }
     }
     assert!(expected_records > 0);
-    assert_eq!(cube.dropped_bad_uli, 0, "all planned ULIs must resolve");
+    assert!(
+        cubes.iter().all(|c| c.dropped_bad_uli == 0),
+        "all planned ULIs must resolve"
+    );
 
-    let totals = cube.totals_matrix();
-    for a in 0..n_antennas {
-        let got: f64 = totals.row(a).iter().sum();
+    for (a, cube) in cubes.iter().enumerate() {
+        let got: f64 = cube.totals_row().iter().sum();
         assert!(
             (got - expected_mb[a]).abs() < 1e-6 * (1.0 + expected_mb[a]),
             "antenna {a}: cube has {got} MB, records carried {}",
             expected_mb[a]
-        );
-        // The hourly view must agree with the totals view cell-for-cell.
-        let series: f64 = cube.antenna_series(a).iter().sum();
-        assert!(
-            (series - got).abs() < 1e-9 * (1.0 + got),
-            "antenna {a}: hourly series {series} vs totals {got}"
         );
     }
 }

@@ -11,6 +11,12 @@ use icn_repro::prelude::*;
 mod common;
 use icn_stats::normalize;
 
+/// Population standard deviation (divides by `n`).
+fn std_dev(xs: &[f64]) -> f64 {
+    let m = icn_stats::summary::mean(xs);
+    (xs.iter().map(|x| (x - m) * (x - m)).sum::<f64>() / xs.len() as f64).sqrt()
+}
+
 fn ari_of(matrix: &Matrix, planted: &[usize]) -> f64 {
     let history = agglomerate(matrix, Linkage::Ward);
     let labels = history.cut(9);
@@ -62,7 +68,7 @@ fn raw_clustering_groups_by_volume() {
 
     // Compute within-cluster volume dispersion vs global: popularity
     // grouping means volumes within a raw cluster are far less dispersed.
-    let global_sd = icn_stats::summary::std_dev(&volumes);
+    let global_sd = std_dev(&volumes);
     let mut within: Vec<f64> = Vec::new();
     for c in 0..9 {
         let vs: Vec<f64> = volumes
@@ -72,7 +78,7 @@ fn raw_clustering_groups_by_volume() {
             .map(|(&v, _)| v)
             .collect();
         if vs.len() > 1 {
-            within.push(icn_stats::summary::std_dev(&vs));
+            within.push(std_dev(&vs));
         }
     }
     let mean_within = icn_stats::summary::mean(&within);
